@@ -40,7 +40,7 @@ sim::SetpointPair DtPolicy::decide(const std::vector<double>& x) const {
   return actions_.action(decide_index(x));
 }
 
-std::size_t DtPolicy::decide_index(const std::vector<double>& x) const {
+std::size_t DtPolicy::decide_index(std::span<const double> x) const {
   return static_cast<std::size_t>(tree_.predict(x));
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "control/action_space.hpp"
@@ -38,7 +39,7 @@ class DtPolicy final : public control::Controller {
 
   /// Deterministic decision on a raw input vector in the schema's layout.
   sim::SetpointPair decide(const std::vector<double>& x) const;
-  std::size_t decide_index(const std::vector<double>& x) const;
+  std::size_t decide_index(std::span<const double> x) const;
 
   const tree::DecisionTreeClassifier& tree() const { return tree_; }
   /// Mutable access for the verification correction step.

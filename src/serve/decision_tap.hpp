@@ -58,8 +58,8 @@ struct DecisionEvent {
   double latency_seconds = 0.0;
   /// Whether latency_seconds was actually measured. MBRL decisions are
   /// always timed (two clock reads are noise next to the batch solve). DT
-  /// decisions are timed when SchedulerConfig::tap_time_dt is set, or on
-  /// a cheap 1-in-P sample (SchedulerConfig::dt_timing_sample_period) so
+  /// decisions are timed on a 1-in-P sample
+  /// (SchedulerConfig::dt_timing_sample_period; P = 1 times every one) so
   /// latency telemetry stays inside the fast path's single-digit-percent
   /// capture-overhead budget; untimed events carry latency_seconds == 0.
   bool timed = false;

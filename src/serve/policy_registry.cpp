@@ -8,6 +8,17 @@
 
 namespace verihvac::serve {
 
+namespace {
+
+/// Source of PolicyRegistry uids; 0 is never issued, so an empty thread
+/// cache never matches a live registry.
+std::atomic<std::uint64_t> next_registry_uid{1};
+
+}  // namespace
+
+PolicyRegistry::PolicyRegistry()
+    : uid_(next_registry_uid.fetch_add(1, std::memory_order_relaxed)) {}
+
 std::uint64_t PolicyRegistry::install(const std::string& key,
                                       std::shared_ptr<const core::DtPolicy> policy) {
   if (policy == nullptr) {
@@ -29,6 +40,7 @@ std::uint64_t PolicyRegistry::install(const std::string& key,
   }
   const std::uint64_t version = next_version_++;
   entries_[key] = PolicySnapshot{std::move(policy), version};
+  epoch_.fetch_add(1, std::memory_order_release);
   return version;
 }
 
@@ -47,10 +59,31 @@ PolicySnapshot PolicyRegistry::lookup(const std::string& key) const {
 }
 
 PolicySnapshot PolicyRegistry::try_lookup(const std::string& key) const {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  return it == entries_.end() ? PolicySnapshot{} : it->second;
+  const std::shared_ptr<const Table>& table = thread_table();
+  const auto it = table->find(key);
+  if (it == table->end()) return PolicySnapshot{};
+  // The snapshot owns the thread's table copy (which owns the bundle), so
+  // copying it touches this thread's reference count, not the bundle's.
+  return PolicySnapshot{std::shared_ptr<const core::DtPolicy>(table, it->second.policy.get()),
+                        it->second.version};
+}
+
+const std::shared_ptr<const PolicyRegistry::Table>& PolicyRegistry::thread_table() const {
+  struct Cache {
+    std::uint64_t uid = 0;
+    std::uint64_t epoch = 0;
+    std::shared_ptr<const Table> table;
+  };
+  thread_local Cache cache;
+  if (cache.uid != uid_ || cache.epoch != epoch_.load(std::memory_order_acquire)) {
+    // Writers bump the epoch under the exclusive lock, so the epoch read
+    // here is exactly the one the copied table was published at.
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    cache.table = std::make_shared<const Table>(entries_);
+    cache.uid = uid_;
+    cache.epoch = epoch_.load(std::memory_order_relaxed);
+  }
+  return cache.table;
 }
 
 bool PolicyRegistry::contains(const std::string& key) const {
@@ -60,7 +93,9 @@ bool PolicyRegistry::contains(const std::string& key) const {
 
 bool PolicyRegistry::erase(const std::string& key) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  return entries_.erase(key) > 0;
+  if (entries_.erase(key) == 0) return false;
+  epoch_.fetch_add(1, std::memory_order_release);
+  return true;
 }
 
 std::size_t PolicyRegistry::size() const {

@@ -10,11 +10,21 @@
 //   * install() publishes a bundle under a string key ("Pittsburgh/
 //     oversized/winter"-style, the campaign scenario convention) and bumps
 //     a registry-global monotonic version;
-//   * lookup() is the serving fast path: a shared-lock map find returning a
-//     shared_ptr snapshot, so a hot-swap never invalidates a decision that
-//     is already in flight — in-flight requests finish on the version they
-//     looked up, new requests see the new one;
-//   * no lock is held while deciding, only while copying the pointer.
+//   * lookup() is the serving fast path and takes no lock: install() and
+//     erase() bump an atomic epoch under the writer lock, and every thread
+//     caches (registry uid, epoch, copy of the table). A lookup reads the
+//     epoch, and only when the uid or the epoch differs from its cache does
+//     it re-copy the table under the shared lock. The uid is process-unique,
+//     so a registry constructed where another was destroyed never reuses a
+//     stale table. Each thread caches one table, which keeps its bundles
+//     alive until that thread's next lookup refreshes it (or the thread
+//     exits), so the memory held is bounded by threads x one table;
+//   * lookup() returns a shared_ptr snapshot, so a hot-swap never
+//     invalidates a decision that is already in flight — in-flight requests
+//     finish on the version they looked up, new requests see the new one.
+//     The snapshot shares ownership of the calling thread's table copy, so
+//     taking it bumps a reference count only that thread writes, not one
+//     every serving core bounces.
 #pragma once
 
 #include <atomic>
@@ -38,6 +48,8 @@ struct PolicySnapshot {
 
 class PolicyRegistry {
  public:
+  PolicyRegistry();
+
   /// Publishes (or hot-swaps) the bundle under `key`; returns the version
   /// assigned. Versions are monotonic across the whole registry, so any
   /// observed version order is a publication order.
@@ -60,14 +72,21 @@ class PolicyRegistry {
   std::size_t size() const;
   std::vector<std::string> keys() const;
 
-  /// Total lookup() / try_lookup() calls (hit or miss) — serving telemetry.
-  std::uint64_t lookup_count() const { return lookups_.load(std::memory_order_relaxed); }
-
  private:
+  using Table = std::map<std::string, PolicySnapshot>;
+
+  /// The calling thread's copy of this registry's table, refreshed when
+  /// the uid or epoch it was copied at is stale.
+  const std::shared_ptr<const Table>& thread_table() const;
+
+  /// Process-unique identity of this registry instance.
+  const std::uint64_t uid_;
+  /// Bumped (under the writer lock) by every install() and erase(); its
+  /// own cache line, which readers share and only writers dirty.
+  alignas(64) std::atomic<std::uint64_t> epoch_{0};
   mutable std::shared_mutex mutex_;
-  std::map<std::string, PolicySnapshot> entries_;
+  Table entries_;
   std::uint64_t next_version_ = 1;
-  mutable std::atomic<std::uint64_t> lookups_{0};
 };
 
 }  // namespace verihvac::serve

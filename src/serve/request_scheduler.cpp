@@ -127,16 +127,20 @@ std::chrono::steady_clock::time_point RequestScheduler::deadline_for(
 
 ControlDecision RequestScheduler::serve_dt(const ControlRequest& request) {
   DecisionTap* const tap = tap_.get();
-  bool timed = tap != nullptr && config_.tap_time_dt;
-  if (!timed && tap != nullptr && config_.dt_timing_sample_period > 0) {
+  const std::size_t period = config_.dt_timing_sample_period;
+  bool timed = false;
+  if (tap != nullptr && period > 0) {
     // Sampled timing: one in P decisions per serving thread pays the two
     // clock reads. A thread-local countdown (no shared counter to bounce
     // between front-end cores, no per-decision divide — a % by the
     // runtime period costs several percent of the whole DT path) keeps
     // the duty cycle exact; which wall instants get sampled is timing
-    // telemetry, not decision state, so thread-affinity is fine.
+    // telemetry, not decision state, so thread-affinity is fine. Every
+    // scheduler serving on this thread shares the countdown, so it is
+    // clamped to this scheduler's period: a longer period left behind by
+    // another scheduler must not delay this one's samples.
     thread_local std::uint64_t dt_timing_countdown = 0;
-    if (dt_timing_countdown == 0) dt_timing_countdown = config_.dt_timing_sample_period;
+    if (dt_timing_countdown == 0 || dt_timing_countdown > period) dt_timing_countdown = period;
     timed = --dt_timing_countdown == 0;
   }
   const auto t0 =
@@ -145,9 +149,14 @@ ControlDecision RequestScheduler::serve_dt(const ControlRequest& request) {
   const DecisionTicket ticket =
       sessions_->begin_decision(request.session, RequestKind::kDtPolicy, request.observation);
   const PolicySnapshot snapshot = registry_->lookup(ticket.policy_key);
-  const std::size_t index =
-      snapshot.policy->decide_index(snapshot.policy->schema().to_vector(request.observation));
-  dt_served_.fetch_add(1, std::memory_order_relaxed);
+  const env::FeatureSchema& schema = snapshot.policy->schema();
+  // Flattened into a per-thread row the walk reads in place: no
+  // allocation per decision.
+  thread_local std::vector<double> row;
+  row.resize(schema.dims());
+  schema.write_observation(request.observation, row.data());
+  const std::size_t index = snapshot.policy->decide_index(row);
+  dt_served_.add(1);
   obs_.dt_served->add(1);
 
   ControlDecision decision;
@@ -167,7 +176,7 @@ ControlDecision RequestScheduler::serve_dt(const ControlRequest& request) {
     event.action_index = decision.action_index;
     event.action = decision.action;
     event.observation = &request.observation;
-    event.schema = &snapshot.policy->schema();
+    event.schema = &schema;
     event.latency_seconds =
         timed ? std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count()
               : 0.0;
@@ -460,7 +469,7 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
 
 RequestScheduler::Stats RequestScheduler::stats() const {
   Stats stats;
-  stats.dt_served = dt_served_.load(std::memory_order_relaxed);
+  stats.dt_served = dt_served_.value();
   stats.mbrl_served = mbrl_served_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.batched_requests = batched_requests_.load(std::memory_order_relaxed);

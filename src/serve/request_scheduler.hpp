@@ -2,10 +2,15 @@
 //
 // Two traffic classes, two paths:
 //
-//   * DT fast path. A verified bundle decision is one registry lookup
-//     (shared-lock pointer copy) plus one root-to-leaf tree walk — the
+//   * DT fast path. A verified bundle decision is one session admission,
+//     one registry lookup, one flatten and one root-to-leaf tree walk — the
 //     1127x Table-3 artifact. serve()/submit() answer these inline on the
-//     caller's thread, sub-microsecond, never touching the queue.
+//     caller's thread, sub-microsecond, never touching the queue. Nothing
+//     on the path read-modify-writes a cache line other cores write, bar
+//     the admission's shard lock and clock: the lookup compares the
+//     registry's epoch against the thread's cached table copy and takes no
+//     lock, the observation is flattened into a thread-local row, and the
+//     served count lands in per-thread counter cells.
 //
 //   * MBRL fallback. A random-shooting decision costs samples x horizon
 //     model evaluations. Requests enter per-shard bounded MPSC queues
@@ -87,17 +92,14 @@ struct SchedulerConfig {
   /// false = serve each queued request alone (the per-session reference;
   /// decisions are bit-identical either way, only throughput changes).
   bool micro_batching = true;
-  /// Time every DT decision for the tap. Off by default: two steady_clock
-  /// reads cost more than the tree walk they would measure, and the
-  /// telemetry overhead budget on the fast path is single-digit percent.
-  /// MBRL decisions are always timed (batch solve time, negligible
-  /// relative cost).
-  bool tap_time_dt = false;
-  /// Cheap sampled DT timing: when tap_time_dt is off and this is P > 0,
-  /// one in P DT decisions (per serving thread, round-robin) is timed for
-  /// the tap — p50/p99 latency telemetry at ~1/P of the full timing cost,
-  /// which is what keeps capture inside the <5% fast-path overhead
-  /// budget. Timed events set DecisionEvent::timed. 0 disables sampling.
+  /// Sampled DT timing: when a tap is installed and this is P > 0, one in
+  /// P DT decisions (per serving thread, round-robin) is timed for the tap
+  /// — p50/p99 latency telemetry at ~1/P of the full timing cost, which is
+  /// what keeps capture inside the <5% fast-path overhead budget. P = 1
+  /// times every decision (two steady_clock reads cost more than the tree
+  /// walk they measure). Timed events set DecisionEvent::timed. 0 disables
+  /// DT timing. MBRL decisions are always timed (batch solve time,
+  /// negligible relative cost).
   std::size_t dt_timing_sample_period = 0;
 };
 
@@ -223,7 +225,9 @@ class RequestScheduler {
   std::vector<std::unique_ptr<BoundedMpscQueue<Pending>>> queues_;
   std::vector<std::thread> workers_;
 
-  std::atomic<std::uint64_t> dt_served_{0};
+  /// Per-thread sharded cells: the DT fast path bumps it on every
+  /// decision, from every front-end core.
+  obs::Counter dt_served_;
   std::atomic<std::uint64_t> mbrl_served_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_requests_{0};

@@ -13,7 +13,6 @@ SessionId SessionManager::open(SessionConfig config) {
   state.id = id;
   state.config = std::move(config);
   state.last_active = admissions_.load(std::memory_order_relaxed);
-  if (state.config.history_limit > 0) state.history.reserve(state.config.history_limit);
   Shard& shard = shard_for(id);
   std::lock_guard<std::mutex> lock(shard.mutex);
   shard.sessions.emplace(id, std::move(state));
@@ -65,7 +64,7 @@ std::size_t SessionManager::size() const {
 }
 
 DecisionTicket SessionManager::begin_decision(SessionId id, RequestKind kind,
-                                              const env::Observation& obs) {
+                                              const env::Observation& /*obs*/) {
   Shard& shard = shard_for(id);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.sessions.find(id);
@@ -86,12 +85,6 @@ DecisionTicket SessionManager::begin_decision(SessionId id, RequestKind kind,
     ++state.dt_decisions;
   } else {
     ++state.mbrl_decisions;
-  }
-  if (state.config.history_limit > 0) {
-    if (state.history.size() == state.config.history_limit) {
-      state.history.erase(state.history.begin());
-    }
-    state.history.push_back(obs);
   }
   return ticket;
 }

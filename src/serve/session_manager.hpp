@@ -1,8 +1,10 @@
 // Per-building session state for thousands of concurrent sessions.
 //
 // Every simulated building the service controls holds a session: which
-// policy bundle serves it, a bounded observation history, per-kind decision
-// counters, and — the determinism keystone — the session's root RNG seed.
+// policy bundle serves it, per-kind decision counters, and — the
+// determinism keystone — the session's root RNG seed. Sessions keep no
+// observation history: the durable telemetry log records every served
+// observation, so admission copies nothing but the ticket.
 // Decision d of session s draws from the counter-based stream
 // Rng::stream(seed_s, d) (common/rng.hpp), so an MBRL decision depends only
 // on (session, decision index, observation, forecast): never on which
@@ -12,8 +14,11 @@
 // path replay the exact same streams (locked in by
 // tests/serve/request_scheduler_test.cpp at VERI_HVAC_THREADS=1/4/8).
 //
-// The table is sharded: session ids hash to independent locks, so front-end
-// threads serving different buildings do not contend.
+// The table is sharded: session ids hash to independent locks, each shard
+// on its own cache line, so front-end threads serving different buildings
+// do not contend on a lock or false-share a line. The one manager-wide
+// write per admission is the admission clock evict_idle() measures
+// idleness against.
 #pragma once
 
 #include <atomic>
@@ -32,8 +37,6 @@ struct SessionConfig {
   std::string policy_key = "default";
   /// Root seed of the session's per-decision RNG streams.
   std::uint64_t seed = 0;
-  /// Observations retained (most recent last); 0 disables history.
-  std::size_t history_limit = 8;
 };
 
 /// Observable session state (snapshot() returns a copy).
@@ -47,13 +50,15 @@ struct SessionState {
   /// begin_decision (its open() reading before any decision) — the
   /// idleness measure evict_idle() sweeps on.
   std::uint64_t last_active = 0;
-  std::vector<env::Observation> history;
 };
 
 /// Everything a decision needs from its session, captured atomically at
 /// admission time so serving can proceed without the session lock.
 struct DecisionTicket {
   SessionId session = 0;
+  /// Resolved per decision by PolicyRegistry::lookup(), which takes no
+  /// lock: it checks the registry's epoch against the serving thread's
+  /// cached copy of the table and re-copies only after a publish.
   std::string policy_key;
   std::uint64_t seed = 0;
   /// Stream id of this decision: the session's decision counter at
@@ -100,17 +105,19 @@ class SessionManager {
   /// index.
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Admits one decision: records the observation into the bounded
-  /// history, bumps the per-kind counters, and returns the ticket
-  /// (policy key + RNG stream coordinates). One lock acquisition; throws
-  /// std::out_of_range for an unknown session.
+  /// Admits one decision: bumps the per-kind counters and the admission
+  /// clock, and returns the ticket (policy key + RNG stream coordinates).
+  /// One lock acquisition; throws std::out_of_range for an unknown
+  /// session. `obs` is not retained.
   DecisionTicket begin_decision(SessionId id, RequestKind kind, const env::Observation& obs);
 
   /// Copy of the session's current state (throws std::out_of_range).
   SessionState snapshot(SessionId id) const;
 
  private:
-  struct Shard {
+  /// Padded to its own cache line: neighbouring shards' locks must not
+  /// share one.
+  struct alignas(64) Shard {
     mutable std::mutex mutex;
     std::unordered_map<SessionId, SessionState> sessions;
   };

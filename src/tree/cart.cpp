@@ -163,7 +163,7 @@ int DecisionTreeClassifier::build_node(BuildContext& ctx, std::vector<std::size_
   return node_index;
 }
 
-int DecisionTreeClassifier::decision_leaf(const std::vector<double>& x) const {
+int DecisionTreeClassifier::decision_leaf(std::span<const double> x) const {
   if (!fitted()) throw std::logic_error("tree used before fit");
   if (x.size() != num_features_) throw std::invalid_argument("predict: wrong input dims");
   int current = 0;
@@ -174,7 +174,7 @@ int DecisionTreeClassifier::decision_leaf(const std::vector<double>& x) const {
   return current;
 }
 
-int DecisionTreeClassifier::predict(const std::vector<double>& x) const {
+int DecisionTreeClassifier::predict(std::span<const double> x) const {
   return nodes_[static_cast<std::size_t>(decision_leaf(x))].label;
 }
 

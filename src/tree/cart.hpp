@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,9 +69,9 @@ class DecisionTreeClassifier {
   std::size_t num_features() const { return num_features_; }
   std::size_t num_classes() const { return num_classes_; }
 
-  int predict(const std::vector<double>& x) const;
+  int predict(std::span<const double> x) const;
   /// Index of the leaf node that handles `x`.
-  int decision_leaf(const std::vector<double>& x) const;
+  int decision_leaf(std::span<const double> x) const;
 
   // --- structure introspection (Algorithm 1 surface) ---
   std::size_t node_count() const { return nodes_.size(); }

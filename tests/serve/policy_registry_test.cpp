@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <new>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -168,7 +170,57 @@ TEST(PolicyRegistryTest, ConcurrentLookupsSurviveHotSwaps) {
   stop.store(true);
   for (auto& t : readers) t.join();
   EXPECT_GT(decided.load(), 0u);
-  EXPECT_GE(registry.lookup_count(), decided.load());
+}
+
+// lookup() serves from a per-thread copy of the table, revalidated against
+// the registry's epoch: writes made on another thread after this thread's
+// cache is warm must still be seen by its next lookup.
+TEST(PolicyRegistryTest, WarmThreadCacheSeesInstallAndEraseFromAnotherThread) {
+  PolicyRegistry registry;
+  const auto first = toy_policy(1);
+  registry.install("key", first);
+  EXPECT_EQ(registry.lookup("key").policy.get(), first.get());  // warms this thread's cache
+
+  const auto second = toy_policy(2);
+  std::uint64_t second_version = 0;
+  std::thread([&] { second_version = registry.install("key", second); }).join();
+  const PolicySnapshot swapped = registry.lookup("key");
+  EXPECT_EQ(swapped.policy.get(), second.get());
+  EXPECT_EQ(swapped.version, second_version);
+
+  std::thread([&] { EXPECT_TRUE(registry.erase("key")); }).join();
+  EXPECT_THROW(registry.lookup("key"), std::out_of_range);
+  EXPECT_EQ(registry.try_lookup("key").policy, nullptr);
+  // The snapshot taken before the erase still owns its bundle.
+  EXPECT_EQ(swapped.policy.get(), second.get());
+  EXPECT_GT(swapped.policy->tree().node_count(), 0u);
+}
+
+// One thread caches one table at a time; alternating registries must never
+// serve one registry's bundle from the other's cache — including a registry
+// constructed in the storage of a destroyed one at the same epoch, which
+// only the registry uid tells apart.
+TEST(PolicyRegistryTest, ThreadCacheKeepsRegistriesApart) {
+  PolicyRegistry a;
+  PolicyRegistry b;
+  const auto policy_a = toy_policy(1);
+  const auto policy_b = toy_policy(2);
+  a.install("key", policy_a);
+  b.install("key", policy_b);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(a.lookup("key").policy.get(), policy_a.get());
+    EXPECT_EQ(b.lookup("key").policy.get(), policy_b.get());
+  }
+
+  alignas(PolicyRegistry) std::byte storage[sizeof(PolicyRegistry)];
+  PolicyRegistry* registry = new (storage) PolicyRegistry();
+  registry->install("key", policy_a);
+  EXPECT_EQ(registry->lookup("key").policy.get(), policy_a.get());
+  registry->~PolicyRegistry();
+  registry = new (storage) PolicyRegistry();
+  registry->install("key", policy_b);  // same address, same epoch as its predecessor
+  EXPECT_EQ(registry->lookup("key").policy.get(), policy_b.get());
+  registry->~PolicyRegistry();
 }
 
 }  // namespace

@@ -527,5 +527,39 @@ TEST(RequestSchedulerTest, SampledDtTimingFeedsTapAndObsHistogram) {
   EXPECT_EQ(histogram_after - histogram_before, kDecisions / 4);
 }
 
+// The sampled-timing countdown is per thread, not per scheduler: a
+// scheduler serving right after one with a longer period must still time
+// exactly 1-in-P of its own decisions.
+TEST(RequestSchedulerTest, SampledDtTimingIsolatesSchedulersSharingAThread) {
+  struct CountingTap : DecisionTap {
+    std::size_t timed = 0;
+    void on_decision(const DecisionEvent& event) noexcept override {
+      if (event.timed) ++timed;
+    }
+  };
+
+  const auto policy = toy_policy();
+  const auto model = toy_model();
+  SchedulerConfig slow;
+  slow.dt_timing_sample_period = 32;
+  SchedulerConfig fast;
+  fast.dt_timing_sample_period = 4;
+  Stack a(policy, model, serving_rs(), /*threads=*/1, slow);
+  Stack b(policy, model, serving_rs(), /*threads=*/1, fast);
+  // Both need a tap: only tapped schedulers run the countdown.
+  const auto tap_a = std::make_shared<CountingTap>();
+  const auto tap_b = std::make_shared<CountingTap>();
+  a.scheduler->set_tap(tap_a);
+  b.scheduler->set_tap(tap_b);
+
+  a.scheduler->serve(a.request({0, 18.0}, RequestKind::kDtPolicy, 0));
+  constexpr std::size_t kDecisions = 16;
+  for (std::size_t i = 0; i < kDecisions; ++i) {
+    b.scheduler->serve(b.request({i % 6, 16.0 + static_cast<double>(i)},
+                                 RequestKind::kDtPolicy, 0));
+  }
+  EXPECT_EQ(tap_b->timed, kDecisions / 4);
+}
+
 }  // namespace
 }  // namespace verihvac::serve

@@ -70,31 +70,6 @@ TEST(SessionManagerTest, PerKindCountersSplit) {
   EXPECT_EQ(state.mbrl_decisions, 1u);
 }
 
-TEST(SessionManagerTest, HistoryIsBoundedMostRecentLast) {
-  SessionManager sessions;
-  SessionConfig config;
-  config.history_limit = 3;
-  const SessionId id = sessions.open(config);
-  for (int i = 0; i < 5; ++i) {
-    sessions.begin_decision(id, RequestKind::kDtPolicy,
-                            cold_occupied(/*zone_temp=*/15.0 + i));
-  }
-  const SessionState state = sessions.snapshot(id);
-  ASSERT_EQ(state.history.size(), 3u);
-  EXPECT_DOUBLE_EQ(state.history[0].zone_temp_c, 17.0);
-  EXPECT_DOUBLE_EQ(state.history[1].zone_temp_c, 18.0);
-  EXPECT_DOUBLE_EQ(state.history[2].zone_temp_c, 19.0);
-}
-
-TEST(SessionManagerTest, ZeroHistoryLimitKeepsNothing) {
-  SessionManager sessions;
-  SessionConfig config;
-  config.history_limit = 0;
-  const SessionId id = sessions.open(config);
-  sessions.begin_decision(id, RequestKind::kDtPolicy, cold_occupied());
-  EXPECT_TRUE(sessions.snapshot(id).history.empty());
-}
-
 TEST(SessionManagerTest, UnknownSessionThrows) {
   SessionManager sessions;
   EXPECT_THROW(sessions.begin_decision(999, RequestKind::kDtPolicy, cold_occupied()),

@@ -19,7 +19,7 @@ TEST(CartTest, FitRejectsBadInputs) {
 
 TEST(CartTest, PredictBeforeFitThrows) {
   DecisionTreeClassifier tree;
-  EXPECT_THROW(tree.predict({1.0}), std::logic_error);
+  EXPECT_THROW(tree.predict(std::vector<double>{1.0}), std::logic_error);
 }
 
 TEST(CartTest, SingleClassYieldsSingleLeaf) {
@@ -28,15 +28,15 @@ TEST(CartTest, SingleClassYieldsSingleLeaf) {
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(tree.leaf_count(), 1u);
   EXPECT_EQ(tree.depth(), 0u);
-  EXPECT_EQ(tree.predict({99.0}), 1);
+  EXPECT_EQ(tree.predict(std::vector<double>{99.0}), 1);
 }
 
 TEST(CartTest, LearnsAxisAlignedSplit) {
   DecisionTreeClassifier tree;
   tree.fit({{1.0}, {2.0}, {8.0}, {9.0}}, {0, 0, 1, 1}, 2);
   EXPECT_EQ(tree.node_count(), 3u);
-  EXPECT_EQ(tree.predict({0.0}), 0);
-  EXPECT_EQ(tree.predict({10.0}), 1);
+  EXPECT_EQ(tree.predict(std::vector<double>{0.0}), 0);
+  EXPECT_EQ(tree.predict(std::vector<double>{10.0}), 1);
   // Threshold is the midpoint between adjacent distinct values (2 and 8).
   EXPECT_DOUBLE_EQ(tree.node(0).threshold, 5.0);
 }
@@ -223,10 +223,10 @@ TEST(CartTest, PathToNonLeafThrows) {
 TEST(CartTest, SetLeafLabelEditsDecision) {
   DecisionTreeClassifier tree;
   tree.fit({{1.0}, {9.0}}, {0, 1}, 3);
-  const int leaf = tree.decision_leaf({0.0});
-  EXPECT_EQ(tree.predict({0.0}), 0);
+  const int leaf = tree.decision_leaf(std::vector<double>{0.0});
+  EXPECT_EQ(tree.predict(std::vector<double>{0.0}), 0);
   tree.set_leaf_label(leaf, 2);
-  EXPECT_EQ(tree.predict({0.0}), 2);
+  EXPECT_EQ(tree.predict(std::vector<double>{0.0}), 2);
   EXPECT_THROW(tree.set_leaf_label(leaf, 7), std::invalid_argument);
   EXPECT_THROW(tree.set_leaf_label(0, 1), std::invalid_argument);  // internal node
 }

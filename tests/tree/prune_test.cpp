@@ -75,8 +75,8 @@ TEST(PruneTest, CollapsesManuallyBuiltRedundantSplit) {
   const PruneReport report = merge_redundant_leaves(tree);
   EXPECT_EQ(report.merges, 1u);
   EXPECT_EQ(tree.node_count(), 1u);
-  EXPECT_EQ(tree.predict({0.1}), 4);
-  EXPECT_EQ(tree.predict({0.9}), 4);
+  EXPECT_EQ(tree.predict(std::vector<double>{0.1}), 4);
+  EXPECT_EQ(tree.predict(std::vector<double>{0.9}), 4);
   // Sample counts aggregate through the merge.
   EXPECT_EQ(tree.node(0).samples, 10u);
 }
@@ -109,7 +109,7 @@ TEST(PruneTest, CascadingMerges) {
   const PruneReport report = merge_redundant_leaves(tree);
   EXPECT_EQ(report.merges, 2u);
   EXPECT_EQ(tree.node_count(), 1u);
-  EXPECT_EQ(tree.predict({0.3, 0.9}), 7);
+  EXPECT_EQ(tree.predict(std::vector<double>{0.3, 0.9}), 7);
 }
 
 TEST(PruneTest, LeavesDistinctLabelsAlone) {
