@@ -470,7 +470,6 @@ int main(int argc, char** argv) {
           .field("interval_certified_fraction", attempt.interval.certified_fraction())
           .field("recert_cells_total", attempt.recert.cells_total)
           .field("recert_cells_computed", attempt.recert.cells_computed)
-          .field_bool("recert_fallback_full", attempt.recert.fallback_full)
           .field_bool("shadow_passed", attempt.shadow_passed)
           .field_bool("promoted", attempt.promoted)
           .field("train_transitions", attempt.train_transitions)

@@ -20,7 +20,7 @@
 //   3. Adaptation trace coverage. A drifted toy plant drives one full
 //      adaptation generation under tracing; the captured trace must
 //      contain every pipeline stage — drift alarm -> fine-tune -> VIPER
-//      re-distill -> incremental re-certify -> shadow gate -> hot-swap —
+//      re-distill -> re-certify -> shadow gate -> hot-swap —
 //      with non-zero durations, and the run's metrics snapshot + Chrome
 //      trace are written as artifacts next to BENCH_obs.json.
 //

@@ -85,8 +85,6 @@ void AdaptationController::register_cluster(const std::string& key, ClusterAsset
   std::lock_guard<std::mutex> lock(mutex_);
   Cluster cluster;
   cluster.assets = std::move(assets);
-  cluster.recert_cache =
-      std::make_shared<core::CertificateCache>(config_.recert_cache_entries);
   clusters_[key] = std::move(cluster);
 }
 
@@ -209,7 +207,6 @@ std::size_t AdaptationController::pump() {
   struct Work {
     std::string key;
     ClusterAssets assets;
-    std::shared_ptr<core::CertificateCache> recert_cache;
     dyn::TransitionDataset snapshot;
     std::uint64_t generation = 0;
     DriftEvent trigger;
@@ -244,7 +241,6 @@ std::size_t AdaptationController::pump() {
       Work item;
       item.key = key;
       item.assets = cluster.assets;
-      item.recert_cache = cluster.recert_cache;
       item.snapshot = cluster.pending;
       item.generation = cluster.generation;
       item.trigger = cluster.trigger;
@@ -256,8 +252,8 @@ std::size_t AdaptationController::pump() {
 
   // Heavy lifting outside mutex_: fine-tune, distill, certify, shadow.
   for (Work& item : work) {
-    AdaptOutcome outcome = adapt_cluster(item.key, item.assets, item.snapshot, item.generation,
-                                         item.trigger, item.recert_cache.get());
+    AdaptOutcome outcome =
+        adapt_cluster(item.key, item.assets, item.snapshot, item.generation, item.trigger);
     obs_.attempts->add(1);
     if (outcome.report.promoted) obs_.promotions->add(1);
     std::lock_guard<std::mutex> lock(mutex_);
@@ -313,7 +309,7 @@ std::size_t AdaptationController::pump() {
 
 AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
     const std::string& key, const ClusterAssets& assets, const dyn::TransitionDataset& snapshot,
-    std::uint64_t generation, const DriftEvent& trigger, core::CertificateCache* recert_cache) {
+    std::uint64_t generation, const DriftEvent& trigger) {
   const auto t0 = std::chrono::steady_clock::now();
   const obs::TraceSpan generation_span("adapt.generation", "adapt");
   AdaptOutcome outcome;
@@ -391,24 +387,15 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
     report.probabilistic = engine_.verify_probabilistic(
         *candidate, *candidate_model, sampler, config_.criteria, config_.probabilistic_samples,
         derive_seed(config_.seed, generation, 3));
-    // Sound interval certification of the candidate. Incremental mode
-    // splices everything drift left untouched from the cluster's cache
-    // (grid-aligned slicing so re-split leaves share interior cells); the
-    // report is bit-identical to a from-scratch run either way.
-    if (config_.recert_mode == RecertMode::kIncremental && recert_cache != nullptr) {
-      core::IntervalVerifyConfig interval = config_.interval;
-      interval.grid_aligned = true;
-      report.interval = engine_.verify_interval_incremental(
-          *candidate, *candidate_model, config_.criteria, *recert_cache,
-          config_.interval_bounds, interval, config_.recert, &report.recert);
-    } else {
-      report.interval = engine_.verify_interval(*candidate, *candidate_model, config_.criteria,
-                                                config_.interval_bounds, config_.interval);
-      report.recert.cells_total = report.recert.cells_computed = 0;
-      for (const core::IntervalLeafResult& r : report.interval.results) {
-        report.recert.cells_total += r.cells;
-        report.recert.cells_computed += r.cells;
-      }
+    // Sound interval certification of the candidate, every cell computed
+    // from scratch: the fine-tune above moved the model's weights, and a
+    // dense MLP gives no sound way to reuse an image from the previous
+    // model for any cell (see core::RecertStats).
+    report.interval = engine_.verify_interval(*candidate, *candidate_model, config_.criteria,
+                                              config_.interval_bounds, config_.interval);
+    for (const core::IntervalLeafResult& r : report.interval.results) {
+      report.recert.cells_total += r.cells;
+      report.recert.cells_computed += r.cells;
     }
     report.certified = report.formal.all_pass() &&
                        report.probabilistic.passes(config_.criteria) &&
@@ -447,14 +434,12 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
                report.promoted_policy_version, " (safe prob ",
                report.probabilistic.safe_probability, ", interval cert ",
                report.interval.certified_fraction(), ", recert cells ",
-               report.recert.cells_computed, "/", report.recert.cells_total, " computed",
-               report.recert.fallback_full ? ", full fallback" : "", ")");
+               report.recert.cells_computed, "/", report.recert.cells_total, " computed)");
     } else {
       log_info("adapt[", key, "]: generation ", generation, " NOT promoted (certified=",
                report.certified, ", shadow=", report.shadow_passed, ", interval cert ",
                report.interval.certified_fraction(), ", recert cells ",
-               report.recert.cells_computed, "/", report.recert.cells_total, " computed",
-               report.recert.fallback_full ? ", full fallback" : "", ")");
+               report.recert.cells_computed, "/", report.recert.cells_total, " computed)");
     }
   } catch (const std::exception& error) {
     // An adaptation failure must never take serving down: the incumbent

@@ -18,11 +18,7 @@
 //     4. re-certify: Algorithm 1 formal check with correction, a clean
 //        formal re-check, criterion #1 Monte-Carlo, and sound interval
 //        certification through the parallel core::VerificationEngine
-//        (shared TaskPool) — incrementally by default: unchanged
-//        (leaf × cell) certificates splice from the cluster's
-//        CertificateCache, only drift-invalidated cells recompute, and
-//        broad invalidation falls back to a full run (see
-//        core/certificate_cache.hpp)
+//        (shared TaskPool)
 //     5. shadow-evaluate: candidate vs incumbent bundle on the held-out
 //        telemetry, both scored through the candidate model — the
 //        candidate must not predict more comfort violations
@@ -55,7 +51,6 @@
 
 #include "adapt/drift_monitor.hpp"
 #include "adapt/telemetry.hpp"
-#include "core/certificate_cache.hpp"
 #include "core/verification_engine.hpp"
 #include "core/viper.hpp"
 #include "dynamics/ensemble.hpp"
@@ -65,18 +60,6 @@
 namespace verihvac::adapt {
 
 class TelemetryStore;
-
-/// How the certify step runs interval certification. Incremental keeps a
-/// per-cluster CertificateCache: adaptation typically perturbs a handful
-/// of policy subtrees, and the unchanged (leaf × cell) certificates splice
-/// from the cache instead of re-running IBP — certification cost becomes
-/// proportional to drift, not policy size. Full re-runs Algorithm 1's
-/// interval pass from scratch every generation (bit-identical reports
-/// either way).
-enum class RecertMode : std::uint8_t {
-  kFull = 0,
-  kIncremental = 1,
-};
 
 struct AdaptationConfig {
   DriftMonitorConfig drift;
@@ -95,27 +78,14 @@ struct AdaptationConfig {
   /// Eq. 5 noise level for the certification sampler over the snapshot.
   double noise_level = 0.01;
   /// Interval (sound) certification of every candidate, §3.3.2 extension.
-  /// Incremental mode splices unchanged certificates from the cluster's
-  /// cache (grid-aligned slicing forced on so re-split leaves share
-  /// interior cells); `recert.fallback_fraction` gates the automatic
-  /// full-certification fallback on broad invalidation — note a fine-tune
-  /// always moves the dynamics hash, so generations that retrain the
-  /// model take the fallback and the cache pays off when the *policy*
-  /// drifts against stable dynamics (distillation-only refreshes,
-  /// campaign-style sweeps).
-  RecertMode recert_mode = RecertMode::kIncremental;
-  core::RecertConfig recert;
   core::IntervalVerifyConfig interval;
   /// Climate envelope the interval certificates are issued for.
   core::DisturbanceBounds interval_bounds;
   /// Promotion gate on IntervalReport::certified_fraction(). 0 = record
-  /// only: the report and splice accounting land in the history/logs but
+  /// only: the report and cell accounting land in the history/logs but
   /// never block (IBP abstention on wide toy boxes must not veto bundles
   /// that pass the paper's criteria).
   double min_certified_fraction = 0.0;
-  /// Per-cluster certificate-cache bound (entries ≈ cells per policy ×
-  /// retained generations).
-  std::size_t recert_cache_entries = core::CertificateCache::kDefaultMaxEntries;
   core::ViperConfig viper;
   /// Teacher optimizer for re-distillation (refine_first_action is forced
   /// on, matching the pipeline's sharpened supervision).
@@ -174,7 +144,7 @@ struct AdaptationReport {
   core::FormalReport formal;          ///< clean re-check after correction
   core::ProbabilisticReport probabilistic;
   core::IntervalReport interval;  ///< sound one-step certification
-  core::RecertStats recert;       ///< splice/compute accounting for `interval`
+  core::RecertStats recert;       ///< cell accounting for `interval`
   bool certified = false;
   ShadowReport shadow_candidate;
   ShadowReport shadow_incumbent;
@@ -254,9 +224,6 @@ class AdaptationController {
  private:
   struct Cluster {
     ClusterAssets assets;
-    /// Certificate cache for incremental re-certification; shared into
-    /// each adaptation attempt (pump cycles are serialized, so one writer).
-    std::shared_ptr<core::CertificateCache> recert_cache;
     dyn::TransitionDataset pending;  ///< transitions since last promotion
     std::uint64_t generation = 0;
     bool drift_armed = false;  ///< alarm seen, waiting for min_transitions
@@ -291,7 +258,7 @@ class AdaptationController {
   std::vector<PendingTransition> pair_records(const std::vector<TelemetryRecord>& records);
   AdaptOutcome adapt_cluster(const std::string& key, const ClusterAssets& assets,
                              const dyn::TransitionDataset& snapshot, std::uint64_t generation,
-                             const DriftEvent& trigger, core::CertificateCache* recert_cache);
+                             const DriftEvent& trigger);
 
   AdaptationConfig config_;
   std::shared_ptr<TelemetryLog> telemetry_;

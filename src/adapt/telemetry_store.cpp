@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/crc32.hpp"
+#include "common/fnv1a.hpp"
 #include "common/logging.hpp"
 #include "common/timing.hpp"
 #include "obs/trace.hpp"
@@ -152,12 +153,11 @@ std::uint64_t steady_ns() {
                                         .count());
 }
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xFFu;
-    h *= 1099511628211ull;
-  }
-  return h;
+/// FNV-1a over the sorted distinct (obs_len, zone_temp_dim) pairs.
+std::uint64_t schema_fingerprint(const std::set<std::uint64_t>& schema_pairs) {
+  common::Fnv1a h(kReplayFingerprintSeed);
+  for (const std::uint64_t pair : schema_pairs) h.u64(pair);
+  return h.digest();
 }
 
 /// One frame, serialized: [type u8 | body_len u32 | body_crc u32 | body].
@@ -223,12 +223,6 @@ struct PayloadTally {
     replay_fp = replay_fingerprint_update(replay_fp, r, r.action_index);
   }
 
-  std::uint64_t schema_fingerprint() const {
-    std::uint64_t h = kReplayFingerprintSeed;
-    for (const std::uint64_t pair : schema_pairs) h = fnv_mix(h, pair);
-    return h;
-  }
-
   void fill(SegmentHeader& h) const {
     h.record_count = records;
     h.session_count = sessions;
@@ -236,7 +230,7 @@ struct PayloadTally {
     h.session_max = session_max;
     h.decision_min = records > 0 ? decision_min : 0;
     h.decision_max = decision_max;
-    h.schema_fingerprint = schema_fingerprint();
+    h.schema_fingerprint = schema_fingerprint(schema_pairs);
     h.replay_fingerprint = replay_fp;
   }
 };
@@ -305,10 +299,7 @@ ScannedPayload scan_payload(std::istream& in, std::uint32_t trace_version, bool 
 
 std::uint64_t replay_fingerprint_update(std::uint64_t h, const TelemetryRecord& record,
                                         std::uint64_t action_index) {
-  h = fnv_mix(h, record.session);
-  h = fnv_mix(h, record.decision_index);
-  h = fnv_mix(h, action_index);
-  return h;
+  return common::Fnv1a(h).u64(record.session).u64(record.decision_index).u64(action_index).digest();
 }
 
 // ---------------------------------------------------------------------------
@@ -605,9 +596,7 @@ void TelemetryStore::seal_active_locked() {
   h.sealed = 1;
   h.close_steady_ns = steady_ns();
   h.payload_crc = active_->crc;
-  std::uint64_t schema_fp = kReplayFingerprintSeed;
-  for (const std::uint64_t pair : active_->schema_pairs) schema_fp = fnv_mix(schema_fp, pair);
-  h.schema_fingerprint = schema_fp;
+  h.schema_fingerprint = schema_fingerprint(active_->schema_pairs);
   if (h.record_count == 0) h.replay_fingerprint = kReplayFingerprintSeed;
 
   active_->file.seekp(0);
@@ -1150,8 +1139,9 @@ SegmentVerifyReport verify_segment(const std::string& path, const ReplayAssets* 
   }
 
   report.records = scanned.records.size();
-  report.fingerprint_ok = scanned.tally.replay_fp == header.replay_fingerprint &&
-                          scanned.tally.schema_fingerprint() == header.schema_fingerprint;
+  report.fingerprint_ok =
+      scanned.tally.replay_fp == header.replay_fingerprint &&
+      schema_fingerprint(scanned.tally.schema_pairs) == header.schema_fingerprint;
   // Until a replay pass overwrites it, expose the scanned recorded-action
   // digest so a structural-only FAIL diagnoses with the real value.
   report.replay_fingerprint = scanned.tally.replay_fp;

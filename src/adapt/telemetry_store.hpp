@@ -153,6 +153,9 @@ struct SegmentInfo {
 /// replay of the whole sequence.
 std::uint64_t replay_fingerprint_update(std::uint64_t h, const TelemetryRecord& record,
                                         std::uint64_t action_index);
+/// FNV-1a seed of the segment fingerprints. Not the standard offset basis
+/// (common::kFnv1aOffsetBasis): sealed segment headers store digests made
+/// with this value, so it must never change.
 inline constexpr std::uint64_t kReplayFingerprintSeed = 1469598103934665603ull;
 
 class TelemetryStore {

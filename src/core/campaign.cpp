@@ -87,16 +87,6 @@ std::vector<CampaignScenario> enumerate_scenarios(const CampaignConfig& config) 
 CampaignResult run_campaign(const CampaignConfig& config, const VerificationEngine& engine,
                             const AssetProvider& assets) {
   CampaignResult result;
-  // One cache across the grid: scenarios sharing a plant re-splice most
-  // cells (comfort band / envelope only re-clip the boxes, and aligned
-  // slicing keeps the shared interior cells bit-identical). Different
-  // plants coexist keyed by their dynamics hashes.
-  std::unique_ptr<CertificateCache> cache;
-  IntervalVerifyConfig interval = config.interval;
-  if (config.incremental_recert) {
-    cache = std::make_unique<CertificateCache>(config.recert_cache_entries);
-    interval.grid_aligned = true;
-  }
   for (const CampaignScenario& scenario : enumerate_scenarios(config)) {
     const ScenarioAssets asset = assets(scenario);
     if (!asset.policy || !asset.model || !asset.sampler) {
@@ -113,14 +103,8 @@ CampaignResult run_campaign(const CampaignConfig& config, const VerificationEngi
     row.probabilistic =
         engine.verify_probabilistic(*asset.policy, *asset.model, *asset.sampler, criteria,
                                     config.probabilistic_samples, seed);
-    if (cache != nullptr) {
-      row.interval = engine.verify_interval_incremental(*asset.policy, *asset.model, criteria,
-                                                        *cache, scenario.envelope.bounds,
-                                                        interval, config.recert, &row.recert);
-    } else {
-      row.interval = engine.verify_interval(*asset.policy, *asset.model, criteria,
-                                            scenario.envelope.bounds, interval);
-    }
+    row.interval = engine.verify_interval(*asset.policy, *asset.model, criteria,
+                                          scenario.envelope.bounds, config.interval);
 
     // Tube fan-out: starts drawn serially (one RNG, fixed order), rolled in
     // parallel, classified serially.

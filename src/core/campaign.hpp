@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/certificate_cache.hpp"
 #include "core/interval_verify.hpp"
 #include "core/verification_engine.hpp"
 
@@ -63,18 +62,6 @@ struct CampaignConfig {
   std::size_t probabilistic_samples = 400;
   /// Interval-certification input-splitting budget.
   IntervalVerifyConfig interval;
-  /// Route interval certification through one CertificateCache shared
-  /// across the whole grid: adjacent scenarios (same plant, different
-  /// comfort band / envelope) overlap in most (leaf × cell) boxes, and
-  /// grid-aligned slicing (forced on for this path) makes the shared
-  /// interior cells bit-identical, so later scenarios splice them instead
-  /// of recomputing. Off by default: aligned slicing re-tiles the boxes,
-  /// so certificate numbers can differ from the historical box-anchored
-  /// layout (still sound — just a different branch-and-bound partition).
-  bool incremental_recert = false;
-  RecertConfig recert;
-  /// Cache bound for the incremental path (entries ≈ grid-distinct cells).
-  std::size_t recert_cache_entries = CertificateCache::kDefaultMaxEntries;
   /// Reachability fan-out per scenario: tubes from `reach_states` sampled
   /// safe occupied starts, `reach_horizon` steps under the scenario
   /// climate's synthesized weather.
@@ -120,9 +107,6 @@ struct CampaignRow {
   CampaignScenario scenario;
   ProbabilisticReport probabilistic;
   IntervalReport interval;
-  /// Per-scenario splice/compute accounting (all-zero when the campaign
-  /// ran with incremental_recert off).
-  RecertStats recert;
   std::size_t tubes = 0;
   std::size_t tubes_within = 0;
 

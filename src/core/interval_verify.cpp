@@ -77,36 +77,6 @@ std::vector<Interval> split_interval(const Interval& iv, double max_width) {
   return out;
 }
 
-std::vector<Interval> split_interval_aligned(const Interval& iv, double max_width) {
-  const double width = iv.hi - iv.lo;
-  if (!(width > 0.0)) return {Interval{iv.lo, iv.hi}};  // point (or empty) box
-  const double w = std::max(max_width, 1e-9);
-  std::vector<Interval> out;
-  // Interior boundaries are the direct products (k+1)*w — pure functions
-  // of the global lattice, so any two boxes overlapping the same region
-  // tile it through bit-identical cells. Only the first and last cells
-  // (clipped to iv.lo / iv.hi) are box-specific.
-  double k = std::floor(iv.lo / w);
-  double lo = iv.lo;
-  while (lo < iv.hi) {
-    double hi = (k + 1.0) * w;
-    k += 1.0;
-    if (hi <= lo) continue;  // lo sits on/past this lattice point
-    if (hi >= iv.hi) hi = iv.hi;
-    out.push_back(Interval{lo, hi});
-    lo = hi;
-  }
-  return out;
-}
-
-namespace {
-
-std::vector<Interval> split_dim(const Interval& iv, double max_width, bool grid_aligned) {
-  return grid_aligned ? split_interval_aligned(iv, max_width) : split_interval(iv, max_width);
-}
-
-}  // namespace
-
 std::vector<IntervalWorkItem> interval_work_items(const DtPolicy& policy,
                                                   const VerificationCriteria& criteria,
                                                   const DisturbanceBounds& bounds,
@@ -173,10 +143,9 @@ std::vector<IntervalWorkItem> interval_work_items(const DtPolicy& policy,
     IntervalWorkItem item;
     item.leaf = leaf;
     item.zone_temp = box[zone_dim];
-    for (const Interval& s_cell :
-         split_dim(model_box[zone_dim], config.zone_slice_c, config.grid_aligned)) {
+    for (const Interval& s_cell : split_interval(model_box[zone_dim], config.zone_slice_c)) {
       for (const Interval& o_cell :
-           split_dim(model_box[outdoor_dim], config.outdoor_slice_c, config.grid_aligned)) {
+           split_interval(model_box[outdoor_dim], config.outdoor_slice_c)) {
         Box cell = model_box;
         cell.clip(zone_dim, s_cell);
         cell.clip(outdoor_dim, o_cell);

@@ -52,13 +52,6 @@ struct DisturbanceBounds {
 struct IntervalVerifyConfig {
   double zone_slice_c = 0.5;     ///< max width of a zone-temperature slice
   double outdoor_slice_c = 5.0;  ///< max width of an outdoor-temperature slice
-  /// Anchor slice boundaries to the global grid k*slice_width instead of
-  /// each box's own lower endpoint. Off by default (the box-anchored
-  /// slicing is the historical certificate layout); the certificate-cache
-  /// paths turn it on so overlapping boxes — adjacent campaign scenarios,
-  /// re-split leaves — tile through bit-identical interior cells and share
-  /// cache entries (see core/certificate_cache.hpp).
-  bool grid_aligned = false;
 };
 
 /// Outcome for one subject leaf.
@@ -84,6 +77,17 @@ struct IntervalReport {
   }
 };
 
+/// Per-run (leaf × cell) accounting of one interval certification, as
+/// surfaced in adaptation reports. Every cell is computed on every run:
+/// `cells_cached` is always 0 and stays only so existing report consumers
+/// keep their field (a fine-tune moves every weight of a dense MLP, so no
+/// earlier image can soundly be reused for the candidate model).
+struct RecertStats {
+  std::size_t cells_total = 0;
+  std::size_t cells_cached = 0;
+  std::size_t cells_computed = 0;
+};
+
 /// Caller-owned scratch for the allocation-free certification path — one
 /// per worker thread when cells are fanned out in parallel.
 struct IntervalScratch {
@@ -99,15 +103,6 @@ struct IntervalScratch {
 /// into their neighbour instead of being emitted. A degenerate input
 /// (width 0) yields the single point cell.
 std::vector<Interval> split_interval(const Interval& iv, double max_width);
-
-/// Grid-aligned variant: slice boundaries sit on the global lattice
-/// k*max_width (each computed as the direct product k*max_width, never by
-/// accumulation), with the two end cells clipped to iv.lo / iv.hi exactly.
-/// Two overlapping intervals therefore share bit-identical interior cells
-/// — the property the certificate cache needs for cross-scenario reuse.
-/// Same tiling guarantees as split_interval: first cell starts at iv.lo,
-/// last ends at iv.hi, no empty cells, degenerate input yields the point.
-std::vector<Interval> split_interval_aligned(const Interval& iv, double max_width);
 
 /// Sound one-step next-state interval for an arbitrary model-input box
 /// (schema dims + 2 action dims; exposed for tests and the ablation bench).

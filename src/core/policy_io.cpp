@@ -7,7 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/certificate_cache.hpp"
+#include "common/fnv1a.hpp"
 #include "tree/tree_io.hpp"
 
 namespace verihvac::core {
@@ -86,6 +86,8 @@ env::FeatureSchema read_schema(std::istream& in, const std::string& context) {
   }
 }
 
+std::uint64_t as_word(int v) { return static_cast<std::uint64_t>(static_cast<std::int64_t>(v)); }
+
 std::string fingerprint_hex(std::uint64_t fingerprint) {
   std::ostringstream hex;
   hex << std::hex << std::setw(16) << std::setfill('0') << fingerprint;
@@ -93,6 +95,37 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
 }
 
 }  // namespace
+
+std::uint64_t policy_fingerprint(const DtPolicy& policy) {
+  common::Fnv1a h;
+  const env::FeatureSchema& schema = policy.schema();
+  h.str(schema.name()).u64(schema.dims());
+  for (const env::FeatureSpec& f : schema.features()) {
+    h.str(f.name)
+        .str(f.unit)
+        .u64(static_cast<std::uint64_t>(f.kind))
+        .u64(static_cast<std::uint64_t>(f.role))
+        .f64(f.bounds.lo)
+        .f64(f.bounds.hi);
+  }
+  const control::ActionSpaceConfig& grid = policy.actions().config();
+  h.u64(as_word(grid.heat_min))
+      .u64(as_word(grid.heat_max))
+      .u64(as_word(grid.cool_min))
+      .u64(as_word(grid.cool_max))
+      .u64(grid.enforce_heat_le_cool ? 1 : 0);
+  // Decision function only: sample counts and impurity are diagnostics.
+  const tree::DecisionTreeClassifier& tree = policy.tree();
+  h.u64(tree.num_features()).u64(tree.num_classes()).u64(tree.node_count());
+  for (const tree::TreeNode& node : tree.nodes()) {
+    h.u64(as_word(node.feature))
+        .f64(node.threshold)
+        .u64(as_word(node.left))
+        .u64(as_word(node.right))
+        .u64(as_word(node.label));
+  }
+  return h.digest();
+}
 
 void write_policy(const DtPolicy& policy, std::ostream& out) {
   const control::ActionSpaceConfig& grid = policy.actions().config();
@@ -108,22 +141,16 @@ DtPolicy read_policy(std::istream& in, const std::string& context) {
   std::string magic;
   std::string version;
   in >> magic >> version;
-  if (magic != "verihvac-policy" ||
-      (version != "v1" && version != "v2" && version != "v3")) {
+  if (magic != "verihvac-policy" || version != "v3") {
     throw std::runtime_error("read_policy: bad header in " + context);
   }
+  std::string tag;
   std::string stated_fingerprint;
-  if (version == "v3") {
-    std::string tag;
-    in >> tag >> stated_fingerprint;
-    if (!in || tag != "fingerprint" || stated_fingerprint.size() != 16) {
-      throw std::runtime_error("read_policy: bad fingerprint line in " + context);
-    }
+  in >> tag >> stated_fingerprint;
+  if (!in || tag != "fingerprint" || stated_fingerprint.size() != 16) {
+    throw std::runtime_error("read_policy: bad fingerprint line in " + context);
   }
-  // v1 bundles predate persisted schemas: they are implicitly the baseline
-  // 6-dim layout.
-  env::FeatureSchema schema =
-      version == "v1" ? env::baseline_schema() : read_schema(in, context);
+  env::FeatureSchema schema = read_schema(in, context);
 
   control::ActionSpaceConfig grid;
   int enforce = 1;
@@ -146,16 +173,14 @@ DtPolicy read_policy(std::istream& in, const std::string& context) {
                              std::to_string(schema.dims()) + " dims) in " + context);
   }
   DtPolicy policy(std::move(tree), std::move(actions), std::move(schema));
-  if (!stated_fingerprint.empty()) {
-    // Recompute over what was actually decoded: a bundle whose content no
-    // longer matches the fingerprint it was sealed with is corrupt or
-    // tampered — never served.
-    const std::string actual = fingerprint_hex(policy_fingerprint(policy));
-    if (actual != stated_fingerprint) {
-      throw std::runtime_error("read_policy: fingerprint mismatch in " + context +
-                               " (stated " + stated_fingerprint + ", content " + actual +
-                               ") — bundle corrupted or tampered");
-    }
+  // Recompute over what was actually decoded: a bundle whose content no
+  // longer matches the fingerprint it was sealed with is corrupt or
+  // tampered — never served.
+  const std::string actual = fingerprint_hex(policy_fingerprint(policy));
+  if (actual != stated_fingerprint) {
+    throw std::runtime_error("read_policy: fingerprint mismatch in " + context + " (stated " +
+                             stated_fingerprint + ", content " + actual +
+                             ") — bundle corrupted or tampered");
   }
   return policy;
 }

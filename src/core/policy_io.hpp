@@ -17,25 +17,31 @@
 //   ...
 //
 // Interval endpoints serialize as "inf"/"-inf" or with round-trip-exact
-// precision, so write -> read -> write is byte-identical. v1 bundles (no
-// schema block) and v2 bundles (no fingerprint) still load; v1 gets the
-// implicit baseline 6-dim schema. The v3 fingerprint is
-// core::policy_fingerprint (schema + action grid + tree, the certificate
-// cache's content hash): read_policy recomputes it over the decoded
-// bundle and throws on mismatch, so a tampered or bit-rotted bundle is
-// rejected at load instead of serving re-mapped decisions — and the
-// adaptation loop can tell which certified artifact a bundle is without
-// re-hashing. load_policy additionally validates that the embedded tree's
-// class count matches the embedded action space, and its feature count
-// the schema, throwing otherwise.
+// precision, so write -> read -> write is byte-identical. Only v3 loads:
+// the fingerprint is policy_fingerprint (schema + action grid + tree), and
+// read_policy recomputes it over the decoded bundle and throws on
+// mismatch, so a tampered or bit-rotted bundle is rejected at load instead
+// of serving re-mapped decisions. The pre-fingerprint v1/v2 layouts are
+// refused outright — accepting them would let an edited bundle skip the
+// check by dropping its fingerprint line and relabelling its header.
+// load_policy additionally validates that the embedded tree's class count
+// matches the embedded action space, and its feature count the schema,
+// throwing otherwise.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
 #include "core/dt_policy.hpp"
 
 namespace verihvac::core {
+
+/// Semantic fingerprint of a deployable bundle: FNV-1a 64 over the schema
+/// (name, dims, every feature's name, unit, kind, role and bound bits), the
+/// action grid and the tree's decision function (per node: feature,
+/// threshold bits, children, label). Sealed into every v3 bundle.
+std::uint64_t policy_fingerprint(const DtPolicy& policy);
 
 void write_policy(const DtPolicy& policy, std::ostream& out);
 DtPolicy read_policy(std::istream& in, const std::string& context = "<stream>");

@@ -15,11 +15,7 @@ VerificationEngine::VerificationEngine(std::shared_ptr<const common::TaskPool> p
     : pool_(pool ? std::move(pool) : common::TaskPool::shared()),
       obs_{&obs::counter("verify_probabilistic_runs_total"),
            &obs::counter("verify_interval_runs_total"),
-           &obs::counter("verify_incremental_runs_total"),
-           &obs::counter("verify_reach_runs_total"), &obs::counter("verify_recert_cells_total"),
-           &obs::counter("verify_recert_cells_cached_total"),
-           &obs::counter("verify_recert_cells_computed_total"),
-           &obs::counter("verify_recert_fallbacks_total")} {}
+           &obs::counter("verify_reach_runs_total")} {}
 
 ProbabilisticReport VerificationEngine::verify_probabilistic(
     const DtPolicy& policy, const dyn::DynamicsModel& model, const AugmentedSampler& sampler,
@@ -137,125 +133,8 @@ IntervalReport VerificationEngine::verify_interval(const DtPolicy& policy,
     if (result.certified) ++report.leaves_certified;
     report.results.push_back(std::move(result));
   }
-  interval_runs_.fetch_add(1, std::memory_order_relaxed);
   obs_.interval_runs->add(1);
   return report;
-}
-
-IntervalReport VerificationEngine::verify_interval_incremental(
-    const DtPolicy& policy, const dyn::DynamicsModel& model,
-    const VerificationCriteria& criteria, CertificateCache& cache,
-    const DisturbanceBounds& bounds, const IntervalVerifyConfig& config,
-    const RecertConfig& recert, RecertStats* run_stats) const {
-  const obs::TraceSpan span("verify.interval_incremental", "verify");
-  IntervalReport report;
-  const std::vector<IntervalWorkItem> items =
-      interval_work_items(policy, criteria, bounds, config, report.leaves_total);
-
-  std::vector<std::size_t> offsets(items.size() + 1, 0);
-  for (std::size_t l = 0; l < items.size(); ++l) {
-    offsets[l + 1] = offsets[l] + items[l].cells.size();
-  }
-  const std::size_t total_cells = offsets.back();
-
-  RecertStats stats;
-  stats.cells_total = total_cells;
-  const std::uint64_t dyn_hash = hash_dynamics(model);
-  if (cache.has_incumbent()) {
-    stats.dynamics_changed = dyn_hash != cache.incumbent_dynamics_hash();
-    const TreeDiff diff = cache.diff_against_incumbent(policy);
-    stats.diff_leaves_total = diff.leaves_total;
-    stats.diff_leaves_changed = diff.leaves_changed;
-  }
-
-  // Serial splice pass: cached images land in their slots, the rest queue
-  // for the parallel sweep. Serial on purpose — the cache is single-writer
-  // and a lookup is three orders of magnitude cheaper than an IBP forward.
-  std::vector<Interval> images(total_cells);
-  std::vector<std::size_t> missing;
-  for (std::size_t l = 0; l < items.size(); ++l) {
-    for (std::size_t c = 0; c < items[l].cells.size(); ++c) {
-      CertificateKey key{dyn_hash, items[l].cells[c]};
-      if (auto cached = cache.lookup(key)) {
-        images[offsets[l] + c] = *cached;
-      } else {
-        missing.push_back(offsets[l] + c);
-      }
-    }
-  }
-
-  // Broad invalidation (fine-tuned dynamics, reshaped schema/config):
-  // splicing a sliver is not worth the bookkeeping — recompute everything
-  // in one sweep, exactly the full path's fan-out.
-  stats.fallback_full =
-      total_cells > 0 && static_cast<double>(missing.size()) >
-                             recert.fallback_fraction * static_cast<double>(total_cells);
-  if (stats.fallback_full) {
-    missing.resize(total_cells);
-    for (std::size_t g = 0; g < total_cells; ++g) missing[g] = g;
-  }
-  stats.cells_computed = missing.size();
-  stats.cells_cached = total_cells - missing.size();
-
-  std::vector<IntervalScratch> scratches(pool_->thread_count());
-  pool_->parallel_for(missing.size(), [&](std::size_t worker, std::size_t begin,
-                                          std::size_t end) {
-    IntervalScratch& scratch = scratches[worker];
-    // `missing` ascends, so the containing leaf only moves forward.
-    std::size_t leaf_idx = 0;
-    while (offsets[leaf_idx + 1] <= missing[begin]) ++leaf_idx;
-    for (std::size_t m = begin; m < end; ++m) {
-      const std::size_t g = missing[m];
-      while (offsets[leaf_idx + 1] <= g) ++leaf_idx;
-      const Box& cell = items[leaf_idx].cells[g - offsets[leaf_idx]];
-      images[g] = interval_next_state(model, cell, scratch);
-    }
-  });
-
-  // Serial insert pass (single-writer cache), then the unchanged fold.
-  {
-    std::size_t leaf_idx = 0;
-    for (const std::size_t g : missing) {
-      while (offsets[leaf_idx + 1] <= g) ++leaf_idx;
-      cache.insert(CertificateKey{dyn_hash, items[leaf_idx].cells[g - offsets[leaf_idx]]},
-                   images[g]);
-    }
-  }
-
-  std::vector<Interval> leaf_images;
-  for (std::size_t l = 0; l < items.size(); ++l) {
-    leaf_images.assign(images.begin() + static_cast<std::ptrdiff_t>(offsets[l]),
-                       images.begin() + static_cast<std::ptrdiff_t>(offsets[l + 1]));
-    ++report.leaves_subject;
-    IntervalLeafResult result = fold_interval_leaf(items[l], leaf_images, criteria.comfort);
-    if (result.certified) ++report.leaves_certified;
-    report.results.push_back(std::move(result));
-  }
-  cache.note_certified(policy, dyn_hash);
-
-  incremental_runs_.fetch_add(1, std::memory_order_relaxed);
-  recert_cells_total_.fetch_add(stats.cells_total, std::memory_order_relaxed);
-  recert_cells_cached_.fetch_add(stats.cells_cached, std::memory_order_relaxed);
-  recert_cells_computed_.fetch_add(stats.cells_computed, std::memory_order_relaxed);
-  if (stats.fallback_full) recert_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  obs_.incremental_runs->add(1);
-  obs_.recert_cells_total->add(stats.cells_total);
-  obs_.recert_cells_cached->add(stats.cells_cached);
-  obs_.recert_cells_computed->add(stats.cells_computed);
-  if (stats.fallback_full) obs_.recert_fallbacks->add(1);
-  if (run_stats != nullptr) *run_stats = stats;
-  return report;
-}
-
-VerificationEngine::Stats VerificationEngine::stats() const {
-  Stats s;
-  s.interval_runs = interval_runs_.load(std::memory_order_relaxed);
-  s.incremental_runs = incremental_runs_.load(std::memory_order_relaxed);
-  s.recert_cells_total = recert_cells_total_.load(std::memory_order_relaxed);
-  s.recert_cells_cached = recert_cells_cached_.load(std::memory_order_relaxed);
-  s.recert_cells_computed = recert_cells_computed_.load(std::memory_order_relaxed);
-  s.recert_fallbacks = recert_fallbacks_.load(std::memory_order_relaxed);
-  return s;
 }
 
 std::vector<ReachabilityResult> VerificationEngine::reach_tubes(

@@ -23,13 +23,11 @@
 // single-stream entry point while remaining reproducible from the seed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/task_pool.hpp"
-#include "core/certificate_cache.hpp"
 #include "core/interval_verify.hpp"
 #include "core/reachability.hpp"
 #include "core/verification.hpp"
@@ -67,45 +65,6 @@ class VerificationEngine {
                                  const DisturbanceBounds& bounds = {},
                                  const IntervalVerifyConfig& config = {}) const;
 
-  /// Incremental re-certification through a CertificateCache: a serial
-  /// lookup pass splices every cell whose (dynamics hash, box) key is
-  /// cached, only the missing cells fan out over the pool, and the
-  /// unchanged serial fold assembles the report — bit-identical to
-  /// verify_interval on the same inputs, at every thread count, whatever
-  /// the cache holds (every cached image was produced by the same pure
-  /// function on the same bits; mismatched keys never splice — see
-  /// core/certificate_cache.hpp). When the missing fraction exceeds
-  /// recert.fallback_fraction, every cell is recomputed in one parallel
-  /// sweep instead (broad drift: a futile lookup pass must not precede
-  /// full price). Freshly computed images are inserted and the policy is
-  /// recorded as the cache's incumbent. The cache is not thread-safe; one
-  /// incremental run may touch it at a time. `run_stats`, when non-null,
-  /// receives this run's splice/compute/diff accounting.
-  IntervalReport verify_interval_incremental(const DtPolicy& policy,
-                                             const dyn::DynamicsModel& model,
-                                             const VerificationCriteria& criteria,
-                                             CertificateCache& cache,
-                                             const DisturbanceBounds& bounds = {},
-                                             const IntervalVerifyConfig& config = {},
-                                             const RecertConfig& recert = {},
-                                             RecertStats* run_stats = nullptr) const;
-
-  /// Cumulative certification observability (atomic; snapshot is not a
-  /// consistent cross-counter transaction). Surfaced in the adaptation
-  /// promotion log lines and the recert bench JSON. Dual-published: this
-  /// per-engine snapshot stays exact, and every increment also lands in
-  /// the process-wide obs registry (`verify_*` instruments); each entry
-  /// point additionally opens a "verify" trace span.
-  struct Stats {
-    std::uint64_t interval_runs = 0;       ///< full verify_interval calls
-    std::uint64_t incremental_runs = 0;    ///< verify_interval_incremental calls
-    std::uint64_t recert_cells_total = 0;  ///< cells seen by incremental runs
-    std::uint64_t recert_cells_cached = 0;
-    std::uint64_t recert_cells_computed = 0;
-    std::uint64_t recert_fallbacks = 0;  ///< broad invalidation -> full recompute
-  };
-  Stats stats() const;
-
   /// Eq. 3 reachability tubes fanned out per initial state; tube i of the
   /// result corresponds to initial_states[i]. All tubes share the one
   /// disturbance sequence (see reach_tube for its step contract).
@@ -116,26 +75,12 @@ class VerificationEngine {
 
  private:
   std::shared_ptr<const common::TaskPool> pool_;
-  // Counters are mutable atomics: the verification entry points stay
-  // const (shared engines are used concurrently), and observability must
-  // not serialize them behind a lock.
-  mutable std::atomic<std::uint64_t> interval_runs_{0};
-  mutable std::atomic<std::uint64_t> incremental_runs_{0};
-  mutable std::atomic<std::uint64_t> recert_cells_total_{0};
-  mutable std::atomic<std::uint64_t> recert_cells_cached_{0};
-  mutable std::atomic<std::uint64_t> recert_cells_computed_{0};
-  mutable std::atomic<std::uint64_t> recert_fallbacks_{0};
-
-  /// Process-wide obs instruments (resolved once at construction).
+  /// Process-wide obs instruments (resolved once at construction); each
+  /// entry point also opens a "verify" trace span.
   struct ObsHandles {
     obs::Counter* probabilistic_runs;
     obs::Counter* interval_runs;
-    obs::Counter* incremental_runs;
     obs::Counter* reach_runs;
-    obs::Counter* recert_cells_total;
-    obs::Counter* recert_cells_cached;
-    obs::Counter* recert_cells_computed;
-    obs::Counter* recert_fallbacks;
   };
   ObsHandles obs_;
 };

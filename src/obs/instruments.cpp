@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "common/fnv1a.hpp"
 #include "common/logging.hpp"
 #include "common/task_pool.hpp"
 #include "obs/trace.hpp"
@@ -101,50 +102,16 @@ const std::vector<InstrumentSpec>& instrument_catalog() {
       {"telemetry_store_flush_seconds", InstrumentKind::kHistogram,
        "wall time of one writer flush (drain + append + rotate check)",
        "a fattening tail means the telemetry disk cannot keep up with decision volume"},
-      // --- core: certificate cache ---
-      {"certcache_lookups_total", InstrumentKind::kCounter,
-       "certificate-cache lookups (incremental re-certification)",
-       "none"},
-      {"certcache_hits_total", InstrumentKind::kCounter,
-       "lookups spliced from a bit-identical cached certificate",
-       "low hit rate on policy-only drift means keys churn - check grid alignment"},
-      {"certcache_misses_total", InstrumentKind::kCounter,
-       "lookups that forced an IBP recompute",
-       "see certcache_hits_total"},
-      {"certcache_collisions_total", InstrumentKind::kCounter,
-       "slot held a different key (hash collision or poisoned entry)",
-       "a sustained rate means the cache is too small for the cell population"},
-      {"certcache_insertions_total", InstrumentKind::kCounter,
-       "freshly computed certificates inserted",
-       "none"},
-      {"certcache_evictions_total", InstrumentKind::kCounter,
-       "LRU evictions under the entry bound",
-       "nonzero steady-state means max_entries is below one policy's cell count"},
       // --- core: verification engine ---
       {"verify_probabilistic_runs_total", InstrumentKind::kCounter,
        "criterion-1 Monte-Carlo verification runs",
        "none"},
       {"verify_interval_runs_total", InstrumentKind::kCounter,
-       "full interval certification runs",
-       "none"},
-      {"verify_incremental_runs_total", InstrumentKind::kCounter,
-       "incremental (cache-spliced) certification runs",
+       "interval certification runs",
        "none"},
       {"verify_reach_runs_total", InstrumentKind::kCounter,
        "reachability-tube batch runs",
        "none"},
-      {"verify_recert_cells_total", InstrumentKind::kCounter,
-       "(leaf x cell) units seen by incremental runs",
-       "none"},
-      {"verify_recert_cells_cached_total", InstrumentKind::kCounter,
-       "cells spliced from the certificate cache",
-       "cached/total is the incremental win; persistently low means recert adds overhead"},
-      {"verify_recert_cells_computed_total", InstrumentKind::kCounter,
-       "cells whose IBP forward actually ran",
-       "see verify_recert_cells_cached_total"},
-      {"verify_recert_fallbacks_total", InstrumentKind::kCounter,
-       "incremental runs that fell back to a full recompute (broad drift)",
-       "every generation falling back means dynamics churn - incremental mode buys nothing"},
       // --- adapt: drift monitor + controller ---
       {"adapt_records_drained_total", InstrumentKind::kCounter,
        "telemetry records drained by the adaptation pump",
@@ -224,21 +191,16 @@ std::chrono::steady_clock::time_point g_process_epoch{};
 /// FNV-1a over the strings the compiler bakes in — constant for a binary,
 /// different across rebuilds, cheap enough to recompute per call.
 double build_fingerprint() {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](const char* s) {
-    for (; *s != '\0'; ++s) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(*s));
-      h *= 1099511628211ull;
-    }
-  };
+  // Non-standard seed (the telemetry fingerprints' basis), unchanged so a
+  // given compiler + build time still maps to the same build_info value.
+  common::Fnv1a h(1469598103934665603ull);
 #if defined(__VERSION__)
-  mix(__VERSION__);
+  h.bytes(__VERSION__);
 #endif
-  mix(__DATE__);
-  mix(__TIME__);
+  h.bytes(__DATE__).bytes(__TIME__);
   // Gauges are doubles: keep the low 48 bits so the fingerprint survives
   // the exposition round-trip exactly (2^48 < 2^53).
-  return static_cast<double>(h & ((1ull << 48) - 1));
+  return static_cast<double>(h.digest() & ((1ull << 48) - 1));
 }
 
 void log_hook(LogLevel level) {

@@ -88,6 +88,22 @@ TelemetryStoreConfig manual_config(const std::string& dir) {
   return config;
 }
 
+TEST(TelemetryStoreTest, ReplayFingerprintGoldenValue) {
+  // Sealed segment headers store digests made with this fold and seed, so
+  // the exact value over fixed records is locked. Only the session, the
+  // decision index and the folded action enter the digest.
+  const std::uint64_t records[3][3] = {
+      {1, 0, 7}, {1, 1, 42}, {0x1234567890ull, 0xFFFFFFFFFFull, 86}};
+  TelemetryRecord record;
+  std::uint64_t fp = kReplayFingerprintSeed;
+  for (const auto& [session, decision_index, action] : records) {
+    record.session = session;
+    record.decision_index = decision_index;
+    fp = replay_fingerprint_update(fp, record, action);
+  }
+  EXPECT_EQ(fp, 0x4f04307326ef7fa2ull);
+}
+
 TEST(TelemetryStoreTest, RotatedSegmentsLoadBackByteIdentical) {
   const std::string dir = fresh_dir("verihvac_store_test_rotate");
   auto log = std::make_shared<TelemetryLog>();

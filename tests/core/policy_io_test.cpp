@@ -158,61 +158,26 @@ TEST(PolicyIoTest, TimeAwareSchemaRoundTrip) {
   }
 }
 
-/// Deletes the "fingerprint <hex>" line a v3 bundle carries, for building
-/// the legacy v1/v2 texts the reader must keep accepting.
-void erase_fingerprint_line(std::string& text) {
+/// Rewrites the <hi> bound of the zone_temp_c feature line — content every
+/// structural check accepts, so only the fingerprint can catch it.
+void tamper_zone_temp_bound(std::string& text) {
+  const auto line = text.find("feature zone_temp_c ");
+  ASSERT_NE(line, std::string::npos);
+  const auto eol = text.find('\n', line);
+  const auto space = text.rfind(' ', eol);  // start of the <hi> bound token
+  text.replace(space + 1, eol - space - 1, "99");
+}
+
+/// Deletes the "fingerprint <hex>" line and relabels the v3 header.
+void downgrade_header(std::string& text, const std::string& version) {
   const auto start = text.find("\nfingerprint ");
   ASSERT_NE(start, std::string::npos);
   const auto end = text.find('\n', start + 1);
   text.erase(start + 1, end - start);
-}
-
-TEST(PolicyIoTest, V1BundleLoadsAsBaselineSchema) {
-  // v1 bundles predate persisted schemas and fingerprints: header line
-  // then action grid, nothing else. The reader must treat them as the
-  // implicit baseline 6-dim layout and make every original decision
-  // unchanged.
-  const DtPolicy original = make_policy();
-  std::stringstream buffer;
-  write_policy(original, buffer);
-  std::string text = buffer.str();
-  const auto [schema_start, schema_len] = schema_block_span(text);
-  text.erase(schema_start, schema_len);
-  erase_fingerprint_line(text);
-  const auto pos = text.find("verihvac-policy v3");
+  const std::string v3 = "verihvac-policy v3";
+  const auto pos = text.find(v3);
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, std::string("verihvac-policy v3").size(), "verihvac-policy v1");
-
-  std::stringstream v1(text);
-  const DtPolicy reloaded = read_policy(v1);
-  EXPECT_EQ(reloaded.schema(), env::baseline_schema());
-  Rng rng(21);
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> x(6);
-    for (double& v : x) v = rng.uniform(-10.0, 40.0);
-    const auto a = original.decide(x);
-    const auto b = reloaded.decide(x);
-    EXPECT_DOUBLE_EQ(a.heating_c, b.heating_c);
-    EXPECT_DOUBLE_EQ(a.cooling_c, b.cooling_c);
-  }
-}
-
-TEST(PolicyIoTest, V2BundleLoadsWithSchemaAndNoFingerprintCheck) {
-  // v2 bundles carry the schema block but predate the fingerprint line.
-  // They must keep loading with the persisted schema intact.
-  const DtPolicy original = make_time_aware_policy();
-  std::stringstream buffer;
-  write_policy(original, buffer);
-  std::string text = buffer.str();
-  erase_fingerprint_line(text);
-  const auto pos = text.find("verihvac-policy v3");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, std::string("verihvac-policy v3").size(), "verihvac-policy v2");
-
-  std::stringstream v2(text);
-  const DtPolicy reloaded = read_policy(v2);
-  EXPECT_EQ(reloaded.schema(), env::time_aware_schema());
-  EXPECT_EQ(reloaded.tree().node_count(), original.tree().node_count());
+  text.replace(pos, v3.size(), "verihvac-policy " + version);
 }
 
 TEST(PolicyIoTest, RejectsSchemaTreeDimsMismatch) {
@@ -277,13 +242,73 @@ TEST(PolicyIoTest, RejectsContentTamperViaFingerprint) {
   std::stringstream buffer;
   write_policy(original, buffer);
   std::string text = buffer.str();
-  const auto line = text.find("feature zone_temp_c ");
-  ASSERT_NE(line, std::string::npos);
-  const auto eol = text.find('\n', line);
-  const auto space = text.rfind(' ', eol);  // start of the <hi> bound token
-  text.replace(space + 1, eol - space - 1, "99");
+  tamper_zone_temp_bound(text);
   std::stringstream tampered(text);
   EXPECT_THROW(read_policy(tampered), std::runtime_error);
+}
+
+TEST(PolicyIoTest, RejectsTamperedBundleDowngradedToLegacyVersion) {
+  // The pre-fingerprint v1/v2 headers are not a way around the check: the
+  // tampered bundle above, with its fingerprint line dropped and its
+  // header relabelled, must still be refused.
+  const DtPolicy original = make_policy();
+  std::stringstream buffer;
+  write_policy(original, buffer);
+  std::string tampered = buffer.str();
+  tamper_zone_temp_bound(tampered);
+  for (const std::string version : {"v2", "v1"}) {
+    std::string text = tampered;
+    downgrade_header(text, version);
+    std::stringstream in(text);
+    EXPECT_THROW(read_policy(in), std::runtime_error) << version;
+  }
+}
+
+TEST(PolicyIoTest, SchemaHashSeparatesLayouts) {
+  // The same tree and grid under another layout of the same width — two
+  // disturbance columns swapped, or the schema renamed — is a different
+  // bundle.
+  const DtPolicy policy = make_policy();
+  const std::uint64_t fp = policy_fingerprint(policy);
+  EXPECT_EQ(policy_fingerprint(make_policy()), fp);
+
+  std::vector<env::FeatureSpec> swapped = policy.schema().features();
+  std::swap(swapped[2], swapped[3]);
+  const DtPolicy reordered(policy.tree(), policy.actions(),
+                           env::FeatureSchema(policy.schema().name(), swapped));
+  EXPECT_NE(policy_fingerprint(reordered), fp);
+  const DtPolicy renamed(policy.tree(), policy.actions(),
+                         env::FeatureSchema("renamed", policy.schema().features()));
+  EXPECT_NE(policy_fingerprint(renamed), fp);
+}
+
+TEST(PolicyIoTest, PolicyFingerprintTracksTreeAndGrid) {
+  const DtPolicy policy = make_policy();
+  const std::uint64_t fp = policy_fingerprint(policy);
+  EXPECT_EQ(policy_fingerprint(policy), fp);
+
+  DtPolicy relabeled = policy;
+  const int leaf = relabeled.tree().leaves().front();
+  const int old_label = relabeled.tree().node(static_cast<std::size_t>(leaf)).label;
+  relabeled.mutable_tree().set_leaf_label(
+      leaf, (old_label + 1) % static_cast<int>(relabeled.tree().num_classes()));
+  EXPECT_NE(policy_fingerprint(relabeled), fp);
+
+  control::ActionSpaceConfig grid;  // same pair count, every setpoint one degree up
+  ++grid.heat_min;
+  ++grid.heat_max;
+  ++grid.cool_min;
+  ++grid.cool_max;
+  const DtPolicy regridded(policy.tree(), control::ActionSpace(grid), policy.schema());
+  EXPECT_NE(policy_fingerprint(regridded), fp);
+}
+
+TEST(PolicyIoTest, PolicyFingerprintGoldenValues) {
+  // Digests sealed into existing v3 bundles: any change to the hashed
+  // fields, their order or the FNV-1a constants breaks every bundle on
+  // disk, so the exact values are locked.
+  EXPECT_EQ(policy_fingerprint(make_policy()), 0xad7510cb5c80d9b4ull);
+  EXPECT_EQ(policy_fingerprint(make_time_aware_policy()), 0x9ec92bad8fc35253ull);
 }
 
 TEST(PolicyIoTest, RejectsWrongEmbeddedTreeVersionLine) {

@@ -4,12 +4,10 @@
 //
 //   verihvac extract     --city Pittsburgh --points 600 --out policy.vhp
 //   verihvac verify      --policy policy.vhp [--city Pittsburgh] [--correct]
-//   verihvac campaign    [--climates A,B] [--buildings name:scale,..]
-//                        [--recert full|incremental] [--out FILE]
+//   verihvac campaign    [--climates A,B] [--buildings name:scale,..] [--out FILE]
 //   verihvac simulate    --policy policy.vhp --city Pittsburgh [--days 31]
 //   verihvac serve-bench [--climates A,B] [--buildings N] [--steps N] [--mbrl-frac F]
 //   verihvac adapt-bench [--city NAME] [--buildings N] [--steps N] [--drift-step N]
-//                        [--recert full|incremental]
 //   verihvac export-c    --policy policy.vhp --prefix veri_hvac --out DIR
 //   verihvac explain     --policy policy.vhp --input s,To,RH,w,S,occ
 //   verihvac print       --policy policy.vhp [--rules]
@@ -260,17 +258,6 @@ class ObsOutputs {
   std::string trace_path_;
 };
 
-/// Parses the --recert mode shared by campaign and adapt-bench; returns
-/// whether the incremental certificate-cache path is selected. Anything but
-/// 'full'/'incremental' throws std::invalid_argument, which the driver
-/// turns into exit 2 plus the subcommand's usage.
-bool parse_recert_incremental(const Args& args, bool fallback) {
-  const std::string mode = args.get("recert", fallback ? "incremental" : "full");
-  if (mode == "incremental") return true;
-  if (mode == "full") return false;
-  throw std::invalid_argument("--recert must be 'full' or 'incremental' (got '" + mode + "')");
-}
-
 int cmd_campaign(const Args& args) {
   const ObsOutputs obs_outputs(args);
   core::CampaignConfig config;
@@ -309,7 +296,6 @@ int cmd_campaign(const Args& args) {
       args.get_long("reach-states", static_cast<long>(config.reach_states)));
   config.decision_points = static_cast<std::size_t>(args.get_long("points", 0));
   config.seed = static_cast<std::uint64_t>(args.get_long("seed", 404));
-  config.incremental_recert = parse_recert_incremental(args, config.incremental_recert);
 
   const core::VerificationEngine engine;  // shared VERI_HVAC_THREADS pool
   const core::CampaignResult result =
@@ -490,10 +476,6 @@ int cmd_adapt_bench(const Args& args) {
   adaptation.viper.steps_per_iteration = 24;
   adaptation.viper.mc_repeats = 1;
   adaptation.teacher_rs = pipeline.rs_distill;
-  adaptation.recert_mode =
-      parse_recert_incremental(args, adaptation.recert_mode == adapt::RecertMode::kIncremental)
-          ? adapt::RecertMode::kIncremental
-          : adapt::RecertMode::kFull;
   adaptation.seed = config.seed + 3;
   adapt::AdaptationController controller(adaptation, log, harness.registry_ptr(),
                                          harness.sessions_ptr(), harness.scheduler());
@@ -838,15 +820,13 @@ const std::map<std::string, Command>& commands() {
          {"reach-states", true},
          {"points", true},
          {"seed", true},
-         {"recert", true},
          {"out", true},
          {"metrics-out", true},
          {"trace-out", true}},
         "campaign [--climates A,B,..] [--buildings name[:scale],..]\n"
         "         [--comfort winter,summer] [--envelopes mild,design]\n"
         "         [--schema baseline|time-aware] [--samples N]\n"
-        "         [--reach-states N] [--points N] [--seed N]\n"
-        "         [--recert full|incremental] [--out FILE.csv]\n"
+        "         [--reach-states N] [--points N] [--seed N] [--out FILE.csv]\n"
         "         [--metrics-out FILE] [--trace-out FILE.json]",
         cmd_campaign}},
       {"simulate",
@@ -895,7 +875,6 @@ const std::map<std::string, Command>& commands() {
          {"min-transitions", true},
          {"safe-threshold", true},
          {"schema", true},
-         {"recert", true},
          {"out", true},
          {"telemetry-dir", true},
          {"segment-bytes", true},
@@ -906,7 +885,7 @@ const std::map<std::string, Command>& commands() {
         "            [--mbrl-frac F] [--days N] [--samples N] [--horizon N]\n"
         "            [--ph-delta F] [--ph-lambda F] [--min-transitions N]\n"
         "            [--safe-threshold F] [--schema baseline|time-aware]\n"
-        "            [--recert full|incremental] [--seed N] [--out FILE.json]\n"
+        "            [--seed N] [--out FILE.json]\n"
         "            [--telemetry-dir DIR] [--segment-bytes N]\n"
         "            [--metrics-out FILE] [--trace-out FILE.json]",
         cmd_adapt_bench}},
