@@ -9,7 +9,7 @@
 //      the same workload (best-of-N trials).
 //
 //   2. Trace replay. A live mixed (DT + micro-batched MBRL) run is
-//      captured, round-tripped through the versioned binary format, and
+//      captured, round-tripped through one sealed telemetry segment, and
 //      replayed from the records alone — Rng::stream(session_seed,
 //      decision_index) reconstructs each MBRL decision's draws. Replayed
 //      decisions must be bit-identical to the live run at engine pools of
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "adapt/adaptation_controller.hpp"
+#include "adapt/telemetry_store.hpp"
 #include "bench_common.hpp"
 #include "common/config.hpp"
 #include "serve/fleet_harness.hpp"
@@ -202,7 +203,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Section 2: live capture -> binary trace -> bit-identical replay.
+  // ---- Section 2: live capture -> sealed segment -> bit-identical replay.
   {
     const auto log = std::make_shared<adapt::TelemetryLog>();
     Stack stack(toy_policy, toy_model, toy_rs, /*threads=*/2, /*n_sessions=*/8, log);
@@ -222,10 +223,11 @@ int main(int argc, char** argv) {
     trace.sessions = log->sessions();
     const std::uint64_t lost = log->drain(trace.records);
 
-    // Round-trip the versioned binary format before replaying.
-    const std::string path = bench::artifact_path("adaptation_loop_trace.bin");
-    adapt::save_trace(trace, path);
-    const adapt::TelemetryTrace loaded = adapt::load_trace(path);
+    // Round-trip the segment format before replaying.
+    const std::string path = bench::artifact_path("adaptation_loop_trace.vhtseg");
+    adapt::write_segment(trace, path);
+    adapt::TelemetryTrace loaded;
+    adapt::read_segment(path, loaded);
 
     adapt::ReplayAssets assets;
     assets.policies[stack.policy_version] = toy_policy;

@@ -13,10 +13,10 @@
 //      segment must replay-certify (`verify_segment` with assets), and the
 //      reloaded trace must replay bit-identically at engine pools 1/4/8.
 //
-//   2. Compaction. Merging every sealed segment into one must preserve the
-//      stream byte-for-byte and keep it replay-bit-identical at pools
-//      1/4/8; compacting after an eviction sweep must drop exactly the
-//      evicted session's records and nothing else.
+//   2. Consolidation. The whole capture directory written as one sealed
+//      segment (write_segment, what `trace dump --out` does) must read
+//      back record-for-record byte-identical to the fetched stream and
+//      replay-certify (`verify_segment` with assets).
 //
 //   3. Crash recovery. A tail segment truncated mid-frame is trimmed to
 //      the last whole record and counted — the surviving prefix is
@@ -29,8 +29,8 @@
 //      logging must cost < 5% serve-path throughput.
 //
 // Emits BENCH_telemetry.json. --smoke shrinks workloads and skips the
-// noise-sensitive overhead gate; the exact gates (equivalence, compaction,
-// recovery) hold at any scale.
+// noise-sensitive overhead gate; the exact gates (equivalence,
+// consolidation, recovery) hold at any scale.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -39,7 +39,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,9 +124,9 @@ struct Stack {
 /// A record's exact wire bytes (the trace/segment serialization) — the
 /// identity the byte-for-byte gates compare, with no struct-padding noise.
 std::string record_bytes(const adapt::TelemetryRecord& record) {
-  std::ostringstream out;
-  adapt::detail::write_record(out, record);
-  return out.str();
+  std::string out;
+  adapt::detail::append_record(out, record);
+  return out;
 }
 
 bool records_identical(const std::vector<adapt::TelemetryRecord>& a,
@@ -202,7 +201,6 @@ int main(int argc, char** argv) {
   // against (slices of) it.
   adapt::TelemetryTrace memory;
   adapt::ReplayAssets assets;
-  serve::SessionId evict_target = 0;
   const fs::path capture_dir = fresh_dir("telemetry_capture");
 
   // ---- Section 1: durability equivalence across rotation boundaries.
@@ -211,7 +209,6 @@ int main(int argc, char** argv) {
     Stack stack(toy_policy, toy_model, toy_rs, /*n_sessions=*/3);
     assets.policies[stack.policy_version] = toy_policy;
     assets.models[stack.model_generation] = toy_model;
-    evict_target = stack.ids[0];
 
     adapt::TelemetryStoreConfig config;
     config.directory = capture_dir.string();
@@ -265,58 +262,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Section 2: compaction preserves the stream; eviction drops
-  // exactly the evicted session.
+  // ---- Section 2: consolidation — the capture directory written as one
+  // sealed segment is the same stream and still replay-certifies.
   {
-    const fs::path merge_dir = fresh_dir("telemetry_compact");
-    const fs::path evict_dir = fresh_dir("telemetry_evict");
-    const auto copy_all = fs::copy_options::overwrite_existing | fs::copy_options::recursive;
-    fs::copy(capture_dir, merge_dir, copy_all);
-    fs::copy(capture_dir, evict_dir, copy_all);
+    const fs::path consolidated = fresh_dir("telemetry_consolidate") / "capture.vhtseg";
+    adapt::write_segment(adapt::load_directory(capture_dir.string()), consolidated.string());
+    adapt::TelemetryTrace reread;
+    adapt::read_segment(consolidated.string(), reread);
+    const bool preserved = records_identical(memory.records, reread.records) &&
+                           reread.sessions.size() == memory.sessions.size();
 
-    const std::size_t before = adapt::list_segments(merge_dir.string()).size();
-    adapt::TelemetryStoreConfig config;
-    config.directory = merge_dir.string();
-    config.start_writer = false;
-    bool merged = false;
-    {
-      adapt::TelemetryStore store(std::make_shared<adapt::TelemetryLog>(), config);
-      merged = store.compact_now();
-    }
-    const std::size_t after = adapt::list_segments(merge_dir.string()).size();
-    const adapt::TelemetryTrace compacted = adapt::load_directory(merge_dir.string());
-    const bool preserved = merged && records_identical(memory.records, compacted.records);
-    std::printf("compaction: %zu -> %zu segment(s); stream %s\n", before, after,
-                preserved ? "byte-identical" : "DIVERGED");
-    const bool replay_ok = replays_bit_identical(compacted, assets, toy_rs, "compacted replay");
+    adapt::ReplayConfig verify_config;
+    verify_config.rs = toy_rs;
+    const adapt::SegmentVerifyReport report =
+        adapt::verify_segment(consolidated.string(), &assets, &verify_config);
+    const bool certified =
+        report.ok() && report.replay_ok && report.replayed == reread.records.size();
+    std::printf("consolidation: %zu record(s) in one segment; stream %s, replay %s\n",
+                reread.records.size(), preserved ? "byte-identical" : "DIVERGED",
+                certified ? "certified" : "NOT CERTIFIED");
 
-    std::vector<adapt::TelemetryRecord> expected;
-    for (const adapt::TelemetryRecord& r : memory.records) {
-      if (r.session != evict_target) expected.push_back(r);
-    }
-    config.directory = evict_dir.string();
-    std::uint64_t dropped = 0;
-    {
-      adapt::TelemetryStore store(std::make_shared<adapt::TelemetryLog>(), config);
-      store.note_sessions_evicted({evict_target});
-      store.compact_now();
-      dropped = store.stats().records_dropped_evicted;
-    }
-    const adapt::TelemetryTrace surviving = adapt::load_directory(evict_dir.string());
-    const bool evicted_only = records_identical(expected, surviving.records) &&
-                              dropped == memory.records.size() - expected.size();
-    std::printf("eviction compaction: dropped %llu record(s) of session %llu, kept %zu: %s\n",
-                static_cast<unsigned long long>(dropped),
-                static_cast<unsigned long long>(evict_target), surviving.records.size(),
-                evicted_only ? "exactly the evicted session" : "WRONG RECORDS");
-
-    artifact.field("compact_segments_before", before)
-        .field("compact_segments_after", after)
-        .field_bool("compaction_preserves_stream", preserved)
-        .field_bool("compacted_replay_bit_identical", replay_ok)
-        .field_bool("eviction_drops_exactly_evicted", evicted_only);
-    if (!preserved || !replay_ok || !evicted_only) {
-      std::printf("FAIL: compaction altered the stream\n");
+    artifact.field("consolidated_records", reread.records.size())
+        .field_bool("consolidated_equals_memory", preserved)
+        .field_bool("consolidated_replay_certified", certified);
+    if (!preserved || !certified) {
+      std::printf("FAIL: the consolidated segment is not the decision stream\n");
       failed = true;
     }
   }

@@ -286,12 +286,7 @@ std::size_t AdaptationController::pump() {
   // of sessions that no longer exist (close/evict would otherwise leak
   // one trailing record per session forever).
   if (config_.evict_idle_decisions > 0) {
-    evicted_ids_buffer_.clear();
-    const std::size_t evicted = sessions_->evict_idle(
-        config_.evict_idle_decisions, store_ != nullptr ? &evicted_ids_buffer_ : nullptr);
-    if (store_ != nullptr && !evicted_ids_buffer_.empty()) {
-      store_->note_sessions_evicted(evicted_ids_buffer_);
-    }
+    const std::size_t evicted = sessions_->evict_idle(config_.evict_idle_decisions);
     if (evicted > 0) {
       obs_.sessions_evicted->add(evicted);
       std::lock_guard<std::mutex> lock(mutex_);

@@ -186,10 +186,8 @@ class AdaptationController {
 
   /// Durable-telemetry seam: once attached, pump() drains through
   /// TelemetryStore::fetch() — every record lands in the on-disk segments
-  /// AND feeds adaptation, one consumer for the shared tap — and each
-  /// eviction sweep forwards the closed session ids so store compaction
-  /// can drop their records. The store must wrap the same TelemetryLog
-  /// this controller was constructed with.
+  /// AND feeds adaptation, one consumer for the shared tap. The store
+  /// must wrap the same TelemetryLog this controller was constructed with.
   void attach_store(std::shared_ptr<TelemetryStore> store);
 
   /// One observe/decide/adapt cycle (see file comment). Serialized
@@ -264,7 +262,6 @@ class AdaptationController {
   std::shared_ptr<TelemetryLog> telemetry_;
   /// Optional durable store (attach_store); guarded by pump_mutex_.
   std::shared_ptr<TelemetryStore> store_;
-  std::vector<serve::SessionId> evicted_ids_buffer_;
   std::shared_ptr<serve::PolicyRegistry> registry_;
   std::shared_ptr<serve::SessionManager> sessions_;
   serve::RequestScheduler& scheduler_;

@@ -1,7 +1,7 @@
 #include "adapt/telemetry.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <istream>
 #include <stdexcept>
 
 namespace verihvac::adapt {
@@ -269,97 +269,59 @@ TelemetryLog::Stats TelemetryLog::stats() const {
 }
 
 // ---------------------------------------------------------------------------
-// Versioned binary trace format. Fields are written in declaration order
-// with fixed widths (native little-endian); records store only the used
-// forecast prefix, so DT-heavy traces stay compact.
+// Record wire layout (the body of a segment frame). Fields are written in
+// declaration order with fixed widths (native little-endian); records
+// store only the used observation and forecast prefixes, so DT-heavy
+// segments stay compact.
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'H', 'T', 'L'};
-
 template <typename T>
-void write_pod(std::ostream& out, const T& value) {
+void put_pod(std::string& out, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
 template <typename T>
 T read_pod(std::istream& in) {
   T value{};
   in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("telemetry trace: truncated file");
+  if (!in) throw std::runtime_error("telemetry record: truncated body");
   return value;
-}
-
-// One serializer, two sinks: the stream sink serves the trace file path,
-// the buffer sink serves the durable store's hot writer (an inlined
-// string::append per field instead of an ostream write). Routing both
-// through write_record_to/write_session_to keeps the wire format defined
-// exactly once — the byte-identity the segment format depends on.
-struct StreamSink {
-  std::ostream& out;
-  void write(const void* data, std::size_t size) {
-    out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
-  }
-};
-
-struct BufferSink {
-  std::string& out;
-  void write(const void* data, std::size_t size) {
-    out.append(static_cast<const char*>(data), size);
-  }
-};
-
-template <typename T, typename Sink>
-void put_pod(Sink& sink, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  sink.write(&value, sizeof(T));
-}
-
-template <typename Sink>
-void write_record_to(Sink& sink, const TelemetryRecord& r) {
-  put_pod<std::uint64_t>(sink, r.session);
-  put_pod<std::uint64_t>(sink, r.decision_index);
-  put_pod<std::uint64_t>(sink, r.session_seed);
-  put_pod<std::uint64_t>(sink, r.policy_version);
-  put_pod<std::uint8_t>(sink, r.kind);
-  put_pod<std::uint8_t>(sink, r.forecast_truncated);
-  put_pod<std::uint16_t>(sink, r.forecast_len);
-  put_pod<std::uint32_t>(sink, r.action_index);
-  put_pod<std::uint16_t>(sink, r.obs_len);
-  put_pod<std::uint16_t>(sink, r.zone_temp_dim);
-  put_pod<double>(sink, r.latency_seconds);
-  for (std::size_t i = 0; i < r.obs_len; ++i) put_pod<double>(sink, r.obs[i]);
-  put_pod<double>(sink, r.heating_c);
-  put_pod<double>(sink, r.cooling_c);
-  for (std::size_t k = 0; k < r.forecast_len; ++k) {
-    put_pod<TelemetryDisturbance>(sink, r.forecast[k]);
-  }
-}
-
-template <typename Sink>
-void write_session_to(Sink& sink, const TelemetrySession& session) {
-  put_pod<std::uint64_t>(sink, session.id);
-  put_pod<std::uint64_t>(sink, session.seed);
-  put_pod<std::uint64_t>(sink, session.policy_key.size());
-  sink.write(session.policy_key.data(), session.policy_key.size());
 }
 
 }  // namespace
 
 namespace detail {
 
-void write_record(std::ostream& out, const TelemetryRecord& r) {
-  StreamSink sink{out};
-  write_record_to(sink, r);
-}
-
 void append_record(std::string& out, const TelemetryRecord& r) {
-  BufferSink sink{out};
-  write_record_to(sink, r);
+  put_pod<std::uint64_t>(out, r.session);
+  put_pod<std::uint64_t>(out, r.decision_index);
+  put_pod<std::uint64_t>(out, r.session_seed);
+  put_pod<std::uint64_t>(out, r.policy_version);
+  put_pod<std::uint8_t>(out, r.kind);
+  put_pod<std::uint8_t>(out, r.forecast_truncated);
+  put_pod<std::uint16_t>(out, r.forecast_len);
+  put_pod<std::uint32_t>(out, r.action_index);
+  put_pod<std::uint16_t>(out, r.obs_len);
+  put_pod<std::uint16_t>(out, r.zone_temp_dim);
+  put_pod<double>(out, r.latency_seconds);
+  for (std::size_t i = 0; i < r.obs_len; ++i) put_pod<double>(out, r.obs[i]);
+  put_pod<double>(out, r.heating_c);
+  put_pod<double>(out, r.cooling_c);
+  for (std::size_t k = 0; k < r.forecast_len; ++k) {
+    put_pod<TelemetryDisturbance>(out, r.forecast[k]);
+  }
 }
 
-TelemetryRecord read_record(std::istream& in, std::uint32_t version) {
+void append_session(std::string& out, const TelemetrySession& session) {
+  put_pod<std::uint64_t>(out, session.id);
+  put_pod<std::uint64_t>(out, session.seed);
+  put_pod<std::uint64_t>(out, session.policy_key.size());
+  out.append(session.policy_key);
+}
+
+TelemetryRecord read_record(std::istream& in) {
   TelemetryRecord r;
   r.session = read_pod<std::uint64_t>(in);
   r.decision_index = read_pod<std::uint64_t>(in);
@@ -369,49 +331,22 @@ TelemetryRecord read_record(std::istream& in, std::uint32_t version) {
   r.forecast_truncated = read_pod<std::uint8_t>(in);
   r.forecast_len = read_pod<std::uint16_t>(in);
   r.action_index = read_pod<std::uint32_t>(in);
-  if (version >= 2) {
-    r.obs_len = read_pod<std::uint16_t>(in);
-    r.zone_temp_dim = read_pod<std::uint16_t>(in);
-    if (r.obs_len < 1 || r.obs_len > kTelemetryMaxObsDims || r.zone_temp_dim >= r.obs_len) {
-      throw std::runtime_error("telemetry trace: observation length exceeds format cap");
-    }
-  } else {
-    // v1 records are implicitly the baseline 6-dim layout with the zone
-    // temperature in column 0.
-    r.obs_len = static_cast<std::uint16_t>(env::kInputDims);
-    r.zone_temp_dim = 0;
+  r.obs_len = read_pod<std::uint16_t>(in);
+  r.zone_temp_dim = read_pod<std::uint16_t>(in);
+  if (r.obs_len < 1 || r.obs_len > kTelemetryMaxObsDims || r.zone_temp_dim >= r.obs_len) {
+    throw std::runtime_error("telemetry record: observation length exceeds format cap");
   }
   r.latency_seconds = read_pod<double>(in);
   for (std::size_t d = 0; d < r.obs_len; ++d) r.obs[d] = read_pod<double>(in);
   r.heating_c = read_pod<double>(in);
   r.cooling_c = read_pod<double>(in);
   if (r.forecast_len > kTelemetryMaxForecast) {
-    throw std::runtime_error("telemetry trace: forecast length exceeds format cap");
+    throw std::runtime_error("telemetry record: forecast length exceeds format cap");
   }
   for (std::size_t k = 0; k < r.forecast_len; ++k) {
-    if (version >= 2) {
-      r.forecast[k] = read_pod<TelemetryDisturbance>(in);
-    } else {
-      // v1 forecast entries carried only the five weather/occupancy
-      // doubles; the temporal fields take their baseline defaults.
-      r.forecast[k].outdoor_temp_c = read_pod<double>(in);
-      r.forecast[k].humidity_pct = read_pod<double>(in);
-      r.forecast[k].wind_mps = read_pod<double>(in);
-      r.forecast[k].solar_wm2 = read_pod<double>(in);
-      r.forecast[k].occupants = read_pod<double>(in);
-    }
+    r.forecast[k] = read_pod<TelemetryDisturbance>(in);
   }
   return r;
-}
-
-void write_session(std::ostream& out, const TelemetrySession& session) {
-  StreamSink sink{out};
-  write_session_to(sink, session);
-}
-
-void append_session(std::string& out, const TelemetrySession& session) {
-  BufferSink sink{out};
-  write_session_to(sink, session);
 }
 
 TelemetrySession read_session(std::istream& in) {
@@ -420,63 +355,15 @@ TelemetrySession read_session(std::istream& in) {
   session.seed = read_pod<std::uint64_t>(in);
   const auto key_len = read_pod<std::uint64_t>(in);
   if (key_len > (1u << 20)) {
-    throw std::runtime_error("telemetry trace: implausible session key length");
+    throw std::runtime_error("telemetry session: implausible key length");
   }
   session.policy_key.resize(key_len);
   in.read(session.policy_key.data(), static_cast<std::streamsize>(key_len));
-  if (!in) throw std::runtime_error("telemetry trace: truncated file");
+  if (!in) throw std::runtime_error("telemetry session: truncated body");
   return session;
 }
 
 }  // namespace detail
-
-void save_trace(const TelemetryTrace& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("telemetry trace: cannot write " + path);
-
-  out.write(kMagic, sizeof(kMagic));
-  write_pod<std::uint32_t>(out, kTelemetryTraceVersion);
-
-  std::vector<TelemetrySession> sessions = trace.sessions;
-  std::sort(sessions.begin(), sessions.end(),
-            [](const TelemetrySession& a, const TelemetrySession& b) { return a.id < b.id; });
-  write_pod<std::uint64_t>(out, sessions.size());
-  for (const TelemetrySession& session : sessions) detail::write_session(out, session);
-
-  write_pod<std::uint64_t>(out, trace.records.size());
-  for (const TelemetryRecord& r : trace.records) detail::write_record(out, r);
-  if (!out) throw std::runtime_error("telemetry trace: write failed for " + path);
-}
-
-TelemetryTrace load_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("telemetry trace: cannot read " + path);
-
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("telemetry trace: bad magic in " + path);
-  }
-  const auto version = read_pod<std::uint32_t>(in);
-  if (version != 1 && version != kTelemetryTraceVersion) {
-    throw std::runtime_error("telemetry trace: unsupported version " + std::to_string(version) +
-                             " in " + path);
-  }
-
-  TelemetryTrace trace;
-  const auto n_sessions = read_pod<std::uint64_t>(in);
-  trace.sessions.reserve(n_sessions);
-  for (std::uint64_t s = 0; s < n_sessions; ++s) {
-    trace.sessions.push_back(detail::read_session(in));
-  }
-
-  const auto n_records = read_pod<std::uint64_t>(in);
-  trace.records.reserve(n_records);
-  for (std::uint64_t i = 0; i < n_records; ++i) {
-    trace.records.push_back(detail::read_record(in, version));
-  }
-  return trace;
-}
 
 dyn::TransitionDataset trace_to_dataset(const TelemetryTrace& trace) {
   std::vector<const TelemetryRecord*> ordered;

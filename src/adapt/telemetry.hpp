@@ -49,8 +49,9 @@
 //     RandomShooting::optimize on Rng::stream(seed, d), which the
 //     scheduler's micro-batched path is test-locked against).
 //
-// The on-disk format is versioned binary (kTelemetryTraceVersion);
-// save/load round-trips are byte-identical.
+// Records persist in one on-disk format: the durable store's CRC-framed
+// segments (telemetry_store.hpp), whose record bodies carry the
+// versioned wire layout below (kTelemetryTraceVersion).
 #pragma once
 
 #include <array>
@@ -99,7 +100,7 @@ struct TelemetryDisturbance {
 };
 
 /// One served decision. Trivially copyable by construction: the seqlock
-/// ring publishes records with raw copies, and the binary trace format
+/// ring publishes records with raw copies, and the segment wire format
 /// writes them field by field.
 struct TelemetryRecord {
   serve::SessionId session = 0;
@@ -129,7 +130,7 @@ struct TelemetryRecord {
   std::vector<env::Disturbance> forecast_vector() const;
 };
 static_assert(std::is_trivially_copyable_v<TelemetryRecord>,
-              "the seqlock ring and the binary trace format both require POD records");
+              "the seqlock ring and the segment wire format both require POD records");
 
 struct TelemetryConfig {
   /// Independent rings; a session's records always land in the same shard
@@ -167,7 +168,7 @@ struct TelemetrySession {
 
 /// A drained capture: everything needed to rebuild datasets and replay.
 struct TelemetryTrace {
-  std::vector<TelemetrySession> sessions;  ///< sorted by id on save
+  std::vector<TelemetrySession> sessions;  ///< sorted by id on write
   std::vector<TelemetryRecord> records;
 };
 
@@ -279,18 +280,11 @@ class TelemetryLog : public serve::DecisionTap {
   std::map<serve::SessionId, TelemetrySession> sessions_;
 };
 
-/// Current binary trace version (bumped on any layout change; readers
-/// reject versions they do not understand). v2 adds per-record obs_len /
-/// zone_temp_dim with a length-prefixed observation block and the temporal
-/// forecast fields; v1 traces still load, as implicit baseline 6-dim.
+/// Record wire-layout version, stamped in every segment header (bumped on
+/// any layout change; readers refuse any other version). v2 carries
+/// per-record obs_len / zone_temp_dim with a length-prefixed observation
+/// block and the temporal forecast fields.
 inline constexpr std::uint32_t kTelemetryTraceVersion = 2;
-
-/// Writes the trace (sessions sorted by id, records in vector order).
-/// Throws std::runtime_error on I/O failure.
-void save_trace(const TelemetryTrace& trace, const std::string& path);
-/// Reads a trace; throws std::runtime_error on bad magic, unsupported
-/// version or a short file.
-TelemetryTrace load_trace(const std::string& path);
 
 /// Pairs session-consecutive decisions (d, d+1) into transitions: decision
 /// d's observation + action, with d+1's zone temperature as the observed
@@ -360,19 +354,15 @@ ReplayReport replay_trace(const TelemetryTrace& trace, const ReplayAssets& asset
                           const ReplayConfig& config);
 
 namespace detail {
-/// Field-by-field binary (de)serialization of one record/session, exactly
-/// the layout save_trace()/load_trace() use — shared with the durable
-/// store's framed segments so a segment record is byte-identical to the
-/// same record in a v1-trace file. Readers throw std::runtime_error on a
-/// short stream or out-of-range lengths.
-void write_record(std::ostream& out, const TelemetryRecord& record);
-TelemetryRecord read_record(std::istream& in, std::uint32_t version);
-void write_session(std::ostream& out, const TelemetrySession& session);
-TelemetrySession read_session(std::istream& in);
-/// Buffer-append variants of the writers (same wire bytes, one inlined
-/// memcpy per field) — the durable store's per-record fast path.
+/// Field-by-field binary (de)serialization of one record/session — the
+/// body of a segment frame (kTelemetryTraceVersion layout). The writers
+/// append one memcpy per field (the durable store's per-record fast
+/// path); the readers throw std::runtime_error on a short stream or
+/// out-of-range lengths.
 void append_record(std::string& out, const TelemetryRecord& record);
 void append_session(std::string& out, const TelemetrySession& session);
+TelemetryRecord read_record(std::istream& in);
+TelemetrySession read_session(std::istream& in);
 }  // namespace detail
 
 }  // namespace verihvac::adapt

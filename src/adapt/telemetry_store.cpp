@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -24,8 +23,6 @@ namespace {
 constexpr char kSegmentMagic[4] = {'V', 'H', 'T', 'S'};
 constexpr const char* kSealedSuffix = ".vhtseg";
 constexpr const char* kOpenSuffix = ".vhtseg.open";
-constexpr const char* kCompactTmpSuffix = ".vhtseg.tmp";
-constexpr const char* kCompactManifestSuffix = ".vhtseg.compact";
 
 /// Consecutive pump I/O failures tolerated before persistence turns
 /// itself off for the store's lifetime (transient hiccups get retries;
@@ -130,7 +127,7 @@ SegmentHeader read_header_stream(std::istream& in, const std::string& path) {
     throw std::runtime_error("telemetry segment: unsupported format version " +
                              std::to_string(h.format_version) + " in " + path);
   }
-  if (h.trace_version != 1 && h.trace_version != kTelemetryTraceVersion) {
+  if (h.trace_version != kTelemetryTraceVersion) {
     throw std::runtime_error("telemetry segment: unsupported trace version " +
                              std::to_string(h.trace_version) + " in " + path);
   }
@@ -160,16 +157,6 @@ std::uint64_t schema_fingerprint(const std::set<std::uint64_t>& schema_pairs) {
   return h.digest();
 }
 
-/// One frame, serialized: [type u8 | body_len u32 | body_crc u32 | body].
-std::string make_frame(std::uint8_t type, const std::string& body) {
-  std::ostringstream out(std::ios::binary);
-  write_pod<std::uint8_t>(out, type);
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(body.size()));
-  write_pod<std::uint32_t>(out, common::crc32(body.data(), body.size()));
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  return out.str();
-}
-
 inline constexpr std::size_t kFrameHeaderBytes = 9;  // type + body_len + body_crc
 
 /// Folds one frame header into the segment's rolling payload CRC. The
@@ -185,11 +172,11 @@ std::uint32_t chain_frame_header(std::uint32_t crc, std::uint8_t type, std::uint
   return common::crc32_update(crc, hdr, sizeof hdr);
 }
 
-/// Builds one frame in place in `out` (reused across calls): reserves the
-/// frame header, appends the body through `append_body` (one of the
-/// detail::append_* writers), then patches type/len/crc. Byte-identical to
-/// make_frame — the writer fast path and the cold readers share one wire
-/// format.
+/// Builds one frame, [type u8 | body_len u32 | body_crc u32 | body], in
+/// place in `out` (reused across calls): reserves the frame header,
+/// appends the body through `append_body` (one of the detail::append_*
+/// writers), then patches type/len/crc. The store's writer and
+/// write_segment() both frame through here, so there is one wire format.
 template <typename AppendBody>
 void build_frame(std::string& out, std::uint8_t type, AppendBody&& append_body) {
   out.clear();
@@ -244,10 +231,11 @@ struct ScannedPayload {
   std::vector<TelemetryRecord> records;  ///< filled only when keep_payload
 };
 
-/// Frame-by-frame scan from the current stream position. Stops (without
-/// throwing) at the first torn/invalid frame; structural readers treat a
-/// torn tail as an error, recovery treats it as the trim point.
-ScannedPayload scan_payload(std::istream& in, std::uint32_t trace_version, bool keep_payload) {
+/// Frame-by-frame scan from the current stream position — the only frame
+/// parser. Stops (without throwing) at the first torn/invalid frame;
+/// structural readers treat a torn tail as an error, recovery treats it
+/// as the trim point.
+ScannedPayload scan_payload(std::istream& in, bool keep_payload) {
   ScannedPayload out;
   while (true) {
     std::uint8_t type = 0;
@@ -275,7 +263,7 @@ ScannedPayload scan_payload(std::istream& in, std::uint32_t trace_version, bool 
     std::istringstream body_in(body, std::ios::binary);
     try {
       if (type == kFrameRecord) {
-        TelemetryRecord record = detail::read_record(body_in, trace_version);
+        TelemetryRecord record = detail::read_record(body_in);
         out.tally.add_record(record);
         if (keep_payload) out.records.push_back(record);
       } else {
@@ -312,7 +300,6 @@ TelemetryStore::TelemetryStore(std::shared_ptr<TelemetryLog> log, TelemetryStore
            &obs::counter("telemetry_store_records_dropped_total"),
            &obs::counter("telemetry_store_bytes_written_total"),
            &obs::counter("telemetry_store_rotations_total"),
-           &obs::counter("telemetry_store_compactions_total"),
            &obs::counter("telemetry_store_truncations_total"),
            &obs::counter("telemetry_store_persist_errors_total"),
            &obs::gauge("telemetry_store_segments"),
@@ -321,7 +308,6 @@ TelemetryStore::TelemetryStore(std::shared_ptr<TelemetryLog> log, TelemetryStore
   if (config_.directory.empty()) throw std::invalid_argument("TelemetryStore: empty directory");
   fs::create_directories(config_.directory);
 
-  recover_compactions();
   recover_open_segments();
   for (const SegmentInfo& info : sealed_segments_locked()) {
     next_seq_ = std::max(next_seq_, info.header.base_seq + info.header.record_count);
@@ -378,62 +364,6 @@ void TelemetryStore::stop() {
   }
 }
 
-void TelemetryStore::recover_compactions() {
-  // Finish (or roll back) a compaction a crash interrupted. The manifest
-  // is written only after the merged `.tmp` is complete, so the disk can
-  // only be in one of three states:
-  //   manifest + tmp    crash before the atomic rename — finish the swap;
-  //   manifest, no tmp  crash mid input removal — finish the removes;
-  //   tmp, no manifest  crash mid merge write — the inputs are intact and
-  //                     authoritative, the tmp is garbage.
-  std::vector<std::string> manifests;
-  std::vector<std::string> tmps;
-  for (const auto& entry : fs::directory_iterator(config_.directory)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string path = entry.path().string();
-    if (ends_with(path, kCompactManifestSuffix)) {
-      manifests.push_back(path);
-    } else if (ends_with(path, kCompactTmpSuffix)) {
-      tmps.push_back(path);
-    }
-  }
-
-  for (const std::string& manifest_path : manifests) {
-    std::string final_name;
-    std::string tmp_name;
-    std::vector<std::string> inputs;
-    {
-      std::ifstream in(manifest_path);
-      std::string line;
-      if (std::getline(in, final_name) && std::getline(in, tmp_name)) {
-        while (std::getline(in, line)) {
-          if (!line.empty()) inputs.push_back(line);
-        }
-      }
-    }
-    if (final_name.empty() || tmp_name.empty() || inputs.empty()) {
-      // Torn manifest: nothing was renamed or removed yet, the inputs are
-      // still complete. Roll back (the orphan-tmp sweep below cleans up).
-      fs::remove(manifest_path);
-      continue;
-    }
-    const fs::path dir(config_.directory);
-    const fs::path tmp = dir / tmp_name;
-    if (fs::exists(tmp)) fs::rename(tmp, dir / final_name);
-    for (const std::string& input : inputs) {
-      if (input == final_name) continue;
-      const fs::path victim = dir / input;
-      if (fs::exists(victim)) fs::remove(victim);
-    }
-    fs::remove(manifest_path);
-    log_info("telemetry store: finished interrupted compaction into ", final_name);
-  }
-
-  for (const std::string& tmp : tmps) {
-    if (fs::exists(tmp)) fs::remove(tmp);
-  }
-}
-
 void TelemetryStore::recover_open_segments() {
   std::vector<std::string> open_paths;
   for (const auto& entry : fs::directory_iterator(config_.directory)) {
@@ -450,7 +380,7 @@ void TelemetryStore::recover_open_segments() {
       std::ifstream in(path, std::ios::binary);
       if (!in) throw std::runtime_error("telemetry segment: cannot read " + path);
       header = read_header_stream(in, path);
-      scanned = scan_payload(in, header.trace_version, /*keep_payload=*/false);
+      scanned = scan_payload(in, /*keep_payload=*/false);
     } catch (const std::runtime_error& error) {
       // Even the header is torn: nothing recoverable. Quarantine rather
       // than delete so the operator can inspect; readers ignore .corrupt.
@@ -630,11 +560,6 @@ void TelemetryStore::maybe_rotate_locked() {
   }
   if (!rotate) return;
   seal_active_locked();
-
-  if (config_.compact_min_segments > 0 &&
-      sealed_segments_locked().size() >= config_.compact_min_segments) {
-    compact_locked();
-  }
   enforce_retention_locked();
 }
 
@@ -751,19 +676,9 @@ std::uint64_t TelemetryStore::fetch(std::vector<TelemetryRecord>& out) {
 
 void TelemetryStore::enable_fetch_queue() { fetch_enabled_.store(true, std::memory_order_relaxed); }
 
-void TelemetryStore::note_sessions_evicted(const std::vector<serve::SessionId>& ids) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  evicted_.insert(ids.begin(), ids.end());
-}
-
 void TelemetryStore::seal_active() {
   std::lock_guard<std::mutex> lock(mutex_);
   seal_active_locked();
-}
-
-bool TelemetryStore::compact_now() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return compact_locked();
 }
 
 std::vector<SegmentInfo> TelemetryStore::sealed_segments_locked() const {
@@ -772,144 +687,6 @@ std::vector<SegmentInfo> TelemetryStore::sealed_segments_locked() const {
     if (!info.open) out.push_back(info);
   }
   return out;
-}
-
-bool TelemetryStore::compact_locked() {
-  const std::vector<SegmentInfo> sealed = sealed_segments_locked();
-  if (sealed.size() < 2) return false;
-
-  // Merge the oldest run that fits the segment byte budget (all of them
-  // when no budget is set); a run of one would be a rewrite, not a merge.
-  std::size_t take = 0;
-  std::uint64_t bytes = 0;
-  for (const SegmentInfo& info : sealed) {
-    if (take >= 2 && config_.segment_max_bytes > 0 &&
-        bytes + info.header.payload_bytes > config_.segment_max_bytes) {
-      break;
-    }
-    bytes += info.header.payload_bytes;
-    ++take;
-  }
-  if (take < 2) return false;
-
-  obs::TraceSpan span("telemetry.compact", "telemetry");
-
-  // Materialize the run (bounded by the byte budget), dropping evicted
-  // sessions' records and session frames.
-  TelemetryTrace merged;
-  for (std::size_t i = 0; i < take; ++i) read_segment(sealed[i].path, merged);
-
-  std::uint64_t dropped = 0;
-  PayloadTally tally;
-  std::vector<TelemetryRecord> kept;
-  kept.reserve(merged.records.size());
-  for (const TelemetryRecord& record : merged.records) {
-    if (evicted_.count(record.session) > 0) {
-      ++dropped;
-      continue;
-    }
-    kept.push_back(record);
-    tally.add_record(record);
-  }
-  std::vector<TelemetrySession> sessions;
-  std::set<serve::SessionId> seen;
-  for (const TelemetrySession& session : merged.sessions) {
-    if (evicted_.count(session.id) > 0 || !seen.insert(session.id).second) continue;
-    sessions.push_back(session);
-  }
-  tally.sessions = sessions.size();
-
-  SegmentHeader header;
-  header.base_seq = sealed.front().header.base_seq;
-  header.open_steady_ns = sealed.front().header.open_steady_ns;
-  header.close_steady_ns = sealed[take - 1].header.close_steady_ns;
-  header.sealed = 1;
-  tally.fill(header);
-
-  const std::string sealed_path =
-      (fs::path(config_.directory) / (segment_basename(header.base_seq) + kSealedSuffix)).string();
-  const std::string tmp_path = sealed_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("TelemetryStore: cannot create " + tmp_path);
-    write_header_at_start(out, header);  // provisional (payload fields open)
-    std::uint32_t crc = 0;
-    std::uint64_t payload_bytes = 0;
-    const auto append = [&](std::uint8_t type, const std::string& body) {
-      const std::string frame = make_frame(type, body);
-      out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-      crc = common::crc32_update(crc, frame.data(), kFrameHeaderBytes);
-      payload_bytes += frame.size();
-    };
-    for (const TelemetrySession& session : sessions) {
-      std::ostringstream body(std::ios::binary);
-      detail::write_session(body, session);
-      append(kFrameSession, body.str());
-    }
-    for (const TelemetryRecord& record : kept) {
-      std::ostringstream body(std::ios::binary);
-      detail::write_record(body, record);
-      append(kFrameRecord, body.str());
-    }
-    header.payload_bytes = payload_bytes;
-    header.payload_crc = crc;
-    out.seekp(0);
-    write_header_at_start(out, header);
-    if (!out) throw std::runtime_error("TelemetryStore: compaction write failed for " + tmp_path);
-  }
-
-  // Crash-safe swap: stage a manifest naming the output and every input,
-  // atomically replace the oldest input with the merged segment, then
-  // remove the rest. recover_compactions() finishes whatever prefix of
-  // this sequence a crash leaves behind, so no point of failure loses
-  // (or duplicates) sealed records.
-  const std::string manifest_path = sealed_path + ".compact";
-  {
-    std::ofstream manifest(manifest_path, std::ios::trunc);
-    if (!manifest) throw std::runtime_error("TelemetryStore: cannot create " + manifest_path);
-    manifest << fs::path(sealed_path).filename().string() << "\n";
-    manifest << fs::path(tmp_path).filename().string() << "\n";
-    for (std::size_t i = 0; i < take; ++i) {
-      manifest << fs::path(sealed[i].path).filename().string() << "\n";
-    }
-    manifest.flush();
-    if (!manifest) {
-      throw std::runtime_error("TelemetryStore: manifest write failed for " + manifest_path);
-    }
-  }
-  fs::rename(tmp_path, sealed_path);
-  for (std::size_t i = 0; i < take; ++i) {
-    if (sealed[i].path != sealed_path) fs::remove(sealed[i].path);
-  }
-  fs::remove(manifest_path);
-
-  ++stats_.compactions;
-  stats_.records_dropped_evicted += dropped;
-  obs_.compactions->add(1);
-  if (dropped > 0) obs_.dropped->add(dropped);
-  refresh_segment_gauge_locked();
-  prune_evicted_locked();
-  return true;
-}
-
-void TelemetryStore::prune_evicted_locked() {
-  // Eviction tombstones only matter while some segment might still hold
-  // the session's records; once compaction has purged them, drop the id
-  // so the set cannot grow without bound over a long-lived store. (Stale
-  // session *frames* in not-yet-compacted segments are harmless metadata
-  // and do not pin a tombstone.)
-  if (evicted_.empty()) return;
-  const std::vector<SegmentInfo> sealed = sealed_segments_locked();
-  for (auto it = evicted_.begin(); it != evicted_.end();) {
-    const auto id = static_cast<std::uint64_t>(*it);
-    bool covered = active_ != nullptr && session_ids_in_active_.count(*it) > 0;
-    for (const SegmentInfo& info : sealed) {
-      if (covered) break;
-      covered = info.header.record_count > 0 && id >= info.header.session_min &&
-                id <= info.header.session_max;
-    }
-    it = covered ? std::next(it) : evicted_.erase(it);
-  }
 }
 
 void TelemetryStore::enforce_retention_locked() {
@@ -947,9 +724,7 @@ void TelemetryStore::refresh_segment_gauge_locked() {
 
 TelemetryStore::Stats TelemetryStore::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats out = stats_;
-  out.eviction_tombstones = evicted_.size();
-  return out;
+  return stats_;
 }
 
 // ---------------------------------------------------------------------------
@@ -975,7 +750,7 @@ std::vector<SegmentInfo> list_segments(const std::string& directory) {
     } else if (ends_with(path, kSealedSuffix)) {
       info.open = false;
     } else {
-      continue;  // .tmp / .corrupt / foreign files
+      continue;  // .corrupt / foreign files
     }
     info.path = path;
     info.header = read_segment_header(path);
@@ -996,7 +771,7 @@ void read_segment(const std::string& path, TelemetryTrace& into) {
     throw std::runtime_error("telemetry segment: refusing unsealed segment " + path +
                              " (reopen the store to run crash recovery, or seal it)");
   }
-  ScannedPayload scanned = scan_payload(in, header.trace_version, /*keep_payload=*/true);
+  ScannedPayload scanned = scan_payload(in, /*keep_payload=*/true);
   if (scanned.torn_tail || scanned.good_bytes != header.payload_bytes ||
       scanned.crc != header.payload_crc || scanned.tally.records != header.record_count) {
     throw std::runtime_error("telemetry segment: payload does not match sealed header in " + path +
@@ -1004,6 +779,41 @@ void read_segment(const std::string& path, TelemetryTrace& into) {
   }
   into.sessions.insert(into.sessions.end(), scanned.sessions.begin(), scanned.sessions.end());
   into.records.insert(into.records.end(), scanned.records.begin(), scanned.records.end());
+}
+
+void write_segment(const TelemetryTrace& trace, const std::string& path) {
+  std::vector<TelemetrySession> sessions = trace.sessions;
+  std::stable_sort(sessions.begin(), sessions.end(),
+                   [](const TelemetrySession& a, const TelemetrySession& b) { return a.id < b.id; });
+
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("telemetry segment: cannot create " + path);
+  // Provisional (unsealed) header first: a write that dies midway leaves
+  // a file every reader refuses.
+  SegmentHeader header;
+  write_header_at_start(out, header);
+  PayloadTally tally;
+  std::string frame;
+  const auto append = [&](std::uint8_t type, const auto& append_body) {
+    build_frame(frame, type, append_body);
+    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    header.payload_crc = common::crc32_update(header.payload_crc, frame.data(), kFrameHeaderBytes);
+    header.payload_bytes += frame.size();
+  };
+  for (const TelemetrySession& session : sessions) {
+    append(kFrameSession, [&session](std::string& body) { detail::append_session(body, session); });
+    ++tally.sessions;
+  }
+  for (const TelemetryRecord& record : trace.records) {
+    append(kFrameRecord, [&record](std::string& body) { detail::append_record(body, record); });
+    tally.add_record(record);
+  }
+  tally.fill(header);
+  header.sealed = 1;
+  out.seekp(0);
+  write_header_at_start(out, header);
+  out.flush();
+  if (!out) throw std::runtime_error("telemetry segment: write failed for " + path);
 }
 
 TelemetryTrace load_directory(const std::string& directory) {
@@ -1026,88 +836,6 @@ TelemetryTrace load_directory(const std::string& directory) {
   return trace;
 }
 
-dyn::TransitionDataset directory_to_dataset(const std::string& directory) {
-  // Streaming pairing: segments arrive in seq order and a session's
-  // records are decision-ordered within the stream (same-shard rings,
-  // append-order segments), so one pending record per session suffices.
-  struct Candidate {
-    dyn::Transition transition;
-    std::uint16_t cur_len = 0;
-    std::uint16_t next_len = 0;
-  };
-  std::map<serve::SessionId, TelemetryRecord> pending;
-  std::map<serve::SessionId, std::vector<Candidate>> per_session;
-
-  for (const SegmentInfo& info : list_segments(directory)) {
-    if (info.open) {
-      throw std::runtime_error("telemetry segment: active/torn tail present in " + directory +
-                               " - seal the store (or reopen it to recover) before loading");
-    }
-    std::ifstream in(info.path, std::ios::binary);
-    if (!in) throw std::runtime_error("telemetry segment: cannot read " + info.path);
-    const SegmentHeader header = read_header_stream(in, info.path);
-    if (header.sealed == 0) {
-      throw std::runtime_error("telemetry segment: refusing unsealed segment " + info.path);
-    }
-    std::uint64_t records_seen = 0;
-    std::uint64_t bytes_seen = 0;
-    std::uint32_t crc = 0;
-    while (bytes_seen < header.payload_bytes) {
-      std::uint8_t type = 0;
-      std::uint32_t body_len = 0;
-      std::uint32_t body_crc = 0;
-      if (!in.read(reinterpret_cast<char*>(&type), 1) ||
-          !in.read(reinterpret_cast<char*>(&body_len), 4) ||
-          !in.read(reinterpret_cast<char*>(&body_crc), 4) || body_len > kMaxFrameBody) {
-        throw std::runtime_error("telemetry segment: torn frame in " + info.path);
-      }
-      std::string body(body_len, '\0');
-      if (!in.read(body.data(), static_cast<std::streamsize>(body_len)) ||
-          common::crc32(body.data(), body.size()) != body_crc) {
-        throw std::runtime_error("telemetry segment: frame CRC mismatch in " + info.path);
-      }
-      crc = chain_frame_header(crc, type, body_len, body_crc);
-      bytes_seen += kFrameHeaderBytes + body_len;
-      if (type != kFrameRecord) continue;
-      std::istringstream body_in(body, std::ios::binary);
-      const TelemetryRecord record = detail::read_record(body_in, header.trace_version);
-      ++records_seen;
-
-      const auto it = pending.find(record.session);
-      if (it != pending.end() && record.decision_index == it->second.decision_index + 1) {
-        const TelemetryRecord& cur = it->second;
-        Candidate candidate;
-        candidate.transition.input = cur.obs_vector();
-        candidate.transition.action.heating_c = cur.heating_c;
-        candidate.transition.action.cooling_c = cur.cooling_c;
-        candidate.transition.next_zone_temp = record.obs[record.zone_temp_dim];
-        candidate.cur_len = cur.obs_len;
-        candidate.next_len = record.obs_len;
-        per_session[record.session].push_back(std::move(candidate));
-      }
-      pending[record.session] = record;
-    }
-    if (crc != header.payload_crc || records_seen != header.record_count) {
-      throw std::runtime_error("telemetry segment: payload does not match sealed header in " +
-                               info.path + " (torn or corrupted - refusing to load)");
-    }
-  }
-
-  // Same width discipline as trace_to_dataset(): the first session-ordered
-  // candidate pair fixes the dataset's input width.
-  dyn::TransitionDataset dataset;
-  std::uint16_t width = 0;
-  for (auto& [session, candidates] : per_session) {
-    (void)session;
-    for (Candidate& candidate : candidates) {
-      if (width == 0) width = candidate.cur_len;
-      if (candidate.cur_len != width || candidate.next_len != width) continue;
-      dataset.add(std::move(candidate.transition));
-    }
-  }
-  return dataset;
-}
-
 SegmentVerifyReport verify_segment(const std::string& path, const ReplayAssets* assets,
                                    const ReplayConfig* config) {
   SegmentVerifyReport report;
@@ -1120,7 +848,7 @@ SegmentVerifyReport verify_segment(const std::string& path, const ReplayAssets* 
     if (!in) throw std::runtime_error("cannot read " + path);
     header = read_header_stream(in, path);
     if (header.sealed == 0) throw std::runtime_error("segment not sealed: " + path);
-    scanned = scan_payload(in, header.trace_version, /*keep_payload=*/true);
+    scanned = scan_payload(in, /*keep_payload=*/true);
     if (scanned.torn_tail) throw std::runtime_error("torn frame in payload of " + path);
     if (scanned.good_bytes != header.payload_bytes) {
       throw std::runtime_error("payload byte count does not match header in " + path);

@@ -11,10 +11,12 @@
 //
 // Layout per segment: magic "VHTS", a fixed-width versioned header, then
 // frames of [type u8 | body_len u32 | body_crc u32 | body]. A record
-// frame's body is byte-identical to the same record in a v2 trace file
-// (shared detail::write_record), so segment payloads inherit the trace
-// format's locked byte layout; session frames carry the session table, so
-// every segment replays on its own. The sealed header carries:
+// frame's body is the locked detail::append_record wire layout
+// (kTelemetryTraceVersion); session frames carry the session table, so
+// every segment replays on its own. The segment is the repo's only
+// telemetry persistence format: write_segment() consolidates a whole
+// trace into one sealed segment (`trace dump --out`). The sealed header
+// carries:
 //
 //   * a payload CRC chained over every frame header (each of which embeds
 //     its body's CRC) — detects torn/flipped bits anywhere in the payload;
@@ -34,13 +36,6 @@
 //   * crash recovery — on construction, any leftover `.open` tail is
 //     scanned frame by frame; a torn tail is trimmed to the last whole
 //     frame, counted (never silently replayed), sealed and kept;
-//   * compaction — sealed segments merge oldest-first (bounded by the
-//     segment byte budget), dropping records of evicted sessions. The
-//     merge is crash-safe: the output is staged as a `.tmp`, a manifest
-//     records the step, the tmp atomically replaces the oldest input,
-//     and only then are the other inputs removed — recovery replays an
-//     interrupted step from the manifest, so no point of failure loses
-//     (or duplicates) sealed records;
 //   * retention — oldest sealed segments are deleted beyond the
 //     configured segment/byte bounds, their record counts accounted as
 //     dropped;
@@ -97,10 +92,6 @@ struct TelemetryStoreConfig {
   /// counts its records as dropped (visible in stats + obs).
   std::size_t retain_max_segments = 0;
   std::uint64_t retain_max_bytes = 0;
-  /// Compaction trigger: merge the oldest sealed run once at least this
-  /// many sealed segments exist (0 disables background compaction;
-  /// compact_now() always works).
-  std::size_t compact_min_segments = 0;
   /// Background writer pacing.
   std::chrono::milliseconds flush_interval{20};
   /// Spawn the writer thread in the constructor. Off = the owner pumps
@@ -173,7 +164,7 @@ class TelemetryStore {
   const std::string& directory() const { return config_.directory; }
 
   /// One writer step: drain the log, append frames to the active segment,
-  /// then apply rotation, compaction and retention. Thread-safe (the
+  /// then apply rotation and retention. Thread-safe (the
   /// writer thread and manual callers serialize internally).
   void pump_once();
 
@@ -186,15 +177,8 @@ class TelemetryStore {
   std::uint64_t fetch(std::vector<TelemetryRecord>& out);
   void enable_fetch_queue();
 
-  /// Marks sessions whose records compaction should drop (the controller
-  /// forwards SessionManager eviction sweeps here).
-  void note_sessions_evicted(const std::vector<serve::SessionId>& ids);
-
   /// Flushes pending records and seals the active segment (if any).
   void seal_active();
-  /// One compaction pass regardless of the compact_min_segments trigger;
-  /// returns whether a merge happened.
-  bool compact_now();
 
   /// Stops the writer thread and, per config, seals the tail. Idempotent;
   /// the destructor calls it.
@@ -202,18 +186,15 @@ class TelemetryStore {
 
   struct Stats {
     std::uint64_t records_persisted = 0;
-    std::uint64_t records_dropped_evicted = 0;    ///< compaction drops
     std::uint64_t records_dropped_retention = 0;  ///< deleted-segment records
     std::uint64_t records_dropped_torn = 0;       ///< partial tail frames trimmed
     std::uint64_t records_dropped_persist = 0;    ///< drained while persistence was down
     std::uint64_t bytes_written = 0;              ///< payload bytes appended
     std::uint64_t bytes_dropped_torn = 0;         ///< torn bytes discarded at recovery
     std::uint64_t rotations = 0;
-    std::uint64_t compactions = 0;
     std::uint64_t truncations = 0;  ///< torn tails trimmed at recovery
     std::uint64_t capture_lost = 0; ///< TelemetryLog losses seen by this store's drains
     std::uint64_t persist_errors = 0;  ///< writer-side I/O failures swallowed (never fatal)
-    std::uint64_t eviction_tombstones = 0;  ///< evicted-session ids compaction still tracks
   };
   Stats stats() const;
 
@@ -232,17 +213,14 @@ class TelemetryStore {
     std::chrono::steady_clock::time_point opened_at;
   };
 
-  void recover_compactions();
   void recover_open_segments();
   void open_segment();
   void append_session_frame(const TelemetrySession& session);
   void append_record_frame(const TelemetryRecord& record);
   void seal_active_locked();
   void maybe_rotate_locked();
-  bool compact_locked();
   void enforce_retention_locked();
   void refresh_segment_gauge_locked();
-  void prune_evicted_locked();
   std::vector<SegmentInfo> sealed_segments_locked() const;
   /// The drain-and-append body of pump_once(); the only part of a pump
   /// that touches the disk and therefore the only part allowed to throw.
@@ -257,7 +235,6 @@ class TelemetryStore {
   std::uint64_t next_seq_ = 0;          ///< store-lifetime record sequence
   std::size_t sessions_written_ = 0;    ///< log session-table prefix already persisted
   std::set<serve::SessionId> session_ids_in_active_;
-  std::set<serve::SessionId> evicted_;
   std::vector<TelemetryRecord> drain_buffer_;
   std::string frame_buffer_;  ///< reused per-frame serialization scratch
   std::vector<TelemetryRecord> fetch_queue_;
@@ -279,7 +256,6 @@ class TelemetryStore {
     obs::Counter* dropped;
     obs::Counter* bytes;
     obs::Counter* rotations;
-    obs::Counter* compactions;
     obs::Counter* truncations;
     obs::Counter* persist_errors;
     obs::Gauge* segments;
@@ -306,19 +282,21 @@ std::vector<SegmentInfo> list_segments(const std::string& directory);
 
 /// Appends one sealed segment's sessions + records into `into`, verifying
 /// the payload CRC and every frame CRC; throws std::runtime_error on any
-/// mismatch or torn frame — a corrupted segment is never silently loaded.
+/// mismatch, torn frame or byte past the sealed payload — a corrupted
+/// segment is never silently loaded.
 void read_segment(const std::string& path, TelemetryTrace& into);
+
+/// Writes the whole trace as one sealed segment (sessions sorted by id,
+/// then records in vector order) that read_segment() reads back
+/// record-for-record. The segment has no serving span (base_seq and the
+/// steady-clock instants are 0), so the file is a pure function of the
+/// trace. Throws std::runtime_error on I/O failure.
+void write_segment(const TelemetryTrace& trace, const std::string& path);
 
 /// Loads a whole directory into one trace: segments in base_seq order,
 /// sessions deduplicated by id. The result is record-for-record identical
 /// to the in-memory trace the same decisions produced (bench-gated).
 TelemetryTrace load_directory(const std::string& directory);
-
-/// Streaming dataset build: consumes segments one frame at a time and
-/// pairs session-consecutive records on the fly, holding only one pending
-/// record per session — never a whole TelemetryTrace. Produces exactly
-/// trace_to_dataset(load_directory(dir)) (test-locked).
-dyn::TransitionDataset directory_to_dataset(const std::string& directory);
 
 /// verify: structural pass (CRCs, header ranges, recorded-action
 /// fingerprint) plus — when assets are supplied — a replay pass that

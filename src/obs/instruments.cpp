@@ -79,16 +79,13 @@ const std::vector<InstrumentSpec>& instrument_catalog() {
        "records appended to on-disk segments",
        "flat while telemetry_records_total grows means the writer thread stalled"},
       {"telemetry_store_records_dropped_total", InstrumentKind::kCounter,
-       "records dropped by compaction eviction, retention deletion or crash-recovery trim",
-       "a spike without matching evictions/retention means segments are being truncated - check disk"},
+       "records dropped by retention deletion, crash-recovery trim or a failing disk",
+       "a spike without matching retention deletes means segments are being truncated - check disk"},
       {"telemetry_store_bytes_written_total", InstrumentKind::kCounter,
        "segment payload bytes written (headers excluded)",
        "multiply by retention window for disk sizing; see the OPERATIONS runbook"},
       {"telemetry_store_rotations_total", InstrumentKind::kCounter,
        "segments sealed by the size/records/age rotation policy",
-       "none"},
-      {"telemetry_store_compactions_total", InstrumentKind::kCounter,
-       "compaction passes that merged sealed segments",
        "none"},
       {"telemetry_store_truncations_total", InstrumentKind::kCounter,
        "torn tail segments trimmed to the last whole frame at recovery",

@@ -25,8 +25,7 @@ bool SessionManager::close(SessionId id) {
   return shard.sessions.erase(id) > 0;
 }
 
-std::size_t SessionManager::evict_idle(std::uint64_t max_idle_decisions,
-                                       std::vector<SessionId>* evicted_ids) {
+std::size_t SessionManager::evict_idle(std::uint64_t max_idle_decisions) {
   const std::uint64_t now = admissions_.load(std::memory_order_relaxed);
   std::size_t evicted = 0;
   for (Shard& shard : shards_) {
@@ -37,7 +36,6 @@ std::size_t SessionManager::evict_idle(std::uint64_t max_idle_decisions,
       // fresh, never idle — the unsigned subtraction must not wrap.
       const std::uint64_t last = it->second.last_active;
       if (last <= now && now - last > max_idle_decisions) {
-        if (evicted_ids != nullptr) evicted_ids->push_back(it->first);
         it = shard.sessions.erase(it);
         ++evicted;
       } else {

@@ -87,11 +87,8 @@ class SessionManager {
   /// unboundedly. Eviction only erases map entries: surviving sessions
   /// keep their seeds and decision counters, so their RNG streams are
   /// untouched — a decision after a sweep is bit-identical to the same
-  /// decision without it (test-locked). When `evicted_ids` is non-null the
-  /// closed session ids are appended to it (the controller forwards them
-  /// to the durable telemetry store, whose compaction drops their records).
-  std::size_t evict_idle(std::uint64_t max_idle_decisions,
-                         std::vector<SessionId>* evicted_ids = nullptr);
+  /// decision without it (test-locked).
+  std::size_t evict_idle(std::uint64_t max_idle_decisions);
 
   /// Total begin_decision() admissions across all sessions — the logical
   /// clock idleness is measured against.

@@ -6,10 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "adapt/segment_test_utils.hpp"
 #include "adapt/telemetry.hpp"
 #include "control/rollout_engine.hpp"
 #include "serve/request_scheduler.hpp"
@@ -25,6 +27,8 @@ using serve::testing::pool_with_threads;
 using serve::testing::steady_forecast;
 using serve::testing::toy_model;
 using serve::testing::toy_policy;
+using testing::kTraceVersionOffset;
+using testing::restamp_header_u32;
 
 /// Fresh (empty) scratch directory under the system temp root.
 std::string fresh_dir(const std::string& name) {
@@ -56,9 +60,9 @@ void emit(TelemetryLog& log, serve::SessionId session, std::uint64_t index, doub
 
 /// The locked wire bytes of one record — the byte-identity oracle.
 std::string record_bytes(const TelemetryRecord& record) {
-  std::ostringstream out(std::ios::binary);
-  detail::write_record(out, record);
-  return out.str();
+  std::string out;
+  detail::append_record(out, record);
+  return out;
 }
 
 void expect_records_identical(const std::vector<TelemetryRecord>& a,
@@ -79,6 +83,32 @@ void flip_byte(const std::string& path, std::uint64_t offset) {
   byte = static_cast<char>(byte ^ 0x40);
   file.seekp(static_cast<std::streamoff>(offset));
   file.write(&byte, 1);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Refused means: read_segment throws std::runtime_error (and nothing
+/// else) and verify_segment reports the segment as not ok.
+::testing::AssertionResult refused(const std::string& path) {
+  try {
+    TelemetryTrace into;
+    read_segment(path, into);
+    return ::testing::AssertionFailure() << "read_segment accepted it";
+  } catch (const std::runtime_error&) {
+  } catch (...) {
+    return ::testing::AssertionFailure() << "read_segment threw a non-runtime_error";
+  }
+  if (verify_segment(path).ok()) return ::testing::AssertionFailure() << "verify_segment passed";
+  return ::testing::AssertionSuccess();
 }
 
 TelemetryStoreConfig manual_config(const std::string& dir) {
@@ -187,9 +217,10 @@ TEST(TelemetryStoreTest, FlippedPayloadByteIsRefusedNeverReplayed) {
   const std::string dir = fresh_dir("verihvac_store_test_flip");
   auto log = std::make_shared<TelemetryLog>();
   log->register_session(1, 1001, "toy");
+  log->register_session(2, 1002, "toy");
   {
     TelemetryStore store(log, manual_config(dir));
-    for (std::uint64_t d = 0; d < 4; ++d) emit(*log, 1, d, 18.0);
+    for (std::uint64_t d = 0; d < 10; ++d) emit(*log, 1 + (d % 2), d / 2, 18.0);
     store.pump_once();
     store.stop();
   }
@@ -212,6 +243,40 @@ TEST(TelemetryStoreTest, FlippedPayloadByteIsRefusedNeverReplayed) {
   EXPECT_FALSE(verify_segment(path).structure_ok);
   flip_byte(path, kSegmentHeaderBytes + 5);  // restore
   EXPECT_TRUE(verify_segment(path).ok());
+
+  // Mutation sweep over two small sealed segments, one per writer (the
+  // store and write_segment): every single-bit flip, every truncation and
+  // a 16-byte trailing tail must be refused by both readers. The written
+  // one adds a session and an MBRL record, so a forecast block is swept.
+  TelemetryTrace trace;
+  read_segment(path, trace);
+  trace.sessions.push_back({3, 1003, "toy/mbrl"});
+  TelemetryRecord mbrl = trace.records.back();
+  mbrl.session = 3;
+  mbrl.kind = static_cast<std::uint8_t>(serve::RequestKind::kMbrlFallback);
+  mbrl.forecast_len = 3;
+  trace.records.push_back(mbrl);
+  const std::string written = (fs::path(dir) / "written.vhtseg").string();
+  write_segment(trace, written);
+  const std::string mutant = (fs::path(dir) / "mutant.bin").string();
+  std::mt19937 rng(14);
+  for (const std::string& source : {path, written}) {
+    ASSERT_TRUE(verify_segment(source).ok()) << source;
+    const std::string original = file_bytes(source);
+    ASSERT_LT(original.size(), 4096u);  // keeps the sweep to a few thousand mutants
+    for (std::size_t offset = 0; offset < original.size(); ++offset) {
+      std::string bytes = original;
+      bytes[offset] = static_cast<char>(bytes[offset] ^ (1 << (rng() % 8)));
+      write_bytes(mutant, bytes);
+      ASSERT_TRUE(refused(mutant)) << source << ": bit flip at byte " << offset;
+    }
+    for (std::size_t length = 0; length < original.size(); ++length) {
+      write_bytes(mutant, original.substr(0, length));
+      ASSERT_TRUE(refused(mutant)) << source << ": truncated to " << length << " bytes";
+    }
+    write_bytes(mutant, original + std::string(16, '\x5a'));
+    EXPECT_TRUE(refused(mutant)) << source << ": 16-byte trailing tail";
+  }
 }
 
 TEST(TelemetryStoreTest, CorruptedFileHeaderIsRefused) {
@@ -225,45 +290,24 @@ TEST(TelemetryStoreTest, CorruptedFileHeaderIsRefused) {
   }
   const std::vector<SegmentInfo> segments = list_segments(dir);
   ASSERT_EQ(segments.size(), 1u);
-  flip_byte(segments[0].path, 8);  // inside the fixed header fields
-  EXPECT_THROW(read_segment_header(segments[0].path), std::runtime_error);
-  EXPECT_THROW(list_segments(dir), std::runtime_error);
-}
+  const std::string path = segments[0].path;
+  const std::string original = file_bytes(path);
+  const auto expect_refused = [&](const char* what) {
+    EXPECT_THROW(read_segment_header(path), std::runtime_error) << what;
+    EXPECT_THROW(list_segments(dir), std::runtime_error) << what;
+    EXPECT_TRUE(refused(path)) << what;
+    write_bytes(path, original);
+  };
 
-TEST(TelemetryStoreTest, CompactionMergesAndDropsEvictedSessions) {
-  const std::string dir = fresh_dir("verihvac_store_test_compact");
-  auto log = std::make_shared<TelemetryLog>();
-  log->register_session(1, 1001, "toy");
-  log->register_session(2, 1002, "toy");
-
-  TelemetryStoreConfig config = manual_config(dir);
-  config.segment_max_records = 3;
-  TelemetryStore store(log, config);
-  for (std::uint64_t d = 0; d < 12; ++d) {
-    emit(*log, 1 + (d % 2), d / 2, 17.0 + static_cast<double>(d));
-  }
-  store.pump_once();
-  store.seal_active();
-  const std::size_t sealed_before = list_segments(dir).size();
-  ASSERT_GE(sealed_before, 3u);
-
-  store.note_sessions_evicted({1});
-  EXPECT_EQ(store.stats().eviction_tombstones, 1u);
-  EXPECT_TRUE(store.compact_now());
-  EXPECT_EQ(store.stats().records_dropped_evicted, 6u);
-  EXPECT_GE(store.stats().compactions, 1u);
-  EXPECT_LT(list_segments(dir).size(), sealed_before);
-  // Once no sealed segment can still hold session 1's records, its
-  // eviction tombstone is pruned — the set stays bounded for life.
-  EXPECT_EQ(store.stats().eviction_tombstones, 0u);
-  store.stop();
-
-  const TelemetryTrace loaded = load_directory(dir);
-  ASSERT_EQ(loaded.records.size(), 6u);
-  for (const TelemetryRecord& record : loaded.records) EXPECT_EQ(record.session, 2u);
-  for (const SegmentInfo& segment : list_segments(dir)) {
-    EXPECT_TRUE(verify_segment(segment.path).ok());
-  }
+  flip_byte(path, 8);  // inside the fixed header fields
+  expect_refused("flipped header byte");
+  // A well-formed, re-CRC'd header naming a record layout no writer
+  // produces: the version alone must refuse it.
+  restamp_header_u32(path, kTraceVersionOffset, 1);
+  expect_refused("trace_version 1");
+  restamp_header_u32(path, kTraceVersionOffset, kTelemetryTraceVersion + 1);
+  expect_refused("trace_version from the future");
+  EXPECT_TRUE(verify_segment(path).ok());
 }
 
 TEST(TelemetryStoreTest, PersistFailureDegradesInsteadOfThrowing) {
@@ -302,84 +346,6 @@ TEST(TelemetryStoreTest, PersistFailureDegradesInsteadOfThrowing) {
   fs::remove(dir);
 }
 
-TEST(TelemetryStoreTest, InterruptedCompactionRecoversFromManifest) {
-  const std::string dir = fresh_dir("verihvac_store_test_compactcrash");
-  auto log = std::make_shared<TelemetryLog>();
-  log->register_session(1, 1001, "toy");
-  log->register_session(2, 1002, "toy");
-
-  TelemetryStoreConfig config = manual_config(dir);
-  config.segment_max_records = 3;
-  TelemetryStore store(log, config);
-  for (std::uint64_t d = 0; d < 12; ++d) {
-    emit(*log, 1 + (d % 2), d / 2, 17.0 + static_cast<double>(d));
-  }
-  store.pump_once();
-  store.seal_active();
-
-  // Snapshot the pre-compaction segments (the compaction "inputs").
-  const std::string backup = fresh_dir("verihvac_store_test_compactcrash_backup");
-  std::vector<std::string> input_names;
-  for (const SegmentInfo& segment : list_segments(dir)) {
-    const std::string name = fs::path(segment.path).filename().string();
-    input_names.push_back(name);
-    fs::copy_file(segment.path, fs::path(backup) / name);
-  }
-  ASSERT_GE(input_names.size(), 3u);
-
-  store.note_sessions_evicted({1});
-  ASSERT_TRUE(store.compact_now());
-  store.stop();
-  const std::vector<SegmentInfo> after = list_segments(dir);
-  ASSERT_EQ(after.size(), 1u);
-  const std::string merged_name = fs::path(after[0].path).filename().string();
-  const TelemetryTrace compacted = load_directory(dir);
-  ASSERT_EQ(compacted.records.size(), 6u);
-
-  const auto write_manifest = [&](const std::string& where, const std::string& tmp_name) {
-    std::ofstream manifest(fs::path(where) / (merged_name + ".compact"));
-    manifest << merged_name << "\n" << tmp_name << "\n";
-    for (const std::string& name : input_names) manifest << name << "\n";
-  };
-  const auto reopen_and_load = [](const std::string& where) {
-    TelemetryStore recovered(std::make_shared<TelemetryLog>(), manual_config(where));
-    recovered.stop();
-    return load_directory(where);
-  };
-
-  // Crash A: merge write interrupted before the manifest existed — the
-  // orphan .tmp is garbage, the inputs are intact and authoritative.
-  const std::string dir_a = fresh_dir("verihvac_store_test_compactcrash_a");
-  for (const std::string& name : input_names) {
-    fs::copy_file(fs::path(backup) / name, fs::path(dir_a) / name);
-  }
-  std::ofstream(fs::path(dir_a) / (merged_name + ".tmp"), std::ios::binary) << "torn";
-  const TelemetryTrace loaded_a = reopen_and_load(dir_a);
-  EXPECT_FALSE(fs::exists(fs::path(dir_a) / (merged_name + ".tmp")));
-  EXPECT_EQ(loaded_a.records.size(), 12u);  // nothing lost, nothing duplicated
-
-  // Crash B: manifest written, rename not yet done — recovery must finish
-  // the swap from the complete .tmp and remove every input.
-  const std::string dir_b = fresh_dir("verihvac_store_test_compactcrash_b");
-  for (const std::string& name : input_names) {
-    fs::copy_file(fs::path(backup) / name, fs::path(dir_b) / name);
-  }
-  fs::copy_file(after[0].path, fs::path(dir_b) / (merged_name + ".tmp"));
-  write_manifest(dir_b, merged_name + ".tmp");
-  const TelemetryTrace loaded_b = reopen_and_load(dir_b);
-  expect_records_identical(loaded_b.records, compacted.records);
-
-  // Crash C: renamed but died mid input-removal — the stale input must go
-  // (its records are already inside the merged segment).
-  const std::string dir_c = fresh_dir("verihvac_store_test_compactcrash_c");
-  fs::copy_file(after[0].path, fs::path(dir_c) / merged_name);
-  fs::copy_file(fs::path(backup) / input_names.back(), fs::path(dir_c) / input_names.back());
-  write_manifest(dir_c, merged_name + ".tmp");
-  const TelemetryTrace loaded_c = reopen_and_load(dir_c);
-  EXPECT_FALSE(fs::exists(fs::path(dir_c) / input_names.back()));
-  expect_records_identical(loaded_c.records, compacted.records);
-}
-
 TEST(TelemetryStoreTest, RetentionDeletesOldestAndCountsDrops) {
   const std::string dir = fresh_dir("verihvac_store_test_retain");
   auto log = std::make_shared<TelemetryLog>();
@@ -414,13 +380,11 @@ TEST(TelemetryStoreTest, DirectoryDatasetMatchesTraceDataset) {
   store.pump_once();
   store.stop();
 
-  const dyn::TransitionDataset streamed = directory_to_dataset(dir);
-  const dyn::TransitionDataset loaded = trace_to_dataset(load_directory(dir));
-  ASSERT_EQ(streamed.size(), loaded.size());
-  EXPECT_EQ(streamed.size(), 8u);  // 2 sessions x (5 records -> 4 transitions)
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed.at(i).input, loaded.at(i).input);
-    EXPECT_DOUBLE_EQ(streamed.at(i).next_zone_temp, loaded.at(i).next_zone_temp);
+  const dyn::TransitionDataset dataset = trace_to_dataset(load_directory(dir));
+  ASSERT_EQ(dataset.size(), 8u);  // 2 sessions x (5 records -> 4 transitions)
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    // A session's consecutive decisions are two emits (2 degrees) apart.
+    EXPECT_DOUBLE_EQ(dataset.at(i).next_zone_temp, dataset.at(i).input[env::kZoneTemp] + 2.0);
   }
 }
 

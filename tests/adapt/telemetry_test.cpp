@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "adapt/segment_test_utils.hpp"
+#include "adapt/telemetry_store.hpp"
 #include "envlib/feature_schema.hpp"
 #include "serve/request_scheduler.hpp"
 #include "serve/serve_test_utils.hpp"
@@ -194,6 +196,28 @@ std::string file_bytes(const std::string& path) {
   return out.str();
 }
 
+/// write_segment -> read_segment -> write_segment: the second file must
+/// equal the first byte for byte (write_segment is a pure function of the
+/// trace) and certify structurally. Returns what was read back.
+TelemetryTrace round_trip_segment(const TelemetryTrace& trace, const std::string& name) {
+  const std::string path_a = temp_path(name + "_a.vhtseg");
+  const std::string path_b = temp_path(name + "_b.vhtseg");
+  write_segment(trace, path_a);
+  TelemetryTrace loaded;
+  read_segment(path_a, loaded);
+  write_segment(loaded, path_b);
+
+  const std::string bytes_a = file_bytes(path_a);
+  EXPECT_GT(bytes_a.size(), kSegmentHeaderBytes);
+  EXPECT_EQ(bytes_a, file_bytes(path_b));
+  const SegmentVerifyReport report = verify_segment(path_b);
+  EXPECT_TRUE(report.structure_ok && report.fingerprint_ok) << report.error;
+  EXPECT_EQ(report.records, trace.records.size());
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+  return loaded;
+}
+
 TEST(TelemetryTraceTest, SaveLoadSaveIsByteIdentical) {
   TelemetryLog log;
   log.register_session(1, 1001, "Pittsburgh/baseline");
@@ -206,20 +230,12 @@ TEST(TelemetryTraceTest, SaveLoadSaveIsByteIdentical) {
   trace.sessions = log.sessions();
   log.drain(trace.records);
 
-  const std::string path_a = temp_path("verihvac_trace_a.bin");
-  const std::string path_b = temp_path("verihvac_trace_b.bin");
-  save_trace(trace, path_a);
-  const TelemetryTrace loaded = load_trace(path_a);
-  save_trace(loaded, path_b);
-
-  EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
+  const TelemetryTrace loaded = round_trip_segment(trace, "verihvac_trace");
   ASSERT_EQ(loaded.sessions.size(), 2u);
   EXPECT_EQ(loaded.sessions[0].policy_key, "Pittsburgh/baseline");
   ASSERT_EQ(loaded.records.size(), 3u);
   EXPECT_EQ(loaded.records[1].forecast_len, 5u);
   EXPECT_DOUBLE_EQ(loaded.records[1].obs[env::kZoneTemp], 18.5);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
 }
 
 TEST(TelemetryLogTest, SchemaTaggedEventsCarryTheSchemaShape) {
@@ -260,20 +276,24 @@ TEST(TelemetryLogTest, SchemaTaggedEventsCarryTheSchemaShape) {
 }
 
 TEST(TelemetryTraceTest, LoadRejectsBadMagicAndVersion) {
-  const std::string path = temp_path("verihvac_trace_bad.bin");
+  const std::string path = temp_path("verihvac_trace_bad.vhtseg");
+  TelemetryTrace into;
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOPE";
   }
-  EXPECT_THROW(load_trace(path), std::runtime_error);
+  EXPECT_THROW(read_segment(path, into), std::runtime_error);
   {
     std::ofstream out(path, std::ios::binary);
-    out.write("VHTL", 4);
-    const std::uint32_t version = 999;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out << "VHTS";  // right magic, no header behind it
   }
-  EXPECT_THROW(load_trace(path), std::runtime_error);
-  EXPECT_THROW(load_trace(temp_path("verihvac_trace_missing.bin")), std::runtime_error);
+  EXPECT_THROW(read_segment(path, into), std::runtime_error);
+  write_segment(TelemetryTrace{}, path);
+  testing::restamp_header_u32(path, testing::kFormatVersionOffset, 999);
+  EXPECT_THROW(read_segment(path, into), std::runtime_error);
+  EXPECT_THROW(read_segment(temp_path("verihvac_trace_missing.vhtseg"), into),
+               std::runtime_error);
+  EXPECT_TRUE(into.records.empty());
   std::remove(path.c_str());
 }
 
@@ -299,13 +319,7 @@ TEST(TelemetryTraceTest, TimeAwareRecordsSurviveSaveLoad) {
   }
   trace.records.push_back(r);
 
-  const std::string path_a = temp_path("verihvac_trace_aware_a.bin");
-  const std::string path_b = temp_path("verihvac_trace_aware_b.bin");
-  save_trace(trace, path_a);
-  const TelemetryTrace loaded = load_trace(path_a);
-  save_trace(loaded, path_b);
-  EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
-
+  const TelemetryTrace loaded = round_trip_segment(trace, "verihvac_trace_aware");
   ASSERT_EQ(loaded.records.size(), 1u);
   const TelemetryRecord& back = loaded.records[0];
   EXPECT_EQ(back.obs_len, 9u);
@@ -315,60 +329,6 @@ TEST(TelemetryTraceTest, TimeAwareRecordsSurviveSaveLoad) {
   EXPECT_DOUBLE_EQ(back.forecast[1].hour_sin, 0.25);
   EXPECT_DOUBLE_EQ(back.forecast[1].hour_cos, -0.5);
   EXPECT_DOUBLE_EQ(back.forecast[1].occupants_ahead, 9.0);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-}
-
-template <typename T>
-void put(std::ofstream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-TEST(TelemetryTraceTest, V1TraceLoadsAsImplicitBaseline) {
-  // A hand-written version-1 blob: no obs_len/zone_temp_dim fields, six
-  // observation doubles, and five-double forecast entries. The loader
-  // must surface it as the baseline layout with temporal defaults.
-  const std::string path = temp_path("verihvac_trace_v1.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write("VHTL", 4);
-    put<std::uint32_t>(out, 1);  // version
-    put<std::uint64_t>(out, 1);  // sessions
-    put<std::uint64_t>(out, 7);  // id
-    put<std::uint64_t>(out, 1007);  // seed
-    const std::string key = "Pittsburgh/baseline";
-    put<std::uint64_t>(out, key.size());
-    out.write(key.data(), static_cast<std::streamsize>(key.size()));
-    put<std::uint64_t>(out, 1);  // records
-    put<std::uint64_t>(out, 7);  // session
-    put<std::uint64_t>(out, 0);  // decision_index
-    put<std::uint64_t>(out, 1007);  // session_seed
-    put<std::uint64_t>(out, 1);  // policy_version
-    put<std::uint8_t>(out, 0);   // kind
-    put<std::uint8_t>(out, 0);   // forecast_truncated
-    put<std::uint16_t>(out, 1);  // forecast_len
-    put<std::uint32_t>(out, 3);  // action_index
-    put<double>(out, 1e-6);      // latency
-    for (double v : {17.5, -5.0, 50.0, 3.0, 120.0, 11.0}) put<double>(out, v);
-    put<double>(out, 18.0);  // heating
-    put<double>(out, 26.0);  // cooling
-    for (double v : {-5.0, 50.0, 3.0, 120.0, 11.0}) put<double>(out, v);  // forecast[0]
-  }
-
-  const TelemetryTrace trace = load_trace(path);
-  ASSERT_EQ(trace.records.size(), 1u);
-  const TelemetryRecord& r = trace.records[0];
-  EXPECT_EQ(r.obs_len, 6u);
-  EXPECT_EQ(r.zone_temp_dim, 0u);
-  EXPECT_DOUBLE_EQ(r.obs[0], 17.5);
-  EXPECT_DOUBLE_EQ(r.obs[5], 11.0);
-  ASSERT_EQ(r.forecast_len, 1u);
-  EXPECT_DOUBLE_EQ(r.forecast[0].occupants, 11.0);
-  // Temporal fields the v1 layout never carried take their defaults.
-  EXPECT_DOUBLE_EQ(r.forecast[0].hour_sin, 0.0);
-  EXPECT_DOUBLE_EQ(r.forecast[0].hour_cos, 1.0);
-  EXPECT_DOUBLE_EQ(r.forecast[0].occupants_ahead, 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(TelemetryTraceTest, DatasetPairsWithinOneSchemaShape) {

@@ -96,31 +96,6 @@ TEST(SessionManagerTest, EvictIdleClosesOnlyStaleSessions) {
   EXPECT_EQ(sessions.size(), 1u);
 }
 
-TEST(SessionManagerTest, EvictIdleReportsTheClosedIds) {
-  SessionManager sessions;
-  const SessionId quiet_a = sessions.open({});
-  const SessionId quiet_b = sessions.open({});
-  const SessionId busy = sessions.open({});
-  sessions.begin_decision(quiet_a, RequestKind::kDtPolicy, cold_occupied());
-  sessions.begin_decision(quiet_b, RequestKind::kDtPolicy, cold_occupied());
-  for (int i = 0; i < 30; ++i) {
-    sessions.begin_decision(busy, RequestKind::kDtPolicy, cold_occupied());
-  }
-
-  // The out-param appends (callers batch sweeps into one eviction list
-  // for the telemetry store), and the swept ids are exactly the closed
-  // ones.
-  std::vector<SessionId> evicted = {999};
-  EXPECT_EQ(sessions.evict_idle(/*max_idle_decisions=*/10, &evicted), 2u);
-  ASSERT_EQ(evicted.size(), 3u);
-  EXPECT_EQ(evicted[0], 999u);
-  EXPECT_TRUE((evicted[1] == quiet_a && evicted[2] == quiet_b) ||
-              (evicted[1] == quiet_b && evicted[2] == quiet_a));
-  EXPECT_FALSE(sessions.contains(quiet_a));
-  EXPECT_FALSE(sessions.contains(quiet_b));
-  EXPECT_TRUE(sessions.contains(busy));
-}
-
 TEST(SessionManagerTest, FreshlyOpenedSessionSurvivesEviction) {
   SessionManager sessions;
   const SessionId talker = sessions.open({});

@@ -14,13 +14,13 @@
 //   verihvac stats       [--json] [--out FILE]
 //   verihvac trace ls     --dir DIR
 //   verihvac trace info   --segment FILE
-//   verihvac trace dump   --dir DIR [--out FILE.vht] [--limit N]
+//   verihvac trace dump   --dir DIR [--out FILE.vhtseg] [--limit N]
 //   verihvac trace replay --dir DIR (--city NAME | --policy FILE) [...]
 //   verihvac trace verify --dir DIR [--city NAME | --policy FILE] [...]
 //
 // The `trace` family operates on a durable-telemetry segment directory
 // (adapt::TelemetryStore; adapt-bench --telemetry-dir writes one): list
-// and inspect segments, consolidate them into a portable trace file, and
+// and inspect segments, consolidate them into one portable sealed segment, and
 // re-verify the store's integrity — `verify` recomputes every decision
 // from its RNG stream coordinates and checks the replay fingerprint, so a
 // passing segment is certified by bit-identical replay, not just CRCs.
@@ -524,12 +524,11 @@ int cmd_adapt_bench(const Args& args) {
   if (store != nullptr) {
     store->stop();  // flush + seal, so `trace verify` can certify the tail
     const auto store_stats = store->stats();
-    std::printf("durable telemetry: %llu record(s) persisted (%llu byte(s), %llu rotation(s), "
-                "%llu compaction(s)) in %s\n",
+    std::printf("durable telemetry: %llu record(s) persisted (%llu byte(s), %llu rotation(s)) "
+                "in %s\n",
                 static_cast<unsigned long long>(store_stats.records_persisted),
                 static_cast<unsigned long long>(store_stats.bytes_written),
                 static_cast<unsigned long long>(store_stats.rotations),
-                static_cast<unsigned long long>(store_stats.compactions),
                 store->directory().c_str());
   }
 
@@ -648,7 +647,7 @@ int cmd_trace_dump(const Args& args) {
   const adapt::TelemetryTrace trace = adapt::load_directory(args.required("dir"));
   if (args.flag("out")) {
     const std::string path = args.required("out");
-    adapt::save_trace(trace, path);
+    adapt::write_segment(trace, path);
     std::printf("consolidated %zu session(s), %zu record(s) into %s\n", trace.sessions.size(),
                 trace.records.size(), path.c_str());
     return 0;
@@ -913,7 +912,7 @@ const std::map<std::string, Command>& commands() {
       {"trace info", {{{"segment", true}}, "trace info   --segment FILE", cmd_trace_info}},
       {"trace dump",
        {{{"dir", true}, {"out", true}, {"limit", true}},
-        "trace dump   --dir DIR [--out FILE.vht] [--limit N]",
+        "trace dump   --dir DIR [--out FILE.vhtseg] [--limit N]",
         cmd_trace_dump}},
       {"trace replay",
        {{{"dir", true},
