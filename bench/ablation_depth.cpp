@@ -25,7 +25,6 @@ int main() {
 
   core::PipelineConfig cfg = bench::bench_config("Pittsburgh");
   const core::PipelineArtifacts artifacts = core::run_pipeline(cfg);
-  core::DecisionDataGenerator generator(artifacts.historical, cfg.decision);
 
   AsciiTable table("CART depth cap (same decision data, full verification each)");
   table.set_header({"max depth", "nodes", "after merge", "corrected", "safe prob",
@@ -40,10 +39,8 @@ int main() {
 
     const core::FormalReport formal =
         core::verify_formal(policy, cfg.criteria, /*correct=*/true);
-    Rng rng(cfg.verification_seed);
-    const core::ProbabilisticReport prob = core::verify_probabilistic_one_step(
-        policy, *artifacts.model, generator.sampler(), cfg.criteria,
-        cfg.probabilistic_samples, rng);
+    const core::ProbabilisticReport prob =
+        core::verify_criterion1(cfg, policy, *artifacts.model, artifacts.historical);
     const std::size_t nodes_before = policy.tree().node_count();
     const tree::PruneReport pruned = tree::merge_redundant_leaves(policy.mutable_tree());
 

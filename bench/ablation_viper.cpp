@@ -42,11 +42,8 @@ int main() {
   core::DtPolicy viper_policy = *viper.policy;
   const core::FormalReport viper_formal =
       core::verify_formal(viper_policy, cfg.criteria, /*correct=*/true);
-  core::DecisionDataGenerator generator(artifacts.historical, cfg.decision);
-  Rng verify_rng(cfg.verification_seed);
-  const core::ProbabilisticReport viper_prob = core::verify_probabilistic_one_step(
-      viper_policy, *artifacts.model, generator.sampler(), cfg.criteria,
-      cfg.probabilistic_samples, verify_rng);
+  const core::ProbabilisticReport viper_prob =
+      core::verify_criterion1(cfg, viper_policy, *artifacts.model, artifacts.historical);
 
   // --- Deploy both in the same simulated January. ---
   auto one_shot_policy = artifacts.make_dt_policy();

@@ -19,8 +19,13 @@
 // independent output columns (wide layers) or retire eight independent
 // per-candidate chains per pass (thin layers).
 //
+// A second sweep puts multi-core scaling next to those single-batch
+// figures: core::DecisionDataGenerator::generate (§3.2.1 decision-data
+// labelling, sharded across decision points) at pools 1/2/4/8, reported as
+// decision points/s and gated on labels identical to the one-thread run.
+//
 // Usage: rollout_throughput [--smoke]
-//   --smoke: tiny workload for CI (equivalence check + JSON emission, no
+//   --smoke: tiny workload for CI (equivalence checks + JSON emission, no
 //            throughput assertion — shared runners are too noisy).
 #include <algorithm>
 #include <chrono>
@@ -32,8 +37,11 @@
 #include "bench_common.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "control/mbrl_agent.hpp"
 #include "control/random_shooting.hpp"
 #include "control/rollout_engine.hpp"
+#include "core/decision_data.hpp"
+#include "dynamics/dataset.hpp"
 
 namespace {
 
@@ -58,6 +66,62 @@ struct BenchRow {
   double candidates_per_sec = 0.0;
   double model_steps_per_sec = 0.0;
 };
+
+struct DecisionDataRow {
+  std::size_t threads = 0;
+  double seconds = 0.0;
+  double decision_points_per_sec = 0.0;
+};
+
+/// Decision-data thread sweep. Quick-pipeline optimizer shapes (128
+/// samples, horizon 10, refined first action) over a short
+/// collected history; every pool must reproduce the one-thread labels.
+/// Returns false (after printing FAIL) on a label mismatch.
+bool decision_data_sweep(const dyn::DynamicsModel& model, bool smoke, std::size_t points,
+                         std::size_t repeats, std::vector<DecisionDataRow>& rows) {
+  env::EnvConfig env;
+  env.days = 7;
+  dyn::CollectionConfig collection;
+  collection.episodes = 1;
+  const dyn::TransitionDataset history = dyn::collect_historical_data(env, collection);
+
+  control::RandomShootingConfig rs;
+  rs.samples = smoke ? 32 : 128;
+  rs.horizon = smoke ? 5 : 10;
+  rs.refine_first_action = true;
+  core::DecisionDataConfig config;
+  config.mc_repeats = repeats;
+  core::DecisionDataGenerator generator(history, config);
+
+  std::printf("\n== decision-data labelling across decision points ==\n");
+  std::printf("points=%zu mc_repeats=%zu samples=%zu horizon=%zu (refined)\n\n", points,
+              repeats, rs.samples, rs.horizon);
+  std::printf("%8s %12s %22s\n", "threads", "seconds", "decision points/s");
+  std::vector<int> reference;
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    const auto engine = std::make_shared<const control::RolloutEngine>(
+        control::RolloutEngineConfig{threads});
+    std::vector<int> labels;
+    const double secs = best_of_trials(smoke ? 1 : 3, [&] {
+      control::MbrlAgent agent(model, rs, control::ActionSpace{}, env.reward, 101);
+      agent.set_engine(engine);
+      labels = generator.generate(agent, points).labels();
+    });
+    if (reference.empty()) reference = labels;
+    if (labels != reference) {
+      std::printf("FAIL: decision-data labels at %zu threads differ from 1 thread\n", threads);
+      return false;
+    }
+    DecisionDataRow row;
+    row.threads = threads;
+    row.seconds = secs;
+    row.decision_points_per_sec = static_cast<double>(points) / secs;
+    rows.push_back(row);
+    std::printf("%8zu %12.4f %22.1f\n", row.threads, row.seconds, row.decision_points_per_sec);
+  }
+  std::printf("labels identical across thread counts (%zu points)\n", points);
+  return true;
+}
 
 }  // namespace
 
@@ -180,9 +244,18 @@ int main(int argc, char** argv) {
   std::printf("\nbatched/scalar @ 8 threads: %.2fx\n", speedup_8t);
   std::printf("batched@8 / scalar@1:       %.2fx\n", speedup_vs_serial);
 
+  const std::size_t dd_points = smoke ? 24 : 240;
+  const std::size_t dd_repeats = smoke ? 2 : 5;
+  std::vector<DecisionDataRow> dd_rows;
+  if (!decision_data_sweep(model, smoke, dd_points, dd_repeats, dd_rows)) return 1;
+  const double dd_scaling_4t = dd_rows[2].decision_points_per_sec /
+                               dd_rows[0].decision_points_per_sec;
+  std::printf("decision data 4 threads / 1 thread: %.2fx\n", dd_scaling_4t);
+
   // One JSON artifact for the perf trajectory (BENCH_rollout.json schema:
   // a "rows" array with one object per (mode, threads) point plus the two
-  // headline speedups).
+  // headline speedups, and a "decision_data" array with one object per
+  // thread count plus its 4-over-1 scaling).
   std::vector<bench::JsonObject> json_rows;
   for (const BenchRow& r : rows) {
     bench::JsonObject row;
@@ -193,6 +266,14 @@ int main(int argc, char** argv) {
         .field("model_steps_per_sec", r.model_steps_per_sec);
     json_rows.push_back(std::move(row));
   }
+  std::vector<bench::JsonObject> dd_json;
+  for (const DecisionDataRow& r : dd_rows) {
+    bench::JsonObject row;
+    row.field("threads", r.threads)
+        .field("seconds", r.seconds)
+        .field("decision_points_per_sec", r.decision_points_per_sec);
+    dd_json.push_back(std::move(row));
+  }
   bench::JsonObject artifact;
   artifact.field("bench", std::string("rollout_throughput"))
       .field("samples", samples)
@@ -201,7 +282,11 @@ int main(int argc, char** argv) {
       .field_bool("smoke", smoke)
       .field_array("rows", json_rows)
       .field("batched_over_scalar_at_8_threads", speedup_8t)
-      .field("batched_8t_over_scalar_1t", speedup_vs_serial);
+      .field("batched_8t_over_scalar_1t", speedup_vs_serial)
+      .field("decision_points", dd_points)
+      .field("decision_mc_repeats", dd_repeats)
+      .field_array("decision_data", dd_json)
+      .field("decision_data_4t_over_1t", dd_scaling_4t);
   const std::string path = bench::write_bench_json("BENCH_rollout.json", artifact);
   std::printf("wrote %s\n", path.c_str());
 

@@ -25,10 +25,11 @@ std::size_t MbrlAgent::decide_once(const env::Observation& obs,
 std::vector<std::size_t> MbrlAgent::action_distribution(
     const env::Observation& obs, const std::vector<env::Disturbance>& forecast,
     std::size_t repeats) {
+  std::vector<std::size_t> chosen(repeats);
+  rs_.optimize_repeats(*model_, obs, forecast, rng_, chosen,
+                       RandomShooting::Scoring::kEngine);
   std::vector<std::size_t> counts(actions_.size(), 0);
-  for (std::size_t r = 0; r < repeats; ++r) {
-    ++counts[decide_once(obs, forecast)];
-  }
+  for (const std::size_t a : chosen) ++counts[a];
   return counts;
 }
 

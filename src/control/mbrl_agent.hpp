@@ -28,6 +28,10 @@ class MbrlAgent final : public Controller {
 
   /// Runs the stochastic optimizer `repeats` times on the same input and
   /// returns the empirical count per action index (size = action space).
+  /// The single-point case of the decision-data labelling kernel
+  /// (RandomShooting::optimize_repeats): all repeats are scored as one
+  /// merged batch sharded across the attached engine, bit-identical to
+  /// `repeats` decide_once() calls.
   std::vector<std::size_t> action_distribution(const env::Observation& obs,
                                                const std::vector<env::Disturbance>& forecast,
                                                std::size_t repeats);
@@ -41,6 +45,12 @@ class MbrlAgent final : public Controller {
   /// The underlying optimizer (rollout_return is reused by the VIPER
   /// extension to estimate per-action values for criticality weights).
   const RandomShooting& optimizer() const { return rs_; }
+
+  /// The optimizer's RNG — the agent's whole stochastic state. Decision-data
+  /// generation snapshots it at each point and advances it past the point's
+  /// candidate draws, so points can be labelled on any thread while the
+  /// stream ends where the one-point-at-a-time loop would leave it.
+  Rng& rng() { return rng_; }
 
   /// Parallelizes the optimizer's rollout scoring across the engine.
   void set_engine(std::shared_ptr<const RolloutEngine> engine) {

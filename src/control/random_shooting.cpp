@@ -144,9 +144,9 @@ void RandomShooting::rollout_returns(const dyn::DynamicsModel& model,
                         });
 }
 
-std::vector<std::vector<std::size_t>> RandomShooting::draw_sequences(Rng& rng) const {
-  std::vector<std::vector<std::size_t>> sequences(config_.samples);
-  for (auto& sequence : sequences) {
+void RandomShooting::draw_sequences(Rng& rng, std::span<std::vector<std::size_t>> out) const {
+  assert(out.size() == config_.samples);
+  for (auto& sequence : out) {
     sequence.resize(config_.horizon);
     if (rng.bernoulli(config_.persistent_fraction)) {
       sequence.assign(config_.horizon, rng.index(actions_.size()));
@@ -154,47 +154,105 @@ std::vector<std::vector<std::size_t>> RandomShooting::draw_sequences(Rng& rng) c
       for (auto& a : sequence) a = rng.index(actions_.size());
     }
   }
-  return sequences;
 }
+
+namespace {
+
+/// The calling thread's optimize_repeats() buffers, kept warm across calls
+/// like RolloutScratch (inner sequences reuse their capacity).
+struct RepeatBatch {
+  std::vector<std::vector<std::size_t>> candidates;
+  std::vector<std::vector<std::size_t>> refine;
+  std::vector<double> returns;
+  std::vector<double> best_returns;
+};
+
+RepeatBatch& repeat_batch() {
+  static thread_local RepeatBatch batch;
+  return batch;
+}
+
+}  // namespace
 
 std::size_t RandomShooting::optimize(const dyn::DynamicsModel& model,
                                      const env::Observation& obs,
                                      const std::vector<env::Disturbance>& forecast,
                                      Rng& rng) const {
+  std::size_t chosen = 0;
+  optimize_repeats(model, obs, forecast, rng, std::span(&chosen, 1), Scoring::kEngine);
+  return chosen;
+}
+
+void RandomShooting::optimize_repeats(const dyn::DynamicsModel& model,
+                                      const env::Observation& obs,
+                                      const std::vector<env::Disturbance>& forecast, Rng& rng,
+                                      std::span<std::size_t> chosen, Scoring scoring) const {
   if (forecast.size() < config_.horizon) {
     throw std::invalid_argument("RandomShooting: forecast shorter than horizon");
   }
-  // Draw every candidate first (the RNG stream is identical to the historical
-  // draw-then-score loop, since scoring consumes no randomness), then score
-  // the whole batch through the engine.
-  const std::vector<std::vector<std::size_t>> sequences = draw_sequences(rng);
-  std::vector<double> returns;
-  rollout_returns(model, obs, forecast, sequences, returns);
-
-  std::size_t best = 0;
-  double best_return = -std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < config_.samples; ++s) {
-    if (returns[s] > best_return) {
-      best_return = returns[s];
-      best = s;
+  const auto score = [&](const std::vector<std::vector<std::size_t>>& sequences,
+                         std::vector<double>& returns) {
+    if (scoring == Scoring::kEngine) {
+      rollout_returns(model, obs, forecast, sequences, returns);
+    } else {
+      returns.resize(sequences.size());
+      rollout_returns_slice(model, obs, forecast, sequences, 0, sequences.size(), returns,
+                            worker_rollout_scratch());
     }
-  }
-  std::vector<std::size_t> best_sequence = sequences[best];
+  };
+  const std::size_t repeats = chosen.size();
+  const std::size_t samples = config_.samples;
+  RepeatBatch& batch = repeat_batch();
 
-  if (config_.refine_first_action) {
-    // Coordinate-descent pass on the executed action: tail fixed, first
-    // action enumerated exhaustively (one batched |A|-rollout sweep).
-    std::vector<std::vector<std::size_t>> candidates(actions_.size(), best_sequence);
-    for (std::size_t a = 0; a < actions_.size(); ++a) candidates[a].front() = a;
-    rollout_returns(model, obs, forecast, candidates, returns);
-    for (std::size_t a = 0; a < actions_.size(); ++a) {
-      if (returns[a] > best_return) {
-        best_return = returns[a];
-        best_sequence.front() = a;
+  // Draw every call's candidates in call order (the RNG stream of the
+  // one-at-a-time loop), then score them all as one merged batch.
+  batch.candidates.resize(repeats * samples);
+  const std::span<std::vector<std::size_t>> candidates(batch.candidates);
+  for (std::size_t r = 0; r < repeats; ++r) {
+    draw_sequences(rng, candidates.subspan(r * samples, samples));
+  }
+  score(batch.candidates, batch.returns);
+
+  // Per-call argmax; chosen[r] holds the winner's index into `candidates`
+  // until the refine pass (or the loop below) turns it into an action.
+  batch.best_returns.assign(repeats, -std::numeric_limits<double>::infinity());
+  for (std::size_t r = 0; r < repeats; ++r) {
+    chosen[r] = r * samples;
+    for (std::size_t s = r * samples; s < (r + 1) * samples; ++s) {
+      if (batch.returns[s] > batch.best_returns[r]) {
+        batch.best_returns[r] = batch.returns[s];
+        chosen[r] = s;
       }
     }
   }
-  return best_sequence.front();
+  if (!config_.refine_first_action) {
+    for (std::size_t& c : chosen) c = batch.candidates[c].front();
+    return;
+  }
+
+  // Coordinate-descent pass on the executed action: each call's best tail
+  // held fixed, its first action enumerated exhaustively — all calls' |A|
+  // sweeps scored as a second merged batch.
+  const std::size_t n_actions = actions_.size();
+  batch.refine.resize(repeats * n_actions);
+  for (std::size_t r = 0; r < repeats; ++r) {
+    const std::vector<std::size_t>& best = batch.candidates[chosen[r]];
+    for (std::size_t a = 0; a < n_actions; ++a) {
+      std::vector<std::size_t>& candidate = batch.refine[r * n_actions + a];
+      candidate.assign(best.begin(), best.end());
+      candidate.front() = a;
+    }
+    chosen[r] = best.front();
+  }
+  score(batch.refine, batch.returns);
+  for (std::size_t r = 0; r < repeats; ++r) {
+    for (std::size_t a = 0; a < n_actions; ++a) {
+      if (batch.returns[r * n_actions + a] > batch.best_returns[r]) {
+        batch.best_returns[r] = batch.returns[r * n_actions + a];
+        chosen[r] = a;
+      }
+    }
+  }
 }
 
 }  // namespace verihvac::control

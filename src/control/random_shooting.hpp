@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/rng.hpp"
 #include "control/action_space.hpp"
@@ -75,18 +76,41 @@ class RandomShooting {
 
   /// One optimization: returns the index (into the action space) of the
   /// chosen first action. `forecast` must provide >= horizon entries
-  /// (entry k = disturbances at step t+k).
+  /// (entry k = disturbances at step t+k). The one-repeat case of
+  /// optimize_repeats(), scored across the attached engine.
   std::size_t optimize(const dyn::DynamicsModel& model, const env::Observation& obs,
                        const std::vector<env::Disturbance>& forecast, Rng& rng) const;
 
-  /// Draws the candidate sequences of one optimize() call (samples x
-  /// horizon; the configured persistent fraction held constant). Scoring
-  /// consumes no randomness, so this is the *entire* stochastic footprint
-  /// of a decision. Exposed for the serving scheduler, which replays a
-  /// decision's exact candidate set from its per-request RNG stream and
-  /// then scores cross-session micro-batches — optimize() itself draws
-  /// through this same code path, keeping the two bit-identical.
-  std::vector<std::vector<std::size_t>> draw_sequences(Rng& rng) const;
+  /// Where optimize_repeats() scores its merged batches.
+  enum class Scoring {
+    kEngine,         ///< sharded across candidates through the attached engine
+    kCallingThread,  ///< inline, with the calling thread's RolloutScratch
+  };
+
+  /// `chosen.size()` back-to-back optimize() calls on one input, labelled
+  /// as two merged batches: every call's candidates are scored at once,
+  /// then (with refine_first_action) every call's |A| refine candidates.
+  /// Call r draws its candidates from `rng` right after call r-1, so
+  /// chosen[r] and the state `rng` is left in are bit-identical to the
+  /// one-at-a-time loop: scoring consumes no randomness, per-candidate
+  /// arithmetic does not depend on batch composition, and each call keeps
+  /// optimize()'s strict-`>` argmax (first best wins). A caller that is
+  /// itself a pool worker must pass kCallingThread: the engine path would
+  /// nest parallel_for on the pool it already runs on, which deadlocks.
+  void optimize_repeats(const dyn::DynamicsModel& model, const env::Observation& obs,
+                        const std::vector<env::Disturbance>& forecast, Rng& rng,
+                        std::span<std::size_t> chosen, Scoring scoring) const;
+
+  /// Draws the candidate sequences of one optimize() call into `out`
+  /// (which must hold exactly `samples` sequences; each is resized to the
+  /// horizon, reusing its capacity), the configured persistent fraction
+  /// held constant. Scoring consumes no randomness, so this is the
+  /// *entire* stochastic footprint of a decision. The one draw routine:
+  /// optimize(), the serving scheduler (which replays a decision's exact
+  /// candidate set from its per-request RNG stream) and decision-data
+  /// generation (which advances an agent past a point's draws) all call
+  /// it, keeping the three bit-identical.
+  void draw_sequences(Rng& rng, std::span<std::vector<std::size_t>> out) const;
 
   /// Scores a fixed action sequence (exposed for tests and MPPI reuse).
   double rollout_return(const dyn::DynamicsModel& model, const env::Observation& obs,
@@ -106,9 +130,11 @@ class RandomShooting {
   /// step at a time, with each step's N one-step predictions fused into a
   /// single batched forward (dyn::DynamicsModel::predict_batch_into)
   /// instead of N scalar predicts. With an engine attached, the batch is
-  /// sharded into per-worker sub-batches over its thread pool, each worker
-  /// running the lock-step pipeline on its contiguous slice with
-  /// persistent thread-local RolloutScratch. Per-candidate arithmetic is
+  /// sharded into contiguous per-worker slices over its thread pool, each
+  /// worker running the lock-step pipeline on its slice with persistent
+  /// thread-local RolloutScratch. (Decision-data generation shards the
+  /// other way: whole decision points per worker, each scored inline
+  /// through rollout_returns_slice.) Per-candidate arithmetic is
   /// independent of batch composition, so results are bit-identical to the
   /// scalar rollout_return path for any thread count and any sharding
   /// (locked in by tests/control/rollout_engine_test.cpp).
@@ -118,8 +144,9 @@ class RandomShooting {
                        std::vector<double>& returns) const;
 
   /// Lock-step batch scoring of the contiguous slice [begin, end) of
-  /// `sequences` (the per-worker unit of rollout_returns, exposed for the
-  /// throughput bench). Writes returns[s] for s in [begin, end); `returns`
+  /// `sequences` on the calling thread: the per-worker unit of
+  /// rollout_returns, and the whole scoring step of an inline
+  /// optimize_repeats(). Writes returns[s] for s in [begin, end); `returns`
   /// must already have sequences.size() entries.
   void rollout_returns_slice(const dyn::DynamicsModel& model, const env::Observation& obs,
                              const std::vector<env::Disturbance>& forecast,

@@ -7,17 +7,19 @@
 // subsystem (core::VerificationEngine) shares; RolloutEngine is a thin
 // control-facing client that keeps the optimizer API stable.
 //
-// Since PR 3 the unit of work is a *sub-batch*, not a sample: parallel_for
-// hands each worker a contiguous slice of the candidate set, and the
-// worker advances its whole slice in lock-step, fusing every horizon
-// step's predictions into one batched forward
-// (dyn::DynamicsModel::predict_batch_into) with persistent thread-local
-// scratch. Determinism is preserved by construction: RNG draws happen
-// only during (serial) sequence generation, per-candidate arithmetic is
+// The unit of work is a contiguous slice advanced in lock-step: each
+// horizon step's predictions for the whole slice are fused into one
+// batched forward (dyn::DynamicsModel::predict_batch_into) with persistent
+// thread-local scratch. What a slice holds depends on the caller. A single
+// decision (optimize, action_distribution) shards its merged candidate
+// batch across workers; decision-data generation shards whole decision
+// points, each worker scoring a point's merged batch inline. Determinism
+// is preserved by construction: RNG draws happen only in (serial) sequence
+// generation or from per-point RNG snapshots, per-candidate arithmetic is
 // independent of how the batch is sliced, every return is written to its
-// own output slot, and the winner selection stays a serial scan — so any
-// thread count produces decisions bit-identical to the scalar
-// single-threaded loop.
+// own output slot, and winner selection is a serial scan — so any thread
+// count produces decisions bit-identical to the scalar single-threaded
+// loop.
 #pragma once
 
 #include <cstddef>

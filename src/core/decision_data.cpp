@@ -125,19 +125,49 @@ std::vector<env::Disturbance> DecisionDataGenerator::forecast_from(std::size_t r
 
 DecisionDataset DecisionDataGenerator::generate(control::MbrlAgent& agent,
                                                 std::size_t n_points) {
+  const control::RandomShooting& rs = agent.optimizer();
   DecisionDataset dataset;
-  dataset.records.reserve(n_points);
-  Rng rng(config_.seed);
+  dataset.records.resize(n_points);
+  std::vector<std::size_t> rows(n_points);
 
-  const std::size_t horizon = agent.forecast_horizon();
+  // Serial pre-pass, in the order the one-point-at-a-time loop consumed
+  // both streams: draw each point's (x, row) from the sampler's RNG, note
+  // the agent's RNG state at the point's first repeat, and advance the
+  // agent past the point's candidate draws. Only the 48-byte Rng per point
+  // is kept; workers redraw the candidates from it.
+  std::vector<Rng> starts(n_points);
+  std::vector<std::vector<std::size_t>> skipped(rs.config().samples);
+  Rng rng(config_.seed);
   for (std::size_t i = 0; i < n_points; ++i) {
     auto [x, row] = sampler_.sample(rng);
-    const env::Observation obs = config_.schema.to_observation(x);
-    const std::vector<env::Disturbance> forecast = forecast_from(row, horizon);
+    dataset.records[i].input = std::move(x);
+    rows[i] = row;
+    starts[i] = agent.rng();
+    for (std::size_t r = 0; r < config_.mc_repeats; ++r) rs.draw_sequences(agent.rng(), skipped);
+  }
 
-    const std::vector<std::size_t> counts =
-        agent.action_distribution(obs, forecast, config_.mc_repeats);
-    dataset.records.push_back(DecisionRecord{std::move(x), modal_index(counts)});
+  // Label whole points per worker: each point's repeats are one merged
+  // batch scored inline (a pool worker must not fan out again), so the
+  // labels equal the serial loop's for any thread count.
+  const std::size_t horizon = agent.forecast_horizon();
+  const auto label = [&](std::size_t, std::size_t begin, std::size_t end) {
+    std::vector<std::size_t> chosen(config_.mc_repeats);
+    std::vector<std::size_t> counts(agent.actions().size());
+    for (std::size_t i = begin; i < end; ++i) {
+      DecisionRecord& record = dataset.records[i];
+      Rng point_rng = starts[i];
+      rs.optimize_repeats(agent.model(), config_.schema.to_observation(record.input),
+                          forecast_from(rows[i], horizon), point_rng, chosen,
+                          control::RandomShooting::Scoring::kCallingThread);
+      std::fill(counts.begin(), counts.end(), 0);
+      for (const std::size_t a : chosen) ++counts[a];
+      record.action_index = modal_index(counts);
+    }
+  };
+  if (const control::RolloutEngine* engine = rs.engine()) {
+    engine->parallel_for(n_points, label);
+  } else {
+    label(0, 0, n_points);
   }
   return dataset;
 }

@@ -16,11 +16,14 @@
 //    Fig. 1. The disturbance forecast handed to the optimizer is the
 //    historical continuation of the sampled row (the future the building
 //    actually saw), falling back to persistence at the episode tail.
-//    Every optimizer invocation scores its candidates through the
-//    lock-step batch rollout pipeline of the agent's attached
-//    control::RolloutEngine (the pipeline wires in the shared engine), so
-//    generation throughput tracks the batched hot path while the recorded
-//    modal actions stay bit-identical to the scalar path.
+//    Generation fans out across decision points over the agent's attached
+//    control::RolloutEngine (the pipeline wires in the shared engine): a
+//    serial pre-pass draws every input and records the agent's RNG state
+//    at each point, then each worker labels whole points, scoring a
+//    point's `mc_repeats` optimizer runs as one merged lock-step batch
+//    (RandomShooting::optimize_repeats). The recorded modal actions, and
+//    the agent's RNG state afterwards, are bit-identical to labelling one
+//    point at a time with action_distribution() at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +103,10 @@ class DecisionDataGenerator {
   DecisionDataGenerator(const dyn::TransitionDataset& historical,
                         DecisionDataConfig config);
 
-  /// Generates `n_points` decision records by modal distillation of `agent`.
+  /// Generates `n_points` decision records by modal distillation of
+  /// `agent`, sharded across points on the agent's engine (inline without
+  /// one). Leaves the agent's RNG exactly where `n_points` calls of
+  /// action_distribution(…, mc_repeats) would.
   DecisionDataset generate(control::MbrlAgent& agent, std::size_t n_points);
 
   /// The forecast used for a sample anchored at historical row `row`

@@ -76,6 +76,42 @@ std::unique_ptr<DtPolicy> PipelineArtifacts::make_dt_policy() const {
   return std::make_unique<DtPolicy>(*policy);
 }
 
+DecisionDataset generate_decision_data(const PipelineConfig& config,
+                                       const dyn::TransitionDataset& historical,
+                                       const dyn::DynamicsModel& model, std::size_t points) {
+  control::MbrlAgent agent(model, config.rs_distill, control::ActionSpace(config.action_space),
+                           config.env.reward, config.agent_seed);
+  agent.set_engine(control::RolloutEngine::shared());
+  DecisionDataGenerator generator(historical, config.decision);
+  return generator.generate(agent, points);
+}
+
+ProbabilisticReport verify_criterion1(const PipelineConfig& config, const DtPolicy& policy,
+                                      const dyn::DynamicsModel& model,
+                                      const dyn::TransitionDataset& historical) {
+  const AugmentedSampler sampler(historical.policy_inputs(), config.decision.noise_level,
+                                 config.decision.schema);
+  Rng rng(config.verification_seed);
+  return verify_probabilistic_one_step(policy, model, sampler, config.criteria,
+                                       config.probabilistic_samples, rng);
+}
+
+namespace {
+
+/// Steps 4-5, shared by run_pipeline and refit_policy: CART fit (§3.2.2),
+/// then Algorithm 1 with correction (§3.3.1) and criterion #1 (§3.3.2).
+void fit_and_verify(PipelineArtifacts& artifacts) {
+  const PipelineConfig& config = artifacts.config;
+  artifacts.policy = std::make_shared<DtPolicy>(
+      DtPolicy::fit(artifacts.decisions, control::ActionSpace(config.action_space), {},
+                    config.decision.schema));
+  artifacts.formal = verify_formal(*artifacts.policy, config.criteria, /*correct=*/true);
+  artifacts.probabilistic =
+      verify_criterion1(config, *artifacts.policy, *artifacts.model, artifacts.historical);
+}
+
+}  // namespace
+
 PipelineArtifacts run_pipeline(const PipelineConfig& config) {
   PipelineArtifacts artifacts;
   artifacts.config = config;
@@ -99,30 +135,16 @@ PipelineArtifacts run_pipeline(const PipelineConfig& config) {
   // 3. Decision-data generation (§3.2.1), with a sharpened (first-action
   // refined) optimizer so labels reflect the best action rather than a
   // Monte-Carlo draw.
-  auto agent = std::make_unique<control::MbrlAgent>(
-      *artifacts.model, config.rs_distill, control::ActionSpace(config.action_space),
-      config.env.reward, config.agent_seed);
-  agent->set_engine(control::RolloutEngine::shared());
-  DecisionDataGenerator generator(artifacts.historical, config.decision);
   const auto t0 = std::chrono::steady_clock::now();
-  artifacts.decisions = generator.generate(*agent, config.decision_points);
+  artifacts.decisions = generate_decision_data(config, artifacts.historical, *artifacts.model,
+                                               config.decision_points);
   const auto t1 = std::chrono::steady_clock::now();
   artifacts.decision_data_seconds = std::chrono::duration<double>(t1 - t0).count();
   log_info("pipeline[", config.city, "]: ", artifacts.decisions.size(),
            " decision points in ", artifacts.decision_data_seconds, " s");
 
-  // 4. CART fit (§3.2.2).
-  artifacts.policy = std::make_shared<DtPolicy>(
-      DtPolicy::fit(artifacts.decisions, control::ActionSpace(config.action_space), {},
-                    config.decision.schema));
-
-  // 5. Formal verification + correction (§3.3.1), then criterion #1 (§3.3.2).
-  artifacts.formal = verify_formal(*artifacts.policy, config.criteria, /*correct=*/true);
-  DecisionDataGenerator verifier_sampler(artifacts.historical, config.decision);
-  Rng rng(config.verification_seed);
-  artifacts.probabilistic = verify_probabilistic_one_step(
-      *artifacts.policy, *artifacts.model, verifier_sampler.sampler(), config.criteria,
-      config.probabilistic_samples, rng);
+  // 4-5. CART fit, Algorithm 1 + correction, criterion #1.
+  fit_and_verify(artifacts);
   log_info("pipeline[", config.city, "]: tree nodes=", artifacts.policy->tree().node_count(),
            " leaves=", artifacts.policy->tree().leaf_count(),
            " safe_prob=", artifacts.probabilistic.safe_probability);
@@ -141,28 +163,11 @@ PipelineArtifacts refit_policy(const PipelineArtifacts& base, std::size_t decisi
 
   // Prefix reuse: if the base already generated enough decision data, fit
   // on its prefix; otherwise generate the difference.
-  if (base.decisions.size() >= decision_points) {
-    artifacts.decisions = base.decisions.prefix(decision_points);
-  } else {
-    auto agent = std::make_unique<control::MbrlAgent>(
-        *artifacts.model, artifacts.config.rs_distill,
-        control::ActionSpace(artifacts.config.action_space), artifacts.config.env.reward,
-        artifacts.config.agent_seed);
-    agent->set_engine(control::RolloutEngine::shared());
-    DecisionDataGenerator generator(artifacts.historical, artifacts.config.decision);
-    artifacts.decisions = generator.generate(*agent, decision_points);
-  }
-
-  artifacts.policy = std::make_shared<DtPolicy>(DtPolicy::fit(
-      artifacts.decisions, control::ActionSpace(artifacts.config.action_space), {},
-      artifacts.config.decision.schema));
-  artifacts.formal =
-      verify_formal(*artifacts.policy, artifacts.config.criteria, /*correct=*/true);
-  DecisionDataGenerator verifier_sampler(artifacts.historical, artifacts.config.decision);
-  Rng rng(artifacts.config.verification_seed);
-  artifacts.probabilistic = verify_probabilistic_one_step(
-      *artifacts.policy, *artifacts.model, verifier_sampler.sampler(),
-      artifacts.config.criteria, artifacts.config.probabilistic_samples, rng);
+  artifacts.decisions = base.decisions.size() >= decision_points
+                            ? base.decisions.prefix(decision_points)
+                            : generate_decision_data(artifacts.config, artifacts.historical,
+                                                     *artifacts.model, decision_points);
+  fit_and_verify(artifacts);
   return artifacts;
 }
 

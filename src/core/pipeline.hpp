@@ -79,6 +79,20 @@ struct PipelineArtifacts {
   std::unique_ptr<DtPolicy> make_dt_policy() const;
 };
 
+/// Step 3 (§3.2.1) as every extraction runs it: a fresh distillation agent
+/// (config.rs_distill, seeded with config.agent_seed) on the shared rollout
+/// engine labels `points` inputs drawn from `historical`.
+DecisionDataset generate_decision_data(const PipelineConfig& config,
+                                       const dyn::TransitionDataset& historical,
+                                       const dyn::DynamicsModel& model, std::size_t points);
+
+/// Criterion #1 (§3.3.2) as every extraction checks it: config.criteria
+/// over config.probabilistic_samples inputs drawn (Eq. 5) from
+/// `historical`, seeded with config.verification_seed.
+ProbabilisticReport verify_criterion1(const PipelineConfig& config, const DtPolicy& policy,
+                                      const dyn::DynamicsModel& model,
+                                      const dyn::TransitionDataset& historical);
+
 /// Runs the full pipeline.
 PipelineArtifacts run_pipeline(const PipelineConfig& config);
 

@@ -343,7 +343,8 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
       job.pending = &pending;
       job.model = std::move(entry.model);
       job.model_generation = entry.generation;
-      job.sequences = rs_.draw_sequences(rng);
+      job.sequences.resize(rs_.config().samples);
+      rs_.draw_sequences(rng, job.sequences);
       job.returns.assign(job.sequences.size(), 0.0);
       jobs.push_back(std::move(job));
     } catch (...) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "common/stats.hpp"
+#include "control/rollout_engine.hpp"
 #include "core/core_test_utils.hpp"
 
 namespace verihvac::core {
@@ -226,6 +230,177 @@ TEST(GeneratorTest, DistilledActionsReflectComfortLogic) {
   }
   ASSERT_GT(unoccupied, 10u);
   EXPECT_GT(static_cast<double>(unoccupied_setback) / unoccupied, 0.7);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity of the point-sharded generator against the serial oracle.
+
+/// One optimize() call as the serial code made it, from public primitives
+/// only: draw the candidates, score each with the scalar rollout, strict-`>`
+/// argmax, then (with refinement) the first-action sweep over the winner's
+/// tail.
+std::size_t oracle_optimize(const control::RandomShooting& rs, const dyn::DynamicsModel& model,
+                            const env::Observation& obs,
+                            const std::vector<env::Disturbance>& forecast, Rng& rng,
+                            std::size_t n_actions) {
+  std::vector<std::vector<std::size_t>> sequences(rs.config().samples);
+  rs.draw_sequences(rng, sequences);
+  std::size_t best = 0;
+  double best_return = -std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < sequences.size(); ++s) {
+    const double value = rs.rollout_return(model, obs, forecast, sequences[s]);
+    if (value > best_return) {
+      best_return = value;
+      best = s;
+    }
+  }
+  std::size_t first = sequences[best].front();
+  if (rs.config().refine_first_action) {
+    for (std::size_t a = 0; a < n_actions; ++a) {
+      std::vector<std::size_t> candidate = sequences[best];
+      candidate.front() = a;
+      const double value = rs.rollout_return(model, obs, forecast, candidate);
+      if (value > best_return) {
+        best_return = value;
+        first = a;
+      }
+    }
+  }
+  return first;
+}
+
+/// The serial per-point loop generate() replaced: sample a point, then
+/// label it with `mc_repeats` back-to-back optimizer calls on `agent_rng`.
+DecisionDataset oracle_generate(const DecisionDataGenerator& generator,
+                                const DecisionDataConfig& cfg,
+                                const control::RandomShooting& rs,
+                                const dyn::DynamicsModel& model, Rng& agent_rng,
+                                std::size_t n_points, std::size_t n_actions) {
+  DecisionDataset data;
+  Rng rng(cfg.seed);
+  for (std::size_t i = 0; i < n_points; ++i) {
+    auto [x, row] = generator.sampler().sample(rng);
+    const env::Observation obs = cfg.schema.to_observation(x);
+    const auto forecast = generator.forecast_from(row, rs.config().horizon);
+    std::vector<std::size_t> counts(n_actions, 0);
+    for (std::size_t r = 0; r < cfg.mc_repeats; ++r) {
+      ++counts[oracle_optimize(rs, model, obs, forecast, agent_rng, n_actions)];
+    }
+    data.records.push_back({std::move(x), modal_index(counts)});
+  }
+  return data;
+}
+
+class GeneratorBitIdentityTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    history_ = new dyn::TransitionDataset(toy_history(400, 31));
+    model_ = toy_model(*history_);
+  }
+  static void TearDownTestSuite() {
+    delete history_;
+    history_ = nullptr;
+    model_.reset();
+  }
+
+  static control::RandomShootingConfig rs_config(bool refine) {
+    control::RandomShootingConfig rs{24, 4, 0.99};
+    rs.refine_first_action = refine;
+    return rs;
+  }
+
+  static dyn::TransitionDataset* history_;
+  static std::shared_ptr<dyn::DynamicsModel> model_;
+};
+
+dyn::TransitionDataset* GeneratorBitIdentityTest::history_ = nullptr;
+std::shared_ptr<dyn::DynamicsModel> GeneratorBitIdentityTest::model_;
+
+TEST_F(GeneratorBitIdentityTest, EqualsSerialOracleAtEveryPoolAndLeavesRngInStep) {
+  const control::ActionSpace actions;
+  const std::uint64_t agent_seed = 32;
+  for (const bool refine : {false, true}) {
+    for (const std::size_t repeats : {std::size_t{1}, std::size_t{3}}) {
+      DecisionDataConfig cfg;
+      cfg.mc_repeats = repeats;
+      cfg.seed = 33;
+      DecisionDataGenerator generator(*history_, cfg);
+      const control::RandomShooting oracle_rs(rs_config(refine), actions, env::RewardConfig{});
+      // 5 points: below the default min_parallel_batch and below the larger
+      // thread counts; 40: sharded into chunks across every pool.
+      for (const std::size_t n_points : {std::size_t{5}, std::size_t{40}}) {
+        Rng oracle_rng(agent_seed);
+        const DecisionDataset expected = oracle_generate(
+            generator, cfg, oracle_rs, *model_, oracle_rng, n_points, actions.size());
+        const env::Observation next_obs = cfg.schema.to_observation(expected.records[0].input);
+        const auto next_forecast = generator.forecast_from(7, oracle_rs.config().horizon);
+        const std::size_t next_expected =
+            oracle_optimize(oracle_rs, *model_, next_obs, next_forecast, oracle_rng,
+                            actions.size());
+
+        for (const std::size_t threads : {1, 2, 4, 8}) {
+          // min_parallel_batch 1 fans even 5 points out; the default runs
+          // them inline on the caller.
+          for (const std::size_t min_batch : {std::size_t{1}, std::size_t{16}}) {
+            SCOPED_TRACE(testing::Message() << "refine=" << refine << " repeats=" << repeats
+                                            << " points=" << n_points << " threads=" << threads
+                                            << " min_parallel_batch=" << min_batch);
+            control::MbrlAgent agent(*model_, rs_config(refine), actions, env::RewardConfig{},
+                                     agent_seed);
+            agent.set_engine(std::make_shared<const control::RolloutEngine>(
+                control::RolloutEngineConfig{threads, min_batch}));
+            const DecisionDataset data = generator.generate(agent, n_points);
+            ASSERT_EQ(data.size(), expected.size());
+            for (std::size_t i = 0; i < data.size(); ++i) {
+              EXPECT_EQ(data.records[i].input, expected.records[i].input) << "point " << i;
+              EXPECT_EQ(data.records[i].action_index, expected.records[i].action_index)
+                  << "point " << i;
+            }
+            EXPECT_EQ(agent.decide_once(next_obs, next_forecast), next_expected);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(GeneratorBitIdentityTest, EngineFreeAgentEqualsOracle) {
+  const control::ActionSpace actions;
+  DecisionDataConfig cfg;
+  cfg.mc_repeats = 3;
+  cfg.seed = 34;
+  DecisionDataGenerator generator(*history_, cfg);
+  control::MbrlAgent agent(*model_, rs_config(true), actions, env::RewardConfig{}, 35);
+  const DecisionDataset data = generator.generate(agent, 12);
+  Rng oracle_rng(35);
+  const DecisionDataset expected =
+      oracle_generate(generator, cfg, agent.optimizer(), *model_, oracle_rng, 12, actions.size());
+  EXPECT_EQ(data.labels(), expected.labels());
+  EXPECT_EQ(data.inputs(), expected.inputs());
+}
+
+TEST_F(GeneratorBitIdentityTest, ActionDistributionEqualsRepeatedOracleCalls) {
+  const control::ActionSpace actions;
+  DecisionDataGenerator generator(*history_, DecisionDataConfig{});
+  Rng sampler_rng(36);
+  const auto [x, row] = generator.sampler().sample(sampler_rng);
+  const env::Observation obs = env::baseline_schema().to_observation(x);
+  const auto forecast = generator.forecast_from(row, 4);
+  for (const bool refine : {false, true}) {
+    const control::RandomShooting oracle_rs(rs_config(refine), actions, env::RewardConfig{});
+    Rng oracle_rng(37);
+    std::vector<std::size_t> expected(actions.size(), 0);
+    for (int r = 0; r < 7; ++r) {
+      ++expected[oracle_optimize(oracle_rs, *model_, obs, forecast, oracle_rng, actions.size())];
+    }
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "refine=" << refine << " threads=" << threads);
+      control::MbrlAgent agent(*model_, rs_config(refine), actions, env::RewardConfig{}, 37);
+      agent.set_engine(std::make_shared<const control::RolloutEngine>(
+          control::RolloutEngineConfig{threads, 1}));
+      EXPECT_EQ(agent.action_distribution(obs, forecast, 7), expected);
+    }
+  }
 }
 
 }  // namespace

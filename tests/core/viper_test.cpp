@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "control/rollout_engine.hpp"
 #include "core_test_utils.hpp"
 #include "envlib/env.hpp"
 #include "weather/climate.hpp"
@@ -131,6 +132,33 @@ TEST_F(ViperTest, DeterministicForFixedSeed) {
   for (std::size_t m = 0; m < a.iterations.size(); ++m) {
     EXPECT_EQ(a.iterations[m].tree_nodes, b.iterations[m].tree_nodes);
     EXPECT_DOUBLE_EQ(a.iterations[m].teacher_match_rate, b.iterations[m].teacher_match_rate);
+  }
+}
+
+TEST_F(ViperTest, LabelsPinnedAcrossPools) {
+  // Labels of the one-optimizer-call-at-a-time action_distribution loop.
+  // The merged-batch kernel, sharded across candidates (min_parallel_batch
+  // 1 forces the fan-out), must reproduce them at every pool size.
+  const std::vector<int> expected_plain = {
+      25, 5, 16, 28, 18, 12, 5, 8, 16, 21, 6, 6, 59, 7, 4, 14, 9, 8,
+      28, 8, 7, 18, 8, 16, 9, 16, 25, 26, 9, 37, 18, 8, 15, 19, 8, 7,
+      6, 5, 27, 8, 25, 7, 16, 9, 19, 9, 5, 4, 9, 9, 17, 19, 18, 9,
+      29, 6, 9, 6, 15, 1, 7, 7, 18, 18, 7, 28, 7, 9, 2, 19, 29, 28};
+  // With the refine sweep the toy teacher settles on one action everywhere.
+  const std::vector<int> expected_refined(72, 9);
+  for (const bool refine : {false, true}) {
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "refine=" << refine << " threads=" << threads);
+      control::RandomShootingConfig rs = fast_rs();
+      rs.refine_first_action = refine;
+      control::MbrlAgent teacher(*model_, rs, control::ActionSpace{}, fast_env().reward,
+                                 /*seed=*/5);
+      teacher.set_engine(std::make_shared<const control::RolloutEngine>(
+          control::RolloutEngineConfig{threads, 1}));
+      env::BuildingEnv env(fast_env());
+      const ViperResult result = viper_extract(teacher, env, fast_config());
+      EXPECT_EQ(result.aggregated.labels(), refine ? expected_refined : expected_plain);
+    }
   }
 }
 

@@ -172,10 +172,9 @@ int cmd_verify(const Args& args) {
         dyn::collect_historical_data(config.env, config.collection);
     dyn::DynamicsModel model(config.model);
     model.train(historical);
-    core::DecisionDataGenerator generator(historical, config.decision);
-    Rng rng(config.verification_seed);
-    const core::ProbabilisticReport prob = core::verify_probabilistic_one_step(
-        policy, model, generator.sampler(), criteria, config.probabilistic_samples, rng);
+    config.criteria = criteria;
+    const core::ProbabilisticReport prob =
+        core::verify_criterion1(config, policy, model, historical);
     std::printf("criterion #1 (probabilistic, %s): safe probability %.3f -> %s\n",
                 config.city.c_str(), prob.safe_probability,
                 prob.passes(criteria) ? "PASS" : "FAIL");
