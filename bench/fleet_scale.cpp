@@ -1,15 +1,13 @@
 // Bench — fleet-scale soak: 10^5+ concurrent sessions through the
-// SLO-aware sharded scheduler, with live adaptation contending for the
-// shared pool (ISSUE 6 acceptance).
+// sharded scheduler, with live adaptation contending for the shared pool.
 //
 // Three sections:
 //
-//   1. Equivalence gate. The deadline-driven sharded queue path (async
-//      submit with latency budgets, per-shard workers) must produce
-//      decisions bit-identical to the per-session scalar reference at
-//      engine pools of 1/4/8 threads. No number below counts unless this
-//      passes: SLO-aware batching is a latency feature, never a decision
-//      feature.
+//   1. Equivalence gate. The sharded queue path (async submit, per-shard
+//      workers coalescing their backlog) must produce decisions
+//      bit-identical to the per-session scalar reference at engine pools
+//      of 1/4/8 threads. No number below counts unless this passes:
+//      batching is a latency feature, never a decision feature.
 //
 //   2. Sampled DT timing overhead. SchedulerConfig::dt_timing_sample_period
 //      times 1-in-P DT decisions for the tap (p50/p99 telemetry without
@@ -21,8 +19,8 @@
 //
 //   3. Soak. A synthetic session population is admitted in staggered
 //      waves (10^5+ concurrent at peak, full scale), served DT-heavy with
-//      sampled caller-side timing plus async MBRL cohorts carrying
-//      latency budgets, and idle waves are evicted — while, concurrently,
+//      sampled caller-side timing plus async MBRL cohorts, and idle
+//      waves are evicted — while, concurrently,
 //      an env-backed climates x presets fleet serves real plants through
 //      its own scheduler, degrades mid-run, and the adaptation controller
 //      detects the drift and retrains on the SAME shared TaskPool the
@@ -128,7 +126,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  std::printf("== fleet_scale — 10^5+ session soak through the SLO-aware sharded "
+  std::printf("== fleet_scale — 10^5+ session soak through the sharded "
               "scheduler, adaptation contending ==\n%s\n\n",
               smoke ? "(smoke scale)" : "(soak scale)");
 
@@ -142,7 +140,7 @@ int main(int argc, char** argv) {
   artifact.field("bench", std::string("fleet_scale")).field_bool("smoke", smoke);
   bool failed = false;
 
-  // ---- Section 1: deadline-driven sharded serving == scalar reference.
+  // ---- Section 1: sharded queue serving == scalar reference.
   {
     const std::size_t n = smoke ? 24 : 64;
     Stack reference(policy, model, rs, /*threads=*/1, /*n_sessions=*/8);
@@ -156,21 +154,16 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : {1u, 4u, 8u}) {
       serve::SchedulerConfig config;
       config.max_batch = 8;
-      config.batch_window = std::chrono::microseconds(2000);
-      config.default_latency_budget = std::chrono::microseconds(4000);
       Stack stack(policy, model, rs, threads, /*n_sessions=*/8, config);
       stack.scheduler->start();
       std::vector<std::future<serve::ControlDecision>> futures;
       for (std::size_t i = 0; i < n; ++i) {
-        serve::ControlRequest request =
-            stack.request(i, serve::RequestKind::kMbrlFallback, rs.horizon);
-        // Mixed budgets: every third request closes its batch early.
-        if (i % 3 == 0) request.latency_budget = std::chrono::microseconds(400);
-        futures.push_back(stack.scheduler->submit(std::move(request)));
+        futures.push_back(stack.scheduler->submit(
+            stack.request(i, serve::RequestKind::kMbrlFallback, rs.horizon)));
       }
       for (std::size_t i = 0; i < n; ++i) {
         if (futures[i].get().action_index != expected[i]) {
-          std::printf("FAIL: deadline-scheduled decision %zu diverges from scalar serving "
+          std::printf("FAIL: queue-batched decision %zu diverges from scalar serving "
                       "at %zu threads\n",
                       i, threads);
           return 1;
@@ -178,7 +171,7 @@ int main(int argc, char** argv) {
       }
       stack.scheduler->stop();
     }
-    std::printf("equivalence: deadline-driven sharded decisions bit-identical to scalar "
+    std::printf("equivalence: queue-batched sharded decisions bit-identical to scalar "
                 "serving (%zu requests x {1,4,8} threads)\n\n",
                 n);
   }
@@ -268,8 +261,6 @@ int main(int argc, char** argv) {
     fleet.seed = 2026;
     fleet.rs = rs;
     fleet.async = true;
-    fleet.mbrl_latency_budget = std::chrono::microseconds(4000);
-    fleet.scheduler.default_latency_budget = std::chrono::microseconds(4000);
     serve::FleetDriftEvent drift;
     drift.at_step = smoke ? 16 : 32;
     drift.degradation.hvac_capacity_factor = 0.45;
@@ -327,7 +318,7 @@ int main(int argc, char** argv) {
     controller.start();
 
     // --- The synthetic soak population: its own serving stack (sharded
-    // deadline scheduler over the SAME pool), admitted in waves.
+    // scheduler over the SAME pool), admitted in waves.
     const std::size_t waves = smoke ? 5 : 8;
     const std::size_t sessions_per_wave = static_cast<std::size_t>(
         env_or_long("VERI_HVAC_FLEET_WAVE", smoke ? 5000 : 25000));
@@ -338,7 +329,6 @@ int main(int argc, char** argv) {
     auto soak_registry = std::make_shared<serve::PolicyRegistry>();
     auto soak_sessions = std::make_shared<serve::SessionManager>();
     serve::SchedulerConfig soak_config;
-    soak_config.default_latency_budget = std::chrono::microseconds(4000);
     soak_config.dt_timing_sample_period = 32;
     soak_registry->install("toy", policy);
     serve::RequestScheduler soak_scheduler(soak_config, soak_registry, soak_sessions, rs,
@@ -395,7 +385,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      // Async MBRL cohort with latency budgets from this wave's sessions.
+      // Async MBRL cohort from this wave's sessions.
       std::vector<std::future<serve::ControlDecision>> futures;
       std::vector<std::chrono::steady_clock::time_point> submitted;
       futures.reserve(mbrl_cohort);
@@ -436,7 +426,6 @@ int main(int argc, char** argv) {
 
     const serve::LatencyStats dt_lat = serve::summarize_latencies(dt_latencies);
     const serve::LatencyStats mbrl_lat = serve::summarize_latencies(mbrl_latencies);
-    const serve::RequestScheduler::Stats soak_stats = soak_scheduler.stats();
     soak_scheduler.stop();
     const std::size_t pool_threads = pool->thread_count();
     const double rate = serve_seconds > 0.0
@@ -450,10 +439,7 @@ int main(int argc, char** argv) {
                 mbrl_decisions, serve_seconds, soak_wall);
     std::printf("  DT   p50 %8.1fus p99 %8.1fus (sampled 1-in-%zu)\n", dt_lat.p50_us,
                 dt_lat.p99_us, latency_sample);
-    std::printf("  MBRL p50 %8.1fus p99 %8.1fus (budget 4000us, %llu deadline closes)\n",
-                mbrl_lat.p50_us, mbrl_lat.p99_us,
-                static_cast<unsigned long long>(soak_stats.deadline_closes +
-                                                fleet_report.scheduler_stats.deadline_closes));
+    std::printf("  MBRL p50 %8.1fus p99 %8.1fus\n", mbrl_lat.p50_us, mbrl_lat.p99_us);
     std::printf("  %.0f decisions/s (%.0f/s/core over %zu pool threads)\n", rate,
                 rate_per_core, pool_threads);
     std::printf("  fleet: %zu buildings x %zu steps, %zu dropped; drift events %llu, "
@@ -475,7 +461,6 @@ int main(int argc, char** argv) {
         .field("decisions_per_sec", rate)
         .field("decisions_per_sec_per_core", rate_per_core)
         .field("pool_threads", pool_threads)
-        .field("deadline_closes", static_cast<std::size_t>(soak_stats.deadline_closes))
         .field("queue_shards", soak_scheduler.queue_shard_count())
         .field("fleet_buildings", fleet_report.buildings)
         .field("fleet_dropped_decisions", fleet_report.dropped_decisions)

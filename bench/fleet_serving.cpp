@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Mixed fleet traffic through the harness (async queue + window).
+  // ---- Mixed fleet traffic through the harness (async queue).
   double mixed_unbatched = 0.0;
   double mixed_batched = 0.0;
   for (const bool batched : {false, true}) {
@@ -263,11 +263,9 @@ int main(int argc, char** argv) {
     config.days = 1;
     config.rs = rs;
     config.async = true;
-    // The cohort is submitted back-to-back, so a short window suffices to
-    // coalesce it; a long one would just add tail latency per step.
-    config.scheduler.micro_batching = batched;
+    // The cohort is submitted back-to-back: whatever a shard has queued
+    // when its worker comes back rides one batch (unbatched: one each).
     config.scheduler.max_batch = batched ? 64 : 1;
-    config.scheduler.batch_window = std::chrono::microseconds(batched ? 100 : 0);
     const serve::FleetAssets assets{policy, model};
     serve::FleetHarness harness(
         config, [&assets](const std::string&, const serve::FleetPreset&) { return assets; },

@@ -27,9 +27,6 @@ const std::vector<InstrumentSpec>& instrument_catalog() {
       {"serve_batched_requests_total", InstrumentKind::kCounter,
        "MBRL requests that rode a coalesced batch",
        "divide by serve_batches_total for mean batch size; near 1 wastes the batch pipeline"},
-      {"serve_deadline_closes_total", InstrumentKind::kCounter,
-       "batches closed by a latency budget instead of window/size",
-       "near-zero under SLO traffic means budgets are too loose to shape batching"},
       {"serve_queue_depth", InstrumentKind::kGauge,
        "queued MBRL requests across all shards (sampled at batch close)",
        "pinned near queue_capacity means admission back-pressure - add shards or capacity"},
@@ -38,16 +35,13 @@ const std::vector<InstrumentSpec>& instrument_catalog() {
        "a heavy tail on one deployment means shard-skewed sessions - check the id mapping"},
       {"serve_batch_size", InstrumentKind::kHistogram,
        "requests per solved micro-batch",
-       "p50 of 1 under load means the coalescing window closes too early"},
-      {"serve_deadline_slack_seconds", InstrumentKind::kHistogram,
-       "time left to the earliest deadline when a deadline-driven batch closed",
-       "mass near zero means deadline_margin is too thin for the observed solve time"},
+       "p50 pinned at max_batch means the shard is saturated - add shards or pool threads"},
       {"serve_dt_latency_seconds", InstrumentKind::kHistogram,
        "sampled DT fast-path decision latency",
        "p99 above a few microseconds means the fast path picked up contention"},
       {"serve_mbrl_solve_seconds", InstrumentKind::kHistogram,
        "wall time of one cross-session batch solve",
-       "creeping p99 eats deadline_margin and turns into deadline misses"},
+       "creeping p99 is MBRL latency no batching can hide - every queued request waits it out"},
       // --- common: shared task pool ---
       {"taskpool_batches_total", InstrumentKind::kCounter,
        "parallel_for fan-outs executed on the shared pool",

@@ -86,7 +86,6 @@ std::string FleetReport::to_json() const {
       << ", \"wall_seconds\": " << wall_seconds
       << ", \"batches\": " << scheduler_stats.batches
       << ", \"max_batch\": " << scheduler_stats.max_batch
-      << ", \"deadline_closes\": " << scheduler_stats.deadline_closes
       << ", \"dropped_decisions\": " << dropped_decisions << "}";
   return out.str();
 }
@@ -205,7 +204,7 @@ FleetReport FleetHarness::run() {
     }
 
     // MBRL fallback: the step's whole cohort is submitted together so the
-    // micro-batching window coalesces it into cross-session batches.
+    // shard workers coalesce the backlog into cross-session batches.
     std::vector<Building*> cohort;
     for (Building& building : fleet) {
       if (!building.done && building.kind == RequestKind::kMbrlFallback) {
@@ -223,7 +222,6 @@ FleetReport FleetHarness::run() {
       request.kind = RequestKind::kMbrlFallback;
       request.observation = building->obs;
       request.forecast = building->env->forecast(config_.rs.horizon);
-      request.latency_budget = config_.mbrl_latency_budget;
       submitted.push_back(std::chrono::steady_clock::now());
       futures.push_back(scheduler_->submit(std::move(request)));
     }

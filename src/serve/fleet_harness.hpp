@@ -8,7 +8,7 @@
 // class: the leading mbrl_fraction of every cell runs on the MBRL
 // fallback, the rest on the DT fast path. Every control step the harness
 // serves the whole fleet — DT decisions inline, MBRL decisions submitted
-// together so the scheduler's micro-batching window coalesces them into
+// together so the scheduler's shard workers coalesce the backlog into
 // cross-session batches — applies the returned setpoints to the plants,
 // and meters energy, comfort violations and per-request serving latency.
 //
@@ -70,10 +70,6 @@ struct FleetConfig {
   /// Fallback optimizer scale (serving-sized, not paper-sized).
   control::RandomShootingConfig rs{64, 5, 0.99};
   SchedulerConfig scheduler;
-  /// SLO budget stamped onto every MBRL request
-  /// (ControlRequest::latency_budget); 0 = no per-request budget, the
-  /// scheduler's default_latency_budget / fixed batch_window governs.
-  std::chrono::microseconds mbrl_latency_budget{0};
   /// true: MBRL requests go through the queue + scheduler thread (futures,
   /// micro-batching). false: each is solved inline at submit — the
   /// per-session reference; decisions are identical either way.

@@ -8,7 +8,6 @@
 // close() releases everyone: pending pushes fail, pops drain what remains.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -55,22 +54,8 @@ class BoundedMpscQueue {
     return true;
   }
 
-  /// Waits until `deadline` for an item: the micro-batching window. Returns
-  /// false on timeout or when closed-and-drained.
-  bool pop_until(T& out, std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!not_empty_.wait_until(lock, deadline, [this] { return closed_ || !items_.empty(); })) {
-      return false;
-    }
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking pop (drains stragglers inside an open batch window).
+  /// Non-blocking pop: the scheduler drains what is already queued into
+  /// the batch it is about to solve.
   bool try_pop(T& out) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (items_.empty()) return false;

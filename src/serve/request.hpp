@@ -32,14 +32,7 @@ struct ControlRequest {
   /// Disturbance forecast; must cover the optimizer horizon for MBRL
   /// requests (unused by the DT fast path).
   std::vector<env::Disturbance> forecast;
-  /// SLO latency budget of an MBRL request: the scheduler closes a
-  /// micro-batch before the *oldest* member's budget nears exhaustion, so
-  /// batching is traded against each request's deadline rather than a
-  /// fixed window. 0 = use SchedulerConfig::default_latency_budget; if
-  /// that is also 0 the request carries no deadline and batches close on
-  /// the fixed SchedulerConfig::batch_window alone. Budgets shape latency
-  /// only — decisions are bit-identical for any budget (the draws are
-  /// pinned at admission).
+  /// Caller's MBRL latency budget; the scheduler does not read it.
   std::chrono::microseconds latency_budget{0};
 };
 

@@ -37,11 +37,9 @@ RequestScheduler::RequestScheduler(SchedulerConfig config,
            &obs::counter("serve_mbrl_served_total"),
            &obs::counter("serve_batches_total"),
            &obs::counter("serve_batched_requests_total"),
-           &obs::counter("serve_deadline_closes_total"),
            &obs::gauge("serve_queue_depth"),
            &obs::histogram("serve_shard_queue_depth"),
            &obs::histogram("serve_batch_size"),
-           &obs::histogram("serve_deadline_slack_seconds"),
            &obs::histogram("serve_dt_latency_seconds"),
            &obs::histogram("serve_mbrl_solve_seconds")} {
   if (registry_ == nullptr || sessions_ == nullptr) {
@@ -114,15 +112,6 @@ std::size_t RequestScheduler::queue_depth() const {
   std::size_t total = 0;
   for (const auto& queue : queues_) total += queue->size();
   return total;
-}
-
-std::chrono::steady_clock::time_point RequestScheduler::deadline_for(
-    const ControlRequest& request) const {
-  const std::chrono::microseconds budget =
-      request.latency_budget.count() > 0 ? request.latency_budget
-                                         : config_.default_latency_budget;
-  if (budget.count() <= 0) return std::chrono::steady_clock::time_point::max();
-  return std::chrono::steady_clock::now() + budget;
 }
 
 ControlDecision RequestScheduler::serve_dt(const ControlRequest& request) {
@@ -209,7 +198,6 @@ std::future<ControlDecision> RequestScheduler::submit(ControlRequest request) {
   // submit order, so a decision's draws are pinned before any batching.
   pending.ticket =
       sessions_->begin_decision(request.session, request.kind, request.observation);
-  pending.deadline = deadline_for(request);
   const SessionId session = request.session;
   pending.request = std::move(request);
   std::future<ControlDecision> future = pending.promise.get_future();
@@ -263,44 +251,12 @@ void RequestScheduler::worker_loop(std::size_t shard) {
   while (queue.pop(first)) {
     std::vector<Pending> batch;
     batch.push_back(std::move(first));
-    if (config_.micro_batching && config_.max_batch > 1) {
-      // Hold the batch open for stragglers: everything that lands before
-      // the close instant (up to max_batch) rides the same cross-session
-      // solve. The close is deadline-driven: it starts at the fixed
-      // batch_window upper bound and every member's latency budget pulls
-      // it forward to (deadline - deadline_margin), reserving the margin
-      // for the solve itself. An arrival with a nearly exhausted budget
-      // therefore closes the batch immediately rather than idling out the
-      // window against its SLO.
-      const auto opened = std::chrono::steady_clock::now();
-      auto close = opened + config_.batch_window;
-      bool deadline_limited = false;
-      const auto tighten = [&](const Pending& pending) {
-        if (pending.deadline == std::chrono::steady_clock::time_point::max()) return;
-        const auto latest = pending.deadline - config_.deadline_margin;
-        if (latest < close) {
-          close = latest;
-          deadline_limited = true;
-        }
-      };
-      tighten(batch.front());
-      Pending next;
-      while (batch.size() < config_.max_batch &&
-             std::chrono::steady_clock::now() < close && queue.pop_until(next, close)) {
-        tighten(next);
-        batch.push_back(std::move(next));
-      }
-      if (deadline_limited && batch.size() < config_.max_batch) {
-        deadline_closes_.fetch_add(1, std::memory_order_relaxed);
-        obs_.deadline_closes->add(1);
-        // Slack left to the tightest member's deadline when the batch
-        // closed: (close + margin) reconstructs that deadline. Mass near
-        // zero means the margin barely covers the solve.
-        obs_.deadline_slack->observe(
-            std::chrono::duration<double>(close + config_.deadline_margin -
-                                          std::chrono::steady_clock::now())
-                .count());
-      }
+    // Work-conserving close: take what is already queued and solve now.
+    // Whatever lands during the solve forms the next batch, so coalescing
+    // follows backlog and an idle shard never waits for company.
+    Pending next;
+    while (batch.size() < config_.max_batch && queue.try_pop(next)) {
+      batch.push_back(std::move(next));
     }
     // Queue depth at batch close — the backlog this shard's solve leaves
     // waiting — plus the all-shards gauge for the dashboard.
@@ -475,7 +431,6 @@ RequestScheduler::Stats RequestScheduler::stats() const {
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.batched_requests = batched_requests_.load(std::memory_order_relaxed);
   stats.max_batch = max_batch_.load(std::memory_order_relaxed);
-  stats.deadline_closes = deadline_closes_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -25,13 +25,11 @@
 //     PR 3 kernels) with persistent thread-local scratch. A worker slice
 //     can span request boundaries, so load balances across sessions.
 //
-//     The batching window is deadline-driven (SLO-aware), not a fixed
-//     timer: every request carries a latency budget
-//     (ControlRequest::latency_budget, defaulted by the config), and the
-//     batch closes when the earliest enqueued deadline minus a solve
-//     margin arrives — a fresh arrival with a nearly exhausted budget
-//     pulls the close forward, possibly to "now". batch_window remains
-//     the upper bound for budget-less traffic.
+//     Batching is work-conserving: a shard worker blocks for its first
+//     request, takes whatever else is already queued (up to max_batch)
+//     and solves at once — it never idles waiting for company. Requests
+//     that arrive during a solve form the next batch, so batches grow
+//     with backlog and an idle shard answers a lone request immediately.
 //
 // Determinism contract: a decision depends only on (session seed, decision
 // index, observation, forecast, bundle/model). Candidate draws happen
@@ -44,7 +42,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -74,24 +71,10 @@ struct SchedulerConfig {
   /// mapping — so 0 (the default) aligns to the session manager's shard
   /// count and a session's admissions and batches stay on one shard.
   std::size_t queue_shards = 0;
-  /// Coalescing cap: requests per cross-session batch.
+  /// Coalescing cap: requests per cross-session batch. 1 = serve each
+  /// queued request alone (the per-session reference; decisions are
+  /// bit-identical either way, only throughput changes).
   std::size_t max_batch = 64;
-  /// Upper bound on how long a shard's scheduler thread holds a batch
-  /// open for stragglers after the first request arrives. Requests with
-  /// latency budgets usually close the batch earlier (deadline-driven).
-  std::chrono::microseconds batch_window{300};
-  /// Budget assumed for MBRL requests that carry none
-  /// (ControlRequest::latency_budget == 0). 0 = such requests have no
-  /// deadline and ride the fixed batch_window.
-  std::chrono::microseconds default_latency_budget{0};
-  /// Solve-time reserve: a batch closes at (earliest deadline -
-  /// deadline_margin) so the cross-session solve itself fits inside the
-  /// tightest budget. Size it to a typical batch solve (~250-300us for
-  /// serving-scale random shooting on the dev box).
-  std::chrono::microseconds deadline_margin{150};
-  /// false = serve each queued request alone (the per-session reference;
-  /// decisions are bit-identical either way, only throughput changes).
-  bool micro_batching = true;
   /// Sampled DT timing: when a tap is installed and this is P > 0, one in
   /// P DT decisions (per serving thread, round-robin) is timed for the tap
   /// — p50/p99 latency telemetry at ~1/P of the full timing cost, which is
@@ -167,17 +150,15 @@ class RequestScheduler {
   /// per-scheduler snapshot stays exact (and thread-invariant — the same
   /// workload yields the same counts at any VERI_HVAC_THREADS), while
   /// every increment also lands in the process-wide obs registry
-  /// (`serve_*` instruments, including batch-size / deadline-slack /
-  /// queue-depth histograms the struct cannot carry).
+  /// (`serve_*` instruments, including the batch-size and queue-depth
+  /// histograms the struct cannot carry).
   struct Stats {
     std::uint64_t dt_served = 0;
     std::uint64_t mbrl_served = 0;
     std::uint64_t batches = 0;           ///< cross-session batches solved
     std::uint64_t batched_requests = 0;  ///< MBRL requests that rode a batch
     std::uint64_t max_batch = 0;         ///< largest batch observed
-    /// Batches whose coalescing window was closed by a latency budget
-    /// (earliest deadline - margin) instead of batch_window/max_batch —
-    /// the SLO-aware scheduler earning its keep.
+    /// Always 0: batches close when the queue is drained, never on a deadline.
     std::uint64_t deadline_closes = 0;
   };
   Stats stats() const;
@@ -187,9 +168,6 @@ class RequestScheduler {
     ControlRequest request;
     DecisionTicket ticket;
     std::promise<ControlDecision> promise;
-    /// Budget exhaustion instant (admission + budget); time_point::max()
-    /// for budget-less requests.
-    std::chrono::steady_clock::time_point deadline = std::chrono::steady_clock::time_point::max();
   };
 
   struct ModelEntry {
@@ -202,8 +180,6 @@ class RequestScheduler {
   BoundedMpscQueue<Pending>& queue_for(SessionId session) {
     return *queues_[session % queues_.size()];
   }
-  /// Stamps the request's deadline from its (or the default) budget.
-  std::chrono::steady_clock::time_point deadline_for(const ControlRequest& request) const;
   void worker_loop(std::size_t shard);
   /// Draws, scores and answers one coalesced batch (fulfills promises).
   void solve_batch(std::vector<Pending>& batch);
@@ -232,7 +208,6 @@ class RequestScheduler {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
   std::atomic<std::uint64_t> max_batch_{0};
-  std::atomic<std::uint64_t> deadline_closes_{0};
 
   /// Process-wide obs instruments (resolved once at construction).
   struct ObsHandles {
@@ -240,11 +215,9 @@ class RequestScheduler {
     obs::Counter* mbrl_served;
     obs::Counter* batches;
     obs::Counter* batched_requests;
-    obs::Counter* deadline_closes;
     obs::Gauge* queue_depth;
     obs::Histogram* shard_queue_depth;
     obs::Histogram* batch_size;
-    obs::Histogram* deadline_slack;
     obs::Histogram* dt_latency;
     obs::Histogram* mbrl_solve;
   };

@@ -124,13 +124,6 @@ TEST(MpscQueueTest, DrainAfterReopenServesAgain) {
   EXPECT_EQ(out, 6);
 }
 
-TEST(MpscQueueTest, PopUntilTimesOutOnEmptyOpenQueue) {
-  BoundedMpscQueue<int> queue(2);
-  int out = 0;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
-  EXPECT_FALSE(queue.pop_until(out, deadline));
-}
-
 TEST(MpscQueueTest, CloseWhileConsumerWaitsReleasesIt) {
   BoundedMpscQueue<int> queue(2);
   std::atomic<bool> released{false};

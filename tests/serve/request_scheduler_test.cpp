@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -164,7 +166,6 @@ TEST(RequestSchedulerTest, AsyncQueueServingMatchesScalarReference) {
 
   SchedulerConfig scheduler_config;
   scheduler_config.max_batch = 4;
-  scheduler_config.batch_window = std::chrono::microseconds(2000);
   Stack stack(policy, model, rs_config, /*threads=*/4, scheduler_config);
   stack.scheduler->start();
 
@@ -185,44 +186,77 @@ TEST(RequestSchedulerTest, AsyncQueueServingMatchesScalarReference) {
   stack.scheduler->stop();
 }
 
-// SLO-awareness: a request whose latency budget is nearly exhausted must
-// close its micro-batch long before the fixed batch_window would, and the
-// early close must be visible in stats().deadline_closes.
-TEST(RequestSchedulerTest, NearExhaustedBudgetClosesBatchEarly) {
+// Work-conserving close: a batch takes exactly what is queued when the
+// worker comes back for it. The tap holds the worker inside its first
+// batch while eight more requests queue up, so max_batch 4 must split that
+// backlog into two full batches — with every decision still equal to the
+// scalar reference.
+TEST(RequestSchedulerTest, BacklogCoalescesUpToMaxBatch) {
+  struct BlockingTap : DecisionTap {
+    std::mutex mutex;
+    std::condition_variable changed;
+    bool entered = false;
+    bool released = false;
+    void on_decision(const DecisionEvent&) noexcept override {
+      std::unique_lock<std::mutex> lock(mutex);
+      if (entered) return;
+      entered = true;
+      changed.notify_all();
+      changed.wait(lock, [this] { return released; });
+    }
+    bool wait_entered() {
+      std::unique_lock<std::mutex> lock(mutex);
+      return changed.wait_for(lock, std::chrono::seconds(60), [this] { return entered; });
+    }
+    void release() {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        released = true;
+      }
+      changed.notify_all();
+    }
+  };
+
   const auto policy = toy_policy();
   const auto model = toy_model();
   const control::RandomShootingConfig rs_config = serving_rs();
-  const std::vector<ScenarioRequest> scenario = {{0, 17.0}};
+  std::vector<ScenarioRequest> scenario = mixed_scenario();
+  scenario.resize(9);
   const std::vector<std::size_t> expected = reference_decisions(scenario, *model, rs_config);
 
   SchedulerConfig scheduler_config;
-  // A pathological 2s straggler window: without the deadline pulling the
-  // close forward, this lone request would idle out the full window.
-  scheduler_config.batch_window = std::chrono::microseconds(2'000'000);
-  scheduler_config.deadline_margin = std::chrono::microseconds(500);
+  scheduler_config.queue_shards = 1;
+  scheduler_config.max_batch = 4;
   Stack stack(policy, model, rs_config, /*threads=*/2, scheduler_config);
+  const auto tap = std::make_shared<BlockingTap>();
+  stack.scheduler->set_tap(tap);
   stack.scheduler->start();
 
-  ControlRequest request = stack.request(scenario[0], RequestKind::kMbrlFallback,
-                                         rs_config.horizon);
-  request.latency_budget = std::chrono::microseconds(50'000);
-  const auto t0 = std::chrono::steady_clock::now();
-  const ControlDecision decision = stack.scheduler->submit(std::move(request)).get();
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  std::vector<std::future<ControlDecision>> futures;
+  futures.push_back(stack.scheduler->submit(
+      stack.request(scenario[0], RequestKind::kMbrlFallback, rs_config.horizon)));
+  EXPECT_TRUE(tap->wait_entered());
+  for (std::size_t i = 1; i < scenario.size(); ++i) {
+    futures.push_back(stack.scheduler->submit(
+        stack.request(scenario[i], RequestKind::kMbrlFallback, rs_config.horizon)));
+  }
+  EXPECT_EQ(stack.scheduler->queue_depth(), scenario.size() - 1);
+  tap->release();
 
-  EXPECT_EQ(decision.action_index, expected[0]);
-  // Generous bound for a loaded CI box: well under the 2s window, even if
-  // far over the 50ms budget itself.
-  EXPECT_LT(elapsed, std::chrono::seconds(1));
-  EXPECT_GE(stack.scheduler->stats().deadline_closes, 1u);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().action_index, expected[i]) << "request " << i;
+  }
+  const RequestScheduler::Stats stats = stack.scheduler->stats();
+  EXPECT_EQ(stats.mbrl_served, scenario.size());
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.max_batch, 4u);
+  EXPECT_EQ(stats.batched_requests, 8u);
   stack.scheduler->stop();
 }
 
-// Window adaptation shapes latency only: mixed budgets (some requests
-// closing batches early, some riding the window) and non-default queue
-// sharding must not change a single decision bit versus the scalar
-// reference.
-TEST(RequestSchedulerTest, DeadlineWindowAndShardingPreserveDecisionBits) {
+// Queue sharding shapes latency only: non-default shard counts must not
+// change a single decision bit versus the scalar reference.
+TEST(RequestSchedulerTest, ShardingPreservesDecisionBits) {
   const auto policy = toy_policy();
   const auto model = toy_model();
   const control::RandomShootingConfig rs_config = serving_rs();
@@ -233,19 +267,14 @@ TEST(RequestSchedulerTest, DeadlineWindowAndShardingPreserveDecisionBits) {
     SchedulerConfig scheduler_config;
     scheduler_config.queue_shards = shards;
     scheduler_config.max_batch = 4;
-    scheduler_config.batch_window = std::chrono::microseconds(2000);
-    scheduler_config.default_latency_budget = std::chrono::microseconds(5000);
     Stack stack(policy, model, rs_config, /*threads=*/4, scheduler_config);
     ASSERT_EQ(stack.scheduler->queue_shard_count(), shards);
     stack.scheduler->start();
 
     std::vector<std::future<ControlDecision>> futures;
-    for (std::size_t i = 0; i < scenario.size(); ++i) {
-      ControlRequest request = stack.request(scenario[i], RequestKind::kMbrlFallback,
-                                             rs_config.horizon);
-      // Alternate tight / default / no budget across the scenario.
-      if (i % 3 == 0) request.latency_budget = std::chrono::microseconds(300);
-      futures.push_back(stack.scheduler->submit(std::move(request)));
+    for (const ScenarioRequest& item : scenario) {
+      futures.push_back(stack.scheduler->submit(
+          stack.request(item, RequestKind::kMbrlFallback, rs_config.horizon)));
     }
     for (std::size_t i = 0; i < futures.size(); ++i) {
       EXPECT_EQ(futures[i].get().action_index, expected[i])
@@ -482,11 +511,9 @@ TEST(RequestSchedulerTest, StatsCountersAreThreadCountInvariantWithObsEnabled) {
     EXPECT_EQ(all_stats[i].mbrl_served, all_stats[0].mbrl_served);
     EXPECT_EQ(all_stats[i].batches, all_stats[0].batches);
     EXPECT_EQ(all_stats[i].batched_requests, all_stats[0].batched_requests);
-    EXPECT_EQ(all_stats[i].deadline_closes, all_stats[0].deadline_closes);
   }
   EXPECT_EQ(all_stats[0].dt_served, scenario.size());
   EXPECT_EQ(all_stats[0].mbrl_served, scenario.size());
-  EXPECT_EQ(all_stats[0].deadline_closes, 0u);  // inline serving has no windows
 }
 
 // Sampled DT timing: with period P and a tap installed, exactly 1-in-P DT

@@ -362,9 +362,7 @@ int cmd_serve_bench(const Args& args) {
   config.rs.samples = static_cast<std::size_t>(args.get_long("samples", 64));
   config.rs.horizon = static_cast<std::size_t>(args.get_long("horizon", 5));
   config.async = !args.flag("sync");
-  // SLO knobs: per-request MBRL latency budget (0 = window-only batching)
-  // and MBRL queue shard override (0 = align to the session manager).
-  config.mbrl_latency_budget = std::chrono::microseconds(args.get_long("budget-us", 0));
+  // MBRL queue shard override (0 = align to the session manager).
   config.scheduler.queue_shards = static_cast<std::size_t>(args.get_long("queue-shards", 0));
 
   // Per-cell serving assets from the extraction pipeline, cached by
@@ -842,7 +840,6 @@ const std::map<std::string, Command>& commands() {
          {"samples", true},
          {"horizon", true},
          {"sync", false},
-         {"budget-us", true},
          {"queue-shards", true},
          {"schema", true},
          {"out", true},
@@ -851,9 +848,8 @@ const std::map<std::string, Command>& commands() {
         "serve-bench [--climates A,B,..] [--presets name[:scale],..]\n"
         "            [--buildings N] [--steps N] [--mbrl-frac F] [--days N]\n"
         "            [--samples N] [--horizon N] [--seed N] [--sync]\n"
-        "            [--budget-us N] [--queue-shards N]\n"
-        "            [--schema baseline|time-aware] [--out FILE.json]\n"
-        "            [--metrics-out FILE] [--trace-out FILE.json]",
+        "            [--queue-shards N] [--schema baseline|time-aware]\n"
+        "            [--out FILE.json] [--metrics-out FILE] [--trace-out FILE.json]",
         cmd_serve_bench}},
       {"adapt-bench",
        {{{"city", true},
