@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/fnv1a.hpp"
 #include "common/rng.hpp"
 #include "dynamics/model_eval.hpp"
 
@@ -161,6 +162,24 @@ TEST(DynamicsModelTest, TrainingReportShowsConvergence) {
   DynamicsModel model(fast_config());
   const nn::TrainingReport report = model.train(data);
   EXPECT_LT(report.final_train_loss, report.train_loss_per_epoch.front());
+}
+
+TEST(DynamicsModelTest, FineTuneBitIdentityLock) {
+  // Train, then fine-tune on a shifted dataset: the fine-tuned weights and
+  // the fine-tune loss histories are locked bit for bit (see the trainer
+  // locks in tests/nn/trainer_test.cpp; these values must never move).
+  DynamicsModelConfig cfg = fast_config();
+  cfg.trainer.epochs = 3;
+  DynamicsModel model(cfg);
+  model.train(toy_dataset(300, 11));
+  const nn::TrainingReport report = model.fine_tune(toy_dataset(130, 12), 2, 5);
+  common::Fnv1a h;
+  for (const double p : model.network().parameters()) h.f64(p);
+  EXPECT_EQ(h.digest(), 0xc44f1713c1c86168ull);
+  EXPECT_EQ(report.train_loss_per_epoch,
+            (std::vector<double>{0x1.637890feb2624p-1, 0x1.4dc3b9329bd1ep-1}));
+  EXPECT_EQ(report.val_loss_per_epoch,
+            (std::vector<double>{0x1.e4bdb67de30f5p-1, 0x1.c60f58e451381p-1}));
 }
 
 TEST(ModelEvalTest, KStepRolloutErrorGrowsWithHorizon) {

@@ -3,11 +3,52 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/fnv1a.hpp"
 #include "common/rng.hpp"
 
 namespace verihvac::nn {
 namespace {
+
+/// FNV-1a over the bit patterns of every parameter (flat order).
+std::uint64_t parameter_hash(const Mlp& net) {
+  common::Fnv1a h;
+  for (const double p : net.parameters()) h.f64(p);
+  return h.digest();
+}
+
+/// Bit-identity lock: the parameter hash and both loss histories must
+/// match the recorded values exactly. The constants were recorded once and
+/// must never be re-baselined by a refactor of the trainer, the layers or
+/// the matrix kernels: they pin the accumulation order of every forward,
+/// backward and Adam step.
+void expect_locked(const Mlp& net, const TrainingReport& report, std::uint64_t params,
+                   const std::vector<double>& train_loss, const std::vector<double>& val_loss) {
+  EXPECT_EQ(parameter_hash(net), params);
+  EXPECT_EQ(report.train_loss_per_epoch, train_loss);
+  EXPECT_EQ(report.val_loss_per_epoch, val_loss);
+}
+
+/// Seeded regression data: `rows` x `in` inputs in [-2, 2], `out` smooth
+/// nonlinear targets.
+void seeded_data(std::size_t rows, std::size_t in, std::size_t out, std::uint64_t seed,
+                 Matrix& x, Matrix& y) {
+  Rng rng(seed);
+  x = Matrix(rows, in);
+  y = Matrix(rows, out);
+  for (double& v : x.data()) v = rng.uniform(-2.0, 2.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t o = 0; o < out; ++o) {
+      double t = 0.1 * static_cast<double>(o);
+      for (std::size_t k = 0; k < in; ++k) {
+        t += std::sin(x(r, k) * static_cast<double>(k + o + 1)) / static_cast<double>(k + 1);
+      }
+      y(r, o) = t;
+    }
+  }
+}
 
 TEST(LossTest, MseOfEqualIsZero) {
   Matrix a{{1.0, 2.0}};
@@ -114,6 +155,63 @@ TEST(TrainerTest, ZeroValidationFractionUsesTrainLoss) {
   cfg.validation_fraction = 0.0;
   const TrainingReport report = train(net, x, y, cfg);
   EXPECT_EQ(report.val_loss_per_epoch.size(), 3u);
+}
+
+TEST(TrainerTest, BitIdentityLockWideNetRaggedBatch) {
+  // 203 rows, 20 held out: 183 training rows = 2 full batches of 64 and a
+  // ragged 55-row batch every epoch.
+  Matrix x;
+  Matrix y;
+  seeded_data(203, 8, 1, 41, x, y);
+  Mlp net({8, 32, 32, 1});
+  Rng init(42);
+  net.init(init);
+  TrainerConfig cfg;
+  cfg.epochs = 4;
+  const TrainingReport report = train(net, x, y, cfg);
+  expect_locked(net, report, 0x03e2f013448ed08full,
+                {0x1.b33b9f26ec61fp-1, 0x1.a4307553b159p-1,
+                 0x1.912ca6722905dp-1, 0x1.8517ef3d80f65p-1},
+                {0x1.b92a439c8223ap-1, 0x1.ac26f856a9cc6p-1,
+                 0x1.a01b0e61bb5c5p-1, 0x1.943fbfb5a78b6p-1});
+}
+
+TEST(TrainerTest, BitIdentityLockThinTwoOutputHead) {
+  // A 2-wide output layer runs the row-blocked thin-head kernel.
+  Matrix x;
+  Matrix y;
+  seeded_data(150, 6, 2, 43, x, y);
+  Mlp net({6, 16, 16, 2});
+  Rng init(44);
+  net.init(init);
+  TrainerConfig cfg;
+  cfg.epochs = 4;
+  cfg.batch_size = 32;
+  const TrainingReport report = train(net, x, y, cfg);
+  expect_locked(net, report, 0x3f81feb43d1b6e11ull,
+                {0x1.cec7c1d533bdap-1, 0x1.af84b53c57b8dp-1,
+                 0x1.b9f772046b143p-1, 0x1.af3bb1d3dbab2p-1},
+                {0x1.c1b6c31bf65bfp-1, 0x1.be5ba2dd32f4ep-1,
+                 0x1.bb2114d723ea9p-1, 0x1.b7cdf2f154e1ap-1});
+}
+
+TEST(TrainerTest, BitIdentityLockNoValidationSplit) {
+  Matrix x;
+  Matrix y;
+  seeded_data(100, 8, 1, 45, x, y);
+  Mlp net({8, 32, 32, 1});
+  Rng init(46);
+  net.init(init);
+  TrainerConfig cfg;
+  cfg.epochs = 3;
+  cfg.batch_size = 48;
+  cfg.validation_fraction = 0.0;
+  const TrainingReport report = train(net, x, y, cfg);
+  expect_locked(net, report, 0x6e44f4d51b0b79e9ull,
+                {0x1.0cc07697cf58ap-1, 0x1.2e4d3240417e4p-1,
+                 0x1.4a030217f1601p-1},
+                {0x1.0cc07697cf58ap-1, 0x1.2e4d3240417e4p-1,
+                 0x1.4a030217f1601p-1});
 }
 
 TEST(TrainerTest, RejectsEmptyOrMismatched) {
