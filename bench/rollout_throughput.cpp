@@ -24,6 +24,11 @@
 // labelling, sharded across decision points) at pools 1/2/4/8, reported as
 // decision points/s and gated on labels identical to the one-thread run.
 //
+// A trainer row times dynamics-model training (nn::train, the serial
+// layer before decision data in every extraction) at extract's quick
+// shape — two collected January episodes (5,952 rows), 60 epochs, batch
+// 64 — and gates on two trainings producing the same weight hash.
+//
 // Usage: rollout_throughput [--smoke]
 //   --smoke: tiny workload for CI (equivalence checks + JSON emission, no
 //            throughput assertion — shared runners are too noisy).
@@ -36,11 +41,13 @@
 
 #include "bench_common.hpp"
 #include "common/config.hpp"
+#include "common/fnv1a.hpp"
 #include "common/rng.hpp"
 #include "control/mbrl_agent.hpp"
 #include "control/random_shooting.hpp"
 #include "control/rollout_engine.hpp"
 #include "core/decision_data.hpp"
+#include "core/pipeline.hpp"
 #include "dynamics/dataset.hpp"
 
 namespace {
@@ -120,6 +127,49 @@ bool decision_data_sweep(const dyn::DynamicsModel& model, bool smoke, std::size_
     std::printf("%8zu %12.4f %22.1f\n", row.threads, row.seconds, row.decision_points_per_sec);
   }
   std::printf("labels identical across thread counts (%zu points)\n", points);
+  return true;
+}
+
+/// Dynamics training at extract's shape (smoke: one 3-day episode, 3
+/// epochs). Two trainings from the same seeds must give the same weight
+/// hash. Fills `out` with the trainer section; returns false (after
+/// printing FAIL) on a hash mismatch.
+bool trainer_row(bool smoke, bench::JsonObject& out) {
+  core::PipelineConfig config = core::PipelineConfig::for_city("Pittsburgh");
+  if (smoke) {
+    config.env.days = 3;
+    config.collection.episodes = 1;
+    config.model.trainer.epochs = 3;
+  }
+  const dyn::TransitionDataset data = dyn::collect_historical_data(config.env, config.collection);
+  std::uint64_t hashes[2] = {0, 0};
+  double best = 0.0;
+  for (std::uint64_t& hash : hashes) {
+    dyn::DynamicsModel model(config.model);
+    const auto start = std::chrono::steady_clock::now();
+    model.train(data);
+    const double secs = seconds_since(start);
+    best = best == 0.0 ? secs : std::min(best, secs);
+    common::Fnv1a digest;
+    for (const double p : model.network().parameters()) digest.f64(p);
+    hash = digest.digest();
+  }
+  const nn::TrainerConfig& trainer = config.model.trainer;
+  std::printf("\n== dynamics training (nn::train) ==\n");
+  std::printf("rows=%zu epochs=%zu batch=%zu: %.4f s (best of 2)\n", data.size(), trainer.epochs,
+              trainer.batch_size, best);
+  if (hashes[0] != hashes[1]) {
+    std::printf("FAIL: two trainings from the same seeds gave different weights\n");
+    return false;
+  }
+  char hex[19];
+  std::snprintf(hex, sizeof(hex), "0x%016llx", static_cast<unsigned long long>(hashes[0]));
+  std::printf("weights identical across trainings (hash %s)\n", hex);
+  out.field("rows", data.size())
+      .field("epochs", trainer.epochs)
+      .field("batch_size", trainer.batch_size)
+      .field("seconds", best)
+      .field("weight_hash", std::string(hex));
   return true;
 }
 
@@ -252,10 +302,13 @@ int main(int argc, char** argv) {
                                dd_rows[0].decision_points_per_sec;
   std::printf("decision data 4 threads / 1 thread: %.2fx\n", dd_scaling_4t);
 
+  bench::JsonObject trainer;
+  if (!trainer_row(smoke, trainer)) return 1;
+
   // One JSON artifact for the perf trajectory (BENCH_rollout.json schema:
   // a "rows" array with one object per (mode, threads) point plus the two
   // headline speedups, and a "decision_data" array with one object per
-  // thread count plus its 4-over-1 scaling).
+  // thread count plus its 4-over-1 scaling, and a "trainer" object).
   std::vector<bench::JsonObject> json_rows;
   for (const BenchRow& r : rows) {
     bench::JsonObject row;
@@ -286,7 +339,8 @@ int main(int argc, char** argv) {
       .field("decision_points", dd_points)
       .field("decision_mc_repeats", dd_repeats)
       .field_array("decision_data", dd_json)
-      .field("decision_data_4t_over_1t", dd_scaling_4t);
+      .field("decision_data_4t_over_1t", dd_scaling_4t)
+      .field_raw("trainer", trainer.str());
   const std::string path = bench::write_bench_json("BENCH_rollout.json", artifact);
   std::printf("wrote %s\n", path.c_str());
 

@@ -100,37 +100,6 @@ void Matrix::multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
   }
 }
 
-Matrix Matrix::multiply_at_b(const Matrix& a, const Matrix& b) {
-  assert(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.row_data(k);
-    const double* brow = b.row_data(k);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* crow = c.row_data(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
-    }
-  }
-  return c;
-}
-
-Matrix Matrix::multiply_a_bt(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.cols());
-  Matrix c(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_data(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const double* brow = b.row_data(j);
-      double sum = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) sum += arow[k] * brow[k];
-      c(i, j) = sum;
-    }
-  }
-  return c;
-}
-
 Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
 Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
 Matrix operator*(Matrix a, double scalar) { return a *= scalar; }

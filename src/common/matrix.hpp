@@ -88,10 +88,6 @@ class Matrix {
   /// the unblocked kernel — results are bit-identical to multiply().
   /// `c` must not alias `a` or `b`.
   static void multiply_into(const Matrix& a, const Matrix& b, Matrix& c);
-  /// C = A^T * B without materializing the transpose.
-  static Matrix multiply_at_b(const Matrix& a, const Matrix& b);
-  /// C = A * B^T without materializing the transpose.
-  static Matrix multiply_a_bt(const Matrix& a, const Matrix& b);
 
  private:
   std::size_t rows_ = 0;

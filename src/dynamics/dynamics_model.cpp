@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -18,6 +19,25 @@ DynamicsModel::DynamicsModel(DynamicsModelConfig config) : config_(std::move(con
   network_->init(rng);
 }
 
+namespace {
+
+/// One non-finite transition would turn every weight into NaN, so both
+/// training entry points refuse such data before touching any state.
+void require_finite(const TransitionDataset& data, const char* who) {
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    const Transition& t = data.at(r);
+    bool finite = std::isfinite(t.next_zone_temp) && std::isfinite(t.action.heating_c) &&
+                  std::isfinite(t.action.cooling_c);
+    for (const double v : t.input) finite = finite && std::isfinite(v);
+    if (!finite) {
+      throw std::invalid_argument(std::string(who) + ": non-finite value in transition " +
+                                  std::to_string(r));
+    }
+  }
+}
+
+}  // namespace
+
 nn::TrainingReport DynamicsModel::train(const TransitionDataset& data) {
   if (data.empty()) throw std::invalid_argument("DynamicsModel::train: empty dataset");
   if (data.obs_dims() != config_.schema.dims()) {
@@ -26,6 +46,7 @@ nn::TrainingReport DynamicsModel::train(const TransitionDataset& data) {
                                 " observation dims, schema '" + config_.schema.name() +
                                 "' expects " + std::to_string(config_.schema.dims()));
   }
+  require_finite(data, "DynamicsModel::train");
 
   const Matrix raw_inputs = data.inputs();
   input_norm_.fit(raw_inputs);
@@ -68,6 +89,7 @@ nn::TrainingReport DynamicsModel::fine_tune(const TransitionDataset& data, std::
                                             std::uint64_t shuffle_salt) {
   if (!trained_) throw std::logic_error("DynamicsModel::fine_tune before train");
   if (data.empty()) throw std::invalid_argument("DynamicsModel::fine_tune: empty dataset");
+  require_finite(data, "DynamicsModel::fine_tune");
 
   // Frozen statistics: normalize the new data with the *original* fit so
   // the network keeps seeing the input/target scales it was trained on.

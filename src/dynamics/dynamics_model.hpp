@@ -64,6 +64,8 @@ class DynamicsModel {
   DynamicsModel& operator=(const DynamicsModel&) = delete;
 
   /// Fits normalizers + network on the dataset. Returns the training report.
+  /// Throws std::invalid_argument, leaving the model unchanged, on an empty
+  /// dataset or one holding a non-finite input or target.
   nn::TrainingReport train(const TransitionDataset& data);
 
   /// Continues training the *already trained* network on `data` for
@@ -73,7 +75,8 @@ class DynamicsModel {
   /// delta_std) remains valid and fine-tuning only moves the network — the
   /// adaptation loop's retrain step. `shuffle_salt` perturbs the minibatch
   /// shuffle seed so successive adaptation generations are independent yet
-  /// fully seeded. Throws std::logic_error before train().
+  /// fully seeded. Throws std::logic_error before train(), and rejects
+  /// data like train() does, leaving the model unchanged.
   nn::TrainingReport fine_tune(const TransitionDataset& data, std::size_t epochs,
                                std::uint64_t shuffle_salt = 0);
 

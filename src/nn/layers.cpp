@@ -6,6 +6,108 @@
 
 namespace verihvac::nn {
 
+namespace {
+
+/// Where the bias enters each output's accumulation chain (see layers.hpp).
+enum class BiasOrder { kFirst, kLast };
+
+/// out = input W^T + b. Element (r, o) accumulates w[o][k] * x[r][k] with k
+/// ascending, starting from bias[o] (kFirst) or from 0.0 with bias[o] added
+/// after the last term (kLast). The vector lanes are always *independent*
+/// outputs, so vectorization reorders no chain.
+template <BiasOrder kOrder>
+void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& input,
+                   Matrix& out, Matrix& wt_scratch) {
+  assert(input.cols() == weight.cols());
+  assert(&input != &out && "linear forward: output aliases the input");
+  const std::size_t n = input.rows();
+  const std::size_t in = weight.cols();
+  const std::size_t on = weight.rows();
+  const double* bias = bias_row.row_data(0);
+  const auto start = [bias](std::size_t o) { return kOrder == BiasOrder::kFirst ? bias[o] : 0.0; };
+  const auto finish = [bias](double acc, std::size_t o) {
+    return kOrder == BiasOrder::kFirst ? acc : acc + bias[o];
+  };
+  out.reshape(n, on);  // every element is overwritten
+
+  // Thin output layers (e.g. the 32 -> 1 regression head) are pure
+  // reductions over k — latency-bound on one FP-add chain per output. Row
+  // blocking flips the parallelism axis: eight rows' chains retire
+  // together, each in its own k-ascending order, so bits are unchanged.
+  if (on < 8) {
+    constexpr std::size_t kRows = 8;
+    std::size_t r = 0;
+    for (; r + kRows <= n; r += kRows) {
+      const double* x[kRows];
+      for (std::size_t j = 0; j < kRows; ++j) x[j] = input.row_data(r + j);
+      for (std::size_t o = 0; o < on; ++o) {
+        const double* __restrict wrow = weight.row_data(o);
+        double acc[kRows];
+        for (std::size_t j = 0; j < kRows; ++j) acc[j] = start(o);
+        for (std::size_t k = 0; k < in; ++k) {
+          const double wk = wrow[k];
+          for (std::size_t j = 0; j < kRows; ++j) acc[j] += wk * x[j][k];
+        }
+        for (std::size_t j = 0; j < kRows; ++j) out(r + j, o) = finish(acc[j], o);
+      }
+    }
+    for (; r < n; ++r) {
+      const double* __restrict x = input.row_data(r);
+      double* __restrict y = out.row_data(r);
+      for (std::size_t o = 0; o < on; ++o) {
+        const double* __restrict wrow = weight.row_data(o);
+        double sum = start(o);
+        for (std::size_t k = 0; k < in; ++k) sum += wrow[k] * x[k];
+        y[o] = finish(sum, o);
+      }
+    }
+    return;
+  }
+
+  // Stage W^T (in x out) so the GEMM inner loop is contiguous in both the
+  // output row and the weight row. The copy is O(in*on) against the
+  // O(n*in*on) product — noise for any real batch.
+  wt_scratch.reshape(in, on);
+  for (std::size_t o = 0; o < on; ++o) {
+    const double* wrow = weight.row_data(o);
+    for (std::size_t k = 0; k < in; ++k) wt_scratch(k, o) = wrow[k];
+  }
+
+  // i-k-j with register-tiled outputs: each kOTile-wide slice of the
+  // output row lives in a fixed-size local accumulator (compile-time
+  // bounds, so it stays in vector registers) across the whole k loop, and
+  // is stored exactly once. The remainder tile has a runtime width.
+  constexpr std::size_t kOTile = 32;
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* __restrict x = input.row_data(r);
+    double* __restrict y = out.row_data(r);
+    std::size_t o0 = 0;
+    for (; o0 + kOTile <= on; o0 += kOTile) {
+      double acc[kOTile];
+      for (std::size_t j = 0; j < kOTile; ++j) acc[j] = start(o0 + j);
+      for (std::size_t k = 0; k < in; ++k) {
+        const double xk = x[k];
+        const double* __restrict wrow = wt_scratch.row_data(k) + o0;
+        for (std::size_t j = 0; j < kOTile; ++j) acc[j] += xk * wrow[j];
+      }
+      for (std::size_t j = 0; j < kOTile; ++j) y[o0 + j] = finish(acc[j], o0 + j);
+    }
+    if (o0 < on) {
+      const std::size_t width = on - o0;
+      double acc[kOTile];
+      for (std::size_t j = 0; j < width; ++j) acc[j] = start(o0 + j);
+      for (std::size_t k = 0; k < in; ++k) {
+        const double xk = x[k];
+        const double* __restrict wrow = wt_scratch.row_data(k) + o0;
+        for (std::size_t j = 0; j < width; ++j) acc[j] += xk * wrow[j];
+      }
+      for (std::size_t j = 0; j < width; ++j) y[o0 + j] = finish(acc[j], o0 + j);
+    }
+  }
+}
+
+}  // namespace
+
 Linear::Linear(std::size_t in_features, std::size_t out_features)
     : weight_(out_features, in_features),
       bias_(1, out_features),
@@ -19,122 +121,35 @@ void Linear::init(Rng& rng) {
   for (double& b : bias_.data()) b = rng.uniform(-bound, bound);
 }
 
-Matrix Linear::forward(const Matrix& input) {
-  assert(input.cols() == in_features());
-  cached_input_ = input;
-  Matrix out = Matrix::multiply_a_bt(input, weight_);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    double* row = out.row_data(r);
-    for (std::size_t c = 0; c < out.cols(); ++c) row[c] += bias_(0, c);
-  }
-  return out;
+const Matrix& Linear::forward(const Matrix& input, bool relu) {
+  linear_kernel<BiasOrder::kLast>(weight_, bias_, input, out_, wt_);
+  if (relu) Relu::train_inplace(out_);
+  return out_;
 }
 
 void Linear::forward_into(const Matrix& input, Matrix& out, Matrix& wt_scratch) const {
-  assert(input.cols() == in_features());
-  assert(&input != &out && "forward_into: output aliases the input");
-  const std::size_t n = input.rows();
-  const std::size_t in = in_features();
-  const std::size_t on = out_features();
+  linear_kernel<BiasOrder::kFirst>(weight_, bias_, input, out, wt_scratch);
+}
 
-  // Thin output layers (e.g. the 32 -> 1 regression head) are pure
-  // reductions over k — latency-bound on one FP-add chain per output. Row
-  // blocking flips the parallelism axis: eight candidates' chains retire
-  // together, each still bias-first k-ascending, so bits are unchanged.
-  if (on < 8) {
-    out.reshape(n, on);
-    const double* bias = bias_.row_data(0);
-    constexpr std::size_t kRows = 8;
-    std::size_t r = 0;
-    for (; r + kRows <= n; r += kRows) {
-      const double* x[kRows];
-      for (std::size_t j = 0; j < kRows; ++j) x[j] = input.row_data(r + j);
-      for (std::size_t o = 0; o < on; ++o) {
-        const double* __restrict wrow = weight_.row_data(o);
-        double acc[kRows];
-        for (std::size_t j = 0; j < kRows; ++j) acc[j] = bias[o];
-        for (std::size_t k = 0; k < in; ++k) {
-          const double wk = wrow[k];
-          for (std::size_t j = 0; j < kRows; ++j) acc[j] += wk * x[j][k];
-        }
-        for (std::size_t j = 0; j < kRows; ++j) out(r + j, o) = acc[j];
-      }
-    }
-    for (; r < n; ++r) {
-      const double* __restrict x = input.row_data(r);
-      double* __restrict y = out.row_data(r);
-      for (std::size_t o = 0; o < on; ++o) {
-        const double* __restrict wrow = weight_.row_data(o);
-        double sum = bias[o];
-        for (std::size_t k = 0; k < in; ++k) sum += wrow[k] * x[k];
-        y[o] = sum;
-      }
-    }
-    return;
-  }
-
-  // Stage W^T (in x out) so the GEMM inner loop is contiguous in both the
-  // output row and the weight row. The copy is O(in*on) against the
-  // O(n*in*on) product — noise for any real batch.
-  wt_scratch.reshape(in, on);
-  for (std::size_t o = 0; o < on; ++o) {
-    const double* wrow = weight_.row_data(o);
-    for (std::size_t k = 0; k < in; ++k) wt_scratch(k, o) = wrow[k];
-  }
-
-  // i-k-j with register-tiled outputs: each kOTile-wide slice of the
-  // output row lives in a fixed-size local accumulator (compile-time
-  // bounds, so it stays in vector registers) across the whole k loop, and
-  // is stored exactly once. Element (r, o) accumulates bias[o] first, then
-  // w[o][k] * x[r][k] with k ascending — exactly the scalar predict order,
-  // so batched results match it bit-for-bit; the vector lanes are
-  // *independent* outputs, so vectorization reorders no chain.
-  out.reshape(n, on);
-  const double* bias = bias_.row_data(0);
-  constexpr std::size_t kOTile = 32;
-  for (std::size_t r = 0; r < n; ++r) {
+void Linear::backward(const Matrix& input, const Matrix& grad_output, Matrix* grad_input) {
+  assert(grad_output.cols() == out_features() && input.cols() == in_features());
+  assert(grad_output.rows() == input.rows());
+  // dW accumulates in place: element (o, k) adds dY[r][o] * X[r][k] for r
+  // ascending, skipping zero dY, across independent k lanes. From
+  // zero_grad()'s +0.0 that is the sum a fresh dY^T X product would hold.
+  for (std::size_t r = 0; r < input.rows(); ++r) {
     const double* __restrict x = input.row_data(r);
-    double* __restrict y = out.row_data(r);
-    std::size_t o0 = 0;
-    for (; o0 + kOTile <= on; o0 += kOTile) {
-      double acc[kOTile];
-      for (std::size_t j = 0; j < kOTile; ++j) acc[j] = bias[o0 + j];
-      for (std::size_t k = 0; k < in; ++k) {
-        const double xk = x[k];
-        const double* __restrict wrow = wt_scratch.row_data(k) + o0;
-        for (std::size_t j = 0; j < kOTile; ++j) acc[j] += xk * wrow[j];
-      }
-      for (std::size_t j = 0; j < kOTile; ++j) y[o0 + j] = acc[j];
-    }
-    if (o0 < on) {  // remainder tile with a runtime width
-      const std::size_t width = on - o0;
-      double acc[kOTile];
-      for (std::size_t j = 0; j < width; ++j) acc[j] = bias[o0 + j];
-      for (std::size_t k = 0; k < in; ++k) {
-        const double xk = x[k];
-        const double* __restrict wrow = wt_scratch.row_data(k) + o0;
-        for (std::size_t j = 0; j < width; ++j) acc[j] += xk * wrow[j];
-      }
-      for (std::size_t j = 0; j < width; ++j) y[o0 + j] = acc[j];
+    const double* __restrict dy = grad_output.row_data(r);
+    double* __restrict db = bias_grad_.row_data(0);
+    for (std::size_t o = 0; o < out_features(); ++o) {
+      const double g = dy[o];
+      db[o] += g;
+      if (g == 0.0) continue;
+      double* __restrict dw = weight_grad_.row_data(o);
+      for (std::size_t k = 0; k < in_features(); ++k) dw[k] += g * x[k];
     }
   }
-}
-
-void Linear::forward_into(const Matrix& input, Matrix& out) const {
-  static thread_local Matrix wt_scratch;
-  forward_into(input, out, wt_scratch);
-}
-
-Matrix Linear::backward(const Matrix& grad_output) {
-  assert(grad_output.cols() == out_features());
-  assert(grad_output.rows() == cached_input_.rows());
-  // dW += dY^T X ; db += column sums of dY ; dX = dY W.
-  weight_grad_ += Matrix::multiply_at_b(grad_output, cached_input_);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const double* row = grad_output.row_data(r);
-    for (std::size_t c = 0; c < grad_output.cols(); ++c) bias_grad_(0, c) += row[c];
-  }
-  return Matrix::multiply(grad_output, weight_);
+  if (grad_input != nullptr) Matrix::multiply_into(grad_output, weight_, *grad_input);
 }
 
 void Linear::zero_grad() {
@@ -142,35 +157,17 @@ void Linear::zero_grad() {
   bias_grad_.fill(0.0);
 }
 
-Matrix Relu::forward(const Matrix& input) {
-  mask_ = Matrix(input.rows(), input.cols());
-  Matrix out = input;
-  for (std::size_t i = 0; i < out.data().size(); ++i) {
-    if (out.data()[i] > 0.0) {
-      mask_.data()[i] = 1.0;
-    } else {
-      out.data()[i] = 0.0;
-    }
-  }
-  return out;
-}
-
-void Relu::forward_into(const Matrix& input, Matrix& out) const {
-  out.reshape(input.rows(), input.cols());  // every element is overwritten
-  const std::vector<double>& src = input.data();
-  std::vector<double>& dst = out.data();
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = std::max(src[i], 0.0);
-}
-
-void Relu::forward_inplace(Matrix& x) const {
+void Relu::forward_inplace(Matrix& x) {
   for (double& v : x.data()) v = std::max(v, 0.0);
 }
 
-Matrix Relu::backward(const Matrix& grad_output) const {
-  assert(grad_output.rows() == mask_.rows() && grad_output.cols() == mask_.cols());
-  Matrix grad = grad_output;
-  for (std::size_t i = 0; i < grad.data().size(); ++i) grad.data()[i] *= mask_.data()[i];
-  return grad;
+void Relu::train_inplace(Matrix& x) {
+  for (double& v : x.data()) v = v > 0.0 ? v : 0.0;
+}
+
+void Relu::backward_inplace(const Matrix& post, Matrix& grad) {
+  assert(grad.rows() == post.rows() && grad.cols() == post.cols());
+  for (std::size_t i = 0; i < grad.size(); ++i) grad.data()[i] *= post.data()[i] > 0.0 ? 1.0 : 0.0;
 }
 
 }  // namespace verihvac::nn

@@ -4,6 +4,13 @@
 // module implements exactly the pieces needed to train one: a Linear layer
 // with explicit forward/backward, and ReLU activation. Batches are dense
 // row-major matrices (rows = samples).
+//
+// Two accumulation orders. Each output of Y = X W^T + b is one FP-add chain
+// over k ascending; only where the bias enters it differs. Inference
+// (forward_into) adds it first, the order of the scalar Mlp::predict, so
+// batched and scalar inference agree bit for bit. Training (forward) starts
+// from 0.0 and adds it last, the order every trained weight was produced
+// in: changing it would move every trained weight and golden value.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +22,8 @@
 namespace verihvac::nn {
 
 /// Fully-connected layer: Y = X W^T + b, with gradient accumulation.
+/// Training (forward/backward) writes into buffers the layer owns and is
+/// not thread-safe; the const inference path touches no layer state.
 class Linear {
  public:
   Linear(std::size_t in_features, std::size_t out_features);
@@ -25,29 +34,22 @@ class Linear {
   /// Kaiming-uniform initialization (the PyTorch default for Linear).
   void init(Rng& rng);
 
-  /// Forward pass; caches the input for backward.
-  Matrix forward(const Matrix& input);
-  /// Allocation-free inference forward into caller-owned `out` (resized in
-  /// place; must not alias `input`). No input caching, no autograd
-  /// buffers — safe on a shared const layer from many threads at once.
-  ///
-  /// Bit-compat contract: every output element accumulates as
-  /// bias + sum_k w[o][k] * x[k] with k ascending — the exact order of the
-  /// scalar Mlp::predict hot path — so batched and scalar inference agree
-  /// to the last bit. The kernel achieves this order with an i-k-j loop
-  /// over the *transposed* weights (staged into `wt_scratch`): the inner
-  /// loop runs across independent output columns, so it vectorizes freely
-  /// without reassociating any single output's accumulation chain (the
-  /// scalar path is an unvectorizable reduction — this is where the
-  /// batch-pipeline speedup comes from).
+  /// Training forward in the bias-last order, then the training ReLU if
+  /// `relu`, into the layer's own buffer (see output()).
+  const Matrix& forward(const Matrix& input, bool relu = false);
+  /// The last forward()'s result, valid until the next forward().
+  const Matrix& output() const { return out_; }
+  /// Inference forward in the bias-first order into caller-owned `out`
+  /// (resized in place; must not alias `input`); `wt_scratch` stages W^T.
+  /// Safe on a shared const layer from many threads at once.
   void forward_into(const Matrix& input, Matrix& out, Matrix& wt_scratch) const;
-  /// Convenience overload with an internal thread-local weight-transpose
-  /// scratch (tests, one-off calls; the Mlp hot path passes its own).
-  void forward_into(const Matrix& input, Matrix& out) const;
-  /// Backward pass: accumulates dW/db, returns dL/dX.
-  Matrix backward(const Matrix& grad_output);
+  /// Backward for the batch `input` of the last forward(): dW += dY^T X,
+  /// db += column sums of dY, and dL/dX = dY W into `grad_input` if given.
+  void backward(const Matrix& input, const Matrix& grad_output, Matrix* grad_input);
 
   void zero_grad();
+  /// Frees forward()'s buffers; the next forward() rebuilds them.
+  void release_training_buffers() { out_ = Matrix(); wt_ = Matrix(); }
 
   Matrix& weight() { return weight_; }
   Matrix& bias() { return bias_; }
@@ -61,23 +63,19 @@ class Linear {
   Matrix bias_;         // 1 x out
   Matrix weight_grad_;  // out x in
   Matrix bias_grad_;    // 1 x out
-  Matrix cached_input_;
+  Matrix out_;          // training forward output
+  Matrix wt_;           // training W^T staging
 };
 
-/// Elementwise ReLU with cached mask.
-class Relu {
- public:
-  Matrix forward(const Matrix& input);
-  Matrix backward(const Matrix& grad_output) const;
-
-  /// Mask-free inference variants (no state touched, thread-safe on a
-  /// shared const instance). Same max(v, 0.0) expression as the scalar
-  /// Mlp::predict path, so NaN handling matches it bit-for-bit.
-  void forward_into(const Matrix& input, Matrix& out) const;
-  void forward_inplace(Matrix& x) const;
-
- private:
-  Matrix mask_;
+/// Elementwise ReLU. Stateless: the training backward reads its mask from
+/// the post-activation (post > 0 exactly where pre > 0).
+struct Relu {
+  /// Inference: max(v, 0.0), the scalar Mlp::predict expression (NaN stays).
+  static void forward_inplace(Matrix& x);
+  /// Training: v > 0 ? v : 0.0 (NaN maps to 0).
+  static void train_inplace(Matrix& x);
+  /// grad *= (post > 0 ? 1 : 0).
+  static void backward_inplace(const Matrix& post, Matrix& grad);
 };
 
 }  // namespace verihvac::nn

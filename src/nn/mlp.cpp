@@ -11,7 +11,6 @@ Mlp::Mlp(const std::vector<std::size_t>& widths) {
   for (std::size_t i = 0; i + 1 < widths.size(); ++i) {
     layers_.emplace_back(widths[i], widths[i + 1]);
   }
-  activations_.resize(layers_.size() - 1);
 }
 
 std::size_t Mlp::parameter_count() const {
@@ -26,22 +25,30 @@ void Mlp::init(Rng& rng) {
   for (auto& layer : layers_) layer.init(rng);
 }
 
-Matrix Mlp::forward(const Matrix& input) {
-  Matrix x = input;
+const Matrix& Mlp::forward(const Matrix& input) {
+  const Matrix* x = &input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    x = layers_[i].forward(x);
-    if (i < activations_.size()) x = activations_[i].forward(x);
+    x = &layers_[i].forward(*x, /*relu=*/i + 1 < layers_.size());
   }
-  return x;
+  return *x;
 }
 
-Matrix Mlp::backward(const Matrix& grad_output) {
-  Matrix grad = grad_output;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    if (i < activations_.size()) grad = activations_[i].backward(grad);
-    grad = layers_[i].backward(grad);
+void Mlp::backward(const Matrix& input, const Matrix& grad_output) {
+  const Matrix* grad = &grad_output;
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    const Matrix& hidden = layers_[i - 1].output();  // post-ReLU: also the mask
+    Matrix& grad_input = grad_[i % 2];
+    layers_[i].backward(hidden, *grad, &grad_input);
+    Relu::backward_inplace(hidden, grad_input);
+    grad = &grad_input;
   }
-  return grad;
+  layers_[0].backward(input, *grad, nullptr);
+}
+
+void Mlp::release_training_buffers() {
+  grad_[0] = Matrix();
+  grad_[1] = Matrix();
+  for (auto& layer : layers_) layer.release_training_buffers();
 }
 
 void Mlp::zero_grad() {
@@ -94,7 +101,7 @@ void Mlp::forward_into(const Matrix& input, Matrix& out, BatchScratch& scratch) 
     Matrix* dst = buffers[which];
     which ^= 1;
     layers_[li].forward_into(*src, *dst, scratch.wt[li]);
-    if (li < activations_.size()) activations_[li].forward_inplace(*dst);
+    if (li + 1 < layers_.size()) Relu::forward_inplace(*dst);
     src = dst;
   }
   out = *src;  // vector copy-assign: reuses out's capacity

@@ -4,6 +4,8 @@
 // layer is linear (regression head). Provides batched forward, a
 // scratch-free single-sample fast path (the random-shooting optimizer calls
 // it millions of times), and backward for training.
+// Training writes into buffers the Mlp owns (not thread-safe); inference
+// stays const. nn/layers.hpp gives the two paths' accumulation orders.
 #pragma once
 
 #include <vector>
@@ -35,11 +37,15 @@ class Mlp {
 
   void init(Rng& rng);
 
-  /// Batched forward (training / vectorized rollouts).
-  Matrix forward(const Matrix& input);
-  /// Backward from dL/dY; returns dL/dX (gradients accumulate in layers).
-  Matrix backward(const Matrix& grad_output);
+  /// Training forward (bias-last order); valid until the next forward().
+  const Matrix& forward(const Matrix& input);
+  /// Backward from dL/dY for the batch `input` of the last forward();
+  /// gradients accumulate in the layers. dL/d(input) is not computed.
+  void backward(const Matrix& input, const Matrix& grad_output);
   void zero_grad();
+  /// Frees the training buffers; the next forward() rebuilds them. nn::train
+  /// calls it when done, so a trained model neither holds nor copies them.
+  void release_training_buffers();
 
   /// Allocation-free single-sample inference into caller-provided scratch.
   /// `scratch` is resized on first use; result has output_dim() entries.
@@ -64,7 +70,7 @@ class Mlp {
 
  private:
   std::vector<Linear> layers_;
-  std::vector<Relu> activations_;  // one per hidden layer
+  Matrix grad_[2];  // backward()'s ping-pong dL/dX (layers hold activations)
 };
 
 }  // namespace verihvac::nn

@@ -15,9 +15,10 @@ namespace verihvac::nn {
 
 struct TrainerConfig {
   std::size_t epochs = 150;
+  /// Minibatch rows; must be > 0.
   std::size_t batch_size = 64;
   AdamConfig adam;
-  /// Fraction of the data held out for validation-loss reporting.
+  /// Held-out fraction for validation-loss reporting, in [0, 1).
   double validation_fraction = 0.1;
   std::uint64_t shuffle_seed = 7;
 };
@@ -31,12 +32,14 @@ struct TrainingReport {
 
 /// Mean squared error over all elements.
 double mse_loss(const Matrix& prediction, const Matrix& target);
-/// Gradient of MSE w.r.t. prediction (2*(pred - target)/N).
-Matrix mse_gradient(const Matrix& prediction, const Matrix& target);
+/// Overwrites `target` with dMSE/dprediction = (pred - target) * (2/N).
+void mse_gradient_inplace(const Matrix& prediction, Matrix& target);
 
 /// Trains `model` in place on (inputs, targets); rows are samples. Inputs
 /// and targets are expected pre-normalized by the caller (see
-/// dynamics::DynamicsModel for the end-to-end wrapper).
+/// dynamics::DynamicsModel for the end-to-end wrapper). Throws
+/// std::invalid_argument on empty or mismatched data, batch_size == 0 or a
+/// validation_fraction outside [0, 1).
 TrainingReport train(Mlp& model, const Matrix& inputs, const Matrix& targets,
                      const TrainerConfig& config);
 

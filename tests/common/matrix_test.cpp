@@ -74,28 +74,6 @@ TEST(MatrixTest, MultiplyNonSquare) {
   EXPECT_DOUBLE_EQ(c(0, 0), 7.0);
 }
 
-TEST(MatrixTest, MultiplyAtBMatchesExplicitTranspose) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};  // 3x2
-  Matrix b{{1.0, 0.0, 1.0}, {0.0, 1.0, 1.0}, {1.0, 1.0, 0.0}};  // 3x3
-  const Matrix expect = Matrix::multiply(a.transposed(), b);
-  const Matrix got = Matrix::multiply_at_b(a, b);
-  ASSERT_EQ(got.rows(), expect.rows());
-  ASSERT_EQ(got.cols(), expect.cols());
-  for (std::size_t r = 0; r < got.rows(); ++r)
-    for (std::size_t c = 0; c < got.cols(); ++c)
-      EXPECT_DOUBLE_EQ(got(r, c), expect(r, c));
-}
-
-TEST(MatrixTest, MultiplyABtMatchesExplicitTranspose) {
-  Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};  // 2x3
-  Matrix b{{1.0, 1.0, 0.0}, {0.0, 2.0, 1.0}};  // 2x3
-  const Matrix expect = Matrix::multiply(a, b.transposed());
-  const Matrix got = Matrix::multiply_a_bt(a, b);
-  for (std::size_t r = 0; r < got.rows(); ++r)
-    for (std::size_t c = 0; c < got.cols(); ++c)
-      EXPECT_DOUBLE_EQ(got(r, c), expect(r, c));
-}
-
 TEST(MatrixTest, RowViewReadsAndWritesInPlace) {
   Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   const Matrix& cm = m;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/fnv1a.hpp"
 #include "common/rng.hpp"
@@ -180,6 +182,54 @@ TEST(DynamicsModelTest, FineTuneBitIdentityLock) {
             (std::vector<double>{0x1.637890feb2624p-1, 0x1.4dc3b9329bd1ep-1}));
   EXPECT_EQ(report.val_loss_per_epoch,
             (std::vector<double>{0x1.e4bdb67de30f5p-1, 0x1.c60f58e451381p-1}));
+}
+
+/// Every byte of model state a training call could touch.
+std::vector<double> model_state(const DynamicsModel& model) {
+  std::vector<double> state = model.network().parameters();
+  const nn::Normalizer& norm = model.input_normalizer();
+  state.insert(state.end(), norm.mean().begin(), norm.mean().end());
+  state.insert(state.end(), norm.std().begin(), norm.std().end());
+  state.push_back(model.delta_mean());
+  state.push_back(model.delta_std());
+  return state;
+}
+
+bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DynamicsModelTest, RejectsNonFiniteTrainingData) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  DynamicsModelConfig cfg = fast_config();
+  cfg.trainer.epochs = 2;
+  DynamicsModel model(cfg);
+
+  TransitionDataset bad_target = toy_dataset(50, 13);
+  Transition t = bad_target.at(7);
+  t.next_zone_temp = nan;
+  bad_target.add(t);
+  EXPECT_THROW(model.train(bad_target), std::invalid_argument);
+  EXPECT_FALSE(model.trained());
+
+  model.train(toy_dataset(200, 14));
+  const std::vector<double> before = model_state(model);
+
+  TransitionDataset bad_input = toy_dataset(50, 15);
+  t = bad_input.at(3);
+  t.input[env::kOutdoorTemp] = inf;
+  bad_input.add(t);
+  TransitionDataset bad_action = toy_dataset(50, 16);
+  t = bad_action.at(4);
+  t.action.cooling_c = nan;
+  bad_action.add(t);
+
+  for (const TransitionDataset* bad : {&bad_target, &bad_input, &bad_action}) {
+    EXPECT_THROW(model.train(*bad), std::invalid_argument);
+    EXPECT_THROW(model.fine_tune(*bad, 2), std::invalid_argument);
+    EXPECT_TRUE(bytes_equal(model_state(model), before));
+  }
 }
 
 TEST(ModelEvalTest, KStepRolloutErrorGrowsWithHorizon) {

@@ -38,7 +38,8 @@ TEST(LinearTest, BackwardGradientsNumerically) {
   layer.zero_grad();
   layer.forward(x);
   Matrix grad_out(2, 2, 1.0);  // dL/dY = 1
-  const Matrix grad_in = layer.backward(grad_out);
+  Matrix grad_in;
+  layer.backward(x, grad_out, &grad_in);
 
   constexpr double kEps = 1e-6;
   auto loss = [&](Linear& l, const Matrix& input) {
@@ -86,9 +87,9 @@ TEST(LinearTest, GradientsAccumulateUntilZeroed) {
   Matrix g{{1.0}};
   layer.zero_grad();
   layer.forward(x);
-  layer.backward(g);
+  layer.backward(x, g, nullptr);
   layer.forward(x);
-  layer.backward(g);
+  layer.backward(x, g, nullptr);
   EXPECT_NEAR(layer.weight_grad()(0, 0), 4.0, 1e-12);  // 2 + 2
   layer.zero_grad();
   EXPECT_DOUBLE_EQ(layer.weight_grad()(0, 0), 0.0);
@@ -106,19 +107,28 @@ TEST(LinearTest, InitBoundsFollowFanIn) {
 }
 
 TEST(ReluTest, ForwardClampsNegatives) {
-  Relu relu;
-  const Matrix out = relu.forward(Matrix{{-1.0, 0.0, 2.5}});
+  Matrix out{{-1.0, 0.0, 2.5, std::nan("")}};
+  Relu::train_inplace(out);
   EXPECT_DOUBLE_EQ(out(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(out(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(out(0, 2), 2.5);
+  EXPECT_DOUBLE_EQ(out(0, 3), 0.0);  // training maps NaN to 0
+
+  Matrix inference{{-1.0, 2.5, std::nan("")}};
+  Relu::forward_inplace(inference);
+  EXPECT_DOUBLE_EQ(inference(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(inference(0, 1), 2.5);
+  EXPECT_TRUE(std::isnan(inference(0, 2)));  // max(NaN, 0.0), as scalar predict
 }
 
 TEST(ReluTest, BackwardMasksGradient) {
-  Relu relu;
-  relu.forward(Matrix{{-1.0, 3.0}});
-  const Matrix grad = relu.backward(Matrix{{10.0, 10.0}});
+  Matrix post{{-1.0, 3.0, 0.0}};
+  Relu::train_inplace(post);
+  Matrix grad{{10.0, 10.0, 10.0}};
+  Relu::backward_inplace(post, grad);
   EXPECT_DOUBLE_EQ(grad(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(grad(0, 1), 10.0);
+  EXPECT_DOUBLE_EQ(grad(0, 2), 0.0);
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ TEST(MlpTest, BackwardGradientNumerically) {
 
   net.zero_grad();
   net.forward(x);
-  net.backward(Matrix(2, 1, 1.0));
+  net.backward(x, Matrix(2, 1, 1.0));
 
   auto loss = [&x](Mlp& m) {
     const Matrix y = m.forward(x);

@@ -65,8 +65,8 @@ TEST(LossTest, MseMatchesHandComputation) {
 TEST(LossTest, GradientPointsTowardTarget) {
   Matrix pred{{2.0}};
   Matrix target{{0.0}};
-  const Matrix grad = mse_gradient(pred, target);
-  EXPECT_DOUBLE_EQ(grad(0, 0), 4.0);  // 2*(2-0)/1
+  mse_gradient_inplace(pred, target);
+  EXPECT_DOUBLE_EQ(target(0, 0), 4.0);  // 2*(2-0)/1
 }
 
 TEST(TrainerTest, LearnsLinearFunction) {
@@ -219,6 +219,31 @@ TEST(TrainerTest, RejectsEmptyOrMismatched) {
   TrainerConfig cfg;
   EXPECT_THROW(train(net, Matrix(0, 1), Matrix(0, 1), cfg), std::invalid_argument);
   EXPECT_THROW(train(net, Matrix(3, 1), Matrix(4, 1), cfg), std::invalid_argument);
+}
+
+TEST(TrainerTest, RejectsZeroBatchSize) {
+  // batch_size 0 used to loop forever (begin += 0).
+  Mlp net({1, 1});
+  TrainerConfig cfg;
+  cfg.batch_size = 0;
+  EXPECT_THROW(train(net, Matrix(10, 1), Matrix(10, 1), cfg), std::invalid_argument);
+}
+
+TEST(TrainerTest, RejectsValidationFractionOutsideUnitInterval) {
+  // A fraction >= 1 used to train on zero rows and report loss 0.
+  Mlp net({1, 1});
+  const std::vector<double> before = net.parameters();
+  for (const double fraction : {1.0, 1.5, -0.1, std::nan("")}) {
+    TrainerConfig cfg;
+    cfg.validation_fraction = fraction;
+    EXPECT_THROW(train(net, Matrix(10, 1), Matrix(10, 1), cfg), std::invalid_argument)
+        << "fraction " << fraction;
+  }
+  EXPECT_EQ(net.parameters(), before);
+  TrainerConfig cfg;
+  cfg.validation_fraction = 0.95;  // 9 of 10 rows held out: one training row
+  cfg.epochs = 1;
+  EXPECT_EQ(train(net, Matrix(10, 1), Matrix(10, 1), cfg).train_loss_per_epoch.size(), 1u);
 }
 
 }  // namespace
