@@ -1,33 +1,17 @@
-// Bench — closed-loop adaptation: telemetry -> drift -> retrain ->
-// certify -> hot-swap (ISSUE 5 acceptance).
+// Bench — closed-loop drift recovery: telemetry -> drift -> retrain ->
+// certify -> hot-swap on real pipeline assets.
 //
-// Three sections, each gating one promise of the adaptation subsystem:
+// Real pipeline assets serve a fleet; mid-run every building degrades
+// (HVAC efficiency loss + envelope leak). The monitor must detect the
+// drift from residuals, the controller must produce a *certified* bundle
+// (fine-tune -> VIPER -> Algorithm 1 + criterion #1 -> shadow gate) and
+// hot-swap it with zero dropped in-flight decisions, and the post-swap
+// comfort violation rate must recover to within 10% of the counterfactual
+// damage (full-day windows so diurnal occupancy compares like for like).
 //
-//   1. Telemetry overhead. The TelemetryLog tap rides the DT fast path
-//      (sub-microsecond decisions); capture must cost < 5% of serving
-//      throughput. Measured as tap-on vs tap-off DT decision rates over
-//      the same workload (best-of-N trials).
-//
-//   2. Trace replay. A live mixed (DT + micro-batched MBRL) run is
-//      captured, round-tripped through one sealed telemetry segment, and
-//      replayed from the records alone — Rng::stream(session_seed,
-//      decision_index) reconstructs each MBRL decision's draws. Replayed
-//      decisions must be bit-identical to the live run at engine pools of
-//      1/4/8 threads.
-//
-//   3. Closed-loop drift recovery. Real pipeline assets serve a fleet;
-//      mid-run every building degrades (HVAC efficiency loss + envelope
-//      leak). The monitor must detect the drift from residuals, the
-//      controller must produce a *certified* bundle (fine-tune -> VIPER ->
-//      Algorithm 1 + criterion #1 -> shadow gate) and hot-swap it with
-//      zero dropped in-flight decisions, and the post-swap comfort
-//      violation rate must recover to within 10% of the pre-drift
-//      baseline (full-day windows so diurnal occupancy compares like for
-//      like).
-//
-// Emits BENCH_adapt.json. --smoke shrinks every workload for CI and skips
-// the noise-sensitive gates (overhead, recovery); the exact gates (replay
-// bit-identity, zero drops, certified-promotion) hold at any scale.
+// Emits BENCH_adapt.json. --smoke shrinks the workload for CI and skips
+// the noise-sensitive recovery gate; the exact gates (zero drops, drift
+// detected, certified promotion) hold at any scale.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -37,7 +21,6 @@
 #include <vector>
 
 #include "adapt/adaptation_controller.hpp"
-#include "adapt/telemetry_store.hpp"
 #include "bench_common.hpp"
 #include "common/config.hpp"
 #include "serve/fleet_harness.hpp"
@@ -46,70 +29,6 @@ namespace {
 
 using namespace verihvac;
 using bench::seconds_since;
-
-env::Observation observation_for(std::size_t i) {
-  env::Observation obs;
-  obs.zone_temp_c = 14.0 + static_cast<double>(i % 17);
-  obs.weather.outdoor_temp_c = -8.0 + static_cast<double>(i % 23);
-  obs.weather.humidity_pct = 50.0;
-  obs.weather.wind_mps = 3.0;
-  obs.weather.solar_wm2 = static_cast<double>((i * 37) % 400);
-  obs.occupants = (i % 3 == 0) ? 11.0 : 0.0;
-  return obs;
-}
-
-std::vector<env::Disturbance> forecast_for(const env::Observation& obs, std::size_t horizon) {
-  env::Disturbance d;
-  d.weather = obs.weather;
-  d.occupants = obs.occupants;
-  return std::vector<env::Disturbance>(horizon, d);
-}
-
-std::shared_ptr<const common::TaskPool> pool_with_threads(std::size_t threads) {
-  return std::make_shared<const common::TaskPool>(
-      common::TaskPoolConfig{threads, /*min_parallel_batch=*/1});
-}
-
-/// Fresh serving stack over the shared toy assets (sections 1 and 2).
-struct Stack {
-  std::shared_ptr<serve::PolicyRegistry> registry = std::make_shared<serve::PolicyRegistry>();
-  std::shared_ptr<serve::SessionManager> sessions = std::make_shared<serve::SessionManager>();
-  std::unique_ptr<serve::RequestScheduler> scheduler;
-  std::vector<serve::SessionId> ids;
-  std::uint64_t policy_version = 0;
-  std::uint64_t model_generation = 0;
-
-  Stack(const std::shared_ptr<const core::DtPolicy>& policy,
-        const std::shared_ptr<const dyn::DynamicsModel>& model,
-        const control::RandomShootingConfig& rs, std::size_t threads, std::size_t n_sessions,
-        const std::shared_ptr<adapt::TelemetryLog>& tap = nullptr) {
-    policy_version = registry->install("toy", policy);
-    scheduler = std::make_unique<serve::RequestScheduler>(
-        serve::SchedulerConfig{}, registry, sessions, rs, control::ActionSpace{},
-        env::RewardConfig{}, pool_with_threads(threads));
-    model_generation = scheduler->install_model("toy", model);
-    if (tap != nullptr) scheduler->set_tap(tap);
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      serve::SessionConfig session;
-      session.policy_key = "toy";
-      session.seed = 5000 + 13 * s;
-      ids.push_back(sessions->open(session));
-      if (tap != nullptr) tap->register_session(ids.back(), session.seed, session.policy_key);
-    }
-  }
-
-  serve::ControlRequest request(std::size_t i, serve::RequestKind kind,
-                                std::size_t horizon) const {
-    serve::ControlRequest request;
-    request.session = ids[i % ids.size()];
-    request.kind = kind;
-    request.observation = observation_for(i);
-    if (kind == serve::RequestKind::kMbrlFallback) {
-      request.forecast = forecast_for(request.observation, horizon);
-    }
-    return request;
-  }
-};
 
 double violation_rate_of_window(const std::vector<serve::FleetStepMetrics>& steps,
                                 std::size_t begin, std::size_t end) {
@@ -129,397 +48,279 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  std::printf("== adaptation_loop — telemetry capture, drift detection, verified "
-              "retrain->certify->hot-swap ==\n%s\n\n", smoke ? "(smoke scale)" : "(bench scale)");
-
-  const auto toy_policy = bench::toy_decision_policy();
-  const auto toy_model = bench::toy_dynamics_model();
-  control::RandomShootingConfig toy_rs;
-  toy_rs.samples = smoke ? 16 : 64;
-  toy_rs.horizon = smoke ? 3 : 5;
+  std::printf("== adaptation_loop — drift detection, verified retrain->certify->hot-swap, "
+              "recovery ==\n%s\n\n", smoke ? "(smoke scale)" : "(bench scale)");
 
   bench::JsonObject artifact;
   artifact.field("bench", std::string("adaptation_loop")).field_bool("smoke", smoke);
   bool failed = false;
 
-  // ---- Section 1: telemetry capture overhead on the DT fast path.
-  // Three capture configs: full fidelity (every decision — what the
-  // replay and drift tests use on bounded fleets) and deterministic
-  // 2-in-16 / 2-in-32 DT sampling. The sampled duty cycle is what makes
-  // the <5% budget meetable on a ~150 ns decision path: the per-record
-  // cost is already down to a wait-free claim plus two cache lines, and
-  // sampling divides how often it is paid.
-  {
-    const std::size_t decisions = smoke ? 20000 : 200000;
-    const std::size_t trials = smoke ? 3 : 9;
-    std::vector<double> rates(4, 0.0);
-    const std::size_t periods[4] = {0, 1, 16, 32};  // 0 = tap off
-    // Build all four stacks up front and interleave their trials so slow
-    // machine-load drift hits every mode equally (best-of per mode).
-    std::vector<std::unique_ptr<Stack>> stacks;
-    for (int mode = 0; mode < 4; ++mode) {
-      adapt::TelemetryConfig telemetry;
-      telemetry.shards = 4;
-      telemetry.capacity_per_shard = 1024;  // cache-resident ring
-      telemetry.dt_sample_period = std::max<std::size_t>(1, periods[mode]);
-      const auto log =
-          mode == 0 ? nullptr : std::make_shared<adapt::TelemetryLog>(telemetry);
-      stacks.push_back(std::make_unique<Stack>(toy_policy, toy_model, toy_rs, /*threads=*/1,
-                                               /*n_sessions=*/64, log));
+  core::PipelineConfig pipeline = core::PipelineConfig::for_city("Pittsburgh");
+  pipeline.env.days = smoke ? 2 : 6;
+  pipeline.collection.episodes = smoke ? 1 : 2;
+  pipeline.model.trainer.epochs = static_cast<std::size_t>(
+      env_or_long("VERI_HVAC_EPOCHS", smoke ? 15 : 60));
+  pipeline.decision_points = static_cast<std::size_t>(
+      env_or_long("VERI_HVAC_DECISION_POINTS", smoke ? 80 : 400));
+  pipeline.rs.samples = static_cast<std::size_t>(
+      env_or_long("VERI_HVAC_RS_SAMPLES", smoke ? 16 : 64));
+  pipeline.rs.horizon = static_cast<std::size_t>(
+      env_or_long("VERI_HVAC_RS_HORIZON", smoke ? 3 : 5));
+  pipeline.decision.mc_repeats = smoke ? 2 : 3;
+  pipeline.rs_distill = pipeline.rs;
+  pipeline.rs_distill.refine_first_action = true;
+  pipeline.probabilistic_samples = smoke ? 150 : 500;
+  std::printf("\nextracting pipeline assets for the drift scenario...\n");
+  const core::PipelineArtifacts artifacts = core::run_pipeline(pipeline);
+
+  // Non-smoke timeline (15-min steps, 96/day; the episode starts on a
+  // Friday): day 1 (Fri) is the occupied pre-drift baseline, days 2-3
+  // are the unoccupied weekend, degradation lands Monday 08:00 — in the
+  // middle of occupied hours, when a capacity/envelope hit bites — the
+  // loop detects and adapts through Monday, and Tuesday is the recovery
+  // window. Comparing Friday to Tuesday is like for like: both occupied
+  // weekdays with a normal overnight-setback morning ramp.
+  const std::size_t steps_per_day = 96;
+  const std::size_t drift_step = smoke ? 32 : 3 * steps_per_day + 32;
+  const std::size_t total_steps = smoke ? 96 : 5 * steps_per_day;
+  const std::size_t pre_begin = 0;
+  const std::size_t pre_end = smoke ? drift_step : steps_per_day;
+  const std::size_t post_begin_full = 4 * steps_per_day;
+
+  serve::FleetConfig fleet;
+  fleet.climates = {"Pittsburgh"};
+  fleet.presets = {{"baseline", 1.0}};
+  fleet.buildings_per_cell = smoke ? 4 : 8;
+  fleet.mbrl_fraction = 0.25;
+  fleet.steps = total_steps;
+  fleet.days = smoke ? 2 : 6;
+  fleet.rs = pipeline.rs;
+  fleet.async = true;
+  serve::FleetDriftEvent drift;
+  drift.at_step = drift_step;
+  // Calibrated so the degraded plant is clearly worse (sustained
+  // residual shift + comfort sag) yet still has enough capacity that a
+  // re-distilled policy can hold the band — drift the loop can actually
+  // recover from, not a plant that physically cannot heat the zone.
+  drift.degradation.hvac_capacity_factor = 0.45;
+  drift.degradation.heating_efficiency_factor = 0.8;
+  drift.degradation.envelope_leak_factor = 1.4;
+  fleet.drift.push_back(drift);
+
+  adapt::TelemetryConfig telemetry;
+  telemetry.shards = 4;
+  telemetry.capacity_per_shard = 16384;
+  const auto log = std::make_shared<adapt::TelemetryLog>(telemetry);
+  fleet.tap = log;
+  fleet.on_session_open = [&log](serve::SessionId id, const serve::SessionConfig& config) {
+    log->register_session(id, config.seed, config.policy_key);
+  };
+
+  adapt::AdaptationConfig adaptation;
+  // Calibrated against the healthy plant's residual wander: the scaled-
+  // down pipeline model carries a few tenths of a degree of one-step
+  // error with strong *diurnal* structure (the first occupied morning
+  // alone pushes Page-Hinkley to ~10), so at bench scale the alarm is
+  // held until a full day of per-building samples has calibrated the
+  // mean and lambda sits above the diurnal excursion. The injected
+  // degradation drives PH an order of magnitude past that.
+  adaptation.drift.ph_delta = smoke ? 0.02 : 0.1;
+  adaptation.drift.ph_lambda = smoke ? 2.0 : 16.0;
+  adaptation.drift.min_samples =
+      smoke ? 48 : fleet.buildings_per_cell * steps_per_day;
+  adaptation.min_transitions = smoke ? 60 : 240;
+  adaptation.fine_tune_epochs = smoke ? 10 : 30;
+  adaptation.probabilistic_samples = pipeline.probabilistic_samples;
+  adaptation.criteria = pipeline.criteria;
+  // Certification threshold for the *degraded* plant: the paper's 0.9 is
+  // calibrated to the healthy building; a plant at half capacity cannot
+  // always hold one-step safety from the comfort edge no matter what the
+  // policy commands. 0.75 keeps the promotion gate meaningful (an
+  // uncertified bundle is still rejected — the controller tests lock
+  // that) without demanding physics the degraded plant does not have.
+  adaptation.criteria.safe_probability_threshold = 0.75;
+  adaptation.viper.iterations = smoke ? 2 : 3;
+  adaptation.viper.steps_per_iteration = smoke ? 24 : 48;
+  adaptation.viper.mc_repeats = smoke ? 1 : 2;
+  adaptation.teacher_rs = pipeline.rs_distill;
+  adaptation.seed = 2027;
+
+  // Un-adapted counterfactual first: the same fleet, seeds and injected
+  // degradation with the adaptation loop disconnected. Its final-day
+  // violation rate is the damage the drift actually causes — the
+  // baseline the adapted run's recovery is measured against.
+  serve::FleetAssets counterfactual_assets{artifacts.policy, artifacts.model};
+  serve::FleetConfig counterfactual_config = fleet;
+  counterfactual_config.tap = nullptr;
+  counterfactual_config.on_session_open = nullptr;
+  serve::FleetHarness counterfactual(
+      counterfactual_config,
+      [&counterfactual_assets](const std::string&, const serve::FleetPreset&) {
+        return counterfactual_assets;
+      },
+      common::TaskPool::shared());
+  const serve::FleetReport counterfactual_report = counterfactual.run();
+
+  // Pump the adaptation loop after every fleet step (the background
+  // worker would race the bench's determinism, so the bench paces it).
+  // The controller is built after the harness (it adapts the harness's
+  // own registry/scheduler), hence the indirection.
+  adapt::AdaptationController* controller_ptr = nullptr;
+  fleet.on_step = [&controller_ptr, drift_step, total_steps](serve::FleetHarness&,
+                                                            std::size_t step) {
+    if (controller_ptr == nullptr) return;
+    controller_ptr->pump();
+    if (step + 1 == drift_step || step + 1 == total_steps) {
+      const adapt::DriftStats stats =
+          controller_ptr->monitor().stats("Pittsburgh/baseline");
+      std::printf("  [monitor @ step %zu] n=%zu mean=%.3f std=%.3f max=%.3f ph=%.3f%s\n",
+                  step + 1, stats.samples, stats.mean, stats.stddev, stats.max_residual,
+                  stats.ph_statistic, stats.drifted ? " DRIFTED" : "");
     }
-    std::vector<double> best_secs(4, 0.0);
-    for (std::size_t trial = 0; trial < trials; ++trial) {
-      for (int mode = 0; mode < 4; ++mode) {
-        Stack& stack = *stacks[mode];
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < decisions; ++i) {
-          stack.scheduler->serve(stack.request(i, serve::RequestKind::kDtPolicy, 0));
-        }
-        const double secs = seconds_since(t0);
-        if (trial == 0 || secs < best_secs[mode]) best_secs[mode] = secs;
-      }
-    }
-    for (int mode = 0; mode < 4; ++mode) {
-      rates[mode] = static_cast<double>(decisions) / best_secs[mode];
-    }
-    const auto overhead = [&rates](int mode) {
-      return rates[mode] > 0.0 ? rates[0] / rates[mode] - 1.0 : 1.0;
-    };
-    std::printf("telemetry overhead: DT fast path %.0f/s untapped | full %.0f/s (%.1f%%) | "
-                "2-in-16 %.0f/s (%.1f%%) | 2-in-32 %.0f/s (%.1f%%)\n",
-                rates[0], rates[1], 100.0 * overhead(1), rates[2], 100.0 * overhead(2),
-                rates[3], 100.0 * overhead(3));
-    artifact.field("dt_untapped_per_sec", rates[0])
-        .field("dt_full_capture_per_sec", rates[1])
-        .field("dt_sampled16_per_sec", rates[2])
-        .field("dt_sampled32_per_sec", rates[3])
-        .field("telemetry_full_overhead_fraction", overhead(1))
-        .field("telemetry_sampled16_overhead_fraction", overhead(2))
-        .field("telemetry_sampled32_overhead_fraction", overhead(3));
-    if (!smoke && overhead(3) >= 0.05) {
-      std::printf("FAIL: sampled (2-in-32) telemetry overhead %.2f%% exceeds the 5%% bar\n",
-                  100.0 * overhead(3));
-      failed = true;
+  };
+
+  serve::FleetAssets cell_assets{artifacts.policy, artifacts.model};
+  serve::FleetHarness harness(
+      fleet,
+      [&cell_assets](const std::string&, const serve::FleetPreset&) { return cell_assets; },
+      common::TaskPool::shared());
+
+  adapt::AdaptationController controller(adaptation, log, harness.registry_ptr(),
+                                         harness.sessions_ptr(), harness.scheduler());
+  adapt::ClusterAssets cluster;
+  cluster.model = artifacts.model;
+  cluster.env = pipeline.env;
+  cluster.env.days = 2;  // VIPER student-rollout episodes
+  cluster.baseline = artifacts.historical;
+  controller.register_cluster("Pittsburgh/baseline", cluster);
+  controller_ptr = &controller;
+
+  std::printf("running %zu buildings x %zu steps (drift at step %zu)...\n",
+              fleet.buildings_per_cell, total_steps, drift_step);
+  const auto t0 = std::chrono::steady_clock::now();
+  const serve::FleetReport report = harness.run();
+  const double loop_seconds = seconds_since(t0);
+
+  // Phase windows: full pre-drift window vs the trailing window after
+  // the swap landed.
+  const std::uint64_t base_version = 1;
+  std::size_t swap_step = total_steps;
+  for (std::size_t s = 0; s < report.step_metrics.size(); ++s) {
+    if (report.step_metrics[s].max_policy_version > base_version) {
+      swap_step = s;
+      break;
     }
   }
-
-  // ---- Section 2: live capture -> sealed segment -> bit-identical replay.
-  {
-    const auto log = std::make_shared<adapt::TelemetryLog>();
-    Stack stack(toy_policy, toy_model, toy_rs, /*threads=*/2, /*n_sessions=*/8, log);
-    const std::size_t rounds = smoke ? 4 : 12;
-    std::size_t served = 0;
-    for (std::size_t round = 0; round < rounds; ++round) {
-      std::vector<serve::ControlRequest> batch;
-      for (std::size_t s = 0; s < stack.ids.size(); ++s) {
-        const auto kind = s % 4 == 0 ? serve::RequestKind::kDtPolicy
-                                     : serve::RequestKind::kMbrlFallback;
-        batch.push_back(stack.request(round * stack.ids.size() + s, kind, toy_rs.horizon));
-      }
-      served += stack.scheduler->serve_batch(batch).size();
-    }
-
-    adapt::TelemetryTrace trace;
-    trace.sessions = log->sessions();
-    const std::uint64_t lost = log->drain(trace.records);
-
-    // Round-trip the segment format before replaying.
-    const std::string path = bench::artifact_path("adaptation_loop_trace.vhtseg");
-    adapt::write_segment(trace, path);
-    adapt::TelemetryTrace loaded;
-    adapt::read_segment(path, loaded);
-
-    adapt::ReplayAssets assets;
-    assets.policies[stack.policy_version] = toy_policy;
-    assets.models[stack.model_generation] = toy_model;
-    bool replay_ok = lost == 0 && loaded.records.size() == served;
-    for (const std::size_t threads : {1u, 4u, 8u}) {
-      adapt::ReplayConfig replay;
-      replay.rs = toy_rs;
-      replay.engine = std::make_shared<const control::RolloutEngine>(
-          control::RolloutEngineConfig{threads, /*min_parallel_batch=*/1});
-      const adapt::ReplayReport report = adapt::replay_trace(loaded, assets, replay);
-      const bool ok = report.bit_identical() && report.replayed == loaded.records.size();
-      std::printf("replay @ %zu threads: %zu/%zu decisions bit-identical%s\n", threads,
-                  report.matched, report.replayed, ok ? "" : "  <-- MISMATCH");
-      replay_ok = replay_ok && ok;
-    }
-    artifact.field("replay_decisions", served).field_bool("replay_bit_identical", replay_ok);
-    if (!replay_ok) {
-      std::printf("FAIL: trace replay diverged from the live run\n");
-      failed = true;
-    }
+  const auto history = controller.history();
+  const auto stats = controller.stats();
+  bool promoted_certified = false;
+  for (const adapt::AdaptationReport& attempt : history) {
+    if (attempt.promoted && attempt.certified) promoted_certified = true;
   }
 
-  // ---- Section 3: closed-loop drift recovery on pipeline assets.
+  const double pre_rate = violation_rate_of_window(report.step_metrics, pre_begin, pre_end);
+  const std::size_t post_begin =
+      smoke ? std::min(swap_step + 4, total_steps) : post_begin_full;
+  const double post_rate =
+      violation_rate_of_window(report.step_metrics, post_begin, total_steps);
+  // Damage: the same recovery window in the un-adapted counterfactual.
+  const double damage_rate =
+      violation_rate_of_window(counterfactual_report.step_metrics, post_begin, total_steps);
+  const double excess_damage = damage_rate - pre_rate;
+  const double residual_excess = post_rate - pre_rate;
+
+  std::printf("\nphases: pre-drift violation %.4f | un-adapted counterfactual %.4f | "
+              "post-swap adapted %.4f\n",
+              pre_rate, damage_rate, post_rate);
+
+  // Per-step trajectory artifact (plots + debugging): both runs' fleet
+  // occupancy/violation/energy per control step.
   {
-    core::PipelineConfig pipeline = core::PipelineConfig::for_city("Pittsburgh");
-    pipeline.env.days = smoke ? 2 : 6;
-    pipeline.collection.episodes = smoke ? 1 : 2;
-    pipeline.model.trainer.epochs = static_cast<std::size_t>(
-        env_or_long("VERI_HVAC_EPOCHS", smoke ? 15 : 60));
-    pipeline.decision_points = static_cast<std::size_t>(
-        env_or_long("VERI_HVAC_DECISION_POINTS", smoke ? 80 : 400));
-    pipeline.rs.samples = static_cast<std::size_t>(
-        env_or_long("VERI_HVAC_RS_SAMPLES", smoke ? 16 : 64));
-    pipeline.rs.horizon = static_cast<std::size_t>(
-        env_or_long("VERI_HVAC_RS_HORIZON", smoke ? 3 : 5));
-    pipeline.decision.mc_repeats = smoke ? 2 : 3;
-    pipeline.rs_distill = pipeline.rs;
-    pipeline.rs_distill.refine_first_action = true;
-    pipeline.probabilistic_samples = smoke ? 150 : 500;
-    std::printf("\nextracting pipeline assets for the drift scenario...\n");
-    const core::PipelineArtifacts artifacts = core::run_pipeline(pipeline);
-
-    // Non-smoke timeline (15-min steps, 96/day; the episode starts on a
-    // Friday): day 1 (Fri) is the occupied pre-drift baseline, days 2-3
-    // are the unoccupied weekend, degradation lands Monday 08:00 — in the
-    // middle of occupied hours, when a capacity/envelope hit bites — the
-    // loop detects and adapts through Monday, and Tuesday is the recovery
-    // window. Comparing Friday to Tuesday is like for like: both occupied
-    // weekdays with a normal overnight-setback morning ramp.
-    const std::size_t steps_per_day = 96;
-    const std::size_t drift_step = smoke ? 32 : 3 * steps_per_day + 32;
-    const std::size_t total_steps = smoke ? 96 : 5 * steps_per_day;
-    const std::size_t pre_begin = 0;
-    const std::size_t pre_end = smoke ? drift_step : steps_per_day;
-    const std::size_t post_begin_full = 4 * steps_per_day;
-
-    serve::FleetConfig fleet;
-    fleet.climates = {"Pittsburgh"};
-    fleet.presets = {{"baseline", 1.0}};
-    fleet.buildings_per_cell = smoke ? 4 : 8;
-    fleet.mbrl_fraction = 0.25;
-    fleet.steps = total_steps;
-    fleet.days = smoke ? 2 : 6;
-    fleet.rs = pipeline.rs;
-    fleet.async = true;
-    serve::FleetDriftEvent drift;
-    drift.at_step = drift_step;
-    // Calibrated so the degraded plant is clearly worse (sustained
-    // residual shift + comfort sag) yet still has enough capacity that a
-    // re-distilled policy can hold the band — drift the loop can actually
-    // recover from, not a plant that physically cannot heat the zone.
-    drift.degradation.hvac_capacity_factor = 0.45;
-    drift.degradation.heating_efficiency_factor = 0.8;
-    drift.degradation.envelope_leak_factor = 1.4;
-    fleet.drift.push_back(drift);
-
-    adapt::TelemetryConfig telemetry;
-    telemetry.shards = 4;
-    telemetry.capacity_per_shard = 16384;
-    const auto log = std::make_shared<adapt::TelemetryLog>(telemetry);
-    fleet.tap = log;
-    fleet.on_session_open = [&log](serve::SessionId id, const serve::SessionConfig& config) {
-      log->register_session(id, config.seed, config.policy_key);
-    };
-
-    adapt::AdaptationConfig adaptation;
-    // Calibrated against the healthy plant's residual wander: the scaled-
-    // down pipeline model carries a few tenths of a degree of one-step
-    // error with strong *diurnal* structure (the first occupied morning
-    // alone pushes Page-Hinkley to ~10), so at bench scale the alarm is
-    // held until a full day of per-building samples has calibrated the
-    // mean and lambda sits above the diurnal excursion. The injected
-    // degradation drives PH an order of magnitude past that.
-    adaptation.drift.ph_delta = smoke ? 0.02 : 0.1;
-    adaptation.drift.ph_lambda = smoke ? 2.0 : 16.0;
-    adaptation.drift.min_samples =
-        smoke ? 48 : fleet.buildings_per_cell * steps_per_day;
-    adaptation.min_transitions = smoke ? 60 : 240;
-    adaptation.fine_tune_epochs = smoke ? 10 : 30;
-    adaptation.probabilistic_samples = pipeline.probabilistic_samples;
-    adaptation.criteria = pipeline.criteria;
-    // Certification threshold for the *degraded* plant: the paper's 0.9 is
-    // calibrated to the healthy building; a plant at half capacity cannot
-    // always hold one-step safety from the comfort edge no matter what the
-    // policy commands. 0.75 keeps the promotion gate meaningful (an
-    // uncertified bundle is still rejected — the controller tests lock
-    // that) without demanding physics the degraded plant does not have.
-    adaptation.criteria.safe_probability_threshold = 0.75;
-    adaptation.viper.iterations = smoke ? 2 : 3;
-    adaptation.viper.steps_per_iteration = smoke ? 24 : 48;
-    adaptation.viper.mc_repeats = smoke ? 1 : 2;
-    adaptation.teacher_rs = pipeline.rs_distill;
-    adaptation.seed = 2027;
-
-    // Un-adapted counterfactual first: the same fleet, seeds and injected
-    // degradation with the adaptation loop disconnected. Its final-day
-    // violation rate is the damage the drift actually causes — the
-    // baseline the adapted run's recovery is measured against.
-    serve::FleetAssets counterfactual_assets{artifacts.policy, artifacts.model};
-    serve::FleetConfig counterfactual_config = fleet;
-    counterfactual_config.tap = nullptr;
-    counterfactual_config.on_session_open = nullptr;
-    serve::FleetHarness counterfactual(
-        counterfactual_config,
-        [&counterfactual_assets](const std::string&, const serve::FleetPreset&) {
-          return counterfactual_assets;
-        },
-        common::TaskPool::shared());
-    const serve::FleetReport counterfactual_report = counterfactual.run();
-
-    // Pump the adaptation loop after every fleet step (the background
-    // worker would race the bench's determinism, so the bench paces it).
-    // The controller is built after the harness (it adapts the harness's
-    // own registry/scheduler), hence the indirection.
-    adapt::AdaptationController* controller_ptr = nullptr;
-    fleet.on_step = [&controller_ptr, drift_step, total_steps](serve::FleetHarness&,
-                                                              std::size_t step) {
-      if (controller_ptr == nullptr) return;
-      controller_ptr->pump();
-      if (step + 1 == drift_step || step + 1 == total_steps) {
-        const adapt::DriftStats stats =
-            controller_ptr->monitor().stats("Pittsburgh/baseline");
-        std::printf("  [monitor @ step %zu] n=%zu mean=%.3f std=%.3f max=%.3f ph=%.3f%s\n",
-                    step + 1, stats.samples, stats.mean, stats.stddev, stats.max_residual,
-                    stats.ph_statistic, stats.drifted ? " DRIFTED" : "");
-      }
-    };
-
-    serve::FleetAssets cell_assets{artifacts.policy, artifacts.model};
-    serve::FleetHarness harness(
-        fleet,
-        [&cell_assets](const std::string&, const serve::FleetPreset&) { return cell_assets; },
-        common::TaskPool::shared());
-
-    adapt::AdaptationController controller(adaptation, log, harness.registry_ptr(),
-                                           harness.sessions_ptr(), harness.scheduler());
-    adapt::ClusterAssets cluster;
-    cluster.model = artifacts.model;
-    cluster.env = pipeline.env;
-    cluster.env.days = 2;  // VIPER student-rollout episodes
-    cluster.baseline = artifacts.historical;
-    controller.register_cluster("Pittsburgh/baseline", cluster);
-    controller_ptr = &controller;
-
-    std::printf("running %zu buildings x %zu steps (drift at step %zu)...\n",
-                fleet.buildings_per_cell, total_steps, drift_step);
-    const auto t0 = std::chrono::steady_clock::now();
-    const serve::FleetReport report = harness.run();
-    const double loop_seconds = seconds_since(t0);
-
-    // Phase windows: full pre-drift window vs the trailing window after
-    // the swap landed.
-    const std::uint64_t base_version = 1;
-    std::size_t swap_step = total_steps;
+    std::vector<std::vector<double>> rows;
     for (std::size_t s = 0; s < report.step_metrics.size(); ++s) {
-      if (report.step_metrics[s].max_policy_version > base_version) {
-        swap_step = s;
-        break;
-      }
+      const serve::FleetStepMetrics& adapted = report.step_metrics[s];
+      const serve::FleetStepMetrics& control = counterfactual_report.step_metrics[s];
+      rows.push_back({static_cast<double>(s), static_cast<double>(adapted.occupied_steps),
+                      static_cast<double>(adapted.occupied_violations), adapted.energy_kwh,
+                      static_cast<double>(control.occupied_violations), control.energy_kwh,
+                      static_cast<double>(adapted.max_policy_version)});
     }
-    const auto history = controller.history();
-    const auto stats = controller.stats();
-    bool promoted_certified = false;
-    for (const adapt::AdaptationReport& attempt : history) {
-      if (attempt.promoted && attempt.certified) promoted_certified = true;
-    }
+    bench::write_csv("adaptation_loop_steps.csv",
+                     "step,occupied,adapted_violations,adapted_kwh,"
+                     "counterfactual_violations,counterfactual_kwh,policy_version",
+                     rows);
+  }
+  std::printf("drift events %llu, adaptations %llu attempted / %llu promoted, swap at "
+              "step %zu, dropped decisions %zu, %.1fs loop\n",
+              static_cast<unsigned long long>(stats.drift_events),
+              static_cast<unsigned long long>(stats.adaptations_attempted),
+              static_cast<unsigned long long>(stats.adaptations_promoted), swap_step,
+              report.dropped_decisions, loop_seconds);
+  for (const adapt::AdaptationReport& attempt : history) {
+    std::printf("  gen %llu: certified=%d (safe prob %.3f) shadow=%d promoted=%d -> "
+                "bundle v%llu\n",
+                static_cast<unsigned long long>(attempt.generation), attempt.certified,
+                attempt.probabilistic.safe_probability, attempt.shadow_passed,
+                attempt.promoted,
+                static_cast<unsigned long long>(attempt.promoted_policy_version));
+  }
 
-    const double pre_rate = violation_rate_of_window(report.step_metrics, pre_begin, pre_end);
-    const std::size_t post_begin =
-        smoke ? std::min(swap_step + 4, total_steps) : post_begin_full;
-    const double post_rate =
-        violation_rate_of_window(report.step_metrics, post_begin, total_steps);
-    // Damage: the same recovery window in the un-adapted counterfactual.
-    const double damage_rate =
-        violation_rate_of_window(counterfactual_report.step_metrics, post_begin, total_steps);
-    const double excess_damage = damage_rate - pre_rate;
-    const double residual_excess = post_rate - pre_rate;
+  std::vector<bench::JsonObject> attempts;
+  for (const adapt::AdaptationReport& attempt : history) {
+    bench::JsonObject row;
+    row.field("generation", static_cast<std::size_t>(attempt.generation))
+        .field_bool("certified", attempt.certified)
+        .field("safe_probability", attempt.probabilistic.safe_probability)
+        .field("interval_certified_fraction", attempt.interval.certified_fraction())
+        .field("recert_cells_total", attempt.recert.cells_total)
+        .field("recert_cells_computed", attempt.recert.cells_computed)
+        .field_bool("shadow_passed", attempt.shadow_passed)
+        .field_bool("promoted", attempt.promoted)
+        .field("train_transitions", attempt.train_transitions)
+        .field("seconds", attempt.seconds);
+    attempts.push_back(std::move(row));
+  }
+  artifact.field("pre_drift_violation_rate", pre_rate)
+      .field("counterfactual_violation_rate", damage_rate)
+      .field("post_swap_violation_rate", post_rate)
+      .field("drift_events", static_cast<std::size_t>(stats.drift_events))
+      .field("adaptations_promoted", static_cast<std::size_t>(stats.adaptations_promoted))
+      .field("swap_step", swap_step)
+      .field("dropped_decisions", report.dropped_decisions)
+      .field("telemetry_lost", static_cast<std::size_t>(stats.records_lost))
+      .field("loop_seconds", loop_seconds)
+      .field_array("adaptations", attempts);
 
-    std::printf("\nphases: pre-drift violation %.4f | un-adapted counterfactual %.4f | "
-                "post-swap adapted %.4f\n",
-                pre_rate, damage_rate, post_rate);
-
-    // Per-step trajectory artifact (plots + debugging): both runs' fleet
-    // occupancy/violation/energy per control step.
-    {
-      std::vector<std::vector<double>> rows;
-      for (std::size_t s = 0; s < report.step_metrics.size(); ++s) {
-        const serve::FleetStepMetrics& adapted = report.step_metrics[s];
-        const serve::FleetStepMetrics& control = counterfactual_report.step_metrics[s];
-        rows.push_back({static_cast<double>(s), static_cast<double>(adapted.occupied_steps),
-                        static_cast<double>(adapted.occupied_violations), adapted.energy_kwh,
-                        static_cast<double>(control.occupied_violations), control.energy_kwh,
-                        static_cast<double>(adapted.max_policy_version)});
-      }
-      bench::write_csv("adaptation_loop_steps.csv",
-                       "step,occupied,adapted_violations,adapted_kwh,"
-                       "counterfactual_violations,counterfactual_kwh,policy_version",
-                       rows);
-    }
-    std::printf("drift events %llu, adaptations %llu attempted / %llu promoted, swap at "
-                "step %zu, dropped decisions %zu, %.1fs loop\n",
-                static_cast<unsigned long long>(stats.drift_events),
-                static_cast<unsigned long long>(stats.adaptations_attempted),
-                static_cast<unsigned long long>(stats.adaptations_promoted), swap_step,
-                report.dropped_decisions, loop_seconds);
-    for (const adapt::AdaptationReport& attempt : history) {
-      std::printf("  gen %llu: certified=%d (safe prob %.3f) shadow=%d promoted=%d -> "
-                  "bundle v%llu\n",
-                  static_cast<unsigned long long>(attempt.generation), attempt.certified,
-                  attempt.probabilistic.safe_probability, attempt.shadow_passed,
-                  attempt.promoted,
-                  static_cast<unsigned long long>(attempt.promoted_policy_version));
-    }
-
-    std::vector<bench::JsonObject> attempts;
-    for (const adapt::AdaptationReport& attempt : history) {
-      bench::JsonObject row;
-      row.field("generation", static_cast<std::size_t>(attempt.generation))
-          .field_bool("certified", attempt.certified)
-          .field("safe_probability", attempt.probabilistic.safe_probability)
-          .field("interval_certified_fraction", attempt.interval.certified_fraction())
-          .field("recert_cells_total", attempt.recert.cells_total)
-          .field("recert_cells_computed", attempt.recert.cells_computed)
-          .field_bool("shadow_passed", attempt.shadow_passed)
-          .field_bool("promoted", attempt.promoted)
-          .field("train_transitions", attempt.train_transitions)
-          .field("seconds", attempt.seconds);
-      attempts.push_back(std::move(row));
-    }
-    artifact.field("pre_drift_violation_rate", pre_rate)
-        .field("counterfactual_violation_rate", damage_rate)
-        .field("post_swap_violation_rate", post_rate)
-        .field("drift_events", static_cast<std::size_t>(stats.drift_events))
-        .field("adaptations_promoted", static_cast<std::size_t>(stats.adaptations_promoted))
-        .field("swap_step", swap_step)
-        .field("dropped_decisions", report.dropped_decisions)
-        .field("telemetry_lost", static_cast<std::size_t>(stats.records_lost))
-        .field("loop_seconds", loop_seconds)
-        .field_array("adaptations", attempts);
-
-    // Exact gates hold at any scale.
-    if (report.dropped_decisions != 0) {
-      std::printf("FAIL: %zu in-flight decisions dropped across the hot swap\n",
-                  report.dropped_decisions);
+  // Exact gates hold at any scale.
+  if (report.dropped_decisions != 0) {
+    std::printf("FAIL: %zu in-flight decisions dropped across the hot swap\n",
+                report.dropped_decisions);
+    failed = true;
+  }
+  if (stats.drift_events == 0) {
+    std::printf("FAIL: injected degradation was never detected\n");
+    failed = true;
+  }
+  if (!promoted_certified) {
+    std::printf("FAIL: no certified bundle was promoted\n");
+    failed = true;
+  }
+  // Recovery gates only at bench scale (the smoke fleet is too small
+  // for stable rates). The injected degradation must demonstrably hurt
+  // comfort in the counterfactual, and the adapted fleet must claw back
+  // at least 90% of that excess — i.e. land within 10% of the pre-drift
+  // baseline, measured against the damage actually on the table.
+  if (!smoke) {
+    if (excess_damage < 0.05) {
+      std::printf("FAIL: counterfactual damage %.4f too small — the injected degradation "
+                  "did not meaningfully hurt comfort\n",
+                  excess_damage);
       failed = true;
-    }
-    if (stats.drift_events == 0) {
-      std::printf("FAIL: injected degradation was never detected\n");
+    } else if (residual_excess > 0.10 * excess_damage) {
+      std::printf("FAIL: adapted fleet keeps %.4f excess violation (> 10%% of the %.4f "
+                  "counterfactual damage)\n",
+                  residual_excess, excess_damage);
       failed = true;
-    }
-    if (!promoted_certified) {
-      std::printf("FAIL: no certified bundle was promoted\n");
-      failed = true;
-    }
-    // Recovery gates only at bench scale (the smoke fleet is too small
-    // for stable rates). The injected degradation must demonstrably hurt
-    // comfort in the counterfactual, and the adapted fleet must claw back
-    // at least 90% of that excess — i.e. land within 10% of the pre-drift
-    // baseline, measured against the damage actually on the table.
-    if (!smoke) {
-      if (excess_damage < 0.05) {
-        std::printf("FAIL: counterfactual damage %.4f too small — the injected degradation "
-                    "did not meaningfully hurt comfort\n",
-                    excess_damage);
-        failed = true;
-      } else if (residual_excess > 0.10 * excess_damage) {
-        std::printf("FAIL: adapted fleet keeps %.4f excess violation (> 10%% of the %.4f "
-                    "counterfactual damage)\n",
-                    residual_excess, excess_damage);
-        failed = true;
-      }
     }
   }
 

@@ -41,7 +41,7 @@ env::EpisodeMetrics run_full_episode(const env::EnvConfig& config,
 
 /// Canonical location for a bench artifact: VERI_HVAC_OUT (default
 /// "bench_out") joined with `filename`, parent directory created. EVERY
-/// bench artifact — BENCH_*.json, CSVs, binary traces — resolves its path
+/// bench artifact — BENCH_*.json, CSVs, Chrome traces — resolves its path
 /// through this one helper, so the whole output set lands in one
 /// directory and CI uploads it with the single glob bench_out/BENCH_*.json.
 std::string artifact_path(const std::string& filename);
@@ -57,12 +57,11 @@ double mean_of(const std::vector<double>& xs);
 double std_of(const std::vector<double>& xs);
 
 // ---------------------------------------------------------------------------
-// Trial aggregation (shared by the throughput/serving/adaptation benches).
+// Trial aggregation.
 
 /// Runs `timed_run` `trials` times and returns the *minimum* wall seconds:
 /// scheduler noise only ever slows a trial down, so the best trial is the
-/// stable throughput estimate. (Percentile aggregation of latency samples
-/// is shared through serve::summarize_latencies.)
+/// stable throughput estimate.
 double best_of_trials(std::size_t trials, const std::function<void()>& timed_run);
 
 // ---------------------------------------------------------------------------

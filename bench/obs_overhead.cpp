@@ -1,21 +1,22 @@
-// Bench — observability overhead + invariants (ISSUE 9 acceptance).
+// Bench — the serve path's observability and telemetry overhead bars, and
+// the never-perturb-decisions invariant.
 //
-// The obs fabric promises to be free where it matters and rich where it
-// pays: wait-free sharded counters on the decision fast path, spans and
-// histograms everywhere wall time actually goes. Three sections gate
-// that promise:
+// The obs fabric and the telemetry tap promise to be free where it matters
+// and rich where it pays. Three sections gate that promise:
 //
 //   1. Bit-identity. Observability must NEVER perturb decisions: the
 //      same mixed (DT + micro-batched MBRL) scenario is served with
 //      tracing off and with tracing fully on, at engine pools of 1/4/8
 //      threads. All six runs must produce bit-identical decisions.
 //
-//   2. DT fast-path overhead. The DT decision path is ~150 ns; the obs
-//      gate is < 2% throughput regression with observability fully on
-//      (tracing enabled) vs off, best-of-N interleaved trials. A third
-//      mode adds a telemetry tap with sampled DT timing (the heaviest
-//      configuration — reported, but gated by the telemetry bench's own
-//      5% budget, not here).
+//   2. Overhead bars, each a best-of-N interleaved comparison of two
+//      configurations of one serve loop:
+//        - tracing fully on vs off on the DT fast path: < 2%;
+//        - a telemetry tap capturing DT decisions 2-in-32 vs no tap: < 5%;
+//        - adding 1-in-32 sampled DT timing vs capture alone: < 5%
+//          increment;
+//        - the tap drained through a durable TelemetryStore vs drained in
+//          memory, on 1-in-4 MBRL traffic: < 5%.
 //
 //   3. Adaptation trace coverage. A drifted toy plant drives one full
 //      adaptation generation under tracing; the captured trace must
@@ -25,19 +26,27 @@
 //      trace are written as artifacts next to BENCH_obs.json.
 //
 // Emits BENCH_obs.json. --smoke shrinks workloads and skips the
-// noise-sensitive overhead gate; the exact gates (bit-identity, trace
+// noise-sensitive overhead bars; the exact gates (bit-identity, trace
 // coverage) hold at any scale.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#ifdef __unix__
+#include <unistd.h>
+#endif
+
 #include "adapt/adaptation_controller.hpp"
+#include "adapt/telemetry_store.hpp"
 #include "bench_common.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
@@ -70,13 +79,15 @@ struct Stack {
   std::shared_ptr<serve::PolicyRegistry> registry = std::make_shared<serve::PolicyRegistry>();
   std::shared_ptr<serve::SessionManager> sessions = std::make_shared<serve::SessionManager>();
   std::unique_ptr<serve::RequestScheduler> scheduler;
+  std::shared_ptr<adapt::TelemetryLog> tap;
   std::vector<serve::SessionId> ids;
 
   Stack(const std::shared_ptr<const core::DtPolicy>& policy,
         const std::shared_ptr<const dyn::DynamicsModel>& model,
         const control::RandomShootingConfig& rs, std::size_t threads, std::size_t n_sessions,
         const serve::SchedulerConfig& config = serve::SchedulerConfig{},
-        const std::shared_ptr<adapt::TelemetryLog>& tap = nullptr) {
+        std::shared_ptr<adapt::TelemetryLog> telemetry = nullptr)
+      : tap(std::move(telemetry)) {
     registry->install("toy", policy);
     scheduler = std::make_unique<serve::RequestScheduler>(config, registry, sessions, rs,
                                                           control::ActionSpace{},
@@ -108,6 +119,31 @@ struct Stack {
     return request;
   }
 };
+
+/// Best-of-`trials` wall seconds of `run(mode)` for each of `modes` modes.
+/// Trials interleave the modes and rotate which one leads each round, so
+/// slow drift of the machine (frequency, background load) hits every mode
+/// equally instead of biasing against whichever always runs last; noise
+/// only ever slows a trial down, so the best trial is the stable estimate.
+/// Dirty pages are pushed to disk between rounds, outside the timed
+/// windows, so one trial's writeback never bleeds into the next.
+std::vector<double> interleaved_best_of(std::size_t modes, std::size_t trials,
+                                        const std::function<void(std::size_t)>& run) {
+  std::vector<double> best(modes, 0.0);
+  for (std::size_t trial = 0; trial < trials; ++trial) {
+    for (std::size_t slot = 0; slot < modes; ++slot) {
+      const std::size_t mode = (trial + slot) % modes;
+      const auto t0 = std::chrono::steady_clock::now();
+      run(mode);
+      const double secs = seconds_since(t0);
+      if (trial == 0 || secs < best[mode]) best[mode] = secs;
+    }
+#ifdef __unix__
+    ::sync();
+#endif
+  }
+  return best;
+}
 
 /// The full action+version identity of one decision; doubles compare
 /// bitwise (operator==), which is exactly the identity the gate demands.
@@ -174,7 +210,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  std::printf("== obs_overhead — never-perturb-decisions, <2%% DT fast path, full "
+  std::printf("== obs_overhead — never-perturb-decisions, serve-path overhead bars, full "
               "adaptation trace ==\n%s\n\n", smoke ? "(smoke scale)" : "(bench scale)");
 
   obs::register_catalog();
@@ -236,72 +272,138 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Section 2: DT fast-path throughput overhead.
-  // Mode 0: tracing off, no tap (metrics counters are always on — they
-  // are part of the serving fabric). Mode 1: tracing fully on — the
-  // observability switch the <2% gate covers. Mode 2: tracing on plus a
-  // telemetry tap with 1-in-16 sampled DT timing feeding the latency
-  // histogram — the heaviest configuration, reported for context (its
-  // capture cost is the telemetry bench's 5% budget, not obs's).
-  // Stacks are built up front and trials interleaved so machine-load
-  // drift hits every mode equally (best-of per mode).
+  // ---- Section 2: serve-path overhead bars.
+  // Every bar compares two configurations of the same serve loop, built up
+  // front and timed in interleaved best-of trials (see interleaved_best_of).
+  //
+  // DT loop (DT-only requests, pool 1, 64 sessions; metrics counters are
+  // always on — they are part of the serving fabric):
+  //   0 off      — tracing off, no tap;
+  //   1 tracing  — tracing fully on: the < 2% observability bar (1 vs 0);
+  //   2 capture  — telemetry tap recording DT decisions 2-in-32: the < 5%
+  //                capture bar (2 vs 0);
+  //   3 timing   — capture plus 1-in-32 sampled DT timing for the tap's
+  //                latency histogram: the < 5% timing-increment bar (3 vs
+  //                2), so the timestamps must fit inside the capture budget.
+  // Store loop (1-in-4 MBRL traffic, pool 2, 16 sessions, full-capture tap
+  // drained every 256 decisions — the adaptation pump's cadence — inline,
+  // so the delta is exactly the durability work and not writer-thread
+  // scheduling noise):
+  //   0 tap      — drain the tap in memory and discard;
+  //   1 durable  — drain through a TelemetryStore (serialize + CRC +
+  //                buffered write): the < 5% durable-logging bar (1 vs 0).
   {
-    const std::size_t decisions = smoke ? 20000 : 200000;
     const std::size_t trials = smoke ? 3 : 9;
-    std::vector<std::unique_ptr<Stack>> stacks;
-    for (int mode = 0; mode < 3; ++mode) {
+    const auto overhead = [](double base_secs, double secs) {
+      return base_secs > 0.0 ? secs / base_secs - 1.0 : 1.0;
+    };
+    const auto gate = [&](const char* what, double fraction, double bar) {
+      if (!smoke && fraction >= bar) {
+        std::printf("FAIL: %s overhead %.2f%% exceeds the %.0f%% bar\n", what, 100.0 * fraction,
+                    100.0 * bar);
+        failed = true;
+      }
+    };
+
+    const std::size_t dt_decisions = smoke ? 20000 : 200000;
+    std::vector<std::unique_ptr<Stack>> dt_stacks;
+    for (int mode = 0; mode < 4; ++mode) {
       serve::SchedulerConfig config;
       std::shared_ptr<adapt::TelemetryLog> tap;
-      if (mode == 2) {
+      if (mode >= 2) {
         adapt::TelemetryConfig telemetry;
         telemetry.shards = 4;
         telemetry.capacity_per_shard = 1024;  // cache-resident ring
-        telemetry.dt_sample_period = 16;
+        telemetry.dt_sample_period = 32;
         tap = std::make_shared<adapt::TelemetryLog>(telemetry);
-        config.dt_timing_sample_period = 16;
+        if (mode == 3) config.dt_timing_sample_period = 32;
       }
-      stacks.push_back(std::make_unique<Stack>(toy_policy, toy_model, toy_rs, /*threads=*/1,
-                                               /*n_sessions=*/64, config, tap));
+      dt_stacks.push_back(std::make_unique<Stack>(toy_policy, toy_model, toy_rs, /*threads=*/1,
+                                                  /*n_sessions=*/64, config, tap));
     }
-    std::vector<double> best_secs(3, 0.0);
-    for (std::size_t trial = 0; trial < trials; ++trial) {
-      for (int mode = 0; mode < 3; ++mode) {
-        if (mode == 0) {
-          trace.disable();
-        } else {
-          trace.enable();
-        }
-        Stack& stack = *stacks[mode];
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < decisions; ++i) {
-          stack.scheduler->serve(stack.request(i, serve::RequestKind::kDtPolicy, 0));
-        }
-        const double secs = seconds_since(t0);
-        if (trial == 0 || secs < best_secs[mode]) best_secs[mode] = secs;
+    const std::vector<double> dt_secs = interleaved_best_of(4, trials, [&](std::size_t mode) {
+      if (mode == 1) {
+        trace.enable();
+      } else {
+        trace.disable();
       }
-    }
+      const Stack& stack = *dt_stacks[mode];
+      for (std::size_t i = 0; i < dt_decisions; ++i) {
+        stack.scheduler->serve(stack.request(i, serve::RequestKind::kDtPolicy, 0));
+      }
+    });
     trace.disable();
     trace.clear();
-    std::vector<double> rates(3, 0.0);
-    for (int mode = 0; mode < 3; ++mode) {
-      rates[mode] = static_cast<double>(decisions) / best_secs[mode];
+
+    control::RandomShootingConfig store_rs;
+    store_rs.samples = smoke ? 16 : 32;
+    store_rs.horizon = toy_rs.horizon;
+    const std::size_t store_decisions = smoke ? 4000 : 40000;
+    const std::size_t cadence = 256;
+    std::vector<std::unique_ptr<Stack>> store_stacks;
+    for (int mode = 0; mode < 2; ++mode) {
+      store_stacks.push_back(std::make_unique<Stack>(
+          toy_policy, toy_model, store_rs, /*threads=*/2, /*n_sessions=*/16,
+          serve::SchedulerConfig{}, std::make_shared<adapt::TelemetryLog>()));
     }
-    const auto overhead = [&rates](int mode) {
-      return rates[mode] > 0.0 ? rates[0] / rates[mode] - 1.0 : 1.0;
+    const std::filesystem::path store_dir =
+        std::filesystem::temp_directory_path() / "verihvac_obs_overhead_store";
+    std::filesystem::remove_all(store_dir);
+    adapt::TelemetryStoreConfig store_config;
+    store_config.directory = store_dir.string();
+    store_config.start_writer = false;  // the serve loop is the pump
+    adapt::TelemetryStore store(store_stacks[1]->tap, store_config);
+    std::vector<adapt::TelemetryRecord> discarded;
+    const std::vector<double> store_secs =
+        interleaved_best_of(2, trials, [&](std::size_t mode) {
+          const Stack& stack = *store_stacks[mode];
+          for (std::size_t i = 0; i < store_decisions; ++i) {
+            const auto kind = i % 4 == 0 ? serve::RequestKind::kMbrlFallback
+                                         : serve::RequestKind::kDtPolicy;
+            stack.scheduler->serve(stack.request(i, kind, store_rs.horizon));
+            if (i % cadence == cadence - 1) {
+              if (mode == 0) {
+                discarded.clear();
+                stack.tap->drain(discarded);
+              } else {
+                store.pump_once();
+              }
+            }
+          }
+        });
+    store.stop();
+    std::filesystem::remove_all(store_dir);
+
+    const auto dt_rate = [&](std::size_t mode) {
+      return static_cast<double>(dt_decisions) / dt_secs[mode];
     };
-    std::printf("DT fast path: %.0f/s obs-off | %.0f/s tracing-on (%.2f%%) | %.0f/s "
-                "+sampled-timing tap (%.2f%%)\n",
-                rates[0], rates[1], 100.0 * overhead(1), rates[2], 100.0 * overhead(2));
-    artifact.field("dt_obs_off_per_sec", rates[0])
-        .field("dt_tracing_on_per_sec", rates[1])
-        .field("dt_full_tap_per_sec", rates[2])
-        .field("obs_overhead_fraction", overhead(1))
-        .field("obs_with_tap_overhead_fraction", overhead(2));
-    if (!smoke && overhead(1) >= 0.02) {
-      std::printf("FAIL: observability overhead %.2f%% exceeds the 2%% bar\n",
-                  100.0 * overhead(1));
-      failed = true;
-    }
+    const auto store_rate = [&](std::size_t mode) {
+      return static_cast<double>(store_decisions) / store_secs[mode];
+    };
+    const double tracing = overhead(dt_secs[0], dt_secs[1]);
+    const double capture = overhead(dt_secs[0], dt_secs[2]);
+    const double timing = overhead(dt_secs[2], dt_secs[3]);
+    const double durable = overhead(store_secs[0], store_secs[1]);
+    std::printf("DT loop: %.0f/s off | %.0f/s tracing on (%.2f%%) | %.0f/s capture 2-in-32 "
+                "(%.2f%%) | %.0f/s +1-in-32 timing (%.2f%% increment)\n",
+                dt_rate(0), dt_rate(1), 100.0 * tracing, dt_rate(2), 100.0 * capture,
+                dt_rate(3), 100.0 * timing);
+    std::printf("store loop: %.0f/s in-memory tap | %.0f/s + durable store (%.2f%%)\n",
+                store_rate(0), store_rate(1), 100.0 * durable);
+    artifact.field("dt_obs_off_per_sec", dt_rate(0))
+        .field("dt_tracing_on_per_sec", dt_rate(1))
+        .field("dt_capture_per_sec", dt_rate(2))
+        .field("dt_capture_timing_per_sec", dt_rate(3))
+        .field("obs_overhead_fraction", tracing)
+        .field("capture_overhead_fraction", capture)
+        .field("timing_increment_fraction", timing)
+        .field("serve_per_sec_tap", store_rate(0))
+        .field("serve_per_sec_durable", store_rate(1))
+        .field("durable_overhead_fraction", durable);
+    gate("observability (tracing on)", tracing, 0.02);
+    gate("telemetry capture (2-in-32)", capture, 0.05);
+    gate("sampled timing increment", timing, 0.05);
+    gate("durable logging", durable, 0.05);
   }
 
   // ---- Section 3: the adaptation generation under tracing.

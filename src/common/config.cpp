@@ -15,7 +15,9 @@ long env_or_long(const std::string& name, long fallback) {
   const std::string raw = env_or(name, "");
   if (raw.empty()) return fallback;
   try {
-    return std::stol(raw);
+    std::size_t consumed = 0;
+    const long value = std::stol(raw, &consumed);
+    return consumed == raw.size() ? value : fallback;
   } catch (...) {
     return fallback;
   }
@@ -25,7 +27,9 @@ double env_or_double(const std::string& name, double fallback) {
   const std::string raw = env_or(name, "");
   if (raw.empty()) return fallback;
   try {
-    return std::stod(raw);
+    std::size_t consumed = 0;
+    const double value = std::stod(raw, &consumed);
+    return consumed == raw.size() ? value : fallback;
   } catch (...) {
     return fallback;
   }

@@ -14,7 +14,8 @@ namespace verihvac {
 /// Returns the environment variable `name`, or `fallback` if unset/empty.
 std::string env_or(const std::string& name, const std::string& fallback);
 
-/// Integer / double / bool variants (non-numeric values fall back).
+/// Integer / double / bool variants. A value that is not wholly a number
+/// ("abc", "12abc", "1.5x") falls back.
 long env_or_long(const std::string& name, long fallback);
 double env_or_double(const std::string& name, double fallback);
 bool env_flag(const std::string& name);  // true for "1", "true", "on", "yes"

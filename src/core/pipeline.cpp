@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/logging.hpp"
@@ -16,6 +17,21 @@ void PipelineConfig::set_schema(const env::FeatureSchema& schema) {
   decision.schema = schema;
 }
 
+namespace {
+
+/// The VERI_HVAC_* count `name` (or `fallback`). A negative value throws
+/// rather than wrapping to an enormous std::size_t.
+std::size_t env_count(const char* name, long fallback) {
+  const long value = env_or_long(name, fallback);
+  if (value < 0) {
+    throw std::invalid_argument(std::string(name) + " must not be negative, got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
+}  // namespace
+
 PipelineConfig PipelineConfig::for_city(const std::string& city) {
   PipelineConfig cfg;
   cfg.city = city;
@@ -25,20 +41,13 @@ PipelineConfig PipelineConfig::for_city(const std::string& city) {
   // Paper-scale: RS samples=1000, horizon=20 (§4.1); MC repeats 10;
   // decision data up to a few thousand points. Quick scale keeps the same
   // shapes on a single CPU core.
-  cfg.rs.samples = static_cast<std::size_t>(
-      env_or_long("VERI_HVAC_RS_SAMPLES", full ? 1000 : 128));
-  cfg.rs.horizon = static_cast<std::size_t>(
-      env_or_long("VERI_HVAC_RS_HORIZON", full ? 20 : 10));
-  cfg.decision.mc_repeats = static_cast<std::size_t>(
-      env_or_long("VERI_HVAC_MC_REPEATS", full ? 10 : 5));
-  cfg.decision_points = static_cast<std::size_t>(
-      env_or_long("VERI_HVAC_DECISION_POINTS", full ? 3000 : 900));
-  cfg.collection.episodes = static_cast<std::size_t>(
-      env_or_long("VERI_HVAC_COLLECT_EPISODES", full ? 3 : 2));
-  cfg.model.trainer.epochs = static_cast<std::size_t>(
-      env_or_long("VERI_HVAC_EPOCHS", full ? 150 : 60));
-  cfg.probabilistic_samples = static_cast<std::size_t>(
-      env_or_long("VERI_HVAC_VERIFY_SAMPLES", full ? 10000 : 2000));
+  cfg.rs.samples = env_count("VERI_HVAC_RS_SAMPLES", full ? 1000 : 128);
+  cfg.rs.horizon = env_count("VERI_HVAC_RS_HORIZON", full ? 20 : 10);
+  cfg.decision.mc_repeats = env_count("VERI_HVAC_MC_REPEATS", full ? 10 : 5);
+  cfg.decision_points = env_count("VERI_HVAC_DECISION_POINTS", full ? 3000 : 900);
+  cfg.collection.episodes = env_count("VERI_HVAC_COLLECT_EPISODES", full ? 3 : 2);
+  cfg.model.trainer.epochs = env_count("VERI_HVAC_EPOCHS", full ? 150 : 60);
+  cfg.probabilistic_samples = env_count("VERI_HVAC_VERIFY_SAMPLES", full ? 10000 : 2000);
   cfg.ensemble.member_config = cfg.model;
   cfg.rs_distill = cfg.rs;
   cfg.rs_distill.refine_first_action = true;

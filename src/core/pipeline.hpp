@@ -53,7 +53,8 @@ struct PipelineConfig {
   const env::FeatureSchema& schema() const { return decision.schema; }
 
   /// Standard configuration for a named city ("Pittsburgh", "Tucson",
-  /// "NewYork"), honouring VERI_HVAC_FULL / VERI_HVAC_* overrides.
+  /// "NewYork"), honouring VERI_HVAC_FULL / VERI_HVAC_* overrides. Throws
+  /// std::invalid_argument for an unknown city or a negative count.
   static PipelineConfig for_city(const std::string& city);
 };
 

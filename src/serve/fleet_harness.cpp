@@ -22,8 +22,8 @@ double percentile(const std::vector<double>& sorted, double pct) {
   return sorted[std::min(index, sorted.size() - 1)];
 }
 
-}  // namespace
-
+/// Sorts `seconds` in place and returns its percentile summary; the caller
+/// sets serve_seconds.
 LatencyStats summarize_latencies(std::vector<double>& seconds) {
   LatencyStats stats;
   stats.count = seconds.size();
@@ -31,7 +31,6 @@ LatencyStats summarize_latencies(std::vector<double>& seconds) {
   std::sort(seconds.begin(), seconds.end());
   double total = 0.0;
   for (const double s : seconds) total += s;
-  stats.serve_seconds = total;
   stats.mean_us = total / static_cast<double>(seconds.size()) * 1e6;
   stats.p50_us = percentile(seconds, 50.0) * 1e6;
   stats.p95_us = percentile(seconds, 95.0) * 1e6;
@@ -39,6 +38,8 @@ LatencyStats summarize_latencies(std::vector<double>& seconds) {
   stats.max_us = seconds.back() * 1e6;
   return stats;
 }
+
+}  // namespace
 
 std::string FleetReport::summary() const {
   char line[256];

@@ -89,11 +89,9 @@ struct FleetConfig {
 
 struct LatencyStats {
   std::size_t count = 0;
-  /// Wall-clock spent serving this class. summarize_latencies() fills it
-  /// with the latency sum (exact for sequential, non-overlapping calls);
-  /// callers whose requests overlap — the async MBRL cohort — overwrite
-  /// it with the measured serving window so overlapping time counts once
-  /// and decisions_per_sec() stays honest.
+  /// Wall-clock spent serving this class: the measured serving window, not
+  /// the latency sum — async MBRL cohort latencies overlap, and summing
+  /// them would count overlapping time more than once.
   double serve_seconds = 0.0;
   double mean_us = 0.0;
   double p50_us = 0.0;
@@ -105,9 +103,6 @@ struct LatencyStats {
     return serve_seconds > 0.0 ? static_cast<double>(count) / serve_seconds : 0.0;
   }
 };
-
-/// Sorts `seconds` in place and returns its percentile summary.
-LatencyStats summarize_latencies(std::vector<double>& seconds);
 
 /// Fleet-wide plant metrics of one control step (the drift benches window
 /// these into pre-drift / degraded / post-adaptation phases).
@@ -152,7 +147,7 @@ struct FleetReport {
 
   /// Human-readable block for CLI/bench output.
   std::string summary() const;
-  /// One JSON object (no trailing newline) for BENCH_serve.json rows.
+  /// One JSON object (no trailing newline) for the CLI's `--out` report.
   std::string to_json() const;
 };
 

@@ -174,6 +174,18 @@ TEST(TelemetryStoreTest, RotatedSegmentsLoadBackByteIdentical) {
   ASSERT_EQ(loaded.sessions.size(), 2u);
   EXPECT_EQ(loaded.sessions[0].id, 1u);
   EXPECT_EQ(loaded.sessions[1].id, 2u);
+
+  // Consolidation (what `trace dump --out` writes): the rotated directory
+  // as one sealed segment is still the fetched stream, byte for byte.
+  const std::string consolidated =
+      (fs::path(fresh_dir("verihvac_store_test_consolidate")) / "capture.vhtseg").string();
+  write_segment(load_directory(dir), consolidated);
+  TelemetryTrace reread;
+  read_segment(consolidated, reread);
+  expect_records_identical(reread.records, memory);
+  EXPECT_EQ(reread.sessions.size(), 2u);
+  const SegmentVerifyReport report = verify_segment(consolidated);
+  EXPECT_TRUE(report.ok()) << report.error;
 }
 
 TEST(TelemetryStoreTest, TornTailIsTrimmedCountedAndPrefixRecovered) {
@@ -446,17 +458,23 @@ TEST(TelemetryStoreReplayTest, SegmentsReplayBitIdenticallyAcrossThreadCounts) {
   ASSERT_GE(segments.size(), 2u);
   const TelemetryTrace trace = load_directory(dir);
   ASSERT_EQ(trace.records.size(), 8u);
+  // Every rotated segment, and the directory consolidated into one sealed
+  // segment, must replay-certify.
+  std::vector<std::string> paths;
+  for (const SegmentInfo& segment : segments) paths.push_back(segment.path);
+  paths.push_back(
+      (fs::path(fresh_dir("verihvac_store_test_replay_consolidated")) / "all.vhtseg").string());
+  write_segment(trace, paths.back());
 
   for (const std::size_t threads : {1u, 4u, 8u}) {
     ReplayConfig replay;
     replay.rs = rs;
     replay.engine = std::make_shared<const control::RolloutEngine>(
         control::RolloutEngineConfig{threads, /*min_parallel_batch=*/1});
-    for (const SegmentInfo& segment : segments) {
-      const SegmentVerifyReport report = verify_segment(segment.path, &assets, &replay);
+    for (const std::string& path : paths) {
+      const SegmentVerifyReport report = verify_segment(path, &assets, &replay);
       EXPECT_TRUE(report.replayed_pass);
-      EXPECT_TRUE(report.ok()) << segment.path << " at " << threads
-                               << " threads: " << report.error;
+      EXPECT_TRUE(report.ok()) << path << " at " << threads << " threads: " << report.error;
       EXPECT_EQ(report.matched, report.replayed);
     }
     const ReplayReport report = replay_trace(trace, assets, replay);

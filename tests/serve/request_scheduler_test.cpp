@@ -157,6 +157,9 @@ TEST(RequestSchedulerTest, MicroBatchedDecisionsMatchScalarReferenceAcrossThread
   }
 }
 
+// The queue path's lock: sharded async submission, drained into
+// micro-batches however the workers happen to coalesce, is bit-identical
+// to the per-session scalar reference at engine pools of 1/4/8 threads.
 TEST(RequestSchedulerTest, AsyncQueueServingMatchesScalarReference) {
   const auto policy = toy_policy();
   const auto model = toy_model();
@@ -164,26 +167,29 @@ TEST(RequestSchedulerTest, AsyncQueueServingMatchesScalarReference) {
   const std::vector<ScenarioRequest> scenario = mixed_scenario();
   const std::vector<std::size_t> expected = reference_decisions(scenario, *model, rs_config);
 
-  SchedulerConfig scheduler_config;
-  scheduler_config.max_batch = 4;
-  Stack stack(policy, model, rs_config, /*threads=*/4, scheduler_config);
-  stack.scheduler->start();
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    SchedulerConfig scheduler_config;
+    scheduler_config.max_batch = 4;
+    Stack stack(policy, model, rs_config, threads, scheduler_config);
+    stack.scheduler->start();
 
-  // Submission order fixes each session's streams at admission, so however
-  // the queue drains into micro-batches, decisions must match.
-  std::vector<std::future<ControlDecision>> futures;
-  for (const ScenarioRequest& item : scenario) {
-    futures.push_back(
-        stack.scheduler->submit(stack.request(item, RequestKind::kMbrlFallback,
-                                              rs_config.horizon)));
+    // Submission order fixes each session's streams at admission, so
+    // however the queue drains into micro-batches, decisions must match.
+    std::vector<std::future<ControlDecision>> futures;
+    for (const ScenarioRequest& item : scenario) {
+      futures.push_back(
+          stack.scheduler->submit(stack.request(item, RequestKind::kMbrlFallback,
+                                                rs_config.horizon)));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_EQ(futures[i].get().action_index, expected[i])
+          << "request " << i << " at " << threads << " threads";
+    }
+    const RequestScheduler::Stats stats = stack.scheduler->stats();
+    EXPECT_EQ(stats.mbrl_served, scenario.size());
+    EXPECT_GE(stats.batches, 1u);
+    stack.scheduler->stop();
   }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get().action_index, expected[i]) << "request " << i;
-  }
-  const RequestScheduler::Stats stats = stack.scheduler->stats();
-  EXPECT_EQ(stats.mbrl_served, scenario.size());
-  EXPECT_GE(stats.batches, 1u);
-  stack.scheduler->stop();
 }
 
 // Work-conserving close: a batch takes exactly what is queued when the
@@ -273,8 +279,9 @@ TEST(RequestSchedulerTest, ShardingPreservesDecisionBits) {
 
     std::vector<std::future<ControlDecision>> futures;
     for (const ScenarioRequest& item : scenario) {
-      futures.push_back(stack.scheduler->submit(
-          stack.request(item, RequestKind::kMbrlFallback, rs_config.horizon)));
+      futures.push_back(
+          stack.scheduler->submit(stack.request(item, RequestKind::kMbrlFallback,
+                                                rs_config.horizon)));
     }
     for (std::size_t i = 0; i < futures.size(); ++i) {
       EXPECT_EQ(futures[i].get().action_index, expected[i])
