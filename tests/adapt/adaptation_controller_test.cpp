@@ -190,6 +190,38 @@ TEST(AdaptationControllerTest, DriftTriggersCertifiedPromotionAndHotSwap) {
   EXPECT_EQ(loop.scheduler->serve(request).policy_version, report.promoted_policy_version);
 }
 
+// The per-controller Stats and the process-wide `adapt_*` counters count
+// the same events: drift, then an attempt, then a promotion, with every
+// global delta equal to the matching Stats field.
+TEST(AdaptationControllerTest, StatsMatchGlobalCounterDeltas) {
+  const char* const names[] = {"adapt_records_drained_total", "adapt_records_lost_total",
+                               "adapt_transitions_total",     "adapt_drift_events_total",
+                               "adapt_attempts_total",        "adapt_promotions_total",
+                               "adapt_sessions_evicted_total"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(obs::counter(name).value());
+
+  Loop loop(quick_config());
+  loop.emit_decisions(80, toy_plant);
+  ASSERT_EQ(loop.controller->pump(), 0u);
+  loop.emit_decisions(120, drifted_plant);
+  ASSERT_EQ(loop.controller->pump(), 1u);
+
+  const AdaptationController::Stats stats = loop.controller->stats();
+  EXPECT_GT(stats.records_drained, 0u);
+  EXPECT_GT(stats.transitions, 0u);
+  EXPECT_EQ(stats.drift_events, 1u);
+  EXPECT_EQ(stats.adaptations_attempted, 1u);
+  EXPECT_EQ(stats.adaptations_promoted, 1u);
+  const std::uint64_t expected[] = {stats.records_drained,       stats.records_lost,
+                                    stats.transitions,           stats.drift_events,
+                                    stats.adaptations_attempted, stats.adaptations_promoted,
+                                    stats.sessions_evicted};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(obs::counter(names[i]).value() - before[i], expected[i]) << names[i];
+  }
+}
+
 TEST(AdaptationControllerTest, PromotionIsDeterministicAcrossThreadCounts) {
   // Same telemetry, pools of 1 vs 4 threads: the promoted bundle and the
   // certification numbers must agree bit-for-bit (the engines' lock-step

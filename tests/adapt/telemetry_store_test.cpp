@@ -377,6 +377,86 @@ TEST(TelemetryStoreTest, RetentionDeletesOldestAndCountsDrops) {
   EXPECT_GT(store.stats().records_dropped_retention, 0u);
 }
 
+// The per-store Stats and the process-wide `telemetry_store_*` counters
+// count the same events. One store rotates, drops a segment to retention
+// and crashes with an open tail; a second recovers the torn tail, then
+// loses its disk. Every global delta equals the two stores' Stats summed;
+// the dropped counter is torn + persist + retention.
+TEST(TelemetryStoreTest, StatsMatchGlobalCounterDeltas) {
+  const char* const names[] = {
+      "telemetry_store_records_persisted_total", "telemetry_store_records_dropped_total",
+      "telemetry_store_bytes_written_total",     "telemetry_store_rotations_total",
+      "telemetry_store_truncations_total",       "telemetry_store_persist_errors_total"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(obs::counter(name).value());
+
+  const std::string dir = fresh_dir("verihvac_store_test_mirror");
+  std::vector<TelemetryStore::Stats> all;
+  {
+    auto log = std::make_shared<TelemetryLog>();
+    log->register_session(1, 1001, "toy");
+    TelemetryStoreConfig config = manual_config(dir);
+    config.segment_max_records = 2;
+    config.retain_max_segments = 2;
+    config.seal_on_close = false;
+    TelemetryStore store(log, config);
+    for (std::uint64_t d = 0; d < 11; ++d) emit(*log, 1, d, 18.0);
+    store.pump_once();
+    store.stop();
+    all.push_back(store.stats());
+  }
+  fs::path open_tail;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".open") open_tail = entry.path();
+  }
+  ASSERT_FALSE(open_tail.empty());
+  fs::resize_file(open_tail, fs::file_size(open_tail) - 7);
+  {
+    auto log = std::make_shared<TelemetryLog>();
+    log->register_session(2, 1002, "toy");
+    TelemetryStore store(log, manual_config(dir));
+    emit(*log, 2, 0, 18.0);
+    store.pump_once();
+    store.seal_active();
+    fs::remove_all(dir);
+    std::ofstream(dir).put('x');
+    for (std::uint64_t d = 1; d <= 4; ++d) {
+      emit(*log, 2, d, 18.0);
+      store.pump_once();
+    }
+    store.stop();
+    all.push_back(store.stats());
+  }
+  fs::remove(dir);
+
+  TelemetryStore::Stats sum;
+  for (const TelemetryStore::Stats& s : all) {
+    sum.records_persisted += s.records_persisted;
+    sum.records_dropped_retention += s.records_dropped_retention;
+    sum.records_dropped_torn += s.records_dropped_torn;
+    sum.records_dropped_persist += s.records_dropped_persist;
+    sum.bytes_written += s.bytes_written;
+    sum.rotations += s.rotations;
+    sum.truncations += s.truncations;
+    sum.persist_errors += s.persist_errors;
+  }
+  EXPECT_GT(sum.rotations, 0u);
+  EXPECT_GT(sum.records_dropped_retention, 0u);
+  EXPECT_EQ(sum.records_dropped_torn, 1u);
+  EXPECT_EQ(sum.records_dropped_persist, 4u);
+  EXPECT_GT(sum.persist_errors, 0u);
+  const std::uint64_t expected[] = {
+      sum.records_persisted,
+      sum.records_dropped_torn + sum.records_dropped_persist + sum.records_dropped_retention,
+      sum.bytes_written,
+      sum.rotations,
+      sum.truncations,
+      sum.persist_errors};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(obs::counter(names[i]).value() - before[i], expected[i]) << names[i];
+  }
+}
+
 TEST(TelemetryStoreTest, DirectoryDatasetMatchesTraceDataset) {
   const std::string dir = fresh_dir("verihvac_store_test_dataset");
   auto log = std::make_shared<TelemetryLog>();

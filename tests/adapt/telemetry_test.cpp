@@ -128,6 +128,38 @@ TEST(TelemetryLogTest, DtSamplingSkipsDeterministicallyAndCounts) {
   EXPECT_EQ(log.stats().lost, 0u);
 }
 
+// The per-log Stats and the process-wide `telemetry_*` counters count the
+// same events: a sampled log (period 32) whose ring laps, so every field
+// is non-zero and each global delta must equal it.
+TEST(TelemetryLogTest, StatsMatchGlobalCounterDeltas) {
+  const char* const names[] = {"telemetry_records_total", "telemetry_lost_total",
+                               "telemetry_overwritten_total", "telemetry_sampling_skips_total"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(obs::counter(name).value());
+
+  TelemetryConfig config = tiny_ring();
+  config.dt_sample_period = 32;
+  TelemetryLog log(config);
+  std::vector<TelemetryRecord> records;
+  for (std::uint64_t d = 0; d < 256; ++d) {
+    emit(log, 1 + d % 3, d, serve::RequestKind::kDtPolicy, 0, 18.0);
+    if (d % 40 == 0) emit(log, 2, d, serve::RequestKind::kMbrlFallback, 1, 18.0, 2);
+    if (d % 100 == 99) log.drain(records);
+  }
+  log.drain(records);
+
+  const TelemetryLog::Stats stats = log.stats();
+  EXPECT_GT(stats.recorded, 0u);
+  EXPECT_GT(stats.lost, 0u);
+  EXPECT_GT(stats.overwritten, 0u);
+  EXPECT_GT(stats.sampling_skips, 0u);
+  const std::uint64_t expected[] = {stats.recorded, stats.lost, stats.overwritten,
+                                    stats.sampling_skips};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(obs::counter(names[i]).value() - before[i], expected[i]) << names[i];
+  }
+}
+
 TEST(TelemetryLogTest, ForecastBeyondCapIsTruncatedAndFlagged) {
   TelemetryLog log;
   emit(log, 2, 0, serve::RequestKind::kMbrlFallback, 1, 18.0,

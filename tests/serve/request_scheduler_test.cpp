@@ -523,6 +523,43 @@ TEST(RequestSchedulerTest, StatsCountersAreThreadCountInvariantWithObsEnabled) {
   EXPECT_EQ(all_stats[0].mbrl_served, scenario.size());
 }
 
+// The per-scheduler Stats and the process-wide `serve_*` counters count
+// the same events: over one scheduler's lifetime each global delta equals
+// the matching Stats field (DT inline, one coalesced batch, lone inline
+// solves and worker-thread batches).
+TEST(RequestSchedulerTest, StatsMatchGlobalCounterDeltas) {
+  const char* const names[] = {"serve_dt_served_total", "serve_mbrl_served_total",
+                               "serve_batches_total", "serve_batched_requests_total"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(obs::counter(name).value());
+
+  const control::RandomShootingConfig rs_config = serving_rs();
+  Stack stack(toy_policy(), toy_model(), rs_config, /*threads=*/2);
+  const std::vector<ScenarioRequest> scenario = mixed_scenario();
+  std::vector<ControlRequest> mbrl;
+  for (const ScenarioRequest& item : scenario) {
+    stack.scheduler->serve(stack.request(item, RequestKind::kDtPolicy, 0));
+    mbrl.push_back(stack.request(item, RequestKind::kMbrlFallback, rs_config.horizon));
+  }
+  stack.scheduler->serve_batch(mbrl);
+  stack.scheduler->serve(mbrl.front());
+  stack.scheduler->start();
+  std::vector<std::future<ControlDecision>> futures;
+  for (const ControlRequest& request : mbrl) futures.push_back(stack.scheduler->submit(request));
+  for (auto& future : futures) future.get();
+  stack.scheduler->stop();
+
+  const RequestScheduler::Stats stats = stack.scheduler->stats();
+  EXPECT_EQ(stats.dt_served, scenario.size());
+  EXPECT_EQ(stats.mbrl_served, 2 * scenario.size() + 1);
+  EXPECT_GE(stats.batched_requests, scenario.size());
+  const std::uint64_t expected[] = {stats.dt_served, stats.mbrl_served, stats.batches,
+                                    stats.batched_requests};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(obs::counter(names[i]).value() - before[i], expected[i]) << names[i];
+  }
+}
+
 // Sampled DT timing: with period P and a tap installed, exactly 1-in-P DT
 // decisions are timed, and each timed latency also lands in the obs
 // histogram (`serve_dt_latency_seconds`).
