@@ -62,14 +62,7 @@ AdaptationController::AdaptationController(AdaptationConfig config,
       pool_(pool != nullptr ? std::move(pool) : common::TaskPool::shared()),
       engine_(pool_),
       monitor_(config_.drift),
-      obs_{&obs::counter("adapt_records_drained_total"),
-           &obs::counter("adapt_records_lost_total"),
-           &obs::counter("adapt_transitions_total"),
-           &obs::counter("adapt_drift_events_total"),
-           &obs::counter("adapt_attempts_total"),
-           &obs::counter("adapt_promotions_total"),
-           &obs::counter("adapt_sessions_evicted_total"),
-           &obs::histogram("adapt_generation_seconds")} {
+      generation_seconds_(obs::histogram("adapt_generation_seconds")) {
   if (telemetry_ == nullptr || registry_ == nullptr || sessions_ == nullptr) {
     throw std::invalid_argument(
         "AdaptationController: telemetry, registry and sessions must be non-null");
@@ -161,12 +154,10 @@ std::size_t AdaptationController::pump() {
   std::vector<PendingTransition> fresh;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.records_drained += drain_buffer_.size();
-    stats_.records_lost += lost;
+    records_drained_.add(drain_buffer_.size());
+    records_lost_.add(lost);
     if (!drain_buffer_.empty()) fresh = pair_records(drain_buffer_);
   }
-  if (!drain_buffer_.empty()) obs_.records_drained->add(drain_buffer_.size());
-  if (lost > 0) obs_.records_lost->add(lost);
 
   // Residual scoring — per-transition model/ensemble forwards — runs
   // outside mutex_ so stats()/history() readers never wait on inference;
@@ -212,11 +203,10 @@ std::size_t AdaptationController::pump() {
     DriftEvent trigger;
   };
   std::vector<Work> work;
-  if (!fresh.empty()) obs_.transitions->add(fresh.size());
-  if (!alarms.empty()) obs_.drift_events->add(alarms.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.transitions += fresh.size();
+    transitions_.add(fresh.size());
+    drift_events_.add(alarms.size());
     for (PendingTransition& item : fresh) {
       const auto cluster_it = clusters_.find(item.key);
       if (cluster_it != clusters_.end()) {
@@ -224,7 +214,6 @@ std::size_t AdaptationController::pump() {
       }
     }
     for (Alarm& alarm : alarms) {
-      ++stats_.drift_events;
       const auto cluster_it = clusters_.find(alarm.key);
       if (cluster_it != clusters_.end()) {
         cluster_it->second.drift_armed = true;
@@ -254,13 +243,11 @@ std::size_t AdaptationController::pump() {
   for (Work& item : work) {
     AdaptOutcome outcome =
         adapt_cluster(item.key, item.assets, item.snapshot, item.generation, item.trigger);
-    obs_.attempts->add(1);
-    if (outcome.report.promoted) obs_.promotions->add(1);
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.adaptations_attempted;
+    attempts_.add(1);
     auto cluster_it = clusters_.find(item.key);
     if (outcome.report.promoted) {
-      ++stats_.adaptations_promoted;
+      promotions_.add(1);
       if (cluster_it != clusters_.end()) {
         // The fine-tuned model/ensemble are the new residual baseline;
         // telemetry accumulated against the stale model is discarded and
@@ -288,9 +275,8 @@ std::size_t AdaptationController::pump() {
   if (config_.evict_idle_decisions > 0) {
     const std::size_t evicted = sessions_->evict_idle(config_.evict_idle_decisions);
     if (evicted > 0) {
-      obs_.sessions_evicted->add(evicted);
       std::lock_guard<std::mutex> lock(mutex_);
-      stats_.sessions_evicted += evicted;
+      sessions_evicted_.add(evicted);
     }
   }
   {
@@ -445,7 +431,7 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
   }
 
   report.seconds = seconds_since(t0);
-  obs_.generation_seconds->observe(report.seconds);
+  generation_seconds_.observe(report.seconds);
   return outcome;
 }
 
@@ -483,7 +469,15 @@ void AdaptationController::stop() {
 
 AdaptationController::Stats AdaptationController::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats stats;
+  stats.records_drained = records_drained_.value();
+  stats.records_lost = records_lost_.value();
+  stats.transitions = transitions_.value();
+  stats.drift_events = drift_events_.value();
+  stats.adaptations_attempted = attempts_.value();
+  stats.adaptations_promoted = promotions_.value();
+  stats.sessions_evicted = sessions_evicted_.value();
+  return stats;
 }
 
 std::vector<AdaptationReport> AdaptationController::history() const {

@@ -200,10 +200,11 @@ class AdaptationController {
   void stop();
   bool running() const { return worker_.joinable(); }
 
-  /// Exact per-controller counters (under mutex_). Every field is also
-  /// published — process-cumulatively — into the obs registry
-  /// (`adapt_*_total`), and each generation's wall time feeds
-  /// `adapt_generation_seconds`; the stage breakdown lands in trace spans
+  /// Exact per-controller counters (a consistent snapshot under mutex_).
+  /// Each field is an obs::InstanceCounter whose adds also land —
+  /// process-cumulatively — in the `adapt_*_total` instruments. Each
+  /// generation's wall time feeds `adapt_generation_seconds`; the stage
+  /// breakdown lands in trace spans
   /// (adapt.generation > fine_tune/redistill/recertify/shadow_gate/hot_swap).
   struct Stats {
     std::uint64_t records_drained = 0;
@@ -273,7 +274,7 @@ class AdaptationController {
   /// may interleave); heavy adaptation work runs under this lock alone so
   /// stats()/history() stay responsive.
   std::mutex pump_mutex_;
-  mutable std::mutex mutex_;  ///< guards clusters_, pending_records_, history_, stats_
+  mutable std::mutex mutex_;  ///< guards clusters_, pending_records_, history_
   std::map<std::string, Cluster> clusters_;
   /// Last record per session, awaiting its successor for transition pairing.
   std::map<serve::SessionId, TelemetryRecord> pending_records_;
@@ -282,21 +283,16 @@ class AdaptationController {
   std::map<serve::SessionId, std::string> session_keys_;
   std::vector<TelemetryRecord> drain_buffer_;
   std::vector<AdaptationReport> history_;
-  Stats stats_;
-
-  /// Process-wide obs instruments mirroring Stats (resolved once; the
-  /// global registry outlives every controller).
-  struct ObsHandles {
-    obs::Counter* records_drained;
-    obs::Counter* records_lost;
-    obs::Counter* transitions;
-    obs::Counter* drift_events;
-    obs::Counter* attempts;
-    obs::Counter* promotions;
-    obs::Counter* sessions_evicted;
-    obs::Histogram* generation_seconds;
-  };
-  ObsHandles obs_;
+  /// Stats counts (added under mutex_), each also feeding its `adapt_*`
+  /// global instrument.
+  obs::InstanceCounter records_drained_{"adapt_records_drained_total"};
+  obs::InstanceCounter records_lost_{"adapt_records_lost_total"};
+  obs::InstanceCounter transitions_{"adapt_transitions_total"};
+  obs::InstanceCounter drift_events_{"adapt_drift_events_total"};
+  obs::InstanceCounter attempts_{"adapt_attempts_total"};
+  obs::InstanceCounter promotions_{"adapt_promotions_total"};
+  obs::InstanceCounter sessions_evicted_{"adapt_sessions_evicted_total"};
+  obs::Histogram& generation_seconds_;
 
   std::mutex worker_mutex_;
   std::condition_variable worker_cv_;

@@ -6,13 +6,14 @@ namespace verihvac::adapt {
 
 DriftMonitor::DriftMonitor(DriftMonitorConfig config)
     : config_(config),
-      obs_{&obs::histogram("adapt_drift_residual"), &obs::counter("adapt_drift_alarms_total")} {}
+      residual_histogram_(obs::histogram("adapt_drift_residual")),
+      alarms_(obs::counter("adapt_drift_alarms_total")) {}
 
 std::optional<DriftEvent> DriftMonitor::observe(const std::string& cluster, double residual) {
   std::lock_guard<std::mutex> lock(mutex_);
   Cluster& state = clusters_[cluster];
   state.residuals.add(residual);
-  obs_.residual->observe(residual);
+  residual_histogram_.observe(residual);
 
   // One-sided Page-Hinkley on residual increase, against the running mean.
   state.ph_m += residual - state.residuals.mean() - config_.ph_delta;
@@ -21,7 +22,7 @@ std::optional<DriftEvent> DriftMonitor::observe(const std::string& cluster, doub
 
   if (!state.fired && state.residuals.count() >= config_.min_samples && ph > config_.ph_lambda) {
     state.fired = true;
-    obs_.alarms->add(1);
+    alarms_.add(1);
     DriftEvent event;
     event.cluster = cluster;
     event.samples = state.residuals.count();

@@ -96,11 +96,8 @@ class DriftMonitor {
   /// Process-wide obs instruments: every scored residual feeds the
   /// `adapt_drift_residual` histogram (its quantiles are the earliest
   /// drift signal) and fired alarms count into `adapt_drift_alarms_total`.
-  struct ObsHandles {
-    obs::Histogram* residual;
-    obs::Counter* alarms;
-  };
-  ObsHandles obs_;
+  obs::Histogram& residual_histogram_;
+  obs::Counter& alarms_;
 };
 
 }  // namespace verihvac::adapt

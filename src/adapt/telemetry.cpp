@@ -37,10 +37,7 @@ std::vector<env::Disturbance> TelemetryRecord::forecast_vector() const {
 }
 
 TelemetryLog::TelemetryLog(TelemetryConfig config)
-    : config_(config),
-      obs_{&obs::counter("telemetry_records_total"), &obs::counter("telemetry_lost_total"),
-           &obs::counter("telemetry_overwritten_total"),
-           &obs::counter("telemetry_sampling_skips_total")} {
+    : config_(config), records_(obs::counter("telemetry_records_total")) {
   if (config_.shards == 0) config_.shards = 1;
   config_.shards = round_up_pow2(config_.shards);
   shard_mask_ = config_.shards - 1;
@@ -90,8 +87,7 @@ void TelemetryLog::on_decision(const serve::DecisionEvent& event) noexcept {
   // period so transition pairing survives; MBRL always records.
   if (dt_sample_mask_ != 0 && event.kind == serve::RequestKind::kDtPolicy &&
       (event.decision_index & dt_sample_mask_) > 1) {
-    sampling_skips_.fetch_add(1, std::memory_order_relaxed);
-    obs_.sampling_skips->add(1);
+    sampling_skips_.add(1);
     return;
   }
 
@@ -169,7 +165,7 @@ void TelemetryLog::on_decision(const serve::DecisionEvent& event) noexcept {
   r.forecast_ticket = has_forecast ? forecast_ticket + 1 : 0;  // 0 = none
 
   slot.seq.store(2 * ticket + 2, std::memory_order_release);
-  obs_.records->add(1);
+  records_.add(1);
 }
 
 std::uint64_t TelemetryLog::drain(std::vector<TelemetryRecord>& out) {
@@ -250,10 +246,8 @@ std::uint64_t TelemetryLog::drain(std::vector<TelemetryRecord>& out) {
     }
     shard.tail = t;
   }
-  lost_.fetch_add(lost, std::memory_order_relaxed);
-  overwritten_.fetch_add(overwritten, std::memory_order_relaxed);
-  if (lost > 0) obs_.lost->add(lost);
-  if (overwritten > 0) obs_.overwritten->add(overwritten);
+  if (lost > 0) lost_.add(lost);
+  if (overwritten > 0) overwritten_.add(overwritten);
   return lost;
 }
 
@@ -262,9 +256,9 @@ TelemetryLog::Stats TelemetryLog::stats() const {
   for (const auto& shard : shards_) {
     stats.recorded += shard->head.load(std::memory_order_relaxed);
   }
-  stats.lost = lost_.load(std::memory_order_relaxed);
-  stats.overwritten = overwritten_.load(std::memory_order_relaxed);
-  stats.sampling_skips = sampling_skips_.load(std::memory_order_relaxed);
+  stats.lost = lost_.value();
+  stats.overwritten = overwritten_.value();
+  stats.sampling_skips = sampling_skips_.value();
   return stats;
 }
 

@@ -204,10 +204,11 @@ class TelemetryLog : public serve::DecisionTap {
   /// `lost` accumulates drain()-detected losses, of which `overwritten`
   /// is the lap-overwrite share (the rest are torn slots or lapped
   /// forecasts); `sampling_skips` counts DT decisions the deterministic
-  /// sampler chose not to record. Dual-published: this per-log snapshot
-  /// stays exact; every field also lands in the process-wide obs registry
-  /// (`telemetry_*` instruments), so durable-log capture gaps show on the
-  /// same dashboard as everything else.
+  /// sampler chose not to record. The last three are obs::InstanceCounters
+  /// and `recorded` is summed from the ring heads, so this per-log
+  /// snapshot stays exact while the same events land in the process-wide
+  /// `telemetry_*` instruments, where capture gaps show on the same
+  /// dashboard as everything else.
   struct Stats {
     std::uint64_t recorded = 0;
     std::uint64_t lost = 0;
@@ -263,18 +264,11 @@ class TelemetryLog : public serve::DecisionTap {
   std::size_t forecast_mask_ = 0;
   std::size_t dt_sample_mask_ = 0;  ///< 0 = record every DT decision
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> lost_{0};
-  std::atomic<std::uint64_t> overwritten_{0};
-  std::atomic<std::uint64_t> sampling_skips_{0};
-
-  /// Process-wide obs instruments (resolved once at construction).
-  struct ObsHandles {
-    obs::Counter* records;
-    obs::Counter* lost;
-    obs::Counter* overwritten;
-    obs::Counter* sampling_skips;
-  };
-  ObsHandles obs_;
+  obs::InstanceCounter lost_{"telemetry_lost_total"};
+  obs::InstanceCounter overwritten_{"telemetry_overwritten_total"};
+  obs::InstanceCounter sampling_skips_{"telemetry_sampling_skips_total"};
+  /// Global only: `recorded` is summed from the ring heads.
+  obs::Counter& records_;
 
   mutable std::mutex sessions_mutex_;
   std::map<serve::SessionId, TelemetrySession> sessions_;

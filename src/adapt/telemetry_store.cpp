@@ -296,14 +296,8 @@ std::uint64_t replay_fingerprint_update(std::uint64_t h, const TelemetryRecord& 
 TelemetryStore::TelemetryStore(std::shared_ptr<TelemetryLog> log, TelemetryStoreConfig config)
     : log_(std::move(log)),
       config_(std::move(config)),
-      obs_{&obs::counter("telemetry_store_records_persisted_total"),
-           &obs::counter("telemetry_store_records_dropped_total"),
-           &obs::counter("telemetry_store_bytes_written_total"),
-           &obs::counter("telemetry_store_rotations_total"),
-           &obs::counter("telemetry_store_truncations_total"),
-           &obs::counter("telemetry_store_persist_errors_total"),
-           &obs::gauge("telemetry_store_segments"),
-           &obs::histogram("telemetry_store_flush_seconds")} {
+      segments_gauge_(obs::gauge("telemetry_store_segments")),
+      flush_seconds_(obs::histogram("telemetry_store_flush_seconds")) {
   if (log_ == nullptr) throw std::invalid_argument("TelemetryStore: null telemetry log");
   if (config_.directory.empty()) throw std::invalid_argument("TelemetryStore: empty directory");
   fs::create_directories(config_.directory);
@@ -386,9 +380,8 @@ void TelemetryStore::recover_open_segments() {
       // than delete so the operator can inspect; readers ignore .corrupt.
       const std::uint64_t lost_bytes = fs::file_size(path);
       fs::rename(path, path + ".corrupt");
-      ++stats_.truncations;
-      stats_.bytes_dropped_torn += lost_bytes;
-      obs_.truncations->add(1);
+      truncations_.add(1);
+      bytes_dropped_torn_ += lost_bytes;
       log_warn("telemetry store: quarantined ", path, " (", lost_bytes,
                " byte(s), unreadable header: ", error.what(), ")");
       continue;
@@ -402,11 +395,9 @@ void TelemetryStore::recover_open_segments() {
       // Nothing whole survived; keep the torn bytes out of the read path.
       fs::remove(path);
       if (trimmed || scanned.torn_tail) {
-        ++stats_.truncations;
-        ++stats_.records_dropped_torn;
-        stats_.bytes_dropped_torn += torn_bytes;
-        obs_.truncations->add(1);
-        obs_.dropped->add(1);
+        truncations_.add(1);
+        dropped_torn_.add(1);
+        bytes_dropped_torn_ += torn_bytes;
         log_warn("telemetry store: removed torn tail ", path, " (", torn_bytes,
                  " unrecoverable byte(s), no whole frame)");
       }
@@ -414,15 +405,13 @@ void TelemetryStore::recover_open_segments() {
     }
     if (trimmed) {
       fs::resize_file(path, good_size);
-      ++stats_.truncations;
+      truncations_.add(1);
       // A clean crash tears at most the one frame being appended, but a
       // mid-file flip discards every frame after it — the record ledger
       // can only attest "at least one", so the byte span is what sizes
       // the real loss. Both are accounted, never zero.
-      ++stats_.records_dropped_torn;
-      stats_.bytes_dropped_torn += torn_bytes;
-      obs_.truncations->add(1);
-      obs_.dropped->add(1);
+      dropped_torn_.add(1);
+      bytes_dropped_torn_ += torn_bytes;
       log_warn("telemetry store: trimmed ", torn_bytes, " torn byte(s) from ", path, " (",
                scanned.tally.records, " whole record(s) kept)");
     }
@@ -478,8 +467,7 @@ void TelemetryStore::append_session_frame(const TelemetrySession& session) {
   active_->header.payload_bytes += frame.size();
   ++active_->header.session_count;
   session_ids_in_active_.insert(session.id);
-  stats_.bytes_written += frame.size();
-  obs_.bytes->add(frame.size());
+  bytes_written_.add(frame.size());
 }
 
 void TelemetryStore::append_record_frame(const TelemetryRecord& record) {
@@ -511,11 +499,8 @@ void TelemetryStore::append_record_frame(const TelemetryRecord& record) {
     active_->last_schema_pair = pair;
   }
   ++next_seq_;
-  ++stats_.records_persisted;
-  stats_.bytes_written += frame.size();
-  // Counter publication is batched per pump (pump_once), not per record.
-  pending_obs_records_ += 1;
-  pending_obs_bytes_ += frame.size();
+  records_persisted_.add(1);
+  bytes_written_.add(frame.size());
 }
 
 void TelemetryStore::seal_active_locked() {
@@ -540,8 +525,7 @@ void TelemetryStore::seal_active_locked() {
       active_->path.substr(0, active_->path.size() - std::strlen(".open"));
   fs::rename(active_->path, sealed_path);
   active_.reset();
-  ++stats_.rotations;
-  obs_.rotations->add(1);
+  rotations_.add(1);
   refresh_segment_gauge_locked();
 }
 
@@ -569,7 +553,7 @@ void TelemetryStore::pump_once() {
 
   drain_buffer_.clear();
   const std::uint64_t lost = log_->drain(drain_buffer_);
-  stats_.capture_lost += lost;
+  capture_lost_ += lost;
   if (fetch_enabled_.load(std::memory_order_relaxed)) {
     fetch_lost_ += lost;
     fetch_queue_.insert(fetch_queue_.end(), drain_buffer_.begin(), drain_buffer_.end());
@@ -579,29 +563,22 @@ void TelemetryStore::pump_once() {
   // error (full disk, yanked volume) degrades to counted drops — it never
   // propagates into the writer thread or the adaptation pump.
   if (!persist_disabled_.load(std::memory_order_relaxed)) {
+    std::uint64_t appended = 0;
     try {
-      persist_locked();
+      persist_locked(appended);
       consecutive_persist_failures_ = 0;
     } catch (const std::exception& error) {
-      note_persist_failure_locked(error.what());
+      note_persist_failure_locked(error.what(), appended);
     }
   } else if (!drain_buffer_.empty()) {
     // Drained but not written: the durable-log gap stays visible in the
     // same drop ledger as every other loss.
-    stats_.records_dropped_persist += drain_buffer_.size();
-    obs_.dropped->add(drain_buffer_.size());
+    dropped_persist_.add(drain_buffer_.size());
   }
-
-  if (pending_obs_records_ > 0) {
-    obs_.persisted->add(pending_obs_records_);
-    obs_.bytes->add(pending_obs_bytes_);
-    pending_obs_records_ = 0;
-    pending_obs_bytes_ = 0;
-  }
-  obs_.flush_seconds->observe(seconds_since(t0));
+  flush_seconds_.observe(seconds_since(t0));
 }
 
-void TelemetryStore::persist_locked() {
+void TelemetryStore::persist_locked(std::uint64_t& appended) {
   if (!drain_buffer_.empty() || log_->session_count() > sessions_written_) {
     if (active_ == nullptr) open_segment();
     // New sessions registered since the segment opened get their frames
@@ -615,6 +592,7 @@ void TelemetryStore::persist_locked() {
       // across segment boundaries instead of blowing past the budget.
       if (active_ == nullptr) open_segment();
       append_record_frame(record);
+      ++appended;
       maybe_rotate_locked();
     }
     if (active_ != nullptr) {
@@ -628,20 +606,14 @@ void TelemetryStore::persist_locked() {
   maybe_rotate_locked();
 }
 
-void TelemetryStore::note_persist_failure_locked(const char* what) {
-  ++stats_.persist_errors;
-  obs_.persist_errors->add(1);
+void TelemetryStore::note_persist_failure_locked(const char* what, std::uint64_t appended) {
+  persist_errors_.add(1);
   ++consecutive_persist_failures_;
 
-  // pending_obs_records_ counts the appends that succeeded this pump; the
-  // rest of the drained batch never reached the segment.
-  const std::uint64_t appended = pending_obs_records_;
+  // The drained records past the `appended` ones never reached a segment.
   const std::uint64_t unwritten =
       drain_buffer_.size() > appended ? drain_buffer_.size() - appended : 0;
-  if (unwritten > 0) {
-    stats_.records_dropped_persist += unwritten;
-    obs_.dropped->add(unwritten);
-  }
+  if (unwritten > 0) dropped_persist_.add(unwritten);
 
   // Abandon the active tail — its stream may be poisoned mid-frame. The
   // `.open` file stays on disk; the next startup trims it to the last
@@ -704,8 +676,7 @@ void TelemetryStore::enforce_retention_locked() {
     if (!over_count && !over_bytes) break;
     const SegmentInfo& victim = sealed[begin];
     fs::remove(victim.path);
-    stats_.records_dropped_retention += victim.header.record_count;
-    if (victim.header.record_count > 0) obs_.dropped->add(victim.header.record_count);
+    if (victim.header.record_count > 0) dropped_retention_.add(victim.header.record_count);
     total_bytes -= victim.header.payload_bytes;
     ++begin;
   }
@@ -719,12 +690,23 @@ void TelemetryStore::refresh_segment_gauge_locked() {
     const std::string path = entry.path().string();
     if (ends_with(path, kSealedSuffix) || ends_with(path, kOpenSuffix)) ++n;
   }
-  obs_.segments->set(static_cast<double>(n));
+  segments_gauge_.set(static_cast<double>(n));
 }
 
 TelemetryStore::Stats TelemetryStore::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats stats;
+  stats.records_persisted = records_persisted_.value();
+  stats.records_dropped_retention = dropped_retention_.value();
+  stats.records_dropped_torn = dropped_torn_.value();
+  stats.records_dropped_persist = dropped_persist_.value();
+  stats.bytes_written = bytes_written_.value();
+  stats.bytes_dropped_torn = bytes_dropped_torn_;
+  stats.rotations = rotations_.value();
+  stats.truncations = truncations_.value();
+  stats.capture_lost = capture_lost_;
+  stats.persist_errors = persist_errors_.value();
+  return stats;
 }
 
 // ---------------------------------------------------------------------------

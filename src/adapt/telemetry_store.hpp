@@ -184,6 +184,9 @@ class TelemetryStore {
   /// the destructor calls it.
   void stop();
 
+  /// Exact per-store counts. Every field but `bytes_dropped_torn` and
+  /// `capture_lost` is an obs::InstanceCounter whose adds also land in the
+  /// process-wide `telemetry_store_*` instruments.
   struct Stats {
     std::uint64_t records_persisted = 0;
     std::uint64_t records_dropped_retention = 0;  ///< deleted-segment records
@@ -224,8 +227,9 @@ class TelemetryStore {
   std::vector<SegmentInfo> sealed_segments_locked() const;
   /// The drain-and-append body of pump_once(); the only part of a pump
   /// that touches the disk and therefore the only part allowed to throw.
-  void persist_locked();
-  void note_persist_failure_locked(const char* what);
+  /// `appended` counts the drained records it wrote before any throw.
+  void persist_locked(std::uint64_t& appended);
+  void note_persist_failure_locked(const char* what, std::uint64_t appended);
 
   std::shared_ptr<TelemetryLog> log_;
   TelemetryStoreConfig config_;
@@ -245,23 +249,21 @@ class TelemetryStore {
   /// counted and, after a few consecutive ones, persistence turns off.
   std::atomic<bool> persist_disabled_{false};
   std::uint32_t consecutive_persist_failures_ = 0;
-  Stats stats_;
-  /// Counter deltas batched across one pump (published once per pump_once).
-  std::uint64_t pending_obs_records_ = 0;
-  std::uint64_t pending_obs_bytes_ = 0;
-
-  /// Process-wide obs instruments (resolved once at construction).
-  struct ObsHandles {
-    obs::Counter* persisted;
-    obs::Counter* dropped;
-    obs::Counter* bytes;
-    obs::Counter* rotations;
-    obs::Counter* truncations;
-    obs::Counter* persist_errors;
-    obs::Gauge* segments;
-    obs::Histogram* flush_seconds;
-  };
-  ObsHandles obs_;
+  /// Stats counts, each also feeding its `telemetry_store_*` global; the
+  /// three drop causes share `telemetry_store_records_dropped_total`.
+  obs::InstanceCounter records_persisted_{"telemetry_store_records_persisted_total"};
+  obs::InstanceCounter dropped_retention_{"telemetry_store_records_dropped_total"};
+  obs::InstanceCounter dropped_torn_{"telemetry_store_records_dropped_total"};
+  obs::InstanceCounter dropped_persist_{"telemetry_store_records_dropped_total"};
+  obs::InstanceCounter bytes_written_{"telemetry_store_bytes_written_total"};
+  obs::InstanceCounter rotations_{"telemetry_store_rotations_total"};
+  obs::InstanceCounter truncations_{"telemetry_store_truncations_total"};
+  obs::InstanceCounter persist_errors_{"telemetry_store_persist_errors_total"};
+  /// Stats fields with no global instrument.
+  std::uint64_t bytes_dropped_torn_ = 0;
+  std::uint64_t capture_lost_ = 0;
+  obs::Gauge& segments_gauge_;
+  obs::Histogram& flush_seconds_;
 
   std::mutex worker_mutex_;
   std::condition_variable worker_cv_;

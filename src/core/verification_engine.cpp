@@ -13,15 +13,15 @@ namespace verihvac::core {
 
 VerificationEngine::VerificationEngine(std::shared_ptr<const common::TaskPool> pool)
     : pool_(pool ? std::move(pool) : common::TaskPool::shared()),
-      obs_{&obs::counter("verify_probabilistic_runs_total"),
-           &obs::counter("verify_interval_runs_total"),
-           &obs::counter("verify_reach_runs_total")} {}
+      probabilistic_runs_(obs::counter("verify_probabilistic_runs_total")),
+      interval_runs_(obs::counter("verify_interval_runs_total")),
+      reach_runs_(obs::counter("verify_reach_runs_total")) {}
 
 ProbabilisticReport VerificationEngine::verify_probabilistic(
     const DtPolicy& policy, const dyn::DynamicsModel& model, const AugmentedSampler& sampler,
     const VerificationCriteria& criteria, std::size_t n_samples, std::uint64_t seed) const {
   const obs::TraceSpan span("verify.probabilistic", "verify");
-  obs_.probabilistic_runs->add(1);
+  probabilistic_runs_.add(1);
   ProbabilisticReport report;
   if (n_samples == 0) {
     // "Not measured" must not render as 0% safe (same convention as
@@ -133,7 +133,7 @@ IntervalReport VerificationEngine::verify_interval(const DtPolicy& policy,
     if (result.certified) ++report.leaves_certified;
     report.results.push_back(std::move(result));
   }
-  obs_.interval_runs->add(1);
+  interval_runs_.add(1);
   return report;
 }
 
@@ -142,7 +142,7 @@ std::vector<ReachabilityResult> VerificationEngine::reach_tubes(
     const std::vector<std::vector<double>>& initial_states,
     const std::vector<env::Disturbance>& disturbances, std::size_t horizon) const {
   const obs::TraceSpan span("verify.reach_tubes", "verify");
-  obs_.reach_runs->add(1);
+  reach_runs_.add(1);
   std::vector<ReachabilityResult> tubes(initial_states.size());
   std::vector<dyn::PredictScratch> scratches(pool_->thread_count());
   pool_->parallel_for(initial_states.size(),

@@ -77,12 +77,9 @@ class VerificationEngine {
   std::shared_ptr<const common::TaskPool> pool_;
   /// Process-wide obs instruments (resolved once at construction); each
   /// entry point also opens a "verify" trace span.
-  struct ObsHandles {
-    obs::Counter* probabilistic_runs;
-    obs::Counter* interval_runs;
-    obs::Counter* reach_runs;
-  };
-  ObsHandles obs_;
+  obs::Counter& probabilistic_runs_;
+  obs::Counter& interval_runs_;
+  obs::Counter& reach_runs_;
 };
 
 }  // namespace verihvac::core

@@ -250,6 +250,8 @@ Histogram& histogram(const char* name) {
   return MetricsRegistry::global().histogram(spec.name, spec.help);
 }
 
+InstanceCounter::InstanceCounter(const char* name) : global_(counter(name)) {}
+
 void register_catalog() {
   MetricsRegistry& registry = MetricsRegistry::global();
   for (const InstrumentSpec& spec : instrument_catalog()) {

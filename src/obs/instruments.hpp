@@ -40,6 +40,31 @@ Counter& counter(const char* name);
 Gauge& gauge(const char* name);
 Histogram& histogram(const char* name);
 
+/// A counter owned by one object (a scheduler, a log, a store) that also
+/// feeds the global instrument of the same name: the one way an instance
+/// publishes a count. add() picks the caller's shard once and adds to that
+/// shard of both the instance's cells and the global instrument's, so each
+/// event is counted once per view; value() is this instance's exact total
+/// while the registry keeps the process-cumulative one. Several instances
+/// may share a name (their global deltas sum). Built from a cataloged
+/// counter name, so a typo throws std::invalid_argument.
+class InstanceCounter {
+ public:
+  explicit InstanceCounter(const char* name);
+
+  void add(std::uint64_t delta = 1) noexcept {
+    const std::size_t slot = detail::metric_shard_slot();
+    own_.cells_[slot].value.fetch_add(delta, std::memory_order_relaxed);
+    global_.cells_[slot].value.fetch_add(delta, std::memory_order_relaxed);
+  }
+
+  std::uint64_t value() const noexcept { return own_.value(); }
+
+ private:
+  Counter own_;
+  Counter& global_;
+};
+
 /// Registers every cataloged instrument in the global registry (idempotent)
 /// so expositions list the full surface with zero values.
 void register_catalog();

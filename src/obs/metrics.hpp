@@ -62,6 +62,8 @@ struct alignas(64) HistogramCell {
 
 }  // namespace detail
 
+class InstanceCounter;
+
 /// Monotonic counter. add() is wait-free; value() folds the shards.
 class Counter {
  public:
@@ -76,6 +78,7 @@ class Counter {
   }
 
  private:
+  friend class InstanceCounter;  // adds to a shard it has already picked
   std::array<detail::CounterCell, kMetricShards> cells_{};
 };
 

@@ -33,15 +33,11 @@ RequestScheduler::RequestScheduler(SchedulerConfig config,
       actions_(std::move(actions)),
       rs_(rs_config, actions_, reward),
       pool_(pool != nullptr ? std::move(pool) : common::TaskPool::shared()),
-      obs_{&obs::counter("serve_dt_served_total"),
-           &obs::counter("serve_mbrl_served_total"),
-           &obs::counter("serve_batches_total"),
-           &obs::counter("serve_batched_requests_total"),
-           &obs::gauge("serve_queue_depth"),
-           &obs::histogram("serve_shard_queue_depth"),
-           &obs::histogram("serve_batch_size"),
-           &obs::histogram("serve_dt_latency_seconds"),
-           &obs::histogram("serve_mbrl_solve_seconds")} {
+      queue_depth_gauge_(obs::gauge("serve_queue_depth")),
+      shard_queue_depth_(obs::histogram("serve_shard_queue_depth")),
+      batch_size_(obs::histogram("serve_batch_size")),
+      dt_latency_(obs::histogram("serve_dt_latency_seconds")),
+      mbrl_solve_(obs::histogram("serve_mbrl_solve_seconds")) {
   if (registry_ == nullptr || sessions_ == nullptr) {
     throw std::invalid_argument("RequestScheduler: registry and sessions must be non-null");
   }
@@ -146,7 +142,6 @@ ControlDecision RequestScheduler::serve_dt(const ControlRequest& request) {
   schema.write_observation(request.observation, row.data());
   const std::size_t index = snapshot.policy->decide_index(row);
   dt_served_.add(1);
-  obs_.dt_served->add(1);
 
   ControlDecision decision;
   decision.action_index = index;
@@ -170,7 +165,7 @@ ControlDecision RequestScheduler::serve_dt(const ControlRequest& request) {
         timed ? std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count()
               : 0.0;
     event.timed = timed;
-    if (timed) obs_.dt_latency->observe(event.latency_seconds);
+    if (timed) dt_latency_.observe(event.latency_seconds);
     tap->on_decision(event);
   }
   return decision;
@@ -260,8 +255,8 @@ void RequestScheduler::worker_loop(std::size_t shard) {
     }
     // Queue depth at batch close — the backlog this shard's solve leaves
     // waiting — plus the all-shards gauge for the dashboard.
-    obs_.shard_queue_depth->observe(static_cast<double>(queue.size()));
-    obs_.queue_depth->set(static_cast<double>(queue_depth()));
+    shard_queue_depth_.observe(static_cast<double>(queue.size()));
+    queue_depth_gauge_.set(static_cast<double>(queue_depth()));
     solve_batch(batch);
   }
 }
@@ -375,15 +370,12 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
   // caller reading stats() right after future.get() must already see this
   // batch counted (the promise's internal synchronization publishes the
   // relaxed stores sequenced before it).
-  mbrl_served_.fetch_add(jobs.size(), std::memory_order_relaxed);
-  obs_.mbrl_served->add(jobs.size());
   if (!jobs.empty()) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    if (jobs.size() > 1) batched_requests_.fetch_add(jobs.size(), std::memory_order_relaxed);
+    mbrl_served_.add(jobs.size());
+    batches_.add(1);
+    if (jobs.size() > 1) batched_requests_.add(jobs.size());
     atomic_max(max_batch_, jobs.size());
-    obs_.batches->add(1);
-    if (jobs.size() > 1) obs_.batched_requests->add(jobs.size());
-    obs_.batch_size->observe(static_cast<double>(jobs.size()));
+    batch_size_.observe(static_cast<double>(jobs.size()));
   }
 
   DecisionTap* const tap = tap_.get();
@@ -391,7 +383,7 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
   // solve-time histogram whether or not a tap is installed.
   const double solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_solve).count();
-  if (!jobs.empty()) obs_.mbrl_solve->observe(solve_seconds);
+  if (!jobs.empty()) mbrl_solve_.observe(solve_seconds);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     ControlDecision decision;
     decision.action_index = best_sequences[j].front();
@@ -427,9 +419,9 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
 RequestScheduler::Stats RequestScheduler::stats() const {
   Stats stats;
   stats.dt_served = dt_served_.value();
-  stats.mbrl_served = mbrl_served_.load(std::memory_order_relaxed);
-  stats.batches = batches_.load(std::memory_order_relaxed);
-  stats.batched_requests = batched_requests_.load(std::memory_order_relaxed);
+  stats.mbrl_served = mbrl_served_.value();
+  stats.batches = batches_.value();
+  stats.batched_requests = batched_requests_.value();
   stats.max_batch = max_batch_.load(std::memory_order_relaxed);
   return stats;
 }

@@ -146,12 +146,12 @@ class RequestScheduler {
   std::size_t queue_depth() const;
   std::size_t queue_shard_count() const { return queues_.size(); }
 
-  /// Serving telemetry (monotonic counters). Dual-published: this
-  /// per-scheduler snapshot stays exact (and thread-invariant — the same
-  /// workload yields the same counts at any VERI_HVAC_THREADS), while
-  /// every increment also lands in the process-wide obs registry
-  /// (`serve_*` instruments, including the batch-size and queue-depth
-  /// histograms the struct cannot carry).
+  /// Serving telemetry (monotonic counters). Each count is one
+  /// obs::InstanceCounter: this per-scheduler snapshot stays exact (and
+  /// thread-invariant — the same workload yields the same counts at any
+  /// VERI_HVAC_THREADS), and the same add lands in the process-wide
+  /// `serve_*` instrument. The batch-size and queue-depth histograms have
+  /// no field here; they live in the registry only.
   struct Stats {
     std::uint64_t dt_served = 0;
     std::uint64_t mbrl_served = 0;
@@ -201,27 +201,21 @@ class RequestScheduler {
   std::vector<std::unique_ptr<BoundedMpscQueue<Pending>>> queues_;
   std::vector<std::thread> workers_;
 
-  /// Per-thread sharded cells: the DT fast path bumps it on every
+  /// Exact per-scheduler counts, each also feeding its `serve_*` global.
+  /// Sharded per thread: the DT fast path bumps dt_served_ on every
   /// decision, from every front-end core.
-  obs::Counter dt_served_;
-  std::atomic<std::uint64_t> mbrl_served_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_requests_{0};
+  obs::InstanceCounter dt_served_{"serve_dt_served_total"};
+  obs::InstanceCounter mbrl_served_{"serve_mbrl_served_total"};
+  obs::InstanceCounter batches_{"serve_batches_total"};
+  obs::InstanceCounter batched_requests_{"serve_batched_requests_total"};
   std::atomic<std::uint64_t> max_batch_{0};
 
-  /// Process-wide obs instruments (resolved once at construction).
-  struct ObsHandles {
-    obs::Counter* dt_served;
-    obs::Counter* mbrl_served;
-    obs::Counter* batches;
-    obs::Counter* batched_requests;
-    obs::Gauge* queue_depth;
-    obs::Histogram* shard_queue_depth;
-    obs::Histogram* batch_size;
-    obs::Histogram* dt_latency;
-    obs::Histogram* mbrl_solve;
-  };
-  ObsHandles obs_;
+  /// Global instruments with no per-scheduler view.
+  obs::Gauge& queue_depth_gauge_;
+  obs::Histogram& shard_queue_depth_;
+  obs::Histogram& batch_size_;
+  obs::Histogram& dt_latency_;
+  obs::Histogram& mbrl_solve_;
 };
 
 }  // namespace verihvac::serve

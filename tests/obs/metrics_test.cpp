@@ -227,6 +227,32 @@ TEST(InstrumentCatalogTest, LookupsAreEnforced) {
   EXPECT_NO_THROW(gauge("serve_queue_depth"));
 }
 
+TEST(InstanceCounterTest, InstancesStayExactAndSumIntoTheirGlobal) {
+  EXPECT_THROW(InstanceCounter("no_such_instrument_total"), std::invalid_argument);
+  EXPECT_THROW(InstanceCounter("serve_batch_size"), std::invalid_argument);
+
+  const std::uint64_t before = counter("telemetry_store_records_dropped_total").value();
+  InstanceCounter a("telemetry_store_records_dropped_total");
+  InstanceCounter b("telemetry_store_records_dropped_total");
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kPerThread = 50000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&a, &b, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        a.add(1);
+        if (t % 2 == 0) b.add(3);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(a.value(), kThreads * kPerThread);
+  EXPECT_EQ(b.value(), 3 * (kThreads / 2) * kPerThread);
+  EXPECT_EQ(counter("telemetry_store_records_dropped_total").value() - before,
+            a.value() + b.value());
+}
+
 TEST(InstrumentCatalogTest, RegisterCatalogExposesEveryInstrument) {
   register_catalog();
   const std::string text = MetricsRegistry::global().expose_text();
