@@ -1,6 +1,7 @@
 #include "control/action_space.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -11,8 +12,9 @@ ActionSpace::ActionSpace(ActionSpaceConfig config) : config_(config) {
   if (config_.heat_min > config_.heat_max || config_.cool_min > config_.cool_max) {
     throw std::invalid_argument("ActionSpace: inverted bounds");
   }
-  for (int h = config_.heat_min; h <= config_.heat_max; ++h) {
-    for (int c = config_.cool_min; c <= config_.cool_max; ++c) {
+  // 64-bit counters: an int loop would overflow past a bound of INT_MAX.
+  for (std::int64_t h = config_.heat_min; h <= config_.heat_max; ++h) {
+    for (std::int64_t c = config_.cool_min; c <= config_.cool_max; ++c) {
       if (config_.enforce_heat_le_cool && h > c) continue;
       actions_.push_back(sim::SetpointPair{static_cast<double>(h), static_cast<double>(c)});
     }

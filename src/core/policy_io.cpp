@@ -50,16 +50,22 @@ void write_schema(const env::FeatureSchema& schema, std::ostream& out) {
   }
 }
 
-env::FeatureSchema read_schema(std::istream& in, const std::string& context) {
-  std::string tag;
+/// A schema block as parsed. `features` grows as lines are read, so a
+/// stated dims larger than the input ends as "truncated", not as an
+/// allocation of that size.
+struct SchemaFields {
   std::string name;
+  std::vector<env::FeatureSpec> features;
+};
+
+SchemaFields read_schema(std::istream& in, const std::string& context) {
+  std::string tag;
+  SchemaFields out;
   std::size_t dims = 0;
-  in >> tag >> name >> dims;
+  in >> tag >> out.name >> dims;
   if (!in || tag != "schema" || dims == 0) {
     throw std::runtime_error("read_policy: bad schema header in " + context);
   }
-  std::vector<env::FeatureSpec> features;
-  features.reserve(dims);
   for (std::size_t i = 0; i < dims; ++i) {
     std::string kind;
     std::string role;
@@ -76,14 +82,9 @@ env::FeatureSchema read_schema(std::istream& in, const std::string& context) {
     }
     spec.bounds.lo = read_bound(in, context);
     spec.bounds.hi = read_bound(in, context);
-    features.push_back(std::move(spec));
+    out.features.push_back(std::move(spec));
   }
-  try {
-    return env::FeatureSchema(std::move(name), std::move(features));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error("read_policy: invalid schema (" + std::string(e.what()) +
-                             ") in " + context);
-  }
+  return out;
 }
 
 std::uint64_t as_word(int v) { return static_cast<std::uint64_t>(static_cast<std::int64_t>(v)); }
@@ -94,13 +95,16 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
   return hex.str();
 }
 
-}  // namespace
-
-std::uint64_t policy_fingerprint(const DtPolicy& policy) {
+/// The policy fingerprint over decoded fields, so read_policy can check a
+/// bundle before building anything from it.
+std::uint64_t fingerprint_fields(const std::string& schema_name,
+                                 const std::vector<env::FeatureSpec>& features,
+                                 const control::ActionSpaceConfig& grid,
+                                 std::size_t num_features, std::size_t num_classes,
+                                 const std::vector<tree::TreeNode>& nodes) {
   common::Fnv1a h;
-  const env::FeatureSchema& schema = policy.schema();
-  h.str(schema.name()).u64(schema.dims());
-  for (const env::FeatureSpec& f : schema.features()) {
+  h.str(schema_name).u64(features.size());
+  for (const env::FeatureSpec& f : features) {
     h.str(f.name)
         .str(f.unit)
         .u64(static_cast<std::uint64_t>(f.kind))
@@ -108,16 +112,14 @@ std::uint64_t policy_fingerprint(const DtPolicy& policy) {
         .f64(f.bounds.lo)
         .f64(f.bounds.hi);
   }
-  const control::ActionSpaceConfig& grid = policy.actions().config();
   h.u64(as_word(grid.heat_min))
       .u64(as_word(grid.heat_max))
       .u64(as_word(grid.cool_min))
       .u64(as_word(grid.cool_max))
       .u64(grid.enforce_heat_le_cool ? 1 : 0);
   // Decision function only: sample counts and impurity are diagnostics.
-  const tree::DecisionTreeClassifier& tree = policy.tree();
-  h.u64(tree.num_features()).u64(tree.num_classes()).u64(tree.node_count());
-  for (const tree::TreeNode& node : tree.nodes()) {
+  h.u64(num_features).u64(num_classes).u64(nodes.size());
+  for (const tree::TreeNode& node : nodes) {
     h.u64(as_word(node.feature))
         .f64(node.threshold)
         .u64(as_word(node.left))
@@ -125,6 +127,24 @@ std::uint64_t policy_fingerprint(const DtPolicy& policy) {
         .u64(as_word(node.label));
   }
   return h.digest();
+}
+
+env::FeatureSchema build_schema(SchemaFields fields, const std::string& context) {
+  try {
+    return env::FeatureSchema(std::move(fields.name), std::move(fields.features));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error("read_policy: invalid schema (" + std::string(e.what()) +
+                             ") in " + context);
+  }
+}
+
+}  // namespace
+
+std::uint64_t policy_fingerprint(const DtPolicy& policy) {
+  const tree::DecisionTreeClassifier& tree = policy.tree();
+  return fingerprint_fields(policy.schema().name(), policy.schema().features(),
+                            policy.actions().config(), tree.num_features(), tree.num_classes(),
+                            tree.nodes());
 }
 
 void write_policy(const DtPolicy& policy, std::ostream& out) {
@@ -150,16 +170,31 @@ DtPolicy read_policy(std::istream& in, const std::string& context) {
   if (!in || tag != "fingerprint" || stated_fingerprint.size() != 16) {
     throw std::runtime_error("read_policy: bad fingerprint line in " + context);
   }
-  env::FeatureSchema schema = read_schema(in, context);
+  SchemaFields schema_fields = read_schema(in, context);
 
   control::ActionSpaceConfig grid;
   int enforce = 1;
   in >> grid.heat_min >> grid.heat_max >> grid.cool_min >> grid.cool_max >> enforce;
   if (!in) throw std::runtime_error("read_policy: truncated action space in " + context);
   grid.enforce_heat_le_cool = enforce != 0;
+  tree::TreeFields tree_fields = tree::read_tree_fields(in, context);
 
+  // Check the parsed fields against the fingerprint the bundle was sealed
+  // with before building anything from them: a corrupt or tampered bundle
+  // is refused without enumerating the grid or the tree it states.
+  const std::string actual = fingerprint_hex(
+      fingerprint_fields(schema_fields.name, schema_fields.features, grid,
+                         tree_fields.num_features, tree_fields.num_classes, tree_fields.nodes));
+  if (actual != stated_fingerprint) {
+    throw std::runtime_error("read_policy: fingerprint mismatch in " + context + " (stated " +
+                             stated_fingerprint + ", content " + actual +
+                             ") — bundle corrupted or tampered");
+  }
+
+  env::FeatureSchema schema = build_schema(std::move(schema_fields), context);
   control::ActionSpace actions(grid);  // validates the grid itself
-  tree::DecisionTreeClassifier tree = tree::read_tree(in, context);
+  tree::DecisionTreeClassifier tree = tree::DecisionTreeClassifier::from_nodes(
+      std::move(tree_fields.nodes), tree_fields.num_features, tree_fields.num_classes);
   if (tree.num_classes() != actions.size()) {
     throw std::runtime_error("read_policy: tree classes (" +
                              std::to_string(tree.num_classes()) +
@@ -172,17 +207,7 @@ DtPolicy read_policy(std::istream& in, const std::string& context) {
                              ") do not match the embedded schema '" + schema.name() + "' (" +
                              std::to_string(schema.dims()) + " dims) in " + context);
   }
-  DtPolicy policy(std::move(tree), std::move(actions), std::move(schema));
-  // Recompute over what was actually decoded: a bundle whose content no
-  // longer matches the fingerprint it was sealed with is corrupt or
-  // tampered — never served.
-  const std::string actual = fingerprint_hex(policy_fingerprint(policy));
-  if (actual != stated_fingerprint) {
-    throw std::runtime_error("read_policy: fingerprint mismatch in " + context + " (stated " +
-                             stated_fingerprint + ", content " + actual +
-                             ") — bundle corrupted or tampered");
-  }
-  return policy;
+  return DtPolicy(std::move(tree), std::move(actions), std::move(schema));
 }
 
 void save_policy(const DtPolicy& policy, const std::string& path) {

@@ -84,24 +84,30 @@ void write_tree(const DecisionTreeClassifier& tree, std::ostream& out) {
   out.precision(saved_precision);
 }
 
-DecisionTreeClassifier read_tree(std::istream& in, const std::string& context) {
+TreeFields read_tree_fields(std::istream& in, const std::string& context) {
   std::string magic;
   std::string version;
   in >> magic >> version;
   if (magic != "verihvac-tree" || version != "v1") {
     throw std::runtime_error("read_tree: bad header in " + context);
   }
-  std::size_t num_features = 0;
-  std::size_t num_classes = 0;
+  TreeFields fields;
   std::size_t count = 0;
-  in >> num_features >> num_classes >> count;
-  std::vector<TreeNode> nodes(count);
-  for (auto& n : nodes) {
+  in >> fields.num_features >> fields.num_classes >> count;
+  for (std::size_t i = 0; in && i < count; ++i) {
+    TreeNode n;
     in >> n.feature >> n.threshold >> n.left >> n.right >> n.label >> n.samples >>
         n.impurity >> n.parent;
+    if (in) fields.nodes.push_back(n);
   }
   if (!in) throw std::runtime_error("read_tree: truncated input in " + context);
-  return DecisionTreeClassifier::from_nodes(std::move(nodes), num_features, num_classes);
+  return fields;
+}
+
+DecisionTreeClassifier read_tree(std::istream& in, const std::string& context) {
+  TreeFields fields = read_tree_fields(in, context);
+  return DecisionTreeClassifier::from_nodes(std::move(fields.nodes), fields.num_features,
+                                            fields.num_classes);
 }
 
 void save_tree(const DecisionTreeClassifier& tree, const std::string& path) {

@@ -36,4 +36,14 @@ DecisionTreeClassifier load_tree(const std::string& path);
 void write_tree(const DecisionTreeClassifier& tree, std::ostream& out);
 DecisionTreeClassifier read_tree(std::istream& in, const std::string& context = "<stream>");
 
+/// A tree section as parsed, before DecisionTreeClassifier::from_nodes
+/// validates it. The node vector grows as nodes are read, so a stated
+/// count larger than the input costs nothing: it ends as "truncated".
+struct TreeFields {
+  std::size_t num_features = 0;
+  std::size_t num_classes = 0;
+  std::vector<TreeNode> nodes;
+};
+TreeFields read_tree_fields(std::istream& in, const std::string& context = "<stream>");
+
 }  // namespace verihvac::tree

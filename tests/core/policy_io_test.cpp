@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <regex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "envlib/feature_schema.hpp"
@@ -11,7 +17,8 @@
 namespace verihvac::core {
 namespace {
 
-DtPolicy make_policy(control::ActionSpaceConfig grid = {}, std::uint64_t seed = 3) {
+DtPolicy make_policy(control::ActionSpaceConfig grid = {}, std::uint64_t seed = 3,
+                     tree::TreeConfig tree = {}) {
   control::ActionSpace actions(grid);
   Rng rng(seed);
   DecisionDataset data;
@@ -22,7 +29,7 @@ DtPolicy make_policy(control::ActionSpaceConfig grid = {}, std::uint64_t seed = 
     rec.action_index = rng.index(actions.size());
     data.records.push_back(std::move(rec));
   }
-  return DtPolicy::fit(data, actions);
+  return DtPolicy::fit(data, actions, tree);
 }
 
 DtPolicy make_time_aware_policy(std::uint64_t seed = 5) {
@@ -360,6 +367,129 @@ TEST(PolicyIoTest, RejectsActionSpaceTreeMismatch) {
 
 TEST(PolicyIoTest, LoadMissingFileThrows) {
   EXPECT_THROW(load_policy("/nonexistent/policy.file"), std::runtime_error);
+}
+
+/// Replaces the line that starts with `prefix` (through its newline).
+void replace_line(std::string& text, const std::string& prefix, const std::string& line) {
+  const auto start = text.find(prefix);
+  ASSERT_NE(start, std::string::npos) << prefix;
+  const auto end = text.find('\n', start);
+  text.replace(start, end - start, line);
+}
+
+/// read_policy must throw std::runtime_error carrying `message`.
+::testing::AssertionResult refused_with(const std::string& text, const std::string& message) {
+  std::stringstream in(text);
+  try {
+    read_policy(in);
+  } catch (const std::runtime_error& error) {
+    if (std::string(error.what()).find(message) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "threw \"" << error.what() << "\"";
+  } catch (const std::exception& error) {
+    return ::testing::AssertionFailure() << "threw a non-runtime_error: " << error.what();
+  }
+  return ::testing::AssertionFailure() << "loaded";
+}
+
+// Stated sizes are claims, not allocations: the decoder grows containers
+// as elements arrive and checks the fingerprint before building the grid,
+// so each oversized bundle is refused by the decoder's own error.
+TEST(PolicyIoTest, OversizedStatedCountsAreRefusedWithoutAllocating) {
+  const DtPolicy original = make_policy();
+  std::stringstream buffer;
+  write_policy(original, buffer);
+  const std::string text = buffer.str();
+  const std::string tree_header = "verihvac-tree v1\n";
+  const auto counts = text.find(tree_header) + tree_header.size();
+
+  std::string nodes = text;
+  nodes.replace(counts, nodes.find('\n', counts) - counts, "6 87 1000000000000");
+  EXPECT_TRUE(refused_with(nodes, "truncated input"));
+
+  std::string dims = text;
+  replace_line(dims, "schema ", "schema " + original.schema().name() + " 1000000000000");
+  EXPECT_TRUE(refused_with(dims, "truncated schema feature"));
+
+  std::string grid = text;
+  const auto [grid_start, grid_len] = grid_line_span(grid);
+  grid.replace(grid_start, grid_len, "15 23 21 3000000 1");
+  EXPECT_TRUE(refused_with(grid, "fingerprint mismatch"));
+}
+
+TEST(PolicyIoTest, ExtremeGridBoundsDoNotOverflow) {
+  // Bounds at INT_MAX: the enumeration must stop, not wrap around.
+  control::ActionSpaceConfig grid;
+  grid.heat_min = grid.heat_max = std::numeric_limits<int>::max();
+  grid.cool_min = grid.cool_max = std::numeric_limits<int>::max();
+  EXPECT_EQ(control::ActionSpace(grid).size(), 1u);
+}
+
+// Seeded mutation sweep over one bundle of a fitted tree: single-bit
+// flips, truncations and numeric-token replacements. Every mutant is
+// refused with std::runtime_error / std::invalid_argument, or loads a
+// policy whose fingerprint equals the original's (a mutated sample count,
+// impurity or root parent is a diagnostic, not the decision function).
+TEST(PolicyIoTest, MutatedBundlesAreRefusedOrDecideIdentically) {
+  tree::TreeConfig small;
+  small.max_depth = 4;
+  const DtPolicy original = make_policy({}, 3, small);
+  const std::uint64_t fingerprint = policy_fingerprint(original);
+  std::stringstream buffer;
+  write_policy(original, buffer);
+  const std::string text = buffer.str();
+  ASSERT_LT(text.size(), 4096u);  // keeps the sweep to a few thousand mutants
+
+  std::size_t mutants = 0;
+  std::size_t loaded = 0;
+  const auto check = [&](const std::string& mutant) -> ::testing::AssertionResult {
+    ++mutants;
+    std::stringstream in(mutant);
+    try {
+      const DtPolicy policy = read_policy(in);
+      ++loaded;
+      if (policy_fingerprint(policy) == fingerprint) return ::testing::AssertionSuccess();
+      return ::testing::AssertionFailure() << "loaded a different policy";
+    } catch (const std::runtime_error&) {
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& error) {
+      return ::testing::AssertionFailure() << "threw " << error.what();
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  std::mt19937 rng(19);
+  for (std::size_t offset = 0; offset < text.size(); ++offset) {
+    std::string mutant = text;
+    mutant[offset] = static_cast<char>(mutant[offset] ^ (1 << (rng() % 8)));
+    ASSERT_TRUE(check(mutant)) << "bit flip at byte " << offset;
+  }
+  for (std::size_t length = 0; length < text.size(); length += 7) {
+    ASSERT_TRUE(check(text.substr(0, length))) << "truncated to " << length << " bytes";
+  }
+  const std::regex number(R"(-?[0-9][0-9.eE+-]*|-?inf)");
+  const char* const replacements[] = {"0",     "-1", "2147483648", "9223372036854775808",
+                                      "1e308", "99999999999999999999"};
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), number);
+       it != std::sregex_iterator(); ++it) {
+    const auto position = static_cast<std::size_t>(it->position());
+    const auto space = [&text](std::size_t i) {
+      return std::isspace(static_cast<unsigned char>(text[i])) != 0;
+    };
+    const bool whole_token = (position == 0 || space(position - 1)) &&
+                             space(position + static_cast<std::size_t>(it->length()));
+    if (!whole_token) continue;
+    for (const char* replacement : replacements) {
+      std::string mutant = text;
+      mutant.replace(position, static_cast<std::size_t>(it->length()), replacement);
+      ASSERT_TRUE(check(mutant)) << "token '" << it->str() << "' at byte " << position
+                                 << " replaced by " << replacement;
+    }
+  }
+  EXPECT_GT(loaded, 0u);  // diagnostic fields do load
+  EXPECT_GT(mutants, 2 * loaded);
+  RecordProperty("mutants", static_cast<int>(mutants));
 }
 
 }  // namespace
