@@ -20,7 +20,7 @@
 
 #include "bench_common.hpp"
 #include "common/config.hpp"
-#include "core/interval_verify.hpp"
+#include "core/verification_engine.hpp"
 #include "dynamics/model_eval.hpp"
 
 namespace {
@@ -56,6 +56,7 @@ int main() {
               dyn::one_step_rmse(shallow, artifacts.historical));
   std::printf("Monte-Carlo criterion-#1 estimate (reference): %.3f\n\n",
               artifacts.probabilistic.safe_probability);
+  const core::VerificationEngine engine;  // the shared pool
 
   // --- Sweep 1: envelope width (shallow model, 0.25 degC slices). ---
   AsciiTable sweep1("Certified fraction vs climate-envelope width (shallow model)");
@@ -65,7 +66,7 @@ int main() {
   fine.zone_slice_c = 0.25;
   for (double scale : {0.5, 1.0, 2.0, 4.0, 8.0}) {
     const auto report =
-        core::verify_interval_one_step(policy, shallow, cfg.criteria, envelope(scale), fine);
+        engine.verify_interval(policy, shallow, cfg.criteria, envelope(scale), fine);
     sweep1.add_row(format_double(scale, 1),
                    {static_cast<double>(report.leaves_subject),
                     static_cast<double>(report.leaves_certified),
@@ -84,8 +85,8 @@ int main() {
   for (double slice : {2.0, 1.0, 0.5, 0.25, 0.1}) {
     core::IntervalVerifyConfig split_cfg;
     split_cfg.zone_slice_c = slice;
-    const auto report = core::verify_interval_one_step(policy, shallow, cfg.criteria,
-                                                       envelope(1.0), split_cfg);
+    const auto report =
+        engine.verify_interval(policy, shallow, cfg.criteria, envelope(1.0), split_cfg);
     std::size_t cells = 0;
     for (const auto& r : report.results) cells += r.cells;
     sweep2.add_row(format_double(slice, 2),
@@ -97,10 +98,10 @@ int main() {
   // --- Sweep 3: model depth at a fixed mild envelope. ---
   AsciiTable sweep3("Certified fraction vs dynamics-model depth");
   sweep3.set_header({"model", "fraction certified"});
-  const auto deep_report = core::verify_interval_one_step(policy, *artifacts.model,
-                                                          cfg.criteria, envelope(1.0), fine);
+  const auto deep_report =
+      engine.verify_interval(policy, *artifacts.model, cfg.criteria, envelope(1.0), fine);
   const auto shallow_report =
-      core::verify_interval_one_step(policy, shallow, cfg.criteria, envelope(1.0), fine);
+      engine.verify_interval(policy, shallow, cfg.criteria, envelope(1.0), fine);
   sweep3.add_row("pipeline (deep)", {deep_report.certified_fraction()}, 3);
   sweep3.add_row("shallow {16}", {shallow_report.certified_fraction()}, 3);
   sweep3.print();

@@ -177,28 +177,4 @@ IntervalLeafResult fold_interval_leaf(const IntervalWorkItem& item,
   return result;
 }
 
-IntervalReport verify_interval_one_step(const DtPolicy& policy,
-                                        const dyn::DynamicsModel& model,
-                                        const VerificationCriteria& criteria,
-                                        const DisturbanceBounds& bounds,
-                                        const IntervalVerifyConfig& config) {
-  IntervalReport report;
-  const std::vector<IntervalWorkItem> items =
-      interval_work_items(policy, criteria, bounds, config, report.leaves_total);
-  IntervalScratch scratch;
-  std::vector<Interval> images;
-  for (const IntervalWorkItem& item : items) {
-    images.clear();
-    images.reserve(item.cells.size());
-    for (const Box& cell : item.cells) {
-      images.push_back(interval_next_state(model, cell, scratch));
-    }
-    ++report.leaves_subject;
-    IntervalLeafResult result = fold_interval_leaf(item, images, criteria.comfort);
-    if (result.certified) ++report.leaves_certified;
-    report.results.push_back(std::move(result));
-  }
-  return report;
-}
-
 }  // namespace verihvac::core

@@ -133,17 +133,10 @@ std::vector<IntervalWorkItem> interval_work_items(const DtPolicy& policy,
                                                   std::size_t& leaves_total);
 
 /// Folds one leaf's per-cell images (in cell order) into its result. The
-/// fold is serial and order-fixed, so parallel image computation yields a
-/// bit-identical report to the serial loop.
+/// fold is serial and order-fixed, so the report is bit-identical however
+/// the images were computed in parallel.
 IntervalLeafResult fold_interval_leaf(const IntervalWorkItem& item,
                                       const std::vector<Interval>& images,
                                       const env::ComfortRange& comfort);
-
-/// Certifies every subject leaf of the policy. The model must be trained.
-IntervalReport verify_interval_one_step(const DtPolicy& policy,
-                                        const dyn::DynamicsModel& model,
-                                        const VerificationCriteria& criteria,
-                                        const DisturbanceBounds& bounds = {},
-                                        const IntervalVerifyConfig& config = {});
 
 }  // namespace verihvac::core

@@ -58,8 +58,9 @@ class VerificationEngine {
                                            const VerificationCriteria& criteria,
                                            std::size_t n_samples, std::uint64_t seed) const;
 
-  /// Interval certification fanned out per (leaf × input-splitting cell).
-  /// Produces a report bit-identical to verify_interval_one_step.
+  /// Interval certification of every subject leaf, fanned out per
+  /// (leaf × input-splitting cell). The model must be trained. A pool of 1
+  /// is the serial case; the report is bit-identical at every pool size.
   IntervalReport verify_interval(const DtPolicy& policy, const dyn::DynamicsModel& model,
                                  const VerificationCriteria& criteria,
                                  const DisturbanceBounds& bounds = {},

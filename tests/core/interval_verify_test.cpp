@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "core/verification_engine.hpp"
 #include "core_test_utils.hpp"
 
 namespace verihvac::core {
@@ -28,6 +29,15 @@ class IntervalVerifyTest : public ::testing::Test {
     delete history_;
     history_ = nullptr;
     model_.reset();
+  }
+
+  /// Interval certification on a pool of 1: the serial case.
+  static IntervalReport verify_serial(const DtPolicy& policy, const VerificationCriteria& criteria,
+                                      const DisturbanceBounds& bounds = {},
+                                      const IntervalVerifyConfig& config = {}) {
+    const VerificationEngine engine(std::make_shared<const common::TaskPool>(
+        common::TaskPoolConfig{1, /*min_parallel_batch=*/1}));
+    return engine.verify_interval(policy, *model_, criteria, bounds, config);
   }
 
   /// A hold-the-comfort-zone policy: every occupied in-comfort input maps
@@ -210,7 +220,7 @@ TEST_F(IntervalVerifyTest, ScratchVariantMatchesAllocatingPath) {
 
 TEST_F(IntervalVerifyTest, ReportCountsAreConsistent) {
   const DtPolicy policy = hold_policy();
-  const IntervalReport report = verify_interval_one_step(policy, *model_, winter());
+  const IntervalReport report = verify_serial(policy, winter());
   EXPECT_EQ(report.leaves_total, policy.tree().leaf_count());
   EXPECT_LE(report.leaves_subject, report.leaves_total);
   EXPECT_LE(report.leaves_certified, report.leaves_subject);
@@ -233,8 +243,7 @@ TEST_F(IntervalVerifyTest, TightClimateEnvelopeCertifiesHoldPolicy) {
   tight.occupancy = Interval::bounded(10.0, 12.0);
   IntervalVerifyConfig fine;
   fine.zone_slice_c = 0.1;
-  const IntervalReport report =
-      verify_interval_one_step(policy, *model_, winter(), tight, fine);
+  const IntervalReport report = verify_serial(policy, winter(), tight, fine);
   ASSERT_GT(report.leaves_subject, 0u);
   EXPECT_EQ(report.leaves_certified, report.leaves_subject);
   // Input splitting really happened and the union image is recorded.
@@ -252,8 +261,7 @@ TEST_F(IntervalVerifyTest, CertifiedFractionShrinksWithEnvelopeWidth) {
   for (double width : {1.0, 10.0, 30.0}) {
     DisturbanceBounds env_bounds;
     env_bounds.outdoor = Interval::bounded(-width, width);
-    const IntervalReport report =
-        verify_interval_one_step(policy, *model_, winter(), env_bounds);
+    const IntervalReport report = verify_serial(policy, winter(), env_bounds);
     EXPECT_LE(report.certified_fraction(), prev + 1e-12);
     prev = report.certified_fraction();
   }
@@ -273,7 +281,7 @@ TEST_F(IntervalVerifyTest, UnoccupiedOnlyLeavesAreExempt) {
   // so instead check with an occupancy envelope excluded by clipping.
   DisturbanceBounds bounds;
   bounds.occupancy = Interval::bounded(0.0, 0.4);  // occupied region excluded
-  const IntervalReport report = verify_interval_one_step(policy, *model_, winter(), bounds);
+  const IntervalReport report = verify_serial(policy, winter(), bounds);
   EXPECT_EQ(report.leaves_subject, 0u);
   EXPECT_DOUBLE_EQ(report.certified_fraction(), 1.0);
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <vector>
@@ -100,21 +102,34 @@ TEST_F(VerificationEngineTest, ProbabilisticZeroSamplesIsEmptyReport) {
 }
 
 TEST_F(VerificationEngineTest, IntervalReportMatchesSerialVerifier) {
+  // A pool of 1 is the serial verifier; pools of 4 and 8 must reproduce
+  // its report field by field.
   const DtPolicy policy = hold_policy();
-  const auto serial = verify_interval_one_step(policy, *model_, winter());
-  const auto parallel = engine_with_threads(8).verify_interval(policy, *model_, winter());
-  ASSERT_EQ(parallel.results.size(), serial.results.size());
-  EXPECT_EQ(parallel.leaves_total, serial.leaves_total);
-  EXPECT_EQ(parallel.leaves_subject, serial.leaves_subject);
-  EXPECT_EQ(parallel.leaves_certified, serial.leaves_certified);
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    EXPECT_EQ(parallel.results[i].leaf, serial.results[i].leaf);
-    EXPECT_EQ(parallel.results[i].cells, serial.results[i].cells);
-    EXPECT_EQ(parallel.results[i].cells_certified, serial.results[i].cells_certified);
-    EXPECT_EQ(parallel.results[i].certified, serial.results[i].certified);
-    // Bit-identical union images, not merely close.
-    EXPECT_EQ(parallel.results[i].next_state.lo, serial.results[i].next_state.lo);
-    EXPECT_EQ(parallel.results[i].next_state.hi, serial.results[i].next_state.hi);
+  const auto serial = engine_with_threads(1).verify_interval(policy, *model_, winter());
+  ASSERT_GT(serial.results.size(), 0u);
+  for (std::size_t threads : {4u, 8u}) {
+    const auto parallel = engine_with_threads(threads).verify_interval(policy, *model_, winter());
+    ASSERT_EQ(parallel.results.size(), serial.results.size()) << threads << " threads";
+    EXPECT_EQ(parallel.leaves_total, serial.leaves_total) << threads << " threads";
+    EXPECT_EQ(parallel.leaves_subject, serial.leaves_subject) << threads << " threads";
+    EXPECT_EQ(parallel.leaves_certified, serial.leaves_certified) << threads << " threads";
+    for (std::size_t i = 0; i < serial.results.size(); ++i) {
+      const IntervalLeafResult& a = serial.results[i];
+      const IntervalLeafResult& b = parallel.results[i];
+      EXPECT_EQ(b.leaf, a.leaf) << threads << " threads, result " << i;
+      EXPECT_EQ(b.cells, a.cells) << threads << " threads, result " << i;
+      EXPECT_EQ(b.cells_certified, a.cells_certified) << threads << " threads, result " << i;
+      EXPECT_EQ(b.certified, a.certified) << threads << " threads, result " << i;
+      // Bit-identical intervals, not merely close.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(b.zone_temp.lo),
+                std::bit_cast<std::uint64_t>(a.zone_temp.lo));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(b.zone_temp.hi),
+                std::bit_cast<std::uint64_t>(a.zone_temp.hi));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(b.next_state.lo),
+                std::bit_cast<std::uint64_t>(a.next_state.lo));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(b.next_state.hi),
+                std::bit_cast<std::uint64_t>(a.next_state.hi));
+    }
   }
 }
 
