@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <sstream>
 
+#include "common/fnv1a.hpp"
 #include "control/rollout_engine.hpp"
+#include "core/policy_io.hpp"
 #include "core_test_utils.hpp"
 #include "envlib/env.hpp"
 #include "weather/climate.hpp"
@@ -44,6 +48,18 @@ class ViperTest : public ::testing::Test {
                               /*seed=*/5);
   }
 
+  /// make_teacher() with rollouts fanned out over a `threads`-wide engine
+  /// (min_parallel_batch 1 forces the fan-out on every batch).
+  static control::MbrlAgent pooled_teacher(std::size_t threads, bool refine = false) {
+    control::RandomShootingConfig rs = fast_rs();
+    rs.refine_first_action = refine;
+    control::MbrlAgent teacher(*model_, rs, control::ActionSpace{}, fast_env().reward,
+                               /*seed=*/5);
+    teacher.set_engine(std::make_shared<const control::RolloutEngine>(
+        control::RolloutEngineConfig{threads, 1}));
+    return teacher;
+  }
+
   static ViperConfig fast_config() {
     ViperConfig config;
     config.iterations = 3;
@@ -58,6 +74,23 @@ class ViperTest : public ::testing::Test {
 
 dyn::TransitionDataset* ViperTest::history_ = nullptr;
 std::shared_ptr<dyn::DynamicsModel> ViperTest::model_;
+
+// fast_config() labels of the one-optimizer-call-at-a-time
+// action_distribution loop. With the refine sweep the toy teacher settles
+// on one action everywhere.
+const std::vector<int> kPlainLabels = {
+    25, 5, 16, 28, 18, 12, 5, 8, 16, 21, 6, 6, 59, 7, 4, 14, 9, 8,
+    28, 8, 7, 18, 8, 16, 9, 16, 25, 26, 9, 37, 18, 8, 15, 19, 8, 7,
+    6, 5, 27, 8, 25, 7, 16, 9, 19, 9, 5, 4, 9, 9, 17, 19, 18, 9,
+    29, 6, 9, 6, 15, 1, 7, 7, 18, 18, 7, 28, 7, 9, 2, 19, 29, 28};
+const std::vector<int> kRefinedLabels(72, 9);
+
+/// FNV-1a of the deployable bundle bytes.
+std::uint64_t bundle_digest(const DtPolicy& policy) {
+  std::ostringstream out;
+  write_policy(policy, out);
+  return common::Fnv1a().bytes(out.str()).digest();
+}
 
 TEST_F(ViperTest, RejectsDegenerateConfigs) {
   auto teacher = make_teacher();
@@ -136,28 +169,83 @@ TEST_F(ViperTest, DeterministicForFixedSeed) {
 }
 
 TEST_F(ViperTest, LabelsPinnedAcrossPools) {
-  // Labels of the one-optimizer-call-at-a-time action_distribution loop.
-  // The merged-batch kernel, sharded across candidates (min_parallel_batch
-  // 1 forces the fan-out), must reproduce them at every pool size.
-  const std::vector<int> expected_plain = {
-      25, 5, 16, 28, 18, 12, 5, 8, 16, 21, 6, 6, 59, 7, 4, 14, 9, 8,
-      28, 8, 7, 18, 8, 16, 9, 16, 25, 26, 9, 37, 18, 8, 15, 19, 8, 7,
-      6, 5, 27, 8, 25, 7, 16, 9, 19, 9, 5, 4, 9, 9, 17, 19, 18, 9,
-      29, 6, 9, 6, 15, 1, 7, 7, 18, 18, 7, 28, 7, 9, 2, 19, 29, 28};
-  // With the refine sweep the toy teacher settles on one action everywhere.
-  const std::vector<int> expected_refined(72, 9);
+  // The merged-batch kernel, sharded across candidates, must reproduce the
+  // one-call-at-a-time labels at every pool size.
   for (const bool refine : {false, true}) {
     for (const std::size_t threads : {1, 4}) {
       SCOPED_TRACE(testing::Message() << "refine=" << refine << " threads=" << threads);
-      control::RandomShootingConfig rs = fast_rs();
-      rs.refine_first_action = refine;
-      control::MbrlAgent teacher(*model_, rs, control::ActionSpace{}, fast_env().reward,
-                                 /*seed=*/5);
-      teacher.set_engine(std::make_shared<const control::RolloutEngine>(
-          control::RolloutEngineConfig{threads, 1}));
+      auto teacher = pooled_teacher(threads, refine);
       env::BuildingEnv env(fast_env());
       const ViperResult result = viper_extract(teacher, env, fast_config());
-      EXPECT_EQ(result.aggregated.labels(), refine ? expected_refined : expected_plain);
+      EXPECT_EQ(result.aggregated.labels(), refine ? kRefinedLabels : kPlainLabels);
+    }
+  }
+}
+
+TEST_F(ViperTest, ExtractionPinnedBitForBit) {
+  // Everything VIPER derives from its criticality weights, locked at the
+  // bit level: each iteration's mean l(s) (hex float), its teacher-match
+  // rate, the aggregated labels and the best iterate's bundle bytes (both
+  // as FNV-1a digests). A change to how Q(s,a) is scored must leave all of
+  // them untouched, at every pool size. fast_config() rolls out night hours
+  // only, where l(s) is the unoccupied energy-proxy spread (one constant),
+  // so the 48-step cases run on into the occupied morning, where l(s)
+  // varies with the visited state and skews the resample.
+  struct Golden {
+    std::size_t steps;
+    bool refine;
+    std::vector<double> mean_criticality;
+    std::vector<double> teacher_match_rate;
+    std::uint64_t labels_fnv1a;
+    std::uint64_t bundle_fnv1a;
+  };
+  const std::vector<Golden> goldens = {
+      {24,
+       false,
+       {0x1.d8d90ea9e6eebp+5, 0x1.d8d90ea9e6eebp+5, 0x1.d8d90ea9e6eebp+5},
+       {0x1.5555555555555p-1, 0x1.aaaaaaaaaaaabp-2, 0x1.6aaaaaaaaaaabp-1},
+       0xb239922676122e98ull,
+       0xb8e57b1a42394fb1ull},
+      {24,
+       true,
+       {0x1.d8d90ea9e6eebp+5, 0x1.d8d90ea9e6eebp+5, 0x1.d8d90ea9e6eebp+5},
+       {0x1p+0, 0x1p+0, 0x1p+0},
+       0x358ee7d132f9e7a5ull,
+       0x2b668d7b689e0388ull},
+      {48,
+       false,
+       {0x1.35ec83b79b87bp+5, 0x1.375c965c00631p+5, 0x1.3ba38dae8c347p+5},
+       {0x1.eaaaaaaaaaaabp-2, 0x1.1555555555555p-1, 0x1.d555555555555p-2},
+       0x9a7cd940a44149ccull,
+       0xc7dc61360fa5aa97ull},
+      {48,
+       true,
+       {0x1.3614f07450a7ap+5, 0x1.35a464f7cf756p+5, 0x1.3c5b3994cdb3cp+5},
+       {0x1.cp-1, 0x1.d555555555555p-1, 0x1.d555555555555p-1},
+       0x352f0d2bf162340full,
+       0xc5ca6b586405f281ull},
+  };
+  for (const Golden& golden : goldens) {
+    ViperConfig config = fast_config();
+    config.steps_per_iteration = golden.steps;
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "steps=" << golden.steps << " refine=" << golden.refine
+                                      << " threads=" << threads);
+      auto teacher = pooled_teacher(threads, golden.refine);
+      env::BuildingEnv env(fast_env());
+      const ViperResult result = viper_extract(teacher, env, config);
+      ASSERT_EQ(result.iterations.size(), golden.mean_criticality.size());
+      for (std::size_t m = 0; m < result.iterations.size(); ++m) {
+        EXPECT_EQ(result.iterations[m].mean_criticality, golden.mean_criticality[m]) << m;
+        EXPECT_EQ(result.iterations[m].teacher_match_rate, golden.teacher_match_rate[m]) << m;
+      }
+      common::Fnv1a labels;
+      for (const int label : result.aggregated.labels()) {
+        labels.u64(static_cast<std::uint64_t>(label));
+      }
+      ASSERT_NE(result.policy, nullptr);
+      EXPECT_EQ(labels.digest(), golden.labels_fnv1a);
+      EXPECT_EQ(bundle_digest(*result.policy), golden.bundle_fnv1a);
     }
   }
 }
