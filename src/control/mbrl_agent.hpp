@@ -42,8 +42,8 @@ class MbrlAgent final : public Controller {
 
   const ActionSpace& actions() const { return actions_; }
   const dyn::DynamicsModel& model() const { return *model_; }
-  /// The underlying optimizer (rollout_return is reused by the VIPER
-  /// extension to estimate per-action values for criticality weights).
+  /// The underlying optimizer (the VIPER extension scores per-action
+  /// values for its criticality weights through rollout_returns).
   const RandomShooting& optimizer() const { return rs_; }
 
   /// The optimizer's RNG — the agent's whole stochastic state. Decision-data

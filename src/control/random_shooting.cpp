@@ -20,7 +20,7 @@ double RandomShooting::rollout_return(const dyn::DynamicsModel& model,
                                       const std::vector<env::Disturbance>& forecast,
                                       const std::vector<std::size_t>& action_sequence) const {
   // Warm per-thread scratch keeps the single-sequence path allocation-free
-  // (VIPER's per-candidate value estimation loops over this entry point).
+  // (tests and benches loop over this oracle to lock the batch path).
   static thread_local dyn::PredictScratch scratch;
   return rollout_return(model, obs, forecast, action_sequence, scratch);
 }

@@ -112,13 +112,16 @@ class RandomShooting {
   /// it, keeping the three bit-identical.
   void draw_sequences(Rng& rng, std::span<std::vector<std::size_t>> out) const;
 
-  /// Scores a fixed action sequence (exposed for tests and MPPI reuse).
+  /// Scores one fixed action sequence, one scalar predict per step. With
+  /// the scratch overload below, the oracle that tests and benches lock
+  /// the lock-step batch path (rollout_returns) against; no production
+  /// caller scores one sequence at a time.
   double rollout_return(const dyn::DynamicsModel& model, const env::Observation& obs,
                         const std::vector<env::Disturbance>& forecast,
                         const std::vector<std::size_t>& action_sequence) const;
 
-  /// Thread-safe variant used by the parallel batch path: all prediction
-  /// scratch lives in the caller-provided buffer.
+  /// The same oracle with all prediction scratch in the caller-provided
+  /// buffer (thread-safe).
   double rollout_return(const dyn::DynamicsModel& model, const env::Observation& obs,
                         const std::vector<env::Disturbance>& forecast,
                         const std::vector<std::size_t>& action_sequence,

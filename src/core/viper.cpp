@@ -1,10 +1,25 @@
 #include "core/viper.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace verihvac::core {
+
+namespace {
+
+/// The calling thread's constant-hold batch, kept warm across calls: inner
+/// sequences reuse their capacity, so a steady-state call allocates nothing.
+struct HoldBatch {
+  std::vector<std::vector<std::size_t>> sequences;
+  std::vector<double> returns;
+};
+
+HoldBatch& hold_batch() {
+  static thread_local HoldBatch batch;
+  return batch;
+}
+
+}  // namespace
 
 double action_value_spread(const control::MbrlAgent& teacher, const env::Observation& obs,
                            const std::vector<env::Disturbance>& forecast) {
@@ -13,15 +28,17 @@ double action_value_spread(const control::MbrlAgent& teacher, const env::Observa
   if (forecast.size() < horizon) {
     throw std::invalid_argument("action_value_spread: forecast shorter than horizon");
   }
-  double best = -std::numeric_limits<double>::infinity();
-  double worst = std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> sequence(horizon);
-  for (std::size_t a = 0; a < teacher.actions().size(); ++a) {
-    std::fill(sequence.begin(), sequence.end(), a);
-    const double value = rs.rollout_return(teacher.model(), obs, forecast, sequence);
-    best = std::max(best, value);
-    worst = std::min(worst, value);
+  // Q(s, a) for every a as one lock-step batch of constant-hold sequences
+  // (a, a, ..., a): the kernel the teacher's labels run on, sharded across
+  // the attached engine. Rows are bit-identical to the scalar
+  // rollout_return, so the spread is too.
+  HoldBatch& batch = hold_batch();
+  batch.sequences.resize(teacher.actions().size());
+  for (std::size_t a = 0; a < batch.sequences.size(); ++a) {
+    batch.sequences[a].assign(horizon, a);
   }
+  rs.rollout_returns(teacher.model(), obs, forecast, batch.sequences, batch.returns);
+  const auto [worst, best] = std::ranges::minmax(batch.returns);
   return best - worst;
 }
 

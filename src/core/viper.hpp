@@ -19,8 +19,10 @@
 //
 // Here the teacher is the RS MBRL agent, Q(s,a) is estimated by scoring
 // the constant-hold sequence (a, a, ..., a) through the learned dynamics
-// model (the same rollout primitive RS itself uses), and evaluation is the
-// teacher-match rate on the freshest batch. bench/ablation_viper compares
+// model, and evaluation is the teacher-match rate on the freshest batch.
+// All |A| constant-hold sequences of a state are scored as one lock-step
+// batch (RandomShooting::rollout_returns, the kernel the teacher's labels
+// run on), sharded across the teacher's engine. bench/ablation_viper compares
 // this against the paper's one-shot extraction at matched label budgets —
 // the design question being whether on-policy aggregation is worth H
 // environment steps per label when Eq. 5 importance sampling already
@@ -70,6 +72,8 @@ struct ViperResult {
 
 /// Estimates the criticality weight l(s) = spread of constant-hold action
 /// values at `obs` (exposed for tests; forecast must cover the horizon).
+/// Equal, bit for bit, to max - min of the scalar rollout_return over the
+/// constant-hold sequences, at any engine pool size.
 double action_value_spread(const control::MbrlAgent& teacher, const env::Observation& obs,
                            const std::vector<env::Disturbance>& forecast);
 

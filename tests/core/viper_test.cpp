@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -258,6 +260,43 @@ TEST_F(ViperTest, ActionValueSpreadIsNonNegativeAndNeedsForecast) {
   EXPECT_GE(action_value_spread(teacher, obs, forecast), 0.0);
   const std::vector<env::Disturbance> short_forecast(forecast.begin(), forecast.begin() + 1);
   EXPECT_THROW(action_value_spread(teacher, obs, short_forecast), std::invalid_argument);
+}
+
+TEST_F(ViperTest, ActionValueSpreadMatchesScalarOracle) {
+  // The batched spread against its oracle: max - min of the scalar
+  // rollout_return over every constant-hold sequence, compared exactly.
+  // States sweep the zone temperature occupied (among them the cold- and
+  // mid-occupied states of CriticalityHigherWhenComfortIsAtStake) and
+  // unoccupied, so both the comfort and the energy terms drive the spread.
+  env::BuildingEnv env(fast_env());
+  env.reset();
+  const auto unoccupied_forecast = env.forecast(fast_rs().horizon);
+  auto occupied_forecast = unoccupied_forecast;
+  for (auto& d : occupied_forecast) d.occupants = 11.0;
+
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const auto teacher = pooled_teacher(threads);
+    const control::RandomShooting& rs = teacher.optimizer();
+    for (const double occupants : {11.0, 0.0}) {
+      const auto& forecast = occupants > 0.0 ? occupied_forecast : unoccupied_forecast;
+      for (const double zone_temp : {12.0, 16.0, 18.0, 20.0, 21.5, 23.0, 25.0, 29.0}) {
+        SCOPED_TRACE(testing::Message() << "occupants=" << occupants << " zone=" << zone_temp);
+        env::Observation obs = env.observation();
+        obs.zone_temp_c = zone_temp;
+        obs.occupants = occupants;
+        double best = -std::numeric_limits<double>::infinity();
+        double worst = std::numeric_limits<double>::infinity();
+        for (std::size_t a = 0; a < teacher.actions().size(); ++a) {
+          const std::vector<std::size_t> hold(rs.config().horizon, a);
+          const double value = rs.rollout_return(teacher.model(), obs, forecast, hold);
+          best = std::max(best, value);
+          worst = std::min(worst, value);
+        }
+        EXPECT_EQ(action_value_spread(teacher, obs, forecast), best - worst);
+      }
+    }
+  }
 }
 
 TEST_F(ViperTest, CriticalityHigherWhenComfortIsAtStake) {
