@@ -9,7 +9,6 @@
 #include "common/logging.hpp"
 #include "common/timing.hpp"
 #include "control/mbrl_agent.hpp"
-#include "control/rollout_engine.hpp"
 #include "core/decision_data.hpp"
 #include "core/verification.hpp"
 #include "envlib/env.hpp"
@@ -61,6 +60,7 @@ AdaptationController::AdaptationController(AdaptationConfig config,
       scheduler_(scheduler),
       pool_(pool != nullptr ? std::move(pool) : common::TaskPool::shared()),
       engine_(pool_),
+      rollout_engine_(std::make_shared<const control::RolloutEngine>(pool_)),
       monitor_(config_.drift),
       generation_seconds_(obs::histogram("adapt_generation_seconds")) {
   if (telemetry_ == nullptr || registry_ == nullptr || sessions_ == nullptr) {
@@ -342,7 +342,7 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
       control::MbrlAgent teacher(*candidate_model, teacher_rs,
                                  control::ActionSpace(config_.action_space), config_.reward,
                                  derive_seed(config_.seed, generation, 1));
-      teacher.set_engine(control::RolloutEngine::shared());
+      teacher.set_engine(rollout_engine_);
       core::ViperConfig viper = config_.viper;
       viper.seed = derive_seed(config_.seed, generation, 2);
       env::BuildingEnv viper_env(assets.env);

@@ -18,7 +18,7 @@
 //     4. re-certify: Algorithm 1 formal check with correction, a clean
 //        formal re-check, criterion #1 Monte-Carlo, and sound interval
 //        certification through the parallel core::VerificationEngine
-//        (shared TaskPool)
+//        (the controller's TaskPool)
 //     5. shadow-evaluate: candidate vs incumbent bundle on the held-out
 //        telemetry, both scored through the candidate model — the
 //        candidate must not predict more comfort violations
@@ -34,8 +34,10 @@
 //
 // Threading: pump() is safe to call manually and is what the background
 // worker (start()/stop(), condition-variable paced) calls on its own
-// thread; the heavy lifting inside an adaptation — batched rollouts,
-// Monte-Carlo verification — fans out over the shared common::TaskPool.
+// thread; the heavy lifting inside an adaptation — VIPER's batched
+// rollouts, Monte-Carlo and interval verification — fans out over the
+// controller's one pool (the constructor's `pool`, by default the shared
+// common::TaskPool).
 #pragma once
 
 #include <chrono>
@@ -51,6 +53,7 @@
 
 #include "adapt/drift_monitor.hpp"
 #include "adapt/telemetry.hpp"
+#include "control/rollout_engine.hpp"
 #include "core/verification_engine.hpp"
 #include "core/viper.hpp"
 #include "dynamics/ensemble.hpp"
@@ -165,8 +168,8 @@ ShadowReport shadow_evaluate(const core::DtPolicy& policy, const dyn::DynamicsMo
 class AdaptationController {
  public:
   /// The scheduler reference must outlive the controller (the fleet
-  /// harness and benches own both). `pool` defaults to the shared
-  /// VERI_HVAC_THREADS pool.
+  /// harness and benches own both). `pool` runs both re-distillation and
+  /// certification; it defaults to the shared VERI_HVAC_THREADS pool.
   AdaptationController(AdaptationConfig config, std::shared_ptr<TelemetryLog> telemetry,
                        std::shared_ptr<serve::PolicyRegistry> registry,
                        std::shared_ptr<serve::SessionManager> sessions,
@@ -268,6 +271,8 @@ class AdaptationController {
   serve::RequestScheduler& scheduler_;
   std::shared_ptr<const common::TaskPool> pool_;
   core::VerificationEngine engine_;
+  /// The re-distillation teacher's rollout engine, over pool_.
+  std::shared_ptr<const control::RolloutEngine> rollout_engine_;
   DriftMonitor monitor_;
 
   /// Serializes whole pump cycles (manual pumps and the background worker

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -242,6 +243,27 @@ TEST(AdaptationControllerTest, PromotionIsDeterministicAcrossThreadCounts) {
   }
   EXPECT_EQ(policy_texts[0], policy_texts[1]);
   EXPECT_EQ(safe_probs[0], safe_probs[1]);
+}
+
+TEST(AdaptationControllerTest, RedistillationRunsOnTheControllersPool) {
+  // A one-thread controller pool scores every VIPER rollout inline, so an
+  // adaptation's only pool fan-outs are certification's handful. A teacher
+  // attached to any wider pool would add at least one per VIPER step.
+  if (common::TaskPool::shared()->thread_count() == 1) {
+    GTEST_SKIP() << "the shared pool is serial too; a misattached teacher is invisible";
+  }
+  static std::atomic<std::size_t> fanouts{0};
+  const AdaptationConfig config = quick_config();
+  Loop loop(config, /*threads=*/1);
+  loop.emit_decisions(80, toy_plant);
+  loop.controller->pump();
+  loop.emit_decisions(120, drifted_plant);
+  const common::TaskPool::MetricsHook previous = common::TaskPool::set_metrics_hook(
+      [](std::size_t, double, std::size_t) { fanouts.fetch_add(1, std::memory_order_relaxed); });
+  loop.controller->pump();
+  common::TaskPool::set_metrics_hook(previous);
+  ASSERT_EQ(loop.controller->history().size(), 1u);
+  EXPECT_LT(fanouts.load(), config.viper.steps_per_iteration);
 }
 
 TEST(AdaptationControllerTest, UncertifiableBundleIsNeverPromoted) {
