@@ -2,16 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 
 #include "common/stats.hpp"
 #include "control/rollout_engine.hpp"
+#include "control/rs_oracle.hpp"
 #include "core/core_test_utils.hpp"
 
 namespace verihvac::core {
 namespace {
 
+using control::testing::oracle_optimize;
 using testutil::toy_history;
 using testutil::toy_model;
 
@@ -234,40 +235,6 @@ TEST(GeneratorTest, DistilledActionsReflectComfortLogic) {
 
 // ---------------------------------------------------------------------------
 // Bit-identity of the point-sharded generator against the serial oracle.
-
-/// One optimize() call as the serial code made it, from public primitives
-/// only: draw the candidates, score each with the scalar rollout, strict-`>`
-/// argmax, then (with refinement) the first-action sweep over the winner's
-/// tail.
-std::size_t oracle_optimize(const control::RandomShooting& rs, const dyn::DynamicsModel& model,
-                            const env::Observation& obs,
-                            const std::vector<env::Disturbance>& forecast, Rng& rng,
-                            std::size_t n_actions) {
-  std::vector<std::vector<std::size_t>> sequences(rs.config().samples);
-  rs.draw_sequences(rng, sequences);
-  std::size_t best = 0;
-  double best_return = -std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < sequences.size(); ++s) {
-    const double value = rs.rollout_return(model, obs, forecast, sequences[s]);
-    if (value > best_return) {
-      best_return = value;
-      best = s;
-    }
-  }
-  std::size_t first = sequences[best].front();
-  if (rs.config().refine_first_action) {
-    for (std::size_t a = 0; a < n_actions; ++a) {
-      std::vector<std::size_t> candidate = sequences[best];
-      candidate.front() = a;
-      const double value = rs.rollout_return(model, obs, forecast, candidate);
-      if (value > best_return) {
-        best_return = value;
-        first = a;
-      }
-    }
-  }
-  return first;
-}
 
 /// The serial per-point loop generate() replaced: sample a point, then
 /// label it with `mc_repeats` back-to-back optimizer calls on `agent_rng`.

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "control/rs_oracle.hpp"
 #include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "serve_test_utils.hpp"
@@ -54,20 +55,33 @@ std::vector<ScenarioRequest> mixed_scenario() {
 
 std::uint64_t slot_seed(std::size_t slot) { return 1000 + 17 * slot; }
 
-/// The per-session scalar reference: RandomShooting::optimize fed the same
-/// counter-based stream the scheduler admits the request under. This is
-/// deliberately independent code (the optimizer's own serial path), so the
-/// test locks scheduler decisions to the library's ground truth.
+/// One decision of the scalar oracle (draws, scalar rollout_return,
+/// strict-`>` argmax, refine) on the counter-based stream
+/// Rng::stream(seed, stream) the scheduler admits the request under.
+std::size_t oracle_decision(const control::RandomShootingConfig& rs_config,
+                            const dyn::DynamicsModel& model, const env::Observation& obs,
+                            const std::vector<env::Disturbance>& forecast, std::uint64_t seed,
+                            std::uint64_t stream) {
+  const control::ActionSpace actions;
+  const control::RandomShooting rs(rs_config, actions, env::RewardConfig{});
+  Rng rng = Rng::stream(seed, stream);
+  return control::testing::oracle_optimize(rs, model, obs, forecast, rng, actions.size());
+}
+
+/// The per-session scalar reference: the oracle fed each request's
+/// admission stream. It shares no code with the scheduler's solve, so the
+/// test locks scheduler decisions to an independent implementation.
 std::vector<std::size_t> reference_decisions(const std::vector<ScenarioRequest>& scenario,
                                              const dyn::DynamicsModel& model,
                                              const control::RandomShootingConfig& rs_config) {
-  const control::RandomShooting rs(rs_config, control::ActionSpace{}, env::RewardConfig{});
   std::map<std::size_t, std::uint64_t> next_stream;
   std::vector<std::size_t> expected;
   for (const ScenarioRequest& item : scenario) {
     const env::Observation obs = cold_occupied(item.zone_temp);
-    Rng rng = Rng::stream(slot_seed(item.session_slot), next_stream[item.session_slot]++);
-    expected.push_back(rs.optimize(model, obs, steady_forecast(obs, rs_config.horizon), rng));
+    expected.push_back(oracle_decision(rs_config, model, obs,
+                                       steady_forecast(obs, rs_config.horizon),
+                                       slot_seed(item.session_slot),
+                                       next_stream[item.session_slot]++));
   }
   return expected;
 }
@@ -464,10 +478,8 @@ TEST(RequestSchedulerTest, DefaultModelBacksKeysWithoutDedicatedEntry) {
   request.session = id;
   const ControlDecision decision = stack.scheduler->serve(request);
 
-  const control::RandomShooting rs(rs_config, control::ActionSpace{}, env::RewardConfig{});
-  Rng rng = Rng::stream(7, 0);
   EXPECT_EQ(decision.action_index,
-            rs.optimize(*model, request.observation, request.forecast, rng));
+            oracle_decision(rs_config, *model, request.observation, request.forecast, 7, 0));
 }
 
 // Observability must observe, never steer: decisions AND the exact Stats
@@ -482,14 +494,15 @@ TEST(RequestSchedulerTest, StatsCountersAreThreadCountInvariantWithObsEnabled) {
   // Each DT decision consumes the session's next decision index at
   // admission, so the MBRL requests that follow draw streams offset by the
   // slot's DT count — the scalar reference must admit in the same order.
-  const control::RandomShooting rs(rs_config, control::ActionSpace{}, env::RewardConfig{});
   std::map<std::size_t, std::uint64_t> next_stream;
   for (const ScenarioRequest& item : scenario) ++next_stream[item.session_slot];
   std::vector<std::size_t> expected;
   for (const ScenarioRequest& item : scenario) {
     const env::Observation obs = cold_occupied(item.zone_temp);
-    Rng rng = Rng::stream(slot_seed(item.session_slot), next_stream[item.session_slot]++);
-    expected.push_back(rs.optimize(*model, obs, steady_forecast(obs, rs_config.horizon), rng));
+    expected.push_back(oracle_decision(rs_config, *model, obs,
+                                       steady_forecast(obs, rs_config.horizon),
+                                       slot_seed(item.session_slot),
+                                       next_stream[item.session_slot]++));
   }
 
   obs::TraceCollector::global().enable();
