@@ -26,8 +26,8 @@ std::vector<std::size_t> MbrlAgent::action_distribution(
     const env::Observation& obs, const std::vector<env::Disturbance>& forecast,
     std::size_t repeats) {
   std::vector<std::size_t> chosen(repeats);
-  rs_.optimize_repeats(*model_, obs, forecast, rng_, chosen,
-                       RandomShooting::Scoring::kEngine);
+  const RandomShooting::Decision decision{*model_, obs, forecast, rng_, chosen};
+  rs_.solve(std::span(&decision, 1), RandomShooting::Scoring::kEngine);
   std::vector<std::size_t> counts(actions_.size(), 0);
   for (const std::size_t a : chosen) ++counts[a];
   return counts;

@@ -28,10 +28,9 @@ class MbrlAgent final : public Controller {
 
   /// Runs the stochastic optimizer `repeats` times on the same input and
   /// returns the empirical count per action index (size = action space).
-  /// The single-point case of the decision-data labelling kernel
-  /// (RandomShooting::optimize_repeats): all repeats are scored as one
-  /// merged batch sharded across the attached engine, bit-identical to
-  /// `repeats` decide_once() calls.
+  /// One decision with `repeats` repeats through RandomShooting::solve:
+  /// all repeats are scored as one merged batch sharded across the
+  /// attached engine, bit-identical to `repeats` decide_once() calls.
   std::vector<std::size_t> action_distribution(const env::Observation& obs,
                                                const std::vector<env::Disturbance>& forecast,
                                                std::size_t repeats);

@@ -2,10 +2,54 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace verihvac::control {
+
+namespace {
+
+/// The calling thread's persistent RolloutScratch: pool workers live for
+/// the process, so each worker's candidate matrix and activation buffers
+/// warm up once and serve every subsequent batch.
+RolloutScratch& worker_rollout_scratch() {
+  static thread_local RolloutScratch scratch;
+  return scratch;
+}
+
+/// The calling thread's solve() buffers, kept warm across calls like
+/// RolloutScratch (inner sequences reuse their capacity).
+struct SolveBuffers {
+  std::vector<std::vector<std::size_t>> candidates;
+  std::vector<std::vector<std::size_t>> refine;
+  std::vector<double> returns;
+  std::vector<double> best_returns;
+  /// Per repeat: the winning candidate's index, then its first action.
+  std::vector<std::size_t> winners;
+};
+
+SolveBuffers& solve_buffers() {
+  static thread_local SolveBuffers buffers;
+  return buffers;
+}
+
+/// Runs slice(worker, begin, end) over [0, n): sharded across `engine`'s
+/// pool when it has workers, else inline on the calling thread. Slicing
+/// cannot change any candidate's arithmetic (rows are independent through
+/// the batched forward), so results are bit-identical either way.
+void for_slices(const RolloutEngine* engine, std::size_t n,
+                const std::function<void(std::size_t, std::size_t, std::size_t)>& slice) {
+  if (engine != nullptr && engine->thread_count() > 1) {
+    engine->parallel_for(n, slice);
+  } else {
+    slice(0, 0, n);
+  }
+}
+
+}  // namespace
 
 RandomShooting::RandomShooting(RandomShootingConfig config, const ActionSpace& actions,
                                env::RewardConfig reward)
@@ -51,11 +95,6 @@ double RandomShooting::rollout_return(const dyn::DynamicsModel& model,
     schema.apply_disturbance(forecast[t], x.data());
   }
   return total;
-}
-
-RolloutScratch& worker_rollout_scratch() {
-  static thread_local RolloutScratch scratch;
-  return scratch;
 }
 
 void RandomShooting::rollout_returns_slice(const dyn::DynamicsModel& model,
@@ -127,21 +166,10 @@ void RandomShooting::rollout_returns(const dyn::DynamicsModel& model,
                                      const std::vector<std::vector<std::size_t>>& sequences,
                                      std::vector<double>& returns) const {
   returns.resize(sequences.size());
-  if (engine_ == nullptr || engine_->thread_count() <= 1) {
-    rollout_returns_slice(model, obs, forecast, sequences, 0, sequences.size(), returns,
+  for_slices(engine_.get(), sequences.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+    rollout_returns_slice(model, obs, forecast, sequences, begin, end, returns,
                           worker_rollout_scratch());
-    return;
-  }
-  // The pool shards the batch into contiguous per-worker sub-batches; each
-  // worker runs the lock-step pipeline on its slice with its own
-  // persistent scratch. Slicing cannot change any candidate's arithmetic
-  // (rows are independent through the batched forward), so decisions stay
-  // bit-identical across thread counts.
-  engine_->parallel_for(sequences.size(),
-                        [&](std::size_t, std::size_t begin, std::size_t end) {
-                          rollout_returns_slice(model, obs, forecast, sequences, begin, end,
-                                                returns, worker_rollout_scratch());
-                        });
+  });
 }
 
 void RandomShooting::draw_sequences(Rng& rng, std::span<std::vector<std::size_t>> out) const {
@@ -156,102 +184,120 @@ void RandomShooting::draw_sequences(Rng& rng, std::span<std::vector<std::size_t>
   }
 }
 
-namespace {
-
-/// The calling thread's optimize_repeats() buffers, kept warm across calls
-/// like RolloutScratch (inner sequences reuse their capacity).
-struct RepeatBatch {
-  std::vector<std::vector<std::size_t>> candidates;
-  std::vector<std::vector<std::size_t>> refine;
-  std::vector<double> returns;
-  std::vector<double> best_returns;
-};
-
-RepeatBatch& repeat_batch() {
-  static thread_local RepeatBatch batch;
-  return batch;
-}
-
-}  // namespace
-
 std::size_t RandomShooting::optimize(const dyn::DynamicsModel& model,
                                      const env::Observation& obs,
                                      const std::vector<env::Disturbance>& forecast,
                                      Rng& rng) const {
   std::size_t chosen = 0;
-  optimize_repeats(model, obs, forecast, rng, std::span(&chosen, 1), Scoring::kEngine);
+  const Decision decision{model, obs, forecast, rng, std::span(&chosen, 1)};
+  solve(std::span(&decision, 1), Scoring::kEngine);
   return chosen;
 }
 
-void RandomShooting::optimize_repeats(const dyn::DynamicsModel& model,
-                                      const env::Observation& obs,
-                                      const std::vector<env::Disturbance>& forecast, Rng& rng,
-                                      std::span<std::size_t> chosen, Scoring scoring) const {
+void RandomShooting::check_inputs(const dyn::DynamicsModel& model, const env::Observation& obs,
+                                  const std::vector<env::Disturbance>& forecast) const {
   if (forecast.size() < config_.horizon) {
     throw std::invalid_argument("RandomShooting: forecast shorter than horizon");
   }
+  const env::FeatureSchema& schema = model.schema();
+  for (std::size_t i = 0; i < schema.dims(); ++i) {
+    if (!std::isfinite(schema.feature_value(obs, i))) {
+      throw std::invalid_argument("RandomShooting: non-finite observation feature '" +
+                                  schema.at(i).name + "'");
+    }
+    for (std::size_t k = 0; k < config_.horizon; ++k) {
+      if (!std::isfinite(schema.disturbance_value(forecast[k], i))) {
+        throw std::invalid_argument("RandomShooting: non-finite forecast feature '" +
+                                    schema.at(i).name + "' at step " + std::to_string(k));
+      }
+    }
+  }
+}
+
+void RandomShooting::solve(std::span<const Decision> decisions, Scoring scoring) const {
+  for (const Decision& d : decisions) check_inputs(d.model, d.obs, d.forecast);
+  SolveBuffers& buffers = solve_buffers();
+
+  // Scores `sequences`, where each decision owns `per_repeat` consecutive
+  // entries per repeat, in decision order. A slice [begin, end) of the
+  // flattened space runs one lock-step batch per decision it overlaps.
+  const RolloutEngine* engine = scoring == Scoring::kEngine ? engine_.get() : nullptr;
   const auto score = [&](const std::vector<std::vector<std::size_t>>& sequences,
-                         std::vector<double>& returns) {
-    if (scoring == Scoring::kEngine) {
-      rollout_returns(model, obs, forecast, sequences, returns);
-    } else {
-      returns.resize(sequences.size());
-      rollout_returns_slice(model, obs, forecast, sequences, 0, sequences.size(), returns,
-                            worker_rollout_scratch());
-    }
+                         std::size_t per_repeat) {
+    buffers.returns.resize(sequences.size());
+    for_slices(engine, sequences.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+      std::size_t offset = 0;
+      for (const Decision& d : decisions) {
+        const std::size_t next = offset + d.chosen.size() * per_repeat;
+        if (std::max(begin, offset) < std::min(end, next)) {
+          rollout_returns_slice(d.model, d.obs, d.forecast, sequences, std::max(begin, offset),
+                                std::min(end, next), buffers.returns, worker_rollout_scratch());
+        }
+        offset = next;
+      }
+    });
   };
-  const std::size_t repeats = chosen.size();
+
+  // Draw every repeat's candidates in decision, then repeat, order (each
+  // decision's own stream, as one optimize() call at a time consumes it),
+  // then score them all as one merged batch.
   const std::size_t samples = config_.samples;
-  RepeatBatch& batch = repeat_batch();
-
-  // Draw every call's candidates in call order (the RNG stream of the
-  // one-at-a-time loop), then score them all as one merged batch.
-  batch.candidates.resize(repeats * samples);
-  const std::span<std::vector<std::size_t>> candidates(batch.candidates);
-  for (std::size_t r = 0; r < repeats; ++r) {
-    draw_sequences(rng, candidates.subspan(r * samples, samples));
+  std::size_t repeats = 0;
+  for (const Decision& d : decisions) repeats += d.chosen.size();
+  buffers.candidates.resize(repeats * samples);
+  const std::span<std::vector<std::size_t>> candidates(buffers.candidates);
+  std::size_t g = 0;  // global repeat index
+  for (const Decision& d : decisions) {
+    for (std::size_t r = 0; r < d.chosen.size(); ++r, ++g) {
+      draw_sequences(d.rng, candidates.subspan(g * samples, samples));
+    }
   }
-  score(batch.candidates, batch.returns);
+  score(buffers.candidates, samples);
 
-  // Per-call argmax; chosen[r] holds the winner's index into `candidates`
-  // until the refine pass (or the loop below) turns it into an action.
-  batch.best_returns.assign(repeats, -std::numeric_limits<double>::infinity());
-  for (std::size_t r = 0; r < repeats; ++r) {
-    chosen[r] = r * samples;
-    for (std::size_t s = r * samples; s < (r + 1) * samples; ++s) {
-      if (batch.returns[s] > batch.best_returns[r]) {
-        batch.best_returns[r] = batch.returns[s];
-        chosen[r] = s;
+  // Per-repeat argmax over its own candidates.
+  buffers.best_returns.assign(repeats, -std::numeric_limits<double>::infinity());
+  buffers.winners.resize(repeats);
+  for (g = 0; g < repeats; ++g) {
+    buffers.winners[g] = g * samples;
+    for (std::size_t s = g * samples; s < (g + 1) * samples; ++s) {
+      if (buffers.returns[s] > buffers.best_returns[g]) {
+        buffers.best_returns[g] = buffers.returns[s];
+        buffers.winners[g] = s;
       }
     }
   }
-  if (!config_.refine_first_action) {
-    for (std::size_t& c : chosen) c = batch.candidates[c].front();
-    return;
-  }
 
-  // Coordinate-descent pass on the executed action: each call's best tail
-  // held fixed, its first action enumerated exhaustively — all calls' |A|
-  // sweeps scored as a second merged batch.
-  const std::size_t n_actions = actions_.size();
-  batch.refine.resize(repeats * n_actions);
-  for (std::size_t r = 0; r < repeats; ++r) {
-    const std::vector<std::size_t>& best = batch.candidates[chosen[r]];
-    for (std::size_t a = 0; a < n_actions; ++a) {
-      std::vector<std::size_t>& candidate = batch.refine[r * n_actions + a];
-      candidate.assign(best.begin(), best.end());
-      candidate.front() = a;
+  if (config_.refine_first_action) {
+    // Coordinate-descent pass on the executed action: each repeat's best
+    // tail held fixed, its first action enumerated exhaustively — every
+    // repeat's |A| sweep scored as a second merged batch.
+    const std::size_t n_actions = actions_.size();
+    buffers.refine.resize(repeats * n_actions);
+    for (g = 0; g < repeats; ++g) {
+      const std::vector<std::size_t>& best = buffers.candidates[buffers.winners[g]];
+      for (std::size_t a = 0; a < n_actions; ++a) {
+        std::vector<std::size_t>& candidate = buffers.refine[g * n_actions + a];
+        candidate.assign(best.begin(), best.end());
+        candidate.front() = a;
+      }
+      buffers.winners[g] = best.front();
     }
-    chosen[r] = best.front();
-  }
-  score(batch.refine, batch.returns);
-  for (std::size_t r = 0; r < repeats; ++r) {
-    for (std::size_t a = 0; a < n_actions; ++a) {
-      if (batch.returns[r * n_actions + a] > batch.best_returns[r]) {
-        batch.best_returns[r] = batch.returns[r * n_actions + a];
-        chosen[r] = a;
+    score(buffers.refine, n_actions);
+    for (g = 0; g < repeats; ++g) {
+      for (std::size_t a = 0; a < n_actions; ++a) {
+        if (buffers.returns[g * n_actions + a] > buffers.best_returns[g]) {
+          buffers.best_returns[g] = buffers.returns[g * n_actions + a];
+          buffers.winners[g] = a;
+        }
       }
     }
+  } else {
+    for (std::size_t& w : buffers.winners) w = buffers.candidates[w].front();
+  }
+
+  g = 0;
+  for (const Decision& d : decisions) {
+    for (std::size_t& c : d.chosen) c = buffers.winners[g++];
   }
 }
 

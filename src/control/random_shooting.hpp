@@ -39,13 +39,6 @@ struct RolloutScratch {
   dyn::BatchScratch batch;
 };
 
-/// The calling thread's persistent RolloutScratch (static thread_local):
-/// pool workers live for the process, so each worker's candidate matrix
-/// and activation buffers warm up once and serve every subsequent batch.
-/// Shared with the serving scheduler so a worker that runs both the
-/// optimizer path and cross-session serving keeps ONE scratch, not two.
-RolloutScratch& worker_rollout_scratch();
-
 struct RandomShootingConfig {
   std::size_t samples = 1000;  ///< candidate sequences per decision
   std::size_t horizon = 20;    ///< planning steps (20 x 15 min = 5 h)
@@ -76,40 +69,57 @@ class RandomShooting {
 
   /// One optimization: returns the index (into the action space) of the
   /// chosen first action. `forecast` must provide >= horizon entries
-  /// (entry k = disturbances at step t+k). The one-repeat case of
-  /// optimize_repeats(), scored across the attached engine.
+  /// (entry k = disturbances at step t+k). The one-decision, one-repeat
+  /// case of solve(), scored across the attached engine.
   std::size_t optimize(const dyn::DynamicsModel& model, const env::Observation& obs,
                        const std::vector<env::Disturbance>& forecast, Rng& rng) const;
 
-  /// Where optimize_repeats() scores its merged batches.
+  /// One decision of a solve() call: `chosen.size()` back-to-back
+  /// optimizer runs (repeats) on one input, each drawing from `rng`.
+  struct Decision {
+    const dyn::DynamicsModel& model;
+    const env::Observation& obs;
+    const std::vector<env::Disturbance>& forecast;
+    Rng& rng;
+    std::span<std::size_t> chosen;  ///< receives each repeat's action index
+  };
+
+  /// Where solve() scores its merged batches.
   enum class Scoring {
     kEngine,         ///< sharded across candidates through the attached engine
     kCallingThread,  ///< inline, with the calling thread's RolloutScratch
   };
 
-  /// `chosen.size()` back-to-back optimize() calls on one input, labelled
-  /// as two merged batches: every call's candidates are scored at once,
-  /// then (with refine_first_action) every call's |A| refine candidates.
-  /// Call r draws its candidates from `rng` right after call r-1, so
-  /// chosen[r] and the state `rng` is left in are bit-identical to the
-  /// one-at-a-time loop: scoring consumes no randomness, per-candidate
-  /// arithmetic does not depend on batch composition, and each call keeps
-  /// optimize()'s strict-`>` argmax (first best wins). A caller that is
-  /// itself a pool worker must pass kCallingThread: the engine path would
-  /// nest parallel_for on the pool it already runs on, which deadlocks.
-  void optimize_repeats(const dyn::DynamicsModel& model, const env::Observation& obs,
-                        const std::vector<env::Disturbance>& forecast, Rng& rng,
-                        std::span<std::size_t> chosen, Scoring scoring) const;
+  /// Random shooting (Eq. 1) over a span of decisions — the one
+  /// implementation behind optimize(), action_distribution(), decision-data
+  /// labels and serving micro-batches. Checks every decision's inputs
+  /// before any draw (a throw leaves every `rng` untouched), draws each
+  /// repeat's candidates from its decision's `rng` in order, scores all of
+  /// them as one flattened batch (one lock-step rollout_returns_slice per
+  /// (decision, sub-range) overlap of a worker slice), takes each repeat's
+  /// strict-`>` argmax (first best wins) and, with refine_first_action,
+  /// scores every repeat's |A| first-action sweep as a second batch.
+  /// Scoring consumes no randomness and per-candidate arithmetic does not
+  /// depend on batch composition, so results and final `rng` states equal
+  /// one optimize() call at a time for any decision mix and thread count.
+  /// A pool worker must pass kCallingThread: the engine path would nest
+  /// parallel_for on the pool it already runs on, which deadlocks.
+  void solve(std::span<const Decision> decisions, Scoring scoring) const;
 
-  /// Draws the candidate sequences of one optimize() call into `out`
+  /// Throws std::invalid_argument unless `forecast` holds >= horizon
+  /// entries and every feature of `model`'s schema is finite in `obs` and
+  /// in those entries (a NaN temperature has comfort penalty 0, so it would
+  /// otherwise be decided on energy alone).
+  void check_inputs(const dyn::DynamicsModel& model, const env::Observation& obs,
+                    const std::vector<env::Disturbance>& forecast) const;
+
+  /// Draws the candidate sequences of one optimizer run into `out`
   /// (which must hold exactly `samples` sequences; each is resized to the
   /// horizon, reusing its capacity), the configured persistent fraction
   /// held constant. Scoring consumes no randomness, so this is the
-  /// *entire* stochastic footprint of a decision. The one draw routine:
-  /// optimize(), the serving scheduler (which replays a decision's exact
-  /// candidate set from its per-request RNG stream) and decision-data
-  /// generation (which advances an agent past a point's draws) all call
-  /// it, keeping the three bit-identical.
+  /// *entire* stochastic footprint of a run. The one draw routine: solve()
+  /// calls it for every repeat, and decision-data generation calls it to
+  /// advance an agent's RNG past a point's draws.
   void draw_sequences(Rng& rng, std::span<std::vector<std::size_t>> out) const;
 
   /// Scores one fixed action sequence, one scalar predict per step. With
@@ -127,30 +137,26 @@ class RandomShooting {
                         const std::vector<std::size_t>& action_sequence,
                         dyn::PredictScratch& scratch) const;
 
-  /// Scores every candidate sequence, writing returns[i] for sequences[i].
+  /// Scores every candidate sequence of one input, writing returns[i] for
+  /// sequences[i] (VIPER's per-action values).
   ///
   /// Lock-step batch pipeline: candidates advance together one horizon
-  /// step at a time, with each step's N one-step predictions fused into a
-  /// single batched forward (dyn::DynamicsModel::predict_batch_into)
-  /// instead of N scalar predicts. With an engine attached, the batch is
-  /// sharded into contiguous per-worker slices over its thread pool, each
-  /// worker running the lock-step pipeline on its slice with persistent
-  /// thread-local RolloutScratch. (Decision-data generation shards the
-  /// other way: whole decision points per worker, each scored inline
-  /// through rollout_returns_slice.) Per-candidate arithmetic is
-  /// independent of batch composition, so results are bit-identical to the
-  /// scalar rollout_return path for any thread count and any sharding
-  /// (locked in by tests/control/rollout_engine_test.cpp).
+  /// step at a time, each step's N one-step predictions fused into one
+  /// batched forward (dyn::DynamicsModel::predict_batch_into). With an
+  /// engine attached, the batch is sharded into contiguous per-worker
+  /// slices, each run with the worker's thread-local RolloutScratch.
+  /// Per-candidate arithmetic is independent of batch composition, so
+  /// results are bit-identical to the scalar rollout_return path for any
+  /// thread count and any sharding (tests/control/rollout_engine_test.cpp).
   void rollout_returns(const dyn::DynamicsModel& model, const env::Observation& obs,
                        const std::vector<env::Disturbance>& forecast,
                        const std::vector<std::vector<std::size_t>>& sequences,
                        std::vector<double>& returns) const;
 
   /// Lock-step batch scoring of the contiguous slice [begin, end) of
-  /// `sequences` on the calling thread: the per-worker unit of
-  /// rollout_returns, and the whole scoring step of an inline
-  /// optimize_repeats(). Writes returns[s] for s in [begin, end); `returns`
-  /// must already have sequences.size() entries.
+  /// `sequences` on the calling thread, all from one input: the per-worker
+  /// unit of rollout_returns() and of solve(). Writes returns[s] for s in
+  /// [begin, end); `returns` must already have sequences.size() entries.
   void rollout_returns_slice(const dyn::DynamicsModel& model, const env::Observation& obs,
                              const std::vector<env::Disturbance>& forecast,
                              const std::vector<std::vector<std::size_t>>& sequences,

@@ -10,10 +10,11 @@
 // The unit of work is a contiguous slice advanced in lock-step: each
 // horizon step's predictions for the whole slice are fused into one
 // batched forward (dyn::DynamicsModel::predict_batch_into) with persistent
-// thread-local scratch. What a slice holds depends on the caller. A single
-// decision (optimize, action_distribution) shards its merged candidate
-// batch across workers; decision-data generation shards whole decision
-// points, each worker scoring a point's merged batch inline. Determinism
+// thread-local scratch. RandomShooting::solve shards the flattened
+// candidates of its decisions (one for optimize, one per request of a
+// serving micro-batch) across workers, one lock-step batch per (decision,
+// sub-range) overlap; decision-data generation shards whole points, each
+// worker solving a point inline. Determinism
 // is preserved by construction: RNG draws happen only in (serial) sequence
 // generation or from per-point RNG snapshots, per-candidate arithmetic is
 // independent of how the batch is sliced, every return is written to its

@@ -156,9 +156,11 @@ DecisionDataset DecisionDataGenerator::generate(control::MbrlAgent& agent,
     for (std::size_t i = begin; i < end; ++i) {
       DecisionRecord& record = dataset.records[i];
       Rng point_rng = starts[i];
-      rs.optimize_repeats(agent.model(), config_.schema.to_observation(record.input),
-                          forecast_from(rows[i], horizon), point_rng, chosen,
-                          control::RandomShooting::Scoring::kCallingThread);
+      const env::Observation obs = config_.schema.to_observation(record.input);
+      const std::vector<env::Disturbance> forecast = forecast_from(rows[i], horizon);
+      const control::RandomShooting::Decision decision{agent.model(), obs, forecast, point_rng,
+                                                       chosen};
+      rs.solve(std::span(&decision, 1), control::RandomShooting::Scoring::kCallingThread);
       std::fill(counts.begin(), counts.end(), 0);
       for (const std::size_t a : chosen) ++counts[a];
       record.action_index = modal_index(counts);

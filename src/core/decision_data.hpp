@@ -21,7 +21,7 @@
 //    serial pre-pass draws every input and records the agent's RNG state
 //    at each point, then each worker labels whole points, scoring a
 //    point's `mc_repeats` optimizer runs as one merged lock-step batch
-//    (RandomShooting::optimize_repeats). The recorded modal actions, and
+//    (one RandomShooting::solve decision). The recorded modal actions, and
 //    the agent's RNG state afterwards, are bit-identical to labelling one
 //    point at a time with action_distribution() at any thread count.
 #pragma once

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -41,6 +40,7 @@ RequestScheduler::RequestScheduler(SchedulerConfig config,
   if (registry_ == nullptr || sessions_ == nullptr) {
     throw std::invalid_argument("RequestScheduler: registry and sessions must be non-null");
   }
+  rs_.set_engine(std::make_shared<const control::RolloutEngine>(pool_));
   // Queue sharding defaults to the session manager's lock sharding so a
   // session's admissions and its batch queue share one shard index.
   const std::size_t shards =
@@ -266,16 +266,17 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
   const auto t_solve = std::chrono::steady_clock::now();
   struct Job {
     Pending* pending = nullptr;
-    std::shared_ptr<const dyn::DynamicsModel> model;
-    std::uint64_t model_generation = 0;
-    std::vector<std::vector<std::size_t>> sequences;
-    std::vector<double> returns;
-    std::size_t offset = 0;  ///< start in the flattened candidate space
+    ModelEntry model;
+    Rng rng;
+    std::size_t action_index = 0;
   };
 
-  const std::size_t horizon = rs_.config().horizon;
+  // A request that cannot be solved fails its own future only; the rest of
+  // the batch is solved without it, each request one decision of the solve.
   std::vector<Job> jobs;
+  std::vector<control::RandomShooting::Decision> decisions;
   jobs.reserve(batch.size());
+  decisions.reserve(batch.size());
   for (Pending& pending : batch) {
     try {
       ModelEntry entry = model_for(pending.ticket.policy_key);
@@ -283,87 +284,22 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
         throw std::runtime_error("RequestScheduler: no dynamics model installed for key '" +
                                  pending.ticket.policy_key + "'");
       }
-      if (pending.request.forecast.size() < horizon) {
-        throw std::invalid_argument(
-            "RequestScheduler: MBRL request forecast shorter than the optimizer horizon");
-      }
+      rs_.check_inputs(*entry.model, pending.request.observation, pending.request.forecast);
       // The decision's entire stochastic footprint: candidate draws from
       // the per-request counter-based stream fixed at admission.
-      Rng rng = Rng::stream(pending.ticket.seed, pending.ticket.stream);
-      Job job;
-      job.pending = &pending;
-      job.model = std::move(entry.model);
-      job.model_generation = entry.generation;
-      job.sequences.resize(rs_.config().samples);
-      rs_.draw_sequences(rng, job.sequences);
-      job.returns.assign(job.sequences.size(), 0.0);
-      jobs.push_back(std::move(job));
+      Job& job = jobs.emplace_back(Job{&pending, std::move(entry),
+                                       Rng::stream(pending.ticket.seed, pending.ticket.stream)});
+      decisions.push_back({*job.model.model, pending.request.observation,
+                           pending.request.forecast, job.rng, std::span(&job.action_index, 1)});
     } catch (...) {
       pending.promise.set_exception(std::current_exception());
     }
   }
-
-  // Cross-session scoring: the union of every job's candidates forms one
-  // flattened index space; a worker's contiguous slice may span request
-  // boundaries, and each (job, sub-range) overlap advances in lock-step
-  // through the batched predict kernels. Slicing cannot change any
-  // candidate's arithmetic, so decisions are independent of batching.
-  const auto score = [this](std::vector<Job>& scored) {
-    std::size_t total = 0;
-    for (Job& job : scored) {
-      job.offset = total;
-      total += job.sequences.size();
-    }
-    if (total == 0) return;
-    pool_->parallel_for(total, [this, &scored](std::size_t, std::size_t begin, std::size_t end) {
-      std::size_t j = 0;
-      while (j < scored.size() && scored[j].offset + scored[j].sequences.size() <= begin) ++j;
-      for (; j < scored.size() && scored[j].offset < end; ++j) {
-        Job& job = scored[j];
-        const std::size_t lo = std::max(begin, job.offset) - job.offset;
-        const std::size_t hi = std::min(end, job.offset + job.sequences.size()) - job.offset;
-        if (lo >= hi) continue;
-        rs_.rollout_returns_slice(*job.model, job.pending->request.observation,
-                                  job.pending->request.forecast, job.sequences, lo, hi,
-                                  job.returns, control::worker_rollout_scratch());
-      }
-    });
-  };
-  score(jobs);
-
-  // Winner selection per request — serial scans, exactly the argmax (and
-  // optional first-action refinement sweep) of RandomShooting::optimize.
-  std::vector<double> best_returns(jobs.size(), -std::numeric_limits<double>::infinity());
-  std::vector<std::vector<std::size_t>> best_sequences(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    std::size_t best = 0;
-    for (std::size_t s = 0; s < jobs[j].returns.size(); ++s) {
-      if (jobs[j].returns[s] > best_returns[j]) {
-        best_returns[j] = jobs[j].returns[s];
-        best = s;
-      }
-    }
-    best_sequences[j] = jobs[j].sequences[best];
-  }
-
-  if (rs_.config().refine_first_action && !jobs.empty()) {
-    std::vector<Job> refine(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      refine[j].pending = jobs[j].pending;
-      refine[j].model = jobs[j].model;
-      refine[j].sequences.assign(actions_.size(), best_sequences[j]);
-      for (std::size_t a = 0; a < actions_.size(); ++a) refine[j].sequences[a].front() = a;
-      refine[j].returns.assign(actions_.size(), 0.0);
-    }
-    score(refine);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      for (std::size_t a = 0; a < actions_.size(); ++a) {
-        if (refine[j].returns[a] > best_returns[j]) {
-          best_returns[j] = refine[j].returns[a];
-          best_sequences[j].front() = a;
-        }
-      }
-    }
+  try {
+    rs_.solve(decisions, control::RandomShooting::Scoring::kEngine);
+  } catch (...) {
+    for (Job& job : jobs) job.pending->promise.set_exception(std::current_exception());
+    return;
   }
 
   // Counters first, promises second: set_value releases the waiter, and a
@@ -386,7 +322,7 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
   if (!jobs.empty()) mbrl_solve_.observe(solve_seconds);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     ControlDecision decision;
-    decision.action_index = best_sequences[j].front();
+    decision.action_index = jobs[j].action_index;
     decision.action = actions_.action(decision.action_index);
     decision.kind = RequestKind::kMbrlFallback;
     decision.policy_version = 0;
@@ -402,11 +338,11 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
       // MBRL events carry the serving model's generation where DT events
       // carry the bundle's registry version — replay needs to know which
       // hot-swapped model decided.
-      event.policy_version = jobs[j].model_generation;
+      event.policy_version = jobs[j].model.generation;
       event.action_index = decision.action_index;
       event.action = decision.action;
       event.observation = &jobs[j].pending->request.observation;
-      event.schema = &jobs[j].model->schema();
+      event.schema = &jobs[j].model.model->schema();
       event.forecast = &jobs[j].pending->request.forecast;
       event.latency_seconds = solve_seconds;
       event.timed = true;

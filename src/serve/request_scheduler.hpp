@@ -17,13 +17,12 @@
 //     aligned to the SessionManager sharding (session id % shard count),
 //     so front ends serving different shards push without contending on
 //     one queue lock; each shard has its own scheduler thread coalescing
-//     arrivals into a micro-batch (up to max_batch) and scoring the union
-//     as ONE cross-session batch: all candidates of all coalesced
-//     requests form a single flattened index space fanned out over the
-//     shared common::TaskPool, each worker advancing its contiguous slice
-//     in lock-step through dyn::DynamicsModel::predict_batch_into (the
-//     PR 3 kernels) with persistent thread-local scratch. A worker slice
-//     can span request boundaries, so load balances across sessions.
+//     arrivals into a micro-batch (up to max_batch) and solving it as ONE
+//     control::RandomShooting::solve call, one decision per request — the
+//     code optimize() and trace replay run. All candidates of the batch
+//     form one flattened index space over the scheduler's TaskPool; a
+//     worker slice can span request boundaries, so load balances across
+//     sessions.
 //
 //     Batching is work-conserving: a shard worker blocks for its first
 //     request, takes whatever else is already queued (up to max_batch)
@@ -32,13 +31,13 @@
 //     with backlog and an idle shard answers a lone request immediately.
 //
 // Determinism contract: a decision depends only on (session seed, decision
-// index, observation, forecast, bundle/model). Candidate draws happen
-// serially at admission from the per-request stream Rng::stream(seed,
-// decision_index); per-candidate scoring arithmetic is independent of
-// batch composition and slicing (PR 3 invariant); the argmax is a serial
-// scan. Hence micro-batched decisions are BIT-IDENTICAL to per-session
-// scalar serving for any thread count and any batch coalescing — locked in
-// by tests/serve/request_scheduler_test.cpp at VERI_HVAC_THREADS=1/4/8.
+// index, observation, forecast, bundle/model). Draws come from the
+// per-request stream Rng::stream(seed, decision_index) fixed at admission,
+// and the solve equals one optimize() call per request for any batch mix
+// and thread count — locked in by tests/serve/request_scheduler_test.cpp
+// against an independent scalar oracle at VERI_HVAC_THREADS=1/4/8. A
+// request with a non-finite observation or forecast, or one shorter than
+// the horizon, fails its own future (std::invalid_argument) only.
 #pragma once
 
 #include <atomic>

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "control/cem.hpp"
 #include "control/mppi.hpp"
 #include "control/random_shooting.hpp"
+#include "control/rs_oracle.hpp"
 
 namespace verihvac::control {
 namespace {
@@ -298,6 +301,107 @@ TEST_F(ParallelRolloutTest, RandomShootingDecisionIdenticalAcrossThreadCounts) {
           << threads << " threads, seed " << seed;
     }
   }
+}
+
+// One solve() over decisions with different inputs and repeat counts
+// equals the scalar oracle run one repeat at a time on each decision's own
+// stream, and leaves every stream where that loop leaves it, at every pool
+// size and with refinement off and on.
+TEST_F(ParallelRolloutTest, SolveMatchesScalarOracleForMixedDecisions) {
+  const ActionSpace actions;
+  const std::array<double, 3> zone_temps = {16.0, 19.5, 23.0};
+  const std::array<std::size_t, 3> repeats = {1, 3, 2};
+  const std::array<std::uint64_t, 3> seeds = {5, 41, 77};
+  std::vector<env::Observation> observations;
+  for (const double t : zone_temps) {
+    observations.push_back(cold_occupied());
+    observations.back().zone_temp_c = t;
+  }
+  const auto forecast = persistence_forecast(cold_occupied(), 6);
+
+  for (const bool refine : {false, true}) {
+    RandomShootingConfig cfg;
+    cfg.samples = 40;
+    cfg.horizon = 6;
+    cfg.refine_first_action = refine;
+    const RandomShooting oracle_rs(cfg, actions, env::RewardConfig{});
+    std::vector<std::vector<std::size_t>> expected(zone_temps.size());
+    std::vector<Rng> oracle_rngs;
+    for (std::size_t d = 0; d < zone_temps.size(); ++d) {
+      oracle_rngs.emplace_back(seeds[d]);
+      for (std::size_t r = 0; r < repeats[d]; ++r) {
+        expected[d].push_back(testing::oracle_optimize(oracle_rs, model(), observations[d],
+                                                       forecast, oracle_rngs[d],
+                                                       actions.size()));
+      }
+    }
+
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      RandomShooting rs(cfg, actions, env::RewardConfig{});
+      rs.set_engine(engine_with_threads(threads));
+      std::vector<Rng> rngs;
+      std::vector<std::vector<std::size_t>> chosen;
+      for (std::size_t d = 0; d < zone_temps.size(); ++d) {
+        rngs.emplace_back(seeds[d]);
+        chosen.emplace_back(repeats[d]);
+      }
+      std::vector<RandomShooting::Decision> decisions;
+      for (std::size_t d = 0; d < zone_temps.size(); ++d) {
+        decisions.push_back({model(), observations[d], forecast, rngs[d], chosen[d]});
+      }
+      rs.solve(decisions, RandomShooting::Scoring::kEngine);
+      for (std::size_t d = 0; d < zone_temps.size(); ++d) {
+        EXPECT_EQ(chosen[d], expected[d])
+            << "decision " << d << " at " << threads << " threads, refine " << refine;
+        Rng oracle_next = oracle_rngs[d];
+        EXPECT_EQ(rngs[d](), oracle_next()) << "decision " << d << " stream diverged";
+      }
+    }
+  }
+}
+
+// A non-finite input used to be decided silently: the comfort penalty of
+// a NaN temperature is 0, so the argmax minimised energy alone and a cold
+// occupied zone got a setback. The input check throws before any draw.
+TEST_F(ParallelRolloutTest, NonFiniteInputsThrowBeforeAnyDraw) {
+  const ActionSpace actions;
+  RandomShootingConfig cfg;
+  cfg.samples = 16;
+  cfg.horizon = 4;
+  RandomShooting rs(cfg, actions, env::RewardConfig{});
+  rs.set_engine(four_threads());
+  const auto forecast = persistence_forecast(cold_occupied(), 4);
+
+  const auto expect_rejected = [&](const env::Observation& obs,
+                                   const std::vector<env::Disturbance>& f) {
+    Rng rng(13);
+    Rng untouched(13);
+    EXPECT_THROW(rs.optimize(model(), obs, f, rng), std::invalid_argument);
+    EXPECT_EQ(rng(), untouched());
+  };
+  env::Observation nan_zone = cold_occupied();
+  nan_zone.zone_temp_c = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(nan_zone, forecast);
+
+  std::vector<env::Disturbance> inf_outdoor = forecast;
+  inf_outdoor[2].weather.outdoor_temp_c = std::numeric_limits<double>::infinity();
+  expect_rejected(cold_occupied(), inf_outdoor);
+  expect_rejected(cold_occupied(), persistence_forecast(cold_occupied(), 3));
+
+  // One bad decision rejects the whole solve before the good one draws.
+  Rng good_rng(7);
+  Rng bad_rng(8);
+  Rng good_untouched(7);
+  std::size_t good_chosen = 99;
+  std::size_t bad_chosen = 99;
+  const env::Observation good_obs = cold_occupied();
+  const std::vector<RandomShooting::Decision> decisions = {
+      {model(), good_obs, forecast, good_rng, std::span(&good_chosen, 1)},
+      {model(), nan_zone, forecast, bad_rng, std::span(&bad_chosen, 1)}};
+  EXPECT_THROW(rs.solve(decisions, RandomShooting::Scoring::kEngine), std::invalid_argument);
+  EXPECT_EQ(good_chosen, 99u);
+  EXPECT_EQ(bad_chosen, 99u);
+  EXPECT_EQ(good_rng(), good_untouched());
 }
 
 TEST_F(ParallelRolloutTest, CemDecisionIdenticalAcrossThreadCounts) {

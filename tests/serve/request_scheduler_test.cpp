@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -211,32 +212,34 @@ TEST(RequestSchedulerTest, AsyncQueueServingMatchesScalarReference) {
 // batch while eight more requests queue up, so max_batch 4 must split that
 // backlog into two full batches — with every decision still equal to the
 // scalar reference.
-TEST(RequestSchedulerTest, BacklogCoalescesUpToMaxBatch) {
-  struct BlockingTap : DecisionTap {
-    std::mutex mutex;
-    std::condition_variable changed;
-    bool entered = false;
-    bool released = false;
-    void on_decision(const DecisionEvent&) noexcept override {
-      std::unique_lock<std::mutex> lock(mutex);
-      if (entered) return;
-      entered = true;
-      changed.notify_all();
-      changed.wait(lock, [this] { return released; });
+/// Holds the shard worker inside its first batch's tap call until
+/// release(), so the requests submitted meanwhile queue up and coalesce.
+struct BlockingTap : DecisionTap {
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool entered = false;
+  bool released = false;
+  void on_decision(const DecisionEvent&) noexcept override {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (entered) return;
+    entered = true;
+    changed.notify_all();
+    changed.wait(lock, [this] { return released; });
+  }
+  bool wait_entered() {
+    std::unique_lock<std::mutex> lock(mutex);
+    return changed.wait_for(lock, std::chrono::seconds(60), [this] { return entered; });
+  }
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      released = true;
     }
-    bool wait_entered() {
-      std::unique_lock<std::mutex> lock(mutex);
-      return changed.wait_for(lock, std::chrono::seconds(60), [this] { return entered; });
-    }
-    void release() {
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        released = true;
-      }
-      changed.notify_all();
-    }
-  };
+    changed.notify_all();
+  }
+};
 
+TEST(RequestSchedulerTest, BacklogCoalescesUpToMaxBatch) {
   const auto policy = toy_policy();
   const auto model = toy_model();
   const control::RandomShootingConfig rs_config = serving_rs();
@@ -459,6 +462,92 @@ TEST(RequestSchedulerTest, ErrorsSurfaceAsExceptions) {
   const ControlDecision decision = stack.scheduler->serve(
       stack.request({1, 18.0}, RequestKind::kMbrlFallback, rs_config.horizon));
   EXPECT_LT(decision.action_index, control::ActionSpace{}.size());
+}
+
+// A NaN zone temperature or an infinite forecast value used to be served
+// silently (a NaN's comfort penalty is 0, so the argmax picked a setback
+// for a cold occupied zone). Each now fails its own future.
+TEST(RequestSchedulerTest, NonFiniteRequestsAreRejected) {
+  const auto model = toy_model();
+  const control::RandomShootingConfig rs_config = serving_rs();
+  Stack stack(toy_policy(), model, rs_config, /*threads=*/4);
+
+  ControlRequest nan_zone = stack.request({0, 17.5}, RequestKind::kMbrlFallback,
+                                          rs_config.horizon);
+  nan_zone.observation.zone_temp_c = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(stack.scheduler->serve(nan_zone), std::invalid_argument);
+
+  ControlRequest inf_outdoor = stack.request({0, 17.5}, RequestKind::kMbrlFallback,
+                                             rs_config.horizon);
+  inf_outdoor.forecast[2].weather.outdoor_temp_c = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(stack.scheduler->serve(inf_outdoor), std::invalid_argument);
+  EXPECT_EQ(stack.scheduler->stats().mbrl_served, 0u);
+
+  // The rejected requests consumed streams 0 and 1 of slot 0 at admission.
+  const env::Observation obs = cold_occupied(17.5);
+  const std::vector<env::Disturbance> forecast = steady_forecast(obs, rs_config.horizon);
+  EXPECT_EQ(stack.scheduler
+                ->serve(stack.request({0, 17.5}, RequestKind::kMbrlFallback, rs_config.horizon))
+                .action_index,
+            oracle_decision(rs_config, *model, obs, forecast, slot_seed(0), 2));
+}
+
+// Bad requests coalesced into one micro-batch with good ones fail alone:
+// every batch-mate still equals the scalar oracle and is counted served.
+TEST(RequestSchedulerTest, BadRequestFailsAloneInItsBatch) {
+  const auto policy = toy_policy();
+  const auto model = toy_model();
+  const control::RandomShootingConfig rs_config = serving_rs();
+  std::vector<ScenarioRequest> scenario = mixed_scenario();
+  scenario.resize(5);
+  const std::vector<std::size_t> expected = reference_decisions(scenario, *model, rs_config);
+
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    SchedulerConfig scheduler_config;
+    scheduler_config.queue_shards = 1;
+    Stack stack(policy, model, rs_config, threads, scheduler_config);
+    const auto tap = std::make_shared<BlockingTap>();
+    stack.scheduler->set_tap(tap);
+    stack.scheduler->start();
+
+    // Slot 5 carries the bad requests, so the good slots' streams match
+    // the reference.
+    ControlRequest nan_zone = stack.request({5, 17.5}, RequestKind::kMbrlFallback,
+                                            rs_config.horizon);
+    nan_zone.observation.zone_temp_c = std::numeric_limits<double>::quiet_NaN();
+    ControlRequest inf_outdoor = stack.request({5, 17.5}, RequestKind::kMbrlFallback,
+                                               rs_config.horizon);
+    inf_outdoor.forecast[1].weather.outdoor_temp_c = -std::numeric_limits<double>::infinity();
+
+    std::vector<std::future<ControlDecision>> good;
+    good.push_back(stack.scheduler->submit(
+        stack.request(scenario[0], RequestKind::kMbrlFallback, rs_config.horizon)));
+    EXPECT_TRUE(tap->wait_entered());
+    good.push_back(stack.scheduler->submit(
+        stack.request(scenario[1], RequestKind::kMbrlFallback, rs_config.horizon)));
+    std::future<ControlDecision> bad_nan = stack.scheduler->submit(nan_zone);
+    good.push_back(stack.scheduler->submit(
+        stack.request(scenario[2], RequestKind::kMbrlFallback, rs_config.horizon)));
+    std::future<ControlDecision> bad_inf = stack.scheduler->submit(inf_outdoor);
+    for (std::size_t i = 3; i < scenario.size(); ++i) {
+      good.push_back(stack.scheduler->submit(
+          stack.request(scenario[i], RequestKind::kMbrlFallback, rs_config.horizon)));
+    }
+    EXPECT_EQ(stack.scheduler->queue_depth(), 6u);
+    tap->release();
+
+    EXPECT_THROW(bad_nan.get(), std::invalid_argument);
+    EXPECT_THROW(bad_inf.get(), std::invalid_argument);
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      EXPECT_EQ(good[i].get().action_index, expected[i])
+          << "request " << i << " at " << threads << " threads";
+    }
+    const RequestScheduler::Stats stats = stack.scheduler->stats();
+    EXPECT_EQ(stats.mbrl_served, scenario.size());
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(stats.max_batch, 4u);
+    stack.scheduler->stop();
+  }
 }
 
 TEST(RequestSchedulerTest, DefaultModelBacksKeysWithoutDedicatedEntry) {
