@@ -377,6 +377,119 @@ TEST(TelemetryStoreTest, RetentionDeletesOldestAndCountsDrops) {
   EXPECT_GT(store.stats().records_dropped_retention, 0u);
 }
 
+/// Sealed segments in `dir`, oldest first; fails the test on an `.open` tail.
+std::vector<SegmentInfo> sealed_only(const std::string& dir) {
+  std::vector<SegmentInfo> segments = list_segments(dir);
+  for (const SegmentInfo& segment : segments) EXPECT_FALSE(segment.open) << segment.path;
+  return segments;
+}
+
+// A 1 ns age budget is spent by the time a record is appended, so every
+// pump that appended one seals its segment. Idle pumps open none and so
+// rotate nothing.
+TEST(TelemetryStoreTest, AgeBudgetRotatesOnEachPumpThatAppended) {
+  const std::string dir = fresh_dir("verihvac_store_test_age");
+  auto log = std::make_shared<TelemetryLog>();
+  log->register_session(1, 1001, "toy");
+
+  TelemetryStoreConfig config = manual_config(dir);
+  config.segment_max_bytes = 0;
+  config.segment_max_seconds = 1e-9;
+  TelemetryStore store(log, config);
+  for (std::uint64_t d = 0; d < 4; ++d) {
+    emit(*log, 1, d, 18.0);
+    store.pump_once();
+    EXPECT_EQ(store.stats().rotations, d + 1);
+    const std::vector<SegmentInfo> segments = sealed_only(dir);
+    ASSERT_EQ(segments.size(), d + 1);
+    EXPECT_EQ(segments.back().header.record_count, 1u);
+    EXPECT_EQ(segments.back().header.decision_min, d);
+  }
+  store.pump_once();
+  store.stop();
+  EXPECT_EQ(store.stats().rotations, 4u);
+  EXPECT_EQ(store.stats().records_persisted, 4u);
+  EXPECT_EQ(sealed_only(dir).size(), 4u);
+}
+
+// A byte budget just above one segment's payload keeps exactly the newest
+// sealed segment: each seal deletes the one before it.
+TEST(TelemetryStoreTest, ByteBudgetKeepsTheNewestSegment) {
+  // One record per segment, every record the same size: a probe store
+  // measures one segment's payload.
+  std::uint64_t segment_payload = 0;
+  {
+    const std::string probe_dir = fresh_dir("verihvac_store_test_bytes_probe");
+    auto log = std::make_shared<TelemetryLog>();
+    log->register_session(1, 1001, "toy");
+    TelemetryStoreConfig config = manual_config(probe_dir);
+    config.segment_max_records = 1;
+    TelemetryStore store(log, config);
+    emit(*log, 1, 0, 18.0);
+    store.pump_once();
+    store.stop();
+    const std::vector<SegmentInfo> segments = sealed_only(probe_dir);
+    ASSERT_EQ(segments.size(), 1u);
+    segment_payload = segments.front().header.payload_bytes;
+  }
+  ASSERT_GT(segment_payload, 0u);
+
+  const std::string dir = fresh_dir("verihvac_store_test_bytes");
+  auto log = std::make_shared<TelemetryLog>();
+  log->register_session(1, 1001, "toy");
+  TelemetryStoreConfig config = manual_config(dir);
+  config.segment_max_records = 1;
+  config.retain_max_bytes = segment_payload + 1;
+  TelemetryStore store(log, config);
+  for (std::uint64_t d = 0; d < 5; ++d) {
+    emit(*log, 1, d, 18.0);
+    store.pump_once();
+    const std::vector<SegmentInfo> segments = sealed_only(dir);
+    ASSERT_EQ(segments.size(), 1u) << "after pump " << d;
+    EXPECT_EQ(segments.front().header.payload_bytes, segment_payload);
+    EXPECT_EQ(segments.front().header.decision_min, d);
+    EXPECT_EQ(store.stats().records_dropped_retention, d);
+  }
+  store.stop();
+  EXPECT_EQ(store.stats().rotations, 5u);
+}
+
+// Retention never loses a record silently: every persisted record is
+// either still in a segment on disk or counted in
+// records_dropped_retention, and the drops are exactly the records of the
+// deleted (oldest) segments.
+TEST(TelemetryStoreTest, RetentionDropsAddUpToTheDroppedCount) {
+  const std::string dir = fresh_dir("verihvac_store_test_drops");
+  auto log = std::make_shared<TelemetryLog>();
+  log->register_session(1, 1001, "toy");
+  log->register_session(2, 1002, "toy");
+
+  TelemetryStoreConfig config = manual_config(dir);
+  config.segment_max_records = 3;
+  config.retain_max_bytes = 1;  // over budget whenever two segments are sealed
+  TelemetryStore store(log, config);
+  for (std::uint64_t d = 0; d < 10; ++d) emit(*log, 1 + (d % 2), d / 2, 18.0 + d);
+  store.pump_once();
+  store.stop();
+
+  // Seals at records 3, 6 and 9 each delete the previous segment; the
+  // final seal of the one-record tail enforces no retention.
+  const std::vector<SegmentInfo> segments = sealed_only(dir);
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].header.base_seq, 6u);
+  EXPECT_EQ(segments[0].header.record_count, 3u);
+  EXPECT_EQ(segments[1].header.base_seq, 9u);
+  EXPECT_EQ(segments[1].header.record_count, 1u);
+
+  const TelemetryStore::Stats stats = store.stats();
+  std::uint64_t on_disk = 0;
+  for (const SegmentInfo& segment : segments) on_disk += segment.header.record_count;
+  EXPECT_EQ(stats.records_persisted, 10u);
+  EXPECT_EQ(stats.records_dropped_retention, 6u);
+  EXPECT_EQ(stats.records_dropped_retention + on_disk, stats.records_persisted);
+  EXPECT_EQ(load_directory(dir).records.size(), on_disk);
+}
+
 // The per-store Stats and the process-wide `telemetry_store_*` counters
 // count the same events. One store rotates, drops a segment to retention
 // and crashes with an open tail; a second recovers the torn tail, then
