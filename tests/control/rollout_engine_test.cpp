@@ -360,9 +360,9 @@ TEST_F(ParallelRolloutTest, SolveMatchesScalarOracleForMixedDecisions) {
   }
 }
 
-// A non-finite input used to be decided silently: the comfort penalty of
-// a NaN temperature is 0, so the argmax minimised energy alone and a cold
-// occupied zone got a setback. The input check throws before any draw.
+// A non-finite input must not be decided: the comfort penalty of a NaN
+// temperature is 0, so the argmax would minimise energy alone and give a
+// cold occupied zone a setback. The input check throws before any draw.
 TEST_F(ParallelRolloutTest, NonFiniteInputsThrowBeforeAnyDraw) {
   const ActionSpace actions;
   RandomShootingConfig cfg;

@@ -464,9 +464,9 @@ TEST(RequestSchedulerTest, ErrorsSurfaceAsExceptions) {
   EXPECT_LT(decision.action_index, control::ActionSpace{}.size());
 }
 
-// A NaN zone temperature or an infinite forecast value used to be served
-// silently (a NaN's comfort penalty is 0, so the argmax picked a setback
-// for a cold occupied zone). Each now fails its own future.
+// A NaN zone temperature or an infinite forecast value must not be served
+// (a NaN's comfort penalty is 0, so the argmax would pick a setback for a
+// cold occupied zone): each fails its own future.
 TEST(RequestSchedulerTest, NonFiniteRequestsAreRejected) {
   const auto model = toy_model();
   const control::RandomShootingConfig rs_config = serving_rs();
@@ -548,6 +548,33 @@ TEST(RequestSchedulerTest, BadRequestFailsAloneInItsBatch) {
     EXPECT_EQ(stats.max_batch, 4u);
     stack.scheduler->stop();
   }
+}
+
+// A solve that throws past the input check (here: an untrained model)
+// fails its batch's futures; the shard worker survives and keeps serving.
+TEST(RequestSchedulerTest, FailedSolveFailsItsBatchNotTheShardWorker) {
+  const auto model = toy_model();
+  const control::RandomShootingConfig rs_config = serving_rs();
+  Stack stack(toy_policy(), model, rs_config, /*threads=*/2);
+  stack.scheduler->install_model("untrained",
+                                 std::make_shared<dyn::DynamicsModel>(dyn::DynamicsModelConfig{}));
+  SessionConfig untrained_session;
+  untrained_session.policy_key = "untrained";
+  const SessionId untrained_id = stack.sessions->open(untrained_session);
+  stack.scheduler->start();
+
+  ControlRequest bad = stack.request({0, 17.5}, RequestKind::kMbrlFallback, rs_config.horizon);
+  bad.session = untrained_id;
+  EXPECT_THROW(stack.scheduler->serve(bad), std::logic_error);
+
+  const env::Observation obs = cold_occupied(17.5);
+  EXPECT_EQ(stack.scheduler
+                ->serve(stack.request({0, 17.5}, RequestKind::kMbrlFallback, rs_config.horizon))
+                .action_index,
+            oracle_decision(rs_config, *model, obs, steady_forecast(obs, rs_config.horizon),
+                            slot_seed(0), 0));
+  EXPECT_EQ(stack.scheduler->stats().mbrl_served, 1u);
+  stack.scheduler->stop();
 }
 
 TEST(RequestSchedulerTest, DefaultModelBacksKeysWithoutDedicatedEntry) {
