@@ -1,6 +1,5 @@
 #include "serve/request_scheduler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -275,7 +274,7 @@ void RequestScheduler::solve_batch(std::vector<Pending>& batch) {
   // the batch is solved without it, each request one decision of the solve.
   std::vector<Job> jobs;
   std::vector<control::RandomShooting::Decision> decisions;
-  jobs.reserve(batch.size());
+  jobs.reserve(batch.size());  // decisions point into jobs: never reallocate
   decisions.reserve(batch.size());
   for (Pending& pending : batch) {
     try {
