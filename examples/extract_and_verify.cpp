@@ -8,13 +8,14 @@
 //   * how the Eq. 5 augmented sampler concentrates decision queries,
 //   * the raw (unverified) tree vs the verified (corrected) tree,
 //   * the interpretable rule dump and the Graphviz export,
-//   * serialization round-trip to an "edge device" file.
+//   * policy-bundle round-trip to an "edge device" file.
 #include <cstdio>
 #include <filesystem>
 
 #include "core/decision_data.hpp"
 #include "core/dt_policy.hpp"
-#include "core/verification.hpp"
+#include "core/policy_io.hpp"
+#include "core/verification_engine.hpp"
 #include "dynamics/dataset.hpp"
 #include "dynamics/dynamics_model.hpp"
 #include "envlib/env.hpp"
@@ -72,18 +73,17 @@ int main() {
               formal.leaves_total, formal.corrected_crit2 + formal.corrected_crit3,
               formal.corrected_crit2, formal.corrected_crit3);
 
-  Rng rng(404);
-  const core::ProbabilisticReport prob = core::verify_probabilistic_one_step(
-      policy, model, generator.sampler(), criteria, 2000, rng);
+  const core::ProbabilisticReport prob = core::VerificationEngine().verify_probabilistic(
+      policy, model, generator.sampler(), criteria, 2000, /*seed=*/404);
   std::printf("criterion #1: safe probability %.3f over %zu one-step samples -> %s\n",
               prob.safe_probability, prob.samples,
               prob.passes(criteria) ? "PASS" : "FAIL");
 
   // --- Stage 6: artifacts for deployment and for the engineer. ---
   const auto dir = std::filesystem::temp_directory_path();
-  const std::string tree_path = (dir / "verihvac_policy.tree").string();
+  const std::string bundle_path = (dir / "verihvac_policy.bundle").string();
   const std::string dot_path = (dir / "verihvac_policy.dot").string();
-  tree::save_tree(policy.tree(), tree_path);
+  core::save_policy(policy, bundle_path);
   std::FILE* dot = std::fopen(dot_path.c_str(), "w");
   if (dot != nullptr) {
     const auto& names = env::input_dim_names();
@@ -92,12 +92,11 @@ int main() {
     std::fwrite(graphviz.data(), 1, graphviz.size(), dot);
     std::fclose(dot);
   }
-  std::printf("\nserialized policy -> %s\nGraphviz export   -> %s\n", tree_path.c_str(),
+  std::printf("\npolicy bundle   -> %s\nGraphviz export -> %s\n", bundle_path.c_str(),
               dot_path.c_str());
 
-  // Round-trip check: the deployed tree decides identically.
-  const tree::DecisionTreeClassifier reloaded = tree::load_tree(tree_path);
-  core::DtPolicy deployed(reloaded, actions);
+  // Round-trip check: the deployed bundle decides identically.
+  const core::DtPolicy deployed = core::load_policy(bundle_path);
   env::BuildingEnv building(env_config);
   env::Observation obs = building.reset();
   bool identical = true;

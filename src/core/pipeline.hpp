@@ -89,7 +89,8 @@ DecisionDataset generate_decision_data(const PipelineConfig& config,
 
 /// Criterion #1 (§3.3.2) as every extraction checks it: config.criteria
 /// over config.probabilistic_samples inputs drawn (Eq. 5) from
-/// `historical`, seeded with config.verification_seed.
+/// `historical`, seeded with config.verification_seed (the engine's seed is
+/// Rng(verification_seed).next(), via verify_probabilistic_one_step).
 ProbabilisticReport verify_criterion1(const PipelineConfig& config, const DtPolicy& policy,
                                       const dyn::DynamicsModel& model,
                                       const dyn::TransitionDataset& historical);

@@ -2,10 +2,9 @@
 //
 // A decision tree alone is not a policy — decoding its class labels needs
 // the action-space enumeration it was fitted against (heat/cool grids and
-// the heat <= cool constraint). tree_io's save_tree persists only the
-// tree, which is fine inside one process but deployment-unsafe: loading a
-// tree against a *different* action grid silently re-maps every decision.
-// The bundle format stores tree, action space AND observation schema,
+// the heat <= cool constraint): loading a bare tree against a *different*
+// action grid silently re-maps every decision. The bundle, the one on-disk
+// policy format, stores tree, action space AND observation schema,
 // versioned:
 //
 //   verihvac-policy v3

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/verification_engine.hpp"
 #include "envlib/observation.hpp"
 
 namespace verihvac::core {
@@ -180,20 +181,8 @@ ProbabilisticReport verify_probabilistic_one_step(const DtPolicy& policy,
                                                   const AugmentedSampler& sampler,
                                                   const VerificationCriteria& criteria,
                                                   std::size_t n_samples, Rng& rng) {
-  ProbabilisticReport report;
-  const Matrix& historical = sampler.historical();
-  const std::size_t occ_dim = sampler.schema().occupancy_index();
-  while (report.samples < n_samples) {
-    auto [x, row] = sample_safe_occupied(sampler, criteria.comfort, rng);
-    if (!continuation_occupied(historical, row, 1, occ_dim)) continue;
-    const sim::SetpointPair action = policy.decide(x);
-    const double next_temp = model.predict(x, action);
-    ++report.samples;
-    if (!criteria.comfort.contains(next_temp)) ++report.failures;
-  }
-  report.safe_probability =
-      1.0 - static_cast<double>(report.failures) / static_cast<double>(report.samples);
-  return report;
+  return VerificationEngine().verify_probabilistic(policy, model, sampler, criteria, n_samples,
+                                                   rng.next());
 }
 
 ProbabilisticReport verify_probabilistic_h_step(const DtPolicy& policy,
@@ -206,10 +195,19 @@ ProbabilisticReport verify_probabilistic_h_step(const DtPolicy& policy,
   const std::size_t zone_dim = sampler.schema().zone_temp_index();
   const std::size_t occ_dim = sampler.schema().occupancy_index();
 
-  std::size_t trajectories = 0;
+  // Consecutive trajectories that counted no state. Degenerate history (no
+  // occupied state with an occupied continuation) would otherwise spin
+  // forever; it throws instead, like the one-step estimator.
+  constexpr std::size_t kMaxBarrenTrajectories = 10000;
+  std::size_t barren = 0;
   while (report.samples < n_samples) {
+    if (barren >= kMaxBarrenTrajectories) {
+      throw std::runtime_error(
+          "verify_probabilistic_h_step: no trajectory visits a safe occupied state with "
+          "occupied continuation");
+    }
+    const std::size_t counted = report.samples;
     auto [x, row] = sample_safe_occupied(sampler, criteria.comfort, rng);
-    ++trajectories;
     // Roll the reachability tube (Eq. 3) under the policy, classifying each
     // visited safe occupied state by the safety of its immediate successor
     // (the counting argument of the §3.3.2 proof).
@@ -225,6 +223,7 @@ ProbabilisticReport verify_probabilistic_h_step(const DtPolicy& policy,
       x[zone_dim] = next_temp;
       load_disturbances(x, historical, row + k + 1, zone_dim);
     }
+    barren = report.samples == counted ? barren + 1 : 0;
   }
   report.safe_probability =
       1.0 - static_cast<double>(report.failures) / static_cast<double>(report.samples);

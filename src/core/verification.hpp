@@ -22,7 +22,8 @@
 // Probabilistic verification (criterion #1) uses the augmented historical
 // sampler: draw safe occupied inputs, apply the policy, advance one step
 // through the learned dynamics model, and measure the fraction that stays
-// safe. §3.3.2 proves the one-step estimator equals the H-step bootstrap
+// safe. Its one implementation is VerificationEngine::verify_probabilistic.
+// §3.3.2 proves the one-step estimator equals the H-step bootstrap
 // estimator; verify_probabilistic_h_step implements the bootstrap variant
 // so the equivalence is empirically checkable.
 #pragma once
@@ -114,7 +115,11 @@ std::pair<std::vector<double>, std::size_t> sample_safe_occupied(
 bool continuation_occupied(const Matrix& historical, std::size_t row, std::size_t offset,
                            std::size_t occupancy_dim);
 
-/// Criterion #1 via the efficient one-step estimator (§3.3.2).
+/// Criterion #1 via the one-step estimator (§3.3.2): exactly
+/// VerificationEngine().verify_probabilistic(..., rng.next()) on the shared
+/// pool. Kept only for core::verify_criterion1 and perfbench's extract
+/// workload, which checks that the two agree; every other caller uses the
+/// engine directly.
 ProbabilisticReport verify_probabilistic_one_step(const DtPolicy& policy,
                                                   const dyn::DynamicsModel& model,
                                                   const AugmentedSampler& sampler,
@@ -123,7 +128,9 @@ ProbabilisticReport verify_probabilistic_one_step(const DtPolicy& policy,
 
 /// Criterion #1 via H-step bootstrap rollouts (the expensive method the
 /// proof replaces): every visited safe state along each H-step trajectory
-/// is classified by the safety of its immediate successor.
+/// is classified by the safety of its immediate successor. Throws
+/// std::runtime_error after 10000 consecutive trajectories that count no
+/// state (no occupied state with an occupied continuation is reachable).
 ProbabilisticReport verify_probabilistic_h_step(const DtPolicy& policy,
                                                 const dyn::DynamicsModel& model,
                                                 const AugmentedSampler& sampler,

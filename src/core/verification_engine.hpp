@@ -17,10 +17,11 @@
 // this additionally requires decoupling the RNG from the schedule: sample
 // i draws from its own counter-based stream Rng::stream(seed, i) instead
 // of a single shared sequence, so the estimate depends only on (seed, i)
-// — never on which worker ran the sample. The per-stream estimator is
-// statistically equivalent to verify_probabilistic_one_step but consumes
-// a different random sequence, so its numbers differ from the serial
-// single-stream entry point while remaining reproducible from the seed.
+// — never on which worker ran the sample. It is criterion #1's one
+// estimator: the pipeline reaches it through verify_probabilistic_one_step
+// (seed = Rng(verification_seed).next()), the campaign, the adaptation
+// gate, the examples and the benches call it directly, and a pool of 1 is
+// the serial case.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +48,12 @@ class VerificationEngine {
   /// Criterion #1 Monte-Carlo over per-sample RNG streams: sample i runs
   /// its rejection loop (safe occupied input with an occupied
   /// continuation) entirely inside Rng::stream(seed, i) and contributes
-  /// one accept to the estimate. Bit-identical across thread counts.
-  /// Since PR 3 each worker stages its slice's accepted inputs as one
-  /// batch matrix and advances them with a single batched forward
-  /// (dyn::DynamicsModel::predict_batch_into); the draws and the report
-  /// are unchanged to the last bit.
+  /// one accept to the estimate; throws std::runtime_error when a sample
+  /// finds none in 10000 draws. Bit-identical across thread counts. Each
+  /// worker stages its slice's accepted inputs as one batch matrix and
+  /// advances them with a single batched forward
+  /// (dyn::DynamicsModel::predict_batch_into), bit-identical per row to
+  /// the scalar predict.
   ProbabilisticReport verify_probabilistic(const DtPolicy& policy,
                                            const dyn::DynamicsModel& model,
                                            const AugmentedSampler& sampler,

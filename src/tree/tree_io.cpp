@@ -1,6 +1,5 @@
 #include "tree/tree_io.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -108,19 +107,6 @@ DecisionTreeClassifier read_tree(std::istream& in, const std::string& context) {
   TreeFields fields = read_tree_fields(in, context);
   return DecisionTreeClassifier::from_nodes(std::move(fields.nodes), fields.num_features,
                                             fields.num_classes);
-}
-
-void save_tree(const DecisionTreeClassifier& tree, const std::string& path) {
-  if (!tree.fitted()) throw std::logic_error("save_tree: tree not fitted");
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("save_tree: cannot open " + path);
-  write_tree(tree, out);
-}
-
-DecisionTreeClassifier load_tree(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load_tree: cannot open " + path);
-  return read_tree(in, path);
 }
 
 }  // namespace verihvac::tree

@@ -4,8 +4,9 @@
 //  * to_text      — indented if/else pseudo-code, the "interpretable to
 //                   human experts" artifact the paper emphasizes;
 //  * to_dot       — Graphviz, for figures like Fig. 2's illustration;
-//  * save/load    — a line-based exact round-trip format so verified
-//                   policies can be deployed to edge devices as plain files.
+//  * write/read   — a line-based exact round-trip tree section, embedded
+//                   in the deployable policy bundle (core/policy_io), the
+//                   one on-disk policy format.
 #pragma once
 
 #include <iosfwd>
@@ -27,12 +28,9 @@ std::string to_dot(const DecisionTreeClassifier& tree,
                    const std::vector<std::string>& feature_names = {},
                    const std::vector<std::string>& class_names = {});
 
-/// Exact round-trip serialization.
-void save_tree(const DecisionTreeClassifier& tree, const std::string& path);
-DecisionTreeClassifier load_tree(const std::string& path);
-
-/// Stream variants (used by the policy-bundle format, which embeds a tree
-/// section inside a larger file). `context` names the source in errors.
+/// Exact round-trip serialization of a tree section (the policy-bundle
+/// format embeds one inside a larger file). `context` names the source in
+/// errors.
 void write_tree(const DecisionTreeClassifier& tree, std::ostream& out);
 DecisionTreeClassifier read_tree(std::istream& in, const std::string& context = "<stream>");
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "control/clue_agent.hpp"
@@ -118,6 +120,35 @@ TEST_F(ControllersTest, RandomShootingSetsBackWhenUnoccupied) {
       rs.optimize(model(), obs, persistence_forecast(obs, 1), rng);
   EXPECT_DOUBLE_EQ(actions.action(idx).heating_c, 15.0);
   EXPECT_DOUBLE_EQ(actions.action(idx).cooling_c, 30.0);
+}
+
+TEST_F(ControllersTest, RandomShootingTieKeepsFirstDrawnCandidate) {
+  // Zero energy weights and an unbounded comfort range make every return
+  // exactly 0, so every candidate and every refined first action ties. The
+  // strict-`>` argmax keeps the first best: each repeat must choose the
+  // first action of its first drawn candidate.
+  const ActionSpace actions;
+  env::RewardConfig flat;
+  flat.comfort = env::ComfortRange{-1e9, 1e9};
+  flat.we_occupied = 0.0;
+  flat.we_unoccupied = 0.0;
+  const env::Observation obs = cold_occupied();
+  const auto forecast = persistence_forecast(obs, 4);
+  for (const bool refine : {false, true}) {
+    RandomShootingConfig config{32, 4, 0.99};
+    config.refine_first_action = refine;
+    const RandomShooting rs(config, actions, flat);
+    Rng rng(21);
+    Rng replay = rng;
+    std::vector<std::size_t> chosen(8);
+    const RandomShooting::Decision decision{model(), obs, forecast, rng, std::span(chosen)};
+    rs.solve(std::span(&decision, 1), RandomShooting::Scoring::kCallingThread);
+    std::vector<std::vector<std::size_t>> drawn(config.samples);
+    for (std::size_t r = 0; r < chosen.size(); ++r) {
+      rs.draw_sequences(replay, drawn);
+      EXPECT_EQ(chosen[r], drawn.front().front()) << "repeat " << r << " refine " << refine;
+    }
+  }
 }
 
 TEST_F(ControllersTest, RolloutReturnPrefersComfortWhenOccupied) {

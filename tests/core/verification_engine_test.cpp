@@ -91,6 +91,25 @@ TEST_F(VerificationEngineTest, ProbabilisticReportReproducibleFromSeed) {
   EXPECT_EQ(a.safe_probability, b.safe_probability);
 }
 
+TEST_F(VerificationEngineTest, OneStepAdapterIsTheEngineSeededFromTheRng) {
+  // verify_probabilistic_one_step is the engine on the shared pool, seeded
+  // with the caller's Rng's next draw; every pool reproduces its report.
+  const DtPolicy policy = hold_policy();
+  Rng rng(404);
+  const auto adapter =
+      verify_probabilistic_one_step(policy, *model_, *sampler_, winter(), 400, rng);
+  ASSERT_EQ(adapter.samples, 400u);
+  for (std::size_t threads : {1u, 4u, 8u}) {
+    const auto engine = engine_with_threads(threads).verify_probabilistic(
+        policy, *model_, *sampler_, winter(), 400, Rng(404).next());
+    EXPECT_EQ(engine.samples, adapter.samples) << threads << " threads";
+    EXPECT_EQ(engine.failures, adapter.failures) << threads << " threads";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(engine.safe_probability),
+              std::bit_cast<std::uint64_t>(adapter.safe_probability))
+        << threads << " threads";
+  }
+}
+
 TEST_F(VerificationEngineTest, ProbabilisticZeroSamplesIsEmptyReport) {
   const DtPolicy policy = hold_policy();
   const auto report = engine_with_threads(4).verify_probabilistic(policy, *model_, *sampler_,

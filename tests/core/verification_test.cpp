@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/core_test_utils.hpp"
+#include "core/verification_engine.hpp"
 
 namespace verihvac::core {
 namespace {
@@ -203,9 +206,8 @@ class ProbabilisticVerificationTest : public ::testing::Test {
 TEST_F(ProbabilisticVerificationTest, SafePolicyScoresHigh) {
   const DtPolicy policy = safe_policy();
   AugmentedSampler sampler(history_.policy_inputs(), 0.01);
-  Rng rng(10);
-  const ProbabilisticReport report = verify_probabilistic_one_step(
-      policy, *model_, sampler, winter_criteria(), 1500, rng);
+  const ProbabilisticReport report = VerificationEngine().verify_probabilistic(
+      policy, *model_, sampler, winter_criteria(), 1500, 10);
   EXPECT_EQ(report.samples, 1500u);
   EXPECT_GT(report.safe_probability, 0.85);
   EXPECT_TRUE(report.passes(winter_criteria()));
@@ -213,12 +215,11 @@ TEST_F(ProbabilisticVerificationTest, SafePolicyScoresHigh) {
 
 TEST_F(ProbabilisticVerificationTest, RecklessPolicyScoresLower) {
   AugmentedSampler sampler(history_.policy_inputs(), 0.01);
-  Rng rng1(11);
-  Rng rng2(11);
-  const auto safe = verify_probabilistic_one_step(safe_policy(), *model_, sampler,
-                                                  winter_criteria(), 1200, rng1);
-  const auto reckless = verify_probabilistic_one_step(reckless_policy(), *model_, sampler,
-                                                      winter_criteria(), 1200, rng2);
+  const VerificationEngine engine;
+  const auto safe = engine.verify_probabilistic(safe_policy(), *model_, sampler,
+                                                winter_criteria(), 1200, 11);
+  const auto reckless = engine.verify_probabilistic(reckless_policy(), *model_, sampler,
+                                                    winter_criteria(), 1200, 11);
   EXPECT_LT(reckless.safe_probability, safe.safe_probability);
 }
 
@@ -227,12 +228,11 @@ TEST_F(ProbabilisticVerificationTest, OneStepEquivalentToHStepBootstrap) {
   // ratio as classifying every visited state of H-step bootstrap rollouts.
   const DtPolicy policy = safe_policy();
   AugmentedSampler sampler(history_.policy_inputs(), 0.01);
-  Rng rng1(12);
-  Rng rng2(13);
-  const auto one = verify_probabilistic_one_step(policy, *model_, sampler,
-                                                 winter_criteria(), 4000, rng1);
+  const auto one = VerificationEngine().verify_probabilistic(policy, *model_, sampler,
+                                                             winter_criteria(), 4000, 12);
+  Rng rng(13);
   const auto h = verify_probabilistic_h_step(policy, *model_, sampler, winter_criteria(),
-                                             4000, rng2);
+                                             4000, rng);
   EXPECT_EQ(h.samples, 4000u);
   EXPECT_NEAR(one.safe_probability, h.safe_probability, 0.08);
 }
@@ -240,14 +240,35 @@ TEST_F(ProbabilisticVerificationTest, OneStepEquivalentToHStepBootstrap) {
 TEST_F(ProbabilisticVerificationTest, ReportIsDeterministicGivenSeed) {
   const DtPolicy policy = safe_policy();
   AugmentedSampler sampler(history_.policy_inputs(), 0.01);
-  Rng a(14);
-  Rng b(14);
-  const auto r1 =
-      verify_probabilistic_one_step(policy, *model_, sampler, winter_criteria(), 500, a);
-  const auto r2 =
-      verify_probabilistic_one_step(policy, *model_, sampler, winter_criteria(), 500, b);
+  const VerificationEngine engine;
+  const auto r1 = engine.verify_probabilistic(policy, *model_, sampler, winter_criteria(), 500, 14);
+  const auto r2 = engine.verify_probabilistic(policy, *model_, sampler, winter_criteria(), 500, 14);
   EXPECT_DOUBLE_EQ(r1.safe_probability, r2.safe_probability);
   EXPECT_EQ(r1.failures, r2.failures);
+}
+
+TEST_F(ProbabilisticVerificationTest, DegenerateHistoryThrowsInsteadOfHanging) {
+  // Occupancy alternates 1,0,1,0,... and ends unoccupied, every zone
+  // temperature in comfort: each safe occupied row is followed by an
+  // unoccupied one, so no state ever has an occupied continuation and
+  // neither estimator can count a sample.
+  Matrix history(20, env::kInputDims);
+  for (std::size_t r = 0; r < history.rows(); ++r) {
+    history(r, env::kZoneTemp) = 21.5;
+    history(r, env::kOutdoorTemp) = 0.0;
+    history(r, env::kHumidity) = 50.0;
+    history(r, env::kWind) = 3.0;
+    history(r, env::kOccupancy) = r % 2 == 0 ? 11.0 : 0.0;
+  }
+  const AugmentedSampler sampler(history, 0.01);
+  const DtPolicy policy = safe_policy();
+  Rng one_rng(15);
+  EXPECT_THROW(verify_probabilistic_one_step(policy, *model_, sampler, winter_criteria(), 50,
+                                             one_rng),
+               std::runtime_error);
+  Rng h_rng(15);
+  EXPECT_THROW(verify_probabilistic_h_step(policy, *model_, sampler, winter_criteria(), 50, h_rng),
+               std::runtime_error);
 }
 
 TEST_F(ProbabilisticVerificationTest, PassesThresholdSemantics) {

@@ -7,7 +7,7 @@
 
 #include "control/evaluate.hpp"
 #include "core/pipeline.hpp"
-#include "tree/tree_io.hpp"
+#include "core/policy_io.hpp"
 
 namespace verihvac::core {
 namespace {
@@ -125,13 +125,12 @@ TEST_F(EndToEndTest, DtDecisionLatencyIsMicroseconds) {
 }
 
 TEST_F(EndToEndTest, VerifiedTreeSurvivesSerializationDeployment) {
-  // Deployment path: save the verified tree, load it on the "edge device",
-  // confirm identical decisions on live observations.
+  // Deployment path: save the verified policy bundle, load it on the "edge
+  // device", confirm identical decisions on live observations.
   const std::string path =
-      (std::filesystem::temp_directory_path() / "verihvac_deploy.tree").string();
-  tree::save_tree(artifacts().policy->tree(), path);
-  const tree::DecisionTreeClassifier loaded = tree::load_tree(path);
-  DtPolicy deployed(loaded, control::ActionSpace(artifacts().config.action_space));
+      (std::filesystem::temp_directory_path() / "verihvac_deploy.bundle").string();
+  save_policy(*artifacts().policy, path);
+  const DtPolicy deployed = load_policy(path);
 
   env::BuildingEnv environment(artifacts().config.env);
   env::Observation obs = environment.reset();

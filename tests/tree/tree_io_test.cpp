@@ -2,18 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
+#include <sstream>
 
 #include "common/rng.hpp"
 
 namespace verihvac::tree {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / "verihvac_tree_io";
-  std::filesystem::create_directories(dir);
-  return (dir / name).string();
+DecisionTreeClassifier round_trip(const DecisionTreeClassifier& tree) {
+  std::stringstream buffer;
+  write_tree(tree, buffer);
+  return read_tree(buffer);
 }
 
 DecisionTreeClassifier sample_tree(std::uint64_t seed = 3, std::size_t n = 200) {
@@ -61,14 +60,13 @@ TEST(TreeIoTest, UnfittedExportThrows) {
   DecisionTreeClassifier tree;
   EXPECT_THROW(to_text(tree), std::logic_error);
   EXPECT_THROW(to_dot(tree), std::logic_error);
-  EXPECT_THROW(save_tree(tree, temp_path("nope.tree")), std::logic_error);
+  std::stringstream buffer;
+  EXPECT_THROW(write_tree(tree, buffer), std::logic_error);
 }
 
 TEST(TreeIoTest, SaveLoadRoundTripPreservesPredictions) {
   const DecisionTreeClassifier original = sample_tree(5, 300);
-  const std::string path = temp_path("round_trip.tree");
-  save_tree(original, path);
-  const DecisionTreeClassifier loaded = load_tree(path);
+  const DecisionTreeClassifier loaded = round_trip(original);
   EXPECT_EQ(loaded.node_count(), original.node_count());
   EXPECT_EQ(loaded.leaf_count(), original.leaf_count());
   EXPECT_EQ(loaded.num_features(), original.num_features());
@@ -82,9 +80,7 @@ TEST(TreeIoTest, SaveLoadRoundTripPreservesPredictions) {
 
 TEST(TreeIoTest, RoundTripPreservesBoxes) {
   const DecisionTreeClassifier original = sample_tree(9, 150);
-  const std::string path = temp_path("boxes.tree");
-  save_tree(original, path);
-  const DecisionTreeClassifier loaded = load_tree(path);
+  const DecisionTreeClassifier loaded = round_trip(original);
   const auto leaves = original.leaves();
   const auto loaded_leaves = loaded.leaves();
   ASSERT_EQ(leaves.size(), loaded_leaves.size());
@@ -98,27 +94,19 @@ TEST(TreeIoTest, RoundTripPreservesBoxes) {
   }
 }
 
-TEST(TreeIoTest, LoadMissingFileThrows) {
-  EXPECT_THROW(load_tree("/no/such/file.tree"), std::runtime_error);
-}
-
 TEST(TreeIoTest, LoadRejectsCorruptHeader) {
-  const std::string path = temp_path("corrupt.tree");
-  {
-    std::ofstream out(path);
-    out << "not-a-tree v9\n";
-  }
-  EXPECT_THROW(load_tree(path), std::runtime_error);
+  std::stringstream corrupt("not-a-tree v9\n");
+  EXPECT_THROW(read_tree(corrupt), std::runtime_error);
 }
 
 TEST(TreeIoTest, LoadRejectsTruncatedFile) {
   const DecisionTreeClassifier tree = sample_tree(11, 100);
-  const std::string path = temp_path("trunc.tree");
-  save_tree(tree, path);
+  std::stringstream full;
+  write_tree(tree, full);
   // Truncate to half.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
-  EXPECT_THROW(load_tree(path), std::runtime_error);
+  const std::string text = full.str();
+  std::stringstream truncated(text.substr(0, text.size() / 2));
+  EXPECT_THROW(read_tree(truncated), std::runtime_error);
 }
 
 }  // namespace

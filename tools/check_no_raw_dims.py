@@ -15,7 +15,8 @@ Allowlisted (each keeps a documented legacy-compat duty):
   * envlib/observation.*   — defines the legacy constants themselves,
   * envlib/feature_schema.* — the schema module (maps roles <-> legacy),
   * dynamics/dataset.hpp   — legacy kModelInputDims/kHeatSpIndex aliases,
-  * adapt/telemetry.*      — v1 trace compat + schema-less tap fallback.
+  * adapt/telemetry.*      — record defaults + schema-less tap fallback
+                             (both assume the baseline layout).
 
 bench/ and tests/ are intentionally out of scope: pinning the baseline
 layout there is the point (bit-identity regressions).
