@@ -18,10 +18,8 @@
 // i draws from its own counter-based stream Rng::stream(seed, i) instead
 // of a single shared sequence, so the estimate depends only on (seed, i)
 // — never on which worker ran the sample. It is criterion #1's one
-// estimator: the pipeline reaches it through verify_probabilistic_one_step
-// (seed = Rng(verification_seed).next()), the campaign, the adaptation
-// gate, the examples and the benches call it directly, and a pool of 1 is
-// the serial case.
+// estimator (verify_probabilistic_one_step is an adapter onto it); a pool
+// of 1 is the serial case.
 #pragma once
 
 #include <cstdint>
