@@ -1,13 +1,18 @@
 // Ablation — one-step vs H-step probabilistic verification (§3.3.2).
 //
-// The paper proves that estimating criterion #1 by checking only the
-// immediate successor of each sampled state equals the H-step bootstrap
-// estimate of the forward reachability tube, at a fraction of the model
-// queries. This bench measures both estimators on the same verified
-// policy: the safe-probability estimates should agree within Monte-Carlo
-// noise while the one-step verifier issues ~1/H the predictions and runs
-// correspondingly faster. The one-step estimator runs on a 1-thread pool
-// so the time ratio stays algorithmic, not a parallel speedup.
+// The paper argues that estimating criterion #1 by checking only the
+// immediate successor of each sampled state estimates the same quantity
+// as an H-step bootstrap over the forward reachability tube. This bench
+// runs both estimators on the same verified policy with the same sample
+// budget and prints the two safe-probability estimates, their gap next to
+// the Monte-Carlo noise scale 2/sqrt(n), and both wall times. Nothing here
+// makes either estimator cheaper by construction: the H-step estimator
+// counts every visited safe occupied state as a sample, so at an equal
+// budget it issues about as many predictions as the one-step estimator.
+// Whether the gap stays inside the noise scale is the measured result,
+// not an assumption (at quick scale it does not: 0.082 against 0.045).
+// The one-step estimator runs on a 1-thread pool so the time ratio
+// compares the algorithms, not a parallel speedup.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -56,13 +61,14 @@ int main() {
   table.print();
 
   const double gap = std::abs(one.safe_probability - h.safe_probability);
-  std::printf("estimate gap |one-step - H-step| = %.4f (Monte-Carlo noise at %zu\n"
-              "samples is ~%.4f); wall-time advantage of the one-step verifier: "
-              "%.1fx\n",
-              gap, n, 2.0 / std::sqrt(static_cast<double>(n)),
+  const double noise = 2.0 / std::sqrt(static_cast<double>(n));
+  std::printf("estimate gap |one-step - H-step| = %.4f against a Monte-Carlo noise scale\n"
+              "of %.4f at %zu samples (%s); H-step / one-step wall time: %.1fx\n",
+              gap, noise, n, gap <= noise ? "within noise" : "gap exceeds noise",
               ms_h / std::max(1e-9, ms_one));
-  std::printf("shape to check: the two estimates agree within sampling noise and the\n"
-              "one-step estimator is ~H times cheaper, as proven in §3.3.2.\n");
+  std::printf("what this measures: both estimators at one sample budget. The H-step\n"
+              "estimator counts every visited safe state, so it issues about as many\n"
+              "predictions as the one-step estimator; neither is H times cheaper.\n");
   csv_rows.push_back({0, one.safe_probability, static_cast<double>(one.samples), ms_one});
   csv_rows.push_back({1, h.safe_probability, static_cast<double>(h.samples), ms_h});
   const std::string path = bench::write_csv(

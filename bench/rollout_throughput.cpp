@@ -1,7 +1,7 @@
 // Bench — candidate-scoring throughput: scalar vs lock-step batched
 // (ISSUE 3 acceptance).
 //
-// The whole evaluation loop — RS/CEM/MPPI candidate scoring,
+// The whole evaluation loop — random-shooting candidate scoring,
 // decision-data generation, Monte-Carlo verification — bottoms out in
 // dynamics-model inference. PR 1–2 parallelized *across* samples (scalar
 // predict per candidate, sharded over common::TaskPool); PR 3 batches
@@ -210,8 +210,9 @@ int main(int argc, char** argv) {
   // Equivalence gate first: the batched pipeline must reproduce the scalar
   // path bit-for-bit before any throughput number means anything.
   std::vector<double> scalar_returns(samples);
+  dyn::PredictScratch scalar_scratch;
   for (std::size_t s = 0; s < samples; ++s) {
-    scalar_returns[s] = rs.rollout_return(model, obs, forecast, sequences[s]);
+    scalar_returns[s] = rs.rollout_return(model, obs, forecast, sequences[s], scalar_scratch);
   }
   {
     std::vector<double> batched_returns;

@@ -180,7 +180,7 @@ std::size_t AdaptationController::pump() {
     // signal), else the serving model.
     const double predicted =
         item.ensemble != nullptr && item.ensemble->trained()
-            ? item.ensemble->predict(item.transition.input, item.transition.action).mean
+            ? item.ensemble->predict(item.transition.input, item.transition.action, scratch).mean
             : item.model->predict(item.transition.input, item.transition.action, scratch);
     const double residual = std::abs(predicted - item.transition.next_zone_temp);
     if (auto event = monitor_.observe(item.key, residual)) {

@@ -1,7 +1,7 @@
 // Reusable persistent thread pool (index-range fan-out).
 //
 // Generalized from control::RolloutEngine (which is now a thin client):
-// the same pool that batches RS/CEM/MPPI rollouts also fans out the
+// the same pool that batches random-shooting rollouts also fans out the
 // verification workloads — Monte-Carlo probabilistic checks, per-(leaf ×
 // cell) interval certification, per-initial-state reachability tubes —
 // through core::VerificationEngine. Determinism is preserved by

@@ -33,7 +33,7 @@ sim::SetpointPair ClueAgent::act(const env::Observation& obs,
 
   // Epistemic check: ensemble disagreement on the consequence of the action.
   const dyn::EnsemblePrediction prediction =
-      ensemble_->predict(ensemble_->schema().to_vector(obs), action);
+      ensemble_->predict(ensemble_->schema().to_vector(obs), action, predict_scratch_);
   if (prediction.stddev > config_.uncertainty_threshold_c) {
     ++fallbacks_;
     return obs.occupants > 0.5 ? fallback_occupied_ : fallback_unoccupied_;

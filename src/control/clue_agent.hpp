@@ -55,6 +55,7 @@ class ClueAgent final : public Controller {
   std::uint64_t seed_;
   std::size_t decisions_ = 0;
   std::size_t fallbacks_ = 0;
+  dyn::PredictScratch predict_scratch_;  ///< the uncertainty check's predict buffers
 };
 
 }  // namespace verihvac::control

@@ -62,16 +62,6 @@ RandomShooting::RandomShooting(RandomShootingConfig config, const ActionSpace& a
 double RandomShooting::rollout_return(const dyn::DynamicsModel& model,
                                       const env::Observation& obs,
                                       const std::vector<env::Disturbance>& forecast,
-                                      const std::vector<std::size_t>& action_sequence) const {
-  // Warm per-thread scratch keeps the single-sequence path allocation-free
-  // (tests and benches loop over this oracle to lock the batch path).
-  static thread_local dyn::PredictScratch scratch;
-  return rollout_return(model, obs, forecast, action_sequence, scratch);
-}
-
-double RandomShooting::rollout_return(const dyn::DynamicsModel& model,
-                                      const env::Observation& obs,
-                                      const std::vector<env::Disturbance>& forecast,
                                       const std::vector<std::size_t>& action_sequence,
                                       dyn::PredictScratch& scratch) const {
   assert(forecast.size() >= action_sequence.size());

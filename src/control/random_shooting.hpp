@@ -122,16 +122,10 @@ class RandomShooting {
   /// advance an agent's RNG past a point's draws.
   void draw_sequences(Rng& rng, std::span<std::vector<std::size_t>> out) const;
 
-  /// Scores one fixed action sequence, one scalar predict per step. With
-  /// the scratch overload below, the oracle that tests and benches lock
-  /// the lock-step batch path (rollout_returns) against; no production
-  /// caller scores one sequence at a time.
-  double rollout_return(const dyn::DynamicsModel& model, const env::Observation& obs,
-                        const std::vector<env::Disturbance>& forecast,
-                        const std::vector<std::size_t>& action_sequence) const;
-
-  /// The same oracle with all prediction scratch in the caller-provided
-  /// buffer (thread-safe).
+  /// Scores one fixed action sequence, one scalar predict per step, with
+  /// all prediction scratch in the caller-provided buffer. The oracle that
+  /// tests and benches lock the lock-step batch path (rollout_returns)
+  /// against; no production caller scores one sequence at a time.
   double rollout_return(const dyn::DynamicsModel& model, const env::Observation& obs,
                         const std::vector<env::Disturbance>& forecast,
                         const std::vector<std::size_t>& action_sequence,

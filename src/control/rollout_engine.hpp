@@ -1,6 +1,6 @@
-// Parallel rollout engine for the shooting-family optimizers.
+// Parallel rollout engine for the random-shooting optimizer.
 //
-// RS, MPPI and CEM all spend their time in the same place: scoring N
+// Random shooting spends its time in one place: scoring N
 // candidate action sequences with H dynamics-model evaluations each. The
 // engine spreads that work across a persistent pool of worker threads —
 // since PR 2 the generic common::TaskPool, which the verification

@@ -200,6 +200,7 @@ ProbabilisticReport verify_probabilistic_h_step(const DtPolicy& policy,
   // forever; it throws instead, like the one-step estimator.
   constexpr std::size_t kMaxBarrenTrajectories = 10000;
   std::size_t barren = 0;
+  dyn::PredictScratch scratch;
   while (report.samples < n_samples) {
     if (barren >= kMaxBarrenTrajectories) {
       throw std::runtime_error(
@@ -215,7 +216,7 @@ ProbabilisticReport verify_probabilistic_h_step(const DtPolicy& policy,
       const bool occupied = x[occ_dim] > 0.5;
       const bool safe_now = criteria.comfort.contains(x[zone_dim]);
       const sim::SetpointPair action = policy.decide(x);
-      const double next_temp = model.predict(x, action);
+      const double next_temp = model.predict(x, action, scratch);
       if (occupied && safe_now && continuation_occupied(historical, row, k + 1, occ_dim)) {
         ++report.samples;
         if (!criteria.comfort.contains(next_temp)) ++report.failures;

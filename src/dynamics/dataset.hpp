@@ -16,14 +16,6 @@
 
 namespace verihvac::dyn {
 
-/// Model input layout of the *baseline* schema: the 6 observation dims
-/// (observation.hpp) followed by the 2 action dims. Legacy aliases — code
-/// that handles arbitrary schemas sizes from TransitionDataset::obs_dims()
-/// or DynamicsModel accessors instead.
-inline constexpr std::size_t kModelInputDims = env::kInputDims + 2;
-inline constexpr std::size_t kHeatSpIndex = env::kInputDims;      // 6
-inline constexpr std::size_t kCoolSpIndex = env::kInputDims + 1;  // 7
-
 struct Transition {
   std::vector<double> input;  ///< (s, d) in the collecting schema's layout
   sim::SetpointPair action;
@@ -59,7 +51,7 @@ class TransitionDataset {
 
  private:
   std::vector<Transition> transitions_;
-  std::size_t obs_dims_ = env::kInputDims;
+  std::size_t obs_dims_ = env::baseline_schema().dims();
 };
 
 struct CollectionConfig {

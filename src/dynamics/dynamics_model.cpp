@@ -107,41 +107,19 @@ nn::TrainingReport DynamicsModel::fine_tune(const TransitionDataset& data, std::
   return nn::train(*network_, inputs, deltas, trainer);
 }
 
-double DynamicsModel::predict(const std::vector<double>& x,
-                              const sim::SetpointPair& action) const {
-  return predict(x, action, scratch_);
-}
-
 double DynamicsModel::predict(const std::vector<double>& x, const sim::SetpointPair& action,
                               PredictScratch& scratch) const {
+  if (!trained_) throw std::logic_error("DynamicsModel used before training");
   assert(x.size() == config_.schema.dims());
   scratch.input.assign(x.begin(), x.end());
   scratch.input.push_back(action.heating_c);
   scratch.input.push_back(action.cooling_c);
-  return predict_prepared(scratch);
-}
-
-double DynamicsModel::predict_raw(const std::vector<double>& model_input) const {
-  scratch_.input = model_input;
-  return predict_prepared(scratch_);
-}
-
-double DynamicsModel::predict_prepared(PredictScratch& scratch) const {
-  if (!trained_) throw std::logic_error("DynamicsModel used before training");
-  assert(scratch.input.size() == input_dims());
   const double current_temp = scratch.input[zone_temp_index()];
 
   input_norm_.transform_inplace(scratch.input);
   network_->predict(scratch.input, scratch.activ_a, scratch.activ_b);
   const double delta = scratch.activ_a[0] * delta_std_ + delta_mean_;
   return current_temp + delta;
-}
-
-std::vector<double> DynamicsModel::predict_batch(const Matrix& model_inputs) const {
-  std::vector<double> out;
-  BatchScratch scratch;
-  predict_batch_into(model_inputs, out, scratch);
-  return out;
 }
 
 void DynamicsModel::predict_batch_into(const Matrix& model_inputs,

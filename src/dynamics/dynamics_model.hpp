@@ -27,9 +27,9 @@ struct DynamicsModelConfig {
   env::FeatureSchema schema = env::baseline_schema();
 };
 
-/// Caller-owned scratch buffers for the allocation-free predict hot path.
-/// Concurrent rollouts (control::RolloutEngine) give each worker thread its
-/// own instance, making predictions on a shared const model thread-safe.
+/// Caller-owned scratch buffers for the allocation-free scalar predict.
+/// Each thread owns its instance, so predictions on a shared const model
+/// are thread-safe.
 struct PredictScratch {
   std::vector<double> input;   ///< model input, normalized in place
   std::vector<double> activ_a;  ///< ping-pong activation buffers
@@ -82,20 +82,12 @@ class DynamicsModel {
 
   bool trained() const { return trained_; }
 
-  /// Predicts the next zone temperature for one (s, d, a) query.
-  /// `x` is the schema-dims policy input; thread-unsafe (internal scratch).
-  double predict(const std::vector<double>& x, const sim::SetpointPair& action) const;
-
-  /// Thread-safe variant: identical arithmetic, but all mutable state lives
-  /// in the caller-provided scratch (one per worker thread).
+  /// Predicts the next zone temperature for one (s, d, a) query. `x` is
+  /// the schema-dims policy input. All mutable state lives in the
+  /// caller's scratch, so threads with their own scratch may share one
+  /// const model.
   double predict(const std::vector<double>& x, const sim::SetpointPair& action,
                  PredictScratch& scratch) const;
-
-  /// Raw model-input variant (observation dims followed by the 2 setpoints).
-  double predict_raw(const std::vector<double>& model_input) const;
-
-  /// Batched prediction for evaluation (rows = input_dims model inputs).
-  std::vector<double> predict_batch(const Matrix& model_inputs) const;
 
   /// Allocation-free batched prediction: fuses normalize -> network ->
   /// denormalize-delta over all rows of `model_inputs` (N x input_dims),
@@ -120,7 +112,7 @@ class DynamicsModel {
   std::size_t zone_temp_index() const { return config_.schema.zone_temp_index(); }
 
   // Prediction decomposition (exposed for the interval verifier, which
-  // re-implements predict() in interval arithmetic):
+  // re-implements predict(x, action, scratch) in interval arithmetic):
   //   predict(x) = x[zone_temp_index] + delta_mean + delta_std * net(norm(x)).
   const nn::Normalizer& input_normalizer() const { return input_norm_; }
   double delta_mean() const { return delta_mean_; }
@@ -133,12 +125,6 @@ class DynamicsModel {
   double delta_mean_ = 0.0;
   double delta_std_ = 1.0;
   bool trained_ = false;
-
-  /// Shared core: scratch.input holds the raw 8-dim model input on entry.
-  double predict_prepared(PredictScratch& scratch) const;
-
-  // Member scratch backing the legacy single-threaded predict entry points.
-  mutable PredictScratch scratch_;
 };
 
 }  // namespace verihvac::dyn

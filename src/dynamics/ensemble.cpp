@@ -79,12 +79,13 @@ void EnsembleDynamics::predict_batch_into(const Matrix& model_inputs,
 }
 
 EnsemblePrediction EnsembleDynamics::predict(const std::vector<double>& x,
-                                             const sim::SetpointPair& action) const {
+                                             const sim::SetpointPair& action,
+                                             PredictScratch& scratch) const {
   if (!trained_) throw std::logic_error("EnsembleDynamics used before training");
   double sum = 0.0;
   double sum_sq = 0.0;
   for (const auto& member : members_) {
-    const double p = member->predict(x, action);
+    const double p = member->predict(x, action, scratch);
     sum += p;
     sum_sq += p * p;
   }

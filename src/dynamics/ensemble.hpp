@@ -53,9 +53,11 @@ class EnsembleDynamics {
   /// Observation layout shared by every member (from member_config).
   const env::FeatureSchema& schema() const { return config_.member_config.schema; }
 
-  /// Mean/stddev across members for one (s, d, a) query.
-  EnsemblePrediction predict(const std::vector<double>& x,
-                             const sim::SetpointPair& action) const;
+  /// Mean/stddev across members for one (s, d, a) query. Every member
+  /// predicts through the caller's scratch, so threads with their own
+  /// scratch may share one const ensemble.
+  EnsemblePrediction predict(const std::vector<double>& x, const sim::SetpointPair& action,
+                             PredictScratch& scratch) const;
 
   /// Batched variant over N x input_dims model inputs (observation dims
   /// followed by the two setpoints): every member runs one

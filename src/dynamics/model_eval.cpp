@@ -7,36 +7,14 @@ namespace verihvac::dyn {
 
 double one_step_rmse(const DynamicsModel& model, const TransitionDataset& data) {
   if (data.empty()) throw std::invalid_argument("one_step_rmse: empty dataset");
+  PredictScratch scratch;
   double sum_sq = 0.0;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const Transition& t = data.at(i);
-    const double pred = model.predict(t.input, t.action);
+    const double pred = model.predict(t.input, t.action, scratch);
     sum_sq += (pred - t.next_zone_temp) * (pred - t.next_zone_temp);
   }
   return std::sqrt(sum_sq / static_cast<double>(data.size()));
-}
-
-double k_step_rollout_mae(const DynamicsModel& model, const TransitionDataset& data,
-                          std::size_t k) {
-  if (data.size() <= k) throw std::invalid_argument("k_step_rollout_mae: dataset too short");
-  double total_error = 0.0;
-  std::size_t count = 0;
-  for (std::size_t start = 0; start + k < data.size(); start += k) {
-    // Roll the model forward from the recorded state at `start`, replaying
-    // the recorded disturbances and actions but feeding back predictions.
-    const std::size_t zone_dim = model.zone_temp_index();
-    std::vector<double> x = data.at(start).input;
-    double predicted_temp = x[zone_dim];
-    for (std::size_t j = 0; j < k; ++j) {
-      const Transition& t = data.at(start + j);
-      x = t.input;  // recorded disturbances for this step...
-      x[zone_dim] = predicted_temp;  // ...but the model's own state
-      predicted_temp = model.predict(x, t.action);
-    }
-    total_error += std::abs(predicted_temp - data.at(start + k - 1).next_zone_temp);
-    ++count;
-  }
-  return total_error / static_cast<double>(count);
 }
 
 }  // namespace verihvac::dyn

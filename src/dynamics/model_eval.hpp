@@ -1,7 +1,4 @@
-// Dynamics-model quality metrics.
-//
-// One-step RMSE on held-out transitions, and open-loop k-step rollout error
-// (the quantity that actually matters for an H=20 planning horizon).
+// Dynamics-model quality metric: one-step RMSE on held-out transitions.
 #pragma once
 
 #include "dynamics/dynamics_model.hpp"
@@ -10,11 +7,5 @@ namespace verihvac::dyn {
 
 /// Root-mean-square one-step prediction error [degC] over a dataset.
 double one_step_rmse(const DynamicsModel& model, const TransitionDataset& data);
-
-/// Mean absolute open-loop error after `k` steps: the model is rolled
-/// forward feeding back its own predictions along recorded disturbance/
-/// action sequences. `data` must come from a single contiguous episode.
-double k_step_rollout_mae(const DynamicsModel& model, const TransitionDataset& data,
-                          std::size_t k);
 
 }  // namespace verihvac::dyn

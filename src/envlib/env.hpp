@@ -6,7 +6,7 @@
 // pair to the controlled zone (default schedule elsewhere), advances one
 // 15-minute step and returns observation, reward and metering.
 //
-// Controllers that plan (RS/MPPI) additionally read the disturbance
+// Controllers that plan (random shooting) additionally read the disturbance
 // forecast — the paper, like MB2C/CLUE, assumes disturbances over the
 // planning horizon are known (weather forecast + occupancy schedule).
 #pragma once

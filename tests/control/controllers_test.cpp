@@ -8,7 +8,6 @@
 #include "control/clue_agent.hpp"
 #include "control/evaluate.hpp"
 #include "control/mbrl_agent.hpp"
-#include "control/mppi.hpp"
 #include "control/random_shooting.hpp"
 #include "control/rule_based.hpp"
 
@@ -160,8 +159,9 @@ TEST_F(ControllersTest, RolloutReturnPrefersComfortWhenOccupied) {
   const std::size_t setback_idx = actions.nearest_index(sim::SetpointPair{15.0, 30.0});
   const std::vector<std::size_t> heat_seq(6, heat_idx);
   const std::vector<std::size_t> setback_seq(6, setback_idx);
-  EXPECT_GT(rs.rollout_return(model(), obs, forecast, heat_seq),
-            rs.rollout_return(model(), obs, forecast, setback_seq));
+  dyn::PredictScratch scratch;
+  EXPECT_GT(rs.rollout_return(model(), obs, forecast, heat_seq, scratch),
+            rs.rollout_return(model(), obs, forecast, setback_seq, scratch));
 }
 
 TEST_F(ControllersTest, RandomShootingShortForecastThrows) {
@@ -207,22 +207,6 @@ TEST_F(ControllersTest, MbrlAgentResetRestoresSeed) {
   const std::size_t first = agent.decide_once(obs, forecast);
   agent.reset();
   EXPECT_EQ(agent.decide_once(obs, forecast), first);
-}
-
-TEST_F(ControllersTest, MppiHeatsColdOccupiedZone) {
-  const ActionSpace actions;
-  Mppi mppi(MppiConfig{64, 6, 2, 0.99, 1.0, 2.0}, actions, env::RewardConfig{});
-  Rng rng(11);
-  const env::Observation obs = cold_occupied();
-  const std::size_t idx = mppi.optimize(model(), obs, persistence_forecast(obs, 6), rng);
-  EXPECT_GE(actions.action(idx).heating_c, 19.0);
-}
-
-TEST_F(ControllersTest, MppiConfigValidation) {
-  const ActionSpace actions;
-  MppiConfig bad;
-  bad.iterations = 0;
-  EXPECT_THROW(Mppi(bad, actions, {}), std::invalid_argument);
 }
 
 TEST_F(ControllersTest, ClueFallsBackUnderUncertainty) {

@@ -12,8 +12,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "control/cem.hpp"
-#include "control/mppi.hpp"
 #include "control/random_shooting.hpp"
 #include "control/rs_oracle.hpp"
 
@@ -90,7 +88,7 @@ TEST(RolloutEngineTest, SharedEngineIsReused) {
   EXPECT_GE(a->thread_count(), 1u);
 }
 
-/// Fixture with a tiny trained dynamics model (same recipe as cem_test).
+/// Fixture with a tiny trained dynamics model.
 class ParallelRolloutTest : public ::testing::Test {
  protected:
   static double toy_plant(const std::vector<double>& x, const sim::SetpointPair& a) {
@@ -157,16 +155,6 @@ class ParallelRolloutTest : public ::testing::Test {
   }
 };
 
-TEST_F(ParallelRolloutTest, ScratchPredictMatchesMemberScratchPredict) {
-  const env::Observation obs = cold_occupied();
-  const std::vector<double> x = obs.to_vector();
-  dyn::PredictScratch scratch;
-  for (double heat : {15.0, 19.0, 23.0}) {
-    const sim::SetpointPair action{heat, heat + 7.0};
-    EXPECT_DOUBLE_EQ(model().predict(x, action), model().predict(x, action, scratch));
-  }
-}
-
 TEST_F(ParallelRolloutTest, BatchReturnsMatchSerialReturns) {
   const ActionSpace actions;
   RandomShooting rs(RandomShootingConfig{1, 6, 0.99}, actions, env::RewardConfig{});
@@ -180,8 +168,9 @@ TEST_F(ParallelRolloutTest, BatchReturnsMatchSerialReturns) {
   }
 
   std::vector<double> serial(sequences.size());
+  dyn::PredictScratch scratch;
   for (std::size_t s = 0; s < sequences.size(); ++s) {
-    serial[s] = rs.rollout_return(model(), obs, forecast, sequences[s]);
+    serial[s] = rs.rollout_return(model(), obs, forecast, sequences[s], scratch);
   }
 
   rs.set_engine(four_threads());
@@ -210,8 +199,9 @@ TEST_F(ParallelRolloutTest, BatchedSliceBitIdenticalToScalarRolloutForAnySlicing
   }
 
   std::vector<double> scalar(sequences.size());
+  dyn::PredictScratch predict_scratch;
   for (std::size_t s = 0; s < sequences.size(); ++s) {
-    scalar[s] = rs.rollout_return(model(), obs, forecast, sequences[s]);
+    scalar[s] = rs.rollout_return(model(), obs, forecast, sequences[s], predict_scratch);
   }
 
   for (std::size_t slice : {1u, 4u, 7u, 23u}) {
@@ -246,8 +236,9 @@ TEST_F(ParallelRolloutTest, BatchedReturnsHandleRaggedSequences) {
   std::vector<double> batched;
   rs.rollout_returns(model(), obs, forecast, sequences, batched);
   ASSERT_EQ(batched.size(), sequences.size());
+  dyn::PredictScratch scratch;
   for (std::size_t s = 0; s < sequences.size(); ++s) {
-    EXPECT_EQ(batched[s], rs.rollout_return(model(), obs, forecast, sequences[s]))
+    EXPECT_EQ(batched[s], rs.rollout_return(model(), obs, forecast, sequences[s], scratch))
         << "sequence " << s << " (length " << sequences[s].size() << ")";
   }
   EXPECT_EQ(batched[3], 0.0);  // empty sequence scores zero
@@ -266,8 +257,9 @@ TEST_F(ParallelRolloutTest, ReturnsBitIdenticalAcrossOneFourEightThreads) {
   }
 
   std::vector<double> scalar(sequences.size());
+  dyn::PredictScratch scratch;
   for (std::size_t s = 0; s < sequences.size(); ++s) {
-    scalar[s] = rs.rollout_return(model(), obs, forecast, sequences[s]);
+    scalar[s] = rs.rollout_return(model(), obs, forecast, sequences[s], scratch);
   }
   for (std::size_t threads : {1u, 4u, 8u}) {
     RandomShooting batched_rs(RandomShootingConfig{1, 6, 0.99}, actions, env::RewardConfig{});
@@ -402,48 +394,6 @@ TEST_F(ParallelRolloutTest, NonFiniteInputsThrowBeforeAnyDraw) {
   EXPECT_EQ(good_chosen, 99u);
   EXPECT_EQ(bad_chosen, 99u);
   EXPECT_EQ(good_rng(), good_untouched());
-}
-
-TEST_F(ParallelRolloutTest, CemDecisionIdenticalAcrossThreadCounts) {
-  const ActionSpace actions;
-  CemConfig cfg;
-  cfg.samples = 64;
-  cfg.horizon = 4;
-  cfg.iterations = 3;
-  const env::Observation obs = cold_occupied();
-  const auto forecast = persistence_forecast(obs, 4);
-
-  Cem serial(cfg, actions, env::RewardConfig{});
-  for (std::size_t threads : {1u, 4u, 8u}) {
-    Cem parallel(cfg, actions, env::RewardConfig{});
-    parallel.set_engine(engine_with_threads(threads));
-    Rng rng_a(23);
-    Rng rng_b(23);
-    EXPECT_EQ(serial.optimize(model(), obs, forecast, rng_a),
-              parallel.optimize(model(), obs, forecast, rng_b))
-        << threads << " threads";
-  }
-}
-
-TEST_F(ParallelRolloutTest, MppiDecisionIdenticalAcrossThreadCounts) {
-  const ActionSpace actions;
-  MppiConfig cfg;
-  cfg.samples = 64;
-  cfg.horizon = 4;
-  cfg.iterations = 2;
-  const env::Observation obs = cold_occupied();
-  const auto forecast = persistence_forecast(obs, 4);
-
-  Mppi serial(cfg, actions, env::RewardConfig{});
-  for (std::size_t threads : {1u, 4u, 8u}) {
-    Mppi parallel(cfg, actions, env::RewardConfig{});
-    parallel.set_engine(engine_with_threads(threads));
-    Rng rng_a(29);
-    Rng rng_b(29);
-    EXPECT_EQ(serial.optimize(model(), obs, forecast, rng_a),
-              parallel.optimize(model(), obs, forecast, rng_b))
-        << threads << " threads";
-  }
 }
 
 }  // namespace

@@ -22,10 +22,11 @@ inline std::size_t oracle_optimize(const RandomShooting& rs, const dyn::Dynamics
                                    std::size_t n_actions) {
   std::vector<std::vector<std::size_t>> sequences(rs.config().samples);
   rs.draw_sequences(rng, sequences);
+  dyn::PredictScratch scratch;
   std::size_t best = 0;
   double best_return = -std::numeric_limits<double>::infinity();
   for (std::size_t s = 0; s < sequences.size(); ++s) {
-    const double value = rs.rollout_return(model, obs, forecast, sequences[s]);
+    const double value = rs.rollout_return(model, obs, forecast, sequences[s], scratch);
     if (value > best_return) {
       best_return = value;
       best = s;
@@ -36,7 +37,7 @@ inline std::size_t oracle_optimize(const RandomShooting& rs, const dyn::Dynamics
     for (std::size_t a = 0; a < n_actions; ++a) {
       std::vector<std::size_t> candidate = sequences[best];
       candidate.front() = a;
-      const double value = rs.rollout_return(model, obs, forecast, candidate);
+      const double value = rs.rollout_return(model, obs, forecast, candidate, scratch);
       if (value > best_return) {
         best_return = value;
         first = a;

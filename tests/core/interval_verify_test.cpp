@@ -69,12 +69,23 @@ class IntervalVerifyTest : public ::testing::Test {
 dyn::TransitionDataset* IntervalVerifyTest::history_ = nullptr;
 std::shared_ptr<dyn::DynamicsModel> IntervalVerifyTest::model_;
 
+/// One model-input row (observation dims, then the 2 setpoints) through
+/// the batched predict.
+double predict_row(const dyn::DynamicsModel& model, const std::vector<double>& row) {
+  Matrix input(1, row.size());
+  input.set_row(0, row);
+  dyn::BatchScratch scratch;
+  std::vector<double> next;
+  model.predict_batch_into(input, next, scratch);
+  return next[0];
+}
+
 TEST_F(IntervalVerifyTest, NextStateRejectsBadBoxes) {
   EXPECT_THROW(interval_next_state(*model_, Box(6)), std::invalid_argument);
-  Box unbounded(dyn::kModelInputDims);  // all dims infinite
+  Box unbounded(model_->input_dims());  // all dims infinite
   EXPECT_THROW(interval_next_state(*model_, unbounded), std::invalid_argument);
-  Box empty_dim(dyn::kModelInputDims);
-  for (std::size_t d = 0; d < dyn::kModelInputDims; ++d) {
+  Box empty_dim(model_->input_dims());
+  for (std::size_t d = 0; d < model_->input_dims(); ++d) {
     empty_dim.clip(d, Interval::bounded(0.0, 1.0));
   }
   empty_dim.clip(0, Interval::bounded(2.0, 3.0));  // empty intersection
@@ -83,37 +94,38 @@ TEST_F(IntervalVerifyTest, NextStateRejectsBadBoxes) {
 
 TEST_F(IntervalVerifyTest, UntrainedModelThrows) {
   dyn::DynamicsModel untrained;
-  Box box(dyn::kModelInputDims);
-  for (std::size_t d = 0; d < dyn::kModelInputDims; ++d) {
+  Box box(untrained.input_dims());
+  for (std::size_t d = 0; d < untrained.input_dims(); ++d) {
     box.clip(d, Interval::bounded(0.0, 1.0));
   }
   EXPECT_THROW(interval_next_state(untrained, box), std::logic_error);
 }
 
-Box operating_box(double s_lo, double s_hi, double heat_sp, double cool_sp) {
-  Box box(dyn::kModelInputDims);
+Box operating_box(const dyn::DynamicsModel& model, double s_lo, double s_hi, double heat_sp,
+                  double cool_sp) {
+  Box box(model.input_dims());
   box.clip(env::kZoneTemp, Interval::bounded(s_lo, s_hi));
   box.clip(env::kOutdoorTemp, Interval::bounded(-5.0, 5.0));
   box.clip(env::kHumidity, Interval::bounded(40.0, 80.0));
   box.clip(env::kWind, Interval::bounded(0.0, 8.0));
   box.clip(env::kSolar, Interval::bounded(0.0, 300.0));
   box.clip(env::kOccupancy, Interval::bounded(0.5, 12.0));
-  box.clip(dyn::kHeatSpIndex, Interval::bounded(heat_sp, heat_sp));
-  box.clip(dyn::kCoolSpIndex, Interval::bounded(cool_sp, cool_sp));
+  box.clip(model.heat_index(), Interval::bounded(heat_sp, heat_sp));
+  box.clip(model.cool_index(), Interval::bounded(cool_sp, cool_sp));
   return box;
 }
 
 TEST_F(IntervalVerifyTest, DegenerateBoxMatchesPointPrediction) {
-  Box box = operating_box(21.0, 21.0, 21.0, 23.0);
+  Box box = operating_box(*model_, 21.0, 21.0, 21.0, 23.0);
   for (std::size_t d : {env::kOutdoorTemp, env::kHumidity, env::kWind, env::kSolar,
                         env::kOccupancy}) {
     const double mid = 0.5 * (box[d].lo + box[d].hi);
     box.clip(d, Interval::bounded(mid, mid));
   }
   const Interval range = interval_next_state(*model_, box);
-  std::vector<double> x(dyn::kModelInputDims);
-  for (std::size_t d = 0; d < dyn::kModelInputDims; ++d) x[d] = box[d].lo;
-  const double point = model_->predict_raw(x);
+  std::vector<double> x(model_->input_dims());
+  for (std::size_t d = 0; d < x.size(); ++d) x[d] = box[d].lo;
+  const double point = predict_row(*model_, x);
   EXPECT_NEAR(range.lo, point, 1e-9);
   EXPECT_NEAR(range.hi, point, 1e-9);
 }
@@ -125,7 +137,7 @@ TEST_P(IntervalSoundness, SampledNextStatesLieWithinInterval) {
   auto model = testutil::toy_model(history);
   Rng rng(GetParam());
   for (int trial = 0; trial < 10; ++trial) {
-    Box box(dyn::kModelInputDims);
+    Box box(model->input_dims());
     const double s = rng.uniform(15.0, 26.0);
     box.clip(env::kZoneTemp, Interval::bounded(s, s + 1.0));
     box.clip(env::kOutdoorTemp, Interval::bounded(-10.0, 10.0));
@@ -134,17 +146,17 @@ TEST_P(IntervalSoundness, SampledNextStatesLieWithinInterval) {
     box.clip(env::kSolar, Interval::bounded(0.0, 400.0));
     box.clip(env::kOccupancy, Interval::bounded(0.0, 12.0));
     const double heat = static_cast<double>(rng.uniform_int(15, 23));
-    box.clip(dyn::kHeatSpIndex, Interval::bounded(heat, heat));
+    box.clip(model->heat_index(), Interval::bounded(heat, heat));
     const double cool = static_cast<double>(rng.uniform_int(23, 30));
-    box.clip(dyn::kCoolSpIndex, Interval::bounded(cool, cool));
+    box.clip(model->cool_index(), Interval::bounded(cool, cool));
 
     const Interval range = interval_next_state(*model, box);
     for (int i = 0; i < 60; ++i) {
-      std::vector<double> x(dyn::kModelInputDims);
-      for (std::size_t d = 0; d < dyn::kModelInputDims; ++d) {
+      std::vector<double> x(model->input_dims());
+      for (std::size_t d = 0; d < x.size(); ++d) {
         x[d] = rng.uniform(box[d].lo, box[d].hi);
       }
-      const double next = model->predict_raw(x);
+      const double next = predict_row(*model, x);
       EXPECT_GE(next, range.lo - 1e-9);
       EXPECT_LE(next, range.hi + 1e-9);
     }
@@ -210,7 +222,7 @@ TEST_F(IntervalVerifyTest, ScratchVariantMatchesAllocatingPath) {
   // scratch per worker across many cells).
   IntervalScratch scratch;
   for (double s : {20.0, 21.0, 22.5}) {
-    const Box box = operating_box(s, s + 0.5, 21.0, 23.0);
+    const Box box = operating_box(*model_, s, s + 0.5, 21.0, 23.0);
     const Interval fresh = interval_next_state(*model_, box);
     const Interval reused = interval_next_state(*model_, box, scratch);
     EXPECT_EQ(fresh.lo, reused.lo);

@@ -278,6 +278,7 @@ TEST_F(ViperTest, ActionValueSpreadMatchesScalarOracle) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     const auto teacher = pooled_teacher(threads);
     const control::RandomShooting& rs = teacher.optimizer();
+    dyn::PredictScratch scratch;
     for (const double occupants : {11.0, 0.0}) {
       const auto& forecast = occupants > 0.0 ? occupied_forecast : unoccupied_forecast;
       for (const double zone_temp : {12.0, 16.0, 18.0, 20.0, 21.5, 23.0, 25.0, 29.0}) {
@@ -289,7 +290,7 @@ TEST_F(ViperTest, ActionValueSpreadMatchesScalarOracle) {
         double worst = std::numeric_limits<double>::infinity();
         for (std::size_t a = 0; a < teacher.actions().size(); ++a) {
           const std::vector<std::size_t> hold(rs.config().horizon, a);
-          const double value = rs.rollout_return(teacher.model(), obs, forecast, hold);
+          const double value = rs.rollout_return(teacher.model(), obs, forecast, hold, scratch);
           best = std::max(best, value);
           worst = std::min(worst, value);
         }

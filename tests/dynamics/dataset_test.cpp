@@ -28,10 +28,10 @@ TEST(DatasetTest, MatricesHaveModelLayout) {
   data.add(make_transition(22.0, 15.0, 30.0, 21.4));
   const Matrix x = data.inputs();
   ASSERT_EQ(x.rows(), 2u);
-  ASSERT_EQ(x.cols(), kModelInputDims);
+  ASSERT_EQ(x.cols(), data.model_input_dims());
   EXPECT_DOUBLE_EQ(x(0, env::kZoneTemp), 20.0);
-  EXPECT_DOUBLE_EQ(x(0, kHeatSpIndex), 21.0);
-  EXPECT_DOUBLE_EQ(x(0, kCoolSpIndex), 24.0);
+  EXPECT_DOUBLE_EQ(x(0, data.heat_index()), 21.0);
+  EXPECT_DOUBLE_EQ(x(0, data.cool_index()), 24.0);
   const Matrix y = data.targets();
   EXPECT_DOUBLE_EQ(y(1, 0), 21.4);
   const Matrix p = data.policy_inputs();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 
 #include "common/fnv1a.hpp"
 #include "common/rng.hpp"
@@ -51,7 +52,8 @@ DynamicsModelConfig fast_config() {
 
 TEST(DynamicsModelTest, UntrainedPredictThrows) {
   DynamicsModel model;
-  EXPECT_THROW(model.predict({20, 0, 50, 3, 0, 0}, sim::SetpointPair{20, 24}),
+  PredictScratch scratch;
+  EXPECT_THROW(model.predict({20, 0, 50, 3, 0, 0}, sim::SetpointPair{20, 24}, scratch),
                std::logic_error);
 }
 
@@ -74,8 +76,9 @@ TEST(DynamicsModelTest, PredictionRespondsToAction) {
   DynamicsModel model(fast_config());
   model.train(data);
   const std::vector<double> cold = {16.0, -5.0, 60.0, 3.0, 0.0, 11.0};
-  const double heated = model.predict(cold, sim::SetpointPair{23.0, 30.0});
-  const double setback = model.predict(cold, sim::SetpointPair{15.0, 30.0});
+  PredictScratch scratch;
+  const double heated = model.predict(cold, sim::SetpointPair{23.0, 30.0}, scratch);
+  const double setback = model.predict(cold, sim::SetpointPair{15.0, 30.0}, scratch);
   EXPECT_GT(heated, setback + 0.2);
 }
 
@@ -84,31 +87,10 @@ TEST(DynamicsModelTest, PredictIsDeterministic) {
   DynamicsModel model(fast_config());
   model.train(data);
   const std::vector<double> x = {20.0, 0.0, 50.0, 2.0, 100.0, 11.0};
-  const double p1 = model.predict(x, sim::SetpointPair{21.0, 25.0});
-  const double p2 = model.predict(x, sim::SetpointPair{21.0, 25.0});
+  PredictScratch scratch;
+  const double p1 = model.predict(x, sim::SetpointPair{21.0, 25.0}, scratch);
+  const double p2 = model.predict(x, sim::SetpointPair{21.0, 25.0}, scratch);
   EXPECT_DOUBLE_EQ(p1, p2);
-}
-
-TEST(DynamicsModelTest, PredictRawMatchesPredict) {
-  const TransitionDataset data = toy_dataset(500, 5);
-  DynamicsModel model(fast_config());
-  model.train(data);
-  const std::vector<double> x = {19.0, -2.0, 70.0, 4.0, 50.0, 0.0};
-  std::vector<double> raw = x;
-  raw.push_back(20.0);
-  raw.push_back(26.0);
-  EXPECT_DOUBLE_EQ(model.predict(x, sim::SetpointPair{20.0, 26.0}), model.predict_raw(raw));
-}
-
-TEST(DynamicsModelTest, PredictBatchMatchesScalar) {
-  const TransitionDataset data = toy_dataset(500, 6);
-  DynamicsModel model(fast_config());
-  model.train(data);
-  const Matrix inputs = data.inputs();
-  const auto batch = model.predict_batch(inputs);
-  for (std::size_t r = 0; r < 10; ++r) {
-    EXPECT_DOUBLE_EQ(batch[r], model.predict_raw(inputs.row(r)));
-  }
 }
 
 TEST(DynamicsModelTest, PredictBatchIntoBitIdenticalToScalarPredict) {
@@ -126,7 +108,7 @@ TEST(DynamicsModelTest, PredictBatchIntoBitIdenticalToScalarPredict) {
   for (std::size_t r = 0; r < inputs.rows(); ++r) {
     const std::vector<double> row = inputs.row(r);
     const std::vector<double> x(row.begin(), row.begin() + env::kInputDims);
-    const sim::SetpointPair action{row[kHeatSpIndex], row[kCoolSpIndex]};
+    const sim::SetpointPair action{row[model.heat_index()], row[model.cool_index()]};
     // EXPECT_EQ: the batched fused path must match the scalar hot path to
     // the last bit (the rollout-engine determinism contract).
     EXPECT_EQ(batched[r], model.predict(x, action, scalar_scratch)) << "row " << r;
@@ -137,7 +119,7 @@ TEST(DynamicsModelTest, PredictBatchIntoUntrainedThrows) {
   DynamicsModel model;
   BatchScratch scratch;
   std::vector<double> out;
-  EXPECT_THROW(model.predict_batch_into(Matrix(2, kModelInputDims), out, scratch),
+  EXPECT_THROW(model.predict_batch_into(Matrix(2, model.input_dims()), out, scratch),
                std::logic_error);
 }
 
@@ -152,11 +134,45 @@ TEST(DynamicsModelTest, PredictBatchIntoScratchReuseAcrossBatchSizes) {
   model.predict_batch_into(inputs, full, scratch);
 
   // Re-run a prefix with the (now larger-capacity) scratch: same bits.
-  Matrix prefix(7, kModelInputDims);
+  Matrix prefix(7, model.input_dims());
   for (std::size_t r = 0; r < prefix.rows(); ++r) prefix.set_row(r, inputs.row(r));
   std::vector<double> small;
   model.predict_batch_into(prefix, small, scratch);
   for (std::size_t r = 0; r < prefix.rows(); ++r) EXPECT_EQ(small[r], full[r]);
+}
+
+// One const model shared by 4 threads, each predicting through its own
+// scratch: every result equals the serial one bit for bit (and TSan sees
+// no race, since predict writes nothing but the caller's scratch).
+TEST(DynamicsModelTest, ConcurrentScratchPredictsMatchSerial) {
+  const TransitionDataset data = toy_dataset(300, 17);
+  DynamicsModel trained(fast_config());
+  trained.train(data);
+  const DynamicsModel& model = trained;
+
+  std::vector<double> serial(data.size());
+  PredictScratch serial_scratch;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    serial[i] = model.predict(data.at(i).input, data.at(i).action, serial_scratch);
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<double>> results(kThreads, std::vector<double>(data.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PredictScratch scratch;
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        results[t][i] = model.predict(data.at(i).input, data.at(i).action, scratch);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      EXPECT_EQ(results[t][i], serial[i]) << "thread " << t << " transition " << i;
+    }
+  }
 }
 
 TEST(DynamicsModelTest, TrainingReportShowsConvergence) {
@@ -232,27 +248,10 @@ TEST(DynamicsModelTest, RejectsNonFiniteTrainingData) {
   }
 }
 
-TEST(ModelEvalTest, KStepRolloutErrorGrowsWithHorizon) {
-  // Open-loop error should be no smaller over 8 steps than over 1 step.
-  CollectionConfig cc;
-  cc.episodes = 1;
-  env::EnvConfig ec;
-  ec.days = 3;
-  const TransitionDataset data = collect_historical_data(ec, cc);
-  DynamicsModel model(fast_config());
-  model.train(data);
-  const double e1 = k_step_rollout_mae(model, data, 1);
-  const double e8 = k_step_rollout_mae(model, data, 8);
-  EXPECT_GE(e8, e1 * 0.5);  // allow noise but 8-step should not be drastically smaller
-  EXPECT_LT(e1, 0.5);
-}
-
 TEST(ModelEvalTest, RejectsDegenerateInputs) {
   DynamicsModel model(fast_config());
-  const TransitionDataset data = toy_dataset(10, 8);
-  model.train(data);
+  model.train(toy_dataset(10, 8));
   EXPECT_THROW(one_step_rmse(model, TransitionDataset{}), std::invalid_argument);
-  EXPECT_THROW(k_step_rollout_mae(model, data, 10), std::invalid_argument);
 }
 
 }  // namespace

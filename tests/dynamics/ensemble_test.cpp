@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/rng.hpp"
 
 namespace verihvac::dyn {
@@ -39,7 +41,8 @@ TEST(EnsembleTest, RejectsZeroMembers) {
 
 TEST(EnsembleTest, PredictBeforeTrainThrows) {
   EnsembleDynamics ens(fast_ensemble());
-  EXPECT_THROW(ens.predict({20, 0, 50, 3, 0, 0}, sim::SetpointPair{20, 24}),
+  PredictScratch scratch;
+  EXPECT_THROW(ens.predict({20, 0, 50, 3, 0, 0}, sim::SetpointPair{20, 24}, scratch),
                std::logic_error);
 }
 
@@ -56,16 +59,17 @@ TEST(EnsembleTest, MembersDifferButAgreeInDistribution) {
   ens.train(linear_dataset(600, 2));
   const std::vector<double> x = {20.0, 2.0, 50.0, 3.0, 100.0, 11.0};
   const sim::SetpointPair a{21.0, 30.0};
-  const EnsemblePrediction p = ens.predict(x, a);
+  PredictScratch scratch;
+  const EnsemblePrediction p = ens.predict(x, a, scratch);
   // In-distribution: members agree within a fraction of a degree...
   EXPECT_LT(p.stddev, 0.5);
   // ...but are not bit-identical (bootstrap + different init seeds).
-  EXPECT_NE(ens.member(0).predict(x, a), ens.member(1).predict(x, a));
+  EXPECT_NE(ens.member(0).predict(x, a, scratch), ens.member(1).predict(x, a, scratch));
   // Mean is inside the member range.
   double lo = 1e9;
   double hi = -1e9;
   for (std::size_t m = 0; m < 3; ++m) {
-    const double v = ens.member(m).predict(x, a);
+    const double v = ens.member(m).predict(x, a, scratch);
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
@@ -77,18 +81,20 @@ TEST(EnsembleTest, UncertaintyHigherOutOfDistribution) {
   EnsembleDynamics ens(fast_ensemble(4));
   ens.train(linear_dataset(600, 3));
   const sim::SetpointPair a{21.0, 30.0};
+  PredictScratch scratch;
   // In-distribution query.
-  const EnsemblePrediction in_dist = ens.predict({20.0, 2.0, 50.0, 3.0, 100.0, 11.0}, a);
+  const EnsemblePrediction in_dist = ens.predict({20.0, 2.0, 50.0, 3.0, 100.0, 11.0}, a, scratch);
   // Far out of distribution (zone at 45 degC never occurred).
-  const EnsemblePrediction out_dist = ens.predict({45.0, 30.0, 50.0, 3.0, 100.0, 11.0}, a);
+  const EnsemblePrediction out_dist = ens.predict({45.0, 30.0, 50.0, 3.0, 100.0, 11.0}, a, scratch);
   EXPECT_GT(out_dist.stddev, in_dist.stddev);
 }
 
 TEST(EnsembleTest, SingleMemberHasZeroSpread) {
   EnsembleDynamics ens(fast_ensemble(1));
   ens.train(linear_dataset(300, 4));
+  PredictScratch scratch;
   const EnsemblePrediction p =
-      ens.predict({20.0, 2.0, 50.0, 3.0, 100.0, 11.0}, sim::SetpointPair{21.0, 30.0});
+      ens.predict({20.0, 2.0, 50.0, 3.0, 100.0, 11.0}, sim::SetpointPair{21.0, 30.0}, scratch);
   EXPECT_DOUBLE_EQ(p.stddev, 0.0);
 }
 
@@ -103,11 +109,13 @@ TEST(EnsembleTest, PredictBatchIntoBitIdenticalToScalarPredict) {
   ens.predict_batch_into(inputs, batched, scratch);
   ASSERT_EQ(batched.size(), inputs.rows());
 
+  PredictScratch scalar_scratch;
+  const DynamicsModel& model = ens.member(0);
   for (std::size_t r = 0; r < inputs.rows(); ++r) {
     const std::vector<double> row = inputs.row(r);
     const std::vector<double> x(row.begin(), row.begin() + env::kInputDims);
-    const sim::SetpointPair action{row[kHeatSpIndex], row[kCoolSpIndex]};
-    const EnsemblePrediction scalar = ens.predict(x, action);
+    const sim::SetpointPair action{row[model.heat_index()], row[model.cool_index()]};
+    const EnsemblePrediction scalar = ens.predict(x, action, scalar_scratch);
     EXPECT_EQ(batched[r].mean, scalar.mean) << "row " << r;
     EXPECT_EQ(batched[r].stddev, scalar.stddev) << "row " << r;
   }
@@ -117,8 +125,44 @@ TEST(EnsembleTest, PredictBatchIntoUntrainedThrows) {
   EnsembleDynamics ens(fast_ensemble(2));
   BatchScratch scratch;
   std::vector<EnsemblePrediction> out;
-  EXPECT_THROW(ens.predict_batch_into(Matrix(1, kModelInputDims), out, scratch),
+  EXPECT_THROW(ens.predict_batch_into(Matrix(1, ens.schema().dims() + 2), out, scratch),
                std::logic_error);
+}
+
+// One const ensemble shared by 4 threads, each predicting through its own
+// scratch: every result equals the serial one bit for bit (and TSan sees
+// no race, since predict writes nothing but the caller's scratch).
+TEST(EnsembleTest, ConcurrentScratchPredictsMatchSerial) {
+  EnsembleDynamics trained(fast_ensemble(3));
+  const TransitionDataset data = linear_dataset(200, 6);
+  trained.train(data);
+  const EnsembleDynamics& ens = trained;
+
+  std::vector<EnsemblePrediction> serial(data.size());
+  PredictScratch serial_scratch;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    serial[i] = ens.predict(data.at(i).input, data.at(i).action, serial_scratch);
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<EnsemblePrediction>> results(
+      kThreads, std::vector<EnsemblePrediction>(data.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PredictScratch scratch;
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        results[t][i] = ens.predict(data.at(i).input, data.at(i).action, scratch);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      EXPECT_EQ(results[t][i].mean, serial[i].mean) << "thread " << t << " transition " << i;
+      EXPECT_EQ(results[t][i].stddev, serial[i].stddev) << "thread " << t << " transition " << i;
+    }
+  }
 }
 
 }  // namespace

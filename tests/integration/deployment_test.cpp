@@ -1,21 +1,17 @@
 // Deployment-artifact integration: the verified (corrected) policy must
 // survive every hand-off format bit-exactly — the policy bundle
-// (core/policy_io), the C99 edge module (core/edge_export), and the
-// whole-building coordinator (control/multizone). Serialization tests in
-// tests/core cover round-trips of *raw* trees; these cover the artifact a
-// user actually ships: the pipeline's verifier-corrected policy.
+// (core/policy_io) and the C99 edge module (core/edge_export).
+// Serialization tests in tests/core cover round-trips of *raw* trees;
+// these cover the artifact a user actually ships: the pipeline's
+// verifier-corrected policy.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 
-#include "control/multizone.hpp"
 #include "core/edge_export.hpp"
 #include "core/pipeline.hpp"
 #include "core/policy_io.hpp"
-#include "envlib/multizone_env.hpp"
-#include "envlib/multizone_metrics.hpp"
 
 namespace verihvac::core {
 namespace {
@@ -123,33 +119,6 @@ TEST_F(DeploymentTest, CorrectedTreeExportsToCAndReplaysExactly) {
     const auto expected = verified.decide(inputs[i]);
     EXPECT_DOUBLE_EQ(heat, expected.heating_c) << "step " << i;
     EXPECT_DOUBLE_EQ(cool, expected.cooling_c) << "step " << i;
-  }
-}
-
-TEST_F(DeploymentTest, VerifiedPolicyDrivesTheWholeBuilding) {
-  std::vector<std::shared_ptr<control::Controller>> per_zone;
-  env::MultiZoneEnv building(artifacts().config.env);
-  for (std::size_t z = 0; z < building.zone_count(); ++z) {
-    per_zone.push_back(std::shared_ptr<control::Controller>(artifacts().make_dt_policy()));
-  }
-  control::MultiZoneCoordinator coordinator(std::move(per_zone));
-
-  env::MultiZoneMetrics metrics(building.zone_count());
-  auto observations = building.reset();
-  while (true) {
-    const auto actions =
-        coordinator.act(observations, building.forecast(coordinator.forecast_horizon()));
-    const auto outcome = building.step(actions);
-    metrics.add(outcome);
-    if (outcome.done) break;
-    observations = outcome.observations;
-  }
-  EXPECT_EQ(metrics.steps(), building.horizon_steps());
-  EXPECT_GT(metrics.total_energy_kwh(), 0.0);
-  // The verified policy must keep every zone's occupied violation rate
-  // well below the always-violating regime.
-  for (std::size_t z = 0; z < building.zone_count(); ++z) {
-    EXPECT_LT(metrics.violation_rate(z), 0.5) << "zone " << z;
   }
 }
 

@@ -14,7 +14,6 @@ Allowlisted (each keeps a documented legacy-compat duty):
 
   * envlib/observation.*   — defines the legacy constants themselves,
   * envlib/feature_schema.* — the schema module (maps roles <-> legacy),
-  * dynamics/dataset.hpp   — legacy kModelInputDims/kHeatSpIndex aliases,
   * adapt/telemetry.*      — record defaults + schema-less tap fallback
                              (both assume the baseline layout).
 
@@ -41,7 +40,6 @@ ALLOWLIST = {
     "envlib/observation.cpp",
     "envlib/feature_schema.hpp",
     "envlib/feature_schema.cpp",
-    "dynamics/dataset.hpp",
     "adapt/telemetry.hpp",
     "adapt/telemetry.cpp",
 }
