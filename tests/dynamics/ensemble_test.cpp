@@ -110,11 +110,10 @@ TEST(EnsembleTest, PredictBatchIntoBitIdenticalToScalarPredict) {
   ASSERT_EQ(batched.size(), inputs.rows());
 
   PredictScratch scalar_scratch;
-  const DynamicsModel& model = ens.member(0);
   for (std::size_t r = 0; r < inputs.rows(); ++r) {
     const std::vector<double> row = inputs.row(r);
     const std::vector<double> x(row.begin(), row.begin() + env::kInputDims);
-    const sim::SetpointPair action{row[model.heat_index()], row[model.cool_index()]};
+    const sim::SetpointPair action{row[data.heat_index()], row[data.cool_index()]};
     const EnsemblePrediction scalar = ens.predict(x, action, scalar_scratch);
     EXPECT_EQ(batched[r].mean, scalar.mean) << "row " << r;
     EXPECT_EQ(batched[r].stddev, scalar.stddev) << "row " << r;
