@@ -1,6 +1,7 @@
 #include "adapt/adaptation_controller.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -17,6 +18,13 @@
 namespace verihvac::adapt {
 
 namespace {
+
+/// Trailing fraction of each snapshot held out for the shadow gate (never
+/// trained on).
+constexpr double kHoldoutFraction = 0.25;
+/// Adaptations attempted per cluster before the controller stops trying
+/// (a safety valve against retrain storms on unadaptable drift).
+constexpr std::uint64_t kMaxGenerations = 4;
 
 /// Deterministic per-(generation, stage) seed derivation — SplitMix64-style
 /// mixing so successive generations' streams are unrelated.
@@ -69,8 +77,6 @@ AdaptationController::AdaptationController(AdaptationConfig config,
   }
 }
 
-AdaptationController::~AdaptationController() { stop(); }
-
 void AdaptationController::register_cluster(const std::string& key, ClusterAssets assets) {
   if (assets.model == nullptr) {
     throw std::invalid_argument("AdaptationController: cluster '" + key + "' needs a model");
@@ -101,6 +107,7 @@ std::vector<AdaptationController::PendingTransition> AdaptationController::pair_
   const std::map<serve::SessionId, std::string>& keys = session_keys_;
 
   std::vector<PendingTransition> out;
+  std::size_t non_finite = 0;
   for (const TelemetryRecord& record : records) {
     // Pair with the session's previous decision: its observation is this
     // record's predecessor state, this record's observation the outcome.
@@ -115,14 +122,20 @@ std::vector<AdaptationController::PendingTransition> AdaptationController::pair_
       item.transition.action.heating_c = prev.heating_c;
       item.transition.action.cooling_c = prev.cooling_c;
       item.transition.next_zone_temp = record.obs[record.zone_temp_dim];
-      const auto cluster_it = clusters_.find(item.key);
-      if (cluster_it != clusters_.end()) {
-        item.model = cluster_it->second.assets.model;
-        item.ensemble = cluster_it->second.assets.ensemble;
+      // A non-finite value would turn the drift statistics NaN for good
+      // and make every later fine-tune on `pending` throw: drop it here.
+      if (!dyn::is_finite(item.transition)) {
+        ++non_finite;
+      } else {
+        const auto cluster_it = clusters_.find(item.key);
+        if (cluster_it != clusters_.end()) item.model = cluster_it->second.assets.model;
+        out.push_back(std::move(item));
       }
-      out.push_back(std::move(item));
     }
     pending_records_[record.session] = record;
+  }
+  if (non_finite > 0) {
+    log_warn("adapt: dropped ", non_finite, " transition(s) with a non-finite value");
   }
   return out;
 }
@@ -134,8 +147,8 @@ std::size_t AdaptationController::pump() {
   // With a durable store attached the store is the single log consumer:
   // fetch() persists the batch to segments and hands the same records to
   // this pump. The store degrades internally on disk errors, but this
-  // pump runs on a worker std::thread where any escaped exception is
-  // std::terminate — adaptation failures must never take serving down,
+  // pump often runs on a serving-side thread (a harness step hook, a
+  // pumping thread) — adaptation failures must never take serving down,
   // so a failing store falls back to draining the log directly.
   std::uint64_t lost = 0;
   if (store_ != nullptr) {
@@ -159,10 +172,10 @@ std::size_t AdaptationController::pump() {
     if (!drain_buffer_.empty()) fresh = pair_records(drain_buffer_);
   }
 
-  // Residual scoring — per-transition model/ensemble forwards — runs
-  // outside mutex_ so stats()/history() readers never wait on inference;
-  // the monitor carries its own lock. Unregistered clusters' transitions
-  // are counted but never scored or adapted.
+  // Residual scoring — per-transition model forwards — runs outside
+  // mutex_ so stats()/history() readers never wait on inference; the
+  // monitor carries its own lock. Unregistered clusters' transitions are
+  // counted but never scored or adapted.
   struct Alarm {
     std::string key;
     DriftEvent event;
@@ -175,13 +188,9 @@ std::size_t AdaptationController::pump() {
   obs::TraceCollector& trace = obs::TraceCollector::global();
   const std::uint64_t scan_start_ns = trace.enabled() && !fresh.empty() ? trace.now_ns() : 0;
   for (const PendingTransition& item : fresh) {
-    if (item.model == nullptr && item.ensemble == nullptr) continue;
-    // Residual: ensemble one-step mean when available (the epistemic
-    // signal), else the serving model.
+    if (item.model == nullptr) continue;
     const double predicted =
-        item.ensemble != nullptr && item.ensemble->trained()
-            ? item.ensemble->predict(item.transition.input, item.transition.action, scratch).mean
-            : item.model->predict(item.transition.input, item.transition.action, scratch);
+        item.model->predict(item.transition.input, item.transition.action, scratch);
     const double residual = std::abs(predicted - item.transition.next_zone_temp);
     if (auto event = monitor_.observe(item.key, residual)) {
       log_info("adapt[", item.key, "]: drift detected after ", event->samples,
@@ -226,7 +235,7 @@ std::size_t AdaptationController::pump() {
       if (cluster.pending.size() < std::max(config_.min_transitions, cluster.retry_floor)) {
         continue;
       }
-      if (cluster.generation >= config_.max_generations) continue;
+      if (cluster.generation >= kMaxGenerations) continue;
       Work item;
       item.key = key;
       item.assets = cluster.assets;
@@ -249,17 +258,16 @@ std::size_t AdaptationController::pump() {
     if (outcome.report.promoted) {
       promotions_.add(1);
       if (cluster_it != clusters_.end()) {
-        // The fine-tuned model/ensemble are the new residual baseline;
-        // telemetry accumulated against the stale model is discarded and
-        // the Page-Hinkley statistics restart clean.
+        // The fine-tuned model is the new residual baseline; telemetry
+        // accumulated against the stale model is discarded and the
+        // Page-Hinkley statistics restart clean.
         cluster_it->second.assets.model = outcome.model;
-        if (outcome.ensemble != nullptr) cluster_it->second.assets.ensemble = outcome.ensemble;
         cluster_it->second.pending = dyn::TransitionDataset();
         cluster_it->second.retry_floor = 0;
       }
       monitor_.reset(item.key);
     } else if (cluster_it != clusters_.end() &&
-               cluster_it->second.generation < config_.max_generations) {
+               cluster_it->second.generation < kMaxGenerations) {
       // The alarm stays latched in the monitor, so no new event will ever
       // arrive for this cluster: re-arm explicitly and require materially
       // fresh telemetry before the retry (no tight retrain storms).
@@ -269,16 +277,8 @@ std::size_t AdaptationController::pump() {
     history_.push_back(std::move(outcome.report));
   }
 
-  // Housekeeping: idle-session eviction plus dropping the pairing state
-  // of sessions that no longer exist (close/evict would otherwise leak
-  // one trailing record per session forever).
-  if (config_.evict_idle_decisions > 0) {
-    const std::size_t evicted = sessions_->evict_idle(config_.evict_idle_decisions);
-    if (evicted > 0) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      sessions_evicted_.add(evicted);
-    }
-  }
+  // Drop the pairing state of sessions that no longer exist (close/evict
+  // would otherwise leak one trailing record per session forever).
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto it = pending_records_.begin(); it != pending_records_.end();) {
@@ -303,7 +303,7 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
     // 1. Snapshot split: trailing holdout is never trained on.
     const std::size_t holdout_n = std::min(
         snapshot.size() - 1,
-        std::max<std::size_t>(1, static_cast<std::size_t>(config_.holdout_fraction *
+        std::max<std::size_t>(1, static_cast<std::size_t>(kHoldoutFraction *
                                                           static_cast<double>(snapshot.size()))));
     const std::size_t train_n = snapshot.size() - holdout_n;
     dyn::TransitionDataset train;
@@ -314,23 +314,12 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
     report.train_transitions = train.size();
     report.holdout_transitions = holdout.size();
 
-    // 2. Fine-tune clones — the incumbent model keeps serving untouched,
-    // and the live ensemble (the residual baseline) only moves if this
-    // attempt is promoted.
+    // 2. Fine-tune a clone — the incumbent model keeps serving untouched.
     auto candidate_model = std::make_shared<dyn::DynamicsModel>(*assets.model);
-    std::shared_ptr<dyn::EnsembleDynamics> candidate_ensemble;
     {
       const obs::TraceSpan span("adapt.fine_tune", "adapt");
       report.fine_tune_val_loss =
           candidate_model->fine_tune(train, config_.fine_tune_epochs, generation).final_val_loss;
-      if (assets.ensemble != nullptr) {
-        candidate_ensemble = std::make_shared<dyn::EnsembleDynamics>(*assets.ensemble);
-        if (candidate_ensemble->trained()) {
-          candidate_ensemble->fine_tune(train, config_.fine_tune_epochs, generation);
-        } else {
-          candidate_ensemble->train(train);
-        }
-      }
     }
 
     // 3. Re-distill: VIPER against the fine-tuned teacher.
@@ -410,7 +399,6 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
       report.promoted_model_generation = scheduler_.install_model(key, candidate_model);
       report.promoted = true;
       outcome.model = candidate_model;
-      outcome.ensemble = candidate_ensemble;
       log_info("adapt[", key, "]: promoted generation ", generation, " as bundle v",
                report.promoted_policy_version, " (safe prob ",
                report.probabilistic.safe_probability, ", interval cert ",
@@ -435,38 +423,6 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
   return outcome;
 }
 
-void AdaptationController::start() {
-  if (running()) return;
-  stop_requested_ = false;
-  worker_ = std::thread([this] {
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(worker_mutex_);
-        worker_cv_.wait_for(lock, config_.poll_interval, [this] { return stop_requested_; });
-        if (stop_requested_) return;
-      }
-      // Last line of defense for the never-take-serving-down invariant:
-      // an exception escaping a std::thread is std::terminate.
-      try {
-        pump();
-      } catch (const std::exception& error) {
-        log_warn("adapt: pump failed: ", error.what());
-      }
-    }
-  });
-}
-
-void AdaptationController::stop() {
-  if (!worker_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(worker_mutex_);
-    stop_requested_ = true;
-  }
-  worker_cv_.notify_all();
-  worker_.join();
-  stop_requested_ = false;
-}
-
 AdaptationController::Stats AdaptationController::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats stats;
@@ -476,7 +432,6 @@ AdaptationController::Stats AdaptationController::stats() const {
   stats.drift_events = drift_events_.value();
   stats.adaptations_attempted = attempts_.value();
   stats.adaptations_promoted = promotions_.value();
-  stats.sessions_evicted = sessions_evicted_.value();
   return stats;
 }
 

@@ -5,14 +5,15 @@
 // when a building cluster's dynamics drift it manufactures a *certified*
 // replacement and promotes it — never anything uncertified:
 //
-//   pump():  drain TelemetryLog -> pair records into transitions ->
-//            one-step residuals against the cluster's model/ensemble ->
-//            DriftMonitor (Welford + Page-Hinkley)
+//   pump():  drain TelemetryLog -> pair records into transitions (drop
+//            any with a non-finite value) -> one-step residuals against
+//            the cluster's serving model -> DriftMonitor (Welford +
+//            Page-Hinkley)
 //   drift fired (and enough fresh transitions):
 //     1. snapshot telemetry into a dataset; split train / held-out tail
-//     2. fine-tune a *clone* of the serving dyn::DynamicsModel (and the
-//        cluster's dyn::EnsembleDynamics) on the train split — frozen
-//        normalizers, warm-started weights, generation-salted seeds
+//     2. fine-tune a *clone* of the serving dyn::DynamicsModel on the
+//        train split — frozen normalizers, warm-started weights,
+//        generation-salted seeds
 //     3. re-distill: VIPER against the fine-tuned teacher (the MBRL agent
 //        over the candidate model) in the cluster's environment
 //     4. re-certify: Algorithm 1 formal check with correction, a clean
@@ -32,23 +33,21 @@
 // telemetry produce bit-identical candidate bundles for any
 // VERI_HVAC_THREADS (the engines' invariants), which the tests lock.
 //
-// Threading: pump() is safe to call manually and is what the background
-// worker (start()/stop(), condition-variable paced) calls on its own
-// thread; the heavy lifting inside an adaptation — VIPER's batched
-// rollouts, Monte-Carlo and interval verification — fans out over the
-// controller's one pool (the constructor's `pool`, by default the shared
-// common::TaskPool).
+// Threading: the caller drives the loop by calling pump() — from a fleet
+// harness's per-step hook or from a thread of its own. pump() is
+// serialized internally, so several threads may pump one controller while
+// others read stats()/history(). The heavy lifting inside an adaptation —
+// VIPER's batched rollouts, Monte-Carlo and interval verification — fans
+// out over the controller's one pool (the constructor's `pool`, by default
+// the shared common::TaskPool).
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adapt/drift_monitor.hpp"
@@ -56,7 +55,7 @@
 #include "control/rollout_engine.hpp"
 #include "core/verification_engine.hpp"
 #include "core/viper.hpp"
-#include "dynamics/ensemble.hpp"
+#include "dynamics/dynamics_model.hpp"
 #include "obs/instruments.hpp"
 #include "serve/request_scheduler.hpp"
 
@@ -69,9 +68,6 @@ struct AdaptationConfig {
   /// Fresh telemetry transitions a cluster needs before a fired alarm is
   /// acted on (fine-tuning on a handful of points would overfit).
   std::size_t min_transitions = 64;
-  /// Trailing fraction of the snapshot held out for the shadow gate
-  /// (never trained on).
-  double holdout_fraction = 0.25;
   std::size_t fine_tune_epochs = 30;
   /// Candidate may predict at most this much more violation than the
   /// incumbent on held-out telemetry (0 = must be no worse).
@@ -96,29 +92,17 @@ struct AdaptationConfig {
   control::ActionSpaceConfig action_space;
   env::RewardConfig reward;
   std::uint64_t seed = 2027;
-  /// Adaptations attempted per cluster before the controller stops trying
-  /// (a safety valve against retrain storms on unadaptable drift).
-  std::size_t max_generations = 4;
-  /// Background worker pacing.
-  std::chrono::milliseconds poll_interval{50};
-  /// Housekeeping: evict sessions idle for more than this many manager
-  /// admissions on every pump (0 = disabled).
-  std::uint64_t evict_idle_decisions = 0;
 };
 
 /// Per-cluster serving assets the controller adapts. The model is the one
-/// installed in the scheduler; the ensemble (optional; if supplied
-/// untrained it is first trained — on a clone — during the first
-/// promoted adaptation) provides the drift residual signal, falling back
-/// to the model when absent; the env config drives VIPER's student
-/// rollouts; the baseline dataset (the
-/// pipeline's historical collection, optional) widens the certification
-/// sampler beyond whatever operating slice the fresh telemetry happens to
-/// cover — a drift detected overnight must still certify against occupied
-/// daytime states.
+/// installed in the scheduler, and drift residuals are scored against it;
+/// the env config drives VIPER's student rollouts; the baseline dataset
+/// (the pipeline's historical collection, optional) widens the
+/// certification sampler beyond whatever operating slice the fresh
+/// telemetry happens to cover — a drift detected overnight must still
+/// certify against occupied daytime states.
 struct ClusterAssets {
   std::shared_ptr<const dyn::DynamicsModel> model;
-  std::shared_ptr<dyn::EnsembleDynamics> ensemble;
   env::EnvConfig env;
   dyn::TransitionDataset baseline;
 };
@@ -175,7 +159,6 @@ class AdaptationController {
                        std::shared_ptr<serve::SessionManager> sessions,
                        serve::RequestScheduler& scheduler,
                        std::shared_ptr<const common::TaskPool> pool = nullptr);
-  ~AdaptationController();
 
   AdaptationController(const AdaptationController&) = delete;
   AdaptationController& operator=(const AdaptationController&) = delete;
@@ -194,14 +177,9 @@ class AdaptationController {
   void attach_store(std::shared_ptr<TelemetryStore> store);
 
   /// One observe/decide/adapt cycle (see file comment). Serialized
-  /// internally, so manual pumps and the background worker can coexist.
-  /// Returns the number of adaptations attempted this cycle.
+  /// internally, so pumps from several threads can coexist. Returns the
+  /// number of adaptations attempted this cycle.
   std::size_t pump();
-
-  /// Background worker: pump() every poll_interval until stop().
-  void start();
-  void stop();
-  bool running() const { return worker_.joinable(); }
 
   /// Exact per-controller counters (a consistent snapshot under mutex_).
   /// Each field is an obs::InstanceCounter whose adds also land —
@@ -216,7 +194,6 @@ class AdaptationController {
     std::uint64_t drift_events = 0;
     std::uint64_t adaptations_attempted = 0;
     std::uint64_t adaptations_promoted = 0;
-    std::uint64_t sessions_evicted = 0;
   };
   Stats stats() const;
 
@@ -241,9 +218,6 @@ class AdaptationController {
     AdaptationReport report;
     /// Non-null iff promoted: the fine-tuned model now serving the key.
     std::shared_ptr<const dyn::DynamicsModel> model;
-    /// Fine-tuned ensemble clone, committed as the residual baseline only
-    /// on promotion (a failed attempt must not shift drift detection).
-    std::shared_ptr<dyn::EnsembleDynamics> ensemble;
   };
 
   /// One paired transition plus the handles needed to score its residual
@@ -252,7 +226,6 @@ class AdaptationController {
     std::string key;
     dyn::Transition transition;
     std::shared_ptr<const dyn::DynamicsModel> model;  ///< null if unregistered
-    std::shared_ptr<dyn::EnsembleDynamics> ensemble;  ///< optional
   };
 
   /// Pairs drained records into transitions and snapshots per-cluster
@@ -275,8 +248,8 @@ class AdaptationController {
   std::shared_ptr<const control::RolloutEngine> rollout_engine_;
   DriftMonitor monitor_;
 
-  /// Serializes whole pump cycles (manual pumps and the background worker
-  /// may interleave); heavy adaptation work runs under this lock alone so
+  /// Serializes whole pump cycles (callers may pump from several
+  /// threads); heavy adaptation work runs under this lock alone so
   /// stats()/history() stay responsive.
   std::mutex pump_mutex_;
   mutable std::mutex mutex_;  ///< guards clusters_, pending_records_, history_
@@ -296,13 +269,7 @@ class AdaptationController {
   obs::InstanceCounter drift_events_{"adapt_drift_events_total"};
   obs::InstanceCounter attempts_{"adapt_attempts_total"};
   obs::InstanceCounter promotions_{"adapt_promotions_total"};
-  obs::InstanceCounter sessions_evicted_{"adapt_sessions_evicted_total"};
   obs::Histogram& generation_seconds_;
-
-  std::mutex worker_mutex_;
-  std::condition_variable worker_cv_;
-  bool stop_requested_ = false;
-  std::thread worker_;
 };
 
 }  // namespace verihvac::adapt

@@ -3,7 +3,7 @@
 // The serving stack's world model goes stale when the building changes
 // underneath it — equipment wear, envelope leakage, occupancy pattern
 // shifts. The observable symptom is the one-step prediction residual
-// |f_hat(s, d, a) - s'| between the (ensemble) dynamics model and the
+// |f_hat(s, d, a) - s'| between the serving dynamics model and the
 // telemetry transition actually observed. Per building cluster (policy
 // key) the monitor keeps:
 //

@@ -1,11 +1,20 @@
 #include "dynamics/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/rng.hpp"
 
 namespace verihvac::dyn {
+
+bool is_finite(const Transition& transition) {
+  bool finite = std::isfinite(transition.next_zone_temp) &&
+                std::isfinite(transition.action.heating_c) &&
+                std::isfinite(transition.action.cooling_c);
+  for (const double v : transition.input) finite = finite && std::isfinite(v);
+  return finite;
+}
 
 void TransitionDataset::add(Transition transition) {
   if (transitions_.empty()) {

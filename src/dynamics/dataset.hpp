@@ -22,6 +22,9 @@ struct Transition {
   double next_zone_temp = 0.0;
 };
 
+/// True iff the input, both setpoints and the next state are all finite.
+bool is_finite(const Transition& transition);
+
 class TransitionDataset {
  public:
   void add(Transition transition);

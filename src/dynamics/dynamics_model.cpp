@@ -25,11 +25,7 @@ namespace {
 /// training entry points refuse such data before touching any state.
 void require_finite(const TransitionDataset& data, const char* who) {
   for (std::size_t r = 0; r < data.size(); ++r) {
-    const Transition& t = data.at(r);
-    bool finite = std::isfinite(t.next_zone_temp) && std::isfinite(t.action.heating_c) &&
-                  std::isfinite(t.action.cooling_c);
-    for (const double v : t.input) finite = finite && std::isfinite(v);
-    if (!finite) {
+    if (!is_finite(data.at(r))) {
       throw std::invalid_argument(std::string(who) + ": non-finite value in transition " +
                                   std::to_string(r));
     }

@@ -38,7 +38,7 @@ struct PredictScratch {
 
 /// Caller-owned scratch for the batched predict path (the batch analogue
 /// of PredictScratch, same ownership convention: one per worker thread
-/// makes batched prediction on a shared const model/ensemble thread-safe).
+/// makes batched prediction on a shared const model thread-safe).
 /// All buffers grow to the largest batch seen, then get reused.
 struct BatchScratch {
   /// Normalized N x input_dims model inputs.
@@ -47,10 +47,6 @@ struct BatchScratch {
   nn::BatchScratch net;
   /// N x 1 normalized-delta network output.
   Matrix delta;
-  // Ensemble accumulators (unused by single-model predictions).
-  std::vector<double> member_temps;
-  std::vector<double> sum;
-  std::vector<double> sum_sq;
 };
 
 class DynamicsModel {

@@ -29,22 +29,12 @@ class EnsembleDynamics {
  public:
   explicit EnsembleDynamics(EnsembleConfig config = {});
 
-  /// Deep copy (every member's weights). The adaptation loop fine-tunes a
-  /// clone so a failed certification leaves the live drift-residual
-  /// baseline untouched.
-  EnsembleDynamics(const EnsembleDynamics& other);
+  /// Not copyable: an ensemble is trained once and then shared read-only.
+  EnsembleDynamics(const EnsembleDynamics&) = delete;
   EnsembleDynamics& operator=(const EnsembleDynamics&) = delete;
 
   /// Trains every member on an independent bootstrap resample of `data`.
   void train(const TransitionDataset& data);
-
-  /// Fine-tunes every *already trained* member for `epochs` epochs on an
-  /// independent bootstrap resample of `data` (fresh resamples drawn from
-  /// a generation-salted stream, so successive adaptation rounds are
-  /// independent yet reproducible). Member normalizers stay frozen — see
-  /// DynamicsModel::fine_tune. Throws std::logic_error before train().
-  void fine_tune(const TransitionDataset& data, std::size_t epochs,
-                 std::uint64_t generation = 0);
 
   bool trained() const { return trained_; }
   std::size_t member_count() const { return members_.size(); }
@@ -58,14 +48,6 @@ class EnsembleDynamics {
   /// scratch may share one const ensemble.
   EnsemblePrediction predict(const std::vector<double>& x, const sim::SetpointPair& action,
                              PredictScratch& scratch) const;
-
-  /// Batched variant over N x input_dims model inputs (observation dims
-  /// followed by the two setpoints): every member runs one
-  /// batched forward, and the member-major accumulation matches the scalar
-  /// predict() loop, so out[r] is bit-identical to predict() on row r.
-  /// Thread-safe on a shared const ensemble with one scratch per worker.
-  void predict_batch_into(const Matrix& model_inputs, std::vector<EnsemblePrediction>& out,
-                          BatchScratch& scratch) const;
 
  private:
   EnsembleConfig config_;

@@ -128,9 +128,6 @@ const std::vector<InstrumentSpec>& instrument_catalog() {
       {"adapt_promotions_total", InstrumentKind::kCounter,
        "certified candidates promoted (hot-swapped)",
        "see adapt_attempts_total"},
-      {"adapt_sessions_evicted_total", InstrumentKind::kCounter,
-       "idle sessions evicted by pump housekeeping",
-       "none"},
       {"adapt_generation_seconds", InstrumentKind::kHistogram,
        "wall time of one adaptation generation (fine-tune through promote)",
        "growth here delays recovery from drift; see the trace spans for the stage breakdown"},

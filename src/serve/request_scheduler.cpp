@@ -60,20 +60,12 @@ std::uint64_t RequestScheduler::install_model(const std::string& key,
   return generation;
 }
 
-std::uint64_t RequestScheduler::set_default_model(
-    std::shared_ptr<const dyn::DynamicsModel> model) {
-  std::unique_lock<std::shared_mutex> lock(models_mutex_);
-  const std::uint64_t generation = next_model_generation_++;
-  default_model_ = ModelEntry{std::move(model), generation};
-  return generation;
-}
-
 void RequestScheduler::set_tap(std::shared_ptr<DecisionTap> tap) { tap_ = std::move(tap); }
 
 RequestScheduler::ModelEntry RequestScheduler::model_for(const std::string& key) const {
   std::shared_lock<std::shared_mutex> lock(models_mutex_);
   const auto it = models_.find(key);
-  return it != models_.end() ? it->second : default_model_;
+  return it != models_.end() ? it->second : ModelEntry{};
 }
 
 void RequestScheduler::start() {

@@ -105,9 +105,6 @@ class RequestScheduler {
   /// spanning a hot-swap still knows which model served each decision.
   std::uint64_t install_model(const std::string& key,
                               std::shared_ptr<const dyn::DynamicsModel> model);
-  /// Fallback model for keys without a dedicated entry (also generation-
-  /// stamped).
-  std::uint64_t set_default_model(std::shared_ptr<const dyn::DynamicsModel> model);
 
   /// Installs (or clears, with nullptr) the decision tap. Install before
   /// serving starts: the fast path reads the pointer unsynchronized, so
@@ -192,7 +189,6 @@ class RequestScheduler {
 
   mutable std::shared_mutex models_mutex_;
   std::map<std::string, ModelEntry> models_;
-  ModelEntry default_model_;
   std::uint64_t next_model_generation_ = 1;
   std::shared_ptr<DecisionTap> tap_;
 

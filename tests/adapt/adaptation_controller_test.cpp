@@ -7,7 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -70,8 +71,7 @@ struct Loop {
   std::uint64_t next_decision = 0;
   double zone_temp = 20.4;
 
-  explicit Loop(const AdaptationConfig& config, std::size_t threads = 2,
-                std::shared_ptr<dyn::EnsembleDynamics> ensemble = nullptr) {
+  explicit Loop(const AdaptationConfig& config, std::size_t threads = 2) {
     model = loop_model();
     const auto policy = toy_policy();
     base_policy_version = registry->install("toy", policy);
@@ -85,7 +85,6 @@ struct Loop {
                                                         *scheduler, pool_with_threads(threads));
     ClusterAssets assets;
     assets.model = model;
-    assets.ensemble = std::move(ensemble);
     assets.env.days = 1;
     controller->register_cluster("toy", assets);
 
@@ -101,25 +100,34 @@ struct Loop {
   /// command, settling around 21 C on the healthy plant.
   template <typename Plant>
   void emit_decisions(std::size_t n, Plant&& plant) {
-    const sim::SetpointPair action{22.5, 26.0};
     for (std::size_t i = 0; i < n; ++i) {
-      env::Observation obs = cold_occupied(zone_temp);
-      obs.weather.outdoor_temp_c = 15.0;
-      const std::string key = "toy";
-      serve::DecisionEvent event;
-      event.session = session;
-      event.decision_index = next_decision++;
-      event.session_seed = 4242;
-      event.kind = serve::RequestKind::kDtPolicy;
-      event.policy_key = &key;
-      event.policy_version = base_policy_version;
-      event.action_index = 0;
-      event.action = action;
-      event.observation = &obs;
-      log->on_decision(event);
-
-      zone_temp = plant(obs.to_vector(), action);
+      zone_temp = plant(emit(zone_temp).to_vector(), kAction);
     }
+  }
+
+  /// Emits one decision whose zone-temperature reading is NaN (a failed
+  /// sensor); the plant carries on from its last real temperature.
+  void emit_sensor_dropout() { emit(std::numeric_limits<double>::quiet_NaN()); }
+
+ private:
+  static constexpr sim::SetpointPair kAction{22.5, 26.0};
+
+  env::Observation emit(double observed_zone_temp) {
+    env::Observation obs = cold_occupied(observed_zone_temp);
+    obs.weather.outdoor_temp_c = 15.0;
+    const std::string key = "toy";
+    serve::DecisionEvent event;
+    event.session = session;
+    event.decision_index = next_decision++;
+    event.session_seed = 4242;
+    event.kind = serve::RequestKind::kDtPolicy;
+    event.policy_key = &key;
+    event.policy_version = base_policy_version;
+    event.action_index = 0;
+    event.action = kAction;
+    event.observation = &obs;
+    log->on_decision(event);
+    return obs;
   }
 };
 
@@ -197,8 +205,7 @@ TEST(AdaptationControllerTest, DriftTriggersCertifiedPromotionAndHotSwap) {
 TEST(AdaptationControllerTest, StatsMatchGlobalCounterDeltas) {
   const char* const names[] = {"adapt_records_drained_total", "adapt_records_lost_total",
                                "adapt_transitions_total",     "adapt_drift_events_total",
-                               "adapt_attempts_total",        "adapt_promotions_total",
-                               "adapt_sessions_evicted_total"};
+                               "adapt_attempts_total",        "adapt_promotions_total"};
   std::vector<std::uint64_t> before;
   for (const char* name : names) before.push_back(obs::counter(name).value());
 
@@ -216,8 +223,7 @@ TEST(AdaptationControllerTest, StatsMatchGlobalCounterDeltas) {
   EXPECT_EQ(stats.adaptations_promoted, 1u);
   const std::uint64_t expected[] = {stats.records_drained,       stats.records_lost,
                                     stats.transitions,           stats.drift_events,
-                                    stats.adaptations_attempted, stats.adaptations_promoted,
-                                    stats.sessions_evicted};
+                                    stats.adaptations_attempted, stats.adaptations_promoted};
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(obs::counter(names[i]).value() - before[i], expected[i]) << names[i];
   }
@@ -328,83 +334,86 @@ TEST(AdaptationControllerTest, AlarmWaitsForMinTransitions) {
   EXPECT_EQ(loop.controller->history().size(), 1u);
 }
 
-TEST(AdaptationControllerTest, EnsembleResidualsDriveDetectionAndFineTune) {
-  // With a trained ensemble registered, residuals come from the ensemble
-  // mean and the adaptation fine-tunes the members too.
-  auto ensemble = std::make_shared<dyn::EnsembleDynamics>([] {
-    dyn::EnsembleConfig config;
-    config.members = 2;
-    config.member_config.trainer.epochs = 40;
-    return config;
-  }());
-  {
-    Rng rng(1);
-    dyn::TransitionDataset data;
-    for (int i = 0; i < 1000; ++i) {
-      dyn::Transition t;
-      t.input = {rng.uniform(17.0, 24.0), rng.uniform(12.0, 18.0), 50.0, 3.0,
-                 rng.uniform(0.0, 400.0), 11.0};
-      t.action = {22.5, 26.0};
-      t.next_zone_temp = toy_plant(t.input, t.action);
-      data.add(t);
-    }
-    ensemble->train(data);
-  }
-
-  Loop loop(quick_config(), /*threads=*/2, ensemble);
+// One NaN zone reading (the DT path serves non-finite observations and
+// telemetry records them) must neither poison the drift statistics nor
+// reach the fine-tune set: both transitions that touch it are dropped.
+TEST(AdaptationControllerTest, NonFiniteObservationDoesNotBlindDriftDetection) {
+  Loop loop(quick_config());
   loop.emit_decisions(80, toy_plant);
-  loop.controller->pump();
+  loop.emit_sensor_dropout();
+  ASSERT_EQ(loop.controller->pump(), 0u);
+  const DriftStats healthy = loop.controller->monitor().stats("toy");
+  EXPECT_EQ(healthy.samples, 79u);
+  EXPECT_TRUE(std::isfinite(healthy.mean));
+  EXPECT_TRUE(std::isfinite(healthy.ph_statistic));
+
   loop.emit_decisions(120, drifted_plant);
-  EXPECT_EQ(loop.controller->pump(), 1u);
+  ASSERT_EQ(loop.controller->pump(), 1u);
   const auto history = loop.controller->history();
   ASSERT_EQ(history.size(), 1u);
-  EXPECT_TRUE(ensemble->trained());
+  EXPECT_TRUE(history.front().promoted);
+  EXPECT_EQ(loop.registry->lookup("toy").version, history.front().promoted_policy_version);
+  // 201 decisions pair into 200 transitions, 2 of which touch the NaN.
+  EXPECT_EQ(loop.controller->stats().transitions, 198u);
 }
 
-TEST(AdaptationControllerTest, BackgroundWorkerPumpsUntilStopped) {
-  AdaptationConfig config = quick_config();
-  config.poll_interval = std::chrono::milliseconds(5);
-  Loop loop(config);
-  loop.emit_decisions(60, toy_plant);
-
-  loop.controller->start();
-  EXPECT_TRUE(loop.controller->running());
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (loop.controller->stats().records_drained < 60 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  loop.controller->stop();
-  EXPECT_FALSE(loop.controller->running());
-  EXPECT_GE(loop.controller->stats().records_drained, 60u);
-
-  // stop() is idempotent and restart works.
-  loop.controller->stop();
-  loop.controller->start();
-  loop.controller->stop();
+/// Runs the drift scenario with `pumpers` threads each calling pump()
+/// `rounds` times per phase, while one more thread polls stats() and
+/// history() until the pumping ends.
+AdaptationController::Stats concurrent_drift_run(Loop& loop, std::size_t pumpers,
+                                                 std::size_t rounds) {
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::uint64_t last_drained = 0;
+    std::size_t last_history = 0;
+    while (!done.load()) {
+      const std::uint64_t drained = loop.controller->stats().records_drained;
+      const std::size_t history = loop.controller->history().size();
+      EXPECT_GE(drained, last_drained);
+      EXPECT_GE(history, last_history);
+      last_drained = drained;
+      last_history = history;
+      std::this_thread::yield();
+    }
+  });
+  const auto pump_phase = [&] {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < pumpers; ++t) {
+      threads.emplace_back([&] {
+        for (std::size_t r = 0; r < rounds; ++r) loop.controller->pump();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  };
+  loop.emit_decisions(80, toy_plant);
+  pump_phase();
+  loop.emit_decisions(120, drifted_plant);
+  pump_phase();
+  done.store(true);
+  reader.join();
+  return loop.controller->stats();
 }
 
-TEST(AdaptationControllerTest, HousekeepingEvictsIdleSessions) {
-  AdaptationConfig config = quick_config();
-  config.evict_idle_decisions = 10;
-  Loop loop(config);
+// Callers may pump one controller from several threads while others read
+// its stats and history: the pumps serialize, so the totals equal a
+// one-thread run over the same telemetry.
+TEST(AdaptationControllerTest, ConcurrentPumpsAndReadersMatchOneThread) {
+  Loop serial(quick_config());
+  const AdaptationController::Stats expected = concurrent_drift_run(serial, 1, 1);
+  ASSERT_EQ(expected.adaptations_attempted, 1u);
+  ASSERT_EQ(expected.adaptations_promoted, 1u);
 
-  // A second session decides once, then goes idle while the main session
-  // keeps the admission clock moving.
-  serve::SessionConfig idle_config;
-  idle_config.policy_key = "toy";
-  const serve::SessionId idle = loop.sessions->open(idle_config);
-  loop.sessions->begin_decision(idle, serve::RequestKind::kDtPolicy, cold_occupied());
-  loop.emit_decisions(60, toy_plant);
-  for (int i = 0; i < 60; ++i) {
-    loop.sessions->begin_decision(loop.session, serve::RequestKind::kDtPolicy, cold_occupied());
-  }
-
-  ASSERT_TRUE(loop.sessions->contains(idle));
-  loop.controller->pump();
-  EXPECT_FALSE(loop.sessions->contains(idle));
-  EXPECT_TRUE(loop.sessions->contains(loop.session));
-  EXPECT_GE(loop.controller->stats().sessions_evicted, 1u);
+  Loop loop(quick_config());
+  const AdaptationController::Stats stats = concurrent_drift_run(loop, 2, 4);
+  EXPECT_EQ(stats.records_drained, expected.records_drained);
+  EXPECT_EQ(stats.records_lost, expected.records_lost);
+  EXPECT_EQ(stats.transitions, expected.transitions);
+  EXPECT_EQ(stats.drift_events, expected.drift_events);
+  EXPECT_EQ(stats.adaptations_attempted, expected.adaptations_attempted);
+  EXPECT_EQ(stats.adaptations_promoted, expected.adaptations_promoted);
+  ASSERT_EQ(loop.controller->history().size(), 1u);
+  EXPECT_EQ(loop.registry->lookup("toy").policy->to_text(),
+            serial.registry->lookup("toy").policy->to_text());
 }
 
 }  // namespace

@@ -98,36 +98,6 @@ TEST(EnsembleTest, SingleMemberHasZeroSpread) {
   EXPECT_DOUBLE_EQ(p.stddev, 0.0);
 }
 
-TEST(EnsembleTest, PredictBatchIntoBitIdenticalToScalarPredict) {
-  EnsembleDynamics ens(fast_ensemble(3));
-  const TransitionDataset data = linear_dataset(250, 5);
-  ens.train(data);
-  const Matrix inputs = data.inputs();
-
-  BatchScratch scratch;
-  std::vector<EnsemblePrediction> batched;
-  ens.predict_batch_into(inputs, batched, scratch);
-  ASSERT_EQ(batched.size(), inputs.rows());
-
-  PredictScratch scalar_scratch;
-  for (std::size_t r = 0; r < inputs.rows(); ++r) {
-    const std::vector<double> row = inputs.row(r);
-    const std::vector<double> x(row.begin(), row.begin() + env::kInputDims);
-    const sim::SetpointPair action{row[data.heat_index()], row[data.cool_index()]};
-    const EnsemblePrediction scalar = ens.predict(x, action, scalar_scratch);
-    EXPECT_EQ(batched[r].mean, scalar.mean) << "row " << r;
-    EXPECT_EQ(batched[r].stddev, scalar.stddev) << "row " << r;
-  }
-}
-
-TEST(EnsembleTest, PredictBatchIntoUntrainedThrows) {
-  EnsembleDynamics ens(fast_ensemble(2));
-  BatchScratch scratch;
-  std::vector<EnsemblePrediction> out;
-  EXPECT_THROW(ens.predict_batch_into(Matrix(1, ens.schema().dims() + 2), out, scratch),
-               std::logic_error);
-}
-
 // One const ensemble shared by 4 threads, each predicting through its own
 // scratch: every result equals the serial one bit for bit (and TSan sees
 // no race, since predict writes nothing but the caller's scratch).

@@ -577,25 +577,40 @@ TEST(RequestSchedulerTest, FailedSolveFailsItsBatchNotTheShardWorker) {
   stack.scheduler->stop();
 }
 
-TEST(RequestSchedulerTest, DefaultModelBacksKeysWithoutDedicatedEntry) {
-  const auto policy = toy_policy();
+// A key with no installed model fails only its own request: the other
+// request of the same serve_batch is solved, counted and tapped as if it
+// had come alone. serve_batch rethrows the failure, so the tap is where
+// the surviving decision shows.
+TEST(RequestSchedulerTest, KeyWithoutModelFailsOnlyItsOwnFuture) {
+  struct MbrlTap : DecisionTap {
+    std::vector<DecisionEvent> events;
+    void on_decision(const DecisionEvent& event) noexcept override {
+      if (event.kind == RequestKind::kMbrlFallback) events.push_back(event);
+    }
+  };
   const auto model = toy_model();
   const control::RandomShootingConfig rs_config = serving_rs();
-  Stack stack(policy, model, rs_config, /*threads=*/1);
+  Stack stack(toy_policy(), model, rs_config, /*threads=*/1);
+  const auto tap = std::make_shared<MbrlTap>();
+  stack.scheduler->set_tap(tap);
 
   SessionConfig session;
-  session.policy_key = "other-key";
-  session.seed = 7;
-  const SessionId id = stack.sessions->open(session);
-  stack.scheduler->set_default_model(model);
+  session.policy_key = "no-model";
+  ControlRequest missing =
+      stack.request({0, 17.0}, RequestKind::kMbrlFallback, rs_config.horizon);
+  missing.session = stack.sessions->open(session);
+  const ControlRequest installed =
+      stack.request({1, 17.5}, RequestKind::kMbrlFallback, rs_config.horizon);
+  EXPECT_THROW(stack.scheduler->serve_batch({missing, installed}), std::runtime_error);
 
-  ControlRequest request = stack.request({0, 17.0}, RequestKind::kMbrlFallback,
-                                         rs_config.horizon);
-  request.session = id;
-  const ControlDecision decision = stack.scheduler->serve(request);
-
-  EXPECT_EQ(decision.action_index,
-            oracle_decision(rs_config, *model, request.observation, request.forecast, 7, 0));
+  ASSERT_EQ(tap->events.size(), 1u);
+  EXPECT_EQ(tap->events[0].session, installed.session);
+  EXPECT_EQ(tap->events[0].action_index,
+            oracle_decision(rs_config, *model, installed.observation, installed.forecast,
+                            slot_seed(1), 0));
+  const RequestScheduler::Stats stats = stack.scheduler->stats();
+  EXPECT_EQ(stats.mbrl_served, 1u);
+  EXPECT_EQ(stats.batches, 1u);
 }
 
 // Observability must observe, never steer: decisions AND the exact Stats
