@@ -287,8 +287,7 @@ int main(int argc, char** argv) {
   //                2), so the timestamps must fit inside the capture budget.
   // Store loop (1-in-4 MBRL traffic, pool 2, 16 sessions, full-capture tap
   // drained every 256 decisions — the adaptation pump's cadence — inline,
-  // so the delta is exactly the durability work and not writer-thread
-  // scheduling noise):
+  // so the delta is exactly the durability work):
   //   0 tap      — drain the tap in memory and discard;
   //   1 durable  — drain through a TelemetryStore (serialize + CRC +
   //                buffered write): the < 5% durable-logging bar (1 vs 0).
@@ -350,8 +349,7 @@ int main(int argc, char** argv) {
         std::filesystem::temp_directory_path() / "verihvac_obs_overhead_store";
     std::filesystem::remove_all(store_dir);
     adapt::TelemetryStoreConfig store_config;
-    store_config.directory = store_dir.string();
-    store_config.start_writer = false;  // the serve loop is the pump
+    store_config.directory = store_dir.string();  // the serve loop pumps the store
     adapt::TelemetryStore store(store_stacks[1]->tap, store_config);
     std::vector<adapt::TelemetryRecord> discarded;
     const std::vector<double> store_secs =

@@ -89,7 +89,6 @@ void AdaptationController::register_cluster(const std::string& key, ClusterAsset
 
 void AdaptationController::attach_store(std::shared_ptr<TelemetryStore> store) {
   std::lock_guard<std::mutex> pump_lock(pump_mutex_);
-  if (store != nullptr) store->enable_fetch_queue();
   store_ = std::move(store);
 }
 
@@ -145,17 +144,17 @@ std::size_t AdaptationController::pump() {
 
   drain_buffer_.clear();
   // With a durable store attached the store is the single log consumer:
-  // fetch() persists the batch to segments and hands the same records to
-  // this pump. The store degrades internally on disk errors, but this
+  // pump_once() persists the batch to segments and hands the same records
+  // to this pump. The store degrades internally on disk errors, but this
   // pump often runs on a serving-side thread (a harness step hook, a
   // pumping thread) — adaptation failures must never take serving down,
   // so a failing store falls back to draining the log directly.
   std::uint64_t lost = 0;
   if (store_ != nullptr) {
     try {
-      lost = store_->fetch(drain_buffer_);
+      lost = store_->pump_once(&drain_buffer_);
     } catch (const std::exception& error) {
-      log_warn("adapt: telemetry store fetch failed (", error.what(),
+      log_warn("adapt: telemetry store pump failed (", error.what(),
                "); draining the log directly this pump");
       drain_buffer_.clear();
       lost = telemetry_->drain(drain_buffer_);

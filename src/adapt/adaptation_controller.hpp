@@ -171,9 +171,10 @@ class AdaptationController {
   void register_cluster(const std::string& key, ClusterAssets assets);
 
   /// Durable-telemetry seam: once attached, pump() drains through
-  /// TelemetryStore::fetch() — every record lands in the on-disk segments
-  /// AND feeds adaptation, one consumer for the shared tap. The store
-  /// must wrap the same TelemetryLog this controller was constructed with.
+  /// TelemetryStore::pump_once() — every record lands in the on-disk
+  /// segments AND feeds adaptation, one consumer for the shared tap. The
+  /// store must wrap the same TelemetryLog this controller was
+  /// constructed with.
   void attach_store(std::shared_ptr<TelemetryStore> store);
 
   /// One observe/decide/adapt cycle (see file comment). Serialized

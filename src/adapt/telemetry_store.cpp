@@ -26,7 +26,7 @@ constexpr const char* kOpenSuffix = ".vhtseg.open";
 
 /// Consecutive pump I/O failures tolerated before persistence turns
 /// itself off for the store's lifetime (transient hiccups get retries;
-/// a full disk does not get to stall the writer forever).
+/// a full disk does not get to stall every pump forever).
 constexpr std::uint32_t kMaxConsecutivePersistFailures = 3;
 
 /// Serialized header field bytes (declaration order, fixed widths):
@@ -175,7 +175,7 @@ std::uint32_t chain_frame_header(std::uint32_t crc, std::uint8_t type, std::uint
 /// Builds one frame, [type u8 | body_len u32 | body_crc u32 | body], in
 /// place in `out` (reused across calls): reserves the frame header,
 /// appends the body through `append_body` (one of the detail::append_*
-/// writers), then patches type/len/crc. The store's writer and
+/// writers), then patches type/len/crc. The store's pump and
 /// write_segment() both frame through here, so there is one wire format.
 template <typename AppendBody>
 void build_frame(std::string& out, std::uint8_t type, AppendBody&& append_body) {
@@ -307,54 +307,18 @@ TelemetryStore::TelemetryStore(std::shared_ptr<TelemetryLog> log, TelemetryStore
     next_seq_ = std::max(next_seq_, info.header.base_seq + info.header.record_count);
   }
   refresh_segment_gauge_locked();
-
-  if (config_.start_writer) {
-    worker_ = std::thread([this] {
-      std::unique_lock<std::mutex> lock(worker_mutex_);
-      while (!stop_requested_) {
-        worker_cv_.wait_for(lock, config_.flush_interval);
-        if (stop_requested_) break;
-        lock.unlock();
-        // pump_once() degrades internally on I/O failure; the extra catch
-        // is the last line of defense — an escaped exception in a
-        // std::thread would std::terminate the whole serving process.
-        try {
-          pump_once();
-        } catch (const std::exception& error) {
-          log_warn("telemetry store: writer pump failed: ", error.what());
-        }
-        lock.lock();
-      }
-    });
-  }
 }
 
 TelemetryStore::~TelemetryStore() { stop(); }
 
 void TelemetryStore::stop() {
-  {
-    std::lock_guard<std::mutex> lock(worker_mutex_);
-    stop_requested_ = true;
-  }
-  worker_cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-
-  if (config_.seal_on_close) {
-    // stop() runs from the destructor: a failed final flush/seal must be
-    // logged, never thrown.
-    try {
-      pump_once();
-      seal_active();
-    } catch (const std::exception& error) {
-      log_warn("telemetry store: final seal failed: ", error.what());
-    }
-  } else {
-    // Crash simulation: leave the `.open` tail exactly as last flushed.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (active_ != nullptr) {
-      active_->file.close();
-      active_.reset();
-    }
+  // stop() runs from the destructor: a failed final flush/seal must be
+  // logged, never thrown.
+  try {
+    pump_once();
+    seal_active();
+  } catch (const std::exception& error) {
+    log_warn("telemetry store: final seal failed: ", error.what());
   }
 }
 
@@ -547,21 +511,17 @@ void TelemetryStore::maybe_rotate_locked() {
   enforce_retention_locked();
 }
 
-void TelemetryStore::pump_once() {
+std::uint64_t TelemetryStore::pump_once(std::vector<TelemetryRecord>* out) {
   const auto t0 = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mutex_);
 
   drain_buffer_.clear();
   const std::uint64_t lost = log_->drain(drain_buffer_);
-  capture_lost_ += lost;
-  if (fetch_enabled_.load(std::memory_order_relaxed)) {
-    fetch_lost_ += lost;
-    fetch_queue_.insert(fetch_queue_.end(), drain_buffer_.begin(), drain_buffer_.end());
-  }
+  if (out != nullptr) out->insert(out->end(), drain_buffer_.begin(), drain_buffer_.end());
 
-  // Disk I/O is fenced off from the drain/fetch path: a telemetry disk
-  // error (full disk, yanked volume) degrades to counted drops — it never
-  // propagates into the writer thread or the adaptation pump.
+  // Disk I/O is fenced off from the drain: a telemetry disk error (full
+  // disk, yanked volume) degrades to counted drops — it never propagates
+  // into the pump's caller.
   if (!persist_disabled_.load(std::memory_order_relaxed)) {
     std::uint64_t appended = 0;
     try {
@@ -576,6 +536,7 @@ void TelemetryStore::pump_once() {
     dropped_persist_.add(drain_buffer_.size());
   }
   flush_seconds_.observe(seconds_since(t0));
+  return lost;
 }
 
 void TelemetryStore::persist_locked(std::uint64_t& appended) {
@@ -602,7 +563,7 @@ void TelemetryStore::persist_locked(std::uint64_t& appended) {
       }
     }
   }
-  // Age-based rotation also fires on idle flush ticks, not just appends.
+  // Age-based rotation also fires on idle pumps, not just appends.
   maybe_rotate_locked();
 }
 
@@ -627,26 +588,13 @@ void TelemetryStore::note_persist_failure_locked(const char* what, std::uint64_t
     if (!persist_disabled_.exchange(true, std::memory_order_relaxed)) {
       log_warn("telemetry store: disabling persistence after ", consecutive_persist_failures_,
                " consecutive failures (last: ", what,
-               "); draining and fetch hand-off continue without disk writes");
+               "); pumps keep draining without disk writes");
     }
   } else {
     log_warn("telemetry store: persist failed (", what, "), ", unwritten,
              " record(s) dropped this pump");
   }
 }
-
-std::uint64_t TelemetryStore::fetch(std::vector<TelemetryRecord>& out) {
-  enable_fetch_queue();
-  pump_once();
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.insert(out.end(), fetch_queue_.begin(), fetch_queue_.end());
-  fetch_queue_.clear();
-  const std::uint64_t lost = fetch_lost_;
-  fetch_lost_ = 0;
-  return lost;
-}
-
-void TelemetryStore::enable_fetch_queue() { fetch_enabled_.store(true, std::memory_order_relaxed); }
 
 void TelemetryStore::seal_active() {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -704,7 +652,6 @@ TelemetryStore::Stats TelemetryStore::stats() const {
   stats.bytes_dropped_torn = bytes_dropped_torn_;
   stats.rotations = rotations_.value();
   stats.truncations = truncations_.value();
-  stats.capture_lost = capture_lost_;
   stats.persist_errors = persist_errors_.value();
   return stats;
 }

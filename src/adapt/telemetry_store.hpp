@@ -2,8 +2,8 @@
 //
 // TelemetryLog (telemetry.hpp) is deliberately volatile — wait-free rings
 // sized for one drain interval. TelemetryStore is the layer that makes a
-// production fleet debuggable after the fact: a background writer drains
-// the log into an append-only directory of *segments*, each a framed,
+// production fleet debuggable after the fact: each pump drains the log
+// into an append-only directory of *segments*, each a framed,
 // checksummed, self-contained slice of the decision stream:
 //
 //   seg-<base_seq:016x>.vhtseg        sealed (immutable, header final)
@@ -39,27 +39,27 @@
 //   * retention — oldest sealed segments are deleted beyond the
 //     configured segment/byte bounds, their record counts accounted as
 //     dropped;
-//   * degrade — writer I/O failures (disk full is the expected failure
+//   * degrade — pump I/O failures (disk full is the expected failure
 //     mode of a durable log) are caught, logged and counted; after a few
 //     consecutive failures persistence disables itself while draining
-//     and the fetch() hand-off keep serving the adaptation loop. A
-//     telemetry disk error never takes the process down.
+//     keeps serving the pump's caller. A telemetry disk error never takes
+//     the process down.
 //
-// The store is also the adaptation loop's drain seam: fetch() persists
-// and hands the same batch to the caller, so AdaptationController and the
-// durable log consume ONE TelemetryLog tap instead of racing for records.
+// The store owns no thread: whoever drains the log pumps it. With an
+// AdaptationController attached, the controller's pump() calls
+// pump_once(&records), which persists the batch and hands the same
+// records to adaptation — one consumer of the TelemetryLog tap. Without
+// one, the store's owner calls pump_once() on its own cadence.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adapt/telemetry.hpp"
@@ -92,15 +92,6 @@ struct TelemetryStoreConfig {
   /// counts its records as dropped (visible in stats + obs).
   std::size_t retain_max_segments = 0;
   std::uint64_t retain_max_bytes = 0;
-  /// Background writer pacing.
-  std::chrono::milliseconds flush_interval{20};
-  /// Spawn the writer thread in the constructor. Off = the owner pumps
-  /// manually (pump_once()/fetch()), which the controller-driven and test
-  /// setups use.
-  bool start_writer = true;
-  /// Seal the active tail on destruction. Off leaves a torn `.open` tail
-  /// behind — exactly what a crash leaves — for the recovery tests/bench.
-  bool seal_on_close = true;
 };
 
 /// The fixed-width segment header (fields serialized in declaration
@@ -152,8 +143,8 @@ inline constexpr std::uint64_t kReplayFingerprintSeed = 1469598103934665603ull;
 class TelemetryStore {
  public:
   /// Scans `config.directory` for existing segments (running crash
-  /// recovery on any `.open` tail), opens a fresh active segment lazily on
-  /// first append, and starts the writer thread when configured.
+  /// recovery on any `.open` tail); the active segment opens lazily on
+  /// the first pump that has something to write.
   TelemetryStore(std::shared_ptr<TelemetryLog> log, TelemetryStoreConfig config);
   ~TelemetryStore();
 
@@ -163,30 +154,24 @@ class TelemetryStore {
   const TelemetryStoreConfig& config() const { return config_; }
   const std::string& directory() const { return config_.directory; }
 
-  /// One writer step: drain the log, append frames to the active segment,
-  /// then apply rotation and retention. Thread-safe (the
-  /// writer thread and manual callers serialize internally).
-  void pump_once();
-
-  /// The adaptation-pump seam: pumps once, then moves every record drained
-  /// since the last fetch into `out` and returns the capture losses
-  /// accumulated over the same window (the TelemetryLog::drain contract).
-  /// First use enables the hand-off queue; until then pump_once() persists
-  /// and discards, so a store without an adaptation consumer stays
-  /// bounded.
-  std::uint64_t fetch(std::vector<TelemetryRecord>& out);
-  void enable_fetch_queue();
+  /// The one drain: drains the log, appends the batch to the active
+  /// segment, applies rotation and retention, and appends the drained
+  /// records to `out` when given. Returns the capture losses the drain
+  /// reported (the TelemetryLog::drain contract). Disk failures degrade
+  /// (see the file comment) and never throw. Thread-safe: pumps
+  /// serialize on the store mutex.
+  std::uint64_t pump_once(std::vector<TelemetryRecord>* out = nullptr);
 
   /// Flushes pending records and seals the active segment (if any).
   void seal_active();
 
-  /// Stops the writer thread and, per config, seals the tail. Idempotent;
+  /// Pumps once and seals the active segment; never throws. Idempotent;
   /// the destructor calls it.
   void stop();
 
-  /// Exact per-store counts. Every field but `bytes_dropped_torn` and
-  /// `capture_lost` is an obs::InstanceCounter whose adds also land in the
-  /// process-wide `telemetry_store_*` instruments.
+  /// Exact per-store counts. Every field but `bytes_dropped_torn` is an
+  /// obs::InstanceCounter whose adds also land in the process-wide
+  /// `telemetry_store_*` instruments.
   struct Stats {
     std::uint64_t records_persisted = 0;
     std::uint64_t records_dropped_retention = 0;  ///< deleted-segment records
@@ -196,13 +181,12 @@ class TelemetryStore {
     std::uint64_t bytes_dropped_torn = 0;         ///< torn bytes discarded at recovery
     std::uint64_t rotations = 0;
     std::uint64_t truncations = 0;  ///< torn tails trimmed at recovery
-    std::uint64_t capture_lost = 0; ///< TelemetryLog losses seen by this store's drains
-    std::uint64_t persist_errors = 0;  ///< writer-side I/O failures swallowed (never fatal)
+    std::uint64_t persist_errors = 0;  ///< pump I/O failures swallowed (never fatal)
   };
   Stats stats() const;
 
   /// True once repeated persist failures disabled disk writes for the rest
-  /// of this store's lifetime (drain + fetch hand-off keep running).
+  /// of this store's lifetime (pumps keep draining the log).
   bool persistence_disabled() const { return persist_disabled_.load(std::memory_order_relaxed); }
 
  private:
@@ -241,12 +225,9 @@ class TelemetryStore {
   std::set<serve::SessionId> session_ids_in_active_;
   std::vector<TelemetryRecord> drain_buffer_;
   std::string frame_buffer_;  ///< reused per-frame serialization scratch
-  std::vector<TelemetryRecord> fetch_queue_;
-  std::uint64_t fetch_lost_ = 0;
-  std::atomic<bool> fetch_enabled_{false};
   /// Persist-failure degrade: a disk error must never take serving (or the
-  /// adaptation pump riding on fetch()) down, so writer I/O failures are
-  /// counted and, after a few consecutive ones, persistence turns off.
+  /// adaptation pump riding on pump_once()) down, so pump I/O failures
+  /// are counted and, after a few consecutive ones, persistence turns off.
   std::atomic<bool> persist_disabled_{false};
   std::uint32_t consecutive_persist_failures_ = 0;
   /// Stats counts, each also feeding its `telemetry_store_*` global; the
@@ -259,16 +240,10 @@ class TelemetryStore {
   obs::InstanceCounter rotations_{"telemetry_store_rotations_total"};
   obs::InstanceCounter truncations_{"telemetry_store_truncations_total"};
   obs::InstanceCounter persist_errors_{"telemetry_store_persist_errors_total"};
-  /// Stats fields with no global instrument.
+  /// The Stats field with no global instrument.
   std::uint64_t bytes_dropped_torn_ = 0;
-  std::uint64_t capture_lost_ = 0;
   obs::Gauge& segments_gauge_;
   obs::Histogram& flush_seconds_;
-
-  std::mutex worker_mutex_;
-  std::condition_variable worker_cv_;
-  bool stop_requested_ = false;
-  std::thread worker_;
 };
 
 // ---------------------------------------------------------------------------

@@ -12,14 +12,6 @@ namespace verihvac::core {
 ReachabilityResult reach_tube(const DtPolicy& policy, const dyn::DynamicsModel& model,
                               const std::vector<double>& x0,
                               const std::vector<env::Disturbance>& disturbances,
-                              std::size_t horizon) {
-  dyn::PredictScratch scratch;
-  return reach_tube(policy, model, x0, disturbances, horizon, scratch);
-}
-
-ReachabilityResult reach_tube(const DtPolicy& policy, const dyn::DynamicsModel& model,
-                              const std::vector<double>& x0,
-                              const std::vector<env::Disturbance>& disturbances,
                               std::size_t horizon, dyn::PredictScratch& scratch) {
   const env::FeatureSchema& schema = policy.schema();
   if (x0.size() != schema.dims()) {

@@ -33,15 +33,9 @@ struct ReachabilityResult {
 /// already uses disturbances[0] (not x0's persisted values) and the final
 /// entry disturbances[horizon-1] drives the last transition rather than
 /// being dropped. Shorter sequences are extended by repeating the last
-/// entry; empty = persistence of x0.
-ReachabilityResult reach_tube(const DtPolicy& policy, const dyn::DynamicsModel& model,
-                              const std::vector<double>& x0,
-                              const std::vector<env::Disturbance>& disturbances,
-                              std::size_t horizon);
-
-/// Thread-safe variant: identical arithmetic, but the dynamics-model
-/// scratch is caller-owned (one per worker thread when tubes are fanned
-/// out in parallel by core::VerificationEngine).
+/// entry; empty = persistence of x0. The dynamics-model scratch is
+/// caller-owned (one per worker thread when core::VerificationEngine fans
+/// tubes out in parallel).
 ReachabilityResult reach_tube(const DtPolicy& policy, const dyn::DynamicsModel& model,
                               const std::vector<double>& x0,
                               const std::vector<env::Disturbance>& disturbances,

@@ -71,7 +71,7 @@ const std::vector<InstrumentSpec>& instrument_catalog() {
       // --- adapt: durable telemetry store ---
       {"telemetry_store_records_persisted_total", InstrumentKind::kCounter,
        "records appended to on-disk segments",
-       "flat while telemetry_records_total grows means the writer thread stalled"},
+       "flat while telemetry_records_total grows means nothing is pumping the store"},
       {"telemetry_store_records_dropped_total", InstrumentKind::kCounter,
        "records dropped by retention deletion, crash-recovery trim or a failing disk",
        "a spike without matching retention deletes means segments are being truncated - check disk"},
@@ -85,13 +85,13 @@ const std::vector<InstrumentSpec>& instrument_catalog() {
        "torn tail segments trimmed to the last whole frame at recovery",
        "nonzero after a clean shutdown means something else is writing the directory"},
       {"telemetry_store_persist_errors_total", InstrumentKind::kCounter,
-       "writer I/O failures swallowed (disk full/unwritable); repeated failures disable persistence",
+       "pump I/O failures swallowed (disk full/unwritable); repeated failures disable persistence",
        "any growth means the durable log is degrading - check disk space before records drop"},
       {"telemetry_store_segments", InstrumentKind::kGauge,
        "segment files currently in the store directory",
        "pinned at the retention cap with old decisions missing means retention is too tight"},
       {"telemetry_store_flush_seconds", InstrumentKind::kHistogram,
-       "wall time of one writer flush (drain + append + rotate check)",
+       "wall time of one store pump (drain + append + rotate check)",
        "a fattening tail means the telemetry disk cannot keep up with decision volume"},
       // --- core: verification engine ---
       {"verify_probabilistic_runs_total", InstrumentKind::kCounter,

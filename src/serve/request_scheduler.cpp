@@ -162,22 +162,24 @@ ControlDecision RequestScheduler::serve_dt(const ControlRequest& request) {
   return decision;
 }
 
+std::future<ControlDecision> RequestScheduler::ready_dt(const ControlRequest& request) {
+  std::promise<ControlDecision> promise;
+  std::future<ControlDecision> future = promise.get_future();
+  try {
+    promise.set_value(serve_dt(request));
+  } catch (...) {
+    promise.set_exception(std::current_exception());
+  }
+  return future;
+}
+
 ControlDecision RequestScheduler::serve(const ControlRequest& request) {
   if (request.kind == RequestKind::kDtPolicy) return serve_dt(request);
   return submit(request).get();
 }
 
 std::future<ControlDecision> RequestScheduler::submit(ControlRequest request) {
-  if (request.kind == RequestKind::kDtPolicy) {
-    std::promise<ControlDecision> promise;
-    std::future<ControlDecision> future = promise.get_future();
-    try {
-      promise.set_value(serve_dt(request));
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-    }
-    return future;
-  }
+  if (request.kind == RequestKind::kDtPolicy) return ready_dt(request);
 
   Pending pending;
   // Admission order fixes the RNG stream: session counters advance in
@@ -203,32 +205,30 @@ std::future<ControlDecision> RequestScheduler::submit(ControlRequest request) {
   return future;
 }
 
-std::vector<ControlDecision> RequestScheduler::serve_batch(
+std::vector<std::future<ControlDecision>> RequestScheduler::serve_batch(
     const std::vector<ControlRequest>& requests) {
-  std::vector<ControlDecision> decisions(requests.size());
+  std::vector<std::future<ControlDecision>> futures;
+  futures.reserve(requests.size());
   std::vector<Pending> batch;
-  std::vector<std::future<ControlDecision>> futures(requests.size());
-  std::vector<bool> pending_slot(requests.size(), false);
-
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ControlRequest& request = requests[i];
+  for (const ControlRequest& request : requests) {
     if (request.kind == RequestKind::kDtPolicy) {
-      decisions[i] = serve_dt(request);
+      futures.push_back(ready_dt(request));
       continue;
     }
     Pending pending;
-    pending.ticket =
-        sessions_->begin_decision(request.session, request.kind, request.observation);
+    futures.push_back(pending.promise.get_future());
+    try {
+      pending.ticket =
+          sessions_->begin_decision(request.session, request.kind, request.observation);
+    } catch (...) {
+      pending.promise.set_exception(std::current_exception());
+      continue;
+    }
     pending.request = request;
-    futures[i] = pending.promise.get_future();
-    pending_slot[i] = true;
     batch.push_back(std::move(pending));
   }
   if (!batch.empty()) solve_batch(batch);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (pending_slot[i]) decisions[i] = futures[i].get();
-  }
-  return decisions;
+  return futures;
 }
 
 void RequestScheduler::worker_loop(std::size_t shard) {

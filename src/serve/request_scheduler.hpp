@@ -133,8 +133,11 @@ class RequestScheduler {
 
   /// Synchronous cross-session micro-batch: admits every request (in
   /// vector order), answers DT entries inline and solves all MBRL entries
-  /// as one batch. decisions[i] corresponds to requests[i].
-  std::vector<ControlDecision> serve_batch(const std::vector<ControlRequest>& requests);
+  /// as one batch. Returns one ready future per request (futures[i]
+  /// answers requests[i]); as with submit(), a request that fails throws
+  /// from its own future only.
+  std::vector<std::future<ControlDecision>> serve_batch(
+      const std::vector<ControlRequest>& requests);
 
   std::size_t thread_count() const { return pool_->thread_count(); }
   const SchedulerConfig& config() const { return config_; }
@@ -172,6 +175,8 @@ class RequestScheduler {
   };
 
   ControlDecision serve_dt(const ControlRequest& request);
+  /// serve_dt() as a ready future: its decision, or the exception it threw.
+  std::future<ControlDecision> ready_dt(const ControlRequest& request);
   ModelEntry model_for(const std::string& key) const;
   BoundedMpscQueue<Pending>& queue_for(SessionId session) {
     return *queues_[session % queues_.size()];

@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "adapt/telemetry_store.hpp"
 #include "serve/serve_test_utils.hpp"
 
 namespace verihvac::adapt {
@@ -227,6 +229,51 @@ TEST(AdaptationControllerTest, StatsMatchGlobalCounterDeltas) {
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(obs::counter(names[i]).value() - before[i], expected[i]) << names[i];
   }
+}
+
+// With a store attached, the controller's pump is the store's only drain:
+// every record the pumps handed to adaptation is persisted, in order, and
+// nothing else is. A twin loop, emitting the same decisions into a log
+// drained directly, gives the stream the pumps drained.
+TEST(AdaptationControllerTest, AttachedStorePersistsWhatThePumpsDrained) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "verihvac_controller_store_test";
+  std::filesystem::remove_all(dir);
+  Loop loop(quick_config());
+  TelemetryStoreConfig config;
+  config.directory = dir.string();
+  config.segment_max_records = 16;  // segments rotate within and across pumps
+  const auto store = std::make_shared<TelemetryStore>(loop.log, config);
+  loop.controller->attach_store(store);
+  Loop twin(quick_config());
+  std::vector<TelemetryRecord> expected;
+  for (std::size_t pump = 0; pump < 4; ++pump) {
+    loop.emit_decisions(30, toy_plant);
+    twin.emit_decisions(30, toy_plant);
+    EXPECT_EQ(loop.controller->pump(), 0u);
+    EXPECT_EQ(twin.log->drain(expected), 0u);
+  }
+  store->stop();
+
+  const AdaptationController::Stats stats = loop.controller->stats();
+  const TelemetryLog::Stats capture = loop.log->stats();
+  ASSERT_EQ(expected.size(), 120u);
+  EXPECT_EQ(stats.records_drained, expected.size());
+  EXPECT_EQ(stats.records_drained, store->stats().records_persisted);
+  EXPECT_EQ(stats.records_drained, capture.recorded - capture.lost);
+  // One session, consecutive decisions: the controller paired every
+  // record with its predecessor, so it saw the whole stream in order.
+  EXPECT_EQ(stats.transitions, expected.size() - 1);
+
+  const TelemetryTrace loaded = load_directory(dir.string());
+  ASSERT_EQ(loaded.records.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    std::string persisted, drained;
+    detail::append_record(persisted, loaded.records[i]);
+    detail::append_record(drained, expected[i]);
+    EXPECT_EQ(persisted, drained) << "record " << i;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(AdaptationControllerTest, PromotionIsDeterministicAcrossThreadCounts) {

@@ -1,10 +1,14 @@
-// Byte-level helpers for the segment decoder tests.
+// Byte-level helpers for the segment decoder and store recovery tests.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "adapt/telemetry_store.hpp"
 #include "common/crc32.hpp"
@@ -28,6 +32,25 @@ inline void restamp_header_u32(const std::string& path, std::size_t offset, std:
   std::memcpy(&header[4 + fields], &crc, sizeof crc);
   file.seekp(0);
   file.write(header.data(), static_cast<std::streamsize>(header.size()));
+}
+
+/// Stops `store` the way a crash would: every `.open` tail in its
+/// directory is left exactly as the last pump flushed it. The tails are
+/// copied aside, stop() seals them, and the copies replace the sealed
+/// files. Pump everything first: stop() must have nothing left to drain.
+inline void stop_as_crash(TelemetryStore& store) {
+  namespace fs = std::filesystem;
+  std::vector<std::pair<fs::path, std::string>> tails;
+  for (const auto& entry : fs::directory_iterator(store.directory())) {
+    if (entry.path().extension() != ".open") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    tails.emplace_back(entry.path(), std::string(std::istreambuf_iterator<char>(in), {}));
+  }
+  store.stop();
+  for (const auto& [path, bytes] : tails) {
+    fs::remove(fs::path(path).replace_extension());  // the sealed `.vhtseg`
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  }
 }
 
 }  // namespace verihvac::adapt::testing

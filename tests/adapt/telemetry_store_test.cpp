@@ -29,6 +29,7 @@ using serve::testing::toy_model;
 using serve::testing::toy_policy;
 using testing::kTraceVersionOffset;
 using testing::restamp_header_u32;
+using testing::stop_as_crash;
 
 /// Fresh (empty) scratch directory under the system temp root.
 std::string fresh_dir(const std::string& name) {
@@ -111,10 +112,9 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   return ::testing::AssertionSuccess();
 }
 
-TelemetryStoreConfig manual_config(const std::string& dir) {
+TelemetryStoreConfig store_config(const std::string& dir) {
   TelemetryStoreConfig config;
   config.directory = dir;
-  config.start_writer = false;
   return config;
 }
 
@@ -140,18 +140,15 @@ TEST(TelemetryStoreTest, RotatedSegmentsLoadBackByteIdentical) {
   log->register_session(1, 1001, "toy");
   log->register_session(2, 1002, "toy");
 
-  TelemetryStoreConfig config = manual_config(dir);
+  TelemetryStoreConfig config = store_config(dir);
   config.segment_max_records = 4;
   std::vector<TelemetryRecord> memory;
   {
     TelemetryStore store(log, config);
-    store.enable_fetch_queue();
     for (std::uint64_t d = 0; d < 11; ++d) {
       emit(*log, 1 + (d % 2), d / 2, 17.0 + static_cast<double>(d));
     }
-    std::vector<TelemetryRecord> fetched;
-    EXPECT_EQ(store.fetch(fetched), 0u);
-    memory = fetched;
+    EXPECT_EQ(store.pump_once(&memory), 0u);
     store.stop();
     EXPECT_EQ(store.stats().records_persisted, 11u);
     EXPECT_GE(store.stats().rotations, 2u);
@@ -176,7 +173,7 @@ TEST(TelemetryStoreTest, RotatedSegmentsLoadBackByteIdentical) {
   EXPECT_EQ(loaded.sessions[1].id, 2u);
 
   // Consolidation (what `trace dump --out` writes): the rotated directory
-  // as one sealed segment is still the fetched stream, byte for byte.
+  // as one sealed segment is still the pumped stream, byte for byte.
   const std::string consolidated =
       (fs::path(fresh_dir("verihvac_store_test_consolidate")) / "capture.vhtseg").string();
   write_segment(load_directory(dir), consolidated);
@@ -195,13 +192,10 @@ TEST(TelemetryStoreTest, TornTailIsTrimmedCountedAndPrefixRecovered) {
 
   std::vector<TelemetryRecord> captured;
   {
-    TelemetryStoreConfig config = manual_config(dir);
-    config.seal_on_close = false;  // crash: leave the .open tail behind
-    TelemetryStore store(log, config);
-    store.enable_fetch_queue();
+    TelemetryStore store(log, store_config(dir));
     for (std::uint64_t d = 0; d < 6; ++d) emit(*log, 1, d, 17.0 + static_cast<double>(d));
-    store.fetch(captured);
-    store.stop();
+    store.pump_once(&captured);
+    stop_as_crash(store);  // leave the .open tail behind
   }
   ASSERT_EQ(captured.size(), 6u);
 
@@ -214,7 +208,7 @@ TEST(TelemetryStoreTest, TornTailIsTrimmedCountedAndPrefixRecovered) {
   ASSERT_FALSE(open_tail.empty());
   fs::resize_file(open_tail, fs::file_size(open_tail) - 7);
 
-  TelemetryStore recovered(std::make_shared<TelemetryLog>(), manual_config(dir));
+  TelemetryStore recovered(std::make_shared<TelemetryLog>(), store_config(dir));
   EXPECT_EQ(recovered.stats().truncations, 1u);
   EXPECT_EQ(recovered.stats().records_dropped_torn, 1u);
   EXPECT_GT(recovered.stats().bytes_dropped_torn, 0u);  // the trimmed span is sized, not just flagged
@@ -231,7 +225,7 @@ TEST(TelemetryStoreTest, FlippedPayloadByteIsRefusedNeverReplayed) {
   log->register_session(1, 1001, "toy");
   log->register_session(2, 1002, "toy");
   {
-    TelemetryStore store(log, manual_config(dir));
+    TelemetryStore store(log, store_config(dir));
     for (std::uint64_t d = 0; d < 10; ++d) emit(*log, 1 + (d % 2), d / 2, 18.0);
     store.pump_once();
     store.stop();
@@ -295,7 +289,7 @@ TEST(TelemetryStoreTest, CorruptedFileHeaderIsRefused) {
   const std::string dir = fresh_dir("verihvac_store_test_header");
   auto log = std::make_shared<TelemetryLog>();
   {
-    TelemetryStore store(log, manual_config(dir));
+    TelemetryStore store(log, store_config(dir));
     emit(*log, 1, 0, 18.0);
     store.pump_once();
     store.stop();
@@ -327,10 +321,10 @@ TEST(TelemetryStoreTest, PersistFailureDegradesInsteadOfThrowing) {
   auto log = std::make_shared<TelemetryLog>();
   log->register_session(1, 1001, "toy");
 
-  TelemetryStore store(log, manual_config(dir));
-  store.enable_fetch_queue();
+  TelemetryStore store(log, store_config(dir));
+  std::vector<TelemetryRecord> handed;
   emit(*log, 1, 0, 18.0);
-  store.pump_once();
+  store.pump_once(&handed);
   store.seal_active();
   EXPECT_EQ(store.stats().persist_errors, 0u);
 
@@ -341,19 +335,17 @@ TEST(TelemetryStoreTest, PersistFailureDegradesInsteadOfThrowing) {
 
   for (std::uint64_t d = 1; d <= 4; ++d) {
     emit(*log, 1, d, 18.0);
-    EXPECT_NO_THROW(store.pump_once());  // the writer thread runs exactly this
+    EXPECT_NO_THROW(store.pump_once(&handed));
   }
   const TelemetryStore::Stats stats = store.stats();
   EXPECT_GE(stats.persist_errors, 3u);
   EXPECT_TRUE(store.persistence_disabled());
   EXPECT_EQ(stats.records_dropped_persist, 4u);  // the gap is ledgered, not silent
 
-  // The adaptation hand-off seam outlives the disk: every record (the
-  // persisted one and all four dropped ones) still reaches fetch(), and
-  // shutdown stays exception-free.
-  std::vector<TelemetryRecord> fetched;
-  EXPECT_NO_THROW(store.fetch(fetched));
-  EXPECT_EQ(fetched.size(), 5u);
+  // The pump outlives the disk: every record (the persisted one and all
+  // four dropped ones) still reaches the pump's caller, and shutdown stays
+  // exception-free.
+  EXPECT_EQ(handed.size(), 5u);
   EXPECT_NO_THROW(store.stop());
   fs::remove(dir);
 }
@@ -363,7 +355,7 @@ TEST(TelemetryStoreTest, RetentionDeletesOldestAndCountsDrops) {
   auto log = std::make_shared<TelemetryLog>();
   log->register_session(1, 1001, "toy");
 
-  TelemetryStoreConfig config = manual_config(dir);
+  TelemetryStoreConfig config = store_config(dir);
   config.segment_max_records = 2;
   config.retain_max_segments = 2;
   TelemetryStore store(log, config);
@@ -392,7 +384,7 @@ TEST(TelemetryStoreTest, AgeBudgetRotatesOnEachPumpThatAppended) {
   auto log = std::make_shared<TelemetryLog>();
   log->register_session(1, 1001, "toy");
 
-  TelemetryStoreConfig config = manual_config(dir);
+  TelemetryStoreConfig config = store_config(dir);
   config.segment_max_bytes = 0;
   config.segment_max_seconds = 1e-9;
   TelemetryStore store(log, config);
@@ -422,7 +414,7 @@ TEST(TelemetryStoreTest, ByteBudgetKeepsTheNewestSegment) {
     const std::string probe_dir = fresh_dir("verihvac_store_test_bytes_probe");
     auto log = std::make_shared<TelemetryLog>();
     log->register_session(1, 1001, "toy");
-    TelemetryStoreConfig config = manual_config(probe_dir);
+    TelemetryStoreConfig config = store_config(probe_dir);
     config.segment_max_records = 1;
     TelemetryStore store(log, config);
     emit(*log, 1, 0, 18.0);
@@ -437,7 +429,7 @@ TEST(TelemetryStoreTest, ByteBudgetKeepsTheNewestSegment) {
   const std::string dir = fresh_dir("verihvac_store_test_bytes");
   auto log = std::make_shared<TelemetryLog>();
   log->register_session(1, 1001, "toy");
-  TelemetryStoreConfig config = manual_config(dir);
+  TelemetryStoreConfig config = store_config(dir);
   config.segment_max_records = 1;
   config.retain_max_bytes = segment_payload + 1;
   TelemetryStore store(log, config);
@@ -464,7 +456,7 @@ TEST(TelemetryStoreTest, RetentionDropsAddUpToTheDroppedCount) {
   log->register_session(1, 1001, "toy");
   log->register_session(2, 1002, "toy");
 
-  TelemetryStoreConfig config = manual_config(dir);
+  TelemetryStoreConfig config = store_config(dir);
   config.segment_max_records = 3;
   config.retain_max_bytes = 1;  // over budget whenever two segments are sealed
   TelemetryStore store(log, config);
@@ -508,14 +500,13 @@ TEST(TelemetryStoreTest, StatsMatchGlobalCounterDeltas) {
   {
     auto log = std::make_shared<TelemetryLog>();
     log->register_session(1, 1001, "toy");
-    TelemetryStoreConfig config = manual_config(dir);
+    TelemetryStoreConfig config = store_config(dir);
     config.segment_max_records = 2;
     config.retain_max_segments = 2;
-    config.seal_on_close = false;
     TelemetryStore store(log, config);
     for (std::uint64_t d = 0; d < 11; ++d) emit(*log, 1, d, 18.0);
     store.pump_once();
-    store.stop();
+    stop_as_crash(store);
     all.push_back(store.stats());
   }
   fs::path open_tail;
@@ -527,7 +518,7 @@ TEST(TelemetryStoreTest, StatsMatchGlobalCounterDeltas) {
   {
     auto log = std::make_shared<TelemetryLog>();
     log->register_session(2, 1002, "toy");
-    TelemetryStore store(log, manual_config(dir));
+    TelemetryStore store(log, store_config(dir));
     emit(*log, 2, 0, 18.0);
     store.pump_once();
     store.seal_active();
@@ -576,7 +567,7 @@ TEST(TelemetryStoreTest, DirectoryDatasetMatchesTraceDataset) {
   log->register_session(1, 1001, "toy");
   log->register_session(2, 1002, "toy");
 
-  TelemetryStoreConfig config = manual_config(dir);
+  TelemetryStoreConfig config = store_config(dir);
   config.segment_max_records = 3;  // transitions must pair across segments
   TelemetryStore store(log, config);
   for (std::uint64_t d = 0; d < 10; ++d) {
@@ -623,7 +614,7 @@ TEST(TelemetryStoreReplayTest, SegmentsReplayBitIdenticallyAcrossThreadCounts) {
     log->register_session(ids.back(), session.seed, session.policy_key);
   }
 
-  TelemetryStoreConfig config = manual_config(dir);
+  TelemetryStoreConfig config = store_config(dir);
   config.segment_max_records = 3;  // replay must hold across rotation
   TelemetryStore store(log, config);
   for (std::size_t round = 0; round < 4; ++round) {

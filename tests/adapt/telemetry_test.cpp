@@ -22,6 +22,7 @@ namespace {
 
 using serve::testing::cold_occupied;
 using serve::testing::pool_with_threads;
+using serve::testing::serve_all;
 using serve::testing::steady_forecast;
 using serve::testing::toy_model;
 using serve::testing::toy_policy;
@@ -442,7 +443,7 @@ TEST(TelemetryReplayTest, LiveCaptureReplaysBitIdenticallyAcrossThreadCounts) {
       }
       batch.push_back(std::move(request));
     }
-    for (const auto& decision : scheduler.serve_batch(batch)) {
+    for (const auto& decision : serve_all(scheduler, batch)) {
       served_actions.push_back(decision.action_index);
     }
   }

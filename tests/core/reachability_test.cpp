@@ -36,18 +36,19 @@ class ReachabilityTest : public ::testing::Test {
   dyn::TransitionDataset history_;
   std::shared_ptr<dyn::DynamicsModel> model_;
   std::unique_ptr<DtPolicy> policy_;
+  dyn::PredictScratch scratch_;
 };
 
 TEST_F(ReachabilityTest, TubeHasHorizonPlusOneStates) {
   const std::vector<double> x0 = {21.0, 0.0, 60.0, 3.0, 0.0, 11.0};
-  const ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 10);
+  const ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 10, scratch_);
   EXPECT_EQ(result.zone_temps.size(), 11u);
   EXPECT_DOUBLE_EQ(result.zone_temps.front(), 21.0);
 }
 
 TEST_F(ReachabilityTest, MinMaxEnvelopeIsConsistent) {
   const std::vector<double> x0 = {21.0, 0.0, 60.0, 3.0, 0.0, 11.0};
-  const ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 16);
+  const ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 16, scratch_);
   for (double t : result.zone_temps) {
     EXPECT_GE(t, result.min_temp);
     EXPECT_LE(t, result.max_temp);
@@ -58,7 +59,7 @@ TEST_F(ReachabilityTest, OccupiedComfortStartStaysNearComfort) {
   // A comfort-holding policy from a mid-comfort occupied start should not
   // leave a generous band over 5 hours.
   const std::vector<double> x0 = {21.5, 0.0, 60.0, 3.0, 0.0, 11.0};
-  ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 20);
+  ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 20, scratch_);
   check_within(result, 19.0, 24.5);
   EXPECT_TRUE(result.within) << "[" << result.min_temp << ", " << result.max_temp << "]";
 }
@@ -66,7 +67,7 @@ TEST_F(ReachabilityTest, OccupiedComfortStartStaysNearComfort) {
 TEST_F(ReachabilityTest, UnoccupiedStartDriftsDown) {
   // Setback + cold outdoors: the tube should sink (building cools).
   const std::vector<double> x0 = {21.0, -5.0, 60.0, 3.0, 0.0, 0.0};
-  const ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 20);
+  const ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 20, scratch_);
   EXPECT_LT(result.zone_temps.back(), 21.0);
 }
 
@@ -79,9 +80,9 @@ TEST_F(ReachabilityTest, DisturbanceSequenceIsApplied) {
   cold.weather.outdoor_temp_c = -15.0;
   cold.occupants = 11.0;
   const auto warm_tube =
-      reach_tube(*policy_, *model_, x0, std::vector<env::Disturbance>(20, warm), 20);
+      reach_tube(*policy_, *model_, x0, std::vector<env::Disturbance>(20, warm), 20, scratch_);
   const auto cold_tube =
-      reach_tube(*policy_, *model_, x0, std::vector<env::Disturbance>(20, cold), 20);
+      reach_tube(*policy_, *model_, x0, std::vector<env::Disturbance>(20, cold), 20, scratch_);
   EXPECT_GT(warm_tube.zone_temps.back(), cold_tube.zone_temps.back());
 }
 
@@ -101,8 +102,8 @@ TEST_F(ReachabilityTest, FirstTransitionUsesFirstDisturbanceEntry) {
   std::vector<env::Disturbance> cold_first(10, base);
   warm_first[0].weather.outdoor_temp_c = 15.0;
   cold_first[0].weather.outdoor_temp_c = -15.0;
-  const auto warm = reach_tube(*policy_, *model_, x0, warm_first, 10);
-  const auto cold = reach_tube(*policy_, *model_, x0, cold_first, 10);
+  const auto warm = reach_tube(*policy_, *model_, x0, warm_first, 10, scratch_);
+  const auto cold = reach_tube(*policy_, *model_, x0, cold_first, 10, scratch_);
   EXPECT_GT(warm.zone_temps[1], cold.zone_temps[1]);
 }
 
@@ -119,27 +120,12 @@ TEST_F(ReachabilityTest, LastDisturbanceEntryDrivesFinalTransition) {
   std::vector<env::Disturbance> cold_last(10, base);
   warm_last.back().weather.outdoor_temp_c = 15.0;
   cold_last.back().weather.outdoor_temp_c = -15.0;
-  const auto warm = reach_tube(*policy_, *model_, x0, warm_last, 10);
-  const auto cold = reach_tube(*policy_, *model_, x0, cold_last, 10);
+  const auto warm = reach_tube(*policy_, *model_, x0, warm_last, 10, scratch_);
+  const auto cold = reach_tube(*policy_, *model_, x0, cold_last, 10, scratch_);
   for (std::size_t k = 0; k + 1 < warm.zone_temps.size(); ++k) {
     EXPECT_DOUBLE_EQ(warm.zone_temps[k], cold.zone_temps[k]) << "step " << k;
   }
   EXPECT_GT(warm.zone_temps.back(), cold.zone_temps.back());
-}
-
-TEST_F(ReachabilityTest, ScratchVariantMatchesConvenienceOverload) {
-  const std::vector<double> x0 = {21.0, 0.0, 60.0, 3.0, 0.0, 11.0};
-  env::Disturbance d;
-  d.weather.outdoor_temp_c = 5.0;
-  d.occupants = 11.0;
-  const std::vector<env::Disturbance> forecast(12, d);
-  dyn::PredictScratch scratch;
-  const auto plain = reach_tube(*policy_, *model_, x0, forecast, 12);
-  const auto scratched = reach_tube(*policy_, *model_, x0, forecast, 12, scratch);
-  ASSERT_EQ(plain.zone_temps.size(), scratched.zone_temps.size());
-  for (std::size_t k = 0; k < plain.zone_temps.size(); ++k) {
-    EXPECT_DOUBLE_EQ(plain.zone_temps[k], scratched.zone_temps[k]);
-  }
 }
 
 TEST_F(ReachabilityTest, NanStateMakesTubeUnsafe) {
@@ -147,7 +133,7 @@ TEST_F(ReachabilityTest, NanStateMakesTubeUnsafe) {
   // min_element/max_element ordering, so the envelope must poison instead.
   std::vector<double> x0 = {std::numeric_limits<double>::quiet_NaN(), 0.0, 60.0, 3.0,
                             0.0, 11.0};
-  ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 5);
+  ReachabilityResult result = reach_tube(*policy_, *model_, x0, {}, 5, scratch_);
   EXPECT_TRUE(std::isnan(result.min_temp));
   EXPECT_TRUE(std::isnan(result.max_temp));
   check_within(result, -1000.0, 1000.0);  // any finite band
@@ -170,11 +156,11 @@ TEST_F(ReachabilityTest, ShortDisturbanceSequenceExtends) {
   env::Disturbance d;
   d.weather.outdoor_temp_c = 5.0;
   d.occupants = 11.0;
-  EXPECT_NO_THROW(reach_tube(*policy_, *model_, x0, {d}, 10));
+  EXPECT_NO_THROW(reach_tube(*policy_, *model_, x0, {d}, 10, scratch_));
 }
 
 TEST_F(ReachabilityTest, WrongInputDimensionThrows) {
-  EXPECT_THROW(reach_tube(*policy_, *model_, {1.0, 2.0}, {}, 5), std::invalid_argument);
+  EXPECT_THROW(reach_tube(*policy_, *model_, {1.0, 2.0}, {}, 5, scratch_), std::invalid_argument);
 }
 
 TEST_F(ReachabilityTest, CheckWithinFlagsBothSides) {

@@ -186,8 +186,9 @@ TEST_F(VerificationEngineTest, ReachTubesMatchSerialReachTube) {
 
   const auto tubes = engine_with_threads(8).reach_tubes(policy, *model_, starts, forecast, 10);
   ASSERT_EQ(tubes.size(), starts.size());
+  dyn::PredictScratch scratch;
   for (std::size_t i = 0; i < starts.size(); ++i) {
-    const auto serial = reach_tube(policy, *model_, starts[i], forecast, 10);
+    const auto serial = reach_tube(policy, *model_, starts[i], forecast, 10, scratch);
     ASSERT_EQ(tubes[i].zone_temps.size(), serial.zone_temps.size());
     for (std::size_t k = 0; k < serial.zone_temps.size(); ++k) {
       EXPECT_EQ(tubes[i].zone_temps[k], serial.zone_temps[k]) << "tube " << i << " step " << k;

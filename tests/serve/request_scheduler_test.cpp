@@ -23,6 +23,7 @@ namespace {
 
 using testing::cold_occupied;
 using testing::pool_with_threads;
+using testing::serve_all;
 using testing::steady_forecast;
 using testing::toy_model;
 using testing::toy_policy;
@@ -162,7 +163,7 @@ TEST(RequestSchedulerTest, MicroBatchedDecisionsMatchScalarReferenceAcrossThread
     for (const ScenarioRequest& item : scenario) {
       requests.push_back(stack.request(item, RequestKind::kMbrlFallback, rs_config.horizon));
     }
-    const std::vector<ControlDecision> decisions = stack.scheduler->serve_batch(requests);
+    const std::vector<ControlDecision> decisions = serve_all(*stack.scheduler, requests);
     ASSERT_EQ(decisions.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(decisions[i].action_index, expected[i])
@@ -373,7 +374,7 @@ TEST(RequestSchedulerTest, RefineFirstActionParity) {
   for (const ScenarioRequest& item : scenario) {
     requests.push_back(stack.request(item, RequestKind::kMbrlFallback, rs_config.horizon));
   }
-  const std::vector<ControlDecision> decisions = stack.scheduler->serve_batch(requests);
+  const std::vector<ControlDecision> decisions = serve_all(*stack.scheduler, requests);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(decisions[i].action_index, expected[i]) << "request " << i;
   }
@@ -397,7 +398,7 @@ TEST(RequestSchedulerTest, MixedBatchServesBothTrafficClasses) {
   requests.push_back(stack.request(scenario[2], RequestKind::kDtPolicy, 0));
   requests.push_back(stack.request(scenario[3], RequestKind::kMbrlFallback, rs_config.horizon));
 
-  const std::vector<ControlDecision> decisions = stack.scheduler->serve_batch(requests);
+  const std::vector<ControlDecision> decisions = serve_all(*stack.scheduler, requests);
   EXPECT_EQ(decisions[0].action_index,
             policy->decide_index(cold_occupied(16.0).to_vector()));
   EXPECT_EQ(decisions[2].action_index,
@@ -579,8 +580,9 @@ TEST(RequestSchedulerTest, FailedSolveFailsItsBatchNotTheShardWorker) {
 
 // A key with no installed model fails only its own request: the other
 // request of the same serve_batch is solved, counted and tapped as if it
-// had come alone. serve_batch rethrows the failure, so the tap is where
-// the surviving decision shows.
+// had come alone, and its decision reaches the caller through its future.
+// A request for an unknown session fails at admission, also only in its
+// own future.
 TEST(RequestSchedulerTest, KeyWithoutModelFailsOnlyItsOwnFuture) {
   struct MbrlTap : DecisionTap {
     std::vector<DecisionEvent> events;
@@ -601,13 +603,22 @@ TEST(RequestSchedulerTest, KeyWithoutModelFailsOnlyItsOwnFuture) {
   missing.session = stack.sessions->open(session);
   const ControlRequest installed =
       stack.request({1, 17.5}, RequestKind::kMbrlFallback, rs_config.horizon);
-  EXPECT_THROW(stack.scheduler->serve_batch({missing, installed}), std::runtime_error);
+  ControlRequest unknown = installed;
+  unknown.session = missing.session + 1000;
+  std::vector<std::future<ControlDecision>> futures =
+      stack.scheduler->serve_batch({missing, installed, unknown});
+  ASSERT_EQ(futures.size(), 3u);
+  EXPECT_THROW(futures[0].get(), std::runtime_error);
+  EXPECT_THROW(futures[2].get(), std::out_of_range);
 
+  const std::size_t oracle = oracle_decision(rs_config, *model, installed.observation,
+                                             installed.forecast, slot_seed(1), 0);
+  const ControlDecision decision = futures[1].get();
+  EXPECT_EQ(decision.kind, RequestKind::kMbrlFallback);
+  EXPECT_EQ(decision.action_index, oracle);
   ASSERT_EQ(tap->events.size(), 1u);
   EXPECT_EQ(tap->events[0].session, installed.session);
-  EXPECT_EQ(tap->events[0].action_index,
-            oracle_decision(rs_config, *model, installed.observation, installed.forecast,
-                            slot_seed(1), 0));
+  EXPECT_EQ(tap->events[0].action_index, oracle);
   const RequestScheduler::Stats stats = stack.scheduler->stats();
   EXPECT_EQ(stats.mbrl_served, 1u);
   EXPECT_EQ(stats.batches, 1u);
@@ -647,7 +658,7 @@ TEST(RequestSchedulerTest, StatsCountersAreThreadCountInvariantWithObsEnabled) {
     for (const ScenarioRequest& item : scenario) {
       requests.push_back(stack.request(item, RequestKind::kMbrlFallback, rs_config.horizon));
     }
-    const std::vector<ControlDecision> decisions = stack.scheduler->serve_batch(requests);
+    const std::vector<ControlDecision> decisions = serve_all(*stack.scheduler, requests);
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(decisions[i].action_index, expected[i])
           << "request " << i << " at " << threads << " threads";
@@ -685,7 +696,7 @@ TEST(RequestSchedulerTest, StatsMatchGlobalCounterDeltas) {
     stack.scheduler->serve(stack.request(item, RequestKind::kDtPolicy, 0));
     mbrl.push_back(stack.request(item, RequestKind::kMbrlFallback, rs_config.horizon));
   }
-  stack.scheduler->serve_batch(mbrl);
+  serve_all(*stack.scheduler, mbrl);
   stack.scheduler->serve(mbrl.front());
   stack.scheduler->start();
   std::vector<std::future<ControlDecision>> futures;

@@ -13,6 +13,7 @@
 #include "common/task_pool.hpp"
 #include "core/dt_policy.hpp"
 #include "dynamics/dynamics_model.hpp"
+#include "serve/request_scheduler.hpp"
 
 namespace verihvac::serve::testing {
 
@@ -82,6 +83,17 @@ inline std::vector<env::Disturbance> steady_forecast(const env::Observation& obs
 inline std::shared_ptr<const common::TaskPool> pool_with_threads(std::size_t threads) {
   return std::make_shared<const common::TaskPool>(
       common::TaskPoolConfig{threads, /*min_parallel_batch=*/1});
+}
+
+/// serve_batch() where every request is expected to succeed: the
+/// decisions in request order (the first failure rethrows).
+inline std::vector<ControlDecision> serve_all(RequestScheduler& scheduler,
+                                              const std::vector<ControlRequest>& requests) {
+  std::vector<ControlDecision> decisions;
+  for (std::future<ControlDecision>& future : scheduler.serve_batch(requests)) {
+    decisions.push_back(future.get());
+  }
+  return decisions;
 }
 
 }  // namespace verihvac::serve::testing

@@ -433,15 +433,13 @@ int cmd_adapt_bench(const Args& args) {
   };
   // Optional durable tap: every decision the adapt loop consumes is also
   // persisted to rotated segments (inspect with `verihvac trace`). The
-  // controller's pump drives the store (attach_store below), so no writer
-  // thread is needed.
+  // controller's pump drives the store (attach_store below).
   std::shared_ptr<adapt::TelemetryStore> store;
   if (args.flag("telemetry-dir")) {
     adapt::TelemetryStoreConfig store_config;
     store_config.directory = args.required("telemetry-dir");
     store_config.segment_max_bytes =
         static_cast<std::uint64_t>(args.get_long("segment-bytes", 4ll << 20));
-    store_config.start_writer = false;
     store = std::make_shared<adapt::TelemetryStore>(log, store_config);
   }
   adapt::AdaptationController* controller_ptr = nullptr;
@@ -697,6 +695,7 @@ int cmd_trace_verify(const Args& args) {
   const bool with_replay = build_replay_assets(args, assets, config);
   const auto segments = adapt::list_segments(args.required("dir"));
   bool all_ok = true;
+  std::size_t sealed = 0;
   for (const adapt::SegmentInfo& seg : segments) {
     const std::string name = std::filesystem::path(seg.path).filename().string();
     if (seg.open) {
@@ -706,6 +705,7 @@ int cmd_trace_verify(const Args& args) {
     const adapt::SegmentVerifyReport report = adapt::verify_segment(
         seg.path, with_replay ? &assets : nullptr, with_replay ? &config : nullptr);
     all_ok = all_ok && report.ok();
+    ++sealed;
     if (!report.structure_ok) {
       std::printf("%-28s FAIL  structure: %s\n", name.c_str(), report.error.c_str());
     } else if (!report.fingerprint_ok) {
@@ -731,7 +731,13 @@ int cmd_trace_verify(const Args& args) {
     std::printf("verification FAILED\n");
     return 1;
   }
-  std::printf("all %zu segment(s) verified\n", segments.size());
+  // A directory with nothing sealed certifies nothing: an empty store, or
+  // one that never sealed its tail, must not read as a pass.
+  if (sealed == 0) {
+    std::printf("verification FAILED: no sealed segment to verify\n");
+    return 1;
+  }
+  std::printf("all %zu sealed segment(s) verified\n", sealed);
   return 0;
 }
 
