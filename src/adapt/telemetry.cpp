@@ -4,6 +4,8 @@
 #include <istream>
 #include <stdexcept>
 
+#include "common/fnv1a.hpp"
+
 namespace verihvac::adapt {
 
 namespace {
@@ -138,26 +140,15 @@ void TelemetryLog::on_decision(const serve::DecisionEvent& event) noexcept {
   r.kind = static_cast<std::uint8_t>(event.kind);
   r.action_index = static_cast<std::uint32_t>(event.action_index);
   r.latency_seconds = event.latency_seconds;
-  const env::Observation& obs = *event.observation;
-  if (event.schema != nullptr) {
-    // Records carry the deciding artifact's schema layout; trace pairing
-    // and replay read zone temperature by the persisted role index, not
-    // by trusting column 0.
-    r.obs_len = static_cast<std::uint16_t>(event.schema->dims());
-    r.zone_temp_dim = static_cast<std::uint16_t>(event.schema->zone_temp_index());
-    event.schema->write_observation(obs, r.obs);
-  } else {
-    // A custom scheduler that predates the schema seam: assume the legacy
-    // baseline layout, exactly as v1 telemetry did.
-    r.obs_len = static_cast<std::uint16_t>(env::kInputDims);
-    r.zone_temp_dim = 0;
-    r.obs[env::kZoneTemp] = obs.zone_temp_c;
-    r.obs[env::kOutdoorTemp] = obs.weather.outdoor_temp_c;
-    r.obs[env::kHumidity] = obs.weather.humidity_pct;
-    r.obs[env::kWind] = obs.weather.wind_mps;
-    r.obs[env::kSolar] = obs.weather.solar_wm2;
-    r.obs[env::kOccupancy] = obs.occupants;
-  }
+  // Records carry the deciding artifact's schema layout; trace pairing and
+  // replay read zone temperature by the persisted role index, not by
+  // trusting column 0. An emitter that passes no schema gets the baseline
+  // layout.
+  const env::FeatureSchema& schema =
+      event.schema != nullptr ? *event.schema : env::baseline_schema();
+  r.obs_len = static_cast<std::uint16_t>(schema.dims());
+  r.zone_temp_dim = static_cast<std::uint16_t>(schema.zone_temp_index());
+  schema.write_observation(*event.observation, r.obs);
   r.heating_c = event.action.heating_c;
   r.cooling_c = event.action.cooling_c;
   r.forecast_len = forecast_len;
@@ -393,64 +384,64 @@ dyn::TransitionDataset trace_to_dataset(const TelemetryTrace& trace) {
   return dataset;
 }
 
-TraceReplayer::TraceReplayer(const ReplayAssets& assets, const ReplayConfig& config)
-    : assets_(assets), actions_(config.action_space), rs_(config.rs, actions_, config.reward) {
-  if (config.engine != nullptr) rs_.set_engine(config.engine);
-}
-
-TraceReplayer::Outcome TraceReplayer::replay(const TelemetryRecord& r, std::size_t& action_out) {
-  if (r.request_kind() == serve::RequestKind::kDtPolicy) {
-    const auto it = assets_.policies.find(r.policy_version);
-    if (it == assets_.policies.end() || it->second->schema().dims() != r.obs_len) {
-      return Outcome::kSkippedMissingAssets;
-    }
-    action_out = it->second->decide_index(r.obs_vector());
-    return Outcome::kReplayed;
-  }
-  if (r.forecast_truncated != 0) return Outcome::kSkippedTruncated;
-  const auto it = assets_.models.find(r.policy_version);
-  if (it == assets_.models.end() || it->second->schema().dims() != r.obs_len) {
-    // Missing model, or a model whose schema shape no longer matches the
-    // record — either way the decision cannot be reconstructed.
-    return Outcome::kSkippedMissingAssets;
-  }
-  // Rebuild the observation through the deciding model's schema — a
-  // time-aware record's temporal columns land back in the temporal fields
-  // instead of being misread as weather.
-  const env::Observation obs = it->second->schema().to_observation(r.obs_vector());
-  const std::vector<env::Disturbance> forecast = r.forecast_vector();
-  // The decision's entire stochastic footprint, reconstructed from the
-  // record's stream coordinates — the same derivation the scheduler used
-  // at admission.
-  Rng rng = Rng::stream(r.session_seed, r.decision_index);
-  action_out = rs_.optimize(*it->second, obs, forecast, rng);
-  return Outcome::kReplayed;
+std::uint64_t replay_fingerprint_update(std::uint64_t h, const TelemetryRecord& record,
+                                        std::uint64_t action_index) {
+  return common::Fnv1a(h).u64(record.session).u64(record.decision_index).u64(action_index).digest();
 }
 
 ReplayReport replay_trace(const TelemetryTrace& trace, const ReplayAssets& assets,
                           const ReplayConfig& config) {
-  TraceReplayer replayer(assets, config);
+  const control::ActionSpace actions(config.action_space);
+  control::RandomShooting rs(config.rs, actions, config.reward);
+  if (config.engine != nullptr) rs.set_engine(config.engine);
 
   ReplayReport report;
   for (std::size_t i = 0; i < trace.records.size(); ++i) {
     const TelemetryRecord& r = trace.records[i];
-    std::size_t replayed_action = 0;
-    switch (replayer.replay(r, replayed_action)) {
-      case TraceReplayer::Outcome::kSkippedTruncated:
-        ++report.skipped_truncated;
+    // A skipped record folds what was served, so the fingerprint still
+    // covers every record.
+    const auto skip = [&](std::size_t& counter) {
+      ++counter;
+      report.fingerprint = replay_fingerprint_update(report.fingerprint, r, r.action_index);
+    };
+    std::size_t action = 0;
+    if (r.request_kind() == serve::RequestKind::kDtPolicy) {
+      const auto it = assets.policies.find(r.policy_version);
+      if (it == assets.policies.end() || it->second->schema().dims() != r.obs_len) {
+        skip(report.skipped_missing_assets);
         continue;
-      case TraceReplayer::Outcome::kSkippedMissingAssets:
-        ++report.skipped_missing_assets;
+      }
+      action = it->second->decide_index(r.obs_vector());
+    } else {
+      if (r.forecast_truncated != 0) {
+        skip(report.skipped_truncated);
         continue;
-      case TraceReplayer::Outcome::kReplayed:
-        break;
+      }
+      const auto it = assets.models.find(r.policy_version);
+      if (it == assets.models.end() || it->second->schema().dims() != r.obs_len) {
+        // Missing model, or a model whose schema shape no longer matches
+        // the record — either way the decision cannot be reconstructed.
+        skip(report.skipped_missing_assets);
+        continue;
+      }
+      // Rebuild the observation through the deciding model's schema — a
+      // time-aware record's temporal columns land back in the temporal
+      // fields instead of being misread as weather.
+      const env::Observation obs = it->second->schema().to_observation(r.obs_vector());
+      // The decision's entire stochastic footprint, reconstructed from the
+      // record's stream coordinates — the same derivation the scheduler
+      // used at admission.
+      Rng rng = Rng::stream(r.session_seed, r.decision_index);
+      action = rs.optimize(*it->second, obs, r.forecast_vector(), rng);
     }
     ++report.replayed;
-    if (replayed_action == r.action_index) {
+    if (action == r.action_index) {
       ++report.matched;
     } else if (report.mismatches.size() < 16) {
-      report.mismatches.push_back({i, static_cast<std::size_t>(r.action_index), replayed_action});
+      report.mismatches.push_back({i, static_cast<std::size_t>(r.action_index), action});
     }
+    report.fingerprint =
+        replay_fingerprint_update(report.fingerprint, r, static_cast<std::uint64_t>(action));
   }
   return report;
 }

@@ -47,7 +47,10 @@
 //   * replay_trace(): recompute every decision from its record alone and
 //     compare bit-for-bit with what was served (DT: one tree walk; MBRL:
 //     RandomShooting::optimize on Rng::stream(seed, d), which the
-//     scheduler's micro-batched path is test-locked against).
+//     scheduler's micro-batched path is test-locked against). It also
+//     folds the replayed actions into the replay fingerprint a sealed
+//     segment header stores; `trace verify` certifies segments with this
+//     same loop.
 //
 // Records persist in one on-disk format: the durable store's CRC-framed
 // segments (telemetry_store.hpp), whose record bodies carry the
@@ -305,45 +308,37 @@ struct ReplayConfig {
   std::shared_ptr<const control::RolloutEngine> engine;
 };
 
+/// Incremental replay-fingerprint step (FNV-1a 64). Fold the recorded
+/// action to fingerprint what was served, or a replayed action to
+/// fingerprint what replay reproduces — equal results mean bit-identical
+/// replay of the whole sequence.
+std::uint64_t replay_fingerprint_update(std::uint64_t h, const TelemetryRecord& record,
+                                        std::uint64_t action_index);
+/// FNV-1a seed of the replay fingerprints. Not the standard offset basis
+/// (common::kFnv1aOffsetBasis): sealed segment headers store digests made
+/// with this value, so it must never change.
+inline constexpr std::uint64_t kReplayFingerprintSeed = 1469598103934665603ull;
+
 struct ReplayReport {
   std::size_t replayed = 0;
   std::size_t matched = 0;
   std::size_t skipped_truncated = 0;  ///< forecast longer than the inline cap
-  std::size_t skipped_missing_assets = 0;
+  std::size_t skipped_missing_assets = 0;  ///< no artifact for the record's version
   /// (record index, recorded action, replayed action) of the first
   /// mismatches, for diagnostics.
   std::vector<std::array<std::size_t, 3>> mismatches;
+  /// replay_fingerprint_update() folded over every record in order: the
+  /// replayed action, or the recorded one for a skipped record. Equal to
+  /// a sealed segment header's fingerprint iff replay reproduced it.
+  std::uint64_t fingerprint = kReplayFingerprintSeed;
 
   bool bit_identical() const { return replayed > 0 && matched == replayed; }
-};
-
-/// Streaming per-record replay: one optimizer instance, one record at a
-/// time — replay_trace() is built on this, and the durable store's
-/// `trace verify` path uses it to recompute segment decisions without
-/// materializing a whole TelemetryTrace.
-class TraceReplayer {
- public:
-  enum class Outcome : std::uint8_t {
-    kReplayed = 0,
-    kSkippedTruncated = 1,      ///< forecast longer than the inline cap
-    kSkippedMissingAssets = 2,  ///< no artifact for the record's version
-  };
-
-  TraceReplayer(const ReplayAssets& assets, const ReplayConfig& config);
-
-  /// Recomputes the record's decision from its RNG stream coordinates;
-  /// on kReplayed, `action_out` holds the replayed action index.
-  Outcome replay(const TelemetryRecord& record, std::size_t& action_out);
-
- private:
-  const ReplayAssets& assets_;
-  control::ActionSpace actions_;
-  control::RandomShooting rs_;
 };
 
 /// Recomputes every replayable decision in the trace from its record alone
 /// and compares with what was served. A trace captured with a large-enough
 /// ring replays bit-identically at any VERI_HVAC_THREADS (test-locked).
+/// The one replay loop: `trace replay` and verify_segment() both run it.
 ReplayReport replay_trace(const TelemetryTrace& trace, const ReplayAssets& assets,
                           const ReplayConfig& config);
 

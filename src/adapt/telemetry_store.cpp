@@ -1,9 +1,12 @@
 #include "adapt/telemetry_store.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -159,24 +162,11 @@ std::uint64_t schema_fingerprint(const std::set<std::uint64_t>& schema_pairs) {
 
 inline constexpr std::size_t kFrameHeaderBytes = 9;  // type + body_len + body_crc
 
-/// Folds one frame header into the segment's rolling payload CRC. The
-/// payload CRC seals frame headers only; each body is covered by the
-/// body_crc embedded in its header, so corruption anywhere in the payload
-/// still lands on exactly one failed check.
-std::uint32_t chain_frame_header(std::uint32_t crc, std::uint8_t type, std::uint32_t body_len,
-                                 std::uint32_t body_crc) {
-  unsigned char hdr[kFrameHeaderBytes];
-  hdr[0] = type;
-  std::memcpy(hdr + 1, &body_len, sizeof body_len);
-  std::memcpy(hdr + 1 + sizeof body_len, &body_crc, sizeof body_crc);
-  return common::crc32_update(crc, hdr, sizeof hdr);
-}
-
 /// Builds one frame, [type u8 | body_len u32 | body_crc u32 | body], in
 /// place in `out` (reused across calls): reserves the frame header,
 /// appends the body through `append_body` (one of the detail::append_*
-/// writers), then patches type/len/crc. The store's pump and
-/// write_segment() both frame through here, so there is one wire format.
+/// writers), then patches type/len/crc. SegmentWriter frames through
+/// here, so there is one wire format.
 template <typename AppendBody>
 void build_frame(std::string& out, std::uint8_t type, AppendBody&& append_body) {
   out.clear();
@@ -189,16 +179,30 @@ void build_frame(std::string& out, std::uint8_t type, AppendBody&& append_body) 
   std::memcpy(&out[1 + sizeof body_len], &body_crc, sizeof body_crc);
 }
 
-/// Accumulates the header bookkeeping a writer/scanner needs per record.
+/// The header bookkeeping of one payload, folded frame by frame: the
+/// writer folds each frame it appends, the scanner each frame it reads
+/// back, and seal() turns either into the sealed header.
 struct PayloadTally {
   std::uint64_t records = 0;
   std::uint64_t sessions = 0;
+  std::uint64_t bytes = 0;  ///< payload bytes (whole frames only)
+  /// Chained CRC over every frame header. Each body is covered by the
+  /// body_crc its header embeds, so corruption anywhere in the payload
+  /// still lands on exactly one failed check.
+  std::uint32_t crc = 0;
   std::uint64_t session_min = UINT64_MAX;
   std::uint64_t session_max = 0;
   std::uint64_t decision_min = UINT64_MAX;
   std::uint64_t decision_max = 0;
-  std::set<std::uint64_t> schema_pairs;
+  std::set<std::uint64_t> schema_pairs;  ///< (obs_len<<16)|zone_temp_dim
+  std::uint64_t last_schema_pair = UINT64_MAX;
   std::uint64_t replay_fp = kReplayFingerprintSeed;
+
+  /// Folds one whole frame (header + body) into the byte count and CRC.
+  void add_frame(const char* frame, std::size_t size) {
+    crc = common::crc32_update(crc, frame, kFrameHeaderBytes);
+    bytes += size;
+  }
 
   void add_record(const TelemetryRecord& r) {
     ++records;
@@ -206,11 +210,18 @@ struct PayloadTally {
     session_max = std::max(session_max, static_cast<std::uint64_t>(r.session));
     decision_min = std::min(decision_min, r.decision_index);
     decision_max = std::max(decision_max, r.decision_index);
-    schema_pairs.insert((static_cast<std::uint64_t>(r.obs_len) << 16) | r.zone_temp_dim);
+    const std::uint64_t pair = (static_cast<std::uint64_t>(r.obs_len) << 16) | r.zone_temp_dim;
+    if (pair != last_schema_pair) {  // one tree probe per schema change, not per record
+      schema_pairs.insert(pair);
+      last_schema_pair = pair;
+    }
     replay_fp = replay_fingerprint_update(replay_fp, r, r.action_index);
   }
 
-  void fill(SegmentHeader& h) const {
+  /// Fills every header field this payload determines and marks the
+  /// header sealed; base_seq and the steady-clock span stay the caller's.
+  void seal(SegmentHeader& h) const {
+    h.sealed = 1;
     h.record_count = records;
     h.session_count = sessions;
     h.session_min = records > 0 ? session_min : 0;
@@ -218,14 +229,77 @@ struct PayloadTally {
     h.decision_min = records > 0 ? decision_min : 0;
     h.decision_max = decision_max;
     h.schema_fingerprint = schema_fingerprint(schema_pairs);
+    h.payload_bytes = bytes;
+    h.payload_crc = crc;
     h.replay_fingerprint = replay_fp;
   }
 };
 
+/// The one segment writer: the store's active tail and write_segment()
+/// both append through it, so both seal the same header over the same
+/// frames.
+class SegmentWriter {
+ public:
+  /// Creates `path` and writes `header` as the provisional (unsealed)
+  /// header: a write that dies midway leaves a file every reader refuses
+  /// and crash recovery trims.
+  SegmentWriter(std::string path, const SegmentHeader& header)
+      : path_(std::move(path)), header_(header) {
+    file_.open(path_, std::ios::binary | std::ios::trunc);
+    if (!file_) throw std::runtime_error("telemetry segment: cannot create " + path_);
+    write_header_at_start(file_, header_);
+  }
+
+  const std::string& path() const { return path_; }
+  const PayloadTally& tally() const { return tally_; }
+
+  /// Appends one frame; returns its size in bytes.
+  std::size_t append_session(const TelemetrySession& session) {
+    build_frame(frame_, kFrameSession,
+                [&session](std::string& body) { detail::append_session(body, session); });
+    ++tally_.sessions;
+    return write_frame();
+  }
+  std::size_t append_record(const TelemetryRecord& record) {
+    build_frame(frame_, kFrameRecord,
+                [&record](std::string& body) { detail::append_record(body, record); });
+    tally_.add_record(record);
+    return write_frame();
+  }
+
+  void flush() {
+    file_.flush();
+    if (!file_) throw std::runtime_error("telemetry segment: flush failed for " + path_);
+  }
+
+  /// Fills the header from the tally, rewrites it at offset 0, flushes,
+  /// checks and closes the file.
+  void seal(std::uint64_t close_steady_ns) {
+    tally_.seal(header_);
+    header_.close_steady_ns = close_steady_ns;
+    file_.seekp(0);
+    write_header_at_start(file_, header_);
+    file_.flush();
+    if (!file_) throw std::runtime_error("telemetry segment: seal write failed for " + path_);
+    file_.close();
+  }
+
+ private:
+  std::size_t write_frame() {
+    file_.write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
+    tally_.add_frame(frame_.data(), frame_.size());
+    return frame_.size();
+  }
+
+  std::string path_;
+  std::ofstream file_;
+  SegmentHeader header_;
+  PayloadTally tally_;
+  std::string frame_;  ///< reused per-frame serialization buffer
+};
+
 struct ScannedPayload {
-  PayloadTally tally;
-  std::uint64_t good_bytes = 0;  ///< offset past the last whole frame
-  std::uint32_t crc = 0;         ///< rolling CRC over the good bytes
+  PayloadTally tally;            ///< over the whole frames only
   bool torn_tail = false;        ///< trailing bytes did not form a frame
   std::vector<TelemetrySession> sessions;
   std::vector<TelemetryRecord> records;  ///< filled only when keep_payload
@@ -233,20 +307,22 @@ struct ScannedPayload {
 
 /// Frame-by-frame scan from the current stream position — the only frame
 /// parser. Stops (without throwing) at the first torn/invalid frame;
-/// structural readers treat a torn tail as an error, recovery treats it
-/// as the trim point.
+/// read_sealed_segment() treats a torn tail as an error, recovery treats
+/// it as the trim point.
 ScannedPayload scan_payload(std::istream& in, bool keep_payload) {
   ScannedPayload out;
   while (true) {
-    std::uint8_t type = 0;
-    if (!in.read(reinterpret_cast<char*>(&type), 1)) break;  // clean EOF
-    std::uint32_t body_len = 0;
-    std::uint32_t body_crc = 0;
-    if (!in.read(reinterpret_cast<char*>(&body_len), 4) ||
-        !in.read(reinterpret_cast<char*>(&body_crc), 4)) {
+    char header[kFrameHeaderBytes];
+    if (!in.read(header, 1)) break;  // clean EOF
+    if (!in.read(header + 1, kFrameHeaderBytes - 1)) {
       out.torn_tail = true;
       break;
     }
+    const auto type = static_cast<std::uint8_t>(header[0]);
+    std::uint32_t body_len = 0;
+    std::uint32_t body_crc = 0;
+    std::memcpy(&body_len, header + 1, sizeof body_len);
+    std::memcpy(&body_crc, header + 1 + sizeof body_len, sizeof body_crc);
     if ((type != kFrameSession && type != kFrameRecord) || body_len > kMaxFrameBody) {
       out.torn_tail = true;
       break;
@@ -277,21 +353,63 @@ ScannedPayload scan_payload(std::istream& in, bool keep_payload) {
       out.torn_tail = true;
       break;
     }
-    out.crc = chain_frame_header(out.crc, type, body_len, body_crc);
-    out.good_bytes += kFrameHeaderBytes + body_len;
+    out.tally.add_frame(header, kFrameHeaderBytes + body_len);
   }
   return out;
 }
 
-}  // namespace
+struct SealedSegment {
+  SegmentHeader header;
+  ScannedPayload payload;
+};
 
-std::uint64_t replay_fingerprint_update(std::uint64_t h, const TelemetryRecord& record,
-                                        std::uint64_t action_index) {
-  return common::Fnv1a(h).u64(record.session).u64(record.decision_index).u64(action_index).digest();
+/// The one sealed-segment reader: opens `path` and checks the header, the
+/// seal, that every payload byte forms a whole frame, the payload byte
+/// count and CRC, and the record and session counts against the header.
+/// Throws std::runtime_error on the first failure.
+SealedSegment read_sealed_segment(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("telemetry segment: cannot read " + path);
+  SealedSegment segment;
+  segment.header = read_header_stream(in, path);
+  const SegmentHeader& h = segment.header;
+  if (h.sealed == 0) {
+    throw std::runtime_error("telemetry segment: refusing unsealed segment " + path +
+                             " (reopen the store to run crash recovery, or seal it)");
+  }
+  segment.payload = scan_payload(in, /*keep_payload=*/true);
+  const PayloadTally& t = segment.payload.tally;
+  if (segment.payload.torn_tail) {
+    throw std::runtime_error("telemetry segment: torn frame in payload of " + path);
+  }
+  if (t.bytes != h.payload_bytes) {
+    throw std::runtime_error("telemetry segment: payload byte count does not match header in " +
+                             path);
+  }
+  if (t.crc != h.payload_crc) {
+    throw std::runtime_error("telemetry segment: payload CRC mismatch in " + path);
+  }
+  if (t.records != h.record_count || t.sessions != h.session_count) {
+    throw std::runtime_error("telemetry segment: frame counts do not match header in " + path);
+  }
+  return segment;
 }
+
+/// The sealed name of an active tail: `path` without its `.open` suffix.
+std::string sealed_path_of(const std::string& open_path) {
+  return open_path.substr(0, open_path.size() - std::strlen(".open"));
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // TelemetryStore
+
+/// The active tail: its writer and the sessions already framed in it.
+struct TelemetryStore::ActiveSegment {
+  SegmentWriter writer;
+  std::set<serve::SessionId> session_ids;
+};
 
 TelemetryStore::TelemetryStore(std::shared_ptr<TelemetryLog> log, TelemetryStoreConfig config)
     : log_(std::move(log)),
@@ -352,7 +470,7 @@ void TelemetryStore::recover_open_segments() {
     }
 
     const std::uint64_t file_size = fs::file_size(path);
-    const std::uint64_t good_size = kSegmentHeaderBytes + scanned.good_bytes;
+    const std::uint64_t good_size = kSegmentHeaderBytes + scanned.tally.bytes;
     const bool trimmed = file_size > good_size;
     const std::uint64_t torn_bytes = trimmed ? file_size - good_size : 0;
     if (scanned.tally.records == 0 && scanned.tally.sessions == 0) {
@@ -382,10 +500,7 @@ void TelemetryStore::recover_open_segments() {
 
     // Seal in place: final header over the surviving payload, then drop
     // the .open suffix. next_seq_ advances past the recovered records.
-    scanned.tally.fill(header);
-    header.sealed = 1;
-    header.payload_bytes = scanned.good_bytes;
-    header.payload_crc = scanned.crc;
+    scanned.tally.seal(header);
     if (header.close_steady_ns == 0) header.close_steady_ns = header.open_steady_ns;
     {
       std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -393,120 +508,49 @@ void TelemetryStore::recover_open_segments() {
       write_header_at_start(out, header);
       if (!out) throw std::runtime_error("telemetry segment: reseal write failed for " + path);
     }
-    const std::string sealed_path = path.substr(0, path.size() - std::strlen(".open"));
-    fs::rename(path, sealed_path);
+    fs::rename(path, sealed_path_of(path));
     next_seq_ = std::max(next_seq_, header.base_seq + header.record_count);
   }
 }
 
 void TelemetryStore::open_segment() {
-  auto active = std::make_unique<ActiveSegment>();
-  active->header.base_seq = next_seq_;
-  active->header.open_steady_ns = steady_ns();
-  active->header.replay_fingerprint = kReplayFingerprintSeed;
-  active->opened_at = std::chrono::steady_clock::now();
-  active->path = (fs::path(config_.directory) / (segment_basename(next_seq_) + kOpenSuffix)).string();
-  active->file.open(active->path, std::ios::binary | std::ios::trunc);
-  if (!active->file) {
-    throw std::runtime_error("TelemetryStore: cannot create " + active->path);
-  }
-  write_header_at_start(active->file, active->header);  // provisional
-  active_ = std::move(active);
-  session_ids_in_active_.clear();
-
-  // Self-contained segments: every session known so far is written into
-  // the fresh segment before any of its records.
-  for (const TelemetrySession& session : log_->sessions()) append_session_frame(session);
-  sessions_written_ = session_ids_in_active_.size();
+  SegmentHeader header;
+  header.base_seq = next_seq_;
+  header.open_steady_ns = steady_ns();
+  header.replay_fingerprint = kReplayFingerprintSeed;
+  const std::string path =
+      (fs::path(config_.directory) / (segment_basename(next_seq_) + kOpenSuffix)).string();
+  active_ = std::make_unique<ActiveSegment>(SegmentWriter(path, header));
+  append_sessions_locked();
   refresh_segment_gauge_locked();
 }
 
-void TelemetryStore::append_session_frame(const TelemetrySession& session) {
-  if (session_ids_in_active_.count(session.id) > 0) return;
-  std::string& frame = frame_buffer_;
-  build_frame(frame, kFrameSession,
-              [&session](std::string& body) { detail::append_session(body, session); });
-  active_->file.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  active_->crc = common::crc32_update(active_->crc, frame.data(), kFrameHeaderBytes);
-  active_->header.payload_bytes += frame.size();
-  ++active_->header.session_count;
-  session_ids_in_active_.insert(session.id);
-  bytes_written_.add(frame.size());
-}
-
-void TelemetryStore::append_record_frame(const TelemetryRecord& record) {
-  std::string& frame = frame_buffer_;
-  build_frame(frame, kFrameRecord,
-              [&record](std::string& body) { detail::append_record(body, record); });
-  active_->file.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  active_->crc = common::crc32_update(active_->crc, frame.data(), kFrameHeaderBytes);
-
-  SegmentHeader& h = active_->header;
-  h.payload_bytes += frame.size();
-  if (h.record_count == 0) {
-    h.session_min = record.session;
-    h.session_max = record.session;
-    h.decision_min = record.decision_index;
-    h.decision_max = record.decision_index;
-  } else {
-    h.session_min = std::min(h.session_min, static_cast<std::uint64_t>(record.session));
-    h.session_max = std::max(h.session_max, static_cast<std::uint64_t>(record.session));
-    h.decision_min = std::min(h.decision_min, record.decision_index);
-    h.decision_max = std::max(h.decision_max, record.decision_index);
+void TelemetryStore::append_sessions_locked() {
+  // Self-contained segments: every session known so far is written into
+  // the active segment before any record that may reference it.
+  for (const TelemetrySession& session : log_->sessions()) {
+    if (active_->session_ids.insert(session.id).second) {
+      bytes_written_.add(active_->writer.append_session(session));
+    }
   }
-  ++h.record_count;
-  h.replay_fingerprint = replay_fingerprint_update(h.replay_fingerprint, record, record.action_index);
-  const std::uint64_t pair =
-      (static_cast<std::uint64_t>(record.obs_len) << 16) | record.zone_temp_dim;
-  if (pair != active_->last_schema_pair) {  // one tree probe per schema change, not per record
-    active_->schema_pairs.insert(pair);
-    active_->last_schema_pair = pair;
-  }
-  ++next_seq_;
-  records_persisted_.add(1);
-  bytes_written_.add(frame.size());
+  sessions_written_ = active_->session_ids.size();
 }
 
 void TelemetryStore::seal_active_locked() {
   if (active_ == nullptr) return;
   obs::TraceSpan span("telemetry.rotate", "telemetry");
-
-  SegmentHeader& h = active_->header;
-  h.sealed = 1;
-  h.close_steady_ns = steady_ns();
-  h.payload_crc = active_->crc;
-  h.schema_fingerprint = schema_fingerprint(active_->schema_pairs);
-  if (h.record_count == 0) h.replay_fingerprint = kReplayFingerprintSeed;
-
-  active_->file.seekp(0);
-  write_header_at_start(active_->file, h);
-  active_->file.flush();
-  if (!active_->file) {
-    throw std::runtime_error("TelemetryStore: seal write failed for " + active_->path);
-  }
-  active_->file.close();
-  const std::string sealed_path =
-      active_->path.substr(0, active_->path.size() - std::strlen(".open"));
-  fs::rename(active_->path, sealed_path);
+  active_->writer.seal(steady_ns());
+  fs::rename(active_->writer.path(), sealed_path_of(active_->writer.path()));
   active_.reset();
   rotations_.add(1);
   refresh_segment_gauge_locked();
 }
 
 void TelemetryStore::maybe_rotate_locked() {
-  if (active_ == nullptr) return;
-  const SegmentHeader& h = active_->header;
-  bool rotate = false;
-  if (config_.segment_max_bytes > 0 && h.payload_bytes >= config_.segment_max_bytes) rotate = true;
-  if (config_.segment_max_records > 0 && h.record_count >= config_.segment_max_records)
-    rotate = true;
-  if (config_.segment_max_seconds > 0.0) {
-    const double age =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - active_->opened_at)
-            .count();
-    if (age >= config_.segment_max_seconds) rotate = true;
+  if (config_.segment_max_bytes == 0 ||
+      active_->writer.tally().bytes < config_.segment_max_bytes) {
+    return;
   }
-  if (!rotate) return;
   seal_active_locked();
   enforce_retention_locked();
 }
@@ -540,31 +584,27 @@ std::uint64_t TelemetryStore::pump_once(std::vector<TelemetryRecord>* out) {
 }
 
 void TelemetryStore::persist_locked(std::uint64_t& appended) {
-  if (!drain_buffer_.empty() || log_->session_count() > sessions_written_) {
-    if (active_ == nullptr) open_segment();
-    // New sessions registered since the segment opened get their frames
-    // before the records that may reference them.
-    if (log_->session_count() > sessions_written_) {
-      for (const TelemetrySession& session : log_->sessions()) append_session_frame(session);
-      sessions_written_ = std::max(sessions_written_, session_ids_in_active_.size());
-    }
-    for (const TelemetryRecord& record : drain_buffer_) {
-      // Per-record rotation check: one oversized drain batch still splits
-      // across segment boundaries instead of blowing past the budget.
-      if (active_ == nullptr) open_segment();
-      append_record_frame(record);
-      ++appended;
-      maybe_rotate_locked();
-    }
-    if (active_ != nullptr) {
-      active_->file.flush();
-      if (!active_->file) {
-        throw std::runtime_error("TelemetryStore: flush failed for " + active_->path);
-      }
-    }
+  const std::size_t registered = log_->session_count();
+  if (drain_buffer_.empty() && registered <= sessions_written_) return;
+  // A fresh segment frames every session; sessions registered since the
+  // active one opened get their frames before the records that may
+  // reference them.
+  if (active_ == nullptr) {
+    open_segment();
+  } else if (registered > sessions_written_) {
+    append_sessions_locked();
   }
-  // Age-based rotation also fires on idle pumps, not just appends.
-  maybe_rotate_locked();
+  for (const TelemetryRecord& record : drain_buffer_) {
+    // Per-record rotation check: one oversized drain batch still splits
+    // across segment boundaries instead of blowing past the budget.
+    if (active_ == nullptr) open_segment();
+    bytes_written_.add(active_->writer.append_record(record));
+    ++next_seq_;
+    records_persisted_.add(1);
+    ++appended;
+    maybe_rotate_locked();
+  }
+  if (active_ != nullptr) active_->writer.flush();
 }
 
 void TelemetryStore::note_persist_failure_locked(const char* what, std::uint64_t appended) {
@@ -579,10 +619,7 @@ void TelemetryStore::note_persist_failure_locked(const char* what, std::uint64_t
   // Abandon the active tail — its stream may be poisoned mid-frame. The
   // `.open` file stays on disk; the next startup trims it to the last
   // whole frame like any other crash leftover.
-  if (active_ != nullptr) {
-    active_->file.close();
-    active_.reset();
-  }
+  active_.reset();
 
   if (consecutive_persist_failures_ >= kMaxConsecutivePersistFailures) {
     if (!persist_disabled_.exchange(true, std::memory_order_relaxed)) {
@@ -610,18 +647,14 @@ std::vector<SegmentInfo> TelemetryStore::sealed_segments_locked() const {
 }
 
 void TelemetryStore::enforce_retention_locked() {
-  if (config_.retain_max_segments == 0 && config_.retain_max_bytes == 0) return;
+  if (config_.retain_max_bytes == 0) return;
   std::vector<SegmentInfo> sealed = sealed_segments_locked();
   std::uint64_t total_bytes = 0;
   for (const SegmentInfo& info : sealed) total_bytes += info.header.payload_bytes;
 
+  // The newest sealed segment is always kept, even alone over budget.
   std::size_t begin = 0;
-  while (begin < sealed.size()) {
-    const bool over_count =
-        config_.retain_max_segments > 0 && sealed.size() - begin > config_.retain_max_segments;
-    const bool over_bytes = config_.retain_max_bytes > 0 && total_bytes > config_.retain_max_bytes &&
-                            sealed.size() - begin > 1;
-    if (!over_count && !over_bytes) break;
+  while (total_bytes > config_.retain_max_bytes && sealed.size() - begin > 1) {
     const SegmentInfo& victim = sealed[begin];
     fs::remove(victim.path);
     if (victim.header.record_count > 0) dropped_retention_.add(victim.header.record_count);
@@ -693,56 +726,21 @@ std::vector<SegmentInfo> list_segments(const std::string& directory) {
 }
 
 void read_segment(const std::string& path, TelemetryTrace& into) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("telemetry segment: cannot read " + path);
-  const SegmentHeader header = read_header_stream(in, path);
-  if (header.sealed == 0) {
-    throw std::runtime_error("telemetry segment: refusing unsealed segment " + path +
-                             " (reopen the store to run crash recovery, or seal it)");
-  }
-  ScannedPayload scanned = scan_payload(in, /*keep_payload=*/true);
-  if (scanned.torn_tail || scanned.good_bytes != header.payload_bytes ||
-      scanned.crc != header.payload_crc || scanned.tally.records != header.record_count) {
-    throw std::runtime_error("telemetry segment: payload does not match sealed header in " + path +
-                             " (torn or corrupted - refusing to load)");
-  }
-  into.sessions.insert(into.sessions.end(), scanned.sessions.begin(), scanned.sessions.end());
-  into.records.insert(into.records.end(), scanned.records.begin(), scanned.records.end());
+  const SealedSegment segment = read_sealed_segment(path);
+  into.sessions.insert(into.sessions.end(), segment.payload.sessions.begin(),
+                       segment.payload.sessions.end());
+  into.records.insert(into.records.end(), segment.payload.records.begin(),
+                      segment.payload.records.end());
 }
 
 void write_segment(const TelemetryTrace& trace, const std::string& path) {
   std::vector<TelemetrySession> sessions = trace.sessions;
   std::stable_sort(sessions.begin(), sessions.end(),
                    [](const TelemetrySession& a, const TelemetrySession& b) { return a.id < b.id; });
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("telemetry segment: cannot create " + path);
-  // Provisional (unsealed) header first: a write that dies midway leaves
-  // a file every reader refuses.
-  SegmentHeader header;
-  write_header_at_start(out, header);
-  PayloadTally tally;
-  std::string frame;
-  const auto append = [&](std::uint8_t type, const auto& append_body) {
-    build_frame(frame, type, append_body);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    header.payload_crc = common::crc32_update(header.payload_crc, frame.data(), kFrameHeaderBytes);
-    header.payload_bytes += frame.size();
-  };
-  for (const TelemetrySession& session : sessions) {
-    append(kFrameSession, [&session](std::string& body) { detail::append_session(body, session); });
-    ++tally.sessions;
-  }
-  for (const TelemetryRecord& record : trace.records) {
-    append(kFrameRecord, [&record](std::string& body) { detail::append_record(body, record); });
-    tally.add_record(record);
-  }
-  tally.fill(header);
-  header.sealed = 1;
-  out.seekp(0);
-  write_header_at_start(out, header);
-  out.flush();
-  if (!out) throw std::runtime_error("telemetry segment: write failed for " + path);
+  SegmentWriter writer(path, SegmentHeader{});
+  for (const TelemetrySession& session : sessions) writer.append_session(session);
+  for (const TelemetryRecord& record : trace.records) writer.append_record(record);
+  writer.seal(/*close_steady_ns=*/0);
 }
 
 TelemetryTrace load_directory(const std::string& directory) {
@@ -753,12 +751,12 @@ TelemetryTrace load_directory(const std::string& directory) {
       throw std::runtime_error("telemetry segment: active/torn tail present in " + directory +
                                " - seal the store (or reopen it to recover) before loading");
     }
-    TelemetryTrace one;
-    read_segment(info.path, one);
-    for (TelemetrySession& session : one.sessions) {
+    SealedSegment segment = read_sealed_segment(info.path);
+    for (TelemetrySession& session : segment.payload.sessions) {
       if (seen.insert(session.id).second) trace.sessions.push_back(std::move(session));
     }
-    trace.records.insert(trace.records.end(), one.records.begin(), one.records.end());
+    trace.records.insert(trace.records.end(), segment.payload.records.begin(),
+                         segment.payload.records.end());
   }
   std::sort(trace.sessions.begin(), trace.sessions.end(),
             [](const TelemetrySession& a, const TelemetrySession& b) { return a.id < b.id; });
@@ -770,73 +768,41 @@ SegmentVerifyReport verify_segment(const std::string& path, const ReplayAssets* 
   SegmentVerifyReport report;
   report.path = path;
 
-  SegmentHeader header;
-  ScannedPayload scanned;
+  SealedSegment segment;
   try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot read " + path);
-    header = read_header_stream(in, path);
-    if (header.sealed == 0) throw std::runtime_error("segment not sealed: " + path);
-    scanned = scan_payload(in, /*keep_payload=*/true);
-    if (scanned.torn_tail) throw std::runtime_error("torn frame in payload of " + path);
-    if (scanned.good_bytes != header.payload_bytes) {
-      throw std::runtime_error("payload byte count does not match header in " + path);
-    }
-    if (scanned.crc != header.payload_crc) {
-      throw std::runtime_error("payload CRC mismatch in " + path);
-    }
-    if (scanned.tally.records != header.record_count ||
-        scanned.tally.sessions != header.session_count) {
-      throw std::runtime_error("frame counts do not match header in " + path);
-    }
+    segment = read_sealed_segment(path);
     report.structure_ok = true;
   } catch (const std::exception& e) {
     report.error = e.what();
     return report;
   }
 
-  report.records = scanned.records.size();
-  report.fingerprint_ok =
-      scanned.tally.replay_fp == header.replay_fingerprint &&
-      schema_fingerprint(scanned.tally.schema_pairs) == header.schema_fingerprint;
+  const SegmentHeader& header = segment.header;
+  const PayloadTally& tally = segment.payload.tally;
+  report.records = segment.payload.records.size();
+  report.fingerprint_ok = tally.replay_fp == header.replay_fingerprint &&
+                          schema_fingerprint(tally.schema_pairs) == header.schema_fingerprint;
   // Until a replay pass overwrites it, expose the scanned recorded-action
   // digest so a structural-only FAIL diagnoses with the real value.
-  report.replay_fingerprint = scanned.tally.replay_fp;
-  if (!report.fingerprint_ok && report.error.empty()) {
+  report.replay_fingerprint = tally.replay_fp;
+  if (!report.fingerprint_ok) {
     report.error = "recorded-action fingerprint does not match header in " + path;
   }
 
   if (assets != nullptr && config != nullptr) {
+    TelemetryTrace trace;
+    trace.records = std::move(segment.payload.records);
+    const ReplayReport replay = replay_trace(trace, *assets, *config);
     report.replayed_pass = true;
-    TraceReplayer replayer(*assets, *config);
-    std::uint64_t fp = kReplayFingerprintSeed;
-    bool all_matched = true;
-    for (const TelemetryRecord& record : scanned.records) {
-      std::size_t action = 0;
-      switch (replayer.replay(record, action)) {
-        case TraceReplayer::Outcome::kSkippedTruncated:
-          ++report.skipped_truncated;
-          fp = replay_fingerprint_update(fp, record, record.action_index);
-          continue;
-        case TraceReplayer::Outcome::kSkippedMissingAssets:
-          ++report.skipped_missing_assets;
-          fp = replay_fingerprint_update(fp, record, record.action_index);
-          continue;
-        case TraceReplayer::Outcome::kReplayed:
-          break;
-      }
-      ++report.replayed;
-      if (action == record.action_index) {
-        ++report.matched;
-      } else {
-        all_matched = false;
-      }
-      // Digest the *replayed* decision: fingerprint equality with the
-      // header certifies the segment by bit-identical replay itself.
-      fp = replay_fingerprint_update(fp, record, static_cast<std::uint64_t>(action));
-    }
-    report.replay_fingerprint = fp;
-    report.replay_ok = all_matched && fp == header.replay_fingerprint;
+    report.replayed = replay.replayed;
+    report.matched = replay.matched;
+    report.skipped_truncated = replay.skipped_truncated;
+    report.skipped_missing_assets = replay.skipped_missing_assets;
+    // The digest folds the *replayed* decisions: equality with the header
+    // certifies the segment by bit-identical replay itself.
+    report.replay_fingerprint = replay.fingerprint;
+    report.replay_ok =
+        replay.matched == replay.replayed && replay.fingerprint == header.replay_fingerprint;
   }
   return report;
 }

@@ -25,19 +25,25 @@
 //   * the monotonic open/close span — orders segments across restarts;
 //   * a **replay fingerprint**: an FNV-1a digest of every record's
 //     (session, decision_index, action). `trace verify` recomputes each
-//     decision from its RNG stream coordinates (TraceReplayer) and digests
+//     decision from its RNG stream coordinates (replay_trace) and digests
 //     the *replayed* actions — fingerprint equality therefore certifies
 //     the segment by the bit-identical-replay property itself, a strictly
 //     stronger check than any checksum over stored bytes.
 //
+// One code path per job: one writer (the store's active tail and
+// write_segment() append and seal through it; crash recovery reseals with
+// the same header fill), one sealed-segment reader (read_segment() and
+// verify_segment()'s structural pass) and one replay loop (replay_trace(),
+// which verify_segment() runs on the records it read).
+//
 // Durability policy:
-//   * rotation — the active segment seals when it exceeds the configured
-//     byte/record/age budget, and a fresh one opens;
+//   * rotation — the active segment seals when its payload reaches
+//     `segment_max_bytes`, and a fresh one opens;
 //   * crash recovery — on construction, any leftover `.open` tail is
 //     scanned frame by frame; a torn tail is trimmed to the last whole
 //     frame, counted (never silently replayed), sealed and kept;
 //   * retention — oldest sealed segments are deleted beyond the
-//     configured segment/byte bounds, their record counts accounted as
+//     `retain_max_bytes` disk budget, their record counts accounted as
 //     dropped;
 //   * degrade — pump I/O failures (disk full is the expected failure
 //     mode of a durable log) are caught, logged and counted; after a few
@@ -53,12 +59,9 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -83,14 +86,13 @@ inline constexpr std::size_t kSegmentHeaderBytes = 117;
 struct TelemetryStoreConfig {
   /// Segment directory (created if missing).
   std::string directory;
-  /// Rotation budgets for the active segment; 0 disables that trigger.
-  /// Payload bytes, not file bytes (the fixed header is excluded).
+  /// The active segment seals once its payload reaches this many bytes
+  /// (file bytes minus the fixed header); 0 = never rotate.
   std::uint64_t segment_max_bytes = 8ull << 20;
-  std::uint64_t segment_max_records = 0;
-  double segment_max_seconds = 0.0;
-  /// Retention over *sealed* segments; 0 = unbounded. Deleting a segment
-  /// counts its records as dropped (visible in stats + obs).
-  std::size_t retain_max_segments = 0;
+  /// Retention: the oldest sealed segments are deleted while their
+  /// payload bytes sum past this budget (the newest one is always kept);
+  /// 0 = unbounded. A deleted segment's records count as dropped (visible
+  /// in stats + obs).
   std::uint64_t retain_max_bytes = 0;
 };
 
@@ -120,6 +122,8 @@ struct SegmentHeader {
   std::uint32_t payload_crc = 0;
   /// FNV-1a over every record's (session, decision_index, action_index).
   std::uint64_t replay_fingerprint = 0;
+
+  friend bool operator==(const SegmentHeader&, const SegmentHeader&) = default;
 };
 
 /// One segment file as listed by list_segments(): path + parsed header.
@@ -128,17 +132,6 @@ struct SegmentInfo {
   bool open = false;  ///< still the active tail (header provisional)
   SegmentHeader header;
 };
-
-/// Incremental replay-fingerprint step (FNV-1a 64). Fold the recorded
-/// action to fingerprint what was served, or a replayed action to
-/// fingerprint what replay reproduces — equal results mean bit-identical
-/// replay of the whole sequence.
-std::uint64_t replay_fingerprint_update(std::uint64_t h, const TelemetryRecord& record,
-                                        std::uint64_t action_index);
-/// FNV-1a seed of the segment fingerprints. Not the standard offset basis
-/// (common::kFnv1aOffsetBasis): sealed segment headers store digests made
-/// with this value, so it must never change.
-inline constexpr std::uint64_t kReplayFingerprintSeed = 1469598103934665603ull;
 
 class TelemetryStore {
  public:
@@ -190,20 +183,12 @@ class TelemetryStore {
   bool persistence_disabled() const { return persist_disabled_.load(std::memory_order_relaxed); }
 
  private:
-  struct ActiveSegment {
-    std::string path;  ///< the `.open` file
-    std::ofstream file;
-    SegmentHeader header;
-    std::uint32_t crc = 0;                ///< rolling payload CRC
-    std::set<std::uint64_t> schema_pairs; ///< (obs_len<<16)|zone_temp_dim
-    std::uint64_t last_schema_pair = UINT64_MAX;
-    std::chrono::steady_clock::time_point opened_at;
-  };
+  struct ActiveSegment;  ///< the `.open` tail's writer + framed session ids
 
   void recover_open_segments();
   void open_segment();
-  void append_session_frame(const TelemetrySession& session);
-  void append_record_frame(const TelemetryRecord& record);
+  /// Frames every log session the active segment does not hold yet.
+  void append_sessions_locked();
   void seal_active_locked();
   void maybe_rotate_locked();
   void enforce_retention_locked();
@@ -222,9 +207,7 @@ class TelemetryStore {
   std::unique_ptr<ActiveSegment> active_;
   std::uint64_t next_seq_ = 0;          ///< store-lifetime record sequence
   std::size_t sessions_written_ = 0;    ///< log session-table prefix already persisted
-  std::set<serve::SessionId> session_ids_in_active_;
   std::vector<TelemetryRecord> drain_buffer_;
-  std::string frame_buffer_;  ///< reused per-frame serialization scratch
   /// Persist-failure degrade: a disk error must never take serving (or the
   /// adaptation pump riding on pump_once()) down, so pump I/O failures
   /// are counted and, after a few consecutive ones, persistence turns off.
@@ -258,9 +241,10 @@ SegmentHeader read_segment_header(const std::string& path);
 std::vector<SegmentInfo> list_segments(const std::string& directory);
 
 /// Appends one sealed segment's sessions + records into `into`, verifying
-/// the payload CRC and every frame CRC; throws std::runtime_error on any
-/// mismatch, torn frame or byte past the sealed payload — a corrupted
-/// segment is never silently loaded.
+/// the payload CRC, every frame CRC and the header's byte, record and
+/// session counts; throws std::runtime_error on any mismatch, torn frame
+/// or byte past the sealed payload — a corrupted segment is never
+/// silently loaded.
 void read_segment(const std::string& path, TelemetryTrace& into);
 
 /// Writes the whole trace as one sealed segment (sessions sorted by id,
@@ -275,9 +259,10 @@ void write_segment(const TelemetryTrace& trace, const std::string& path);
 /// to the in-memory trace the same decisions produced (bench-gated).
 TelemetryTrace load_directory(const std::string& directory);
 
-/// verify: structural pass (CRCs, header ranges, recorded-action
-/// fingerprint) plus — when assets are supplied — a replay pass that
-/// recomputes every decision and digests the replayed actions.
+/// verify: structural pass (read_segment's checks plus the recorded-action
+/// and schema fingerprints) plus — when assets are supplied — a replay
+/// pass that runs replay_trace() over the segment's records and compares
+/// its fingerprint with the header's.
 struct SegmentVerifyReport {
   std::string path;
   bool structure_ok = false;   ///< frames + CRCs + header consistency

@@ -182,13 +182,18 @@ std::future<ControlDecision> RequestScheduler::submit(ControlRequest request) {
   if (request.kind == RequestKind::kDtPolicy) return ready_dt(request);
 
   Pending pending;
+  std::future<ControlDecision> future = pending.promise.get_future();
   // Admission order fixes the RNG stream: session counters advance in
   // submit order, so a decision's draws are pinned before any batching.
-  pending.ticket =
-      sessions_->begin_decision(request.session, request.kind, request.observation);
+  try {
+    pending.ticket =
+        sessions_->begin_decision(request.session, request.kind, request.observation);
+  } catch (...) {
+    pending.promise.set_exception(std::current_exception());
+    return future;
+  }
   const SessionId session = request.session;
   pending.request = std::move(request);
-  std::future<ControlDecision> future = pending.promise.get_future();
 
   if (!running()) {
     // No scheduler threads: solve inline as a batch of one (the

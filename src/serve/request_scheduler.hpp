@@ -128,7 +128,9 @@ class RequestScheduler {
 
   /// Asynchronous serving. DT requests resolve immediately (the returned
   /// future is ready); MBRL requests resolve when their micro-batch is
-  /// solved. Blocks while the queue is full (back-pressure).
+  /// solved. A request that fails (an unknown session included) throws
+  /// from its own future only. Blocks while the queue is full
+  /// (back-pressure).
   std::future<ControlDecision> submit(ControlRequest request);
 
   /// Synchronous cross-session micro-batch: admits every request (in

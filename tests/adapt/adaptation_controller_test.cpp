@@ -239,25 +239,37 @@ TEST(AdaptationControllerTest, AttachedStorePersistsWhatThePumpsDrained) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "verihvac_controller_store_test";
   std::filesystem::remove_all(dir);
-  Loop loop(quick_config());
-  TelemetryStoreConfig config;
-  config.directory = dir.string();
-  config.segment_max_records = 16;  // segments rotate within and across pumps
-  const auto store = std::make_shared<TelemetryStore>(loop.log, config);
-  loop.controller->attach_store(store);
   Loop twin(quick_config());
   std::vector<TelemetryRecord> expected;
   for (std::size_t pump = 0; pump < 4; ++pump) {
-    loop.emit_decisions(30, toy_plant);
     twin.emit_decisions(30, toy_plant);
-    EXPECT_EQ(loop.controller->pump(), 0u);
     EXPECT_EQ(twin.log->drain(expected), 0u);
   }
+  ASSERT_EQ(expected.size(), 120u);
+
+  // Segments rotate within and across pumps: the byte budget is the
+  // payload of a probe segment holding the session table and 16 records
+  // (every record here has the same size).
+  std::filesystem::create_directories(dir);
+  const std::string probe = (dir / "probe.bin").string();
+  write_segment({twin.log->sessions(), {expected.begin(), expected.begin() + 16}}, probe);
+  TelemetryStoreConfig config;
+  config.directory = dir.string();
+  config.segment_max_bytes = read_segment_header(probe).payload_bytes;
+  std::filesystem::remove(probe);
+
+  Loop loop(quick_config());
+  const auto store = std::make_shared<TelemetryStore>(loop.log, config);
+  loop.controller->attach_store(store);
+  for (std::size_t pump = 0; pump < 4; ++pump) {
+    loop.emit_decisions(30, toy_plant);
+    EXPECT_EQ(loop.controller->pump(), 0u);
+  }
   store->stop();
+  EXPECT_EQ(store->stats().rotations, 8u);  // 7 full segments + the 8-record tail
 
   const AdaptationController::Stats stats = loop.controller->stats();
   const TelemetryLog::Stats capture = loop.log->stats();
-  ASSERT_EQ(expected.size(), 120u);
   EXPECT_EQ(stats.records_drained, expected.size());
   EXPECT_EQ(stats.records_drained, store->stats().records_persisted);
   EXPECT_EQ(stats.records_drained, capture.recorded - capture.lost);

@@ -118,6 +118,31 @@ TelemetryStoreConfig store_config(const std::string& dir) {
   return config;
 }
 
+/// Sealed segments in `dir`, oldest first; fails the test on an `.open` tail.
+std::vector<SegmentInfo> sealed_only(const std::string& dir) {
+  std::vector<SegmentInfo> segments = list_segments(dir);
+  for (const SegmentInfo& segment : segments) EXPECT_FALSE(segment.open) << segment.path;
+  return segments;
+}
+
+/// Payload bytes of a probe segment holding `sessions` sessions and
+/// `records` emit() records. Every emit() record and every "toy" session
+/// frame has the same size, so as a `segment_max_bytes` budget this seals
+/// each segment of a store with that many sessions after exactly
+/// `records` records.
+std::uint64_t probe_payload_bytes(serve::SessionId sessions, std::uint64_t records) {
+  const std::string dir = fresh_dir("verihvac_store_test_probe");
+  auto log = std::make_shared<TelemetryLog>();
+  for (serve::SessionId id = 1; id <= sessions; ++id) log->register_session(id, 1000 + id, "toy");
+  TelemetryStore store(log, store_config(dir));
+  for (std::uint64_t d = 0; d < records; ++d) emit(*log, 1, d, 18.0);
+  store.pump_once();
+  store.stop();
+  const std::vector<SegmentInfo> segments = sealed_only(dir);
+  EXPECT_EQ(segments.size(), 1u);
+  return segments.empty() ? 0 : segments.front().header.payload_bytes;
+}
+
 TEST(TelemetryStoreTest, ReplayFingerprintGoldenValue) {
   // Sealed segment headers store digests made with this fold and seed, so
   // the exact value over fixed records is locked. Only the session, the
@@ -141,7 +166,7 @@ TEST(TelemetryStoreTest, RotatedSegmentsLoadBackByteIdentical) {
   log->register_session(2, 1002, "toy");
 
   TelemetryStoreConfig config = store_config(dir);
-  config.segment_max_records = 4;
+  config.segment_max_bytes = probe_payload_bytes(2, 4);  // 4 records per segment
   std::vector<TelemetryRecord> memory;
   {
     TelemetryStore store(log, config);
@@ -183,6 +208,44 @@ TEST(TelemetryStoreTest, RotatedSegmentsLoadBackByteIdentical) {
   EXPECT_EQ(reread.sessions.size(), 2u);
   const SegmentVerifyReport report = verify_segment(consolidated);
   EXPECT_TRUE(report.ok()) << report.error;
+}
+
+// The store's active tail and write_segment() are one writer: a segment the
+// store sealed, reloaded and rewritten, has the same payload bytes and the
+// same header but for the serving span.
+TEST(TelemetryStoreTest, StoreAndWriteSegmentWriteTheSameSegment) {
+  const std::string dir = fresh_dir("verihvac_store_test_writers");
+  auto log = std::make_shared<TelemetryLog>();
+  log->register_session(2, 1002, "toy");
+  log->register_session(1, 1001, "toy/other");
+  {
+    TelemetryStore store(log, store_config(dir));
+    for (std::uint64_t d = 0; d < 6; ++d) {
+      emit(*log, 1 + (d % 2), d / 2, 16.5 + static_cast<double>(d));
+    }
+    store.pump_once();
+    store.stop();
+  }
+  const std::vector<SegmentInfo> segments = sealed_only(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  const std::string written =
+      (fs::path(fresh_dir("verihvac_store_test_writers_out")) / "written.vhtseg").string();
+  write_segment(load_directory(dir), written);
+
+  const std::string stored_bytes = file_bytes(segments[0].path);
+  const std::string written_bytes = file_bytes(written);
+  ASSERT_GT(stored_bytes.size(), kSegmentHeaderBytes);
+  EXPECT_EQ(stored_bytes.substr(kSegmentHeaderBytes), written_bytes.substr(kSegmentHeaderBytes));
+
+  SegmentHeader stored = read_segment_header(segments[0].path);
+  SegmentHeader rewritten = read_segment_header(written);
+  EXPECT_GT(stored.close_steady_ns, 0u);
+  EXPECT_EQ(rewritten.open_steady_ns, 0u);
+  EXPECT_EQ(rewritten.close_steady_ns, 0u);
+  stored.open_steady_ns = stored.close_steady_ns = 0;
+  EXPECT_TRUE(stored == rewritten);
+  EXPECT_EQ(rewritten.record_count, 6u);
+  EXPECT_EQ(rewritten.session_count, 2u);
 }
 
 TEST(TelemetryStoreTest, TornTailIsTrimmedCountedAndPrefixRecovered) {
@@ -350,87 +413,19 @@ TEST(TelemetryStoreTest, PersistFailureDegradesInsteadOfThrowing) {
   fs::remove(dir);
 }
 
-TEST(TelemetryStoreTest, RetentionDeletesOldestAndCountsDrops) {
-  const std::string dir = fresh_dir("verihvac_store_test_retain");
-  auto log = std::make_shared<TelemetryLog>();
-  log->register_session(1, 1001, "toy");
-
-  TelemetryStoreConfig config = store_config(dir);
-  config.segment_max_records = 2;
-  config.retain_max_segments = 2;
-  TelemetryStore store(log, config);
-  for (std::uint64_t d = 0; d < 10; ++d) emit(*log, 1, d, 18.0);
-  store.pump_once();
-  store.stop();
-
-  std::size_t sealed = 0;
-  for (const SegmentInfo& segment : list_segments(dir)) sealed += segment.header.sealed;
-  EXPECT_LE(sealed, 2u + 1u);  // bound applies to sealed segments before the final seal
-  EXPECT_GT(store.stats().records_dropped_retention, 0u);
-}
-
-/// Sealed segments in `dir`, oldest first; fails the test on an `.open` tail.
-std::vector<SegmentInfo> sealed_only(const std::string& dir) {
-  std::vector<SegmentInfo> segments = list_segments(dir);
-  for (const SegmentInfo& segment : segments) EXPECT_FALSE(segment.open) << segment.path;
-  return segments;
-}
-
-// A 1 ns age budget is spent by the time a record is appended, so every
-// pump that appended one seals its segment. Idle pumps open none and so
-// rotate nothing.
-TEST(TelemetryStoreTest, AgeBudgetRotatesOnEachPumpThatAppended) {
-  const std::string dir = fresh_dir("verihvac_store_test_age");
-  auto log = std::make_shared<TelemetryLog>();
-  log->register_session(1, 1001, "toy");
-
-  TelemetryStoreConfig config = store_config(dir);
-  config.segment_max_bytes = 0;
-  config.segment_max_seconds = 1e-9;
-  TelemetryStore store(log, config);
-  for (std::uint64_t d = 0; d < 4; ++d) {
-    emit(*log, 1, d, 18.0);
-    store.pump_once();
-    EXPECT_EQ(store.stats().rotations, d + 1);
-    const std::vector<SegmentInfo> segments = sealed_only(dir);
-    ASSERT_EQ(segments.size(), d + 1);
-    EXPECT_EQ(segments.back().header.record_count, 1u);
-    EXPECT_EQ(segments.back().header.decision_min, d);
-  }
-  store.pump_once();
-  store.stop();
-  EXPECT_EQ(store.stats().rotations, 4u);
-  EXPECT_EQ(store.stats().records_persisted, 4u);
-  EXPECT_EQ(sealed_only(dir).size(), 4u);
-}
-
 // A byte budget just above one segment's payload keeps exactly the newest
 // sealed segment: each seal deletes the one before it.
 TEST(TelemetryStoreTest, ByteBudgetKeepsTheNewestSegment) {
   // One record per segment, every record the same size: a probe store
   // measures one segment's payload.
-  std::uint64_t segment_payload = 0;
-  {
-    const std::string probe_dir = fresh_dir("verihvac_store_test_bytes_probe");
-    auto log = std::make_shared<TelemetryLog>();
-    log->register_session(1, 1001, "toy");
-    TelemetryStoreConfig config = store_config(probe_dir);
-    config.segment_max_records = 1;
-    TelemetryStore store(log, config);
-    emit(*log, 1, 0, 18.0);
-    store.pump_once();
-    store.stop();
-    const std::vector<SegmentInfo> segments = sealed_only(probe_dir);
-    ASSERT_EQ(segments.size(), 1u);
-    segment_payload = segments.front().header.payload_bytes;
-  }
+  const std::uint64_t segment_payload = probe_payload_bytes(1, 1);
   ASSERT_GT(segment_payload, 0u);
 
   const std::string dir = fresh_dir("verihvac_store_test_bytes");
   auto log = std::make_shared<TelemetryLog>();
   log->register_session(1, 1001, "toy");
   TelemetryStoreConfig config = store_config(dir);
-  config.segment_max_records = 1;
+  config.segment_max_bytes = 1;  // every record seals its own segment
   config.retain_max_bytes = segment_payload + 1;
   TelemetryStore store(log, config);
   for (std::uint64_t d = 0; d < 5; ++d) {
@@ -457,7 +452,7 @@ TEST(TelemetryStoreTest, RetentionDropsAddUpToTheDroppedCount) {
   log->register_session(2, 1002, "toy");
 
   TelemetryStoreConfig config = store_config(dir);
-  config.segment_max_records = 3;
+  config.segment_max_bytes = probe_payload_bytes(2, 3);  // 3 records per segment
   config.retain_max_bytes = 1;  // over budget whenever two segments are sealed
   TelemetryStore store(log, config);
   for (std::uint64_t d = 0; d < 10; ++d) emit(*log, 1 + (d % 2), d / 2, 18.0 + d);
@@ -488,6 +483,8 @@ TEST(TelemetryStoreTest, RetentionDropsAddUpToTheDroppedCount) {
 // loses its disk. Every global delta equals the two stores' Stats summed;
 // the dropped counter is torn + persist + retention.
 TEST(TelemetryStoreTest, StatsMatchGlobalCounterDeltas) {
+  // Probed before the counters are read: the probe store counts too.
+  const std::uint64_t two_records = probe_payload_bytes(1, 2);
   const char* const names[] = {
       "telemetry_store_records_persisted_total", "telemetry_store_records_dropped_total",
       "telemetry_store_bytes_written_total",     "telemetry_store_rotations_total",
@@ -501,8 +498,8 @@ TEST(TelemetryStoreTest, StatsMatchGlobalCounterDeltas) {
     auto log = std::make_shared<TelemetryLog>();
     log->register_session(1, 1001, "toy");
     TelemetryStoreConfig config = store_config(dir);
-    config.segment_max_records = 2;
-    config.retain_max_segments = 2;
+    config.segment_max_bytes = two_records;  // 2 records per segment
+    config.retain_max_bytes = 2 * two_records;  // keeps 2 sealed segments
     TelemetryStore store(log, config);
     for (std::uint64_t d = 0; d < 11; ++d) emit(*log, 1, d, 18.0);
     store.pump_once();
@@ -568,7 +565,7 @@ TEST(TelemetryStoreTest, DirectoryDatasetMatchesTraceDataset) {
   log->register_session(2, 1002, "toy");
 
   TelemetryStoreConfig config = store_config(dir);
-  config.segment_max_records = 3;  // transitions must pair across segments
+  config.segment_max_bytes = 1;  // one record per segment: every transition pairs across two
   TelemetryStore store(log, config);
   for (std::uint64_t d = 0; d < 10; ++d) {
     emit(*log, 1 + (d % 2), d / 2, 16.0 + static_cast<double>(d));
@@ -615,7 +612,7 @@ TEST(TelemetryStoreReplayTest, SegmentsReplayBitIdenticallyAcrossThreadCounts) {
   }
 
   TelemetryStoreConfig config = store_config(dir);
-  config.segment_max_records = 3;  // replay must hold across rotation
+  config.segment_max_bytes = 1;  // one record per segment: replay must hold across rotation
   TelemetryStore store(log, config);
   for (std::size_t round = 0; round < 4; ++round) {
     std::vector<serve::ControlRequest> batch;

@@ -624,6 +624,32 @@ TEST(RequestSchedulerTest, KeyWithoutModelFailsOnlyItsOwnFuture) {
   EXPECT_EQ(stats.batches, 1u);
 }
 
+// An unknown session's MBRL request fails in its own future, like every
+// other failure, whether the scheduler threads run or not; the scheduler
+// then serves the next request of a known session as the oracle does.
+TEST(RequestSchedulerTest, UnknownSessionFailsOnlyItsSubmitFuture) {
+  const auto model = toy_model();
+  const control::RandomShootingConfig rs_config = serving_rs();
+  for (const bool running : {false, true}) {
+    Stack stack(toy_policy(), model, rs_config, /*threads=*/1);
+    if (running) stack.scheduler->start();
+    const ControlRequest known =
+        stack.request({1, 17.5}, RequestKind::kMbrlFallback, rs_config.horizon);
+    ControlRequest unknown = known;
+    unknown.session = stack.slots.back() + 1000;
+
+    std::future<ControlDecision> failed;
+    ASSERT_NO_THROW(failed = stack.scheduler->submit(unknown)) << "running " << running;
+    EXPECT_THROW(failed.get(), std::out_of_range) << "running " << running;
+
+    const ControlDecision decision = stack.scheduler->submit(known).get();
+    EXPECT_EQ(decision.action_index, oracle_decision(rs_config, *model, known.observation,
+                                                     known.forecast, slot_seed(1), 0))
+        << "running " << running;
+    stack.scheduler->stop();
+  }
+}
+
 // Observability must observe, never steer: decisions AND the exact Stats
 // counters are invariant across pool sizes even with tracing enabled and
 // instruments publishing (the PR-9 never-perturb invariant, scheduler leg).

@@ -14,8 +14,7 @@ Allowlisted (each keeps a documented legacy-compat duty):
 
   * envlib/observation.*   — defines the legacy constants themselves,
   * envlib/feature_schema.* — the schema module (maps roles <-> legacy),
-  * adapt/telemetry.*      — record defaults + schema-less tap fallback
-                             (both assume the baseline layout).
+  * adapt/telemetry.hpp    — record defaults (the baseline obs_len).
 
 bench/ and tests/ are intentionally out of scope: pinning the baseline
 layout there is the point (bit-identity regressions).
@@ -41,7 +40,6 @@ ALLOWLIST = {
     "envlib/feature_schema.hpp",
     "envlib/feature_schema.cpp",
     "adapt/telemetry.hpp",
-    "adapt/telemetry.cpp",
 }
 
 
