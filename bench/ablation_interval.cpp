@@ -3,9 +3,10 @@
 // Extension of §3.3.2: criterion #1 can be *certified* (not just
 // estimated) by pushing each leaf's input box through the learned MLP with
 // interval bound propagation (core/interval_verify). The certificate is
-// sound but incomplete — IBP looseness grows with the disturbance
-// envelope, the zone-slice width, and the network depth. This bench maps
-// that certify/abstain frontier on the pipeline's verified policy:
+// sound but incomplete — IBP looseness grows with the width of the
+// certificate envelope (a box over the policy's schema), the zone-slice
+// width, and the network depth. This bench maps that certify/abstain
+// frontier on the pipeline's verified policy:
 //   1. certified fraction vs climate-envelope width,
 //   2. certified fraction vs zone-slice width (input splitting budget),
 //   3. shallow {16} vs paper-ish {32,32} dynamics model,
@@ -22,19 +23,27 @@
 #include "common/config.hpp"
 #include "core/verification_engine.hpp"
 #include "dynamics/model_eval.hpp"
+#include "weather/occupancy.hpp"
 
 namespace {
 
 using namespace verihvac;
 
-core::DisturbanceBounds envelope(double scale) {
-  core::DisturbanceBounds b;
-  b.outdoor = Interval::bounded(-1.0 * scale, 1.0 * scale);
-  b.humidity = Interval::bounded(50.0 - 2.0 * scale, 50.0 + 2.0 * scale);
-  b.wind = Interval::bounded(std::max(0.0, 3.0 - 0.5 * scale), 3.0 + 0.5 * scale);
-  b.solar = Interval::bounded(std::max(0.0, 100.0 - 10.0 * scale), 100.0 + 10.0 * scale);
-  b.occupancy = Interval::bounded(std::max(0.5, 11.0 - scale), 11.0 + scale);
-  return b;
+/// The schema's design envelope with the five classic disturbance roles
+/// narrowed to a box around mild operating conditions, `scale` wide.
+Box envelope(const env::FeatureSchema& schema, double scale) {
+  using env::FeatureRole;
+  Box box = schema.envelope();
+  box[schema.index_of(FeatureRole::kOutdoorTemp)] = Interval::bounded(-1.0 * scale, 1.0 * scale);
+  box[schema.index_of(FeatureRole::kHumidity)] =
+      Interval::bounded(50.0 - 2.0 * scale, 50.0 + 2.0 * scale);
+  box[schema.index_of(FeatureRole::kWind)] =
+      Interval::bounded(std::max(0.0, 3.0 - 0.5 * scale), 3.0 + 0.5 * scale);
+  box[schema.index_of(FeatureRole::kSolar)] =
+      Interval::bounded(std::max(0.0, 100.0 - 10.0 * scale), 100.0 + 10.0 * scale);
+  box[schema.index_of(FeatureRole::kOccupancy)] =
+      Interval::bounded(std::max(weather::kOccupiedThreshold, 11.0 - scale), 11.0 + scale);
+  return box;
 }
 
 }  // namespace
@@ -57,6 +66,7 @@ int main() {
   std::printf("Monte-Carlo criterion-#1 estimate (reference): %.3f\n\n",
               artifacts.probabilistic.safe_probability);
   const core::VerificationEngine engine;  // the shared pool
+  const Box mild = envelope(policy.schema(), 1.0);
 
   // --- Sweep 1: envelope width (shallow model, 0.25 degC slices). ---
   AsciiTable sweep1("Certified fraction vs climate-envelope width (shallow model)");
@@ -65,8 +75,8 @@ int main() {
   core::IntervalVerifyConfig fine;
   fine.zone_slice_c = 0.25;
   for (double scale : {0.5, 1.0, 2.0, 4.0, 8.0}) {
-    const auto report =
-        engine.verify_interval(policy, shallow, cfg.criteria, envelope(scale), fine);
+    const Box scaled = envelope(policy.schema(), scale);
+    const auto report = engine.verify_interval(policy, shallow, cfg.criteria, scaled, fine);
     sweep1.add_row(format_double(scale, 1),
                    {static_cast<double>(report.leaves_subject),
                     static_cast<double>(report.leaves_certified),
@@ -85,8 +95,7 @@ int main() {
   for (double slice : {2.0, 1.0, 0.5, 0.25, 0.1}) {
     core::IntervalVerifyConfig split_cfg;
     split_cfg.zone_slice_c = slice;
-    const auto report =
-        engine.verify_interval(policy, shallow, cfg.criteria, envelope(1.0), split_cfg);
+    const auto report = engine.verify_interval(policy, shallow, cfg.criteria, mild, split_cfg);
     std::size_t cells = 0;
     for (const auto& r : report.results) cells += r.cells;
     sweep2.add_row(format_double(slice, 2),
@@ -99,9 +108,8 @@ int main() {
   AsciiTable sweep3("Certified fraction vs dynamics-model depth");
   sweep3.set_header({"model", "fraction certified"});
   const auto deep_report =
-      engine.verify_interval(policy, *artifacts.model, cfg.criteria, envelope(1.0), fine);
-  const auto shallow_report =
-      engine.verify_interval(policy, shallow, cfg.criteria, envelope(1.0), fine);
+      engine.verify_interval(policy, *artifacts.model, cfg.criteria, mild, fine);
+  const auto shallow_report = engine.verify_interval(policy, shallow, cfg.criteria, mild, fine);
   sweep3.add_row("pipeline (deep)", {deep_report.certified_fraction()}, 3);
   sweep3.add_row("shallow {16}", {shallow_report.certified_fraction()}, 3);
   sweep3.print();

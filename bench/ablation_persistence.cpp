@@ -16,6 +16,7 @@
 #include "bench_common.hpp"
 #include "common/config.hpp"
 #include "core/decision_data.hpp"
+#include "weather/occupancy.hpp"
 
 int main() {
   using namespace verihvac;
@@ -45,7 +46,7 @@ int main() {
     std::size_t night = 0;
     std::size_t night_setback = 0;
     for (const auto& record : decisions.records) {
-      if (record.input[env::kOccupancy] > 0.5) continue;
+      if (weather::is_occupied(record.input[env::kOccupancy])) continue;
       ++night;
       if (actions.action(record.action_index).heating_c <= 17.0) ++night_setback;
     }

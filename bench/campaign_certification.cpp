@@ -56,7 +56,6 @@ int main() {
   core::IntervalVerifyConfig fine;
   fine.zone_slice_c = 0.05;
   fine.outdoor_slice_c = 1.0;
-  const core::DisturbanceBounds envelope;  // design envelope
   const std::size_t mc_samples = 20000;
   const std::size_t tube_states = 256;
 
@@ -82,7 +81,7 @@ int main() {
 
     auto t0 = std::chrono::steady_clock::now();
     const auto interval = engine.verify_interval(policy, *artifacts.model, cfg.criteria,
-                                                 envelope, fine);
+                                                 policy.schema().envelope(), fine);
     const double interval_s = seconds_since(t0);
 
     t0 = std::chrono::steady_clock::now();

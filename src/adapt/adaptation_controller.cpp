@@ -14,6 +14,7 @@
 #include "core/verification.hpp"
 #include "envlib/env.hpp"
 #include "obs/trace.hpp"
+#include "weather/occupancy.hpp"
 
 namespace verihvac::adapt {
 
@@ -45,7 +46,7 @@ ShadowReport shadow_evaluate(const core::DtPolicy& policy, const dyn::DynamicsMo
   const std::size_t occ_dim = model.schema().occupancy_index();
   for (const dyn::Transition& transition : holdout.transitions()) {
     ++report.transitions;
-    if (transition.input[occ_dim] <= 0.5) continue;
+    if (!weather::is_occupied(transition.input[occ_dim])) continue;
     ++report.occupied;
     const std::size_t index = policy.decide_index(transition.input);
     const sim::SetpointPair action = policy.actions().action(index);
@@ -110,26 +111,21 @@ std::vector<AdaptationController::PendingTransition> AdaptationController::pair_
   for (const TelemetryRecord& record : records) {
     // Pair with the session's previous decision: its observation is this
     // record's predecessor state, this record's observation the outcome.
+    // A non-finite value would turn the drift statistics NaN for good and
+    // make every later fine-tune on `pending` throw: pair_transition drops it.
     const auto pending_it = pending_records_.find(record.session);
-    if (pending_it != pending_records_.end() &&
-        pending_it->second.decision_index + 1 == record.decision_index) {
-      const TelemetryRecord& prev = pending_it->second;
+    std::optional<dyn::Transition> transition;
+    if (pending_it != pending_records_.end()) {
+      transition = pair_transition(pending_it->second, record, non_finite);
+    }
+    if (transition) {
       PendingTransition item;
       const auto key_it = keys.find(record.session);
       item.key = key_it != keys.end() ? key_it->second : std::string("(unknown)");
-      item.transition.input = prev.obs_vector();
-      item.transition.action.heating_c = prev.heating_c;
-      item.transition.action.cooling_c = prev.cooling_c;
-      item.transition.next_zone_temp = record.obs[record.zone_temp_dim];
-      // A non-finite value would turn the drift statistics NaN for good
-      // and make every later fine-tune on `pending` throw: drop it here.
-      if (!dyn::is_finite(item.transition)) {
-        ++non_finite;
-      } else {
-        const auto cluster_it = clusters_.find(item.key);
-        if (cluster_it != clusters_.end()) item.model = cluster_it->second.assets.model;
-        out.push_back(std::move(item));
-      }
+      item.transition = std::move(*transition);
+      const auto cluster_it = clusters_.find(item.key);
+      if (cluster_it != clusters_.end()) item.model = cluster_it->second.assets.model;
+      out.push_back(std::move(item));
     }
     pending_records_[record.session] = record;
   }
@@ -356,12 +352,11 @@ AdaptationController::AdaptOutcome AdaptationController::adapt_cluster(
     report.probabilistic = engine_.verify_probabilistic(
         *candidate, *candidate_model, sampler, config_.criteria, config_.probabilistic_samples,
         derive_seed(config_.seed, generation, 3));
-    // Sound interval certification of the candidate, every cell computed
-    // from scratch: the fine-tune above moved the model's weights, and a
-    // dense MLP gives no sound way to reuse an image from the previous
-    // model for any cell (see core::RecertStats).
-    report.interval = engine_.verify_interval(*candidate, *candidate_model, config_.criteria,
-                                              config_.interval_bounds, config_.interval);
+    // Sound interval certification of the candidate over its schema's
+    // envelope, every cell computed from scratch: the fine-tune above moved
+    // the model's weights, and a dense MLP gives no sound way to reuse an
+    // image from the previous model for any cell (see core::RecertStats).
+    report.interval = engine_.verify_interval(*candidate, *candidate_model, config_.criteria);
     for (const core::IntervalLeafResult& r : report.interval.results) {
       report.recert.cells_total += r.cells;
       report.recert.cells_computed += r.cells;

@@ -76,10 +76,6 @@ struct AdaptationConfig {
   std::size_t probabilistic_samples = 500;
   /// Eq. 5 noise level for the certification sampler over the snapshot.
   double noise_level = 0.01;
-  /// Interval (sound) certification of every candidate, §3.3.2 extension.
-  core::IntervalVerifyConfig interval;
-  /// Climate envelope the interval certificates are issued for.
-  core::DisturbanceBounds interval_bounds;
   /// Promotion gate on IntervalReport::certified_fraction(). 0 = record
   /// only: the report and cell accounting land in the history/logs but
   /// never block (IBP abstention on wide toy boxes must not veto bundles

@@ -350,6 +350,24 @@ TelemetrySession read_session(std::istream& in) {
 
 }  // namespace detail
 
+std::optional<dyn::Transition> pair_transition(const TelemetryRecord& prev,
+                                               const TelemetryRecord& next,
+                                               std::size_t& non_finite) {
+  if (prev.session != next.session || next.decision_index != prev.decision_index + 1) {
+    return std::nullopt;  // capture gap: no fabricated transition
+  }
+  dyn::Transition transition;
+  transition.input = prev.obs_vector();
+  transition.action.heating_c = prev.heating_c;
+  transition.action.cooling_c = prev.cooling_c;
+  transition.next_zone_temp = next.obs[next.zone_temp_dim];
+  if (!dyn::is_finite(transition)) {
+    ++non_finite;
+    return std::nullopt;
+  }
+  return transition;
+}
+
 dyn::TransitionDataset trace_to_dataset(const TelemetryTrace& trace) {
   std::vector<const TelemetryRecord*> ordered;
   ordered.reserve(trace.records.size());
@@ -366,20 +384,15 @@ dyn::TransitionDataset trace_to_dataset(const TelemetryTrace& trace) {
   // schema shape seen and leave foreign-shaped records for a separate
   // extraction pass.
   std::uint16_t width = 0;
+  std::size_t non_finite = 0;
   for (std::size_t i = 0; i + 1 < ordered.size(); ++i) {
     const TelemetryRecord& cur = *ordered[i];
     const TelemetryRecord& next = *ordered[i + 1];
-    if (cur.session != next.session || next.decision_index != cur.decision_index + 1) {
-      continue;  // capture gap: no fabricated transition
-    }
+    std::optional<dyn::Transition> transition = pair_transition(cur, next, non_finite);
+    if (!transition) continue;
     if (width == 0) width = cur.obs_len;
     if (cur.obs_len != width || next.obs_len != width) continue;
-    dyn::Transition transition;
-    transition.input = cur.obs_vector();
-    transition.action.heating_c = cur.heating_c;
-    transition.action.cooling_c = cur.cooling_c;
-    transition.next_zone_temp = next.obs[next.zone_temp_dim];
-    dataset.add(std::move(transition));
+    dataset.add(std::move(*transition));
   }
   return dataset;
 }

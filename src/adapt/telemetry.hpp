@@ -65,6 +65,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -283,9 +284,17 @@ class TelemetryLog : public serve::DecisionTap {
 /// block and the temporal forecast fields.
 inline constexpr std::uint32_t kTelemetryTraceVersion = 2;
 
-/// Pairs session-consecutive decisions (d, d+1) into transitions: decision
-/// d's observation + action, with d+1's zone temperature as the observed
-/// next state. Records separated by capture loss produce no transition.
+/// The one transition-pairing rule: `next` (same session, next decision
+/// index) is the observed outcome of `prev`. Returns prev's observation +
+/// action with next's zone temperature; nothing across a capture gap or for
+/// a non-finite value (counted in `non_finite`: DynamicsModel::train and
+/// fine_tune throw on any).
+std::optional<dyn::Transition> pair_transition(const TelemetryRecord& prev,
+                                               const TelemetryRecord& next,
+                                               std::size_t& non_finite);
+
+/// Pairs session-consecutive decisions (d, d+1) into transitions with
+/// pair_transition.
 dyn::TransitionDataset trace_to_dataset(const TelemetryTrace& trace);
 
 /// Serving artifacts for replay, keyed the way records reference them.

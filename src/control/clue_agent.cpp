@@ -1,5 +1,7 @@
 #include "control/clue_agent.hpp"
 
+#include "weather/occupancy.hpp"
+
 namespace verihvac::control {
 
 ClueAgent::ClueAgent(const dyn::EnsembleDynamics& ensemble, ClueConfig config,
@@ -36,7 +38,7 @@ sim::SetpointPair ClueAgent::act(const env::Observation& obs,
       ensemble_->predict(ensemble_->schema().to_vector(obs), action, predict_scratch_);
   if (prediction.stddev > config_.uncertainty_threshold_c) {
     ++fallbacks_;
-    return obs.occupants > 0.5 ? fallback_occupied_ : fallback_unoccupied_;
+    return weather::is_occupied(obs.occupants) ? fallback_occupied_ : fallback_unoccupied_;
   }
   return action;
 }

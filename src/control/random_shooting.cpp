@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "weather/occupancy.hpp"
+
 namespace verihvac::control {
 
 namespace {
@@ -76,7 +78,7 @@ double RandomShooting::rollout_return(const dyn::DynamicsModel& model,
     const double next_temp = model.predict(x, action, scratch);
     // r(f_hat(s_t, d_t, a_t), a_t): comfort of the predicted state plus the
     // energy proxy of the action taken, weighted by occupancy at step t.
-    const bool occupied = x[occ_dim] > 0.5;
+    const bool occupied = weather::is_occupied(x[occ_dim]);
     total += discount * env::reward(reward_, next_temp, action, occupied);
     discount *= config_.gamma;
 
@@ -138,7 +140,7 @@ void RandomShooting::rollout_returns_slice(const dyn::DynamicsModel& model,
     for (std::size_t r = 0; r < n; ++r) {
       if (t >= sequences[begin + r].size()) continue;
       const double next_temp = scratch.next_temps[r];
-      const bool occupied = scratch.states(r, occ_dim) > 0.5;
+      const bool occupied = weather::is_occupied(scratch.states(r, occ_dim));
       returns[begin + r] +=
           scratch.discounts[r] * env::reward(reward_, next_temp, scratch.actions[r], occupied);
       scratch.discounts[r] *= config_.gamma;

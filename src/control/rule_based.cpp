@@ -1,11 +1,13 @@
 #include "control/rule_based.hpp"
 
+#include "weather/occupancy.hpp"
+
 namespace verihvac::control {
 
 sim::SetpointPair RuleBasedController::act(const env::Observation& obs,
                                            const std::vector<env::Disturbance>& forecast) {
   (void)forecast;
-  return obs.occupants > 0.5 ? occupied_ : unoccupied_;
+  return weather::is_occupied(obs.occupants) ? occupied_ : unoccupied_;
 }
 
 }  // namespace verihvac::control

@@ -45,14 +45,15 @@ std::vector<env::Disturbance> scenario_disturbances(const std::string& climate,
 
 }  // namespace
 
-DisturbanceBounds mild_envelope() {
-  DisturbanceBounds b;
-  b.outdoor = Interval::bounded(-5.0, 12.0);
-  b.humidity = Interval::bounded(30.0, 85.0);
-  b.wind = Interval::bounded(0.0, 8.0);
-  b.solar = Interval::bounded(0.0, 400.0);
-  b.occupancy = Interval::bounded(0.0, 15.0);
-  return b;
+Box mild_envelope(const env::FeatureSchema& schema) {
+  using env::FeatureRole;
+  Box box = schema.envelope();
+  box[schema.index_of(FeatureRole::kOutdoorTemp)] = Interval::bounded(-5.0, 12.0);
+  box[schema.index_of(FeatureRole::kHumidity)] = Interval::bounded(30.0, 85.0);
+  box[schema.index_of(FeatureRole::kWind)] = Interval::bounded(0.0, 8.0);
+  box[schema.index_of(FeatureRole::kSolar)] = Interval::bounded(0.0, 400.0);
+  box[schema.index_of(FeatureRole::kOccupancy)] = Interval::bounded(0.0, 15.0);
+  return box;
 }
 
 std::string CampaignScenario::key() const {

@@ -44,20 +44,25 @@ struct CampaignComfortBand {
   env::ComfortRange range;  ///< default-constructed = winter band
 };
 
+/// A certificate envelope: a box over the campaign schema's inputs.
 struct CampaignEnvelope {
   std::string name = "design";
-  DisturbanceBounds bounds;  ///< default = full design envelope
+  Box bounds;
 };
 
-/// A mild envelope (typical January operating conditions rather than the
-/// design extremes) — certification is expected to be much higher here.
-DisturbanceBounds mild_envelope();
+/// `schema.envelope()` with the five classic disturbance roles narrowed to
+/// typical January operating conditions rather than the design extremes —
+/// certification is expected to be much higher here.
+Box mild_envelope(const env::FeatureSchema& schema);
 
 struct CampaignConfig {
+  /// Observation schema used by the default pipeline asset provider (and
+  /// by the scenario disturbance synthesizer); `envelopes` are boxes over it.
+  env::FeatureSchema schema = env::baseline_schema();
   std::vector<std::string> climates{"Pittsburgh", "Tucson"};
   std::vector<CampaignBuilding> buildings{{"baseline", 1.0}, {"oversized", 2.0}};
   std::vector<CampaignComfortBand> comfort_bands{{"winter", {}}};
-  std::vector<CampaignEnvelope> envelopes{{"mild", mild_envelope()}};
+  std::vector<CampaignEnvelope> envelopes{{"mild", mild_envelope(schema)}};
   /// Monte-Carlo samples per scenario (criterion #1).
   std::size_t probabilistic_samples = 400;
   /// Interval-certification input-splitting budget.
@@ -72,9 +77,6 @@ struct CampaignConfig {
   /// Decision points for the default pipeline asset provider (0 = keep the
   /// pipeline's own default).
   std::size_t decision_points = 0;
-  /// Observation schema used by the default pipeline asset provider (and
-  /// by the scenario disturbance synthesizer for temporal features).
-  env::FeatureSchema schema = env::baseline_schema();
 };
 
 /// One cell of the scenario grid.

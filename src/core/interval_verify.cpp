@@ -7,6 +7,7 @@
 
 #include "dynamics/dataset.hpp"
 #include "envlib/observation.hpp"
+#include "weather/occupancy.hpp"
 
 namespace verihvac::core {
 namespace {
@@ -39,7 +40,7 @@ Interval interval_next_state(const dyn::DynamicsModel& model, const Box& model_i
     }
     if (!std::isfinite(model_input_box[d].lo) || !std::isfinite(model_input_box[d].hi)) {
       throw std::invalid_argument(
-          "interval_next_state: unbounded box (clip to DisturbanceBounds first)");
+          "interval_next_state: unbounded box (clip to the certificate envelope first)");
     }
   }
   normalize_box(model.input_normalizer(), model_input_box, scratch.normalized);
@@ -49,11 +50,6 @@ Interval interval_next_state(const dyn::DynamicsModel& model, const Box& model_i
                        model.delta_mean() + model.delta_std() * net_out[0].hi};
   const Interval& s = model_input_box[model.zone_temp_index()];
   return Interval{s.lo + delta.lo, s.hi + delta.hi};
-}
-
-Interval interval_next_state(const dyn::DynamicsModel& model, const Box& model_input_box) {
-  IntervalScratch scratch;
-  return interval_next_state(model, model_input_box, scratch);
 }
 
 std::vector<Interval> split_interval(const Interval& iv, double max_width) {
@@ -79,11 +75,16 @@ std::vector<Interval> split_interval(const Interval& iv, double max_width) {
 
 std::vector<IntervalWorkItem> interval_work_items(const DtPolicy& policy,
                                                   const VerificationCriteria& criteria,
-                                                  const DisturbanceBounds& bounds,
+                                                  const Box& envelope,
                                                   const IntervalVerifyConfig& config,
                                                   std::size_t& leaves_total) {
   const auto& tree = policy.tree();
   const env::FeatureSchema& schema = policy.schema();
+  if (envelope.size() != schema.dims()) {
+    throw std::invalid_argument("interval certification: envelope has " +
+                                std::to_string(envelope.size()) + " dims, schema '" +
+                                schema.name() + "' has " + std::to_string(schema.dims()));
+  }
   const std::size_t zone_dim = schema.zone_temp_index();
   const std::size_t occ_dim = schema.occupancy_index();
   const std::size_t outdoor_dim = schema.index_of(env::FeatureRole::kOutdoorTemp);
@@ -93,42 +94,13 @@ std::vector<IntervalWorkItem> interval_work_items(const DtPolicy& policy,
   leaves_total = 0;
   for (int leaf : tree.leaves()) {
     ++leaves_total;
-    Box box = tree.leaf_box(leaf);
-    // Subject region of criterion #1: occupied AND inside the comfort
-    // range AND inside the certificate's climate envelope. A leaf whose
-    // region lies entirely outside any of these (e.g. it requires more
-    // solar than the envelope admits) is out of the certificate's scope.
-    // Roles are located through the policy's schema, not by fixed index.
+    // Subject region of criterion #1: inside the certificate envelope AND
+    // inside the comfort range AND occupied. A leaf whose region lies
+    // entirely outside any of these (e.g. it requires more solar than the
+    // envelope admits) is out of the certificate's scope.
+    Box box = tree.leaf_box(leaf).intersect(envelope);
     box.clip(zone_dim, Interval::bounded(criteria.comfort.lo, criteria.comfort.hi));
-    box.clip(occ_dim, Interval::greater(0.5));
-    box.clip(occ_dim, bounds.occupancy);
-    box.clip(outdoor_dim, bounds.outdoor);
-    if (schema.has_role(env::FeatureRole::kHumidity)) {
-      box.clip(schema.index_of(env::FeatureRole::kHumidity), bounds.humidity);
-    }
-    if (schema.has_role(env::FeatureRole::kWind)) {
-      box.clip(schema.index_of(env::FeatureRole::kWind), bounds.wind);
-    }
-    if (schema.has_role(env::FeatureRole::kSolar)) {
-      box.clip(schema.index_of(env::FeatureRole::kSolar), bounds.solar);
-    }
-    // Any remaining dimensions (temporal encodings, occupancy forecasts)
-    // take the envelope the schema itself declares for them — IBP over an
-    // unbounded box would be vacuous (see DisturbanceBounds).
-    for (std::size_t d = 0; d < schema.dims(); ++d) {
-      switch (schema.at(d).role) {
-        case env::FeatureRole::kZoneTemp:
-        case env::FeatureRole::kOutdoorTemp:
-        case env::FeatureRole::kHumidity:
-        case env::FeatureRole::kWind:
-        case env::FeatureRole::kSolar:
-        case env::FeatureRole::kOccupancy:
-          break;  // clipped above
-        default:
-          box.clip(d, schema.at(d).bounds);
-          break;
-      }
-    }
+    box.clip(occ_dim, Interval::greater(weather::kOccupiedThreshold));
     if (box.empty()) continue;
 
     // Append the leaf's action as degenerate interval dimensions.

@@ -3,21 +3,25 @@
 // The paper estimates criterion #1 probabilistically by Monte-Carlo
 // sampling. This module adds the sound counterpart: for every leaf of the
 // verified tree that handles occupied in-comfort states, build the leaf's
-// exact input box (Algorithm 1's path intersection), attach the leaf's
-// setpoint action, push the resulting model-input box through the learned MLP
-// dynamics with interval bound propagation (nn/interval_bounds), and check
-// whether the *guaranteed* next-state interval stays inside the comfort
-// range. A certified leaf is safe for EVERY input it handles and EVERY
-// disturbance inside the stated physical bounds — a 100% guarantee of the
-// kind criteria #2/#3 already enjoy, now extended to criterion #1's
-// in-comfort regime.
+// exact input box (Algorithm 1's path intersection), intersect it with the
+// certificate envelope, attach the leaf's setpoint action, push the
+// resulting model-input box through the learned MLP dynamics with interval
+// bound propagation (nn/interval_bounds), and check whether the
+// *guaranteed* next-state interval stays inside the comfort range. A
+// certified leaf is safe for EVERY input it handles inside the envelope —
+// a 100% guarantee of the kind criteria #2/#3 already enjoy, now extended
+// to criterion #1's in-comfort regime.
+// The envelope is one Box, one interval per policy input (the input
+// specification of NN verifiers such as DeepPoly and CROWN): by default the
+// schema's bounds, env::FeatureSchema::envelope(). Leaf boxes are unbounded
+// where the tree never split, and IBP over an unbounded box is vacuous.
 //
 // IBP bounds are loose on wide boxes, so certification is expected to be
 // partial (the certified fraction is the headline number; the Monte-Carlo
 // estimate remains the paper's metric). bench/ablation_interval sweeps the
-// disturbance-box width to show the certify/abstain frontier. The
-// per-(leaf × cell) units exposed below are embarrassingly parallel;
-// core::VerificationEngine fans them out over common::TaskPool.
+// envelope width to show the certify/abstain frontier. The per-(leaf ×
+// cell) units below are embarrassingly parallel; core::VerificationEngine
+// fans them out over common::TaskPool.
 #pragma once
 
 #include <cstddef>
@@ -29,19 +33,6 @@
 #include "nn/interval_bounds.hpp"
 
 namespace verihvac::core {
-
-/// Physical envelope for the disturbance dimensions. Leaf boxes are
-/// unbounded wherever the tree never split, and an MLP's IBP bounds over an
-/// unbounded box are vacuous; these bounds state the climate envelope the
-/// certificate is issued for (they should cover the deployment city's
-/// January extremes with margin).
-struct DisturbanceBounds {
-  Interval outdoor = Interval::bounded(-25.0, 45.0);   ///< degC
-  Interval humidity = Interval::bounded(0.0, 100.0);   ///< %
-  Interval wind = Interval::bounded(0.0, 25.0);        ///< m/s
-  Interval solar = Interval::bounded(0.0, 1100.0);     ///< W/m^2
-  Interval occupancy = Interval::bounded(0.0, 40.0);   ///< people
-};
 
 /// Input-splitting configuration. IBP looseness grows with box width, so a
 /// leaf spanning the whole comfort range rarely certifies in one shot; the
@@ -104,18 +95,15 @@ struct IntervalScratch {
 /// (width 0) yields the single point cell.
 std::vector<Interval> split_interval(const Interval& iv, double max_width);
 
-/// Sound one-step next-state interval for an arbitrary model-input box
-/// (schema dims + 2 action dims; exposed for tests and the ablation bench).
-Interval interval_next_state(const dyn::DynamicsModel& model, const Box& model_input_box);
-
-/// Thread-safe variant: identical arithmetic, all mutable state in the
+/// Sound one-step next-state interval for a bounded model-input box
+/// (schema dims + 2 action dims). All mutable state lives in the
 /// caller-provided scratch (one per worker thread).
 Interval interval_next_state(const dyn::DynamicsModel& model, const Box& model_input_box,
                              IntervalScratch& scratch);
 
 /// One subject leaf prepared for certification: the clipped model-input box
-/// (leaf box ∩ comfort ∩ envelope, with the leaf's action appended as
-/// degenerate dims) and its input-splitting cells in deterministic
+/// (leaf box ∩ envelope ∩ comfort ∩ occupied, with the leaf's action
+/// appended as degenerate dims) and its input-splitting cells in deterministic
 /// zone-major order. The flattened (leaf × cell) list is the unit of
 /// parallelism for core::VerificationEngine.
 struct IntervalWorkItem {
@@ -125,10 +113,11 @@ struct IntervalWorkItem {
 };
 
 /// Enumerates the subject leaves of the policy in tree order, writing the
-/// total leaf count to `leaves_total`.
+/// total leaf count to `leaves_total`. `envelope` is a box over the policy's
+/// schema (std::invalid_argument otherwise).
 std::vector<IntervalWorkItem> interval_work_items(const DtPolicy& policy,
                                                   const VerificationCriteria& criteria,
-                                                  const DisturbanceBounds& bounds,
+                                                  const Box& envelope,
                                                   const IntervalVerifyConfig& config,
                                                   std::size_t& leaves_total);
 

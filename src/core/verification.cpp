@@ -6,6 +6,7 @@
 
 #include "core/verification_engine.hpp"
 #include "envlib/observation.hpp"
+#include "weather/occupancy.hpp"
 
 namespace verihvac::core {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 /// leaves (deep setback at night) are exempt by design — correcting them
 /// would force night-time heating the comfort criterion never asks for.
 bool reaches_occupied(const Box& box, std::size_t occ_dim) {
-  return box[occ_dim].hi > 0.5;
+  return weather::is_occupied(box[occ_dim].hi);
 }
 
 /// Function-preserving refinement pass: every occupied-reaching leaf whose
@@ -43,10 +44,11 @@ void refine_straddling(DtPolicy& policy, const env::ComfortRange& comfort) {
     // historical data contains almost no occupied out-of-comfort states to
     // create a label conflict.
     // Strict: the closed-box representation stores the occupied child of a
-    // previous occupancy split as [0.5, hi], and re-splitting that child at
-    // 0.5 would recurse forever (its "occupied side" is again [0.5, hi]).
-    if (box[occ_dim].lo < 0.5) {
-      const auto [left, right] = tree.split_leaf(leaf, occ_dim, 0.5);
+    // previous occupancy split as [threshold, hi], and re-splitting that
+    // child at the threshold would recurse forever (its "occupied side" is
+    // again [threshold, hi]).
+    if (box[occ_dim].lo < weather::kOccupiedThreshold) {
+      const auto [left, right] = tree.split_leaf(leaf, occ_dim, weather::kOccupiedThreshold);
       (void)left;
       pending.push_back(right);
       continue;
@@ -162,7 +164,7 @@ std::pair<std::vector<double>, std::size_t> sample_safe_occupied(
   const std::size_t occ_dim = sampler.schema().occupancy_index();
   for (int attempt = 0; attempt < 10000; ++attempt) {
     auto [x, row] = sampler.sample(rng);
-    if (x[occ_dim] > 0.5 && comfort.contains(x[zone_dim])) {
+    if (weather::is_occupied(x[occ_dim]) && comfort.contains(x[zone_dim])) {
       return {std::move(x), row};
     }
   }
@@ -173,7 +175,7 @@ std::pair<std::vector<double>, std::size_t> sample_safe_occupied(
 bool continuation_occupied(const Matrix& historical, std::size_t row, std::size_t offset,
                            std::size_t occupancy_dim) {
   const std::size_t idx = std::min(row + offset, historical.rows() - 1);
-  return historical(idx, occupancy_dim) > 0.5;
+  return weather::is_occupied(historical(idx, occupancy_dim));
 }
 
 ProbabilisticReport verify_probabilistic_one_step(const DtPolicy& policy,
@@ -213,7 +215,7 @@ ProbabilisticReport verify_probabilistic_h_step(const DtPolicy& policy,
     // visited safe occupied state by the safety of its immediate successor
     // (the counting argument of the §3.3.2 proof).
     for (std::size_t k = 0; k < criteria.horizon && report.samples < n_samples; ++k) {
-      const bool occupied = x[occ_dim] > 0.5;
+      const bool occupied = weather::is_occupied(x[occ_dim]);
       const bool safe_now = criteria.comfort.contains(x[zone_dim]);
       const sim::SetpointPair action = policy.decide(x);
       const double next_temp = model.predict(x, action, scratch);

@@ -95,12 +95,13 @@ ProbabilisticReport VerificationEngine::verify_probabilistic(
 IntervalReport VerificationEngine::verify_interval(const DtPolicy& policy,
                                                    const dyn::DynamicsModel& model,
                                                    const VerificationCriteria& criteria,
-                                                   const DisturbanceBounds& bounds,
+                                                   const std::optional<Box>& envelope,
                                                    const IntervalVerifyConfig& config) const {
   const obs::TraceSpan span("verify.interval", "verify");
   IntervalReport report;
+  const Box scope = envelope ? *envelope : policy.schema().envelope();
   const std::vector<IntervalWorkItem> items =
-      interval_work_items(policy, criteria, bounds, config, report.leaves_total);
+      interval_work_items(policy, criteria, scope, config, report.leaves_total);
 
   // Flatten the (leaf × cell) grid: cell c of leaf l lands in the global
   // slot offsets[l] + c, so images are computed in any schedule but folded

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/task_pool.hpp"
@@ -58,12 +59,13 @@ class VerificationEngine {
                                            const VerificationCriteria& criteria,
                                            std::size_t n_samples, std::uint64_t seed) const;
 
-  /// Interval certification of every subject leaf, fanned out per
-  /// (leaf × input-splitting cell). The model must be trained. A pool of 1
-  /// is the serial case; the report is bit-identical at every pool size.
+  /// Interval certification of every subject leaf within `envelope` (by
+  /// default the policy schema's envelope()), fanned out per (leaf ×
+  /// input-splitting cell). The model must be trained. A pool of 1 is the
+  /// serial case; the report is bit-identical at every pool size.
   IntervalReport verify_interval(const DtPolicy& policy, const dyn::DynamicsModel& model,
                                  const VerificationCriteria& criteria,
-                                 const DisturbanceBounds& bounds = {},
+                                 const std::optional<Box>& envelope = std::nullopt,
                                  const IntervalVerifyConfig& config = {}) const;
 
   /// Eq. 3 reachability tubes fanned out per initial state; tube i of the

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "weather/occupancy.hpp"
 
 namespace verihvac::dyn {
 
@@ -77,7 +78,7 @@ TransitionDataset collect_historical_data(const env::EnvConfig& env_config,
     bool done = false;
     while (!done) {
       sim::SetpointPair action;
-      const bool occupied = obs.occupants > 0.5;
+      const bool occupied = weather::is_occupied(obs.occupants);
       const double explore =
           occupied ? config.occupied_exploration_rate : config.exploration_rate;
       if (rng.bernoulli(explore)) {

@@ -6,6 +6,7 @@
 
 #include "common/units.hpp"
 #include "weather/weather_generator.hpp"
+#include "weather/occupancy.hpp"
 
 namespace verihvac::env {
 
@@ -49,7 +50,7 @@ void BuildingEnv::apply_degradation(const sim::Degradation& degradation) {
 StepOutcome BuildingEnv::step(const sim::SetpointPair& action) {
   if (done_) throw std::logic_error("BuildingEnv::step called on a finished episode");
 
-  const bool occupied = occupants_[cursor_] > 0.5;
+  const bool occupied = weather::is_occupied(occupants_[cursor_]);
 
   // Build the per-zone setpoint command: agent's action in the controlled
   // zone, the default schedule everywhere else.

@@ -120,6 +120,12 @@ std::vector<std::string> FeatureSchema::feature_names() const {
   return names;
 }
 
+Box FeatureSchema::envelope() const {
+  Box box(features_.size());
+  for (std::size_t i = 0; i < features_.size(); ++i) box[i] = features_[i].bounds;
+  return box;
+}
+
 bool FeatureSchema::has_role(FeatureRole role) const {
   for (const FeatureSpec& f : features_) {
     if (f.role == role) return true;
@@ -299,9 +305,9 @@ bool FeatureSchema::operator==(const FeatureSchema& other) const {
 }
 
 const FeatureSchema& baseline_schema() {
-  // Bounds on the five disturbance roles mirror core::DisturbanceBounds
-  // defaults (documentation here; the interval verifier keeps using its
-  // campaign-level envelopes for these roles).
+  // The bounds are the design climate envelope every interval certificate
+  // is scoped to (envelope()); the zone temperature stays unbounded because
+  // certification clips it to the comfort range.
   static const FeatureSchema schema(
       "baseline",
       {

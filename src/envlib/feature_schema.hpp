@@ -9,6 +9,8 @@
 // `schema.zone_temp_index()`; RandomShooting assembles disturbance
 // forecasts via `schema.apply_disturbance`; policy bundles persist the
 // schema so heterogeneous observation shapes coexist in one registry.
+// The per-feature bounds, as one box (`envelope()`), scope every interval
+// certificate (core/interval_verify).
 //
 // Invariants:
 //  - Exactly one feature has kind kState (the zone temperature — the
@@ -72,11 +74,8 @@ struct FeatureSpec {
   std::string unit;
   FeatureKind kind = FeatureKind::kDisturbance;
   FeatureRole role = FeatureRole::kZoneTemp;
-  /// Verification envelope for this dimension. For the five classic
-  /// disturbance roles the campaign-level DisturbanceBounds still wins
-  /// (bit-identity with the pre-schema interval verifier); for features
-  /// beyond the baseline six these bounds are what the input boxes clip
-  /// to.
+  /// Certificate envelope for this dimension: interval certification
+  /// clips every leaf box to it (IBP over an unbounded box is vacuous).
   Interval bounds = Interval::all();
 };
 
@@ -93,6 +92,8 @@ class FeatureSchema {
   const std::vector<FeatureSpec>& features() const { return features_; }
   /// Per-dimension names (for tree dumps / verification reports).
   std::vector<std::string> feature_names() const;
+  /// The per-feature bounds as one box: the certificate envelope.
+  Box envelope() const;
 
   bool has_role(FeatureRole role) const;
   /// Index of the dimension carrying `role`; throws std::invalid_argument

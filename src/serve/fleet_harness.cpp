@@ -161,6 +161,24 @@ FleetReport FleetHarness::run() {
 
   report.step_metrics.resize(episode_steps);
 
+  // Steps one building's plant under `action` and meters the outcome into
+  // both the run totals and the step's metrics.
+  const auto step_plant = [&report](Building& building, const sim::SetpointPair& action,
+                                    FleetStepMetrics& step_metrics) {
+    const env::StepOutcome outcome = building.env->step(action);
+    const auto meter = [&outcome](auto& into) {
+      into.energy_kwh += outcome.energy_kwh;
+      if (outcome.occupied) {
+        ++into.occupied_steps;
+        if (outcome.comfort_violation) ++into.occupied_violations;
+      }
+    };
+    meter(report);
+    meter(step_metrics);
+    building.obs = outcome.observation;
+    building.done = outcome.done;
+  };
+
   const auto t_run = std::chrono::steady_clock::now();
   for (std::size_t step = 0; step < episode_steps; ++step) {
     FleetStepMetrics& step_metrics = report.step_metrics[step];
@@ -189,19 +207,7 @@ FleetReport FleetHarness::run() {
       step_metrics.max_policy_version =
           std::max(step_metrics.max_policy_version, decision.policy_version);
 
-      const env::StepOutcome outcome = building.env->step(decision.action);
-      report.energy_kwh += outcome.energy_kwh;
-      step_metrics.energy_kwh += outcome.energy_kwh;
-      if (outcome.occupied) {
-        ++report.occupied_steps;
-        ++step_metrics.occupied_steps;
-        if (outcome.comfort_violation) {
-          ++report.occupied_violations;
-          ++step_metrics.occupied_violations;
-        }
-      }
-      building.obs = outcome.observation;
-      building.done = outcome.done;
+      step_plant(building, decision.action, step_metrics);
     }
 
     // MBRL fallback: the step's whole cohort is submitted together so the
@@ -247,21 +253,7 @@ FleetReport FleetHarness::run() {
     }
     if (!cohort.empty()) mbrl_serve_wall += seconds_since(t_cohort);
     for (std::size_t i = 0; i < cohort.size(); ++i) {
-      if (!cohort_served[i]) continue;
-      Building& building = *cohort[i];
-      const env::StepOutcome outcome = building.env->step(cohort_decisions[i].action);
-      report.energy_kwh += outcome.energy_kwh;
-      step_metrics.energy_kwh += outcome.energy_kwh;
-      if (outcome.occupied) {
-        ++report.occupied_steps;
-        ++step_metrics.occupied_steps;
-        if (outcome.comfort_violation) {
-          ++report.occupied_violations;
-          ++step_metrics.occupied_violations;
-        }
-      }
-      building.obs = outcome.observation;
-      building.done = outcome.done;
+      if (cohort_served[i]) step_plant(*cohort[i], cohort_decisions[i].action, step_metrics);
     }
 
     if (config_.on_step) config_.on_step(*this, step);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/linalg.hpp"
+#include "weather/occupancy.hpp"
 
 namespace verihvac::sim {
 
@@ -84,7 +85,7 @@ EnergyAccount ThermalNetwork::substep(const std::vector<SetpointPair>& setpoints
     // Internal gains (people + equipment while occupied).
     const double occupants = bc.occupants[i];
     q[i] += occupants * zone.heat_per_occupant;
-    if (occupants > 0.5) q[i] += zone.equipment_wm2 * zone.floor_area_m2;
+    if (weather::is_occupied(occupants)) q[i] += zone.equipment_wm2 * zone.floor_area_m2;
 
     // Solar split between air and mass nodes.
     const double solar_gain = bc.solar_wm2 * zone.solar_aperture_m2;

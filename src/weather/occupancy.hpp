@@ -13,6 +13,11 @@
 
 namespace verihvac::weather {
 
+/// The one occupied/unoccupied rule, shared by the plant, reward,
+/// controllers, verification criteria and interval certificates.
+inline constexpr double kOccupiedThreshold = 0.5;
+inline constexpr bool is_occupied(double occupants) { return occupants > kOccupiedThreshold; }
+
 struct OccupancySchedule {
   /// Peak occupant count for the controlled zone.
   double peak_occupants = 11.0;
@@ -31,7 +36,7 @@ struct OccupancySchedule {
   /// Occupant count at a 15-minute step index from the schedule origin.
   double occupants_at(std::size_t step) const;
   /// True when the zone counts as "occupied" for the reward weighting.
-  bool occupied_at(std::size_t step) const { return occupants_at(step) > 0.5; }
+  bool occupied_at(std::size_t step) const { return is_occupied(occupants_at(step)); }
 
   /// Generates the whole series of length `num_steps`.
   std::vector<double> series(std::size_t num_steps) const;

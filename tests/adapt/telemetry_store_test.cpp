@@ -1,6 +1,7 @@
 #include "adapt/telemetry_store.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -131,7 +132,9 @@ std::vector<SegmentInfo> sealed_only(const std::string& dir) {
 /// each segment of a store with that many sessions after exactly
 /// `records` records.
 std::uint64_t probe_payload_bytes(serve::SessionId sessions, std::uint64_t records) {
-  const std::string dir = fresh_dir("verihvac_store_test_probe");
+  // Several tests probe, and `ctest -j` runs them as concurrent processes:
+  // each process gets its own probe directory.
+  const std::string dir = fresh_dir("verihvac_store_test_probe_" + std::to_string(::getpid()));
   auto log = std::make_shared<TelemetryLog>();
   for (serve::SessionId id = 1; id <= sessions; ++id) log->register_session(id, 1000 + id, "toy");
   TelemetryStore store(log, store_config(dir));
@@ -139,6 +142,7 @@ std::uint64_t probe_payload_bytes(serve::SessionId sessions, std::uint64_t recor
   store.pump_once();
   store.stop();
   const std::vector<SegmentInfo> segments = sealed_only(dir);
+  fs::remove_all(dir);
   EXPECT_EQ(segments.size(), 1u);
   return segments.empty() ? 0 : segments.front().header.payload_bytes;
 }

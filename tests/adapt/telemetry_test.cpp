@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "adapt/segment_test_utils.hpp"
 #include "adapt/telemetry_store.hpp"
+#include "dynamics/dynamics_model.hpp"
 #include "envlib/feature_schema.hpp"
 #include "serve/request_scheduler.hpp"
 #include "serve/serve_test_utils.hpp"
@@ -216,6 +218,35 @@ TEST(TelemetryTraceTest, DatasetPairsConsecutiveDecisionsPerSession) {
   EXPECT_DOUBLE_EQ(dataset.at(0).action.heating_c, 18.0);
   EXPECT_DOUBLE_EQ(dataset.at(1).input[env::kZoneTemp], 17.5);
   EXPECT_DOUBLE_EQ(dataset.at(1).next_zone_temp, 18.0);
+}
+
+TEST(TelemetryTraceTest, NonFiniteReadingDropsOnlyItsTransitions) {
+  // One NaN zone reading is the next state of one transition and the input
+  // of the following one. Pairing drops exactly those two, so the dataset
+  // stays finite and trainable (DynamicsModel::train throws on any
+  // non-finite transition).
+  TelemetryLog log;
+  constexpr std::size_t kRecords = 24;
+  constexpr std::size_t kNanAt = 10;
+  for (std::size_t d = 0; d < kRecords; ++d) {
+    const double zone_temp = d == kNanAt ? std::numeric_limits<double>::quiet_NaN()
+                                         : 17.0 + 0.1 * static_cast<double>(d);
+    emit(log, 1, d, serve::RequestKind::kDtPolicy, 0, zone_temp);
+  }
+  TelemetryTrace trace;
+  log.drain(trace.records);
+  ASSERT_EQ(trace.records.size(), kRecords);
+
+  const dyn::TransitionDataset dataset = trace_to_dataset(trace);
+  EXPECT_EQ(dataset.size(), kRecords - 3);
+  for (const dyn::Transition& transition : dataset.transitions()) {
+    EXPECT_TRUE(dyn::is_finite(transition));
+  }
+  dyn::DynamicsModelConfig config;
+  config.hidden = {4};
+  config.trainer.epochs = 2;
+  dyn::DynamicsModel model(config);
+  EXPECT_NO_THROW(model.train(dataset));
 }
 
 std::string temp_path(const std::string& name) {

@@ -51,7 +51,7 @@ class CampaignTest : public ::testing::Test {
     config.climates = {"Pittsburgh", "Tucson", "NewYork"};
     config.buildings = {{"baseline", 1.0}, {"oversized", 2.0}};
     config.comfort_bands = {{"winter", env::winter_comfort()}};
-    config.envelopes = {{"mild", mild_envelope()}};
+    config.envelopes = {{"mild", mild_envelope(config.schema)}};
     config.probabilistic_samples = 120;
     config.reach_states = 8;
     config.reach_horizon = 8;
@@ -180,7 +180,7 @@ TEST_F(CampaignTest, PipelineAssetProviderExtractsAndCaches) {
   // winter-collected historical distribution has no occupied summer-band
   // states for the Monte-Carlo sampler to accept.)
   config.comfort_bands = {{"winter", env::winter_comfort()}};
-  config.envelopes = {{"mild", mild_envelope()}, {"design", DisturbanceBounds{}}};
+  config.envelopes = {{"mild", mild_envelope(config.schema)}, {"design", config.schema.envelope()}};
   config.probabilistic_samples = 60;
   config.reach_states = 4;
   config.reach_horizon = 6;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/verification_engine.hpp"
 #include "core_test_utils.hpp"
@@ -33,11 +34,11 @@ class IntervalVerifyTest : public ::testing::Test {
 
   /// Interval certification on a pool of 1: the serial case.
   static IntervalReport verify_serial(const DtPolicy& policy, const VerificationCriteria& criteria,
-                                      const DisturbanceBounds& bounds = {},
+                                      const std::optional<Box>& envelope = std::nullopt,
                                       const IntervalVerifyConfig& config = {}) {
     const VerificationEngine engine(std::make_shared<const common::TaskPool>(
         common::TaskPoolConfig{1, /*min_parallel_batch=*/1}));
-    return engine.verify_interval(policy, *model_, criteria, bounds, config);
+    return engine.verify_interval(policy, *model_, criteria, envelope, config);
   }
 
   /// A hold-the-comfort-zone policy: every occupied in-comfort input maps
@@ -69,6 +70,12 @@ class IntervalVerifyTest : public ::testing::Test {
 dyn::TransitionDataset* IntervalVerifyTest::history_ = nullptr;
 std::shared_ptr<dyn::DynamicsModel> IntervalVerifyTest::model_;
 
+/// Sound next-state interval of one box, on a fresh scratch.
+Interval next_state(const dyn::DynamicsModel& model, const Box& box) {
+  IntervalScratch scratch;
+  return interval_next_state(model, box, scratch);
+}
+
 /// One model-input row (observation dims, then the 2 setpoints) through
 /// the batched predict.
 double predict_row(const dyn::DynamicsModel& model, const std::vector<double>& row) {
@@ -81,15 +88,15 @@ double predict_row(const dyn::DynamicsModel& model, const std::vector<double>& r
 }
 
 TEST_F(IntervalVerifyTest, NextStateRejectsBadBoxes) {
-  EXPECT_THROW(interval_next_state(*model_, Box(6)), std::invalid_argument);
+  EXPECT_THROW(next_state(*model_, Box(6)), std::invalid_argument);
   Box unbounded(model_->input_dims());  // all dims infinite
-  EXPECT_THROW(interval_next_state(*model_, unbounded), std::invalid_argument);
+  EXPECT_THROW(next_state(*model_, unbounded), std::invalid_argument);
   Box empty_dim(model_->input_dims());
   for (std::size_t d = 0; d < model_->input_dims(); ++d) {
     empty_dim.clip(d, Interval::bounded(0.0, 1.0));
   }
   empty_dim.clip(0, Interval::bounded(2.0, 3.0));  // empty intersection
-  EXPECT_THROW(interval_next_state(*model_, empty_dim), std::invalid_argument);
+  EXPECT_THROW(next_state(*model_, empty_dim), std::invalid_argument);
 }
 
 TEST_F(IntervalVerifyTest, UntrainedModelThrows) {
@@ -98,7 +105,7 @@ TEST_F(IntervalVerifyTest, UntrainedModelThrows) {
   for (std::size_t d = 0; d < untrained.input_dims(); ++d) {
     box.clip(d, Interval::bounded(0.0, 1.0));
   }
-  EXPECT_THROW(interval_next_state(untrained, box), std::logic_error);
+  EXPECT_THROW(next_state(untrained, box), std::logic_error);
 }
 
 Box operating_box(const dyn::DynamicsModel& model, double s_lo, double s_hi, double heat_sp,
@@ -122,7 +129,7 @@ TEST_F(IntervalVerifyTest, DegenerateBoxMatchesPointPrediction) {
     const double mid = 0.5 * (box[d].lo + box[d].hi);
     box.clip(d, Interval::bounded(mid, mid));
   }
-  const Interval range = interval_next_state(*model_, box);
+  const Interval range = next_state(*model_, box);
   std::vector<double> x(model_->input_dims());
   for (std::size_t d = 0; d < x.size(); ++d) x[d] = box[d].lo;
   const double point = predict_row(*model_, x);
@@ -150,7 +157,7 @@ TEST_P(IntervalSoundness, SampledNextStatesLieWithinInterval) {
     const double cool = static_cast<double>(rng.uniform_int(23, 30));
     box.clip(model->cool_index(), Interval::bounded(cool, cool));
 
-    const Interval range = interval_next_state(*model, box);
+    const Interval range = next_state(*model, box);
     for (int i = 0; i < 60; ++i) {
       std::vector<double> x(model->input_dims());
       for (std::size_t d = 0; d < x.size(); ++d) {
@@ -218,12 +225,12 @@ TEST(SplitIntervalTest, DegenerateIntervalYieldsPointCell) {
 
 TEST_F(IntervalVerifyTest, ScratchVariantMatchesAllocatingPath) {
   // One scratch reused across differently shaped queries must reproduce
-  // the allocating path bit-for-bit (the parallel fan-out reuses one
-  // scratch per worker across many cells).
+  // a fresh scratch bit-for-bit (the parallel fan-out reuses one scratch
+  // per worker across many cells).
   IntervalScratch scratch;
   for (double s : {20.0, 21.0, 22.5}) {
     const Box box = operating_box(*model_, s, s + 0.5, 21.0, 23.0);
-    const Interval fresh = interval_next_state(*model_, box);
+    const Interval fresh = next_state(*model_, box);
     const Interval reused = interval_next_state(*model_, box, scratch);
     EXPECT_EQ(fresh.lo, reused.lo);
     EXPECT_EQ(fresh.hi, reused.hi);
@@ -247,12 +254,14 @@ TEST_F(IntervalVerifyTest, TightClimateEnvelopeCertifiesHoldPolicy) {
   // subject leaves. (The paper-scale envelope is wider and certification
   // legitimately abstains — see the width sweep below.)
   const DtPolicy policy = hold_policy();
-  DisturbanceBounds tight;
-  tight.outdoor = Interval::bounded(-1.0, 1.0);
-  tight.humidity = Interval::bounded(48.0, 52.0);
-  tight.wind = Interval::bounded(2.5, 3.5);
-  tight.solar = Interval::bounded(90.0, 110.0);
-  tight.occupancy = Interval::bounded(10.0, 12.0);
+  const env::FeatureSchema& schema = policy.schema();
+  using env::FeatureRole;
+  Box tight = schema.envelope();
+  tight[schema.index_of(FeatureRole::kOutdoorTemp)] = Interval::bounded(-1.0, 1.0);
+  tight[schema.index_of(FeatureRole::kHumidity)] = Interval::bounded(48.0, 52.0);
+  tight[schema.index_of(FeatureRole::kWind)] = Interval::bounded(2.5, 3.5);
+  tight[schema.index_of(FeatureRole::kSolar)] = Interval::bounded(90.0, 110.0);
+  tight[schema.index_of(FeatureRole::kOccupancy)] = Interval::bounded(10.0, 12.0);
   IntervalVerifyConfig fine;
   fine.zone_slice_c = 0.1;
   const IntervalReport report = verify_serial(policy, winter(), tight, fine);
@@ -271,12 +280,60 @@ TEST_F(IntervalVerifyTest, CertifiedFractionShrinksWithEnvelopeWidth) {
   const DtPolicy policy = hold_policy();
   double prev = 2.0;
   for (double width : {1.0, 10.0, 30.0}) {
-    DisturbanceBounds env_bounds;
-    env_bounds.outdoor = Interval::bounded(-width, width);
-    const IntervalReport report = verify_serial(policy, winter(), env_bounds);
+    Box envelope = policy.schema().envelope();
+    envelope[policy.schema().index_of(env::FeatureRole::kOutdoorTemp)] =
+        Interval::bounded(-width, width);
+    const IntervalReport report = verify_serial(policy, winter(), envelope);
     EXPECT_LE(report.certified_fraction(), prev + 1e-12);
     prev = report.certified_fraction();
   }
+}
+
+TEST_F(IntervalVerifyTest, NarrowedTemporalEnvelopeDropsLeavesOutsideIt) {
+  // The envelope clip is generic over every schema dimension, temporal ones
+  // included: on the time-aware schema, a leaf that only handles night-time
+  // inputs (hour_sin <= 0) falls out of a daytime envelope.
+  const env::FeatureSchema& schema = env::time_aware_schema();
+  const control::ActionSpace actions;
+  const std::size_t hold = actions.nearest_index(sim::SetpointPair{22.0, 23.0});
+  const std::size_t preheat = actions.nearest_index(sim::SetpointPair{23.0, 26.0});
+  DecisionDataset data;
+  for (int i = 0; i < 40; ++i) {
+    // zone, outdoor, humidity, wind, solar, occupants, hour_sin, hour_cos,
+    // occupants_ahead: only hour_sin separates the two labels.
+    const double temp = 20.0 + 0.08 * i;
+    data.records.push_back({{temp, 0.0, 50.0, 3.0, 100.0, 11.0, -0.5, 0.0, 11.0}, preheat});
+    data.records.push_back({{temp, 0.0, 50.0, 3.0, 100.0, 11.0, 0.5, 0.0, 11.0}, hold});
+  }
+  const DtPolicy policy = DtPolicy::fit(data, actions, {}, schema);
+  const std::size_t sin_dim = schema.index_of(env::FeatureRole::kHourSin);
+  const Interval daytime = Interval::bounded(0.25, 1.0);
+
+  std::size_t leaves_total = 0;
+  const auto full = interval_work_items(policy, winter(), schema.envelope(), {}, leaves_total);
+  std::size_t night_leaves = 0;
+  for (const IntervalWorkItem& item : full) {
+    if (policy.tree().leaf_box(item.leaf)[sin_dim].hi < daytime.lo) ++night_leaves;
+  }
+  ASSERT_GT(night_leaves, 0u);  // the tree splits on hour_sin
+
+  Box day = schema.envelope();
+  day[sin_dim] = daytime;
+  const auto narrowed = interval_work_items(policy, winter(), day, {}, leaves_total);
+  EXPECT_EQ(leaves_total, policy.tree().leaf_count());
+  EXPECT_EQ(narrowed.size(), full.size() - night_leaves);
+  for (const IntervalWorkItem& item : narrowed) {
+    for (const Box& cell : item.cells) {
+      EXPECT_GE(cell[sin_dim].lo, daytime.lo);
+      EXPECT_LE(cell[sin_dim].hi, daytime.hi);
+    }
+  }
+}
+
+TEST_F(IntervalVerifyTest, EnvelopeMustCoverThePolicySchema) {
+  const DtPolicy policy = hold_policy();  // baseline schema
+  EXPECT_THROW(verify_serial(policy, winter(), env::time_aware_schema().envelope()),
+               std::invalid_argument);
 }
 
 TEST_F(IntervalVerifyTest, UnoccupiedOnlyLeavesAreExempt) {
@@ -291,9 +348,9 @@ TEST_F(IntervalVerifyTest, UnoccupiedOnlyLeavesAreExempt) {
   DtPolicy policy = DtPolicy::fit(data, actions);
   // Constrain occupancy away: the single-leaf tree covers all occupancies,
   // so instead check with an occupancy envelope excluded by clipping.
-  DisturbanceBounds bounds;
-  bounds.occupancy = Interval::bounded(0.0, 0.4);  // occupied region excluded
-  const IntervalReport report = verify_serial(policy, winter(), bounds);
+  Box envelope = policy.schema().envelope();
+  envelope[policy.schema().occupancy_index()] = Interval::bounded(0.0, 0.4);  // occupied excluded
+  const IntervalReport report = verify_serial(policy, winter(), envelope);
   EXPECT_EQ(report.leaves_subject, 0u);
   EXPECT_DOUBLE_EQ(report.certified_fraction(), 1.0);
 }

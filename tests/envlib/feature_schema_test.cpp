@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace verihvac::env {
@@ -64,6 +65,27 @@ TEST(FeatureSchemaTest, RoleLookup) {
   EXPECT_EQ(aware.index_of(FeatureRole::kHourSin), 6u);
   EXPECT_EQ(aware.index_of(FeatureRole::kHourCos), 7u);
   EXPECT_EQ(aware.index_of(FeatureRole::kOccupancyForecast), 8u);
+}
+
+TEST(FeatureSchemaTest, BaselineEnvelopeIsTheDesignClimate) {
+  // The schema's bounds scope every interval certificate: pin the design
+  // climate they state. The zone temperature stays unbounded (certification
+  // clips it to the comfort range instead).
+  const FeatureSchema& base = baseline_schema();
+  const Box envelope = base.envelope();
+  ASSERT_EQ(envelope.size(), base.dims());
+  const auto expect_bounds = [&](FeatureRole role, double lo, double hi) {
+    const Interval& iv = envelope[base.index_of(role)];
+    EXPECT_EQ(iv.lo, lo) << feature_role_name(role);
+    EXPECT_EQ(iv.hi, hi) << feature_role_name(role);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_bounds(FeatureRole::kZoneTemp, -inf, inf);
+  expect_bounds(FeatureRole::kOutdoorTemp, -25.0, 45.0);  // degC
+  expect_bounds(FeatureRole::kHumidity, 0.0, 100.0);      // %
+  expect_bounds(FeatureRole::kWind, 0.0, 25.0);           // m/s
+  expect_bounds(FeatureRole::kSolar, 0.0, 1100.0);        // W/m^2
+  expect_bounds(FeatureRole::kOccupancy, 0.0, 40.0);      // people
 }
 
 TEST(FeatureSchemaTest, ExactlyOneStateDimension) {

@@ -281,9 +281,9 @@ int cmd_campaign(const Args& args) {
   config.envelopes.clear();
   for (const std::string& name : split_csv_list(args.get("envelopes", "mild"))) {
     if (name == "mild") {
-      config.envelopes.push_back({"mild", core::mild_envelope()});
+      config.envelopes.push_back({"mild", core::mild_envelope(config.schema)});
     } else if (name == "design") {
-      config.envelopes.push_back({"design", core::DisturbanceBounds{}});
+      config.envelopes.push_back({"design", config.schema.envelope()});
     } else {
       throw std::invalid_argument("--envelopes entries must be 'mild' or 'design'");
     }
