@@ -135,6 +135,7 @@ int main() {
   std::printf("running time-aware certification campaign (1 cell)...\n");
   core::CampaignConfig campaign;
   campaign.schema = env::time_aware_schema();
+  campaign.envelopes = {{"mild", core::mild_envelope(campaign.schema)}};
   campaign.climates = {city};
   campaign.buildings = {{"undersized", hvac_scale}};
   campaign.probabilistic_samples = 200;

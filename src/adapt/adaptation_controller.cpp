@@ -116,7 +116,8 @@ std::vector<AdaptationController::PendingTransition> AdaptationController::pair_
     const auto pending_it = pending_records_.find(record.session);
     std::optional<dyn::Transition> transition;
     if (pending_it != pending_records_.end()) {
-      transition = pair_transition(pending_it->second, record, non_finite);
+      transition = pair_transition(pending_it->second, record);
+      if (!transition && consecutive(pending_it->second, record)) ++non_finite;
     }
     if (transition) {
       PendingTransition item;

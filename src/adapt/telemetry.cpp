@@ -350,21 +350,19 @@ TelemetrySession read_session(std::istream& in) {
 
 }  // namespace detail
 
+bool consecutive(const TelemetryRecord& prev, const TelemetryRecord& next) {
+  return prev.session == next.session && next.decision_index == prev.decision_index + 1;
+}
+
 std::optional<dyn::Transition> pair_transition(const TelemetryRecord& prev,
-                                               const TelemetryRecord& next,
-                                               std::size_t& non_finite) {
-  if (prev.session != next.session || next.decision_index != prev.decision_index + 1) {
-    return std::nullopt;  // capture gap: no fabricated transition
-  }
+                                               const TelemetryRecord& next) {
+  if (!consecutive(prev, next)) return std::nullopt;  // capture gap: no fabricated transition
   dyn::Transition transition;
   transition.input = prev.obs_vector();
   transition.action.heating_c = prev.heating_c;
   transition.action.cooling_c = prev.cooling_c;
   transition.next_zone_temp = next.obs[next.zone_temp_dim];
-  if (!dyn::is_finite(transition)) {
-    ++non_finite;
-    return std::nullopt;
-  }
+  if (!dyn::is_finite(transition)) return std::nullopt;
   return transition;
 }
 
@@ -384,11 +382,10 @@ dyn::TransitionDataset trace_to_dataset(const TelemetryTrace& trace) {
   // schema shape seen and leave foreign-shaped records for a separate
   // extraction pass.
   std::uint16_t width = 0;
-  std::size_t non_finite = 0;
   for (std::size_t i = 0; i + 1 < ordered.size(); ++i) {
     const TelemetryRecord& cur = *ordered[i];
     const TelemetryRecord& next = *ordered[i + 1];
-    std::optional<dyn::Transition> transition = pair_transition(cur, next, non_finite);
+    std::optional<dyn::Transition> transition = pair_transition(cur, next);
     if (!transition) continue;
     if (width == 0) width = cur.obs_len;
     if (cur.obs_len != width || next.obs_len != width) continue;

@@ -284,14 +284,16 @@ class TelemetryLog : public serve::DecisionTap {
 /// block and the temporal forecast fields.
 inline constexpr std::uint32_t kTelemetryTraceVersion = 2;
 
-/// The one transition-pairing rule: `next` (same session, next decision
-/// index) is the observed outcome of `prev`. Returns prev's observation +
-/// action with next's zone temperature; nothing across a capture gap or for
-/// a non-finite value (counted in `non_finite`: DynamicsModel::train and
-/// fine_tune throw on any).
+/// True when `next` is the decision right after `prev` in the same session,
+/// i.e. no capture gap lies between them.
+bool consecutive(const TelemetryRecord& prev, const TelemetryRecord& next);
+
+/// The one transition-pairing rule: `next` (consecutive) is the observed
+/// outcome of `prev`. Returns prev's observation + action with next's zone
+/// temperature; nothing across a capture gap or for a non-finite value
+/// (DynamicsModel::train and fine_tune throw on any).
 std::optional<dyn::Transition> pair_transition(const TelemetryRecord& prev,
-                                               const TelemetryRecord& next,
-                                               std::size_t& non_finite);
+                                               const TelemetryRecord& next);
 
 /// Pairs session-consecutive decisions (d, d+1) into transitions with
 /// pair_transition.

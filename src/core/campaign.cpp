@@ -65,6 +65,14 @@ std::vector<CampaignScenario> enumerate_scenarios(const CampaignConfig& config) 
       config.envelopes.empty()) {
     throw std::invalid_argument("campaign: every grid axis needs at least one entry");
   }
+  for (const CampaignEnvelope& envelope : config.envelopes) {
+    if (envelope.bounds.size() != config.schema.dims()) {
+      throw std::invalid_argument("campaign: envelope '" + envelope.name + "' has " +
+                                  std::to_string(envelope.bounds.size()) + " dims, schema '" +
+                                  config.schema.name() + "' has " +
+                                  std::to_string(config.schema.dims()));
+    }
+  }
   std::vector<CampaignScenario> scenarios;
   std::size_t index = 0;
   for (const std::string& climate : config.climates) {

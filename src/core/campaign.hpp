@@ -44,9 +44,10 @@ struct CampaignComfortBand {
   env::ComfortRange range;  ///< default-constructed = winter band
 };
 
-/// A certificate envelope: a box over the campaign schema's inputs.
+/// A certificate envelope: a box over the campaign schema's inputs (one
+/// interval per schema dimension; enumerate_scenarios checks the width).
 struct CampaignEnvelope {
-  std::string name = "design";
+  std::string name;
   Box bounds;
 };
 
@@ -57,7 +58,8 @@ Box mild_envelope(const env::FeatureSchema& schema);
 
 struct CampaignConfig {
   /// Observation schema used by the default pipeline asset provider (and
-  /// by the scenario disturbance synthesizer); `envelopes` are boxes over it.
+  /// by the scenario disturbance synthesizer); `envelopes` are boxes over it,
+  /// so a caller that changes the schema restates them over the new one.
   env::FeatureSchema schema = env::baseline_schema();
   std::vector<std::string> climates{"Pittsburgh", "Tucson"};
   std::vector<CampaignBuilding> buildings{{"baseline", 1.0}, {"oversized", 2.0}};
@@ -137,7 +139,9 @@ struct CampaignResult {
 };
 
 /// The scenario grid in deterministic order (climate-major, then building,
-/// comfort band, envelope).
+/// comfort band, envelope). Throws std::invalid_argument on an empty axis or
+/// an envelope whose width is not `config.schema.dims()` — before any asset
+/// is built.
 std::vector<CampaignScenario> enumerate_scenarios(const CampaignConfig& config);
 
 /// Runs every scenario through the engine. `assets` is consulted once per

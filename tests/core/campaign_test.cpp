@@ -87,6 +87,29 @@ TEST_F(CampaignTest, EmptyGridAxisThrows) {
   EXPECT_THROW(enumerate_scenarios(config), std::invalid_argument);
 }
 
+TEST_F(CampaignTest, EnvelopeNarrowerThanSchemaThrowsBeforeAnyAsset) {
+  // The default envelopes are boxes over the default (baseline) schema; a
+  // config that swaps in the time-aware schema without restating them
+  // fails at enumeration, before the provider pays for an extraction.
+  CampaignConfig config;
+  config.schema = env::time_aware_schema();
+  config.climates = {"Pittsburgh"};
+  config.buildings = {{"baseline", 1.0}};
+  EXPECT_THROW(enumerate_scenarios(config), std::invalid_argument);
+  std::size_t provider_calls = 0;
+  const AssetProvider counting = [&](const CampaignScenario&) {
+    ++provider_calls;
+    return *assets_;
+  };
+  EXPECT_THROW(run_campaign(config, engine_with_threads(1), counting), std::invalid_argument);
+  EXPECT_EQ(provider_calls, 0u);
+
+  config.envelopes = {{"mild", mild_envelope(config.schema)}};
+  const auto scenarios = enumerate_scenarios(config);
+  ASSERT_EQ(scenarios.size(), 1u);
+  EXPECT_EQ(scenarios.front().envelope.bounds.size(), config.schema.dims());
+}
+
 TEST_F(CampaignTest, CertifiesSixScenariosInOneInvocation) {
   const auto result =
       run_campaign(six_scenario_config(), engine_with_threads(4), toy_provider());

@@ -182,7 +182,9 @@ TEST(SplitIntervalTest, NonDivisorWidthTilesExactly) {
   for (std::size_t k = 0; k < cells.size(); ++k) {
     EXPECT_GT(cells[k].hi, cells[k].lo) << "cell " << k;
     EXPECT_LE(cells[k].hi - cells[k].lo, 0.5 + 1e-12);
-    if (k + 1 < cells.size()) EXPECT_DOUBLE_EQ(cells[k].hi, cells[k + 1].lo);
+    if (k + 1 < cells.size()) {
+      EXPECT_DOUBLE_EQ(cells[k].hi, cells[k + 1].lo);
+    }
   }
 }
 
