@@ -146,9 +146,9 @@ DecisionDataset DecisionDataGenerator::generate(control::MbrlAgent& agent,
     for (std::size_t r = 0; r < config_.mc_repeats; ++r) rs.draw_sequences(agent.rng(), skipped);
   }
 
-  // Label whole points per worker: each point's repeats are one merged
-  // batch scored inline (a pool worker must not fan out again), so the
-  // labels equal the serial loop's for any thread count.
+  // Label whole points per worker, scoring inline (a pool worker must not
+  // fan out again) until the mode is settled; the solves continue the
+  // point's stream, so labels equal the serial loop's at any thread count.
   const std::size_t horizon = agent.forecast_horizon();
   const auto label = [&](std::size_t, std::size_t begin, std::size_t end) {
     std::vector<std::size_t> chosen(config_.mc_repeats);
@@ -158,11 +158,16 @@ DecisionDataset DecisionDataGenerator::generate(control::MbrlAgent& agent,
       Rng point_rng = starts[i];
       const env::Observation obs = config_.schema.to_observation(record.input);
       const std::vector<env::Disturbance> forecast = forecast_from(rows[i], horizon);
-      const control::RandomShooting::Decision decision{agent.model(), obs, forecast, point_rng,
-                                                       chosen};
-      rs.solve(std::span(&decision, 1), control::RandomShooting::Scoring::kCallingThread);
       std::fill(counts.begin(), counts.end(), 0);
-      for (const std::size_t a : chosen) ++counts[a];
+      std::size_t k = 0;  // runs solved so far
+      while (const std::size_t d = runs_to_settle(counts, config_.mc_repeats - k)) {
+        const std::span<std::size_t> runs = std::span(chosen).subspan(k, d);
+        const control::RandomShooting::Decision decision{agent.model(), obs, forecast,
+                                                         point_rng, runs};
+        rs.solve(std::span(&decision, 1), control::RandomShooting::Scoring::kCallingThread);
+        for (const std::size_t a : runs) ++counts[a];
+        k += d;
+      }
       record.action_index = modal_index(counts);
     }
   };
@@ -178,6 +183,19 @@ std::size_t modal_index(const std::vector<std::size_t>& counts) {
   if (counts.empty()) throw std::invalid_argument("modal_index: empty counts");
   return static_cast<std::size_t>(
       std::max_element(counts.begin(), counts.end()) - counts.begin());
+}
+
+std::size_t runs_to_settle(const std::vector<std::size_t>& counts, std::size_t remaining) {
+  std::size_t leader = 0;
+  std::size_t runner_up = 0;
+  for (const std::size_t c : counts) {
+    runner_up = std::max(runner_up, std::min(leader, c));
+    leader = std::max(leader, c);
+  }
+  if (leader > runner_up + remaining) return 0;
+  // d more runs all won by the leader settle it once 2d > runner_up +
+  // remaining - leader; fewer cannot, whatever they choose.
+  return std::min((runner_up + remaining - leader) / 2 + 1, remaining);
 }
 
 }  // namespace verihvac::core

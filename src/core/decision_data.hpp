@@ -2,28 +2,32 @@
 //
 // Two pieces:
 //
-// 1. AugmentedSampler implements Eq. 5: instead of gridding the 6-dim input
-//    space (the O(n^5) blow-up the paper computes at 444 hours), draw a row
-//    of the *historical* data and add element-wise Gaussian noise with
-//    std = noise_level * per-dimension std of the data. This concentrates
-//    optimizer queries on the input scenarios that actually occur in the
-//    city's climate.
+// 1. AugmentedSampler implements Eq. 5: instead of gridding the schema's
+//    input space (the O(n^5) blow-up the paper computes at 444 hours),
+//    draw a row of the *historical* data and add element-wise Gaussian
+//    noise with std = noise_level * per-dimension std of the data. This
+//    concentrates optimizer queries on the input scenarios that actually
+//    occur in the city's climate.
 //
 // 2. DecisionDataGenerator distills the stochastic RS optimizer into
-//    deterministic supervision: for each sampled input it runs the
-//    optimizer `mc_repeats` times (Monte-Carlo) and records the *modal*
-//    (most frequent) action a* — the key stochasticity fix motivated by
-//    Fig. 1. The disturbance forecast handed to the optimizer is the
-//    historical continuation of the sampled row (the future the building
-//    actually saw), falling back to persistence at the episode tail.
+//    deterministic supervision: each sampled input is labelled with the
+//    *modal* (most frequent) first action a* of `mc_repeats` (R) optimizer
+//    runs — the key stochasticity fix motivated by Fig. 1. The disturbance
+//    forecast handed to the optimizer is the historical continuation of
+//    the sampled row (the future the building actually saw), falling back
+//    to persistence at the episode tail. Labelling stops once no remaining
+//    run can change the mode (runs_to_settle), each step solving the
+//    fewest runs that could settle it as one RandomShooting::solve batch.
+//    The label equals the mode of all R runs: a settled leader is their
+//    unique mode, and run j continues the point's one RNG stream with
+//    batch-independent scoring, so it chooses what it would among all R.
 //    Generation fans out across decision points over the agent's attached
 //    control::RolloutEngine (the pipeline wires in the shared engine): a
-//    serial pre-pass draws every input and records the agent's RNG state
-//    at each point, then each worker labels whole points, scoring a
-//    point's `mc_repeats` optimizer runs as one merged lock-step batch
-//    (one RandomShooting::solve decision). The recorded modal actions, and
-//    the agent's RNG state afterwards, are bit-identical to labelling one
-//    point at a time with action_distribution() at any thread count.
+//    serial pre-pass draws every input, records the agent's RNG state at
+//    each point and advances it past all R runs, then each worker labels
+//    whole points. The recorded modal actions, and the agent's RNG state
+//    afterwards, are bit-identical to labelling one point at a time with
+//    action_distribution() at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -124,5 +128,11 @@ class DecisionDataGenerator {
 
 /// Modal index of a count histogram (lowest index wins ties).
 std::size_t modal_index(const std::vector<std::size_t>& counts);
+
+/// Runs to solve next, of the `remaining`, before the mode of `counts` can be
+/// settled: 0 once the leader's count is strictly greater than the runner-up's
+/// plus `remaining` (or none remain), else the fewest that, all won by the
+/// leader, would settle it.
+std::size_t runs_to_settle(const std::vector<std::size_t>& counts, std::size_t remaining);
 
 }  // namespace verihvac::core

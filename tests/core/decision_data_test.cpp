@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "common/stats.hpp"
@@ -27,6 +28,41 @@ TEST(ModalIndexTest, TieBreaksToLowestIndex) {
 
 TEST(ModalIndexTest, EmptyThrows) {
   EXPECT_THROW(modal_index({}), std::invalid_argument);
+}
+
+TEST(RunsToSettleTest, UnanimousThreeOfFiveIsSettled) {
+  EXPECT_EQ(runs_to_settle({0, 3, 0}, 2), 0u);
+  EXPECT_EQ(modal_index({0, 3, 0}), 1u);
+}
+
+TEST(RunsToSettleTest, FirstBatchIsAStrictMajority) {
+  EXPECT_EQ(runs_to_settle({0, 0, 0}, 5), 3u);
+  EXPECT_EQ(runs_to_settle({0, 0, 0}, 10), 6u);
+}
+
+TEST(RunsToSettleTest, TwoToOneWithTwoLeftNeedsOneMore) {
+  EXPECT_EQ(runs_to_settle({2, 1, 0}, 2), 1u);
+  // Whichever way that run goes: 3-1 settles, 2-2 needs the last run.
+  EXPECT_EQ(runs_to_settle({3, 1, 0}, 1), 0u);
+  EXPECT_EQ(runs_to_settle({2, 2, 0}, 1), 1u);
+}
+
+TEST(RunsToSettleTest, ThreeWaySplitWithTwoLeftNeedsBoth) {
+  EXPECT_EQ(runs_to_settle({1, 1, 1}, 2), 2u);
+}
+
+TEST(RunsToSettleTest, EvenTieNeverSettlesEarly) {
+  // R = 10: a 5-5 split is only known once every run is in, and the
+  // lower index wins it.
+  EXPECT_EQ(runs_to_settle({4, 4}, 2), 2u);
+  EXPECT_EQ(runs_to_settle({5, 4}, 1), 1u);
+  EXPECT_EQ(runs_to_settle({5, 5}, 0), 0u);
+  EXPECT_EQ(modal_index({5, 5}), 0u);
+}
+
+TEST(RunsToSettleTest, SingleRun) {
+  EXPECT_EQ(runs_to_settle({0, 0}, 1), 1u);
+  EXPECT_EQ(runs_to_settle({0, 1}, 0), 0u);
 }
 
 TEST(DecisionDatasetTest, ViewsAndPrefix) {
@@ -236,13 +272,29 @@ TEST(GeneratorTest, DistilledActionsReflectComfortLogic) {
 // ---------------------------------------------------------------------------
 // Bit-identity of the point-sharded generator against the serial oracle.
 
-/// The serial per-point loop generate() replaced: sample a point, then
-/// label it with `mc_repeats` back-to-back optimizer calls on `agent_rng`.
+/// Leader's count minus the runner-up's.
+std::size_t lead(std::vector<std::size_t> counts) {
+  std::sort(counts.rbegin(), counts.rend());
+  return counts.size() > 1 ? counts[0] - counts[1] : counts[0];
+}
+
+/// How the oracle's points settled: `early` counts points whose mode was
+/// fixed before their last run (the lead exceeded the runs left), `last`
+/// points whose mode stayed open until the last run (a lead of at most 1
+/// over the first R - 1 runs).
+struct Settling {
+  std::size_t early = 0;
+  std::size_t last = 0;
+};
+
+/// The serial per-point loop: sample a point, then label it with all
+/// `mc_repeats` back-to-back optimizer calls on `agent_rng`.
 DecisionDataset oracle_generate(const DecisionDataGenerator& generator,
                                 const DecisionDataConfig& cfg,
                                 const control::RandomShooting& rs,
                                 const dyn::DynamicsModel& model, Rng& agent_rng,
-                                std::size_t n_points, std::size_t n_actions) {
+                                std::size_t n_points, std::size_t n_actions,
+                                Settling* settling = nullptr) {
   DecisionDataset data;
   Rng rng(cfg.seed);
   for (std::size_t i = 0; i < n_points; ++i) {
@@ -250,9 +302,13 @@ DecisionDataset oracle_generate(const DecisionDataGenerator& generator,
     const env::Observation obs = cfg.schema.to_observation(x);
     const auto forecast = generator.forecast_from(row, rs.config().horizon);
     std::vector<std::size_t> counts(n_actions, 0);
+    bool early = false;
     for (std::size_t r = 0; r < cfg.mc_repeats; ++r) {
+      if (r + 1 == cfg.mc_repeats && lead(counts) <= 1 && settling) ++settling->last;
       ++counts[oracle_optimize(rs, model, obs, forecast, agent_rng, n_actions)];
+      early = early || (r + 1 < cfg.mc_repeats && lead(counts) > cfg.mc_repeats - r - 1);
     }
+    if (early && settling) ++settling->early;
     data.records.push_back({std::move(x), modal_index(counts)});
   }
   return data;
@@ -287,7 +343,10 @@ TEST_F(GeneratorBitIdentityTest, EqualsSerialOracleAtEveryPoolAndLeavesRngInStep
   const control::ActionSpace actions;
   const std::uint64_t agent_seed = 32;
   for (const bool refine : {false, true}) {
-    for (const std::size_t repeats : {std::size_t{1}, std::size_t{3}}) {
+    // Even repeat counts reach the tie path: an R/2-R/2 split is settled
+    // only by its last run, and the lower index wins it.
+    for (const std::size_t repeats : {std::size_t{1}, std::size_t{3}, std::size_t{5},
+                                      std::size_t{10}}) {
       DecisionDataConfig cfg;
       cfg.mc_repeats = repeats;
       cfg.seed = 33;
@@ -297,8 +356,15 @@ TEST_F(GeneratorBitIdentityTest, EqualsSerialOracleAtEveryPoolAndLeavesRngInStep
       // thread counts; 40: sharded into chunks across every pool.
       for (const std::size_t n_points : {std::size_t{5}, std::size_t{40}}) {
         Rng oracle_rng(agent_seed);
+        Settling settling;
         const DecisionDataset expected = oracle_generate(
-            generator, cfg, oracle_rs, *model_, oracle_rng, n_points, actions.size());
+            generator, cfg, oracle_rs, *model_, oracle_rng, n_points, actions.size(), &settling);
+        if (repeats > 1 && n_points == 40) {
+          // The fixture reaches both ends of the early stop: points it
+          // settles before the last run, and points only the last run settles.
+          EXPECT_GT(settling.early, 0u) << "refine=" << refine << " repeats=" << repeats;
+          EXPECT_GT(settling.last, 0u) << "refine=" << refine << " repeats=" << repeats;
+        }
         const env::Observation next_obs = cfg.schema.to_observation(expected.records[0].input);
         const auto next_forecast = generator.forecast_from(7, oracle_rs.config().horizon);
         const std::size_t next_expected =

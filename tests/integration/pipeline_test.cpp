@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+
+#include "common/fnv1a.hpp"
+#include "core/policy_io.hpp"
+
 namespace verihvac::core {
 namespace {
 
@@ -91,6 +97,22 @@ TEST_F(PipelineTest, RefitWithPrefixReusesDecisions) {
 TEST_F(PipelineTest, RefitBeyondBaseGeneratesMore) {
   const PipelineArtifacts bigger = refit_policy(artifacts(), 100);
   EXPECT_EQ(bigger.decisions.size(), 100u);
+}
+
+TEST(PipelineGoldenTest, BundleBytesAreLocked) {
+  // Bit-identity lock on a whole extraction: FNV-1a 64 over the bytes of
+  // the written bundle. Five repeats per point let the modal labelling
+  // settle early on most points; the digest was recorded with every point
+  // solving all five, so it holds early stopping to the full-R labels.
+  // Never re-baseline it to follow a refactor: any label, split or
+  // threshold that moves changes these bytes.
+  PipelineConfig cfg = tiny_config("Pittsburgh");
+  cfg.decision.mc_repeats = 5;
+  const PipelineArtifacts artifacts = run_pipeline(cfg);
+  std::ostringstream bundle;
+  write_policy(*artifacts.policy, bundle);
+  const std::uint64_t digest = common::Fnv1a().bytes(bundle.str()).digest();
+  EXPECT_EQ(digest, 0x4ab5851f3ebbd87eull) << std::hex << "digest 0x" << digest;
 }
 
 TEST(PipelineConfigTest, ForCityResolvesClimates) {

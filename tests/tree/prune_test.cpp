@@ -83,11 +83,11 @@ TEST(PruneTest, CollapsesManuallyBuiltRedundantSplit) {
 
 TEST(PruneTest, CascadingMerges) {
   // A three-level chain that collapses completely once the bottom merges.
-  //        n0(x0<=0.5)
-  //        /        \
-  //   n1(x1<=0.5)   leaf(7)
-  //    /     \
-  // leaf(7) leaf(7)
+  //   n0(x0<=0.5)
+  //   |-- left:  n1(x1<=0.5)
+  //   |          |-- left:  leaf(7)
+  //   |          `-- right: leaf(7)
+  //   `-- right: leaf(7)
   std::vector<TreeNode> nodes(5);
   nodes[0].feature = 0;
   nodes[0].threshold = 0.5;
