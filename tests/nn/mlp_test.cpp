@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "common/fnv1a.hpp"
+
 namespace verihvac::nn {
 namespace {
 
@@ -72,35 +79,95 @@ TEST(MlpTest, PredictIsRepeatableWithReusedScratch) {
   EXPECT_DOUBLE_EQ(out2[0], first);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+Mlp make_net(const std::vector<std::size_t>& widths, std::uint64_t seed) {
+  Mlp net(widths);
+  Rng rng(seed);
+  net.init(rng);
+  return net;
+}
+
+Matrix make_batch(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Matrix batch(rows, cols);
+  Rng rng(seed);
+  for (double& v : batch.data()) v = rng.uniform(-3.0, 3.0);
+  return batch;
+}
+
 TEST(MlpTest, ForwardIntoBitIdenticalToScalarPredict) {
   // The lock-step rollout engine's core contract: batched inference must
-  // reproduce the scalar predict hot path to the last bit, for every row
-  // position in the row-blocked thin-layer kernel (kRows = 8 in
-  // Linear::forward_into, so sizes below/at/above 8 cover the remainder
-  // rows) and the register-tiled wide-layer kernel.
-  Mlp net({8, 32, 32, 1});
-  Rng rng(21);
-  net.init(rng);
+  // reproduce the scalar predict hot path to the last bit. The widths
+  // cover the production shape, output tiles with a remainder (40, 20), a
+  // two-output and a five-output thin head; the batch sizes cover every
+  // position around the 8-row blocks. One row holds a NaN and one holds
+  // +inf and -inf, so non-finite values travel the same chains too.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {8, 32, 32, 1}, {8, 40, 20, 1}, {6, 16, 16, 2}, {3, 64, 5}};
+  for (const auto& widths : shapes) {
+    const Mlp net = make_net(widths, 21 + widths[1]);
+    const std::size_t in = widths.front();
+    for (std::size_t batch_size : {1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 193u}) {
+      Matrix batch = make_batch(batch_size, in, 100 + batch_size);
+      batch(batch_size / 2, in - 1) = std::nan("");
+      batch(batch_size - 1, 0) = std::numeric_limits<double>::infinity();
+      batch(batch_size - 1, in - 1) = -std::numeric_limits<double>::infinity();
 
-  for (std::size_t batch_size : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 33u}) {
-    Matrix batch(batch_size, 8);
-    Rng data_rng(100 + batch_size);
-    for (double& v : batch.data()) v = data_rng.uniform(-3.0, 3.0);
+      BatchScratch scratch;
+      Matrix out;
+      net.forward_into(batch, out, scratch);
+      ASSERT_EQ(out.rows(), batch_size);
+      ASSERT_EQ(out.cols(), net.output_dim());
 
-    BatchScratch scratch;
-    Matrix out;
-    net.forward_into(batch, out, scratch);
-    ASSERT_EQ(out.rows(), batch_size);
-    ASSERT_EQ(out.cols(), 1u);
-
-    std::vector<double> scalar_out;
-    std::vector<double> scalar_scratch;
-    for (std::size_t r = 0; r < batch_size; ++r) {
-      net.predict(batch.row(r), scalar_out, scalar_scratch);
-      // EXPECT_EQ, not EXPECT_DOUBLE_EQ: exact equality, no ULP slack.
-      EXPECT_EQ(out(r, 0), scalar_out[0]) << "batch " << batch_size << " row " << r;
+      std::vector<double> scalar_out;
+      std::vector<double> scalar_scratch;
+      for (std::size_t r = 0; r < batch_size; ++r) {
+        net.predict(batch.row(r), scalar_out, scalar_scratch);
+        for (std::size_t o = 0; o < net.output_dim(); ++o) {
+          // Bit patterns, not values: no ULP slack, and NaN must match NaN.
+          EXPECT_EQ(bits(out(r, o)), bits(scalar_out[o]))
+              << "widths[1] " << widths[1] << " batch " << batch_size << " row " << r
+              << " output " << o;
+        }
+      }
     }
   }
+}
+
+TEST(MlpTest, ForwardIntoDigestIsLocked) {
+  // FNV-1a 64 over the bits of every output of two fixed nets on one
+  // fixed 193-row batch. The digest was recorded before the row-blocked
+  // inference kernel replaced the layer-at-a-time one, so it pins that
+  // the kernel change moved no bit, at whatever ISA the kernels build for.
+  common::Fnv1a digest;
+  for (const auto& widths : std::vector<std::vector<std::size_t>>{{8, 32, 32, 1}, {8, 40, 20, 3}}) {
+    const Mlp net = make_net(widths, 31);
+    BatchScratch scratch;
+    Matrix out;
+    net.forward_into(make_batch(193, 8, 37), out, scratch);
+    for (double v : out.data()) digest.f64(v);
+  }
+  EXPECT_EQ(digest.digest(), 0x0c67e12cb8e706f3ull) << std::hex << digest.digest();
+}
+
+TEST(MlpTest, ForwardIntoKeepsNaNThroughHiddenRelu) {
+  // Inference ReLU is max(v, 0.0), the scalar predict expression: a NaN
+  // pre-activation stays NaN. Training ReLU (v > 0 ? v : 0) maps it to 0,
+  // so the training forward of the same net returns the head's bias.
+  Mlp net({1, 1, 1});
+  net.layers()[0].weight() = Matrix{{1.0}};
+  net.layers()[0].bias() = Matrix{{0.0}};
+  net.layers()[1].weight() = Matrix{{2.0}};
+  net.layers()[1].bias() = Matrix{{0.5}};
+  const Matrix batch{{-1.0}, {2.5}, {std::nan("")}};
+
+  BatchScratch scratch;
+  Matrix out;
+  net.forward_into(batch, out, scratch);
+  EXPECT_EQ(out(0, 0), 0.5);  // negative pre-activation clamped to 0
+  EXPECT_EQ(out(1, 0), 5.5);
+  EXPECT_TRUE(std::isnan(out(2, 0)));
+  EXPECT_EQ(net.forward(batch)(2, 0), 0.5);
 }
 
 TEST(MlpTest, ForwardIntoMatchesTrainingForward) {
