@@ -8,14 +8,16 @@ namespace verihvac::nn {
 
 namespace {
 
-/// Where the bias enters each output's accumulation chain (see layers.hpp).
-enum class BiasOrder { kFirst, kLast };
+/// Outputs computed together per weight load: the output tile of a wide
+/// layer (its accumulators stay in vector registers across the k loop) and
+/// the row block of the inference kernel and of a thin training layer.
+constexpr std::size_t kOTile = 32;
+constexpr std::size_t kRows = 8;
 
-/// out = input W^T + b. Element (r, o) accumulates w[o][k] * x[r][k] with k
-/// ascending, starting from bias[o] (kFirst) or from 0.0 with bias[o] added
-/// after the last term (kLast). The vector lanes are always *independent*
-/// outputs, so vectorization reorders no chain.
-template <BiasOrder kOrder>
+/// Training forward: out = input W^T + b. Element (r, o) accumulates
+/// w[o][k] * x[r][k] with k ascending from 0.0, and bias[o] is added after
+/// the last term. The vector lanes are always *independent* outputs, so
+/// vectorization reorders no chain.
 void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& input,
                    Matrix& out, Matrix& wt_scratch) {
   assert(input.cols() == weight.cols());
@@ -24,10 +26,6 @@ void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& i
   const std::size_t in = weight.cols();
   const std::size_t on = weight.rows();
   const double* bias = bias_row.row_data(0);
-  const auto start = [bias](std::size_t o) { return kOrder == BiasOrder::kFirst ? bias[o] : 0.0; };
-  const auto finish = [bias](double acc, std::size_t o) {
-    return kOrder == BiasOrder::kFirst ? acc : acc + bias[o];
-  };
   out.reshape(n, on);  // every element is overwritten
 
   // Thin output layers (e.g. the 32 -> 1 regression head) are pure
@@ -35,7 +33,6 @@ void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& i
   // blocking flips the parallelism axis: eight rows' chains retire
   // together, each in its own k-ascending order, so bits are unchanged.
   if (on < 8) {
-    constexpr std::size_t kRows = 8;
     std::size_t r = 0;
     for (; r + kRows <= n; r += kRows) {
       const double* x[kRows];
@@ -43,12 +40,12 @@ void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& i
       for (std::size_t o = 0; o < on; ++o) {
         const double* __restrict wrow = weight.row_data(o);
         double acc[kRows];
-        for (std::size_t j = 0; j < kRows; ++j) acc[j] = start(o);
+        for (std::size_t j = 0; j < kRows; ++j) acc[j] = 0.0;
         for (std::size_t k = 0; k < in; ++k) {
           const double wk = wrow[k];
           for (std::size_t j = 0; j < kRows; ++j) acc[j] += wk * x[j][k];
         }
-        for (std::size_t j = 0; j < kRows; ++j) out(r + j, o) = finish(acc[j], o);
+        for (std::size_t j = 0; j < kRows; ++j) out(r + j, o) = acc[j] + bias[o];
       }
     }
     for (; r < n; ++r) {
@@ -56,9 +53,9 @@ void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& i
       double* __restrict y = out.row_data(r);
       for (std::size_t o = 0; o < on; ++o) {
         const double* __restrict wrow = weight.row_data(o);
-        double sum = start(o);
+        double sum = 0.0;
         for (std::size_t k = 0; k < in; ++k) sum += wrow[k] * x[k];
-        y[o] = finish(sum, o);
+        y[o] = sum + bias[o];
       }
     }
     return;
@@ -77,32 +74,102 @@ void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& i
   // output row lives in a fixed-size local accumulator (compile-time
   // bounds, so it stays in vector registers) across the whole k loop, and
   // is stored exactly once. The remainder tile has a runtime width.
-  constexpr std::size_t kOTile = 32;
   for (std::size_t r = 0; r < n; ++r) {
     const double* __restrict x = input.row_data(r);
     double* __restrict y = out.row_data(r);
     std::size_t o0 = 0;
     for (; o0 + kOTile <= on; o0 += kOTile) {
       double acc[kOTile];
-      for (std::size_t j = 0; j < kOTile; ++j) acc[j] = start(o0 + j);
+      for (std::size_t j = 0; j < kOTile; ++j) acc[j] = 0.0;
       for (std::size_t k = 0; k < in; ++k) {
         const double xk = x[k];
         const double* __restrict wrow = wt_scratch.row_data(k) + o0;
         for (std::size_t j = 0; j < kOTile; ++j) acc[j] += xk * wrow[j];
       }
-      for (std::size_t j = 0; j < kOTile; ++j) y[o0 + j] = finish(acc[j], o0 + j);
+      for (std::size_t j = 0; j < kOTile; ++j) y[o0 + j] = acc[j] + bias[o0 + j];
     }
     if (o0 < on) {
       const std::size_t width = on - o0;
       double acc[kOTile];
-      for (std::size_t j = 0; j < width; ++j) acc[j] = start(o0 + j);
+      for (std::size_t j = 0; j < width; ++j) acc[j] = 0.0;
       for (std::size_t k = 0; k < in; ++k) {
         const double xk = x[k];
         const double* __restrict wrow = wt_scratch.row_data(k) + o0;
         for (std::size_t j = 0; j < width; ++j) acc[j] += xk * wrow[j];
       }
-      for (std::size_t j = 0; j < width; ++j) y[o0 + j] = finish(acc[j], o0 + j);
+      for (std::size_t j = 0; j < width; ++j) y[o0 + j] = acc[j] + bias[o0 + j];
     }
+  }
+}
+
+/// Inference, one output tile of a wide layer for two rows: outputs
+/// [o0, o0 + width) of rows x0 and x1 into y0 and y1. Each W^T row load
+/// feeds both rows' accumulators, which stay in registers across k. Every
+/// output starts from its bias and adds k ascending, the chain of the
+/// scalar Mlp::predict; ReLU is its expression, max(acc, 0.0), in the
+/// store. kWidth is the tile width, or 0 for the runtime-width remainder.
+template <std::size_t kWidth>
+void infer_tile(const double* __restrict x0, const double* __restrict x1, const Matrix& wt,
+                const double* __restrict bias, std::size_t o0, std::size_t width, bool relu,
+                double* __restrict y0, double* __restrict y1) {
+  const std::size_t w = kWidth != 0 ? kWidth : width;
+  double acc0[kOTile];
+  double acc1[kOTile];
+  for (std::size_t j = 0; j < w; ++j) acc0[j] = acc1[j] = bias[o0 + j];
+  for (std::size_t k = 0; k < wt.rows(); ++k) {
+    const double* __restrict wrow = wt.row_data(k) + o0;
+    const double a0 = x0[k];
+    const double a1 = x1[k];
+    for (std::size_t j = 0; j < w; ++j) {
+      acc0[j] += a0 * wrow[j];
+      acc1[j] += a1 * wrow[j];
+    }
+  }
+  for (std::size_t j = 0; j < w; ++j) {
+    y0[o0 + j] = relu ? std::max(acc0[j], 0.0) : acc0[j];
+    y1[o0 + j] = relu ? std::max(acc1[j], 0.0) : acc1[j];
+  }
+}
+
+/// Inference, one layer for a block of `rows` (1..kRows) rows: src rows
+/// (stride `in`) to dst rows (stride `on`). A missing partner row repeats
+/// the block's last row, so every kernel runs at its full, compile-time
+/// row count; what a repeated row computes lands in an unused dst row (wide
+/// layers) or is never stored (thin layers).
+void infer_layer(const Linear& layer, const Matrix& wt, std::size_t rows, bool relu,
+                 const double* src, double* dst) {
+  const std::size_t in = layer.in_features();
+  const std::size_t on = layer.out_features();
+  const double* bias = layer.bias().row_data(0);
+
+  if (on >= 8) {
+    for (std::size_t r = 0; r < rows; r += 2) {
+      const double* x0 = src + r * in;
+      const double* x1 = r + 1 < rows ? x0 + in : x0;
+      double* y0 = dst + r * on;
+      double* y1 = y0 + on;  // r + 1 < kRows: the block buffer has the row
+      std::size_t o0 = 0;
+      for (; o0 + kOTile <= on; o0 += kOTile) {
+        infer_tile<kOTile>(x0, x1, wt, bias, o0, kOTile, relu, y0, y1);
+      }
+      if (o0 < on) infer_tile<0>(x0, x1, wt, bias, o0, on - o0, relu, y0, y1);
+    }
+    return;
+  }
+
+  // Thin layers (the regression head): the eight rows' chains retire
+  // together, as in the training kernel, each in its own k order.
+  const double* x[kRows];
+  for (std::size_t j = 0; j < kRows; ++j) x[j] = src + std::min(j, rows - 1) * in;
+  for (std::size_t o = 0; o < on; ++o) {
+    const double* __restrict wrow = layer.weight().row_data(o);
+    double acc[kRows];
+    for (std::size_t j = 0; j < kRows; ++j) acc[j] = bias[o];
+    for (std::size_t k = 0; k < in; ++k) {
+      const double wk = wrow[k];
+      for (std::size_t j = 0; j < kRows; ++j) acc[j] += wk * x[j][k];
+    }
+    for (std::size_t j = 0; j < rows; ++j) dst[j * on + o] = relu ? std::max(acc[j], 0.0) : acc[j];
   }
 }
 
@@ -122,13 +189,9 @@ void Linear::init(Rng& rng) {
 }
 
 const Matrix& Linear::forward(const Matrix& input, bool relu) {
-  linear_kernel<BiasOrder::kLast>(weight_, bias_, input, out_, wt_);
+  linear_kernel(weight_, bias_, input, out_, wt_);
   if (relu) Relu::train_inplace(out_);
   return out_;
-}
-
-void Linear::forward_into(const Matrix& input, Matrix& out, Matrix& wt_scratch) const {
-  linear_kernel<BiasOrder::kFirst>(weight_, bias_, input, out, wt_scratch);
 }
 
 void Linear::backward(const Matrix& input, const Matrix& grad_output, Matrix* grad_input) {
@@ -157,10 +220,6 @@ void Linear::zero_grad() {
   bias_grad_.fill(0.0);
 }
 
-void Relu::forward_inplace(Matrix& x) {
-  for (double& v : x.data()) v = std::max(v, 0.0);
-}
-
 void Relu::train_inplace(Matrix& x) {
   for (double& v : x.data()) v = v > 0.0 ? v : 0.0;
 }
@@ -168,6 +227,47 @@ void Relu::train_inplace(Matrix& x) {
 void Relu::backward_inplace(const Matrix& post, Matrix& grad) {
   assert(grad.rows() == post.rows() && grad.cols() == post.cols());
   for (std::size_t i = 0; i < grad.size(); ++i) grad.data()[i] *= post.data()[i] > 0.0 ? 1.0 : 0.0;
+}
+
+void infer_into(const std::vector<Linear>& layers, const Matrix& input, Matrix& out,
+                BatchScratch& scratch) {
+  assert(!layers.empty() && input.cols() == layers.front().in_features());
+  assert(&input != &out && "infer_into: output aliases the input");
+  const std::size_t n = input.rows();
+  const std::size_t on_last = layers.back().out_features();
+
+  // Stage each wide layer's W^T (in x out) so a tile's weight row is
+  // contiguous. The copy is O(in*on) against the O(n*in*on) product.
+  std::size_t widest = 0;
+  scratch.wt.resize(layers.size());
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    const Matrix& w = layers[li].weight();
+    widest = std::max(widest, w.rows());
+    if (w.rows() < 8) continue;
+    Matrix& wt = scratch.wt[li];
+    wt.reshape(w.cols(), w.rows());
+    for (std::size_t o = 0; o < w.rows(); ++o) {
+      for (std::size_t k = 0; k < w.cols(); ++k) wt(k, o) = w(o, k);
+    }
+  }
+  scratch.a.reshape(kRows, widest);
+  scratch.b.reshape(kRows, widest);
+  out.reshape(n, on_last);
+
+  // Each block of kRows rows runs through every layer before the next
+  // block starts, ping-ponging between the two block buffers, so its
+  // activations never leave L1. Layer 0 reads the input rows in place.
+  for (std::size_t r0 = 0; r0 < n; r0 += kRows) {
+    const std::size_t rows = std::min(kRows, n - r0);
+    const double* src = input.row_data(r0);
+    double* buffers[2] = {scratch.a.row_data(0), scratch.b.row_data(0)};
+    for (std::size_t li = 0; li < layers.size(); ++li) {
+      double* dst = buffers[li % 2];
+      infer_layer(layers[li], scratch.wt[li], rows, li + 1 < layers.size(), src, dst);
+      src = dst;
+    }
+    std::copy_n(src, rows * on_last, out.row_data(r0));
+  }
 }
 
 }  // namespace verihvac::nn

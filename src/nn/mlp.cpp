@@ -88,23 +88,7 @@ void Mlp::predict(const std::vector<double>& input, std::vector<double>& output,
 
 void Mlp::forward_into(const Matrix& input, Matrix& out, BatchScratch& scratch) const {
   assert(input.cols() == input_dim());
-  // Same ping-pong as predict(), lifted to whole batches: layer li reads
-  // one scratch matrix and writes the other, ReLU runs in place on the
-  // freshly written buffer, and the final (narrow) activation is copied
-  // into `out` once.
-  const Matrix* src = &input;
-  Matrix* buffers[2] = {&scratch.a, &scratch.b};
-  int which = 0;
-  scratch.wt.resize(layers_.size());
-
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    Matrix* dst = buffers[which];
-    which ^= 1;
-    layers_[li].forward_into(*src, *dst, scratch.wt[li]);
-    if (li + 1 < layers_.size()) Relu::forward_inplace(*dst);
-    src = dst;
-  }
-  out = *src;  // vector copy-assign: reuses out's capacity
+  infer_into(layers_, input, out, scratch);
 }
 
 std::vector<double> Mlp::parameters() const {

@@ -5,7 +5,8 @@
 // scratch-free single-sample fast path (the random-shooting optimizer calls
 // it millions of times), and backward for training.
 // Training writes into buffers the Mlp owns (not thread-safe); inference
-// stays const. nn/layers.hpp gives the two paths' accumulation orders.
+// stays const. nn/layers.hpp gives the training and inference kernels and
+// their accumulation orders.
 #pragma once
 
 #include <vector>
@@ -13,18 +14,6 @@
 #include "nn/layers.hpp"
 
 namespace verihvac::nn {
-
-/// Caller-owned ping-pong activation matrices for the allocation-free
-/// batched inference path (same ownership convention as IbpScratch /
-/// dyn::PredictScratch: the network stays const, so one scratch per worker
-/// thread makes batched inference on a shared model thread-safe).
-/// Buffers grow to the largest (batch x width) seen and are then reused.
-struct BatchScratch {
-  Matrix a;
-  Matrix b;
-  /// Per-layer transposed-weight staging (see Linear::forward_into).
-  std::vector<Matrix> wt;
-};
 
 class Mlp {
  public:
@@ -56,9 +45,9 @@ class Mlp {
   /// becomes (rows x output_dim()). No autograd buffers are touched, so
   /// this is safe on a shared const network with one scratch per thread.
   /// Row r of the result is bit-identical to predict() on row r — the
-  /// batched Linear kernel keeps the scalar path's accumulation order (see
-  /// Linear::forward_into), which rollout/verification equivalence tests
-  /// lock in. `out` must not alias `input` or the scratch buffers.
+  /// row-blocked kernel keeps the scalar path's accumulation order (see
+  /// nn::infer_into), which rollout/verification equivalence tests lock
+  /// in. `out` must not alias `input` or the scratch buffers.
   void forward_into(const Matrix& input, Matrix& out, BatchScratch& scratch) const;
 
   std::vector<Linear>& layers() { return layers_; }
