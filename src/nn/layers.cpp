@@ -10,7 +10,9 @@ namespace {
 
 /// Outputs computed together per weight load: the output tile of a wide
 /// layer (its accumulators stay in vector registers across the k loop) and
-/// the row block of the inference kernel and of a thin training layer.
+/// the row block of the inference kernel and of a thin training layer. A
+/// layer with fewer than kRows outputs is thin: blocking rows, not output
+/// columns, fills its vector lanes.
 constexpr std::size_t kOTile = 32;
 constexpr std::size_t kRows = 8;
 
@@ -32,7 +34,7 @@ void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& i
   // reductions over k — latency-bound on one FP-add chain per output. Row
   // blocking flips the parallelism axis: eight rows' chains retire
   // together, each in its own k-ascending order, so bits are unchanged.
-  if (on < 8) {
+  if (on < kRows) {
     std::size_t r = 0;
     for (; r + kRows <= n; r += kRows) {
       const double* x[kRows];
@@ -142,12 +144,12 @@ void infer_layer(const Linear& layer, const Matrix& wt, std::size_t rows, bool r
   const std::size_t on = layer.out_features();
   const double* bias = layer.bias().row_data(0);
 
-  if (on >= 8) {
+  if (on >= kRows) {
     for (std::size_t r = 0; r < rows; r += 2) {
       const double* x0 = src + r * in;
       const double* x1 = r + 1 < rows ? x0 + in : x0;
       double* y0 = dst + r * on;
-      double* y1 = y0 + on;  // r + 1 < kRows: the block buffer has the row
+      double* y1 = y0 + on;  // exists: odd `rows` < kRows
       std::size_t o0 = 0;
       for (; o0 + kOTile <= on; o0 += kOTile) {
         infer_tile<kOTile>(x0, x1, wt, bias, o0, kOTile, relu, y0, y1);
@@ -243,7 +245,7 @@ void infer_into(const std::vector<Linear>& layers, const Matrix& input, Matrix& 
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const Matrix& w = layers[li].weight();
     widest = std::max(widest, w.rows());
-    if (w.rows() < 8) continue;
+    if (w.rows() < kRows) continue;
     Matrix& wt = scratch.wt[li];
     wt.reshape(w.cols(), w.rows());
     for (std::size_t o = 0; o < w.rows(); ++o) {

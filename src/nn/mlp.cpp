@@ -87,7 +87,6 @@ void Mlp::predict(const std::vector<double>& input, std::vector<double>& output,
 }
 
 void Mlp::forward_into(const Matrix& input, Matrix& out, BatchScratch& scratch) const {
-  assert(input.cols() == input_dim());
   infer_into(layers_, input, out, scratch);
 }
 

@@ -112,8 +112,9 @@ TEST(ReluTest, ForwardClampsNegatives) {
   EXPECT_DOUBLE_EQ(out(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(out(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(out(0, 2), 2.5);
-  EXPECT_DOUBLE_EQ(out(0, 3), 0.0);  // training maps NaN to 0 (inference
-                                     // keeps it: MlpTest.ForwardIntoKeepsNaN...)
+  // Training maps NaN to 0; inference keeps it (see
+  // MlpTest.ForwardIntoKeepsNaNThroughHiddenRelu).
+  EXPECT_DOUBLE_EQ(out(0, 3), 0.0);
 }
 
 TEST(ReluTest, BackwardMasksGradient) {
