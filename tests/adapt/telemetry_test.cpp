@@ -14,6 +14,7 @@
 
 #include "adapt/segment_test_utils.hpp"
 #include "adapt/telemetry_store.hpp"
+#include "common/fnv1a.hpp"
 #include "dynamics/dynamics_model.hpp"
 #include "envlib/feature_schema.hpp"
 #include "serve/request_scheduler.hpp"
@@ -300,6 +301,77 @@ TEST(TelemetryTraceTest, SaveLoadSaveIsByteIdentical) {
   ASSERT_EQ(loaded.records.size(), 3u);
   EXPECT_EQ(loaded.records[1].forecast_len, 5u);
   EXPECT_DOUBLE_EQ(loaded.records[1].obs[env::kZoneTemp], 18.5);
+}
+
+TEST(TelemetryTraceTest, SegmentBytesAreLocked) {
+  // FNV-1a 64 over the write_segment file of a fixed trace, captured
+  // through the tap and drained: one baseline DT record and one
+  // time-aware MBRL record (obs_len 9) whose 3-step forecast sets every
+  // one of the 8 stored fields away from its default. The digest pins the
+  // tap's copies and the record wire layout, forecast entries included.
+  TelemetryLog log;
+  log.register_session(1, 1001, "Pittsburgh/baseline");
+  log.register_session(2, 1002, "Tucson/time-aware");
+
+  env::Observation obs;
+  obs.zone_temp_c = 17.25;
+  obs.weather.outdoor_temp_c = -4.75;
+  obs.weather.humidity_pct = 62.5;
+  obs.weather.wind_mps = 5.125;
+  obs.weather.solar_wm2 = 187.0;
+  obs.occupants = 9.0;
+  obs.hour_sin = 0.4375;
+  obs.hour_cos = -0.8125;
+  obs.occupants_ahead = 14.0;
+  std::vector<env::Disturbance> forecast(3);
+  for (std::size_t k = 0; k < forecast.size(); ++k) {
+    const double s = static_cast<double>(k);
+    forecast[k].weather.outdoor_temp_c = -6.5 + s;
+    forecast[k].weather.humidity_pct = 71.25 - s;
+    forecast[k].weather.wind_mps = 3.75 + 0.5 * s;
+    forecast[k].weather.solar_wm2 = 212.0 + 8.0 * s;
+    forecast[k].occupants = 7.0 + s;
+    forecast[k].hour_sin = 0.375 + 0.125 * s;
+    forecast[k].hour_cos = -0.625 + 0.25 * s;
+    forecast[k].occupants_ahead = 13.0 - s;
+  }
+  const std::string key = "locked";
+  const auto decide = [&](serve::SessionId session, std::uint64_t index,
+                          serve::RequestKind kind, const env::FeatureSchema& schema,
+                          const std::vector<env::Disturbance>* fc) {
+    serve::DecisionEvent event;
+    event.session = session;
+    event.decision_index = index;
+    event.session_seed = 1000 + session;
+    event.kind = kind;
+    event.policy_key = &key;
+    event.policy_version = 2 + session;
+    event.action_index = 5 * session + 7;
+    event.action = {19.0 + static_cast<double>(session), 25.5};
+    event.observation = &obs;
+    event.schema = &schema;
+    event.forecast = fc;
+    event.latency_seconds = 0.003125 * static_cast<double>(session);
+    log.on_decision(event);
+  };
+  decide(1, 7, serve::RequestKind::kDtPolicy, env::baseline_schema(), nullptr);
+  decide(2, 40, serve::RequestKind::kMbrlFallback, env::time_aware_schema(), &forecast);
+
+  TelemetryTrace trace;
+  trace.sessions = log.sessions();
+  ASSERT_EQ(log.drain(trace.records), 0u);
+  ASSERT_EQ(trace.records.size(), 2u);
+  ASSERT_EQ(trace.records[1].obs_len, 9u);
+  ASSERT_EQ(trace.records[1].forecast_len, 3u);
+
+  const std::string path = temp_path("verihvac_trace_locked.vhtseg");
+  write_segment(trace, path);
+  const std::string bytes = file_bytes(path);
+  std::remove(path.c_str());
+  common::Fnv1a digest;
+  digest.bytes(bytes);
+  EXPECT_EQ(bytes.size(), 685u);
+  EXPECT_EQ(digest.digest(), 0xa01e3c6cd9967da0ull) << std::hex << digest.digest();
 }
 
 TEST(TelemetryLogTest, SchemaTaggedEventsCarryTheSchemaShape) {

@@ -160,6 +160,89 @@ TEST(FeatureSchemaTest, ApplyDisturbanceMatchesLegacyOrder) {
   for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(again[i], wide[i]) << "dim " << i;
 }
 
+TEST(FeatureSchemaTest, FlattenAndRebuildAreLocked) {
+  // Literal expectations for both presets, so the role-to-field mapping
+  // is pinned by value rather than by comparison with another flatten.
+  Observation obs;
+  obs.zone_temp_c = 21.5;
+  obs.weather.outdoor_temp_c = -3.25;
+  obs.weather.humidity_pct = 65.5;
+  obs.weather.wind_mps = 4.75;
+  obs.weather.solar_wm2 = 120.0;
+  obs.occupants = 11.0;
+  obs.step = 30;
+  obs.hour_of_day = 7.5;
+  obs.hour_sin = 0.375;
+  obs.hour_cos = -0.875;
+  obs.occupants_ahead = 9.0;
+  EXPECT_EQ(baseline_schema().to_vector(obs),
+            (std::vector<double>{21.5, -3.25, 65.5, 4.75, 120.0, 11.0}));
+  EXPECT_EQ(time_aware_schema().to_vector(obs),
+            (std::vector<double>{21.5, -3.25, 65.5, 4.75, 120.0, 11.0, 0.375, -0.875, 9.0}));
+
+  Disturbance d;
+  d.weather.outdoor_temp_c = -7.5;
+  d.weather.humidity_pct = 80.25;
+  d.weather.wind_mps = 6.125;
+  d.weather.solar_wm2 = 310.0;
+  d.occupants = 3.0;
+  d.hour_sin = -0.25;
+  d.hour_cos = 0.5;
+  d.occupants_ahead = 12.0;
+  double row[9] = {19.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  baseline_schema().apply_disturbance(d, row);
+  EXPECT_EQ(std::vector<double>(row, row + 9),
+            (std::vector<double>{19.0, -7.5, 80.25, 6.125, 310.0, 3.0, 0.0, 0.0, 0.0}));
+  time_aware_schema().apply_disturbance(d, row);
+  EXPECT_EQ(std::vector<double>(row, row + 9),
+            (std::vector<double>{19.0, -7.5, 80.25, 6.125, 310.0, 3.0, -0.25, 0.5, 12.0}));
+
+  const std::vector<double> x = {18.5, 2.5, 40.0, 1.25, 55.0, 6.0, 1.0, 0.0, 4.0};
+  const Observation base = baseline_schema().to_observation({x.begin(), x.begin() + 6});
+  EXPECT_EQ(base.zone_temp_c, 18.5);
+  EXPECT_EQ(base.weather.outdoor_temp_c, 2.5);
+  EXPECT_EQ(base.weather.humidity_pct, 40.0);
+  EXPECT_EQ(base.weather.wind_mps, 1.25);
+  EXPECT_EQ(base.weather.solar_wm2, 55.0);
+  EXPECT_EQ(base.occupants, 6.0);
+  EXPECT_EQ(base.step, 0u);  // no schema encodes the step
+  EXPECT_EQ(base.hour_of_day, 0.0);
+  EXPECT_EQ(base.hour_sin, 0.0);
+  EXPECT_EQ(base.hour_cos, 1.0);
+  EXPECT_EQ(base.occupants_ahead, 0.0);
+  const Observation aware = time_aware_schema().to_observation(x);
+  EXPECT_EQ(aware.zone_temp_c, 18.5);
+  EXPECT_EQ(aware.weather.outdoor_temp_c, 2.5);
+  EXPECT_EQ(aware.weather.humidity_pct, 40.0);
+  EXPECT_EQ(aware.weather.wind_mps, 1.25);
+  EXPECT_EQ(aware.weather.solar_wm2, 55.0);
+  EXPECT_EQ(aware.occupants, 6.0);
+  EXPECT_EQ(aware.step, 0u);
+  EXPECT_DOUBLE_EQ(aware.hour_of_day, 6.0);  // atan2(1, 0): a quarter day
+  EXPECT_EQ(aware.hour_sin, 1.0);
+  EXPECT_EQ(aware.hour_cos, 0.0);
+  EXPECT_EQ(aware.occupants_ahead, 4.0);
+
+  const Disturbance base_d = baseline_schema().to_disturbance(x.data());
+  EXPECT_EQ(base_d.weather.outdoor_temp_c, 2.5);
+  EXPECT_EQ(base_d.weather.humidity_pct, 40.0);
+  EXPECT_EQ(base_d.weather.wind_mps, 1.25);
+  EXPECT_EQ(base_d.weather.solar_wm2, 55.0);
+  EXPECT_EQ(base_d.occupants, 6.0);
+  EXPECT_EQ(base_d.hour_sin, 0.0);
+  EXPECT_EQ(base_d.hour_cos, 1.0);
+  EXPECT_EQ(base_d.occupants_ahead, 0.0);
+  const Disturbance aware_d = time_aware_schema().to_disturbance(x.data());
+  EXPECT_EQ(aware_d.weather.outdoor_temp_c, 2.5);
+  EXPECT_EQ(aware_d.weather.humidity_pct, 40.0);
+  EXPECT_EQ(aware_d.weather.wind_mps, 1.25);
+  EXPECT_EQ(aware_d.weather.solar_wm2, 55.0);
+  EXPECT_EQ(aware_d.occupants, 6.0);
+  EXPECT_EQ(aware_d.hour_sin, 1.0);
+  EXPECT_EQ(aware_d.hour_cos, 0.0);
+  EXPECT_EQ(aware_d.occupants_ahead, 4.0);
+}
+
 TEST(FeatureSchemaTest, RegistryLookup) {
   EXPECT_EQ(schema_by_name("baseline"), baseline_schema());
   EXPECT_EQ(schema_by_name("time-aware"), time_aware_schema());
