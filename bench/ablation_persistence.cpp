@@ -45,8 +45,9 @@ int main() {
     const control::ActionSpace actions(variant.action_space);
     std::size_t night = 0;
     std::size_t night_setback = 0;
+    const std::size_t occupancy = variant.decision.schema.occupancy_index();
     for (const auto& record : decisions.records) {
-      if (weather::is_occupied(record.input[env::kOccupancy])) continue;
+      if (weather::is_occupied(record.input[occupancy])) continue;
       ++night;
       if (actions.action(record.action_index).heating_c <= 17.0) ++night_setback;
     }

@@ -87,8 +87,9 @@ double best_of_trials(std::size_t trials, const std::function<void()>& timed_run
 }
 
 double toy_plant(const std::vector<double>& x, const sim::SetpointPair& a) {
-  const double t = x[env::kZoneTemp];
-  double dt = 0.08 * (x[env::kOutdoorTemp] - t);
+  const env::FeatureSchema& schema = env::baseline_schema();
+  const double t = x[schema.zone_temp_index()];
+  double dt = 0.08 * (x[schema.index_of(env::FeatureRole::kOutdoorTemp)] - t);
   if (t < a.heating_c) dt += 0.4 * std::min(a.heating_c - t, 1.2);
   if (t > a.cooling_c) dt -= 0.35 * std::min(t - a.cooling_c, 1.2);
   return t + dt;

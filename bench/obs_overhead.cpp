@@ -163,8 +163,9 @@ struct DecisionKey {
 /// toy plant the model was trained on — a residual shift the monitor must
 /// flag, still certifiable inside the wide toy comfort band.
 double drifted_plant(const std::vector<double>& x, const sim::SetpointPair& a) {
-  const double t = x[env::kZoneTemp];
-  double dt = 0.08 * (x[env::kOutdoorTemp] - t);
+  const env::FeatureSchema& schema = env::baseline_schema();
+  const double t = x[schema.zone_temp_index()];
+  double dt = 0.08 * (x[schema.index_of(env::FeatureRole::kOutdoorTemp)] - t);
   if (t < a.heating_c) dt += 0.28 * std::min(a.heating_c - t, 1.2);
   if (t > a.cooling_c) dt -= 0.35 * std::min(t - a.cooling_c, 1.2);
   return t + dt;
@@ -470,7 +471,7 @@ int main(int argc, char** argv) {
         event.action = action;
         event.observation = &obs;
         log->on_decision(event);
-        zone_temp = plant(obs.to_vector(), action);
+        zone_temp = plant(env::baseline_schema().to_vector(obs), action);
       }
     };
 

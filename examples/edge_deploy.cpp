@@ -73,8 +73,8 @@ int main() {
   env::Observation obs = building.reset();
   std::vector<std::vector<double>> inputs;
   for (int step = 0; step < 96; ++step) {  // 96 x 15 min = 24 h
-    inputs.push_back(obs.to_vector());
-    obs = building.step(policy.decide(obs.to_vector())).observation;
+    inputs.push_back(policy.schema().to_vector(obs));
+    obs = building.step(policy.decide(inputs.back())).observation;
   }
   const std::string in_path = (dir / "day.in").string();
   {

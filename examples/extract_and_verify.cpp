@@ -86,9 +86,7 @@ int main() {
   core::save_policy(policy, bundle_path);
   std::FILE* dot = std::fopen(dot_path.c_str(), "w");
   if (dot != nullptr) {
-    const auto& names = env::input_dim_names();
-    const std::string graphviz = tree::to_dot(
-        policy.tree(), std::vector<std::string>(names.begin(), names.end()));
+    const std::string graphviz = tree::to_dot(policy.tree(), policy.schema().feature_names());
     std::fwrite(graphviz.data(), 1, graphviz.size(), dot);
     std::fclose(dot);
   }
@@ -101,8 +99,8 @@ int main() {
   env::Observation obs = building.reset();
   bool identical = true;
   for (int i = 0; i < 100; ++i) {
-    const auto a = policy.decide(obs.to_vector());
-    const auto b = deployed.decide(obs.to_vector());
+    const auto a = policy.decide(policy.schema().to_vector(obs));
+    const auto b = deployed.decide(deployed.schema().to_vector(obs));
     identical = identical && a.heating_c == b.heating_c && a.cooling_c == b.cooling_c;
     obs = building.step(b).observation;
   }

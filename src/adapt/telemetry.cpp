@@ -24,18 +24,7 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 std::vector<env::Disturbance> TelemetryRecord::forecast_vector() const {
-  std::vector<env::Disturbance> out(forecast_len);
-  for (std::size_t k = 0; k < forecast_len; ++k) {
-    out[k].weather.outdoor_temp_c = forecast[k].outdoor_temp_c;
-    out[k].weather.humidity_pct = forecast[k].humidity_pct;
-    out[k].weather.wind_mps = forecast[k].wind_mps;
-    out[k].weather.solar_wm2 = forecast[k].solar_wm2;
-    out[k].occupants = forecast[k].occupants;
-    out[k].hour_sin = forecast[k].hour_sin;
-    out[k].hour_cos = forecast[k].hour_cos;
-    out[k].occupants_ahead = forecast[k].occupants_ahead;
-  }
-  return out;
+  return {forecast, forecast + forecast_len};
 }
 
 TelemetryLog::TelemetryLog(TelemetryConfig config)
@@ -111,16 +100,7 @@ void TelemetryLog::on_decision(const serve::DecisionEvent& event) noexcept {
     ForecastSlot& fslot = shard.forecast_slots[forecast_ticket & forecast_mask_];
     fslot.seq.store(2 * forecast_ticket + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
-    for (std::size_t k = 0; k < n; ++k) {
-      fslot.entries[k].outdoor_temp_c = forecast[k].weather.outdoor_temp_c;
-      fslot.entries[k].humidity_pct = forecast[k].weather.humidity_pct;
-      fslot.entries[k].wind_mps = forecast[k].weather.wind_mps;
-      fslot.entries[k].solar_wm2 = forecast[k].weather.solar_wm2;
-      fslot.entries[k].occupants = forecast[k].occupants;
-      fslot.entries[k].hour_sin = forecast[k].hour_sin;
-      fslot.entries[k].hour_cos = forecast[k].hour_cos;
-      fslot.entries[k].occupants_ahead = forecast[k].occupants_ahead;
-    }
+    std::copy_n(forecast.begin(), n, fslot.entries);
     fslot.seq.store(2 * forecast_ticket + 2, std::memory_order_release);
   }
 
@@ -220,7 +200,7 @@ std::uint64_t TelemetryLog::drain(std::vector<TelemetryRecord>& out) {
             bool forecast_ok = false;
             if (f1 == fpublished) {
               std::memcpy(record.forecast, fslot.entries,
-                          sizeof(TelemetryDisturbance) * copy.forecast_len);
+                          sizeof(env::Disturbance) * copy.forecast_len);
               std::atomic_thread_fence(std::memory_order_acquire);
               forecast_ok = fslot.seq.load(std::memory_order_relaxed) == fpublished;
             }
@@ -295,7 +275,7 @@ void append_record(std::string& out, const TelemetryRecord& r) {
   put_pod<double>(out, r.heating_c);
   put_pod<double>(out, r.cooling_c);
   for (std::size_t k = 0; k < r.forecast_len; ++k) {
-    put_pod<TelemetryDisturbance>(out, r.forecast[k]);
+    put_pod<env::Disturbance>(out, r.forecast[k]);
   }
 }
 
@@ -329,7 +309,7 @@ TelemetryRecord read_record(std::istream& in) {
     throw std::runtime_error("telemetry record: forecast length exceeds format cap");
   }
   for (std::size_t k = 0; k < r.forecast_len; ++k) {
-    r.forecast[k] = read_pod<TelemetryDisturbance>(in);
+    r.forecast[k] = read_pod<env::Disturbance>(in);
   }
   return r;
 }

@@ -36,7 +36,8 @@
 //
 // Records are self-describing for replay: they carry the decision's RNG
 // stream coordinates (session seed + decision index — the Rng::stream
-// keystone), the 6-dim observation, the served action, the bundle version
+// keystone), the observation flattened by the deciding artifact's schema
+// (with its length and zone-temperature column), the served action, the bundle version
 // or model generation that decided, and (for MBRL) the disturbance
 // forecast the optimizer planned against. A trace (records + session
 // table) therefore supports both offline uses:
@@ -73,6 +74,7 @@
 #include "control/random_shooting.hpp"
 #include "core/dt_policy.hpp"
 #include "dynamics/dataset.hpp"
+#include "envlib/observation.hpp"
 #include "obs/instruments.hpp"
 #include "serve/decision_tap.hpp"
 
@@ -88,20 +90,14 @@ inline constexpr std::size_t kTelemetryMaxForecast = 20;
 /// force another trace-format bump. Records carry their actual length.
 inline constexpr std::size_t kTelemetryMaxObsDims = 12;
 
-/// One disturbance step, flattened for POD storage. Carries the temporal
-/// features (hour encoding, occupancy forecast) alongside the weather so
-/// time-aware MBRL decisions replay bit-identically; baseline records
-/// store the field defaults.
-struct TelemetryDisturbance {
-  double outdoor_temp_c = 0.0;
-  double humidity_pct = 0.0;
-  double wind_mps = 0.0;
-  double solar_wm2 = 0.0;
-  double occupants = 0.0;
-  double hour_sin = 0.0;
-  double hour_cos = 1.0;
-  double occupants_ahead = 0.0;
-};
+/// Forecast entries are stored as env::Disturbance itself: the seqlock
+/// ring copies it raw and the wire format writes its eight doubles as one
+/// 64-byte block (baseline records store the temporal-field defaults).
+static_assert(sizeof(env::Disturbance) == 8 * sizeof(double),
+              "a forecast entry is eight doubles on the wire");
+static_assert(std::is_trivially_copyable_v<env::Disturbance> &&
+                  std::is_standard_layout_v<env::Disturbance>,
+              "forecast entries are copied and persisted as raw bytes");
 
 /// One served decision. Trivially copyable by construction: the seqlock
 /// ring publishes records with raw copies, and the segment wire format
@@ -118,7 +114,7 @@ struct TelemetryRecord {
   std::uint32_t action_index = 0;
   /// Number of observation dims actually used (the deciding artifact's
   /// schema dimension); the tail of `obs` is zero.
-  std::uint16_t obs_len = static_cast<std::uint16_t>(env::kInputDims);
+  std::uint16_t obs_len = 0;
   /// Which obs column is the zone temperature (the schema's state role) —
   /// transition pairing reads next states by this, not by index 0.
   std::uint16_t zone_temp_dim = 0;
@@ -126,7 +122,7 @@ struct TelemetryRecord {
   double obs[kTelemetryMaxObsDims] = {};  ///< flattened (s, d) policy input
   double heating_c = 0.0;
   double cooling_c = 0.0;
-  TelemetryDisturbance forecast[kTelemetryMaxForecast] = {};
+  env::Disturbance forecast[kTelemetryMaxForecast] = {};
 
   serve::RequestKind request_kind() const { return static_cast<serve::RequestKind>(kind); }
   std::vector<double> obs_vector() const { return {obs, obs + obs_len}; }
@@ -233,7 +229,7 @@ class TelemetryLog : public serve::DecisionTap {
     std::uint8_t forecast_truncated = 0;
     std::uint16_t forecast_len = 0;
     std::uint32_t action_index = 0;
-    std::uint16_t obs_len = static_cast<std::uint16_t>(env::kInputDims);
+    std::uint16_t obs_len = 0;
     std::uint16_t zone_temp_dim = 0;
     double latency_seconds = 0.0;
     double obs[kTelemetryMaxObsDims] = {};
@@ -251,7 +247,7 @@ class TelemetryLog : public serve::DecisionTap {
 
   struct ForecastSlot {
     std::atomic<std::uint64_t> seq{0};
-    TelemetryDisturbance entries[kTelemetryMaxForecast];
+    env::Disturbance entries[kTelemetryMaxForecast];
   };
 
   struct Shard {

@@ -19,6 +19,39 @@ FeatureSpec spec(std::string name, std::string unit, FeatureKind kind, FeatureRo
   return s;
 }
 
+/// The one role-to-field map, for both record types: Observation and
+/// Disturbance name their eight forecastable fields alike, and only an
+/// Observation has the zone temperature (a Disturbance yields nullptr).
+/// `Record` may be const-qualified; the pointer follows its constness.
+template <typename Record>
+auto field(Record& r, FeatureRole role) -> decltype(&r.occupants) {
+  switch (role) {
+    case FeatureRole::kZoneTemp:
+      if constexpr (requires { r.zone_temp_c; }) {
+        return &r.zone_temp_c;
+      } else {
+        return nullptr;  // state: not part of the forecast
+      }
+    case FeatureRole::kOutdoorTemp:
+      return &r.weather.outdoor_temp_c;
+    case FeatureRole::kHumidity:
+      return &r.weather.humidity_pct;
+    case FeatureRole::kWind:
+      return &r.weather.wind_mps;
+    case FeatureRole::kSolar:
+      return &r.weather.solar_wm2;
+    case FeatureRole::kOccupancy:
+      return &r.occupants;
+    case FeatureRole::kHourSin:
+      return &r.hour_sin;
+    case FeatureRole::kHourCos:
+      return &r.hour_cos;
+    case FeatureRole::kOccupancyForecast:
+      return &r.occupants_ahead;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 const char* feature_kind_name(FeatureKind kind) {
@@ -142,32 +175,12 @@ std::size_t FeatureSchema::index_of(FeatureRole role) const {
 }
 
 double FeatureSchema::feature_value(const Observation& obs, std::size_t i) const {
-  switch (features_.at(i).role) {
-    case FeatureRole::kZoneTemp:
-      return obs.zone_temp_c;
-    case FeatureRole::kOutdoorTemp:
-      return obs.weather.outdoor_temp_c;
-    case FeatureRole::kHumidity:
-      return obs.weather.humidity_pct;
-    case FeatureRole::kWind:
-      return obs.weather.wind_mps;
-    case FeatureRole::kSolar:
-      return obs.weather.solar_wm2;
-    case FeatureRole::kOccupancy:
-      return obs.occupants;
-    case FeatureRole::kHourSin:
-      return obs.hour_sin;
-    case FeatureRole::kHourCos:
-      return obs.hour_cos;
-    case FeatureRole::kOccupancyForecast:
-      return obs.occupants_ahead;
-  }
-  return 0.0;
+  return *field(obs, features_.at(i).role);
 }
 
 void FeatureSchema::write_observation(const Observation& obs, double* row) const {
   for (std::size_t i = 0; i < features_.size(); ++i) {
-    row[i] = feature_value(obs, i);
+    row[i] = *field(obs, features_[i].role);
   }
 }
 
@@ -184,37 +197,7 @@ Observation FeatureSchema::to_observation(const std::vector<double>& x) const {
                                 std::to_string(x.size()));
   }
   Observation obs;
-  for (std::size_t i = 0; i < features_.size(); ++i) {
-    switch (features_[i].role) {
-      case FeatureRole::kZoneTemp:
-        obs.zone_temp_c = x[i];
-        break;
-      case FeatureRole::kOutdoorTemp:
-        obs.weather.outdoor_temp_c = x[i];
-        break;
-      case FeatureRole::kHumidity:
-        obs.weather.humidity_pct = x[i];
-        break;
-      case FeatureRole::kWind:
-        obs.weather.wind_mps = x[i];
-        break;
-      case FeatureRole::kSolar:
-        obs.weather.solar_wm2 = x[i];
-        break;
-      case FeatureRole::kOccupancy:
-        obs.occupants = x[i];
-        break;
-      case FeatureRole::kHourSin:
-        obs.hour_sin = x[i];
-        break;
-      case FeatureRole::kHourCos:
-        obs.hour_cos = x[i];
-        break;
-      case FeatureRole::kOccupancyForecast:
-        obs.occupants_ahead = x[i];
-        break;
-    }
-  }
+  for (std::size_t i = 0; i < features_.size(); ++i) *field(obs, features_[i].role) = x[i];
   // Reconstructed clock for logging; the stored sin/cos above are what
   // round-trips bit-exactly.
   if (has_role(FeatureRole::kHourSin) && has_role(FeatureRole::kHourCos)) {
@@ -226,68 +209,24 @@ Observation FeatureSchema::to_observation(const std::vector<double>& x) const {
 }
 
 double FeatureSchema::disturbance_value(const Disturbance& d, std::size_t i) const {
-  switch (features_.at(i).role) {
-    case FeatureRole::kZoneTemp:
-      return 0.0;  // state: not part of the forecast
-    case FeatureRole::kOutdoorTemp:
-      return d.weather.outdoor_temp_c;
-    case FeatureRole::kHumidity:
-      return d.weather.humidity_pct;
-    case FeatureRole::kWind:
-      return d.weather.wind_mps;
-    case FeatureRole::kSolar:
-      return d.weather.solar_wm2;
-    case FeatureRole::kOccupancy:
-      return d.occupants;
-    case FeatureRole::kHourSin:
-      return d.hour_sin;
-    case FeatureRole::kHourCos:
-      return d.hour_cos;
-    case FeatureRole::kOccupancyForecast:
-      return d.occupants_ahead;
-  }
-  return 0.0;
+  const double* value = field(d, features_.at(i).role);
+  return value != nullptr ? *value : 0.0;
 }
 
 Disturbance FeatureSchema::to_disturbance(const double* row) const {
   Disturbance d;
   for (std::size_t i = 0; i < features_.size(); ++i) {
-    switch (features_[i].role) {
-      case FeatureRole::kZoneTemp:
-        break;  // state: not part of the forecast
-      case FeatureRole::kOutdoorTemp:
-        d.weather.outdoor_temp_c = row[i];
-        break;
-      case FeatureRole::kHumidity:
-        d.weather.humidity_pct = row[i];
-        break;
-      case FeatureRole::kWind:
-        d.weather.wind_mps = row[i];
-        break;
-      case FeatureRole::kSolar:
-        d.weather.solar_wm2 = row[i];
-        break;
-      case FeatureRole::kOccupancy:
-        d.occupants = row[i];
-        break;
-      case FeatureRole::kHourSin:
-        d.hour_sin = row[i];
-        break;
-      case FeatureRole::kHourCos:
-        d.hour_cos = row[i];
-        break;
-      case FeatureRole::kOccupancyForecast:
-        d.occupants_ahead = row[i];
-        break;
-    }
+    if (double* value = field(d, features_[i].role)) *value = row[i];
   }
   return d;
 }
 
 void FeatureSchema::apply_disturbance(const Disturbance& d, double* row) const {
+  // The constructor ties the one kState feature to the zone-temperature
+  // role, so every other role has a forecast field.
   for (std::size_t i = 0; i < features_.size(); ++i) {
     if (features_[i].kind == FeatureKind::kState) continue;
-    row[i] = disturbance_value(d, i);
+    row[i] = *field(d, features_[i].role);
   }
 }
 

@@ -1,30 +1,26 @@
-// Observation schema — the feature layout as data, not a compile-time
-// constant.
+// Observation schema — the feature layout as data.
 //
-// Every layer that used to bake in `env::kInputDims = 6` and trust that
-// "index 0 is the zone temperature" now consults a FeatureSchema: an
-// ordered list of feature descriptors (name, unit, kind, verification
-// bounds) with a stable *role* lookup. The verification criteria (#2/#3)
-// and Algorithm 1 find the zone-temperature dimension via
-// `schema.zone_temp_index()`; RandomShooting assembles disturbance
-// forecasts via `schema.apply_disturbance`; policy bundles persist the
-// schema so heterogeneous observation shapes coexist in one registry.
-// The per-feature bounds, as one box (`envelope()`), scope every interval
-// certificate (core/interval_verify).
+// A FeatureSchema is an ordered list of feature descriptors (name, unit,
+// kind, verification bounds) with a stable *role* lookup, and it is the
+// only code that knows which Observation/Disturbance field each role
+// reads or writes (one role-to-field map in feature_schema.cpp). Every
+// layer that flattens or rebuilds a policy input goes through it: the
+// verification criteria (#2/#3) and Algorithm 1 find the zone-temperature
+// dimension via `schema.zone_temp_index()`; rollouts advance forecasts via
+// `schema.apply_disturbance`; serving and telemetry flatten via
+// `write_observation`; policy bundles persist the schema so heterogeneous
+// observation shapes coexist in one registry. The per-feature bounds, as
+// one box (`envelope()`), scope every interval certificate
+// (core/interval_verify).
 //
 // Invariants:
-//  - Exactly one feature has kind kState (the zone temperature — the
-//    single dimension the dynamics model predicts).
+//  - Exactly one feature has kind kState, and it carries the zone_temp
+//    role (the single dimension the dynamics model predicts).
 //  - Roles are unique within a schema.
-//  - `baseline_schema()` reproduces the legacy 6-dim Table-1 layout
-//    *bit-identically*: same order, same names, and to_vector /
-//    apply_disturbance copy the same stored doubles in the same order as
-//    the old hand-written code, so baseline decisions, certificates and
-//    trace replay are unchanged by the refactor.
-//
-// This header and feature_schema.cpp (plus observation.hpp, which defines
-// the legacy constants) are the only places allowed to spell raw
-// observation indices — tools/check_no_raw_dims.py enforces that.
+//  - `baseline_schema()` is Table 1's 6-dim (s, d) layout; the time-aware
+//    preset extends it without reordering. Flattening copies the stored
+//    doubles unchanged, so decisions, certificates and trace replay are
+//    bit-exact functions of the records.
 #pragma once
 
 #include <cstddef>
@@ -121,9 +117,8 @@ class FeatureSchema {
   Observation to_observation(const std::vector<double>& x) const;
 
   /// Overwrites the non-state dimensions of a model-input row with the
-  /// forecast disturbance (rollout advance). Writes the same stored
-  /// doubles, in the same dimension order, as the legacy hand-written
-  /// loop — bit-identity of baseline rollouts depends on this.
+  /// forecast disturbance (rollout advance); the state dimension is left
+  /// as it is.
   void apply_disturbance(const Disturbance& d, double* row) const;
   /// Value the forecast carries for feature i (state dims return 0).
   double disturbance_value(const Disturbance& d, std::size_t i) const;
@@ -142,9 +137,8 @@ class FeatureSchema {
   std::size_t occupancy_index_ = 0;
 };
 
-/// The legacy 6-dim Table-1 layout (Zone Temp, Outdoor Temp, Humidity,
-/// Wind, Solar, Occupancy) — the implicit schema of every v1 policy
-/// bundle and v1 telemetry trace.
+/// The 6-dim Table-1 layout (Zone Temp, Outdoor Temp, Humidity, Wind,
+/// Solar, Occupancy): the paper's policy input (s, d).
 const FeatureSchema& baseline_schema();
 
 /// Baseline + hour-of-day (sin/cos) + occupancy-forecast: the time-aware

@@ -1,19 +1,10 @@
 #include "envlib/observation.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "common/units.hpp"
 
 namespace verihvac::env {
-
-const std::array<std::string, kInputDims>& input_dim_names() {
-  static const std::array<std::string, kInputDims> names = {
-      "zone_temp_c",  "outdoor_temp_c", "humidity_pct",
-      "wind_mps",     "solar_wm2",      "occupants",
-  };
-  return names;
-}
 
 std::pair<double, double> time_of_day_encoding(std::size_t step) {
   constexpr double kTwoPi = 6.283185307179586476925286766559;
@@ -21,25 +12,6 @@ std::pair<double, double> time_of_day_encoding(std::size_t step) {
       kTwoPi * static_cast<double>(step % static_cast<std::size_t>(kStepsPerDay)) /
       static_cast<double>(kStepsPerDay);
   return {std::sin(angle), std::cos(angle)};
-}
-
-std::vector<double> Observation::to_vector() const {
-  return {zone_temp_c,      weather.outdoor_temp_c, weather.humidity_pct,
-          weather.wind_mps, weather.solar_wm2,      occupants};
-}
-
-Observation Observation::from_vector(const std::vector<double>& x) {
-  if (x.size() != kInputDims) {
-    throw std::invalid_argument("Observation::from_vector: expected 6 dims");
-  }
-  Observation obs;
-  obs.zone_temp_c = x[kZoneTemp];
-  obs.weather.outdoor_temp_c = x[kOutdoorTemp];
-  obs.weather.humidity_pct = x[kHumidity];
-  obs.weather.wind_mps = x[kWind];
-  obs.weather.solar_wm2 = x[kSolar];
-  obs.occupants = x[kOccupancy];
-  return obs;
 }
 
 }  // namespace verihvac::env

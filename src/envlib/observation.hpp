@@ -1,58 +1,25 @@
-// Observation layout — Table 1 of the paper.
+// The raw records the environment produces: one Observation per control
+// step and one Disturbance per forecast step.
 //
-// The *baseline* policy input is the concatenation (s, d):
-//   [0] Zone Air Temperature           [degC]   (state s)
-//   [1] Outdoor Air Drybulb Temperature[degC]   (disturbance)
-//   [2] Outdoor Air Relative Humidity  [%]      (disturbance)
-//   [3] Site Wind Speed                [m/s]    (disturbance)
-//   [4] Site Total Radiation Rate      [W/m^2]  (disturbance)
-//   [5] Zone People Occupant Count     [count]  (disturbance)
-//
-// The layout is no longer load-bearing by position: layers consult
-// env::FeatureSchema (feature_schema.hpp) and locate the zone-temperature
-// dimension by *role* (schema.zone_temp_index()), so schemas with more
-// dimensions — e.g. the time-aware preset with hour-of-day and
-// occupancy-forecast features — flow through dynamics, control,
-// verification, serving and telemetry unchanged. The constants below
-// describe the baseline preset only and are kept for the legacy
-// fixed-layout entry points (Observation::to_vector / from_vector).
+// These are plain field records with no notion of a vector layout. Which
+// field sits at which position of a policy input — Table 1's (s, d)
+// vector, or a wider preset such as the time-aware one — is decided by
+// env::FeatureSchema (feature_schema.hpp) alone, which flattens and
+// rebuilds both records by feature role.
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "weather/weather_generator.hpp"
 
 namespace verihvac::env {
-
-/// Number of policy-input dimensions in the *baseline* schema. New code
-/// should size buffers from FeatureSchema::dims() instead.
-inline constexpr std::size_t kInputDims = 6;
-
-/// Named indices into the baseline input vector. New code should locate
-/// dimensions by role via FeatureSchema::index_of / zone_temp_index.
-enum InputDim : std::size_t {
-  kZoneTemp = 0,
-  kOutdoorTemp = 1,
-  kHumidity = 2,
-  kWind = 3,
-  kSolar = 4,
-  kOccupancy = 5,
-};
 
 /// Control steps the occupancy-forecast feature looks ahead (1 hour at
 /// the paper's 15-minute control step). Part of the time-aware schema
 /// contract: the environment fills Observation::occupants_ahead and
 /// Disturbance::occupants_ahead with the schedule this many steps out.
 inline constexpr std::size_t kOccupancyForecastSteps = 4;
-
-/// Human-readable names of the baseline dimensions (for tree dumps /
-/// verification reports). Schema-aware code uses
-/// FeatureSchema::feature_names().
-const std::array<std::string, kInputDims>& input_dim_names();
 
 /// (sin, cos) encoding of the 24h clock at control step `step` (wraps at
 /// kStepsPerDay). Single source of truth for the time-of-day features:
@@ -75,23 +42,13 @@ struct Observation {
   double hour_cos = 1.0;
   /// Scheduled occupant count kOccupancyForecastSteps ahead.
   double occupants_ahead = 0.0;
-
-  /// Flattens to the baseline 6-dim policy input (s, d). Schema-aware
-  /// callers use FeatureSchema::to_vector.
-  std::vector<double> to_vector() const;
-  /// Rebuilds an observation from a *baseline* 6-dim policy-input vector.
-  /// Contract: the temporal fields are NOT round-tripped — the baseline
-  /// layout does not encode them, so `step` is 0 and `hour_of_day` /
-  /// `hour_sin` / `hour_cos` / `occupants_ahead` hold their defaults on
-  /// the result (regression-tested in tests/envlib/observation_test).
-  /// Schema-aware callers use FeatureSchema::to_observation, which
-  /// restores the temporal fields a schema actually encodes.
-  static Observation from_vector(const std::vector<double>& x);
 };
 
 /// Disturbance-only record (what forecasts carry). Carries the temporal
 /// features too: during a rollout the clock and the occupancy forecast
-/// advance exactly like the weather does.
+/// advance exactly like the weather does. Telemetry records store these
+/// eight doubles as they are, in this order (adapt/telemetry.hpp): a
+/// field change is a trace-format change.
 struct Disturbance {
   weather::WeatherRecord weather;
   double occupants = 0.0;

@@ -16,11 +16,15 @@
 #include <vector>
 
 #include "adapt/telemetry_store.hpp"
+#include "envlib/baseline_layout.hpp"
 #include "serve/serve_test_utils.hpp"
 
 namespace verihvac::adapt {
 namespace {
 
+using env::FeatureRole;
+using env::testing::dim;
+using env::testing::flatten;
 using serve::testing::cold_occupied;
 using serve::testing::pool_with_threads;
 using serve::testing::toy_plant;
@@ -31,8 +35,8 @@ using serve::testing::toy_policy;
 /// at 15 C outdoors vs ~21.2 C healthy — detectable, still certifiable
 /// inside the test's wide comfort band).
 double drifted_plant(const std::vector<double>& x, const sim::SetpointPair& a) {
-  const double t = x[env::kZoneTemp];
-  double dt = 0.08 * (x[env::kOutdoorTemp] - t);
+  const double t = x[dim(FeatureRole::kZoneTemp)];
+  double dt = 0.08 * (x[dim(FeatureRole::kOutdoorTemp)] - t);
   if (t < a.heating_c) dt += 0.28 * std::min(a.heating_c - t, 1.2);
   if (t > a.cooling_c) dt -= 0.35 * std::min(t - a.cooling_c, 1.2);
   return t + dt;
@@ -103,7 +107,7 @@ struct Loop {
   template <typename Plant>
   void emit_decisions(std::size_t n, Plant&& plant) {
     for (std::size_t i = 0; i < n; ++i) {
-      zone_temp = plant(emit(zone_temp).to_vector(), kAction);
+      zone_temp = plant(flatten(emit(zone_temp)), kAction);
     }
   }
 

@@ -15,11 +15,15 @@
 #include "adapt/segment_test_utils.hpp"
 #include "adapt/telemetry.hpp"
 #include "control/rollout_engine.hpp"
+#include "envlib/baseline_layout.hpp"
 #include "serve/request_scheduler.hpp"
 #include "serve/serve_test_utils.hpp"
 
 namespace verihvac::adapt {
 namespace {
+
+using env::FeatureRole;
+using env::testing::dim;
 
 namespace fs = std::filesystem;
 
@@ -581,7 +585,8 @@ TEST(TelemetryStoreTest, DirectoryDatasetMatchesTraceDataset) {
   ASSERT_EQ(dataset.size(), 8u);  // 2 sessions x (5 records -> 4 transitions)
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     // A session's consecutive decisions are two emits (2 degrees) apart.
-    EXPECT_DOUBLE_EQ(dataset.at(i).next_zone_temp, dataset.at(i).input[env::kZoneTemp] + 2.0);
+    EXPECT_DOUBLE_EQ(dataset.at(i).next_zone_temp,
+                     dataset.at(i).input[dim(FeatureRole::kZoneTemp)] + 2.0);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "adapt/telemetry_store.hpp"
 #include "common/fnv1a.hpp"
 #include "dynamics/dynamics_model.hpp"
+#include "envlib/baseline_layout.hpp"
 #include "envlib/feature_schema.hpp"
 #include "serve/request_scheduler.hpp"
 #include "serve/serve_test_utils.hpp"
@@ -23,6 +24,8 @@
 namespace verihvac::adapt {
 namespace {
 
+using env::FeatureRole;
+using env::testing::dim;
 using serve::testing::cold_occupied;
 using serve::testing::pool_with_threads;
 using serve::testing::serve_all;
@@ -73,7 +76,7 @@ TEST(TelemetryLogTest, RecordsRoundTripThroughTheRing) {
   EXPECT_EQ(records[0].decision_index, 0u);
   EXPECT_EQ(records[0].request_kind(), serve::RequestKind::kDtPolicy);
   EXPECT_EQ(records[0].action_index, 3u);
-  EXPECT_DOUBLE_EQ(records[0].obs[env::kZoneTemp], 17.5);
+  EXPECT_DOUBLE_EQ(records[0].obs[dim(FeatureRole::kZoneTemp)], 17.5);
   EXPECT_EQ(records[0].forecast_len, 0u);
 
   EXPECT_EQ(records[1].request_kind(), serve::RequestKind::kMbrlFallback);
@@ -214,10 +217,10 @@ TEST(TelemetryTraceTest, DatasetPairsConsecutiveDecisionsPerSession) {
   log.drain(trace.records);
   const dyn::TransitionDataset dataset = trace_to_dataset(trace);
   ASSERT_EQ(dataset.size(), 2u);
-  EXPECT_DOUBLE_EQ(dataset.at(0).input[env::kZoneTemp], 17.0);
+  EXPECT_DOUBLE_EQ(dataset.at(0).input[dim(FeatureRole::kZoneTemp)], 17.0);
   EXPECT_DOUBLE_EQ(dataset.at(0).next_zone_temp, 17.5);
   EXPECT_DOUBLE_EQ(dataset.at(0).action.heating_c, 18.0);
-  EXPECT_DOUBLE_EQ(dataset.at(1).input[env::kZoneTemp], 17.5);
+  EXPECT_DOUBLE_EQ(dataset.at(1).input[dim(FeatureRole::kZoneTemp)], 17.5);
   EXPECT_DOUBLE_EQ(dataset.at(1).next_zone_temp, 18.0);
 }
 
@@ -300,7 +303,7 @@ TEST(TelemetryTraceTest, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(loaded.sessions[0].policy_key, "Pittsburgh/baseline");
   ASSERT_EQ(loaded.records.size(), 3u);
   EXPECT_EQ(loaded.records[1].forecast_len, 5u);
-  EXPECT_DOUBLE_EQ(loaded.records[1].obs[env::kZoneTemp], 18.5);
+  EXPECT_DOUBLE_EQ(loaded.records[1].obs[dim(FeatureRole::kZoneTemp)], 18.5);
 }
 
 TEST(TelemetryTraceTest, SegmentBytesAreLocked) {
@@ -447,7 +450,7 @@ TEST(TelemetryTraceTest, TimeAwareRecordsSurviveSaveLoad) {
   r.cooling_c = 26.0;
   r.forecast_len = 2;
   for (std::size_t k = 0; k < 2; ++k) {
-    r.forecast[k].outdoor_temp_c = -5.0;
+    r.forecast[k].weather.outdoor_temp_c = -5.0;
     r.forecast[k].occupants = 11.0;
     r.forecast[k].hour_sin = 0.25;
     r.forecast[k].hour_cos = -0.5;

@@ -14,9 +14,13 @@
 #include "common/rng.hpp"
 #include "control/random_shooting.hpp"
 #include "control/rs_oracle.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::control {
 namespace {
+
+using env::FeatureRole;
+using env::testing::dim;
 
 TEST(RolloutEngineTest, CoversEveryIndexExactlyOnce) {
   RolloutEngine engine({/*threads=*/4, /*min_parallel_batch=*/1});
@@ -92,8 +96,8 @@ TEST(RolloutEngineTest, SharedEngineIsReused) {
 class ParallelRolloutTest : public ::testing::Test {
  protected:
   static double toy_plant(const std::vector<double>& x, const sim::SetpointPair& a) {
-    const double t = x[env::kZoneTemp];
-    double dt = 0.08 * (x[env::kOutdoorTemp] - t);
+    const double t = x[dim(FeatureRole::kZoneTemp)];
+    double dt = 0.08 * (x[dim(FeatureRole::kOutdoorTemp)] - t);
     if (t < a.heating_c) dt += 0.4 * std::min(a.heating_c - t, 1.2);
     if (t > a.cooling_c) dt -= 0.35 * std::min(t - a.cooling_c, 1.2);
     return t + dt;

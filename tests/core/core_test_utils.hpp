@@ -9,17 +9,18 @@
 #include "common/rng.hpp"
 #include "dynamics/dataset.hpp"
 #include "dynamics/dynamics_model.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core::testutil {
 
 inline double toy_plant(const std::vector<double>& x, const sim::SetpointPair& a) {
   // Balanced so a comfort-range heating setpoint can actually hold the zone
   // in the comfort band against winter conduction (droop < 1 degC).
-  const double t = x[env::kZoneTemp];
-  double dt = 0.02 * (x[env::kOutdoorTemp] - t);
+  const double t = x[env::testing::dim(env::FeatureRole::kZoneTemp)];
+  double dt = 0.02 * (x[env::testing::dim(env::FeatureRole::kOutdoorTemp)] - t);
   if (t < a.heating_c) dt += 0.6 * std::min(a.heating_c - t, 3.0);
   if (t > a.cooling_c) dt -= 0.5 * std::min(t - a.cooling_c, 3.0);
-  dt += 0.01 * x[env::kOccupancy];
+  dt += 0.01 * x[env::testing::dim(env::FeatureRole::kOccupancy)];
   return t + dt;
 }
 

@@ -9,10 +9,14 @@
 #include "control/rollout_engine.hpp"
 #include "control/rs_oracle.hpp"
 #include "core/core_test_utils.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core {
 namespace {
 
+using env::FeatureRole;
+using env::testing::baseline_dims;
+using env::testing::dim;
 using control::testing::oracle_optimize;
 using testutil::toy_history;
 using testutil::toy_model;
@@ -130,11 +134,11 @@ TEST(AugmentedSamplerTest, PhysicalClampsHold) {
   for (int i = 0; i < 500; ++i) {
     const auto [x, row] = sampler.sample(rng);
     (void)row;
-    EXPECT_GE(x[env::kHumidity], 0.0);
-    EXPECT_LE(x[env::kHumidity], 100.0);
-    EXPECT_GE(x[env::kWind], 0.0);
-    EXPECT_GE(x[env::kSolar], 0.0);
-    EXPECT_GE(x[env::kOccupancy], 0.0);
+    EXPECT_GE(x[dim(FeatureRole::kHumidity)], 0.0);
+    EXPECT_LE(x[dim(FeatureRole::kHumidity)], 100.0);
+    EXPECT_GE(x[dim(FeatureRole::kWind)], 0.0);
+    EXPECT_GE(x[dim(FeatureRole::kSolar)], 0.0);
+    EXPECT_GE(x[dim(FeatureRole::kOccupancy)], 0.0);
   }
 }
 
@@ -171,8 +175,8 @@ TEST(GeneratorTest, ForecastContinuesHistory) {
   ASSERT_EQ(forecast.size(), 5u);
   for (std::size_t k = 0; k < 5; ++k) {
     const auto& expected = history.at(10 + k + 1).input;
-    EXPECT_DOUBLE_EQ(forecast[k].weather.outdoor_temp_c, expected[env::kOutdoorTemp]);
-    EXPECT_DOUBLE_EQ(forecast[k].occupants, expected[env::kOccupancy]);
+    EXPECT_DOUBLE_EQ(forecast[k].weather.outdoor_temp_c, expected[dim(FeatureRole::kOutdoorTemp)]);
+    EXPECT_DOUBLE_EQ(forecast[k].occupants, expected[dim(FeatureRole::kOccupancy)]);
   }
 }
 
@@ -183,7 +187,7 @@ TEST(GeneratorTest, ForecastClampsAtHistoryEnd) {
   ASSERT_EQ(forecast.size(), 6u);
   const auto& last = history.at(49).input;
   for (std::size_t k = 1; k < 6; ++k) {
-    EXPECT_DOUBLE_EQ(forecast[k].weather.outdoor_temp_c, last[env::kOutdoorTemp]);
+    EXPECT_DOUBLE_EQ(forecast[k].weather.outdoor_temp_c, last[dim(FeatureRole::kOutdoorTemp)]);
   }
 }
 
@@ -207,7 +211,7 @@ TEST(GeneratorTest, GeneratesRequestedPointsWithValidLabels) {
   const DecisionDataset data = generator.generate(agent, 40);
   ASSERT_EQ(data.size(), 40u);
   for (const auto& record : data.records) {
-    EXPECT_EQ(record.input.size(), env::kInputDims);
+    EXPECT_EQ(record.input.size(), baseline_dims());
     EXPECT_LT(record.action_index, actions.size());
   }
 }
@@ -253,11 +257,12 @@ TEST(GeneratorTest, DistilledActionsReflectComfortLogic) {
   std::size_t unoccupied_setback = 0;
   for (const auto& r : data.records) {
     const auto action = actions.action(r.action_index);
-    if (r.input[env::kOccupancy] > 0.5 && r.input[env::kZoneTemp] < 19.5) {
+    const bool occupied = r.input[dim(FeatureRole::kOccupancy)] > 0.5;
+    if (occupied && r.input[dim(FeatureRole::kZoneTemp)] < 19.5) {
       ++occupied_cold;
       if (action.heating_c >= 19.0) ++occupied_cold_heating;
     }
-    if (r.input[env::kOccupancy] <= 0.5) {
+    if (!occupied) {
       ++unoccupied;
       if (action.heating_c <= 16.0) ++unoccupied_setback;
     }

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "core/core_test_utils.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core {
 namespace {
+
+using env::FeatureRole;
+using env::testing::dim;
 
 /// Builds a small decision dataset with a transparent rule:
 /// occupied -> h=21/c=24 when cold, h=20/c=23 otherwise; unoccupied -> setback.
@@ -18,8 +22,8 @@ DecisionDataset rule_dataset(const control::ActionSpace& actions, std::size_t n,
                              rng.uniform(30.0, 90.0), rng.uniform(0.0, 8.0),
                              rng.uniform(0.0, 400.0), rng.bernoulli(0.5) ? 11.0 : 0.0};
     std::size_t label;
-    if (x[env::kOccupancy] > 0.5) {
-      label = x[env::kZoneTemp] < 21.0
+    if (x[dim(FeatureRole::kOccupancy)] > 0.5) {
+      label = x[dim(FeatureRole::kZoneTemp)] < 21.0
                   ? actions.nearest_index(sim::SetpointPair{21.0, 24.0})
                   : actions.nearest_index(sim::SetpointPair{20.0, 23.0});
     } else {

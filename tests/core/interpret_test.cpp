@@ -2,9 +2,14 @@
 #include <gtest/gtest.h>
 
 #include "core/interpret.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core {
 namespace {
+
+using env::FeatureRole;
+using env::testing::baseline_dims;
+using env::testing::dim;
 
 /// Policy whose only relevant features are zone temp (dim 0) and
 /// occupancy (dim 5): occupied -> hold 21/23, unoccupied -> setback.
@@ -52,7 +57,7 @@ TEST(InterpretTest, ExplanationRendersPhysicalNames) {
   const std::string text = explanation.to_string();
   EXPECT_NE(text.find("decision: heating"), std::string::npos);
   // The only informative split is occupancy, rendered with its physical
-  // input_dim_names() label rather than a bare x[5].
+  // schema feature name rather than a bare x[5].
   EXPECT_NE(text.find("occupants"), std::string::npos);
   EXPECT_EQ(text.find("x[5]"), std::string::npos);
 }
@@ -70,11 +75,12 @@ TEST(InterpretTest, CorrectedLeafIsFlagged) {
 TEST(InterpretTest, FeatureImportanceConcentratesOnOccupancy) {
   const DtPolicy policy = simple_policy();
   const std::vector<double> importance = feature_importance(policy);
-  ASSERT_EQ(importance.size(), env::kInputDims);
+  ASSERT_EQ(importance.size(), baseline_dims());
   // Occupancy is the only label-relevant dimension in this dataset.
-  for (std::size_t dim = 0; dim < importance.size(); ++dim) {
-    if (dim == env::kOccupancy) continue;
-    EXPECT_GE(importance[env::kOccupancy], importance[dim]);
+  const std::size_t occupancy = dim(FeatureRole::kOccupancy);
+  for (std::size_t d = 0; d < importance.size(); ++d) {
+    if (d == occupancy) continue;
+    EXPECT_GE(importance[occupancy], importance[d]);
   }
   double sum = 0.0;
   for (double v : importance) sum += v;

@@ -7,9 +7,13 @@
 
 #include "core/verification_engine.hpp"
 #include "core_test_utils.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core {
 namespace {
+
+using env::FeatureRole;
+using env::testing::dim;
 
 class IntervalVerifyTest : public ::testing::Test {
  protected:
@@ -111,12 +115,12 @@ TEST_F(IntervalVerifyTest, UntrainedModelThrows) {
 Box operating_box(const dyn::DynamicsModel& model, double s_lo, double s_hi, double heat_sp,
                   double cool_sp) {
   Box box(model.input_dims());
-  box.clip(env::kZoneTemp, Interval::bounded(s_lo, s_hi));
-  box.clip(env::kOutdoorTemp, Interval::bounded(-5.0, 5.0));
-  box.clip(env::kHumidity, Interval::bounded(40.0, 80.0));
-  box.clip(env::kWind, Interval::bounded(0.0, 8.0));
-  box.clip(env::kSolar, Interval::bounded(0.0, 300.0));
-  box.clip(env::kOccupancy, Interval::bounded(0.5, 12.0));
+  box.clip(dim(FeatureRole::kZoneTemp), Interval::bounded(s_lo, s_hi));
+  box.clip(dim(FeatureRole::kOutdoorTemp), Interval::bounded(-5.0, 5.0));
+  box.clip(dim(FeatureRole::kHumidity), Interval::bounded(40.0, 80.0));
+  box.clip(dim(FeatureRole::kWind), Interval::bounded(0.0, 8.0));
+  box.clip(dim(FeatureRole::kSolar), Interval::bounded(0.0, 300.0));
+  box.clip(dim(FeatureRole::kOccupancy), Interval::bounded(0.5, 12.0));
   box.clip(model.heat_index(), Interval::bounded(heat_sp, heat_sp));
   box.clip(model.cool_index(), Interval::bounded(cool_sp, cool_sp));
   return box;
@@ -124,8 +128,9 @@ Box operating_box(const dyn::DynamicsModel& model, double s_lo, double s_hi, dou
 
 TEST_F(IntervalVerifyTest, DegenerateBoxMatchesPointPrediction) {
   Box box = operating_box(*model_, 21.0, 21.0, 21.0, 23.0);
-  for (std::size_t d : {env::kOutdoorTemp, env::kHumidity, env::kWind, env::kSolar,
-                        env::kOccupancy}) {
+  for (FeatureRole role : {FeatureRole::kOutdoorTemp, FeatureRole::kHumidity, FeatureRole::kWind,
+                           FeatureRole::kSolar, FeatureRole::kOccupancy}) {
+    const std::size_t d = dim(role);
     const double mid = 0.5 * (box[d].lo + box[d].hi);
     box.clip(d, Interval::bounded(mid, mid));
   }
@@ -146,12 +151,12 @@ TEST_P(IntervalSoundness, SampledNextStatesLieWithinInterval) {
   for (int trial = 0; trial < 10; ++trial) {
     Box box(model->input_dims());
     const double s = rng.uniform(15.0, 26.0);
-    box.clip(env::kZoneTemp, Interval::bounded(s, s + 1.0));
-    box.clip(env::kOutdoorTemp, Interval::bounded(-10.0, 10.0));
-    box.clip(env::kHumidity, Interval::bounded(30.0, 90.0));
-    box.clip(env::kWind, Interval::bounded(0.0, 10.0));
-    box.clip(env::kSolar, Interval::bounded(0.0, 400.0));
-    box.clip(env::kOccupancy, Interval::bounded(0.0, 12.0));
+    box.clip(dim(FeatureRole::kZoneTemp), Interval::bounded(s, s + 1.0));
+    box.clip(dim(FeatureRole::kOutdoorTemp), Interval::bounded(-10.0, 10.0));
+    box.clip(dim(FeatureRole::kHumidity), Interval::bounded(30.0, 90.0));
+    box.clip(dim(FeatureRole::kWind), Interval::bounded(0.0, 10.0));
+    box.clip(dim(FeatureRole::kSolar), Interval::bounded(0.0, 400.0));
+    box.clip(dim(FeatureRole::kOccupancy), Interval::bounded(0.0, 12.0));
     const double heat = static_cast<double>(rng.uniform_int(15, 23));
     box.clip(model->heat_index(), Interval::bounded(heat, heat));
     const double cool = static_cast<double>(rng.uniform_int(23, 30));

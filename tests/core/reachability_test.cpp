@@ -6,10 +6,13 @@
 #include <limits>
 
 #include "core/core_test_utils.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core {
 namespace {
 
+using env::FeatureRole;
+using env::testing::dim;
 using testutil::toy_history;
 using testutil::toy_model;
 
@@ -27,7 +30,7 @@ class ReachabilityTest : public ::testing::Test {
     for (int i = 0; i < 300; ++i) {
       std::vector<double> x = {rng.uniform(16.0, 26.0), rng.uniform(-5.0, 10.0), 60.0, 3.0,
                                0.0, rng.bernoulli(0.5) ? 11.0 : 0.0};
-      const std::size_t label = x[env::kOccupancy] > 0.5 ? hold : setback;
+      const std::size_t label = x[dim(FeatureRole::kOccupancy)] > 0.5 ? hold : setback;
       data.records.push_back({std::move(x), label});
     }
     policy_ = std::make_unique<DtPolicy>(DtPolicy::fit(data, actions));

@@ -6,10 +6,14 @@
 
 #include "core/core_test_utils.hpp"
 #include "core/verification_engine.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core {
 namespace {
 
+using env::FeatureRole;
+using env::testing::baseline_dims;
+using env::testing::dim;
 using testutil::toy_history;
 using testutil::toy_model;
 
@@ -32,9 +36,9 @@ DecisionDataset adversarial_dataset(const control::ActionSpace& actions, std::si
                              rng.uniform(30.0, 90.0), rng.uniform(0.0, 8.0),
                              rng.uniform(0.0, 400.0), rng.bernoulli(0.5) ? 11.0 : 0.0};
     std::size_t label;
-    if (x[env::kOccupancy] <= 0.5) {
+    if (x[dim(FeatureRole::kOccupancy)] <= 0.5) {
       label = setback;
-    } else if (x[env::kZoneTemp] > 23.5 || x[env::kZoneTemp] < 20.0) {
+    } else if (x[dim(FeatureRole::kZoneTemp)] > 23.5 || x[dim(FeatureRole::kZoneTemp)] < 20.0) {
       label = setback;  // the engineered fault: ignore the violation
     } else {
       label = comfort;
@@ -136,7 +140,7 @@ TEST(FormalVerificationTest, UnoccupiedLeavesAreExempt) {
   // The unoccupied-setback leaf must not be flagged.
   for (const auto& finding : split_report.findings) {
     const Box box = split_policy.tree().leaf_box(finding.leaf);
-    EXPECT_GT(box[env::kOccupancy].hi, 0.5);
+    EXPECT_GT(box[dim(FeatureRole::kOccupancy)].hi, 0.5);
   }
   (void)report;
 }
@@ -178,7 +182,7 @@ class ProbabilisticVerificationTest : public ::testing::Test {
       std::vector<double> x = {rng.uniform(18.0, 25.0), rng.uniform(-5.0, 10.0),
                                60.0,                    3.0,
                                rng.uniform(0.0, 300.0), rng.bernoulli(0.6) ? 11.0 : 0.0};
-      const std::size_t label = x[env::kOccupancy] > 0.5 ? hold : setback;
+      const std::size_t label = x[dim(FeatureRole::kOccupancy)] > 0.5 ? hold : setback;
       data.records.push_back({std::move(x), label});
     }
     return DtPolicy::fit(data, control::ActionSpace{});
@@ -252,13 +256,13 @@ TEST_F(ProbabilisticVerificationTest, DegenerateHistoryThrowsInsteadOfHanging) {
   // temperature in comfort: each safe occupied row is followed by an
   // unoccupied one, so no state ever has an occupied continuation and
   // neither estimator can count a sample.
-  Matrix history(20, env::kInputDims);
+  Matrix history(20, baseline_dims());
   for (std::size_t r = 0; r < history.rows(); ++r) {
-    history(r, env::kZoneTemp) = 21.5;
-    history(r, env::kOutdoorTemp) = 0.0;
-    history(r, env::kHumidity) = 50.0;
-    history(r, env::kWind) = 3.0;
-    history(r, env::kOccupancy) = r % 2 == 0 ? 11.0 : 0.0;
+    history(r, dim(FeatureRole::kZoneTemp)) = 21.5;
+    history(r, dim(FeatureRole::kOutdoorTemp)) = 0.0;
+    history(r, dim(FeatureRole::kHumidity)) = 50.0;
+    history(r, dim(FeatureRole::kWind)) = 3.0;
+    history(r, dim(FeatureRole::kOccupancy)) = r % 2 == 0 ? 11.0 : 0.0;
   }
   const AugmentedSampler sampler(history, 0.01);
   const DtPolicy policy = safe_policy();

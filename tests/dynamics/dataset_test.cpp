@@ -4,8 +4,14 @@
 
 #include <set>
 
+#include "envlib/baseline_layout.hpp"
+
 namespace verihvac::dyn {
 namespace {
+
+using env::FeatureRole;
+using env::testing::baseline_dims;
+using env::testing::dim;
 
 env::EnvConfig tiny_env() {
   env::EnvConfig cfg;
@@ -29,14 +35,14 @@ TEST(DatasetTest, MatricesHaveModelLayout) {
   const Matrix x = data.inputs();
   ASSERT_EQ(x.rows(), 2u);
   ASSERT_EQ(x.cols(), data.model_input_dims());
-  EXPECT_DOUBLE_EQ(x(0, env::kZoneTemp), 20.0);
+  EXPECT_DOUBLE_EQ(x(0, dim(FeatureRole::kZoneTemp)), 20.0);
   EXPECT_DOUBLE_EQ(x(0, data.heat_index()), 21.0);
   EXPECT_DOUBLE_EQ(x(0, data.cool_index()), 24.0);
   const Matrix y = data.targets();
   EXPECT_DOUBLE_EQ(y(1, 0), 21.4);
   const Matrix p = data.policy_inputs();
-  EXPECT_EQ(p.cols(), env::kInputDims);
-  EXPECT_DOUBLE_EQ(p(1, env::kZoneTemp), 22.0);
+  EXPECT_EQ(p.cols(), baseline_dims());
+  EXPECT_DOUBLE_EQ(p(1, dim(FeatureRole::kZoneTemp)), 22.0);
 }
 
 TEST(DatasetTest, AppendConcatenates) {
@@ -108,7 +114,7 @@ TEST(CollectionTest, TransitionsChainConsistently) {
   cc.episodes = 1;
   const TransitionDataset data = collect_historical_data(tiny_env(), cc);
   for (std::size_t i = 0; i + 1 < data.size(); ++i) {
-    EXPECT_DOUBLE_EQ(data.at(i).next_zone_temp, data.at(i + 1).input[env::kZoneTemp]);
+    EXPECT_DOUBLE_EQ(data.at(i).next_zone_temp, data.at(i + 1).input[dim(FeatureRole::kZoneTemp)]);
   }
 }
 

@@ -10,19 +10,24 @@
 #include "common/fnv1a.hpp"
 #include "common/rng.hpp"
 #include "dynamics/model_eval.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::dyn {
 namespace {
 
+using env::FeatureRole;
+using env::testing::baseline_dims;
+using env::testing::dim;
+
 /// Synthetic ground-truth plant for fast, controlled tests: a linear
 /// one-step thermal response. dT = a*(out - T) + b*(heat_sp - T)_+ etc.
 double toy_plant(const std::vector<double>& x, const sim::SetpointPair& a) {
-  const double t = x[env::kZoneTemp];
-  const double outdoor = x[env::kOutdoorTemp];
+  const double t = x[dim(FeatureRole::kZoneTemp)];
+  const double outdoor = x[dim(FeatureRole::kOutdoorTemp)];
   double dt = 0.08 * (outdoor - t);
   if (t < a.heating_c) dt += 0.35 * std::min(a.heating_c - t, 1.5);
   if (t > a.cooling_c) dt -= 0.30 * std::min(t - a.cooling_c, 1.5);
-  dt += 0.01 * x[env::kOccupancy];
+  dt += 0.01 * x[dim(FeatureRole::kOccupancy)];
   return t + dt;
 }
 
@@ -107,7 +112,7 @@ TEST(DynamicsModelTest, PredictBatchIntoBitIdenticalToScalarPredict) {
   PredictScratch scalar_scratch;
   for (std::size_t r = 0; r < inputs.rows(); ++r) {
     const std::vector<double> row = inputs.row(r);
-    const std::vector<double> x(row.begin(), row.begin() + env::kInputDims);
+    const std::vector<double> x(row.begin(), row.begin() + baseline_dims());
     const sim::SetpointPair action{row[model.heat_index()], row[model.cool_index()]};
     // EXPECT_EQ: the batched fused path must match the scalar hot path to
     // the last bit (the rollout-engine determinism contract).
@@ -234,7 +239,7 @@ TEST(DynamicsModelTest, RejectsNonFiniteTrainingData) {
 
   TransitionDataset bad_input = toy_dataset(50, 15);
   t = bad_input.at(3);
-  t.input[env::kOutdoorTemp] = inf;
+  t.input[dim(FeatureRole::kOutdoorTemp)] = inf;
   bad_input.add(t);
   TransitionDataset bad_action = toy_dataset(50, 16);
   t = bad_action.at(4);

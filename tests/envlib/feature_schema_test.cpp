@@ -26,28 +26,9 @@ Observation sample_observation() {
   return obs;
 }
 
-TEST(FeatureSchemaTest, BaselineMatchesLegacyLayoutBitwise) {
-  const Observation obs = sample_observation();
-  const auto legacy = obs.to_vector();
-  const auto schema = baseline_schema().to_vector(obs);
-  ASSERT_EQ(schema.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    // Bitwise, not approximate: baseline certificates depend on the schema
-    // path copying the exact same stored doubles as the legacy flatten.
-    EXPECT_EQ(schema[i], legacy[i]) << "dim " << i;
-  }
-}
-
-TEST(FeatureSchemaTest, BaselineNamesMatchLegacyNames) {
-  const auto& legacy = input_dim_names();
-  const auto names = baseline_schema().feature_names();
-  ASSERT_EQ(names.size(), legacy.size());
-  for (std::size_t i = 0; i < names.size(); ++i) EXPECT_EQ(names[i], legacy[i]);
-}
-
 TEST(FeatureSchemaTest, RoleLookup) {
   const FeatureSchema& base = baseline_schema();
-  EXPECT_EQ(base.dims(), kInputDims);
+  EXPECT_EQ(base.dims(), 6u);
   EXPECT_EQ(base.zone_temp_index(), 0u);
   EXPECT_EQ(base.occupancy_index(), 5u);
   EXPECT_EQ(base.index_of(FeatureRole::kZoneTemp), 0u);
@@ -57,7 +38,7 @@ TEST(FeatureSchemaTest, RoleLookup) {
   const FeatureSchema& aware = time_aware_schema();
   EXPECT_EQ(aware.dims(), 9u);
   // The first six dims are the baseline layout, extended — not reordered.
-  for (std::size_t i = 0; i < kInputDims; ++i) {
+  for (std::size_t i = 0; i < base.dims(); ++i) {
     EXPECT_EQ(aware.at(i).name, base.at(i).name) << "dim " << i;
   }
   EXPECT_EQ(aware.zone_temp_index(), 0u);
@@ -123,6 +104,7 @@ TEST(FeatureSchemaTest, ToObservationRoundTrip) {
   EXPECT_EQ(back.hour_sin, obs.hour_sin);
   EXPECT_EQ(back.hour_cos, obs.hour_cos);
   EXPECT_EQ(back.occupants_ahead, obs.occupants_ahead);
+  EXPECT_THROW(baseline_schema().to_observation({1.0, 2.0}), std::invalid_argument);
 }
 
 TEST(FeatureSchemaTest, ApplyDisturbanceMatchesLegacyOrder) {

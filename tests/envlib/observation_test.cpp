@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "envlib/baseline_layout.hpp"
+
 namespace verihvac::env {
 namespace {
+
+using testing::dim;
+using testing::flatten;
 
 TEST(ObservationTest, VectorLayoutMatchesTable1) {
   Observation obs;
@@ -13,63 +18,33 @@ TEST(ObservationTest, VectorLayoutMatchesTable1) {
   obs.weather.wind_mps = 4.5;
   obs.weather.solar_wm2 = 120.0;
   obs.occupants = 11.0;
-  const auto x = obs.to_vector();
-  ASSERT_EQ(x.size(), kInputDims);
-  EXPECT_DOUBLE_EQ(x[kZoneTemp], 21.5);
-  EXPECT_DOUBLE_EQ(x[kOutdoorTemp], -3.0);
-  EXPECT_DOUBLE_EQ(x[kHumidity], 65.0);
-  EXPECT_DOUBLE_EQ(x[kWind], 4.5);
-  EXPECT_DOUBLE_EQ(x[kSolar], 120.0);
-  EXPECT_DOUBLE_EQ(x[kOccupancy], 11.0);
+  const auto x = flatten(obs);
+  ASSERT_EQ(x.size(), 6u);
+  EXPECT_DOUBLE_EQ(x[dim(FeatureRole::kZoneTemp)], 21.5);
+  EXPECT_DOUBLE_EQ(x[dim(FeatureRole::kOutdoorTemp)], -3.0);
+  EXPECT_DOUBLE_EQ(x[dim(FeatureRole::kHumidity)], 65.0);
+  EXPECT_DOUBLE_EQ(x[dim(FeatureRole::kWind)], 4.5);
+  EXPECT_DOUBLE_EQ(x[dim(FeatureRole::kSolar)], 120.0);
+  EXPECT_DOUBLE_EQ(x[dim(FeatureRole::kOccupancy)], 11.0);
 }
 
 TEST(ObservationTest, ZoneTempIsDimensionZero) {
-  // Algorithm 1 relies on this: the verification criteria constrain input
-  // dimension 0.
-  EXPECT_EQ(kZoneTemp, 0u);
-}
-
-TEST(ObservationTest, FromVectorRoundTrip) {
-  const std::vector<double> x = {20.0, 5.0, 50.0, 2.0, 300.0, 8.0};
-  const Observation obs = Observation::from_vector(x);
-  EXPECT_EQ(obs.to_vector(), x);
-}
-
-TEST(ObservationTest, FromVectorDoesNotRoundTripTemporalFields) {
-  // Documented contract: the baseline 6-dim layout does not encode the
-  // temporal fields, so from_vector leaves them at their defaults — even
-  // when the vector came from an observation that had them set. Callers
-  // that need the temporal fields restored must go through
-  // FeatureSchema::to_observation on a schema that encodes them.
-  Observation obs;
-  obs.zone_temp_c = 21.0;
-  obs.step = 30;
-  obs.hour_of_day = 7.5;
-  const auto [s, c] = time_of_day_encoding(obs.step);
-  obs.hour_sin = s;
-  obs.hour_cos = c;
-  obs.occupants_ahead = 9.0;
-  const Observation back = Observation::from_vector(obs.to_vector());
-  EXPECT_EQ(back.zone_temp_c, 21.0);
-  EXPECT_EQ(back.step, 0u);
-  EXPECT_EQ(back.hour_of_day, 0.0);
-  EXPECT_EQ(back.hour_sin, 0.0);
-  EXPECT_EQ(back.hour_cos, 1.0);
-  EXPECT_EQ(back.occupants_ahead, 0.0);
-}
-
-TEST(ObservationTest, FromVectorRejectsWrongSize) {
-  EXPECT_THROW(Observation::from_vector({1.0, 2.0}), std::invalid_argument);
+  // Table 1 puts the state s first: (s, d).
+  EXPECT_EQ(dim(FeatureRole::kZoneTemp), 0u);
+  EXPECT_EQ(baseline_schema().zone_temp_index(), 0u);
 }
 
 TEST(ObservationTest, DimNamesAreUniqueAndComplete) {
-  const auto& names = input_dim_names();
-  ASSERT_EQ(names.size(), kInputDims);
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_FALSE(names[i].empty());
-    for (std::size_t j = i + 1; j < names.size(); ++j) EXPECT_NE(names[i], names[j]);
+  const auto names = baseline_schema().feature_names();
+  EXPECT_EQ(names, (std::vector<std::string>{"zone_temp_c", "outdoor_temp_c", "humidity_pct",
+                                             "wind_mps", "solar_wm2", "occupants"}));
+  for (const FeatureSchema* schema : {&baseline_schema(), &time_aware_schema()}) {
+    const auto all = schema->feature_names();
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_FALSE(all[i].empty());
+      for (std::size_t j = i + 1; j < all.size(); ++j) EXPECT_NE(all[i], all[j]);
+    }
   }
-  EXPECT_EQ(names[kZoneTemp], "zone_temp_c");
 }
 
 }  // namespace

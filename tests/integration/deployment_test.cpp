@@ -12,9 +12,12 @@
 #include "core/edge_export.hpp"
 #include "core/pipeline.hpp"
 #include "core/policy_io.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core {
 namespace {
+
+using env::testing::flatten;
 
 PipelineConfig tiny_config() {
   PipelineConfig cfg = PipelineConfig::for_city("Pittsburgh");
@@ -51,7 +54,7 @@ TEST_F(DeploymentTest, BundleRoundTripsTheCorrectedPolicy) {
   env::BuildingEnv building(artifacts().config.env);
   env::Observation obs = building.reset();
   for (int step = 0; step < 96; ++step) {
-    const auto x = obs.to_vector();
+    const auto x = flatten(obs);
     EXPECT_EQ(reloaded.decide_index(x), verified.decide_index(x)) << "step " << step;
     obs = building.step(verified.decide(x)).observation;
   }
@@ -98,7 +101,7 @@ TEST_F(DeploymentTest, CorrectedTreeExportsToCAndReplaysExactly) {
   env::Observation obs = building.reset();
   std::vector<std::vector<double>> inputs;
   for (int step = 0; step < 96; ++step) {
-    inputs.push_back(obs.to_vector());
+    inputs.push_back(flatten(obs));
     obs = building.step(verified.decide(inputs.back())).observation;
   }
   const std::string in_path = dir + "/deploy_day.in";

@@ -8,9 +8,12 @@
 #include "control/evaluate.hpp"
 #include "core/pipeline.hpp"
 #include "core/policy_io.hpp"
+#include "envlib/baseline_layout.hpp"
 
 namespace verihvac::core {
 namespace {
+
+using env::testing::flatten;
 
 PipelineConfig tiny_config() {
   PipelineConfig cfg = PipelineConfig::for_city("Pittsburgh");
@@ -135,8 +138,8 @@ TEST_F(EndToEndTest, VerifiedTreeSurvivesSerializationDeployment) {
   env::BuildingEnv environment(artifacts().config.env);
   env::Observation obs = environment.reset();
   for (int i = 0; i < 200; ++i) {
-    const auto expected = artifacts().policy->decide(obs.to_vector());
-    const auto got = deployed.decide(obs.to_vector());
+    const auto expected = artifacts().policy->decide(flatten(obs));
+    const auto got = deployed.decide(flatten(obs));
     EXPECT_DOUBLE_EQ(got.heating_c, expected.heating_c);
     EXPECT_DOUBLE_EQ(got.cooling_c, expected.cooling_c);
     obs = environment.step(got).observation;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "control/rs_oracle.hpp"
+#include "envlib/baseline_layout.hpp"
 #include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "serve_test_utils.hpp"
@@ -21,6 +22,7 @@
 namespace verihvac::serve {
 namespace {
 
+using env::testing::flatten;
 using testing::cold_occupied;
 using testing::pool_with_threads;
 using testing::serve_all;
@@ -136,11 +138,11 @@ TEST(RequestSchedulerTest, DtFastPathMatchesPolicyDecide) {
   request.observation = obs;
 
   const ControlDecision decision = stack.scheduler->serve(request);
-  EXPECT_EQ(decision.action_index, policy->decide_index(obs.to_vector()));
+  EXPECT_EQ(decision.action_index, policy->decide_index(flatten(obs)));
   EXPECT_EQ(decision.kind, RequestKind::kDtPolicy);
   EXPECT_GE(decision.policy_version, 1u);
   EXPECT_DOUBLE_EQ(decision.action.heating_c,
-                   policy->decide(obs.to_vector()).heating_c);
+                   policy->decide(flatten(obs)).heating_c);
 
   const SessionState state = stack.sessions->snapshot(stack.slots[0]);
   EXPECT_EQ(state.dt_decisions, 1u);
@@ -400,9 +402,9 @@ TEST(RequestSchedulerTest, MixedBatchServesBothTrafficClasses) {
 
   const std::vector<ControlDecision> decisions = serve_all(*stack.scheduler, requests);
   EXPECT_EQ(decisions[0].action_index,
-            policy->decide_index(cold_occupied(16.0).to_vector()));
+            policy->decide_index(flatten(cold_occupied(16.0))));
   EXPECT_EQ(decisions[2].action_index,
-            policy->decide_index(cold_occupied(20.0).to_vector()));
+            policy->decide_index(flatten(cold_occupied(20.0))));
   EXPECT_EQ(decisions[1].action_index, expected_mbrl[0]);
   EXPECT_EQ(decisions[3].action_index, expected_mbrl[1]);
 
@@ -430,7 +432,7 @@ TEST(RequestSchedulerTest, HotSwappedBundleServesNewVersion) {
 
   EXPECT_LT(before.policy_version, new_version);
   EXPECT_EQ(after.policy_version, new_version);
-  EXPECT_EQ(after.action_index, policy_b->decide_index(obs.to_vector()));
+  EXPECT_EQ(after.action_index, policy_b->decide_index(flatten(obs)));
 }
 
 TEST(RequestSchedulerTest, ErrorsSurfaceAsExceptions) {

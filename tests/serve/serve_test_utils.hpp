@@ -13,13 +13,14 @@
 #include "common/task_pool.hpp"
 #include "core/dt_policy.hpp"
 #include "dynamics/dynamics_model.hpp"
+#include "envlib/baseline_layout.hpp"
 #include "serve/request_scheduler.hpp"
 
 namespace verihvac::serve::testing {
 
 inline double toy_plant(const std::vector<double>& x, const sim::SetpointPair& a) {
-  const double t = x[env::kZoneTemp];
-  double dt = 0.08 * (x[env::kOutdoorTemp] - t);
+  const double t = x[env::testing::dim(env::FeatureRole::kZoneTemp)];
+  double dt = 0.08 * (x[env::testing::dim(env::FeatureRole::kOutdoorTemp)] - t);
   if (t < a.heating_c) dt += 0.4 * std::min(a.heating_c - t, 1.2);
   if (t > a.cooling_c) dt -= 0.35 * std::min(t - a.cooling_c, 1.2);
   return t + dt;
