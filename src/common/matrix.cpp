@@ -43,36 +43,6 @@ void Matrix::reshape(std::size_t rows, std::size_t cols) {
 
 void Matrix::fill(double value) { std::fill(data_.begin(), data_.end(), value); }
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double scalar) {
-  for (double& v : data_) v *= scalar;
-  return *this;
-}
-
-Matrix Matrix::multiply(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  multiply_into(a, b, c);
-  return c;
-}
-
 void Matrix::multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.cols() == b.rows() && "multiply_into: inner dimensions disagree");
   assert(&c != &a && &c != &b && "multiply_into: output aliases an input");
@@ -80,8 +50,7 @@ void Matrix::multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
   // Blocked i-k-j: the inner loop is contiguous in both b and c; the i/k
   // tiles keep at most kTile rows of b hot while a's tile is streamed.
   // Walking k-tiles (and k within a tile) in ascending order preserves the
-  // unblocked kernel's accumulation order exactly, so delegating
-  // multiply() here changes no bits.
+  // unblocked kernel's accumulation order exactly.
   constexpr std::size_t kTile = 64;
   for (std::size_t i0 = 0; i0 < a.rows(); i0 += kTile) {
     const std::size_t i1 = std::min(i0 + kTile, a.rows());
@@ -99,9 +68,5 @@ void Matrix::multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
     }
   }
 }
-
-Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
-Matrix operator*(Matrix a, double scalar) { return a *= scalar; }
 
 }  // namespace verihvac

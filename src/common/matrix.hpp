@@ -72,21 +72,14 @@ class Matrix {
   void reshape(std::size_t rows, std::size_t cols);
 
   void fill(double value);
-  Matrix transposed() const;
 
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double scalar);
-
-  /// C = A * B (asserts inner dimensions agree).
-  static Matrix multiply(const Matrix& a, const Matrix& b);
-  /// Allocation-free C = A * B into caller-owned `c` (resized in place,
-  /// reusing capacity). Cache-blocked i-k-j kernel: the inner loop is
-  /// contiguous in both B and C, and i/k tiling bounds the working set of
-  /// B so large products stay in cache. k-tiles are walked in ascending
-  /// order, so every C element accumulates in exactly the same order as
-  /// the unblocked kernel — results are bit-identical to multiply().
-  /// `c` must not alias `a` or `b`.
+  /// C = A * B into caller-owned `c` (resized in place, reusing capacity;
+  /// asserts inner dimensions agree). Cache-blocked i-k-j kernel: the
+  /// inner loop is contiguous in both B and C, and i/k tiling bounds the
+  /// working set of B so large products stay in cache. k-tiles are walked
+  /// in ascending order, so every C element accumulates in exactly the
+  /// same order as the unblocked i-k-j loop — results are bit-identical to
+  /// it. `c` must not alias `a` or `b`.
   static void multiply_into(const Matrix& a, const Matrix& b, Matrix& c);
 
  private:
@@ -94,9 +87,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-Matrix operator+(Matrix a, const Matrix& b);
-Matrix operator-(Matrix a, const Matrix& b);
-Matrix operator*(Matrix a, double scalar);
 
 }  // namespace verihvac
