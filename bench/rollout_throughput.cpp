@@ -13,12 +13,13 @@
 //
 // Acceptance shape: batched throughput at 8 threads >= 3x scalar at 8
 // threads, read as the median ratio of 7 back-to-back scalar/batched
-// trial pairs (every ratio is printed and written to the JSON). The win is architectural, not cache traffic (the network's
-// weights fit in L1 either way): the scalar dot product is latency-bound
-// on its FP-add dependency chain and cannot vectorize (it is a
-// reduction), while the batched Linear kernels vectorize across
-// independent output columns (wide layers) or retire eight independent
-// per-candidate chains per pass (thin layers).
+// trial pairs (every ratio is printed and written to the JSON). The win
+// is architectural, not cache traffic (the network's weights fit in L1
+// either way): the scalar dot product is latency-bound on its FP-add
+// dependency chain and cannot vectorize (it is a reduction), while the
+// batched Linear kernels vectorize across independent output columns
+// (wide layers) or retire eight independent per-candidate chains per
+// pass (thin layers).
 //
 // A second sweep puts multi-core scaling next to those single-batch
 // figures: core::DecisionDataGenerator::generate (§3.2.1 decision-data
@@ -230,33 +231,28 @@ int main(int argc, char** argv) {
   std::printf("equivalence: batched returns bit-identical to scalar (%zu candidates)\n\n",
               samples);
 
-  // One timing unit: `reps` scoring passes over every candidate. Batched
-  // mode advances lock-step sub-batches through the scorer's engine;
-  // scalar mode is the PR 1–2 path, per-candidate scalar rollouts sharded
-  // over the same pool with per-worker scalar predict scratch. Both must
-  // reproduce the scalar reference returns bit for bit.
-  const auto score = [&](const std::shared_ptr<const control::RolloutEngine>& engine,
-                         bool batched, std::vector<double>& returns) {
-    control::RandomShooting scorer(control::RandomShootingConfig{1, horizon, 0.99}, actions,
-                                   env::RewardConfig{});
-    if (batched) scorer.set_engine(engine);
+  // One timing unit: `reps` scoring passes over every candidate. Given a
+  // `batched` scorer (one whose engine is `engine`), lock-step sub-batches
+  // advance through the engine; without one, the PR 1–2 path runs
+  // per-candidate scalar rollouts sharded over the same pool, with
+  // per-worker scalar predict scratch. Both must reproduce the scalar
+  // reference returns bit for bit.
+  const auto score = [&](const control::RolloutEngine& engine,
+                         const control::RandomShooting* batched, std::vector<double>& returns) {
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      if (batched) {
-        scorer.rollout_returns(model, obs, forecast, sequences, returns);
+      if (batched != nullptr) {
+        batched->rollout_returns(model, obs, forecast, sequences, returns);
       } else {
-        std::vector<dyn::PredictScratch> scratches(engine->thread_count());
-        engine->parallel_for(samples, [&](std::size_t worker, std::size_t begin,
-                                          std::size_t end) {
+        std::vector<dyn::PredictScratch> scratches(engine.thread_count());
+        engine.parallel_for(samples, [&](std::size_t worker, std::size_t begin, std::size_t end) {
           for (std::size_t s = begin; s < end; ++s) {
-            returns[s] = scorer.rollout_return(model, obs, forecast, sequences[s],
-                                               scratches[worker]);
+            returns[s] = rs.rollout_return(model, obs, forecast, sequences[s], scratches[worker]);
           }
         });
       }
     }
   };
-  const auto diverged = [&](const std::vector<double>& returns, bool batched,
-                            std::size_t threads) {
+  const auto diverged = [&](const std::vector<double>& returns, bool batched, std::size_t threads) {
     for (std::size_t s = 0; s < samples; ++s) {
       if (returns[s] != scalar_returns[s]) {
         std::printf("FAIL: %s mode at %zu threads diverged at candidate %zu\n",
@@ -274,13 +270,16 @@ int main(int argc, char** argv) {
   for (std::size_t threads : thread_counts) {
     const auto engine = std::make_shared<const control::RolloutEngine>(
         control::RolloutEngineConfig{threads, /*min_parallel_batch=*/1});
+    control::RandomShooting scorer(control::RandomShootingConfig{1, horizon, 0.99}, actions,
+                                   env::RewardConfig{});
+    scorer.set_engine(engine);
     for (const bool batched : {false, true}) {
       std::vector<double> returns(samples);
       // Best-of-N timed repetitions (bench_common::best_of_trials):
       // scheduler noise only ever slows a trial down, so the max
       // throughput is the stable estimate.
-      const double secs =
-          best_of_trials(smoke ? 1 : 3, [&] { score(engine, batched, returns); });
+      const double secs = best_of_trials(
+          smoke ? 1 : 3, [&] { score(*engine, batched ? &scorer : nullptr, returns); });
       if (diverged(returns, batched, threads)) return 1;
 
       BenchRow row;
@@ -305,13 +304,17 @@ int main(int argc, char** argv) {
   const std::size_t gate_pairs = smoke ? 1 : 7;
   const auto gate_engine = std::make_shared<const control::RolloutEngine>(
       control::RolloutEngineConfig{8, /*min_parallel_batch=*/1});
+  control::RandomShooting gate_scorer(control::RandomShootingConfig{1, horizon, 0.99}, actions,
+                                      env::RewardConfig{});
+  gate_scorer.set_engine(gate_engine);
   std::vector<double> pair_ratios;
   std::printf("\npaired trials @ 8 threads (scalar s, batched s, batched/scalar):\n");
   for (std::size_t pair = 0; pair < gate_pairs; ++pair) {
     double secs[2] = {0.0, 0.0};  // [scalar, batched]
     for (const bool batched : {pair % 2 == 1, pair % 2 == 0}) {
       std::vector<double> returns(samples);
-      secs[batched ? 1 : 0] = best_of_trials(1, [&] { score(gate_engine, batched, returns); });
+      secs[batched ? 1 : 0] = best_of_trials(
+          1, [&] { score(*gate_engine, batched ? &gate_scorer : nullptr, returns); });
       if (diverged(returns, batched, 8)) return 1;
     }
     pair_ratios.push_back(secs[0] / secs[1]);
@@ -328,8 +331,7 @@ int main(int argc, char** argv) {
     return 0.0;
   };
   const double speedup_vs_serial = throughput("batched", 8) / throughput("scalar", 1);
-  std::printf("batched/scalar @ 8 threads (median of %zu pairs): %.2fx\n", gate_pairs,
-              speedup_8t);
+  std::printf("batched/scalar @ 8 threads (median of %zu pairs): %.2fx\n", gate_pairs, speedup_8t);
   std::printf("batched@8 / scalar@1:       %.2fx\n", speedup_vs_serial);
 
   const std::size_t dd_points = smoke ? 24 : 240;

@@ -37,10 +37,10 @@
 // Records are self-describing for replay: they carry the decision's RNG
 // stream coordinates (session seed + decision index — the Rng::stream
 // keystone), the observation flattened by the deciding artifact's schema
-// (with its length and zone-temperature column), the served action, the bundle version
-// or model generation that decided, and (for MBRL) the disturbance
-// forecast the optimizer planned against. A trace (records + session
-// table) therefore supports both offline uses:
+// (with its length and zone-temperature column), the served action, the
+// bundle version or model generation that decided, and (for MBRL) the
+// disturbance forecast the optimizer planned against. A trace (records +
+// session table) therefore supports both offline uses:
 //
 //   * trace_to_dataset(): pair session-consecutive records — decision
 //     d+1's observation is decision d's next state — into a

@@ -141,8 +141,7 @@ TEST(RequestSchedulerTest, DtFastPathMatchesPolicyDecide) {
   EXPECT_EQ(decision.action_index, policy->decide_index(flatten(obs)));
   EXPECT_EQ(decision.kind, RequestKind::kDtPolicy);
   EXPECT_GE(decision.policy_version, 1u);
-  EXPECT_DOUBLE_EQ(decision.action.heating_c,
-                   policy->decide(flatten(obs)).heating_c);
+  EXPECT_DOUBLE_EQ(decision.action.heating_c, policy->decide(flatten(obs)).heating_c);
 
   const SessionState state = stack.sessions->snapshot(stack.slots[0]);
   EXPECT_EQ(state.dt_decisions, 1u);
@@ -401,10 +400,8 @@ TEST(RequestSchedulerTest, MixedBatchServesBothTrafficClasses) {
   requests.push_back(stack.request(scenario[3], RequestKind::kMbrlFallback, rs_config.horizon));
 
   const std::vector<ControlDecision> decisions = serve_all(*stack.scheduler, requests);
-  EXPECT_EQ(decisions[0].action_index,
-            policy->decide_index(flatten(cold_occupied(16.0))));
-  EXPECT_EQ(decisions[2].action_index,
-            policy->decide_index(flatten(cold_occupied(20.0))));
+  EXPECT_EQ(decisions[0].action_index, policy->decide_index(flatten(cold_occupied(16.0))));
+  EXPECT_EQ(decisions[2].action_index, policy->decide_index(flatten(cold_occupied(20.0))));
   EXPECT_EQ(decisions[1].action_index, expected_mbrl[0]);
   EXPECT_EQ(decisions[3].action_index, expected_mbrl[1]);
 
