@@ -233,10 +233,10 @@ int main(int argc, char** argv) {
 
   // One timing unit: `reps` scoring passes over every candidate. Given a
   // `batched` scorer (one whose engine is `engine`), lock-step sub-batches
-  // advance through the engine; without one, the PR 1–2 path runs
-  // per-candidate scalar rollouts sharded over the same pool, with
-  // per-worker scalar predict scratch. Both must reproduce the scalar
-  // reference returns bit for bit.
+  // advance through the engine; without one, the scalar path runs
+  // per-candidate rollouts sharded over the same pool, with per-worker
+  // scalar predict scratch. Both must reproduce the scalar reference
+  // returns bit for bit.
   const auto score = [&](const control::RolloutEngine& engine,
                          const control::RandomShooting* batched, std::vector<double>& returns) {
     for (std::size_t rep = 0; rep < reps; ++rep) {
