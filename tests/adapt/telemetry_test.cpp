@@ -339,8 +339,8 @@ TEST(TelemetryTraceTest, SegmentBytesAreLocked) {
     forecast[k].occupants_ahead = 13.0 - s;
   }
   const std::string key = "locked";
-  const auto decide = [&](serve::SessionId session, std::uint64_t index,
-                          serve::RequestKind kind, const env::FeatureSchema& schema,
+  const auto decide = [&](serve::SessionId session, std::uint64_t index, serve::RequestKind kind,
+                          const env::FeatureSchema& schema,
                           const std::vector<env::Disturbance>* fc) {
     serve::DecisionEvent event;
     event.session = session;
