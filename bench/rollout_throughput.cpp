@@ -51,6 +51,7 @@
 #include "core/decision_data.hpp"
 #include "core/pipeline.hpp"
 #include "dynamics/dataset.hpp"
+#include "nn/kernels.hpp"
 
 namespace {
 
@@ -189,8 +190,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(env_or_long("VERI_HVAC_RS_HORIZON", smoke ? 5 : 20));
   const std::size_t reps = smoke ? 2 : 12;
   std::printf("== rollout_throughput — scalar vs lock-step batched candidate scoring ==\n");
-  std::printf("candidates=%zu horizon=%zu reps=%zu%s\n\n", samples, horizon, reps,
-              smoke ? " (smoke)" : "");
+  std::printf("candidates=%zu horizon=%zu reps=%zu%s, kernels %s\n\n", samples, horizon, reps,
+              smoke ? " (smoke)" : "", nn::active_kernels().name);
 
   const std::shared_ptr<const dyn::DynamicsModel> model_ptr = bench::toy_dynamics_model();
   const dyn::DynamicsModel& model = *model_ptr;
@@ -378,6 +379,7 @@ int main(int argc, char** argv) {
       .field("horizon", horizon)
       .field("reps", reps)
       .field_bool("smoke", smoke)
+      .field("kernel_variant", std::string(nn::active_kernels().name))
       .field_array("rows", json_rows)
       .field("batched_over_scalar_at_8_threads", speedup_8t)
       .field_raw("paired_ratios_at_8_threads", ratios_json)

@@ -26,7 +26,9 @@ struct ReachabilityResult {
   bool within = false;
 };
 
-/// Rolls the tube from `x0` (6-dim input) for `horizon` steps.
+/// Rolls the tube from `x0` for `horizon` steps. `x0` has the width of
+/// the policy's feature schema; any other width throws
+/// std::invalid_argument.
 /// `disturbances[k]` supplies the exogenous inputs at step k+1, i.e. the
 /// entries cover steps 1..horizon and entry k drives the k-th transition:
 /// the prediction of s_{k+1} sees disturbances[k], so the first transition

@@ -1,181 +1,11 @@
 #include "nn/layers.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
+#include "nn/kernels.hpp"
+
 namespace verihvac::nn {
-
-namespace {
-
-/// Outputs computed together per weight load: the output tile of a wide
-/// layer (its accumulators stay in vector registers across the k loop) and
-/// the row block of the inference kernel and of a thin training layer. A
-/// layer with fewer than kRows outputs is thin: blocking rows, not output
-/// columns, fills its vector lanes.
-constexpr std::size_t kOTile = 32;
-constexpr std::size_t kRows = 8;
-
-/// Training forward: out = input W^T + b. Element (r, o) accumulates
-/// w[o][k] * x[r][k] with k ascending from 0.0, and bias[o] is added after
-/// the last term. The vector lanes are always *independent* outputs, so
-/// vectorization reorders no chain.
-void linear_kernel(const Matrix& weight, const Matrix& bias_row, const Matrix& input,
-                   Matrix& out, Matrix& wt_scratch) {
-  assert(input.cols() == weight.cols());
-  assert(&input != &out && "linear forward: output aliases the input");
-  const std::size_t n = input.rows();
-  const std::size_t in = weight.cols();
-  const std::size_t on = weight.rows();
-  const double* bias = bias_row.row_data(0);
-  out.reshape(n, on);  // every element is overwritten
-
-  // Thin output layers (e.g. the 32 -> 1 regression head) are pure
-  // reductions over k — latency-bound on one FP-add chain per output. Row
-  // blocking flips the parallelism axis: eight rows' chains retire
-  // together, each in its own k-ascending order, so bits are unchanged.
-  if (on < kRows) {
-    std::size_t r = 0;
-    for (; r + kRows <= n; r += kRows) {
-      const double* x[kRows];
-      for (std::size_t j = 0; j < kRows; ++j) x[j] = input.row_data(r + j);
-      for (std::size_t o = 0; o < on; ++o) {
-        const double* __restrict wrow = weight.row_data(o);
-        double acc[kRows];
-        for (std::size_t j = 0; j < kRows; ++j) acc[j] = 0.0;
-        for (std::size_t k = 0; k < in; ++k) {
-          const double wk = wrow[k];
-          for (std::size_t j = 0; j < kRows; ++j) acc[j] += wk * x[j][k];
-        }
-        for (std::size_t j = 0; j < kRows; ++j) out(r + j, o) = acc[j] + bias[o];
-      }
-    }
-    for (; r < n; ++r) {
-      const double* __restrict x = input.row_data(r);
-      double* __restrict y = out.row_data(r);
-      for (std::size_t o = 0; o < on; ++o) {
-        const double* __restrict wrow = weight.row_data(o);
-        double sum = 0.0;
-        for (std::size_t k = 0; k < in; ++k) sum += wrow[k] * x[k];
-        y[o] = sum + bias[o];
-      }
-    }
-    return;
-  }
-
-  // Stage W^T (in x out) so the GEMM inner loop is contiguous in both the
-  // output row and the weight row. The copy is O(in*on) against the
-  // O(n*in*on) product — noise for any real batch.
-  wt_scratch.reshape(in, on);
-  for (std::size_t o = 0; o < on; ++o) {
-    const double* wrow = weight.row_data(o);
-    for (std::size_t k = 0; k < in; ++k) wt_scratch(k, o) = wrow[k];
-  }
-
-  // i-k-j with register-tiled outputs: each kOTile-wide slice of the
-  // output row lives in a fixed-size local accumulator (compile-time
-  // bounds, so it stays in vector registers) across the whole k loop, and
-  // is stored exactly once. The remainder tile has a runtime width.
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* __restrict x = input.row_data(r);
-    double* __restrict y = out.row_data(r);
-    std::size_t o0 = 0;
-    for (; o0 + kOTile <= on; o0 += kOTile) {
-      double acc[kOTile];
-      for (std::size_t j = 0; j < kOTile; ++j) acc[j] = 0.0;
-      for (std::size_t k = 0; k < in; ++k) {
-        const double xk = x[k];
-        const double* __restrict wrow = wt_scratch.row_data(k) + o0;
-        for (std::size_t j = 0; j < kOTile; ++j) acc[j] += xk * wrow[j];
-      }
-      for (std::size_t j = 0; j < kOTile; ++j) y[o0 + j] = acc[j] + bias[o0 + j];
-    }
-    if (o0 < on) {
-      const std::size_t width = on - o0;
-      double acc[kOTile];
-      for (std::size_t j = 0; j < width; ++j) acc[j] = 0.0;
-      for (std::size_t k = 0; k < in; ++k) {
-        const double xk = x[k];
-        const double* __restrict wrow = wt_scratch.row_data(k) + o0;
-        for (std::size_t j = 0; j < width; ++j) acc[j] += xk * wrow[j];
-      }
-      for (std::size_t j = 0; j < width; ++j) y[o0 + j] = acc[j] + bias[o0 + j];
-    }
-  }
-}
-
-/// Inference, one output tile of a wide layer for two rows: outputs
-/// [o0, o0 + width) of rows x0 and x1 into y0 and y1. Each W^T row load
-/// feeds both rows' accumulators, which stay in registers across k. Every
-/// output starts from its bias and adds k ascending, the chain of the
-/// scalar Mlp::predict; ReLU is its expression, max(acc, 0.0), in the
-/// store. kWidth is the tile width, or 0 for the runtime-width remainder.
-template <std::size_t kWidth>
-void infer_tile(const double* __restrict x0, const double* __restrict x1, const Matrix& wt,
-                const double* __restrict bias, std::size_t o0, std::size_t width, bool relu,
-                double* __restrict y0, double* __restrict y1) {
-  const std::size_t w = kWidth != 0 ? kWidth : width;
-  double acc0[kOTile];
-  double acc1[kOTile];
-  for (std::size_t j = 0; j < w; ++j) acc0[j] = acc1[j] = bias[o0 + j];
-  for (std::size_t k = 0; k < wt.rows(); ++k) {
-    const double* __restrict wrow = wt.row_data(k) + o0;
-    const double a0 = x0[k];
-    const double a1 = x1[k];
-    for (std::size_t j = 0; j < w; ++j) {
-      acc0[j] += a0 * wrow[j];
-      acc1[j] += a1 * wrow[j];
-    }
-  }
-  for (std::size_t j = 0; j < w; ++j) {
-    y0[o0 + j] = relu ? std::max(acc0[j], 0.0) : acc0[j];
-    y1[o0 + j] = relu ? std::max(acc1[j], 0.0) : acc1[j];
-  }
-}
-
-/// Inference, one layer for a block of `rows` (1..kRows) rows: src rows
-/// (stride `in`) to dst rows (stride `on`). A missing partner row repeats
-/// the block's last row, so every kernel runs at its full, compile-time
-/// row count; what a repeated row computes lands in an unused dst row (wide
-/// layers) or is never stored (thin layers).
-void infer_layer(const Linear& layer, const Matrix& wt, std::size_t rows, bool relu,
-                 const double* src, double* dst) {
-  const std::size_t in = layer.in_features();
-  const std::size_t on = layer.out_features();
-  const double* bias = layer.bias().row_data(0);
-
-  if (on >= kRows) {
-    for (std::size_t r = 0; r < rows; r += 2) {
-      const double* x0 = src + r * in;
-      const double* x1 = r + 1 < rows ? x0 + in : x0;
-      double* y0 = dst + r * on;
-      double* y1 = y0 + on;  // exists: odd `rows` < kRows
-      std::size_t o0 = 0;
-      for (; o0 + kOTile <= on; o0 += kOTile) {
-        infer_tile<kOTile>(x0, x1, wt, bias, o0, kOTile, relu, y0, y1);
-      }
-      if (o0 < on) infer_tile<0>(x0, x1, wt, bias, o0, on - o0, relu, y0, y1);
-    }
-    return;
-  }
-
-  // Thin layers (the regression head): the eight rows' chains retire
-  // together, as in the training kernel, each in its own k order.
-  const double* x[kRows];
-  for (std::size_t j = 0; j < kRows; ++j) x[j] = src + std::min(j, rows - 1) * in;
-  for (std::size_t o = 0; o < on; ++o) {
-    const double* __restrict wrow = layer.weight().row_data(o);
-    double acc[kRows];
-    for (std::size_t j = 0; j < kRows; ++j) acc[j] = bias[o];
-    for (std::size_t k = 0; k < in; ++k) {
-      const double wk = wrow[k];
-      for (std::size_t j = 0; j < kRows; ++j) acc[j] += wk * x[j][k];
-    }
-    for (std::size_t j = 0; j < rows; ++j) dst[j * on + o] = relu ? std::max(acc[j], 0.0) : acc[j];
-  }
-}
-
-}  // namespace
 
 Linear::Linear(std::size_t in_features, std::size_t out_features)
     : weight_(out_features, in_features),
@@ -191,30 +21,14 @@ void Linear::init(Rng& rng) {
 }
 
 const Matrix& Linear::forward(const Matrix& input, bool relu) {
-  linear_kernel(weight_, bias_, input, out_, wt_);
+  active_kernels().linear_forward(weight_, bias_, input, out_, wt_);
   if (relu) Relu::train_inplace(out_);
   return out_;
 }
 
 void Linear::backward(const Matrix& input, const Matrix& grad_output, Matrix* grad_input) {
-  assert(grad_output.cols() == out_features() && input.cols() == in_features());
-  assert(grad_output.rows() == input.rows());
-  // dW accumulates in place: element (o, k) adds dY[r][o] * X[r][k] for r
-  // ascending, skipping zero dY, across independent k lanes. From
-  // zero_grad()'s +0.0 that is the sum a fresh dY^T X product would hold.
-  for (std::size_t r = 0; r < input.rows(); ++r) {
-    const double* __restrict x = input.row_data(r);
-    const double* __restrict dy = grad_output.row_data(r);
-    double* __restrict db = bias_grad_.row_data(0);
-    for (std::size_t o = 0; o < out_features(); ++o) {
-      const double g = dy[o];
-      db[o] += g;
-      if (g == 0.0) continue;
-      double* __restrict dw = weight_grad_.row_data(o);
-      for (std::size_t k = 0; k < in_features(); ++k) dw[k] += g * x[k];
-    }
-  }
-  if (grad_input != nullptr) Matrix::multiply_into(grad_output, weight_, *grad_input);
+  active_kernels().linear_backward(weight_, input, grad_output, weight_grad_, bias_grad_,
+                                   grad_input);
 }
 
 void Linear::zero_grad() {
@@ -233,43 +47,7 @@ void Relu::backward_inplace(const Matrix& post, Matrix& grad) {
 
 void infer_into(const std::vector<Linear>& layers, const Matrix& input, Matrix& out,
                 BatchScratch& scratch) {
-  assert(!layers.empty() && input.cols() == layers.front().in_features());
-  assert(&input != &out && "infer_into: output aliases the input");
-  const std::size_t n = input.rows();
-  const std::size_t on_last = layers.back().out_features();
-
-  // Stage each wide layer's W^T (in x out) so a tile's weight row is
-  // contiguous. The copy is O(in*on) against the O(n*in*on) product.
-  std::size_t widest = 0;
-  scratch.wt.resize(layers.size());
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    const Matrix& w = layers[li].weight();
-    widest = std::max(widest, w.rows());
-    if (w.rows() < kRows) continue;
-    Matrix& wt = scratch.wt[li];
-    wt.reshape(w.cols(), w.rows());
-    for (std::size_t o = 0; o < w.rows(); ++o) {
-      for (std::size_t k = 0; k < w.cols(); ++k) wt(k, o) = w(o, k);
-    }
-  }
-  scratch.a.reshape(kRows, widest);
-  scratch.b.reshape(kRows, widest);
-  out.reshape(n, on_last);
-
-  // Each block of kRows rows runs through every layer before the next
-  // block starts, ping-ponging between the two block buffers, so its
-  // activations never leave L1. Layer 0 reads the input rows in place.
-  for (std::size_t r0 = 0; r0 < n; r0 += kRows) {
-    const std::size_t rows = std::min(kRows, n - r0);
-    const double* src = input.row_data(r0);
-    double* buffers[2] = {scratch.a.row_data(0), scratch.b.row_data(0)};
-    for (std::size_t li = 0; li < layers.size(); ++li) {
-      double* dst = buffers[li % 2];
-      infer_layer(layers[li], scratch.wt[li], rows, li + 1 < layers.size(), src, dst);
-      src = dst;
-    }
-    std::copy_n(src, rows * on_last, out.row_data(r0));
-  }
+  active_kernels().infer(layers, input, out, scratch);
 }
 
 }  // namespace verihvac::nn

@@ -13,6 +13,7 @@
 // Training (Linear::forward) runs one layer per pass, starts from 0.0 and
 // adds the bias last, the order every trained weight was produced in:
 // changing it would move every trained weight and golden value.
+// The kernels themselves live in nn/kernels.cpp, one copy per ISA level.
 #pragma once
 
 #include <cstdint>

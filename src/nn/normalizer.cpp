@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/kernels.hpp"
+
 namespace verihvac::nn {
 
 void Normalizer::fit(const Matrix& data) {
@@ -50,25 +52,8 @@ Matrix Normalizer::inverse_transform(const Matrix& data) const {
 }
 
 void Normalizer::transform_into(const Matrix& data, Matrix& out) const {
-  assert(fitted() && data.cols() == dims());
-  assert(&data != &out && "transform_into: output aliases the input");
-  out.reshape(data.rows(), data.cols());  // every element is overwritten
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    const double* src = data.row_data(r);
-    double* dst = out.row_data(r);
-    for (std::size_t c = 0; c < data.cols(); ++c) dst[c] = (src[c] - mean_[c]) / std_[c];
-  }
-}
-
-void Normalizer::inverse_transform_into(const Matrix& data, Matrix& out) const {
-  assert(fitted() && data.cols() == dims());
-  assert(&data != &out && "inverse_transform_into: output aliases the input");
-  out.reshape(data.rows(), data.cols());  // every element is overwritten
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    const double* src = data.row_data(r);
-    double* dst = out.row_data(r);
-    for (std::size_t c = 0; c < data.cols(); ++c) dst[c] = src[c] * std_[c] + mean_[c];
-  }
+  assert(fitted());
+  active_kernels().standardize(data, mean_, std_, out);
 }
 
 void Normalizer::transform_inplace(std::vector<double>& x) const {

@@ -23,12 +23,11 @@ class Normalizer {
   Matrix transform(const Matrix& data) const;
   Matrix inverse_transform(const Matrix& data) const;
 
-  /// Allocation-free batched variants into caller-owned `out` (resized in
+  /// Allocation-free batched transform into caller-owned `out` (resized in
   /// place, capacity reused; must not alias `data`). Same per-element
   /// expression as the in-place single-sample path, so batched and scalar
   /// normalization agree bit-for-bit.
   void transform_into(const Matrix& data, Matrix& out) const;
-  void inverse_transform_into(const Matrix& data, Matrix& out) const;
 
   /// In-place single-sample variants (hot path of rollout prediction).
   void transform_inplace(std::vector<double>& x) const;
