@@ -6,7 +6,6 @@
 // sufficient and easy to audit.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
@@ -74,47 +73,10 @@ class Matrix {
 
   void fill(double value);
 
-  /// C = A * B into caller-owned `c` (resized in place, reusing capacity;
-  /// asserts inner dimensions agree). Cache-blocked i-k-j kernel: the
-  /// inner loop is contiguous in both B and C, and i/k tiling bounds the
-  /// working set of B so large products stay in cache. k-tiles are walked
-  /// in ascending order, so every C element accumulates in exactly the
-  /// same order as the unblocked i-k-j loop — results are bit-identical to
-  /// it. `c` must not alias `a` or `b`. Always inlined, so the nn training
-  /// kernel compiles it at each ISA level (see nn/kernels.hpp).
-  [[gnu::always_inline]] static inline void multiply_into(const Matrix& a, const Matrix& b,
-                                                          Matrix& c);
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-inline void Matrix::multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  assert(a.cols() == b.rows() && "multiply_into: inner dimensions disagree");
-  assert(&c != &a && &c != &b && "multiply_into: output aliases an input");
-  c.resize(a.rows(), b.cols());
-  // Blocked i-k-j: the inner loop is contiguous in both b and c; the i/k
-  // tiles keep at most kTile rows of b hot while a's tile is streamed.
-  // Walking k-tiles (and k within a tile) in ascending order preserves the
-  // unblocked kernel's accumulation order exactly.
-  constexpr std::size_t kTile = 64;
-  for (std::size_t i0 = 0; i0 < a.rows(); i0 += kTile) {
-    const std::size_t i1 = std::min(i0 + kTile, a.rows());
-    for (std::size_t k0 = 0; k0 < a.cols(); k0 += kTile) {
-      const std::size_t k1 = std::min(k0 + kTile, a.cols());
-      for (std::size_t i = i0; i < i1; ++i) {
-        double* crow = c.row_data(i);
-        for (std::size_t k = k0; k < k1; ++k) {
-          const double aik = a(i, k);
-          if (aik == 0.0) continue;
-          const double* brow = b.row_data(k);
-          for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
-        }
-      }
-    }
-  }
-}
 
 }  // namespace verihvac

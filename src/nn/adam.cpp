@@ -2,33 +2,31 @@
 
 #include <cmath>
 
+#include "nn/kernels.hpp"
+
 namespace verihvac::nn {
 
 Adam::Adam(Mlp& model, AdamConfig config) : config_(config) {
   for (auto& layer : model.layers()) {
-    auto add = [this](Matrix& params, Matrix& grads) {
-      for (std::size_t i = 0; i < params.data().size(); ++i) {
-        slots_.push_back(Slot{&params.data()[i], &grads.data()[i]});
-      }
-    };
-    add(layer.weight(), layer.weight_grad());
-    add(layer.bias(), layer.bias_grad());
+    blocks_.push_back(Block{layer.weight().data().data(), layer.weight_grad().data().data(),
+                            layer.weight().size()});
+    blocks_.push_back(
+        Block{layer.bias().data().data(), layer.bias_grad().data().data(), layer.bias().size()});
   }
-  m_.assign(slots_.size(), 0.0);
-  v_.assign(slots_.size(), 0.0);
+  m_.assign(model.parameter_count(), 0.0);
+  v_.assign(model.parameter_count(), 0.0);
 }
 
 void Adam::step() {
   ++t_;
   const double bias_correction1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bias_correction2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    double g = *slots_[i].grad + config_.weight_decay * *slots_[i].param;
-    m_[i] = config_.beta1 * m_[i] + (1.0 - config_.beta1) * g;
-    v_[i] = config_.beta2 * v_[i] + (1.0 - config_.beta2) * g * g;
-    const double m_hat = m_[i] / bias_correction1;
-    const double v_hat = v_[i] / bias_correction2;
-    *slots_[i].param -= config_.learning_rate * m_hat / (std::sqrt(v_hat) + config_.epsilon);
+  const KernelVariant& kernels = active_kernels();
+  std::size_t offset = 0;
+  for (const Block& block : blocks_) {
+    kernels.adam_update(config_, bias_correction1, bias_correction2, block.param, block.grad,
+                        m_.data() + offset, v_.data() + offset, block.size);
+    offset += block.size;
   }
 }
 

@@ -29,14 +29,19 @@ class Adam {
 
   const AdamConfig& config() const { return config_; }
   std::size_t steps_taken() const { return t_; }
+  /// The first and second moment estimates, in Mlp::parameters() order.
+  const std::vector<double>& first_moment() const { return m_; }
+  const std::vector<double>& second_moment() const { return v_; }
 
  private:
-  // Parameter/gradient views over all layers, flattened.
-  struct Slot {
+  /// One parameter matrix and its gradient; its moments are the next
+  /// `size` elements of m_ and v_, in the order of blocks_.
+  struct Block {
     double* param;
     const double* grad;
+    std::size_t size;
   };
-  std::vector<Slot> slots_;
+  std::vector<Block> blocks_;
   std::vector<double> m_;
   std::vector<double> v_;
   AdamConfig config_;

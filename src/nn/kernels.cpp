@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstring>
 #include <iterator>
 
 #include "common/logging.hpp"
@@ -23,6 +25,8 @@ namespace {
 /// columns, fills its vector lanes.
 constexpr std::size_t kOTile = 32;
 constexpr std::size_t kRows = 8;
+/// Inputs per dW tile: its accumulators are kDwTile vectors.
+constexpr std::size_t kDwTile = 8;
 
 /// Training forward: out = input W^T + b. Element (r, o) accumulates
 /// w[o][k] * x[r][k] with k ascending from 0.0, and bias[o] is added after
@@ -113,30 +117,155 @@ constexpr std::size_t kRows = 8;
   }
 }
 
-/// Training backward. dW accumulates in place: element (o, k) adds
-/// dY[r][o] * X[r][k] for r ascending, skipping zero dY, across independent
-/// k lanes. From zero_grad()'s +0.0 that is the sum a fresh dY^T X product
-/// would hold.
+/// kL doubles as one GCC vector, the variant's register width: GCC lowers
+/// a vector wider than the target's registers through memory.
+template <std::size_t kL>
+struct LanesOf {
+  typedef double type __attribute__((vector_size(kL * sizeof(double))));
+};
+
+/// dW, the kL outputs [o0, o0 + kL) by the inputs [k0, k0 + kK): the
+/// accumulators hold that block of dW^T, one vector of outputs per input.
+/// Each lane adds dY(r, o) * X(r, k) for r ascending, and keeps its old sum
+/// instead where dY(r, o) is +0.0 or -0.0 (a NaN dY is added): the skip
+/// rule of linear_backward. kK is the input tile width, kDwTile or 0 for
+/// the runtime-width remainder `kn`.
+template <std::size_t kL, std::size_t kK>
+[[gnu::always_inline]] inline void weight_grad_tile(const Matrix& input, const Matrix& grad_output,
+                                                    std::size_t o0, std::size_t k0,
+                                                    std::size_t kn, Matrix& weight_grad) {
+  using Lanes = typename LanesOf<kL>::type;
+  const std::size_t kw = kK != 0 ? kK : kn;
+  // Lanes move through `column` by memcpy: indexing a lane by a runtime
+  // index would keep the accumulators in memory.
+  Lanes acc[kDwTile];
+  double column[kL];
+  for (std::size_t kk = 0; kk < kw; ++kk) {
+    for (std::size_t j = 0; j < kL; ++j) column[j] = weight_grad(o0 + j, k0 + kk);
+    std::memcpy(&acc[kk], column, sizeof(Lanes));
+  }
+  for (std::size_t r = 0; r < input.rows(); ++r) {
+    Lanes g;
+    std::memcpy(&g, grad_output.row_data(r) + o0, sizeof g);
+    const auto keep = g != 0.0;
+    const double* __restrict x = input.row_data(r) + k0;
+    for (std::size_t kk = 0; kk < kw; ++kk) {
+      const Lanes sum = acc[kk] + g * x[kk];
+      acc[kk] = keep ? sum : acc[kk];
+    }
+  }
+  for (std::size_t kk = 0; kk < kw; ++kk) {
+    std::memcpy(column, &acc[kk], sizeof(Lanes));
+    for (std::size_t j = 0; j < kL; ++j) weight_grad(o0 + j, k0 + kk) = column[j];
+  }
+}
+
+/// Compacts the `count` values v[0], v[stride], v[2 * stride], ... to
+/// their nonzero terms, in order: coeff[t] is the value and row[t] the
+/// operand row `base + i * base_stride` of value i. Branch-free: every slot
+/// is written, and the count advances past a nonzero (NaN included) only.
+/// Returns the number of terms.
+[[gnu::always_inline]] inline std::size_t compact_terms(const double* v, std::size_t stride,
+                                                        std::size_t count, const double* base,
+                                                        std::size_t base_stride,
+                                                        BackwardScratch& scratch) {
+  double* __restrict coeff = scratch.coeff.data();
+  const double** __restrict row = scratch.row.data();
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double g = v[i * stride];
+    coeff[m] = g;
+    row[m] = base + i * base_stride;
+    m += g != 0.0;
+  }
+  return m;
+}
+
+/// One output tile of a compacted sum: out[k0 + j] for j in [0, width)
+/// adds coeff[t] * row[t][k0 + j] for the m terms in order, onto its old
+/// value if `accumulate`, else onto +0.0. The accumulators stay in
+/// registers. kWidth is the tile width, or 0 for the runtime-width
+/// remainder.
+template <std::size_t kWidth>
+[[gnu::always_inline]] inline void terms_tile(const BackwardScratch& scratch, std::size_t m,
+                                              std::size_t k0, std::size_t width, bool accumulate,
+                                              double* __restrict out) {
+  const double* __restrict coeff = scratch.coeff.data();
+  const double* const* __restrict row = scratch.row.data();
+  const std::size_t w = kWidth != 0 ? kWidth : width;
+  double acc[kOTile];
+  for (std::size_t j = 0; j < w; ++j) acc[j] = accumulate ? out[k0 + j] : 0.0;
+  for (std::size_t t = 0; t < m; ++t) {
+    const double c = coeff[t];
+    const double* __restrict x = row[t] + k0;
+    for (std::size_t j = 0; j < w; ++j) acc[j] += c * x[j];
+  }
+  for (std::size_t j = 0; j < w; ++j) out[k0 + j] = acc[j];
+}
+
+/// The compacted sum over all `in` elements of row `out`.
+[[gnu::always_inline]] inline void sum_terms(const BackwardScratch& scratch, std::size_t m,
+                                             std::size_t in, bool accumulate, double* out) {
+  std::size_t k0 = 0;
+  for (; k0 + kOTile <= in; k0 += kOTile) {
+    terms_tile<kOTile>(scratch, m, k0, kOTile, accumulate, out);
+  }
+  if (k0 < in) terms_tile<0>(scratch, m, k0, in - k0, accumulate, out);
+}
+
+/// Training backward. Every chain skips exactly the terms whose dY is +0.0
+/// or -0.0 (a NaN dY is kept), the rule every trained weight was produced
+/// under, but without a branch on dY: about half the hidden gradients are
+/// ReLU zeros, in a pattern that changes every step, so a branch would
+/// mispredict about half the time.
+///   db(o) adds dY(r, o) for r ascending, zeros included.
+///   dW(o, k) accumulates in place, dY(r, o) * X(r, k) for r ascending.
+///     From zero_grad()'s +0.0 that is the sum a fresh dY^T X would hold.
+///     Outputs in groups of kL, a vector register, take the per-lane
+///     select of weight_grad_tile; the rest (all of a thin layer's) compact
+///     their column of dY to its nonzero terms and sum only those.
+///   dX(r, k) is dY(r, o) * W(o, k) for o ascending from +0.0, over the
+///     nonzero terms of row r of dY.
+template <std::size_t kL>
 [[gnu::always_inline]] inline void linear_backward(const Matrix& weight, const Matrix& input,
                                                    const Matrix& grad_output, Matrix& weight_grad,
-                                                   Matrix& bias_grad, Matrix* grad_input) {
+                                                   Matrix& bias_grad, Matrix* grad_input,
+                                                   BackwardScratch& scratch) {
+  const std::size_t n = input.rows();
   const std::size_t in = weight.cols();
   const std::size_t on = weight.rows();
   assert(grad_output.cols() == on && input.cols() == in);
-  assert(grad_output.rows() == input.rows());
-  for (std::size_t r = 0; r < input.rows(); ++r) {
-    const double* __restrict x = input.row_data(r);
+  assert(grad_output.rows() == n);
+  scratch.coeff.resize(std::max(n, on));
+  scratch.row.resize(std::max(n, on));
+
+  double* __restrict db = bias_grad.row_data(0);
+  for (std::size_t r = 0; r < n; ++r) {
     const double* __restrict dy = grad_output.row_data(r);
-    double* __restrict db = bias_grad.row_data(0);
-    for (std::size_t o = 0; o < on; ++o) {
-      const double g = dy[o];
-      db[o] += g;
-      if (g == 0.0) continue;
-      double* __restrict dw = weight_grad.row_data(o);
-      for (std::size_t k = 0; k < in; ++k) dw[k] += g * x[k];
-    }
+    for (std::size_t o = 0; o < on; ++o) db[o] += dy[o];
   }
-  if (grad_input != nullptr) Matrix::multiply_into(grad_output, weight, *grad_input);
+
+  std::size_t o = 0;
+  for (; o + kL <= on; o += kL) {
+    std::size_t k0 = 0;
+    for (; k0 + kDwTile <= in; k0 += kDwTile) {
+      weight_grad_tile<kL, kDwTile>(input, grad_output, o, k0, kDwTile, weight_grad);
+    }
+    if (k0 < in) weight_grad_tile<kL, 0>(input, grad_output, o, k0, in - k0, weight_grad);
+  }
+  for (; o < on; ++o) {
+    const std::size_t m =
+        compact_terms(grad_output.row_data(0) + o, on, n, input.row_data(0), in, scratch);
+    sum_terms(scratch, m, in, /*accumulate=*/true, weight_grad.row_data(o));
+  }
+
+  if (grad_input == nullptr) return;
+  grad_input->reshape(n, in);  // every element is overwritten
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t m = compact_terms(grad_output.row_data(r), 1, on, weight.row_data(0), in,
+                                        scratch);
+    sum_terms(scratch, m, in, /*accumulate=*/false, grad_input->row_data(r));
+  }
 }
 
 /// Inference, one output tile of a wide layer for two rows: outputs
@@ -268,17 +397,43 @@ template <std::size_t kWidth>
   }
 }
 
+/// Adam::step's element update, in the expression every trained weight was
+/// produced with. Every lane is one parameter, so vectorizing it reorders
+/// nothing, and each operation (sqrt included) is correctly rounded.
+[[gnu::always_inline]] inline void adam_update(const AdamConfig& config, double bias_correction1,
+                                               double bias_correction2, double* __restrict param,
+                                               const double* __restrict grad,
+                                               double* __restrict m, double* __restrict v,
+                                               std::size_t size) {
+  const double lr = config.learning_rate;
+  const double beta1 = config.beta1;
+  const double beta2 = config.beta2;
+  const double epsilon = config.epsilon;
+  const double weight_decay = config.weight_decay;
+  for (std::size_t i = 0; i < size; ++i) {
+    const double g = grad[i] + weight_decay * param[i];
+    m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+    v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+    const double m_hat = m[i] / bias_correction1;
+    const double v_hat = v[i] / bias_correction2;
+    param[i] -= lr * m_hat / (std::sqrt(v_hat) + epsilon);
+  }
+}
+
 /// One variant: the kernels above compiled under the function attribute
-/// `attr`, gathered into a KernelVariant named `label`.
-#define VERIHVAC_KERNEL_VARIANT(ns, attr, label, is_supported)                                    \
+/// `attr`, whose vector registers hold `lanes` doubles, gathered into a
+/// KernelVariant named `label`.
+#define VERIHVAC_KERNEL_VARIANT(ns, attr, lanes, label, is_supported)                             \
   namespace ns {                                                                                  \
   attr void linear_forward(const Matrix& weight, const Matrix& bias, const Matrix& input,         \
                            Matrix& out, Matrix& wt) {                                             \
     nn::linear_forward(weight, bias, input, out, wt);                                             \
   }                                                                                               \
   attr void linear_backward(const Matrix& weight, const Matrix& input, const Matrix& grad_output, \
-                            Matrix& weight_grad, Matrix& bias_grad, Matrix* grad_input) {         \
-    nn::linear_backward(weight, input, grad_output, weight_grad, bias_grad, grad_input);          \
+                            Matrix& weight_grad, Matrix& bias_grad, Matrix* grad_input,           \
+                            BackwardScratch& scratch) {                                           \
+    nn::linear_backward<lanes>(weight, input, grad_output, weight_grad, bias_grad, grad_input,     \
+                               scratch);                                                          \
   }                                                                                               \
   attr void infer(const std::vector<Linear>& layers, const Matrix& input, Matrix& out,            \
                   BatchScratch& scratch) {                                                        \
@@ -288,12 +443,17 @@ template <std::size_t kWidth>
                         const std::vector<double>& stddev, Matrix& out) {                         \
     nn::standardize(data, mean, stddev, out);                                                     \
   }                                                                                               \
-  constexpr KernelVariant kVariant{label,           is_supported, linear_forward,                 \
-                                   linear_backward, infer,        standardize};                   \
+  attr void adam_update(const AdamConfig& config, double bias_correction1,                        \
+                        double bias_correction2, double* param, const double* grad, double* m,    \
+                        double* v, std::size_t size) {                                            \
+    nn::adam_update(config, bias_correction1, bias_correction2, param, grad, m, v, size);         \
+  }                                                                                               \
+  constexpr KernelVariant kVariant{label, is_supported, linear_forward, linear_backward,          \
+                                   infer, standardize,  adam_update};                             \
   }
 
 bool always_supported() { return true; }
-VERIHVAC_KERNEL_VARIANT(baseline, , "baseline", always_supported)
+VERIHVAC_KERNEL_VARIANT(baseline, , 2, "baseline", always_supported)
 
 #if defined(__x86_64__)
 bool cpu_supports_v3() {
@@ -307,9 +467,9 @@ bool cpu_supports_v4() {
 // prefer-vector-width=512: GCC otherwise keeps AVX-512 code at 256 bits.
 // The inference kernel holds two rows' 32 output accumulators in
 // registers, which spill at 16 ymm but fit in 32 zmm.
-VERIHVAC_KERNEL_VARIANT(v3, __attribute__((target("arch=x86-64-v3"))), "x86-64-v3",
+VERIHVAC_KERNEL_VARIANT(v3, __attribute__((target("arch=x86-64-v3"))), 4, "x86-64-v3",
                         cpu_supports_v3)
-VERIHVAC_KERNEL_VARIANT(v4, __attribute__((target("arch=x86-64-v4,prefer-vector-width=512"))),
+VERIHVAC_KERNEL_VARIANT(v4, __attribute__((target("arch=x86-64-v4,prefer-vector-width=512"))), 8,
                         "x86-64-v4", cpu_supports_v4)
 constexpr KernelVariant kVariants[] = {baseline::kVariant, v3::kVariant, v4::kVariant};
 #else

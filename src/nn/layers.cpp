@@ -28,7 +28,7 @@ const Matrix& Linear::forward(const Matrix& input, bool relu) {
 
 void Linear::backward(const Matrix& input, const Matrix& grad_output, Matrix* grad_input) {
   active_kernels().linear_backward(weight_, input, grad_output, weight_grad_, bias_grad_,
-                                   grad_input);
+                                   grad_input, backward_scratch_);
 }
 
 void Linear::zero_grad() {

@@ -24,6 +24,14 @@
 
 namespace verihvac::nn {
 
+/// Linear::backward's compaction buffers: one row or column of dY as its
+/// nonzero (coefficient, operand row) terms. Sized by the larger of the
+/// batch and the layer's outputs.
+struct BackwardScratch {
+  std::vector<double> coeff;
+  std::vector<const double*> row;
+};
+
 /// Fully-connected layer: Y = X W^T + b, with gradient accumulation.
 /// Training (forward/backward) writes into buffers the layer owns and is
 /// not thread-safe; infer_into reads a const layer and touches no state.
@@ -47,8 +55,12 @@ class Linear {
   void backward(const Matrix& input, const Matrix& grad_output, Matrix* grad_input);
 
   void zero_grad();
-  /// Frees forward()'s buffers; the next forward() rebuilds them.
-  void release_training_buffers() { out_ = Matrix(); wt_ = Matrix(); }
+  /// Frees forward()'s and backward()'s buffers; the next call rebuilds them.
+  void release_training_buffers() {
+    out_ = Matrix();
+    wt_ = Matrix();
+    backward_scratch_ = BackwardScratch();
+  }
 
   Matrix& weight() { return weight_; }
   Matrix& bias() { return bias_; }
@@ -64,6 +76,7 @@ class Linear {
   Matrix bias_grad_;    // 1 x out
   Matrix out_;          // training forward output
   Matrix wt_;           // training W^T staging
+  BackwardScratch backward_scratch_;
 };
 
 /// Elementwise ReLU. Stateless: the training backward reads its mask from

@@ -115,7 +115,8 @@ TEST_P(KernelVariantTest, InferenceDigestIsLocked) {
 
 /// (in, out) pairs of the training kernels: thin heads (fewer than 8
 /// outputs), full 32-wide output tiles, remainder tiles (40, 20) and a
-/// layer whose backward GEMM spans two 64-wide k tiles (70 outputs).
+/// layer whose 70 outputs leave 6 over after the backward's 8-wide dW
+/// groups.
 const std::vector<std::pair<std::size_t, std::size_t>> kLayerShapes = {
     {8, 32}, {32, 32}, {32, 1}, {16, 5}, {8, 40}, {40, 20}, {20, 70}};
 
@@ -144,16 +145,17 @@ TEST_P(KernelVariantTest, TrainingBackwardMatchesBaseline) {
     Linear layer(in, on);
     Rng rng(43 + on);
     layer.init(rng);
-    const std::size_t batch_size = 193;  // three 64-row GEMM tiles and a remainder
+    const std::size_t batch_size = 193;
     const Matrix input = make_batch(batch_size, in, 300 + on);
     Matrix grad_output = make_batch(batch_size, on, 400 + on);
-    // Zero gradients take the kernels' skip branches; a NaN one does not.
+    // Zero gradients are skipped terms; a NaN one is not.
     for (std::size_t r = 0; r < batch_size; r += 3) grad_output(r, r % on) = 0.0;
     grad_output(batch_size / 2, 0) = std::nan("");
 
     Matrix weight_grad[2];
     Matrix bias_grad[2];
     Matrix grad_input[2];
+    BackwardScratch scratch;
     const KernelVariant* variants[2] = {&variant(), &baseline()};
     for (int v = 0; v < 2; ++v) {
       weight_grad[v] = Matrix(on, in);
@@ -161,13 +163,92 @@ TEST_P(KernelVariantTest, TrainingBackwardMatchesBaseline) {
       // Twice: the second pass accumulates onto the first's gradients.
       for (int pass = 0; pass < 2; ++pass) {
         variants[v]->linear_backward(layer.weight(), input, grad_output, weight_grad[v],
-                                     bias_grad[v], &grad_input[v]);
+                                     bias_grad[v], &grad_input[v], scratch);
       }
     }
     const std::string what = std::to_string(in) + "->" + std::to_string(on);
     expect_same_bits(weight_grad[0], weight_grad[1], what + " weight grad");
     expect_same_bits(bias_grad[0], bias_grad[1], what + " bias grad");
     expect_same_bits(grad_input[0], grad_input[1], what + " input grad");
+  }
+}
+
+/// The branchy backward, kept as the oracle: dW and db in one
+/// r-ascending pass that branches over zero dY, and dX in the i-k-j order
+/// of the removed Matrix::multiply_into (its k tiles ran ascending, so the
+/// chain is the unblocked one), from +0.0 and skipping zero dY.
+void reference_backward(const Matrix& weight, const Matrix& input, const Matrix& grad_output,
+                        Matrix& weight_grad, Matrix& bias_grad, Matrix* grad_input) {
+  const std::size_t in = weight.cols();
+  const std::size_t on = weight.rows();
+  for (std::size_t r = 0; r < input.rows(); ++r) {
+    for (std::size_t o = 0; o < on; ++o) {
+      const double g = grad_output(r, o);
+      bias_grad(0, o) += g;
+      if (g == 0.0) continue;
+      for (std::size_t k = 0; k < in; ++k) weight_grad(o, k) += g * input(r, k);
+    }
+  }
+  if (grad_input == nullptr) return;
+  grad_input->resize(input.rows(), in);
+  for (std::size_t r = 0; r < input.rows(); ++r) {
+    for (std::size_t o = 0; o < on; ++o) {
+      const double g = grad_output(r, o);
+      if (g == 0.0) continue;
+      for (std::size_t k = 0; k < in; ++k) (*grad_input)(r, k) += g * weight(o, k);
+    }
+  }
+}
+
+/// Random dY with about half its entries +0.0 or -0.0 (the share the ReLU
+/// mask zeroes in training), plus a NaN, a +inf and a -inf.
+Matrix sparse_grad(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Matrix grad = make_batch(rows, cols, seed);
+  Rng rng(seed + 1);
+  for (double& g : grad.data()) {
+    if (rng.uniform(0.0, 1.0) < 0.5) g = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0;
+  }
+  grad(rows / 2, 0) = std::nan("");
+  grad(rows - 1, cols - 1) = std::numeric_limits<double>::infinity();
+  grad(0, cols / 2) = -std::numeric_limits<double>::infinity();
+  return grad;
+}
+
+TEST_P(KernelVariantTest, TrainingBackwardMatchesBranchingOracle) {
+  // Input widths 1 and 7 are remainder tiles alone, 9 and 33 add one to a
+  // full tile.
+  auto shapes = kLayerShapes;
+  shapes.insert(shapes.end(), {{1, 32}, {7, 1}, {9, 40}, {33, 70}});
+  for (const auto& [in, on] : shapes) {
+    Linear layer(in, on);
+    Rng rng(47 + in + on);
+    layer.init(rng);
+    for (std::size_t batch_size : {1u, 7u, 8u, 9u, 64u, 65u, 193u}) {
+      Matrix input = make_batch(batch_size, in, 600 + batch_size);
+      add_non_finite_rows(input);
+      const Matrix grad_output = sparse_grad(batch_size, on, 700 + batch_size + on);
+
+      Matrix weight_grad(on, in);
+      Matrix bias_grad(1, on);
+      Matrix grad_input(batch_size, in, 5.0);  // every element must be overwritten
+      Matrix want_weight_grad(on, in);
+      Matrix want_bias_grad(1, on);
+      Matrix want_grad_input;
+      BackwardScratch scratch;
+      // The second and third passes accumulate onto nonzero gradients; the
+      // third computes no dX.
+      for (Matrix* gi : {&grad_input, &grad_input, static_cast<Matrix*>(nullptr)}) {
+        variant().linear_backward(layer.weight(), input, grad_output, weight_grad, bias_grad, gi,
+                                  scratch);
+        reference_backward(layer.weight(), input, grad_output, want_weight_grad, want_bias_grad,
+                           gi != nullptr ? &want_grad_input : nullptr);
+      }
+      const std::string what = std::to_string(in) + "->" + std::to_string(on) + " batch " +
+                               std::to_string(batch_size);
+      expect_same_bits(weight_grad, want_weight_grad, what + " weight grad");
+      expect_same_bits(bias_grad, want_bias_grad, what + " bias grad");
+      expect_same_bits(grad_input, want_grad_input, what + " input grad");
+    }
   }
 }
 
